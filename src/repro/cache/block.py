@@ -71,6 +71,11 @@ class BlockCache:
         self.bytes_used = 0
         #: (key, block index) -> version tag
         self._blocks: Dict[BlockId, int] = {}
+        #: key -> {block index -> version tag}: the same entries as
+        #: ``_blocks`` grouped by key, kept in step wherever ``_blocks``
+        #: changes so per-key reads never scan the whole cache.  A key
+        #: with no resident block has no entry.
+        self._by_key: Dict[str, Dict[int, int]] = {}
         #: key -> minimum version still admissible (raised by invalidate
         #: so a fill that raced a bump cannot resurrect stale bytes).
         self._floor: Dict[str, int] = {}
@@ -142,6 +147,7 @@ class BlockCache:
                    and self._blocks):
                 self._evict_one()
             self._blocks[block] = version
+            self._by_key.setdefault(key, {})[index] = version
             self.bytes_used += self.block_bytes
             self.policy.admitted(block, float(self.block_bytes))
             inserted += 1
@@ -157,13 +163,22 @@ class BlockCache:
                 f"cache {self.name!r} policy evicted unknown block {block!r}"
             )
         del self._blocks[block]
+        self._unindex(block)
         self.bytes_used -= self.block_bytes
         self._m_evictions.inc()
 
     def _drop(self, block: BlockId) -> None:
         if self._blocks.pop(block, None) is not None:
+            self._unindex(block)
             self.bytes_used -= self.block_bytes
             self.policy.forgot(block)
+
+    def _unindex(self, block: BlockId) -> None:
+        key, index = block
+        of_key = self._by_key[key]
+        del of_key[index]
+        if not of_key:
+            del self._by_key[key]
 
     # -- invalidation --------------------------------------------------------
     def invalidate(self, key: str, min_version: int) -> int:
@@ -173,8 +188,9 @@ class BlockCache:
         refused.  Returns the number of blocks dropped.
         """
         self._floor[key] = max(self._floor.get(key, 0), min_version)
-        stale = [block for block, tag in self._blocks.items()
-                 if block[0] == key and tag < min_version]
+        stale = [(key, index)
+                 for index, tag in self._by_key.get(key, {}).items()
+                 if tag < min_version]
         for block in stale:
             self._drop(block)
         if stale:
@@ -197,8 +213,7 @@ class BlockCache:
         return sorted(self._blocks.items())
 
     def versions_of(self, key: str) -> List[int]:
-        return sorted({tag for block, tag in self._blocks.items()
-                       if block[0] == key})
+        return sorted(set(self._by_key.get(key, {}).values()))
 
     def __repr__(self) -> str:
         return (f"BlockCache({self.name!r}, "

@@ -12,7 +12,7 @@ the Fig. 4 benchmark reads back as network bytes per configuration.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generator
+from typing import Dict, Generator, Optional
 
 from repro.errors import AdmissionError, ChannelFaultError, PreemptedError
 from repro.sim import Delay, Simulator
@@ -144,6 +144,11 @@ class Channel:
         self.latency_s = latency_s
         self.name = name
         self._reservations: Dict[int, Reservation] = {}
+        #: memo of ``reserved_bps``; None until first read and after every
+        #: change to ``_reservations``.  Always re-summed in dict order, not
+        #: kept as a running total, so float rounding (and the integer 0
+        #: of an empty channel) are those of the plain sum.
+        self._reserved_bps: Optional[float] = None
         self.total_bits = 0
         self.admission_failures = 0
         #: fault-injection hook: a :class:`repro.faults.injector.ChannelFaults`
@@ -176,7 +181,9 @@ class Channel:
     # -- admission control ---------------------------------------------------
     @property
     def reserved_bps(self) -> float:
-        return sum(r.bps for r in self._reservations.values())
+        if self._reserved_bps is None:
+            self._reserved_bps = sum(r.bps for r in self._reservations.values())
+        return self._reserved_bps
 
     @property
     def available_bps(self) -> float:
@@ -195,11 +202,13 @@ class Channel:
             )
         reservation = Reservation(self, bps, label)
         self._reservations[reservation.id] = reservation
+        self._reserved_bps = None
         self._m_utilization.set(self.reserved_bps / self.capacity_bps)
         return reservation
 
     def _release(self, reservation: Reservation) -> None:
         self._reservations.pop(reservation.id, None)
+        self._reserved_bps = None
         self._m_utilization.set(self.reserved_bps / self.capacity_bps)
 
     def _account(self, bits: int) -> None:

@@ -45,6 +45,9 @@ class CameraPose:
         return right, up, forward
 
 
+_POSE_BITS = 5 * 32  # five float32 fields on the wire
+
+
 class CameraPath(MediaValue):
     """A sequence of camera poses at a fixed pose rate."""
 
@@ -72,7 +75,10 @@ class CameraPath(MediaValue):
 
     def element_size_bits(self, index: int) -> int:
         self._check_index(index)
-        return 5 * 32  # five float32 fields on the wire
+        return _POSE_BITS
+
+    def data_size_bits(self) -> int:
+        return _POSE_BITS * len(self._poses)
 
     def _with_mapping(self, mapping: TimeMapping) -> "CameraPath":
         clone = type(self).__new__(type(self))

@@ -111,6 +111,9 @@ class Device:
         self.seek_s = seek_s
         self.allocator = ExtentAllocator(name, capacity_bytes)
         self._reservations: Dict[int, DeviceReservation] = {}
+        #: memo of ``reserved_bps``, re-summed after every change to
+        #: ``_reservations`` (see ``Channel._reserved_bps``)
+        self._reserved_bps: Optional[float] = None
         self.total_bits_read = 0
         self.total_bits_written = 0
         self.admission_failures = 0
@@ -123,7 +126,9 @@ class Device:
     # -- admission control (streaming) -----------------------------------
     @property
     def reserved_bps(self) -> float:
-        return sum(r.bps for r in self._reservations.values())
+        if self._reserved_bps is None:
+            self._reserved_bps = sum(r.bps for r in self._reservations.values())
+        return self._reserved_bps
 
     @property
     def available_bps(self) -> float:
@@ -145,11 +150,13 @@ class Device:
             )
         reservation = DeviceReservation(self, bps, label)
         self._reservations[reservation.id] = reservation
+        self._reserved_bps = None
         self._m_utilization.set(self.reserved_bps / self.bandwidth_bps)
         return reservation
 
     def _release(self, reservation: DeviceReservation) -> None:
         self._reservations.pop(reservation.id, None)
+        self._reserved_bps = None
         self._m_utilization.set(self.reserved_bps / self.bandwidth_bps)
 
     def position_latency_s(self) -> float:

@@ -128,6 +128,9 @@ class RawAudioValue(AudioValue):
         self._check_index(index)
         return self.num_channels * self.depth
 
+    def data_size_bits(self) -> int:
+        return self.num_channels * self.depth * self.element_count
+
     def _with_mapping(self, mapping: TimeMapping) -> "RawAudioValue":
         clone = type(self).__new__(type(self))
         AudioValue.__init__(clone, self.num_channels, self.depth, mapping)
@@ -150,6 +153,7 @@ class EncodedAudioValue(AudioValue, abc.ABC):
             raise DataModelError(f"sample count must be positive, got {num_samples}")
         super().__init__(num_channels, depth, mapping or TimeMapping(sample_rate))
         self._blocks = list(blocks)
+        self._stored_bits = sum(len(b) for b in self._blocks) * 8
         self._codec = codec
         self._num_samples = num_samples
         self._decoded: np.ndarray | None = None
@@ -178,11 +182,10 @@ class EncodedAudioValue(AudioValue, abc.ABC):
 
     def element_size_bits(self, index: int) -> int:
         self._check_index(index)
-        total_bits = sum(len(b) for b in self._blocks) * 8
-        return max(1, total_bits // self._num_samples)
+        return max(1, self._stored_bits // self._num_samples)
 
     def data_size_bits(self) -> int:
-        return sum(len(b) for b in self._blocks) * 8
+        return self._stored_bits
 
     def compression_ratio(self) -> float:
         raw = self.num_channels * self.depth * self._num_samples
@@ -193,6 +196,7 @@ class EncodedAudioValue(AudioValue, abc.ABC):
         clone = type(self).__new__(type(self))
         AudioValue.__init__(clone, self.num_channels, self.depth, mapping)
         clone._blocks = self._blocks
+        clone._stored_bits = self._stored_bits
         clone._codec = self._codec
         clone._num_samples = self._num_samples
         clone._decoded = self._decoded

@@ -124,7 +124,13 @@ class MediaValue(abc.ABC):
         return self._mapping.rate
 
     def data_size_bits(self) -> int:
-        """Total stored size of all elements, in bits."""
+        """Total stored size of all elements, in bits.
+
+        This per-element loop is the fallback for third-party subclasses
+        and the reference the tests compare against; every concrete value
+        in this package answers in constant time (a closed form, or a
+        total taken once when the storage was built).
+        """
         return sum(self.element_size_bits(i) for i in range(self.element_count))
 
     def data_rate_bps(self) -> float:

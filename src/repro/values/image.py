@@ -65,6 +65,9 @@ class ImageValue(MediaValue):
         self._check_index(index)
         return self.width * self.height * self.depth
 
+    def data_size_bits(self) -> int:
+        return self.width * self.height * self.depth
+
     def _with_mapping(self, mapping: TimeMapping) -> "ImageValue":
         clone = type(self).__new__(type(self))
         MediaValue.__init__(clone, mapping)

@@ -15,7 +15,7 @@ tick ``i`` (usually empty — MIDI is sparse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.avtime import TimeMapping
 from repro.errors import DataModelError
@@ -48,6 +48,9 @@ class MIDIEvent:
         return 440.0 * 2.0 ** ((self.note - 69) / 12.0)
 
 
+_EVENT_BITS = 24  # 3 bytes per event message, amortized as in a standard MIDI file
+
+
 class MIDIValue(MediaValue):
     """A sorted track of note events at a tick rate."""
 
@@ -58,6 +61,11 @@ class MIDIValue(MediaValue):
         super().__init__(mapping or TimeMapping(ticks_per_second))
         self._events = tuple(sorted(events, key=lambda e: (e.tick, e.note)))
         self._length_ticks = max(e.tick + e.duration_ticks for e in self._events)
+        buckets: Dict[int, List[MIDIEvent]] = {}
+        for event in self._events:
+            buckets.setdefault(event.tick, []).append(event)
+        #: start tick -> its events, in track order; ticks with none are absent
+        self._by_tick = {tick: tuple(started) for tick, started in buckets.items()}
 
     @property
     def media_type(self) -> MediaType:
@@ -78,12 +86,15 @@ class MIDIValue(MediaValue):
     def element_payload(self, index: int) -> Any:
         """All events that start exactly at tick ``index``."""
         self._check_index(index)
-        return tuple(e for e in self._events if e.tick == index)
+        return self._by_tick.get(index, ())
 
     def element_size_bits(self, index: int) -> int:
         self._check_index(index)
-        # 3 bytes per event message, amortized as in a standard MIDI file.
-        return sum(24 for e in self._events if e.tick == index)
+        return _EVENT_BITS * len(self._by_tick.get(index, ()))
+
+    def data_size_bits(self) -> int:
+        # Every event starts inside [0, length): durations are positive.
+        return _EVENT_BITS * len(self._events)
 
     def active_at_tick(self, tick: int) -> Tuple[MIDIEvent, ...]:
         """Events sounding (started, not yet ended) at ``tick``."""
@@ -93,5 +104,6 @@ class MIDIValue(MediaValue):
         clone = type(self).__new__(type(self))
         MediaValue.__init__(clone, mapping)
         clone._events = self._events
+        clone._by_tick = self._by_tick
         clone._length_ticks = self._length_ticks
         return clone

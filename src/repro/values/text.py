@@ -45,6 +45,7 @@ class TextStreamValue(MediaValue):
         ]
         super().__init__(mapping or TimeMapping(rate))
         self._items = normalized
+        self._stored_bits = sum(len(i.text.encode("utf-8")) for i in normalized) * 8
 
     @property
     def media_type(self) -> MediaType:
@@ -65,6 +66,9 @@ class TextStreamValue(MediaValue):
         self._check_index(index)
         return len(self._items[index].text.encode("utf-8")) * 8
 
+    def data_size_bits(self) -> int:
+        return self._stored_bits
+
     def texts(self) -> list[str]:
         return [item.text for item in self._items]
 
@@ -72,4 +76,5 @@ class TextStreamValue(MediaValue):
         clone = type(self).__new__(type(self))
         MediaValue.__init__(clone, mapping)
         clone._items = self._items
+        clone._stored_bits = self._stored_bits
         return clone

@@ -156,6 +156,9 @@ class RawVideoValue(VideoValue):
         self._check_index(index)
         return self.raw_frame_bits()
 
+    def data_size_bits(self) -> int:
+        return self.raw_frame_bits() * self.element_count
+
     @property
     def frames_array(self) -> np.ndarray:
         """The full (n, h, w[, 3]) frame array (shared, do not mutate)."""
@@ -198,6 +201,7 @@ class EncodedVideoValue(VideoValue):
             raise DataModelError("a video value must contain at least one frame")
         super().__init__(width, height, depth, mapping or TimeMapping(rate))
         self._chunks = list(chunks)
+        self._stored_bits = sum(len(c) for c in self._chunks) * 8
         self._codec = codec
         expected = self._expected_codec_name()
         if expected is not None and codec.name != expected:
@@ -236,6 +240,9 @@ class EncodedVideoValue(VideoValue):
         self._check_index(index)
         return len(self._chunks[index]) * 8
 
+    def data_size_bits(self) -> int:
+        return self._stored_bits
+
     def compression_ratio(self) -> float:
         """Raw bits over stored bits for the whole value."""
         stored = self.data_size_bits()
@@ -247,6 +254,7 @@ class EncodedVideoValue(VideoValue):
         clone = type(self).__new__(type(self))
         VideoValue.__init__(clone, self.width, self.height, self.depth, mapping)
         clone._chunks = self._chunks
+        clone._stored_bits = self._stored_bits
         clone._codec = self._codec
         return clone
 

@@ -1,5 +1,7 @@
 """Cache tier: policies, block cache, edge streams, hot boost, scenarios."""
 
+import random
+
 import pytest
 
 from repro.cache import (
@@ -125,6 +127,61 @@ class TestBlockCache:
     def test_content_stamp_is_version_sensitive(self):
         assert content_stamp("k", 0, 0) != content_stamp("k", 1, 0)
         assert content_stamp("k", 0, 0) == content_stamp("k", 0, 0)
+
+
+class TestPerKeyIndex:
+    """The per-key view must equal a scan of ``resident()`` after every
+    mutation, under both policies, at a capacity that evicts."""
+
+    KEYS = ("a", "b", "c", "d", "e")
+    BLOCK = 1_000
+
+    @staticmethod
+    def _scan_versions(cache, key):
+        return sorted({tag for (k, _), tag in cache.resident() if k == key})
+
+    def _check(self, cache):
+        for key in self.KEYS:
+            assert cache.versions_of(key) == self._scan_versions(cache, key)
+        assert cache.bytes_used == cache.resident_blocks * cache.block_bytes
+        assert cache.bytes_used <= cache.capacity_bytes
+        assert all(cache._by_key.values()), "empty per-key entry left behind"
+        assert sorted(((key, index), tag)
+                      for key, of_key in cache._by_key.items()
+                      for index, tag in of_key.items()) == cache.resident()
+
+    @pytest.mark.parametrize("policy", ["lru", "cost-aware"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_mutations_keep_index_equal_to_scan(self, sim, policy,
+                                                       seed):
+        rng = random.Random(seed)
+        cache = BlockCache(sim, "c", capacity_bytes=12 * self.BLOCK,
+                           block_bytes=self.BLOCK, policy=make_policy(policy))
+        version = dict.fromkeys(self.KEYS, 0)
+        evictions = sim.obs.metrics.counter("cache.evictions")
+        dropped = 0
+        for _ in range(5_000):
+            key = rng.choice(self.KEYS)
+            off = rng.randrange(0, 20) * self.BLOCK + rng.randrange(self.BLOCK)
+            nbytes = rng.randrange(1, 4 * self.BLOCK)
+            op = rng.random()
+            if op < 0.55:
+                # Mostly current fills, some late (stale) and early ones.
+                tag = version[key] + rng.choice((0, 0, 0, -1, 1))
+                cache.put(key, off, nbytes, max(tag, 0))
+            elif op < 0.85:
+                cache.get(key, off, nbytes, version[key])
+            elif op < 0.99:
+                version[key] += rng.choice((0, 1, 2))
+                expected = sum(1 for (k, _), tag in cache.resident()
+                               if k == key and tag < version[key])
+                assert cache.invalidate(key, version[key]) == expected
+                dropped += expected
+            else:
+                cache.clear()
+                assert cache.resident_blocks == 0 and not cache._by_key
+            self._check(cache)
+        assert evictions.value > 100 and dropped > 100
 
 
 class TestEdgeStreams:

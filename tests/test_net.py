@@ -1,7 +1,10 @@
 """Network channels: admission control, transfer timing, accounting."""
 
+import random
+
 import pytest
 
+from repro.admission import AdmissionController, Priority, QoSContract
 from repro.errors import AdmissionError
 from repro.net import Channel
 
@@ -42,6 +45,51 @@ class TestAdmission:
             Channel(sim, capacity_bps=0)
         with pytest.raises(AdmissionError):
             Channel(sim, capacity_bps=1000, latency_s=-1)
+
+
+class TestReservedBandwidthMemo:
+    def test_fresh_channel_reads_integer_zero(self, sim):
+        reserved = Channel(sim, capacity_bps=1_000).reserved_bps
+        assert reserved == 0 and type(reserved) is int
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_memo_equals_the_sum_after_every_change(self, sim, seed):
+        """Exact ``==`` against the plain sum in dict order, through
+        admits, degraded grants, releases, preemptions and a stretch of
+        leaked releases (the watch layer's planted bug)."""
+        rng = random.Random(seed)
+        channel = Channel(sim, capacity_bps=10e6)
+        controller = AdmissionController(sim, channel, high_watermark=0.9)
+        preempted = sim.obs.metrics.counter("admission.preempted")
+        held = []
+
+        def check():
+            assert channel.reserved_bps == sum(
+                r.bps for r in channel._reservations.values())
+            assert (channel.available_bps
+                    == channel.capacity_bps - channel.reserved_bps)
+
+        for step in range(6_000):
+            channel.debug_leak_releases = 3_000 <= step < 3_040
+            if held and rng.random() < 0.45:
+                reservation = held.pop(rng.randrange(len(held)))
+                reservation.release()  # a no-op if preempted meanwhile
+            else:
+                contract = QoSContract(
+                    bps=rng.uniform(0.05e6, 1.7e6),
+                    priority=rng.choice(list(Priority)),
+                    min_fraction=rng.choice((1.0, 0.3)))
+                try:
+                    held.append(controller.try_admit(contract, f"s{step}"))
+                except AdmissionError:
+                    pass
+            check()
+        stuck = [r for r in channel._reservations.values() if r.released]
+        assert preempted.value > 50 and len(stuck) > 5
+        for reservation in held:
+            reservation.release()
+        check()
+        assert channel.reserved_bps == sum(r.bps for r in stuck) > 0
 
 
 class TestTransfers:

@@ -1,6 +1,6 @@
 """Regression tests for the hot-path rework: ``with_payload`` sizing
 rules, batched channel accounting, heap-based C-SCAN, O(1) admission
-queue depth, and the profile CLI."""
+queue depth, constant-time value sizes, and the profile CLI."""
 
 from __future__ import annotations
 
@@ -188,6 +188,24 @@ class TestAdmissionQueueDepthCounter:
         assert controller.queue_depth == 0
         assert ("a", "timeout") in results
         assert ("b", "admitted") in results
+
+
+class TestConstantTimeSizeRead:
+    def test_audio_rate_read_sizes_no_element(self, monkeypatch):
+        # The ledger's audio track: 1.6 s at 22.05 kHz.  Counted, not
+        # timed: one call per sample is what made `values` 75 % of
+        # ingest_playback.
+        from repro.values import RawAudioValue
+
+        audio = RawAudioValue(np.zeros(35_280, dtype=np.int16),
+                              sample_rate=22_050.0)
+        calls = []
+        monkeypatch.setattr(
+            RawAudioValue, "element_size_bits",
+            lambda self, index: calls.append(index) or 16)
+        assert audio.data_rate_bps() == 35_280 * 16 / 1.6
+        assert audio.scale(2.0).data_size_bits() == 35_280 * 16
+        assert calls == []
 
 
 class TestProfileCLI:

@@ -1,5 +1,7 @@
 """Storage substrate: extents, device models, placement, the copy fallback."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,6 +110,23 @@ class TestDevices:
         r1.release()
         disk.reserve(5_000_000)  # now fits
         assert disk.admission_failures == 1
+
+    def test_reserved_bps_memo_equals_the_sum_after_every_change(self, sim):
+        disk = MagneticDisk(sim, bandwidth_bps=10e6)
+        assert disk.reserved_bps == 0 and type(disk.reserved_bps) is int
+        rng = random.Random(0)
+        held = []
+        for _ in range(4_000):
+            if held and rng.random() < 0.5:
+                held.pop(rng.randrange(len(held))).release()
+            else:
+                try:
+                    held.append(disk.reserve(rng.uniform(0.05e6, 1.7e6)))
+                except AdmissionError:
+                    pass
+            assert disk.reserved_bps == sum(
+                r.bps for r in disk._reservations.values())
+        assert disk.admission_failures > 50 and held
 
     def test_read_pays_seek_then_transfer(self, sim):
         disk = MagneticDisk(sim, bandwidth_bps=1_000_000, seek_s=0.5)
