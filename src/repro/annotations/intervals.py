@@ -70,7 +70,12 @@ class IntervalIndex(BTreeIndex):
         self.remove((start, end, oid.serial), oid)
 
     def clear(self) -> None:
-        self.__init__(self.class_name, self.attribute, self._t)
+        # The counter stays monotonic: re-running __init__ would put it
+        # back to 0, and a walk begun at _mods == k would then pass its
+        # guard on a rebuilt tree after exactly k re-inserts.
+        self._root = self.node_class()
+        self._size = 0
+        self._mods += 1
 
     # -- augmentation ----------------------------------------------------
     def _max_end(self, node: _IntervalNode) -> float:
@@ -131,16 +136,14 @@ class IntervalIndex(BTreeIndex):
     def during(self, lo: float, hi: float
                ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:
         """Intervals contained in ``[lo, hi)``: starts in range + end test."""
-        for key, oids in self.scan(lo=(lo,), hi=(hi,), include_hi=False):
-            if key[1] <= hi:
-                yield key, oids
+        return filter(lambda posting: posting[0][1] <= hi,
+                      self.scan(lo=(lo,), hi=(hi,), include_hi=False))
 
     def before(self, lo: float
                ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:
         """Intervals ending at or before ``lo`` (they also start below it)."""
-        for key, oids in self.scan(hi=(lo,), include_hi=False):
-            if key[1] <= lo:
-                yield key, oids
+        return filter(lambda posting: posting[0][1] <= lo,
+                      self.scan(hi=(lo,), include_hi=False))
 
     def after(self, hi: float
               ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:

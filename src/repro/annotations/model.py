@@ -171,7 +171,12 @@ class Annotation:
     @classmethod
     def from_object(cls, obj: DBObject) -> "Annotation":
         attrs = obj.attributes
-        return cls(oid=obj.oid, value_id=attrs["value_id"],
-                   track=attrs["track"], atype=attrs["atype"],
-                   start=attrs["start"], end=attrs["end"],
-                   payload=attrs.get("payload") or ())
+        # One dict update instead of the seven object.__setattr__ calls
+        # a frozen dataclass's __init__ makes; assignment through the
+        # instance stays refused.
+        ann = object.__new__(cls)
+        ann.__dict__.update(
+            oid=obj.oid, value_id=attrs["value_id"], track=attrs["track"],
+            atype=attrs["atype"], start=attrs["start"], end=attrs["end"],
+            payload=attrs.get("payload") or ())
+        return ann

@@ -197,7 +197,13 @@ def _run_index(store: AnnotationStore, query: AnnotationQuery,
                tx: Optional[Transaction]) -> QueryResult:
     rows: List[Annotation] = []
     examined = 0
-    reader = store.db.get if tx is None else tx.read
+    # Untransacted reads go straight to the object table, and a query
+    # with neither type nor payload clause has no residual to test.
+    reader = store.db._store.get if tx is None else tx.read
+    residual = (query._matches_residual
+                if query.atype is not None or query.payload else None)
+    hydrate = Annotation.from_object
+    keep = rows.append
     for track_key in _candidate_tracks(store, query):
         if tx is not None:
             tx.lock(track_sentinel(*track_key), LockMode.SHARED)
@@ -207,8 +213,8 @@ def _run_index(store: AnnotationStore, query: AnnotationQuery,
                     tx.lock(oid, LockMode.SHARED)
                 obj = reader(oid)
                 examined += 1
-                if query._matches_residual(obj.attributes):
-                    rows.append(Annotation.from_object(obj))
+                if residual is None or residual(obj.attributes):
+                    keep(hydrate(obj))
     # Tracks visited in sorted order, walks in key order: already sorted
     # by (value_id, track, start, end, serial).
     return QueryResult(rows, "index", examined)

@@ -25,10 +25,15 @@ that makes million-posting indexes practical.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.db.objects import OID
 from repro.errors import QueryError
+
+
+_MUTATED = ("B-tree mutated during an in-flight scan; writers must be "
+            "serialized behind the scan's read locks")
 
 
 class _Node:
@@ -120,14 +125,7 @@ class BTreeIndex:
 
     @staticmethod
     def _position(node: _Node, key: Any) -> int:
-        lo, hi = 0, len(node.keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if node.keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(node.keys, key)
 
     # -- lookup ----------------------------------------------------------
     def eq(self, key: Any) -> Set[OID]:
@@ -159,26 +157,59 @@ class BTreeIndex:
         if lo is not None and hi is not None and lo > hi:
             raise QueryError(f"range lower bound {lo!r} exceeds upper bound {hi!r}")
         result: Set[OID] = set()
-        self._range_into(self._root, lo, hi, include_lo, include_hi, result)
+        for _, buckets in self._runs(lo, hi, include_lo, include_hi,
+                                     self._mods):
+            result.update(*buckets)
         return result
 
-    def _range_into(self, node: _Node, lo, hi, include_lo, include_hi,
-                    result: Set[OID]) -> None:
-        for i, key in enumerate(node.keys):
-            below = lo is not None and (key < lo or (key == lo and not include_lo))
-            above = hi is not None and (key > hi or (key == hi and not include_hi))
-            if not node.leaf and not below:
-                # The left subtree can only matter if this key isn't
-                # already below the range.
-                self._range_into(node.children[i], lo, hi,
-                                 include_lo, include_hi, result)
-            if not below and not above:
-                result |= node.buckets[i]
-            if above:
-                return  # everything rightward is larger still
-        if not node.leaf:
-            self._range_into(node.children[-1], lo, hi,
-                             include_lo, include_hi, result)
+    def _runs(self, lo, hi, include_lo, include_hi, expected: int
+              ) -> Iterator[Tuple[List[Any], List[Set[OID]]]]:
+        """The one range walk: ``[lo, hi]`` as ``(keys, buckets)`` runs.
+
+        A flat in-order traversal that hands over one run per leaf: the
+        separator an ancestor owes, then the leaf's in-range keys.  Each
+        node is cut to its in-range keys by bisection, and only along
+        the two edges of the range: a subtree hanging between two
+        in-range keys is in range whole and is never compared at all.
+        ``stack`` holds the ancestors that still owe keys; a node whose
+        in-range keys are spent is not pushed, so once the range closes
+        the stack drains and the walk ends.  Runs are copies, and the
+        mutation counter is checked before a frame of ``stack`` is
+        followed back into the tree.
+        """
+        cut_lo = bisect_left if include_lo else bisect_right
+        cut_hi = bisect_right if include_hi else bisect_left
+        # May this subtree hold keys below ``lo`` / above ``hi``?
+        lower, upper = lo is not None, hi is not None
+        stack: List[Tuple[_Node, int, int, bool]] = []
+        owed_keys: List[Any] = []
+        owed_buckets: List[Set[OID]] = []
+        node = self._root
+        while True:
+            while True:  # down to the leftmost leaf with in-range keys
+                keys = node.keys
+                i = cut_lo(keys, lo) if lower else 0
+                end = cut_hi(keys, hi) if upper else len(keys)
+                if not node.children:
+                    break
+                if i < end:
+                    # children[i] lies wholly below keys[i] <= hi.
+                    stack.append((node, i, end, upper))
+                    upper = False
+                node = node.children[i]
+            yield owed_keys + keys[i:end], owed_buckets + node.buckets[i:end]
+            if not stack:
+                return
+            if self._mods != expected:
+                raise QueryError(_MUTATED)
+            node, i, end, upper = stack.pop()
+            owed_keys, owed_buckets = node.keys[i:i + 1], node.buckets[i:i + 1]
+            i += 1
+            if i < end:
+                stack.append((node, i, end, upper))
+                upper = False
+            lower = False  # everything rightward is above keys[i - 1] >= lo
+            node = node.children[i]
 
     # -- lazy ordered scan -----------------------------------------------
     def scan(self, lo: Optional[Any] = None, hi: Optional[Any] = None,
@@ -203,34 +234,23 @@ class BTreeIndex:
         if lo is not None and hi is not None and lo > hi:
             raise QueryError(
                 f"scan lower bound {lo!r} exceeds upper bound {hi!r}")
-        return self._scan_walk(self._root, lo, hi, include_lo, include_hi,
-                               on_visit, self._mods)
+        return self._scan_walk(lo, hi, include_lo, include_hi, on_visit,
+                               self._mods)
 
-    def _scan_walk(self, node: _Node, lo, hi, include_lo, include_hi,
-                   on_visit, expected: int
-                   ) -> Iterator[Tuple[Any, Tuple[OID, ...]]]:
-        for i, key in enumerate(node.keys):
-            below = lo is not None and (key < lo or (key == lo and not include_lo))
-            above = hi is not None and (key > hi or (key == hi and not include_hi))
-            if not node.leaf and not below:
-                yield from self._scan_walk(node.children[i], lo, hi,
-                                           include_lo, include_hi,
-                                           on_visit, expected)
-            if above:
-                return
-            if not below:
+    def _scan_walk(self, lo, hi, include_lo, include_hi, on_visit,
+                   expected: int) -> Iterator[Tuple[Any, Tuple[OID, ...]]]:
+        # One emission site for separators and leaf keys alike, so the
+        # guard and ``on_visit`` run before every yield.
+        for keys, buckets in self._runs(lo, hi, include_lo, include_hi,
+                                        expected):
+            for key, bucket in zip(keys, buckets):
                 if self._mods != expected:
-                    raise QueryError(
-                        "B-tree mutated during an in-flight scan; writers "
-                        "must be serialized behind the scan's read locks")
-                oids = tuple(sorted(node.buckets[i]))
+                    raise QueryError(_MUTATED)
+                oids = (tuple(bucket) if len(bucket) == 1
+                        else tuple(sorted(bucket)))
                 if on_visit is not None:
                     on_visit(key, oids)
                 yield key, oids
-        if not node.leaf:
-            yield from self._scan_walk(node.children[-1], lo, hi,
-                                       include_lo, include_hi,
-                                       on_visit, expected)
 
     # -- bulk build ------------------------------------------------------
     def bulk_load(self,

@@ -18,7 +18,8 @@ from typing import Dict, Iterable, List
 
 from repro.db.objects import DBObject, OID
 from repro.db.pages import HeapFile, RecordId
-from repro.db.store import _CRC, _LEN, OP_DELETE, OP_INSERT, OP_UPDATE, Op
+from repro.db.store import (_CRC, _LEN, OP_DELETE, OP_INSERT, OP_UPDATE, Op,
+                            _in_oid_order)
 from repro.errors import DatabaseError, ObjectNotFoundError
 
 
@@ -111,7 +112,7 @@ class PagedObjectStore:
 
     def oids_of_class(self, class_names: Iterable[str]) -> List[OID]:
         wanted = set(class_names)
-        return sorted(o for o in self._rids if o.class_name in wanted)
+        return _in_oid_order(o for o in self._rids if o.class_name in wanted)
 
     def __len__(self) -> int:
         return len(self._rids)

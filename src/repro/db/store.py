@@ -17,6 +17,7 @@ import os
 import pickle
 import struct
 import zlib
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -32,6 +33,21 @@ Op = Tuple[str, Any]  # (kind, DBObject | OID)
 
 _LEN = struct.Struct("<I")
 _CRC = struct.Struct("<I")
+
+_serial_of = attrgetter("serial")
+_class_name_of = attrgetter("class_name")
+
+
+def _in_oid_order(oids: Iterable[OID]) -> List[OID]:
+    """``sorted(oids)`` without a Python-level ``OID.__lt__`` per comparison.
+
+    Two stable passes, serial then class name, compare ints and strings
+    in C.  A tuple key would also avoid ``__lt__``, but is no faster
+    than it on the ascending order the object table usually hands over.
+    """
+    ordered = sorted(oids, key=_serial_of)
+    ordered.sort(key=_class_name_of)
+    return ordered
 
 
 class ObjectStore:
@@ -84,7 +100,8 @@ class ObjectStore:
 
     def oids_of_class(self, class_names: Iterable[str]) -> List[OID]:
         wanted = set(class_names)
-        return sorted(o for o in self._objects if o.class_name in wanted)
+        return _in_oid_order(o for o in self._objects
+                             if o.class_name in wanted)
 
     def __len__(self) -> int:
         return len(self._objects)

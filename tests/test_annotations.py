@@ -8,6 +8,7 @@ loading, corpus determinism, and the wait-die writer-vs-scan
 regression.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -83,6 +84,26 @@ class TestModel:
                          1.0, 2.5, (("label", "hi"),))
         assert ann.to_row() == "v/audio [1.000000,2.500000) word label='hi'"
 
+    def test_from_object_equals_constructor(self):
+        store = fresh_store()
+        payload = (("confidence", 0.5), ("label", "hi"))
+        bare = store.annotate("v", "audio", "turn", 0.0, 9.0, {"label": "a"})
+        rich = store.annotate("v", "audio", "word", 1.0, 2.5, dict(payload))
+        for ref, built in [
+                (bare, Annotation(bare, "v", "audio", "turn", 0.0, 9.0,
+                                  (("label", "a"),))),
+                (rich, Annotation(rich, "v", "audio", "word", 1.0, 2.5,
+                                  payload))]:
+            ann = Annotation.from_object(store.db.get(ref))
+            for field in dataclasses.fields(Annotation):
+                assert getattr(ann, field.name) == getattr(built, field.name)
+            assert ann == built and hash(ann) == hash(built)
+            assert ann.sort_key == built.sort_key and repr(ann) == repr(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                ann.start = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del ann.payload
+
 
 # -- interval index vs brute force ---------------------------------------
 class TestIntervalIndex:
@@ -134,6 +155,22 @@ class TestIntervalIndex:
         index.add(200.0, 201.0, OID("Annotation", 999))
         with pytest.raises(AnnotationError, match="mutated"):
             list(walk)
+
+    @pytest.mark.parametrize("op", ["during", "overlaps"])
+    def test_clear_and_reinsert_cannot_satisfy_a_live_walk(self, op):
+        # A walk begun after k mutations must not pass its guard on a
+        # tree cleared and rebuilt with exactly k inserts.
+        intervals = [(float(i), float(i) + 1.5) for i in range(40)]
+        index, rows = self._build(intervals)
+        walk = index.window(op, 0.0, 100.0)
+        next(walk)
+        index.clear()
+        assert len(index) == 0 and index.min_key() is None
+        for s, e, ref in rows:
+            index.add(s, e, ref)
+        with pytest.raises((AnnotationError, QueryError), match="mutated"):
+            next(walk)
+        assert len(list(index.window(op, 0.0, 100.0))) == len(rows)
 
 
 # -- store ----------------------------------------------------------------

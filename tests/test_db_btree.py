@@ -258,3 +258,88 @@ class TestBulkLoad:
         tree.bulk_load((k, [oid(i)]) for i, k in enumerate(sorted(keys)))
         tree.check_invariants()
         assert [k for k, _ in tree.items()] == sorted(keys)
+
+
+def _build(keys, degree, bulk):
+    """One bucket per key, two OIDs in every third, built either way."""
+    keys = sorted(set(keys))
+    tree = BTreeIndex("T", "n", min_degree=degree)
+    postings = [(k, [oid(2 * i), oid(2 * i + 1)][: 2 if i % 3 == 0 else 1])
+                for i, k in enumerate(keys)]
+    if bulk:
+        tree.bulk_load(postings)
+    else:
+        for k, oids in reversed(postings):
+            for o in oids:
+                tree.insert(k, o)
+    return tree
+
+
+def _reference(tree, lo, hi, include_lo, include_hi):
+    """What scan must yield: the full in-order walk, filtered key by key."""
+    out = []
+    for key, bucket in tree.items():
+        if lo is not None and (key < lo or (key == lo and not include_lo)):
+            continue
+        if hi is not None and (key > hi or (key == hi and not include_hi)):
+            continue
+        out.append((key, tuple(sorted(bucket))))
+    return out
+
+
+class TestScanEqualsReference:
+    """The bisecting walker against a filter of ``items()``."""
+
+    @given(st.lists(st.integers(0, 300), max_size=250), st.integers(2, 16),
+           st.booleans(),
+           st.one_of(st.none(), st.integers(-5, 305)),
+           st.one_of(st.none(), st.integers(-5, 305)))
+    @settings(max_examples=120, deadline=None)
+    def test_every_bound_combination(self, keys, degree, bulk, lo, hi):
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        tree = _build(keys, degree, bulk)
+        for include_lo in (True, False):
+            for include_hi in (True, False):
+                visited = []
+                got = list(tree.scan(
+                    lo, hi, include_lo, include_hi,
+                    on_visit=lambda k, oids: visited.append((k, oids))))
+                assert got == _reference(tree, lo, hi, include_lo, include_hi)
+                assert visited == got
+                assert tree.range(lo, hi, include_lo, include_hi) == {
+                    o for _, oids in got for o in oids}
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 9)),
+                    min_size=1, max_size=200),
+           st.integers(2, 16), st.booleans(),
+           st.integers(-1, 41), st.integers(-1, 41))
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_bounds_on_interval_keys(self, spans, degree, bulk, a, b):
+        # (start, end, serial) triples bounded by 1-tuples, as in
+        # repro.annotations.intervals: (t,) sorts below every (t, ., .).
+        keys = [(float(s), float(s + length), serial)
+                for serial, (s, length) in enumerate(spans)]
+        tree = _build(keys, degree, bulk)
+        lo, hi = float(min(a, b)), float(max(a, b))
+        got = [k for k, _ in tree.scan(lo=(lo,), hi=(hi,), include_hi=False)]
+        assert got == sorted(k for k in keys if lo <= k[0] < hi)
+        assert [k for k, _ in tree.scan(lo=(hi,))] == sorted(
+            k for k in keys if k[0] >= hi)
+        assert [k for k, _ in tree.scan(hi=(lo,), include_hi=False)] == \
+            sorted(k for k in keys if k[0] < lo)
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    @pytest.mark.parametrize("degree", [2, 3, 16])
+    def test_mutation_between_any_two_steps_raises(self, degree, bulk):
+        n = 70
+        internal = _build(range(n), degree, bulk)._root.keys
+        assert internal and len(internal) < n  # some steps are separators
+        for taken in range(1, n):
+            tree = _build(range(n), degree, bulk)
+            scan = tree.scan()
+            for _ in range(taken):
+                next(scan)
+            tree.insert(1000, oid(1000))
+            with pytest.raises(QueryError, match="mutated during"):
+                next(scan)

@@ -40,6 +40,20 @@ class TestPagedDatabase:
         with pytest.raises(SchemaError, match="directory"):
             Database(paged=True)
 
+    def test_oids_of_class_order_is_the_oid_order(self, tmp_path):
+        db = open_db(tmp_path)
+        db.define_class(ClassDef("Clip", attributes=[
+            AttributeSpec("name", str)]))
+        oids = [db.insert(cls, name=str(i))
+                for i in range(12) for cls in ("Doc", "Clip")]
+        for oid in oids[3::5]:
+            db.delete(oid)
+        alive = [oid for oid in oids if db.exists(oid)]
+        assert db._store.oids_of_class(["Clip", "Doc"]) == sorted(alive)
+        assert db._store.oids_of_class(["Doc"]) == sorted(
+            o for o in alive if o.class_name == "Doc")
+        db.close()
+
     def test_recovery_after_close(self, tmp_path):
         db = open_db(tmp_path)
         oid1 = db.insert("Doc", name="one")

@@ -50,6 +50,18 @@ class TestInMemoryStore:
         with pytest.raises(DatabaseError):
             ObjectStore().checkpoint()
 
+    def test_oids_of_class_order_is_the_oid_order(self):
+        # Inserted out of serial order, across classes whose names sort
+        # around each other: the keyed sort must equal sorted(oids).
+        store = ObjectStore()
+        oids = [OID(name, serial) for serial in (7, 2, 11, 1, 30)
+                for name in ("Doc", "Clip", "Docs")]
+        store.commit_ops(1, [(OP_INSERT, DBObject(o, {})) for o in oids])
+        assert store.oids_of_class(["Docs", "Clip", "Doc"]) == sorted(oids)
+        assert store.oids_of_class(["Doc"]) == sorted(
+            o for o in oids if o.class_name == "Doc")
+        assert store.oids_of_class(["Nope"]) == []
+
 
 class TestRecovery:
     def test_wal_replay_after_close(self, tmp_path):

@@ -3,7 +3,11 @@
 ``tests/golden/trace_hashes.json`` holds SHA-256 hashes of the
 *canonical* Chrome-trace export (wall-clock stamps stripped, keys
 sorted) for the quickstart, faults, and overload scenarios, captured on
-the pre-optimization kernel.  If any kernel/dataplane change perturbs
+the pre-optimization kernel, and for the query scenario, captured
+before the B-tree range walk was rewritten.  Its ``cli_stdout`` entry
+pins the bytes a CLI command prints, so the query battery's rows,
+plans and corpus fingerprint are held across revisions and not only
+across reruns.  If any kernel/dataplane change perturbs
 the schedule — event order, virtual timestamps, or metric totals — the
 exported bytes change and these tests fail.  That is what "preserving
 epoch semantics and (time, seq) determinism exactly" means, made
@@ -30,6 +34,7 @@ from repro.sim import Delay, Simulator, Timeout
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "trace_hashes.json").read_text()
 )
+CLI_STDOUT = GOLDEN.pop("cli_stdout")
 
 
 def _run_canonical(name: str) -> bytes:
@@ -52,6 +57,15 @@ class TestGoldenTraces:
 
     def test_rerun_is_byte_identical(self):
         assert _run_canonical("quickstart") == _run_canonical("quickstart")
+
+    @pytest.mark.parametrize("command", sorted(CLI_STDOUT))
+    def test_cli_stdout_matches_pinned_hash(self, command, capsys):
+        from repro.__main__ import main
+
+        assert main(command.split()) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == CLI_STDOUT[command], (
+            f"`python -m repro {command}` printed different bytes")
 
 
 class TestCompactionEquivalence:

@@ -1,6 +1,7 @@
 """Regression tests for the hot-path rework: ``with_payload`` sizing
 rules, batched channel accounting, heap-based C-SCAN, O(1) admission
-queue depth, constant-time value sizes, and the profile CLI."""
+queue depth, constant-time value sizes, the bisecting B-tree range walk,
+and the profile CLI."""
 
 from __future__ import annotations
 
@@ -206,6 +207,64 @@ class TestConstantTimeSizeRead:
         assert audio.data_rate_bps() == 35_280 * 16 / 1.6
         assert audio.scale(2.0).data_size_bits() == 35_280 * 16
         assert calls == []
+
+
+class _CountedKey:
+    """An int key that counts every comparison made through it."""
+
+    compared = 0
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self.n = n
+
+    def _counted(op):
+        def compare(self, other):
+            _CountedKey.compared += 1
+            return op(self.n, other.n)
+        return compare
+
+    __lt__ = _counted(int.__lt__)
+    __le__ = _counted(int.__le__)
+    __gt__ = _counted(int.__gt__)
+    __ge__ = _counted(int.__ge__)
+    __eq__ = _counted(int.__eq__)
+    __hash__ = None
+
+
+class TestBisectingRangeWalk:
+    # Counted, not timed.  10^4 keys at the default degree is a
+    # three-level tree; the window sits near the top of the key space,
+    # where a walk that tests every key of a node against both bounds
+    # pays for all the keys to the window's left.
+    @staticmethod
+    def _tree():
+        from repro.db.btree import BTreeIndex
+        from repro.db.objects import OID
+
+        tree = BTreeIndex("T", "n")
+        tree.bulk_load((_CountedKey(k), [OID("T", k)]) for k in range(10_000))
+        return tree
+
+    def test_narrow_window_compares_few_keys(self):
+        tree = self._tree()
+        lo, hi = _CountedKey(9_900), _CountedKey(9_909)
+        _CountedKey.compared = 0
+        got = [key.n for key, _ in tree.scan(lo, hi)]
+        assert got == list(range(9_900, 9_910))
+        assert _CountedKey.compared < 200
+        _CountedKey.compared = 0
+        assert len(tree.range(lo, hi, include_lo=False)) == 9
+        assert _CountedKey.compared < 200
+
+    def test_scan_yields_from_one_frame(self):
+        tree = self._tree()
+        scan = tree.scan(_CountedKey(100), _CountedKey(2_000))
+        steps = 0
+        for _ in scan:
+            assert scan.gi_yieldfrom is None
+            steps += 1
+        assert steps == 1_901
 
 
 class TestProfileCLI:
