@@ -42,6 +42,10 @@ _DEFAULT_MIX = (
 )
 
 
+#: Rows converted from arrays to Python objects at a time.
+_ROW_BLOCK = 1 << 16
+
+
 def default_types() -> Tuple[AnnotationType, ...]:
     """The type schema every generated corpus is validated against."""
     return tuple(
@@ -120,15 +124,17 @@ def generate_rows(spec: CorpusSpec
     payloads = [
         tuple([("label", f"{names[t]}-{k:03d}")])
         for t in range(len(spec.mix)) for k in range(vocab[t])]
-    offsets = np.cumsum([0] + vocab[:-1])
-    starts = starts.tolist()
-    lengths = lengths.tolist()
-    for i in range(value_idx.size):
-        t = type_idx[i]
-        start = starts[i]
-        yield (value_ids[value_idx[i]], spec.tracks[track_idx[i]],
-               names[t], start, start + lengths[i],
-               payloads[offsets[t] + label_idx[i] % vocab[t]])
+    offsets = np.cumsum([0] + vocab[:-1]).tolist()
+    tracks = spec.tracks
+    columns = (value_idx, track_idx, type_idx, starts, lengths, label_idx)
+    # Rows are assembled from Python lists, a block at a time: indexing
+    # a numpy array boxes a fresh scalar per row, and whole-corpus lists
+    # would stay alive for as long as the generator does.
+    for lo in range(0, value_idx.size, _ROW_BLOCK):
+        block = [column[lo:lo + _ROW_BLOCK].tolist() for column in columns]
+        for v, k, t, start, length, label in zip(*block):
+            yield (value_ids[v], tracks[k], names[t], start, start + length,
+                   payloads[offsets[t] + label % vocab[t]])
 
 
 def load_corpus(store: AnnotationStore, spec: CorpusSpec) -> Dict[str, object]:

@@ -32,8 +32,10 @@ index — the only way a million-annotation corpus loads in seconds.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.annotations.intervals import IntervalIndex
@@ -42,7 +44,7 @@ from repro.db.database import Database
 from repro.db.locks import LockMode
 from repro.db.objects import DBObject, OID
 from repro.db.schema import AttributeSpec, ClassDef
-from repro.db.store import OP_INSERT, Op
+from repro.db.store import OP_INSERT
 from repro.db.transactions import Transaction
 from repro.errors import AnnotationError
 from repro.obs import Obs, attach
@@ -50,6 +52,8 @@ from repro.obs import Obs, attach
 __all__ = ["AnnotationStore", "TrackStats", "track_sentinel"]
 
 TrackKey = Tuple[str, str]
+#: (start, end, serial, oid): a bulk-loaded row on its way to an index.
+_Posting = Tuple[float, float, int, OID]
 
 
 def track_sentinel(value_id: str, track: str) -> OID:
@@ -81,36 +85,59 @@ class TrackStats:
 
 
 class _IntervalRouter:
-    """Derived-index target: routes interval keys to per-track indexes."""
+    """Derived-index target: owns the per-track indexes and their totals.
 
-    def __init__(self, store: "AnnotationStore") -> None:
-        self._store = store
+    The router must not refer back to the :class:`AnnotationStore`.  The
+    store reaches it through ``Database._derived``, so a back reference
+    closes a cycle and a dropped store (a whole corpus) is then freed
+    only by the cyclic collector, which :meth:`AnnotationStore.bulk_load`
+    pauses.
+    """
+
+    def __init__(self, class_name: str, min_degree: int) -> None:
+        self._class_name = class_name
+        self._min_degree = min_degree
+        self.tracks: Dict[TrackKey, IntervalIndex] = {}
+        self.sum_len: Dict[TrackKey, float] = {}
+        self.total = 0
+
+    def track_index(self, value_id: str, track: str) -> IntervalIndex:
+        """The index of one track, created empty on first use."""
+        key = (value_id, track)
+        index = self.tracks.get(key)
+        if index is None:
+            index = IntervalIndex(self._class_name,
+                                  f"__interval__/{value_id}/{track}",
+                                  self._min_degree)
+            self.tracks[key] = index
+            self.sum_len[key] = 0.0
+        return index
 
     def insert(self, key, oid: OID) -> None:
         if key is None:
             return
         value_id, track, start, end = key
-        self._store._track_index(value_id, track).add(start, end, oid)
-        self._store._sum_len[(value_id, track)] += end - start
-        self._store._total += 1
+        self.track_index(value_id, track).add(start, end, oid)
+        self.sum_len[(value_id, track)] += end - start
+        self.total += 1
 
     def remove(self, key, oid: OID) -> None:
         if key is None:
             return
         value_id, track, start, end = key
-        index = self._store._tracks.get((value_id, track))
+        index = self.tracks.get((value_id, track))
         if index is None:
             return
         before = len(index)
         index.discard(start, end, oid)
         if len(index) < before:
-            self._store._sum_len[(value_id, track)] -= end - start
-            self._store._total -= 1
+            self.sum_len[(value_id, track)] -= end - start
+            self.total -= 1
 
     def clear(self) -> None:
-        self._store._tracks.clear()
-        self._store._sum_len.clear()
-        self._store._total = 0
+        self.tracks.clear()
+        self.sum_len.clear()
+        self.total = 0
 
 
 def _interval_key(obj: DBObject):
@@ -127,11 +154,10 @@ class AnnotationStore:
                  obs: Optional[Obs] = None, min_degree: int = 16) -> None:
         self.obs = attach(obs)
         self.db = db if db is not None else Database(obs=self.obs)
-        self._min_degree = min_degree
         self._types: Dict[str, AnnotationType] = {}
-        self._tracks: Dict[TrackKey, IntervalIndex] = {}
-        self._sum_len: Dict[TrackKey, float] = {}
-        self._total = 0
+        self._router = _IntervalRouter(self.CLASS_NAME, min_degree)
+        #: The router's own dict (it is cleared in place, never rebound).
+        self._tracks = self._router.tracks
         if self.CLASS_NAME not in self.db.schema:
             self.db.define_class(ClassDef(self.CLASS_NAME, attributes=[
                 AttributeSpec("value_id", str, required=True),
@@ -142,7 +168,7 @@ class AnnotationStore:
                 AttributeSpec("payload", tuple),
             ]))
         self.db.attach_index("annotations.intervals", self.CLASS_NAME,
-                             _IntervalRouter(self), _interval_key)
+                             self._router, _interval_key)
         metrics = self.obs.metrics
         self._m_added = metrics.counter("annotations.added")
         self._m_removed = metrics.counter("annotations.removed")
@@ -215,7 +241,7 @@ class AnnotationStore:
         return Annotation.from_object(tx.read(oid))
 
     def __len__(self) -> int:
-        return self._total
+        return self._router.total
 
     def tracks(self) -> List[TrackKey]:
         return sorted(self._tracks)
@@ -228,18 +254,7 @@ class AnnotationStore:
         if index is None or not len(index):
             return TrackStats(0, 0.0, 0.0, 0.0)
         return TrackStats(len(index), index.min_start(), index.max_end(),
-                          self._sum_len[(value_id, track)])
-
-    def _track_index(self, value_id: str, track: str) -> IntervalIndex:
-        key = (value_id, track)
-        index = self._tracks.get(key)
-        if index is None:
-            index = IntervalIndex(self.CLASS_NAME,
-                                  f"__interval__/{value_id}/{track}",
-                                  self._min_degree)
-            self._tracks[key] = index
-            self._sum_len[key] = 0.0
-        return index
+                          self._router.sum_len[(value_id, track)])
 
     def track_index(self, value_id: str, track: str) -> IntervalIndex:
         """The live interval index of one track (read-only to callers)."""
@@ -294,44 +309,75 @@ class AnnotationStore:
         writers, not an online write path.  Indexes for *fresh* tracks
         are built bottom-up; tracks that already have postings fall back
         to per-key inserts.
+
+        A chunk is validated whole before its OIDs are reserved, so a
+        bad row commits nothing of its chunk and burns no serial; the
+        chunks committed before it are indexed before the error leaves.
+
+        The cyclic collector is paused for the load: rows, objects and
+        postings form no cycles, so its full passes over a growing heap
+        free nothing and cost as much as the load itself.
         """
-        pending: List[Op] = []
-        per_track: Dict[TrackKey, List[Tuple[float, float, int, OID]]] = {}
         store = self.db._store
+        types = self._types
+        check_interval = self._check_interval
+        per_track: Dict[TrackKey, List[_Posting]] = {}
+        rows = iter(rows)
+        size = max(chunk, 1)
         loaded = 0
-
-        def flush() -> None:
-            if pending:
-                store.commit_ops(next(self.db._tx_ids), list(pending))
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while True:
+                batch = list(islice(rows, size))
+                if not batch:
+                    break
+                for _, _, atype, start, end, _ in batch:
+                    if atype not in types:
+                        raise AnnotationError(
+                            f"unknown annotation type {atype!r}")
+                    check_interval(start, end)
+                oids = store.next_oids(self.CLASS_NAME, len(batch))
+                store.commit_ops(next(self.db._tx_ids), [
+                    (OP_INSERT, DBObject(oid, {
+                        "value_id": value_id, "track": track, "atype": atype,
+                        "start": start, "end": end, "payload": payload}))
+                    for oid, (value_id, track, atype, start, end, payload)
+                    in zip(oids, batch)])
                 self.db.stats["commits"] += 1
-                pending.clear()
+                for oid, row in zip(oids, batch):
+                    value_id, track, _, start, end, _ = row
+                    per_track.setdefault((value_id, track), []).append(
+                        (start, end, oid.serial, oid))
+                loaded += len(batch)
+        finally:
+            try:
+                self._index_loaded(per_track)
+            finally:
+                if collecting:
+                    gc.enable()
+        self._m_bulk.inc(loaded)
+        return loaded
 
-        for value_id, track, atype, start, end, payload in rows:
-            if atype not in self._types:
-                raise AnnotationError(f"unknown annotation type {atype!r}")
-            self._check_interval(start, end)
-            oid = store.next_oid(self.CLASS_NAME)
-            pending.append((OP_INSERT, DBObject(oid, {
-                "value_id": value_id, "track": track, "atype": atype,
-                "start": start, "end": end, "payload": payload})))
-            per_track.setdefault((value_id, track), []).append(
-                (start, end, oid.serial, oid))
-            loaded += 1
-            if len(pending) >= chunk:
-                flush()
-        flush()
+    def _index_loaded(self, per_track: Dict[TrackKey, List[_Posting]]
+                      ) -> None:
+        """Post committed bulk rows to their tracks' interval indexes.
 
-        for (value_id, track), entries in sorted(per_track.items()):
+        Keys are built here, a track at a time in key order, so the keys
+        a range walk reads one after another also sit together in memory.
+        """
+        router = self._router
+        for value_id, track in sorted(per_track):
+            # Popped, so a track's entries are freed as its index is built.
+            entries = per_track.pop((value_id, track))
             entries.sort()
-            index = self._track_index(value_id, track)
+            index = router.track_index(value_id, track)
             if len(index):
                 for start, end, _, oid in entries:
                     index.add(start, end, oid)
             else:
-                index.bulk_load(((start, end, serial), (oid,))
-                                for start, end, serial, oid in entries)
-            self._sum_len[(value_id, track)] += sum(
+                index.bulk_load([((start, end, serial), (oid,))
+                                 for start, end, serial, oid in entries])
+            router.sum_len[(value_id, track)] += sum(
                 end - start for start, end, _, _ in entries)
-            self._total += len(entries)
-        self._m_bulk.inc(loaded)
-        return loaded
+            router.total += len(entries)

@@ -10,14 +10,18 @@ transaction, which installs a new snapshot (and a new version number).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, NamedTuple
 
 from repro.errors import SchemaError
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class OID:
-    """A stable object identifier (class name + serial)."""
+class OID(NamedTuple):
+    """A stable object identifier (class name + serial).
+
+    A named tuple, so construction, hashing, equality and ordering run
+    in C under every object-table read and write, and instances are not
+    tracked by the cyclic collector.
+    """
 
     class_name: str
     serial: int

@@ -18,8 +18,7 @@ from typing import Dict, Iterable, List
 
 from repro.db.objects import DBObject, OID
 from repro.db.pages import HeapFile, RecordId
-from repro.db.store import (_CRC, _LEN, OP_DELETE, OP_INSERT, OP_UPDATE, Op,
-                            _in_oid_order)
+from repro.db.store import _CRC, _LEN, OP_DELETE, OP_INSERT, OP_UPDATE, Op
 from repro.errors import DatabaseError, ObjectNotFoundError
 
 
@@ -97,6 +96,15 @@ class PagedObjectStore:
         self._serials[class_name] = serial
         return OID(class_name, serial)
 
+    def next_oids(self, class_name: str, count: int) -> List[OID]:
+        """``count`` successive :meth:`next_oid` results, reserved at once."""
+        if count < 0:
+            raise DatabaseError(f"cannot reserve {count} OIDs")
+        first = self._serials.get(class_name, 0) + 1
+        self._serials[class_name] = first + count - 1
+        return [OID(class_name, serial)
+                for serial in range(first, first + count)]
+
     def exists(self, oid: OID) -> bool:
         return oid in self._rids
 
@@ -112,7 +120,7 @@ class PagedObjectStore:
 
     def oids_of_class(self, class_names: Iterable[str]) -> List[OID]:
         wanted = set(class_names)
-        return _in_oid_order(o for o in self._rids if o.class_name in wanted)
+        return sorted(o for o in self._rids if o.class_name in wanted)
 
     def __len__(self) -> int:
         return len(self._rids)

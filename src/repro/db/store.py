@@ -17,7 +17,6 @@ import os
 import pickle
 import struct
 import zlib
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -33,21 +32,6 @@ Op = Tuple[str, Any]  # (kind, DBObject | OID)
 
 _LEN = struct.Struct("<I")
 _CRC = struct.Struct("<I")
-
-_serial_of = attrgetter("serial")
-_class_name_of = attrgetter("class_name")
-
-
-def _in_oid_order(oids: Iterable[OID]) -> List[OID]:
-    """``sorted(oids)`` without a Python-level ``OID.__lt__`` per comparison.
-
-    Two stable passes, serial then class name, compare ints and strings
-    in C.  A tuple key would also avoid ``__lt__``, but is no faster
-    than it on the ascending order the object table usually hands over.
-    """
-    ordered = sorted(oids, key=_serial_of)
-    ordered.sort(key=_class_name_of)
-    return ordered
 
 
 class ObjectStore:
@@ -86,6 +70,15 @@ class ObjectStore:
         self._serials[class_name] = serial
         return OID(class_name, serial)
 
+    def next_oids(self, class_name: str, count: int) -> List[OID]:
+        """``count`` successive :meth:`next_oid` results, reserved at once."""
+        if count < 0:
+            raise DatabaseError(f"cannot reserve {count} OIDs")
+        first = self._serials.get(class_name, 0) + 1
+        self._serials[class_name] = first + count - 1
+        return [OID(class_name, serial)
+                for serial in range(first, first + count)]
+
     def exists(self, oid: OID) -> bool:
         return oid in self._objects
 
@@ -100,8 +93,7 @@ class ObjectStore:
 
     def oids_of_class(self, class_names: Iterable[str]) -> List[OID]:
         wanted = set(class_names)
-        return _in_oid_order(o for o in self._objects
-                             if o.class_name in wanted)
+        return sorted(o for o in self._objects if o.class_name in wanted)
 
     def __len__(self) -> int:
         return len(self._objects)

@@ -244,7 +244,9 @@ class Session:
     def _resolve_value(self, value_or_ref):
         if isinstance(value_or_ref, (MediaValue, TemporalComposite)):
             return value_or_ref
-        if isinstance(value_or_ref, tuple) and len(value_or_ref) == 2:
+        # An OID is itself a 2-tuple; bare, it names an object, not a value.
+        if (isinstance(value_or_ref, tuple) and len(value_or_ref) == 2
+                and not isinstance(value_or_ref, OID)):
             ref, attribute = value_or_ref
             obj = self.fetch(ref) if isinstance(ref, OID) else ref
             path = attribute.split(".")

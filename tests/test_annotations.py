@@ -9,7 +9,10 @@ regression.
 """
 
 import dataclasses
+import gc
+import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -422,17 +425,88 @@ class TestEquivalenceProperty:
 # -- bulk loading and the corpus -----------------------------------------
 class TestCorpus:
     def test_bulk_load_equals_transactional_loads(self):
-        rows = [("v", "audio", "word", float(s), s + 1.0,
+        # Several tracks, interleaved, and a chunk smaller than the
+        # input: the load spans five commits and one is partial.
+        tracks = [("v", "audio"), ("v", "video"), ("w", "audio")]
+        rows = [(*tracks[s % 3], "word", float(s), s + 1.0 + s % 4,
                  (("label", f"w{s}"),)) for s in range(40)]
         bulk = fresh_store()
-        bulk.bulk_load(rows)
+        assert bulk.bulk_load(rows, chunk=9) == 40
         slow = fresh_store()
-        for value, track, atype, s, e, payload in rows:
-            slow.annotate(value, track, atype, s, e, dict(payload))
-        query = AQ.on("v", "audio").overlaps(0.0, 100.0)
-        assert [a.to_row() for a in run(bulk, query, mode="index").rows] == \
-            [a.to_row() for a in run(slow, query, mode="index").rows]
-        bulk.track_index("v", "audio").check_invariants()
+        oids = [slow.annotate(value, track, atype, s, e, dict(payload))
+                for value, track, atype, s, e, payload in rows]
+        assert bulk.db._store.all_oids() == oids
+        assert len(bulk) == len(slow) == 40
+        assert bulk.tracks() == slow.tracks() == sorted(tracks)
+        for value, track in tracks:
+            assert bulk.track_stats(value, track) == \
+                slow.track_stats(value, track)
+            bulk.track_index(value, track).check_invariants()
+        for query in (AQ.on("v", "audio").overlaps(0.0, 100.0),
+                      AQ.on("w").during(3.0, 30.0),
+                      AQ.of_type("word").before(20.0)):
+            assert [a.to_row() for a in run(bulk, query, mode="index").rows] \
+                == [a.to_row() for a in run(slow, query, mode="index").rows]
+        assert bulk.db._store.next_oid("Annotation") == \
+            slow.db._store.next_oid("Annotation")
+
+    def test_failed_bulk_load_leaves_the_store_consistent(self):
+        store = fresh_store()
+        good = [("v", ("audio", "video")[s % 2], "word", float(s), s + 1.0,
+                 (("label", f"w{s}"),)) for s in range(10)]
+        bad = ("v", "audio", "word", 5.0, 5.0, (("label", "zero"),))
+        with pytest.raises(AnnotationError, match="start < end"):
+            store.bulk_load(good + [bad], chunk=4)
+        # Two whole chunks committed; the chunk with the bad row did not.
+        assert len(store) == len(store.db) == 8
+        assert store.tracks() == [("v", "audio"), ("v", "video")]
+        assert sum(store.track_stats(*key).count
+                   for key in store.tracks()) == 8
+        query = AQ.on("v").overlaps(0.0, 100.0)
+        assert len(run(store, query, mode="index").rows) == 8
+        assert run(store, query, mode="index").rows == \
+            run(store, query, mode="scan").rows
+        # No serial was burnt on the rows that never committed.
+        assert store.annotate("v", "audio", "word", 20.0, 21.0,
+                              {"label": "next"}) == OID("Annotation", 9)
+        with pytest.raises(AnnotationError, match="unknown annotation type"):
+            store.bulk_load([("v", "audio", "nope", 0.0, 1.0, ())])
+        assert len(store) == len(store.db) == 9
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_bulk_load_restores_the_collector_state(self, collecting):
+        rows = [("v", "audio", "word", float(s), s + 1.0,
+                 (("label", "x"),)) for s in range(10)]
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            fresh_store().bulk_load(rows, chunk=4)
+            assert gc.isenabled() is collecting
+            with pytest.raises(AnnotationError):
+                fresh_store().bulk_load(
+                    rows + [("v", "audio", "word", 1.0, 1.0, ())], chunk=4)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_dropped_store_is_freed_without_the_collector(self):
+        # AnnotationStore -> Database._derived -> router must not lead
+        # back to the store: bulk_load pauses the collector, and a
+        # caller that rebuilds a corpus would hold two at once.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            store = AnnotationStore()
+            load_corpus(store, CorpusSpec(seed=1, values=4, annotations=200,
+                                          duration_s=60.0))
+            store.annotate("value-00000", "audio", "word", 1.0, 2.0,
+                           {"label": "x"})
+            alive = weakref.ref(store.db._store)
+            del store
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_bulk_load_then_online_writes(self):
         store = fresh_store()
@@ -450,7 +524,11 @@ class TestCorpus:
         first = list(generate_rows(spec))
         again = list(generate_rows(spec))
         assert first == again
-        assert corpus_fingerprint(spec) == corpus_fingerprint(spec)
+        # Pinned at PR 13, when rows were assembled from numpy scalars.
+        assert hashlib.sha256(repr(first).encode()).hexdigest() == (
+            "415685721b1c89fd75865806fbf22bfb7032a5efc5f6f91ceb7f299f2c781b5c")
+        assert corpus_fingerprint(spec) == (
+            "3ef5798764fd342e7b1c1dc2bdee150a32e9fd985469371ab0e736693cfda8f6")
         other = CorpusSpec(seed=6, values=6, annotations=300)
         assert corpus_fingerprint(spec) != corpus_fingerprint(other)
         assert len(first) == 300

@@ -1,11 +1,13 @@
 """Durability: WAL, checkpoints, crash recovery, torn-tail handling."""
 
 import os
+import pickle
 
 import pytest
 
 from repro.db import AttributeSpec, ClassDef, Database
 from repro.db.objects import DBObject, OID
+from repro.db.pagedstore import PagedObjectStore
 from repro.db.store import OP_INSERT, ObjectStore
 from repro.errors import DatabaseError, ObjectNotFoundError
 
@@ -22,6 +24,36 @@ def reopen(path):
     db.define_class(doc_class())
     db.rebuild_indexes()
     return db
+
+
+class TestOID:
+    def test_hash_eq_and_order_are_the_tuples(self):
+        pairs = [("Doc", 2), ("Clip", 30), ("Docs", 1), ("Doc", 11)]
+        oids = [OID(*pair) for pair in pairs]
+        for oid, pair in zip(oids, pairs):
+            assert oid == pair and hash(oid) == hash(pair)
+            assert (oid.class_name, oid.serial) == pair
+        assert sorted(oids) == [OID(*pair) for pair in sorted(pairs)]
+        assert OID("Doc", 2) < OID("Doc", 11) < OID("Docs", 1)
+        assert {OID("Doc", 2): "a"}[OID("Doc", 2)] == "a"
+
+    def test_repr_and_str_are_unchanged(self):
+        oid = OID("Doc", 7)
+        assert repr(oid) == "OID(class_name='Doc', serial=7)"
+        assert str(oid) == f"{oid}" == "Doc:7"
+
+    def test_immutable(self):
+        oid = OID("Doc", 7)
+        with pytest.raises(AttributeError):
+            oid.serial = 8
+        with pytest.raises(AttributeError):
+            oid.extra = 1
+
+    def test_pickle_round_trip(self):
+        oid = OID("Doc", 7)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(oid, protocol=protocol))
+            assert type(again) is OID and again == oid
 
 
 class TestInMemoryStore:
@@ -49,6 +81,30 @@ class TestInMemoryStore:
     def test_checkpoint_requires_durable(self):
         with pytest.raises(DatabaseError):
             ObjectStore().checkpoint()
+
+    @pytest.mark.parametrize("paged", [False, True])
+    def test_next_oids_equals_successive_next_oid(self, tmp_path, paged):
+        def make(name):
+            return (PagedObjectStore(tmp_path / name) if paged
+                    else ObjectStore())
+
+        batched, single = make("batched"), make("single")
+        for store in (batched, single):
+            assert store.next_oid("Doc") == OID("Doc", 1)
+            assert store.next_oid("Clip") == OID("Clip", 1)
+        assert batched.next_oids("Doc", 5) == \
+            [single.next_oid("Doc") for _ in range(5)]
+        assert batched.next_oids("Doc", 0) == []
+        assert batched.next_oid("Doc") == single.next_oid("Doc")
+        assert batched.next_oids("Clip", 3) == \
+            [single.next_oid("Clip") for _ in range(3)]
+        assert batched.next_oids("New", 2) == \
+            [single.next_oid("New") for _ in range(2)]
+        assert batched._serials == single._serials
+        with pytest.raises(DatabaseError):
+            batched.next_oids("Doc", -1)
+        batched.close()
+        single.close()
 
     def test_oids_of_class_order_is_the_oid_order(self):
         # Inserted out of serial order, across classes whose names sort

@@ -267,6 +267,36 @@ class TestBisectingRangeWalk:
         assert steps == 1_901
 
 
+class TestBulkLoadCollectorPasses:
+    # Counted, not timed: with the collector enabled by the caller, a
+    # bulk load must trigger no full (generation-2) collection.  At the
+    # parent commit this load saw several, each over the whole heap.
+    def test_bulk_load_sees_no_full_collections(self):
+        import gc
+
+        from repro.annotations import AnnotationStore, CorpusSpec, load_corpus
+
+        full = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full.append(info)
+
+        store = AnnotationStore()
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            facts = load_corpus(store, CorpusSpec(
+                seed=3, values=40, annotations=20_000, duration_s=600.0))
+        finally:
+            gc.callbacks.remove(count)
+            if not was_enabled:
+                gc.disable()
+        assert facts["annotations"] == len(store) == 20_000
+        assert full == []
+
+
 class TestProfileCLI:
     def test_profile_resolves_all_registries(self):
         from repro.perf import available_scenarios, profile_scenario

@@ -67,6 +67,19 @@ class TestSimpleNewscastExample:
         obj = session.fetch(oid)
         assert obj.title == "60 Minutes"
 
+    def test_bare_oid_is_not_a_value_reference(self):
+        # An OID is a 2-tuple, like an (oid, "attr") reference; only the
+        # latter names a media value.
+        system = build_system()
+        oid = populate_simple(system)
+        session = system.open_session()
+        with pytest.raises(SessionError, match="cannot resolve"):
+            session.new_db_source(oid)
+        source = session.new_db_source((oid, "videoTrack"))
+        with pytest.raises(SessionError, match="cannot resolve"):
+            session.bind(oid, source)
+        session.bind((oid, "videoTrack"), source)
+
     def test_bind_after_connect(self):
         """The paper binds (statement 5) after connecting (statement 3)."""
         system = build_system()
