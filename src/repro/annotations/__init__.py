@@ -5,8 +5,8 @@ time-anchored content you can query, not just media you can play.
 
 * :mod:`~repro.annotations.model` — annotation types, payload schemas,
   the five window predicates over half-open intervals;
-* :mod:`~repro.annotations.intervals` — the max-end-augmented interval
-  index layered on :class:`repro.db.btree.BTreeIndex`;
+* :mod:`~repro.annotations.intervals` — the columnar per-track interval
+  index: sorted parallel arrays in blocks, each with its max-end;
 * :mod:`~repro.annotations.store` — persistence through the db tier's
   transactions, per-track indexes kept in lockstep with commits, bulk
   corpus loading, the sentinel-lock concurrency protocol;
@@ -28,7 +28,8 @@ from repro.annotations.model import (WINDOW_OPS, Annotation, AnnotationType,
                                      FieldSpec)
 from repro.annotations.planner import PlanDecision, plan, plan_join
 from repro.annotations.query import (AQ, AnnotationJoin, AnnotationQuery,
-                                     QueryResult, run, run_join)
+                                     AnnotationRows, QueryResult, run,
+                                     run_join)
 from repro.annotations.scenarios import SCENARIOS, summary_line
 from repro.annotations.store import AnnotationStore, TrackStats, track_sentinel
 
@@ -37,6 +38,7 @@ __all__ = [
     "Annotation",
     "AnnotationJoin",
     "AnnotationQuery",
+    "AnnotationRows",
     "AnnotationStore",
     "AnnotationType",
     "CorpusSpec",

@@ -1,193 +1,397 @@
-"""A start-keyed B-tree with max-end augmentation for interval queries.
+"""A columnar per-track interval index.
 
-The classic interval-tree trick (CLRS §14.3) grafted onto
-:class:`repro.db.btree.BTreeIndex`: keys are ``(start, end, serial)``
-triples — unique per annotation, so key order *is* the deterministic
-result order — and every node memoizes the maximum ``end`` in its
-subtree.  A window query descends the tree pruning any subtree whose
-``max_end`` cannot reach the window, giving O(log n + k) retrieval.
+One track's postings, sorted by ``(start, end, serial)`` — unique per
+annotation, so key order *is* the deterministic result order — and kept
+as parallel columns: ``array('d')`` starts and ends and a list of OIDs,
+24 bytes a posting.  The columns are cut into blocks of at most
+:data:`BLOCK_CAPACITY` postings so that a write moves one block, never
+the track; beside each block sit its first key (the routing table a
+bisect reads) and the largest end in it.
 
-Keeping the augmentation exact through top-down splits, borrows and
-merges is where hand-rolled interval trees rot.  Here the memo is
-*lazy*: each node stamps the tree's mutation counter (``_mods``) when
-its ``max_end`` is computed, and any later mutation bumps the counter,
-invalidating every memo at once.  The first query after a write
-recomputes along its path (worst case O(n), amortized over the batch of
-writes); every query after that is O(log n + k) again.  Correctness
-never depends on write-path bookkeeping — the memo is recomputed from
-the tree itself whenever it is stale.
-
-Tuple-key bound trick used throughout: a 1-tuple ``(t,)`` compares
-*below* every ``(t, end, serial)`` triple (shorter prefix sorts first),
-so it serves as an inclusive lower / exclusive upper bound on ``start``
-without inventing sentinel end/serial values.
+A window is a range of *starts*, found by two bisects, plus a test on
+each posting's *end*; every operator is one or two such ranges (see
+:meth:`IntervalIndex._pieces`).  A block's max-end settles the end
+test for the whole block where it can — every end passes, or none can —
+and only the remaining blocks are filtered, in C.  The answer leaves
+either all at once as a list of OIDs (:meth:`IntervalIndex.select`, the
+query executor's read) or lazily, a block at a time, as
+``((start, end, serial), (oid,))`` pairs (:meth:`IntervalIndex.window`
+and the named walks) that refuse to outlive a write.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from operator import lt
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.db.btree import BTreeIndex, _Node
 from repro.db.objects import OID
 from repro.errors import AnnotationError
 
-__all__ = ["IntervalIndex", "IntervalKey"]
+__all__ = ["BLOCK_CAPACITY", "IntervalIndex", "IntervalKey"]
 
 #: (start, end, serial) — serial breaks ties so keys are unique.
 IntervalKey = Tuple[float, float, int]
+Posting = Tuple[IntervalKey, Tuple[OID, ...]]
+
+#: Most postings one block holds; a fuller block is cut in two.
+BLOCK_CAPACITY = 512
+#: What a split or a bulk build leaves in a block, and the most two
+#: neighbours may hold together to be merged after a removal.
+_HALF = BLOCK_CAPACITY // 2
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
-
-class _IntervalNode(_Node):
-    __slots__ = ("max_end", "aug_mods")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.max_end: float = _NEG_INF
-        self.aug_mods: int = -1  # never equal to a live mod counter
+#: (block, offset): where a key falls in the blocked columns.
+_Position = Tuple[int, int]
+#: (block, from, to, test): a slice of one block's columns and the test
+#: its ends have yet to pass (None: the block's max-end settled it).
+_Piece = Tuple["_Block", int, int, Optional[Callable[[float], bool]]]
 
 
-class IntervalIndex(BTreeIndex):
-    """(start, end, serial) -> {oid} with pruned window descent."""
+class _Block:
+    __slots__ = ("starts", "ends", "oids", "max_end")
 
-    node_class = _IntervalNode
+    def __init__(self, starts: array, ends: array, oids: List[OID]) -> None:
+        self.starts = starts
+        self.ends = ends
+        self.oids = oids
+        self.max_end: float = max(ends, default=_NEG_INF)
+
+
+class IntervalIndex:
+    """(start, end, serial) -> oid postings of one track, in columns."""
+
+    __slots__ = ("class_name", "attribute", "_blocks", "_mins", "_size",
+                 "_max_end", "sum_len", "_mods")
 
     def __init__(self, class_name: str = "Annotation",
-                 attribute: str = "__interval__",
-                 min_degree: int = 16) -> None:
-        super().__init__(class_name, attribute, min_degree)
+                 attribute: str = "__interval__") -> None:
+        self.class_name = class_name
+        self.attribute = attribute
+        self._blocks: List[_Block] = []
+        #: First key of each block: the table ``_seek`` bisects.
+        self._mins: List[IntervalKey] = []
+        self._size = 0
+        self._max_end = _NEG_INF
+        #: Sum of ``end - start`` over the postings (a planner input).
+        self.sum_len = 0.0
+        #: Bumped on every write; a live walk compares it before each step.
+        self._mods = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    # -- positions -------------------------------------------------------
+    def _seek(self, start: float, end: float = _NEG_INF,
+              serial: int = 0) -> _Position:
+        """Where the first posting with a key >= the given one sits.
+
+        With the default ``end`` that is the first posting starting at
+        or after ``start``; with ``end=inf`` the first starting after it.
+        The offset may be one past the block's last posting, which reads
+        as the head of the next block.
+        """
+        blocks = self._blocks
+        if not blocks:
+            return 0, 0
+        b = max(bisect_right(self._mins, (start, end, serial)) - 1, 0)
+        block = blocks[b]
+        starts = block.starts
+        i = bisect_left(starts, start)
+        if end > _NEG_INF:
+            ends, oids, n = block.ends, block.oids, len(starts)
+            while (i < n and starts[i] == start
+                   and (ends[i], oids[i].serial) < (end, serial)):
+                i += 1
+        return b, i
 
     # -- posting maintenance --------------------------------------------
-    def add(self, start: float, end: float, oid: OID) -> None:
-        if not start < end:
+    def add(self, start: float, end: float, oid: OID) -> bool:
+        """Post one interval; False if that posting was already there."""
+        if not _NEG_INF < start < end < _POS_INF:
             raise AnnotationError(
-                f"interval [{start!r}, {end!r}) must have start < end")
-        self.insert((start, end, oid.serial), oid)
+                f"interval [{start!r}, {end!r}) must have finite "
+                f"start < end")
+        self._mods += 1
+        fresh = self._insert(start, end, oid)
+        if fresh:
+            self.sum_len += end - start
+        return fresh
 
-    def discard(self, start: float, end: float, oid: OID) -> None:
-        self.remove((start, end, oid.serial), oid)
+    def _insert(self, start: float, end: float, oid: OID) -> bool:
+        """Put one posting in place; False if it was already there."""
+        if not self._blocks:
+            self._blocks.append(_Block(array("d"), array("d"), []))
+            self._mins.append((start, end, oid.serial))
+        b, i = self._seek(start, end, oid.serial)
+        block = self._blocks[b]
+        starts, ends, oids = block.starts, block.ends, block.oids
+        if (i < len(oids) and oids[i] == oid and starts[i] == start
+                and ends[i] == end):
+            return False
+        starts.insert(i, start)
+        ends.insert(i, end)
+        oids.insert(i, oid)
+        self._size += 1
+        if i == 0:
+            self._mins[b] = (start, end, oid.serial)
+        if end > block.max_end:
+            block.max_end = end
+            if end > self._max_end:
+                self._max_end = end
+        if len(oids) > BLOCK_CAPACITY:
+            upper = _Block(starts[_HALF:], ends[_HALF:], oids[_HALF:])
+            del starts[_HALF:], ends[_HALF:], oids[_HALF:]
+            block.max_end = max(ends)
+            self._blocks.insert(b + 1, upper)
+            self._mins.insert(b + 1, (upper.starts[0], upper.ends[0],
+                                      upper.oids[0].serial))
+        return True
+
+    def discard(self, start: float, end: float, oid: OID) -> bool:
+        """Drop one posting; False (and no write) if it is not there."""
+        blocks = self._blocks
+        if not blocks:
+            return False
+        b, i = self._seek(start, end, oid.serial)
+        block = blocks[b]
+        starts, ends, oids = block.starts, block.ends, block.oids
+        if not (i < len(oids) and oids[i] == oid and starts[i] == start
+                and ends[i] == end):
+            return False
+        self._mods += 1
+        del starts[i], ends[i], oids[i]
+        self._size -= 1
+        self.sum_len -= end - start
+        if not oids:
+            del blocks[b], self._mins[b]
+        else:
+            if i == 0:
+                self._mins[b] = (starts[0], ends[0], oids[0].serial)
+            if end == block.max_end:
+                block.max_end = max(ends)
+            for left in (b, b - 1):
+                if (0 <= left < len(blocks) - 1
+                        and len(blocks[left].oids)
+                        + len(blocks[left + 1].oids) <= _HALF):
+                    self._merge(left)
+                    break
+        if end == self._max_end:
+            self._max_end = max((blk.max_end for blk in blocks),
+                                default=_NEG_INF)
+        return True
+
+    def _merge(self, left: int) -> None:
+        """Fold block ``left + 1`` into block ``left``."""
+        into, upper = self._blocks[left], self._blocks[left + 1]
+        into.starts.extend(upper.starts)
+        into.ends.extend(upper.ends)
+        into.oids.extend(upper.oids)
+        into.max_end = max(into.max_end, upper.max_end)
+        del self._blocks[left + 1], self._mins[left + 1]
+
+    def extend(self, starts: Sequence[float], ends: Sequence[float],
+               oids: Sequence[OID]) -> None:
+        """Add many postings handed over as parallel columns, any order.
+
+        One sort; an empty index is then cut straight into blocks, a
+        populated one takes the rows one at a time.
+        """
+        if not oids:
+            return
+        if not (all(map(lt, starts, ends))
+                and _NEG_INF < min(starts) and max(ends) < _POS_INF):
+            raise AnnotationError(
+                "every interval must have finite start < end")
+        rows = sorted(zip(starts, ends, oids))
+        self._mods += 1
+        if self._blocks:
+            rows = [row for row in rows if self._insert(*row)]
+        else:
+            for at in range(0, len(rows), _HALF):
+                first, last, refs = zip(*rows[at:at + _HALF])
+                self._blocks.append(_Block(array("d", first),
+                                           array("d", last), list(refs)))
+                self._mins.append((first[0], last[0], refs[0].serial))
+            self._size = len(rows)
+            self._max_end = max(block.max_end for block in self._blocks)
+        self.sum_len += sum(end - start for start, end, _ in rows)
 
     def clear(self) -> None:
-        # The counter stays monotonic: re-running __init__ would put it
-        # back to 0, and a walk begun at _mods == k would then pass its
-        # guard on a rebuilt tree after exactly k re-inserts.
-        self._root = self.node_class()
+        # The counter stays monotonic: a walk begun at _mods == k must
+        # not pass its guard on an index rebuilt with exactly k writes.
+        self._blocks = []
+        self._mins = []
         self._size = 0
+        self._max_end = _NEG_INF
+        self.sum_len = 0.0
         self._mods += 1
 
-    # -- augmentation ----------------------------------------------------
-    def _max_end(self, node: _IntervalNode) -> float:
-        if node.aug_mods != self._mods:
-            best = _NEG_INF
-            for key in node.keys:
-                if key[1] > best:
-                    best = key[1]
-            for child in node.children:
-                child_best = self._max_end(child)
-                if child_best > best:
-                    best = child_best
-            node.max_end = best
-            node.aug_mods = self._mods
-        return node.max_end
-
-    def max_end(self) -> float:
-        """Largest interval end in the index (-inf when empty)."""
-        return self._max_end(self._root)
+    # -- O(1) summaries --------------------------------------------------
+    def min_key(self) -> Optional[IntervalKey]:
+        """Smallest key in the index, or None when empty."""
+        return self._mins[0] if self._mins else None
 
     def min_start(self) -> float:
         """Smallest interval start in the index (+inf when empty)."""
-        key = self.min_key()
-        return _POS_INF if key is None else key[0]
+        return self._mins[0][0] if self._mins else _POS_INF
 
-    # -- window walks ----------------------------------------------------
-    # Every walk yields (key, sorted-oid-tuple) in ascending key order
-    # and re-checks the mutation counter before each yield, exactly like
-    # BTreeIndex.scan — an in-flight walk outliving a write is a bug in
-    # the caller's locking, and we refuse to paper over it.
+    def max_end(self) -> float:
+        """Largest interval end in the index (-inf when empty)."""
+        return self._max_end
+
+    # -- the one window walk ---------------------------------------------
+    def _pieces(self, op: Optional[str], lo: float,
+                hi: float) -> List[_Piece]:
+        """A window operator as start ranges with an end test each.
+
+        ======== ============================ ==========================
+        op       starts                       end test
+        ======== ============================ ==========================
+        None     all                          —
+        during   ``lo <= s < hi``             ``e <= hi``
+        before   ``s < lo``                   ``e <= lo``
+        after    ``s >= hi``                  —
+        overlaps ``s < lo``, then             ``e > lo``
+                 ``lo <= s < hi``             — (``e > s >= lo``)
+        meets    ``s < lo``, then             ``e == lo``
+                 ``s == hi``                  —
+        contains ``s <= lo``                  ``e >= hi``
+        ======== ============================ ==========================
+
+        The two ranges of one operator are disjoint and ascending, so
+        chaining them keeps key order.
+        """
+        lo, hi = float(lo), float(hi)  # int.__ge__(float) is NotImplemented
+        seek, cut = self._seek, self._cut
+        head, tail = (0, 0), (len(self._blocks), 0)
+        if op is None:
+            return cut(head, tail)
+        if op == "during":
+            return cut(seek(lo), seek(hi), hi.__ge__, hi, True)
+        if op == "before":
+            return cut(head, seek(lo), lo.__ge__, lo, True)
+        if op == "after":
+            return cut(seek(hi), tail)
+        if op == "overlaps":
+            at_lo = seek(lo)
+            return cut(head, at_lo, lo.__lt__, lo) + cut(at_lo, seek(hi))
+        if op == "meets":
+            return (cut(head, seek(lo), lo.__eq__, lo)
+                    + cut(seek(hi), seek(hi, _POS_INF)))
+        if op == "contains":
+            return cut(head, seek(lo, _POS_INF), hi.__le__, hi)
+        raise AnnotationError(f"unknown window operator {op!r}")
+
+    def _cut(self, begin: _Position, finish: _Position,
+             test: Optional[Callable[[float], bool]] = None,
+             bound: float = 0.0, capped: bool = False) -> List[_Piece]:
+        """``(block, from, to, test)`` per block that ``[begin, finish)`` reaches.
+
+        ``test`` compares an end with ``bound``.  ``capped`` says it is
+        ``end <= bound``: a block whose max-end is within the bound
+        passes whole, and its piece carries no test.  Otherwise the end
+        must reach ``bound``, and a block whose max-end falls short is
+        left out.
+        """
+        (b0, i0), (b1, i1) = begin, finish
+        blocks = self._blocks
+        pieces: List[_Piece] = []
+        for b in range(b0, min(b1 + 1, len(blocks))):
+            block = blocks[b]
+            i = i0 if b == b0 else 0
+            j = i1 if b == b1 else len(block.oids)
+            if i >= j:
+                continue
+            if test is None or (capped and block.max_end <= bound):
+                pieces.append((block, i, j, None))
+            elif capped or block.max_end >= bound:
+                pieces.append((block, i, j, test))
+        return pieces
+
+    def select(self, op: Optional[str] = None, lo: float = 0.0,
+               hi: float = 0.0) -> List[OID]:
+        """The window's OIDs in key order, gathered a block slice at a time."""
+        found: List[OID] = []
+        for block, i, j, test in self._pieces(op, lo, hi):
+            if test is None:
+                found += block.oids[i:j]
+            else:
+                found += compress(block.oids[i:j], map(test, block.ends[i:j]))
+        return found
+
     def _guard(self, expected: int) -> None:
         if self._mods != expected:
             raise AnnotationError(
                 "interval index mutated during an in-flight window walk")
 
-    def overlapping(self, lo: float, hi: float
-                    ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:
+    def _walk(self, pieces: List[_Piece], expected: int) -> Iterator[Posting]:
+        # The counter is compared before a block's columns are read and
+        # before every yield, so a walk resumed after a write raises.
+        for block, i, j, test in pieces:
+            self._guard(expected)
+            rows = zip(block.starts[i:j], block.ends[i:j], block.oids[i:j])
+            if test is not None:
+                rows = compress(rows, map(test, block.ends[i:j]))
+            for start, end, oid in rows:
+                self._guard(expected)
+                yield (start, end, oid.serial), (oid,)
+        self._guard(expected)
+
+    # Every walk yields ((start, end, serial), (oid,)) lazily in key
+    # order — an in-flight walk outliving a write is a bug in the
+    # caller's locking, and we refuse to paper over it.
+    def window(self, op: Optional[str], lo: float,
+               hi: float) -> Iterator[Posting]:
+        """One of the window operators by name (None: every posting)."""
+        return self._walk(self._pieces(op, lo, hi), self._mods)
+
+    def scan(self, lo: Optional[float] = None,
+             hi: Optional[float] = None) -> Iterator[Posting]:
+        """Postings whose start falls in ``[lo, hi)`` (None: unbounded)."""
+        begin = (0, 0) if lo is None else self._seek(lo)
+        finish = (len(self._blocks), 0) if hi is None else self._seek(hi)
+        return self._walk(self._cut(begin, finish), self._mods)
+
+    def overlapping(self, lo: float, hi: float) -> Iterator[Posting]:
         """Intervals sharing at least an instant with ``[lo, hi)``."""
-        return self._overlap_walk(self._root, lo, hi, self._mods)
+        return self.window("overlaps", lo, hi)
 
-    def _overlap_walk(self, node: _IntervalNode, lo: float, hi: float,
-                      expected: int
-                      ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:
-        if self._max_end(node) <= lo:
-            return  # nothing below can reach past the window's start
-        children = node.children
-        for i, key in enumerate(node.keys):
-            if children and self._max_end(children[i]) > lo:
-                yield from self._overlap_walk(children[i], lo, hi, expected)
-            if key[0] >= hi:
-                return  # this key and everything rightward starts too late
-            if key[1] > lo:
-                self._guard(expected)
-                yield key, tuple(sorted(node.buckets[i]))
-        if children and self._max_end(children[-1]) > lo:
-            yield from self._overlap_walk(children[-1], lo, hi, expected)
+    def during(self, lo: float, hi: float) -> Iterator[Posting]:
+        """Intervals contained in ``[lo, hi)``."""
+        return self.window("during", lo, hi)
 
-    def during(self, lo: float, hi: float
-               ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:
-        """Intervals contained in ``[lo, hi)``: starts in range + end test."""
-        return filter(lambda posting: posting[0][1] <= hi,
-                      self.scan(lo=(lo,), hi=(hi,), include_hi=False))
-
-    def before(self, lo: float
-               ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:
+    def before(self, lo: float) -> Iterator[Posting]:
         """Intervals ending at or before ``lo`` (they also start below it)."""
-        return filter(lambda posting: posting[0][1] <= lo,
-                      self.scan(hi=(lo,), include_hi=False))
+        return self.window("before", lo, lo)
 
-    def after(self, hi: float
-              ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:
+    def after(self, hi: float) -> Iterator[Posting]:
         """Intervals starting at or after ``hi``."""
-        return self.scan(lo=(hi,))
+        return self.window("after", hi, hi)
 
-    def meets(self, lo: float, hi: float
-              ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:
-        """Intervals touching the window exactly: end == lo or start == hi.
+    def meets(self, lo: float, hi: float) -> Iterator[Posting]:
+        """Intervals touching the window exactly: end == lo or start == hi."""
+        return self.window("meets", lo, hi)
 
-        The two sides are disjoint (end == lo forces start < lo, and
-        start == hi forces start >= hi > lo), and every left-side key
-        starts below every right-side key, so chaining preserves order.
-        """
-        yield from self._ending_at_walk(self._root, lo, self._mods)
-        yield from self.scan(lo=(hi,), hi=(hi, _POS_INF, 0))
-
-    def _ending_at_walk(self, node: _IntervalNode, lo: float, expected: int
-                        ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:
-        if self._max_end(node) < lo:
-            return
-        children = node.children
-        for i, key in enumerate(node.keys):
-            if children and self._max_end(children[i]) >= lo:
-                yield from self._ending_at_walk(children[i], lo, expected)
-            if key[0] >= lo:
-                return  # start >= lo implies end > lo: no exact touch right
-            if key[1] == lo:
-                self._guard(expected)
-                yield key, tuple(sorted(node.buckets[i]))
-        if children and self._max_end(children[-1]) >= lo:
-            yield from self._ending_at_walk(children[-1], lo, expected)
-
-    def window(self, op: str, lo: float, hi: float
-               ) -> Iterator[Tuple[IntervalKey, Tuple[OID, ...]]]:
-        """Dispatch one of the five window operators by name."""
-        if op == "overlaps":
-            return self.overlapping(lo, hi)
-        if op == "during":
-            return self.during(lo, hi)
-        if op == "before":
-            return self.before(lo)
-        if op == "after":
-            return self.after(hi)
-        if op == "meets":
-            return self.meets(lo, hi)
-        raise AnnotationError(f"unknown window operator {op!r}")
+    # -- invariants (used by property tests) ------------------------------
+    def check_invariants(self) -> None:
+        """Assert the block invariant; raises AssertionError."""
+        keys: List[IntervalKey] = []
+        assert len(self._mins) == len(self._blocks)
+        for first, block in zip(self._mins, self._blocks):
+            n = len(block.oids)
+            assert 0 < n <= BLOCK_CAPACITY, "empty or overfull block"
+            assert len(block.starts) == len(block.ends) == n
+            assert block.max_end == max(block.ends), "stale block max-end"
+            assert first == (block.starts[0], block.ends[0],
+                             block.oids[0].serial), "stale block first key"
+            keys.extend(zip(block.starts, block.ends,
+                            (oid.serial for oid in block.oids)))
+        assert keys == sorted(set(keys)), "postings out of key order"
+        assert len(keys) == self._size
+        assert self._max_end == max((key[1] for key in keys),
+                                    default=_NEG_INF), "stale index max-end"

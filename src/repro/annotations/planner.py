@@ -8,10 +8,10 @@ cost model stay an estimate:
 
 * **scan**: every annotation in the store is fetched and run through
   the full predicate: ``N`` touches at unit cost.
-* **index**: for each candidate track, one B-tree descent
-  (``C_DESCENT * log2(n + 1)``) plus the estimated result rows, each
-  costing ``C_EMIT`` (object fetch + residual filter — dearer than a
-  scan touch).  Selectivity comes from per-track :class:`TrackStats`
+* **index**: for each candidate track, finding the window's two ends
+  by bisection (``C_SEEK * log2(n + 1)``) plus the estimated result
+  rows, each costing ``C_EMIT`` (object fetch + residual filter —
+  dearer than a scan touch).  Selectivity comes from per-track :class:`TrackStats`
   under a uniform-start assumption; ``meets`` is priced as a thin
   equality slice.
 
@@ -34,8 +34,8 @@ from repro.errors import AnnotationError
 
 __all__ = ["PlanDecision", "estimate_track_matches", "plan", "plan_join"]
 
-#: Cost of one B-tree level during a descent, in scan-row units.
-C_DESCENT = 2.0
+#: Cost of one halving step of a track's bisects, in scan-row units.
+C_SEEK = 2.0
 #: Cost of emitting one index-path row (fetch + residual), ditto.
 C_EMIT = 1.5
 #: Assumed selectivity of the ``meets`` equality slice.
@@ -86,7 +86,7 @@ def _index_cost(store: AnnotationStore, query: AnnotationQuery,
     cost = 0.0
     for value_id, track in tracks:
         stats = store.track_stats(value_id, track)
-        cost += C_DESCENT * log2(stats.count + 1)
+        cost += C_SEEK * log2(stats.count + 1)
         cost += C_EMIT * estimate_track_matches(stats, query.op,
                                                 query.lo, query.hi)
     return cost
@@ -135,7 +135,7 @@ def plan_join(store: AnnotationStore, join: AnnotationJoin, n_lefts: int,
     per_probe = 0.0
     for value_id, track in tracks:
         stats = store.track_stats(value_id, track)
-        per_probe += C_DESCENT * log2(stats.count + 1)
+        per_probe += C_SEEK * log2(stats.count + 1)
         # A probe window is one left interval: model it as an average
         # annotation-length window of overlaps.
         width = stats.avg_len

@@ -10,10 +10,16 @@ the planner picks::
 
 Both execution paths return *the same rows in the same order* — sorted
 by ``(value_id, track, start, end, serial)``.  The index path gets that
-order for free (tracks visited in sorted order, each track's walk is in
-key order); the scan path sorts.  Equality of the two is a property
-test and a benchmark assertion, which is what lets the planner be a
-pure performance decision.
+order for free (tracks visited in sorted order, each track's postings
+are in key order); the scan path sorts.  Equality of the two is a
+property test and a benchmark assertion, which is what lets the planner
+be a pure performance decision.
+
+Rows are references until someone looks (§3.1: queries "may return
+references ... rather than the values themselves"): a result holds the
+immutable ``DBObject`` snapshots read at execution time in an
+:class:`AnnotationRows`, and an :class:`Annotation` is built only when
+a row is indexed, iterated or compared.
 
 Track joins (Cassidy & Bird's cross-tier queries: "words during this
 speaker turn", "gestures overlapping a music beat") pair a left query
@@ -24,17 +30,19 @@ probe of the right side's tracks, the scan path nested-loops.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.annotations.model import WINDOW_OPS, Annotation, Payload
 from repro.annotations.store import AnnotationStore, TrackKey, track_sentinel
 from repro.db.locks import LockMode
+from repro.db.objects import DBObject
 from repro.db.transactions import Transaction
 from repro.errors import AnnotationError
 
-__all__ = ["AQ", "AnnotationJoin", "AnnotationQuery", "QueryResult",
-           "run", "run_join"]
+__all__ = ["AQ", "AnnotationJoin", "AnnotationQuery", "AnnotationRows",
+           "QueryResult", "run", "run_join"]
 
 
 @dataclass(frozen=True)
@@ -107,16 +115,18 @@ class AnnotationQuery:
         return self.label or " ".join(parts)
 
     # -- residual predicate ----------------------------------------------
+    def _matches_payload(self, attrs: dict) -> bool:
+        have = dict(attrs.get("payload") or ())
+        for key, value in self.payload:
+            if key not in have or have[key] != value:
+                return False
+        return True
+
     def _matches_residual(self, attrs: dict) -> bool:
         """Everything but the temporal clause (used by the index path)."""
         if self.atype is not None and attrs["atype"] != self.atype:
             return False
-        if self.payload:
-            have = dict(attrs.get("payload") or ())
-            for key, value in self.payload:
-                if key not in have or have[key] != value:
-                    return False
-        return True
+        return not self.payload or self._matches_payload(attrs)
 
     def matches(self, attrs: dict) -> bool:
         """The full row predicate (the scan path's only tool)."""
@@ -159,11 +169,50 @@ class AnnotationJoin:
                 f"{self.right.describe()}")
 
 
+class AnnotationRows(Sequence):
+    """The rows of one query: read-only, each hydrated when touched.
+
+    Holds the snapshots the query read, so a row still reads as it was
+    at execution time after its annotation is removed.  Equal to another
+    ``AnnotationRows`` or a list holding equal annotations in order.
+    """
+
+    __slots__ = ("_snapshots",)
+
+    def __init__(self, snapshots: List[DBObject]) -> None:
+        self._snapshots = snapshots
+
+    def __len__(self) -> int:
+        return len(self._snapshots)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return AnnotationRows(self._snapshots[index])
+        return Annotation.from_object(self._snapshots[index])
+
+    def __iter__(self) -> Iterator[Annotation]:
+        return map(Annotation.from_object, self._snapshots)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (AnnotationRows, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"AnnotationRows({list(self)!r})"
+
+
 @dataclass
 class QueryResult:
-    """Rows plus the execution facts the caller/benchmarks inspect."""
+    """Rows plus the execution facts the caller/benchmarks inspect.
 
-    rows: List[Any]
+    ``rows`` is an :class:`AnnotationRows` for a query and a list of
+    ``(left, right)`` annotation pairs for a join.
+    """
+
+    rows: Any
     mode: str
     examined: int = 0
     plan: Optional[Any] = None  # the planner's PlanDecision
@@ -184,40 +233,37 @@ def _candidate_tracks(store: AnnotationStore,
     return store.tracks()
 
 
-def _track_walk(store: AnnotationStore, key: TrackKey,
-                query: AnnotationQuery) -> Iterator[Tuple[tuple, tuple]]:
-    index = store._tracks[key]
-    if query.op is None:
-        return index.scan()
-    return index.window(query.op, query.lo, query.hi)
+def _sort_key(obj: DBObject) -> Tuple[str, str, float, float, int]:
+    """:attr:`Annotation.sort_key`, read off the snapshot."""
+    attrs = obj.attributes
+    return (attrs["value_id"], attrs["track"], attrs["start"], attrs["end"],
+            obj.oid.serial)
 
 
 # -- execution: the two paths ---------------------------------------------
 def _run_index(store: AnnotationStore, query: AnnotationQuery,
                tx: Optional[Transaction]) -> QueryResult:
-    rows: List[Annotation] = []
+    snapshots: List[DBObject] = []
     examined = 0
-    # Untransacted reads go straight to the object table, and a query
-    # with neither type nor payload clause has no residual to test.
+    # Untransacted reads go straight to the object table; ``tx.read``
+    # takes the posting's SHARED lock before it reads.
     reader = store.db._store.get if tx is None else tx.read
-    residual = (query._matches_residual
-                if query.atype is not None or query.payload else None)
-    hydrate = Annotation.from_object
-    keep = rows.append
+    op, lo, hi, atype = query.op, query.lo, query.hi, query.atype
     for track_key in _candidate_tracks(store, query):
         if tx is not None:
             tx.lock(track_sentinel(*track_key), LockMode.SHARED)
-        for _, oids in _track_walk(store, track_key, query):
-            for oid in oids:
-                if tx is not None:
-                    tx.lock(oid, LockMode.SHARED)
-                obj = reader(oid)
-                examined += 1
-                if residual is None or residual(obj.attributes):
-                    keep(hydrate(obj))
-    # Tracks visited in sorted order, walks in key order: already sorted
-    # by (value_id, track, start, end, serial).
-    return QueryResult(rows, "index", examined)
+        oids = store._tracks[track_key].select(op, lo, hi)
+        examined += len(oids)
+        found = map(reader, oids)
+        if atype is not None:
+            found = [obj for obj in found if obj.attributes["atype"] == atype]
+        if query.payload:
+            found = [obj for obj in found
+                     if query._matches_payload(obj.attributes)]
+        snapshots += found
+    # Tracks visited in sorted order, postings in key order: already
+    # sorted by (value_id, track, start, end, serial).
+    return QueryResult(AnnotationRows(snapshots), "index", examined)
 
 
 def _run_scan(store: AnnotationStore, query: AnnotationQuery,
@@ -228,16 +274,11 @@ def _run_scan(store: AnnotationStore, query: AnnotationQuery,
         for track_key in store.tracks():
             tx.lock(track_sentinel(*track_key), LockMode.SHARED)
     reader = store.db.get if tx is None else tx.read
-    rows: List[Annotation] = []
-    examined = 0
+    oids = store.db._store.oids_of_class([store.CLASS_NAME])
     matches = query.matches
-    for oid in store.db._store.oids_of_class([store.CLASS_NAME]):
-        obj = reader(oid)
-        examined += 1
-        if matches(obj.attributes):
-            rows.append(Annotation.from_object(obj))
-    rows.sort(key=lambda ann: ann.sort_key)
-    return QueryResult(rows, "scan", examined)
+    snapshots = [obj for obj in map(reader, oids) if matches(obj.attributes)]
+    snapshots.sort(key=_sort_key)
+    return QueryResult(AnnotationRows(snapshots), "scan", len(oids))
 
 
 def run(store: AnnotationStore, query: AnnotationQuery, mode: str = "auto",
@@ -255,17 +296,17 @@ def run(store: AnnotationStore, query: AnnotationQuery, mode: str = "auto",
 
 # -- joins ----------------------------------------------------------------
 def _probe_window(relation: str, left: Annotation) -> Tuple[str, float, float]:
-    """The right-side index walk answering ``left REL right``.
+    """The right-side index window answering ``left REL right``.
 
     The five relations read as window predicates with the *right* row's
-    interval as the window — so each probe is the mirror walk: rights
+    interval as the window — so each probe is the mirror window: rights
     overlapping the left interval, rights containing it, rights starting
     after its end, rights ending before its start, rights touching it.
     """
     if relation == "overlaps":
         return ("overlaps", left.start, left.end)
-    if relation == "during":    # left inside right => right overlaps left
-        return ("overlaps", left.start, left.end)
+    if relation == "during":    # left inside right
+        return ("contains", left.start, left.end)
     if relation == "before":    # left.end <= right.start
         return ("after", left.end, left.end)
     if relation == "after":     # left.start >= right.end
@@ -274,42 +315,37 @@ def _probe_window(relation: str, left: Annotation) -> Tuple[str, float, float]:
 
 
 def _run_join_index(store: AnnotationStore, join: AnnotationJoin,
-                    lefts: List[Annotation],
-                    tx: Optional[Transaction]) -> QueryResult:
+                    lefts: Sequence, tx: Optional[Transaction]
+                    ) -> QueryResult:
     pairs: List[Tuple[Annotation, Annotation]] = []
     examined = 0
-    reader = store.db.get if tx is None else tx.read
-    relation = WINDOW_OPS[join.relation]
+    reader = store.db._store.get if tx is None else tx.read
+    matches = join.right._matches_residual
+    tracks = _candidate_tracks(store, join.right)
     for left in lefts:
         op, lo, hi = _probe_window(join.relation, left)
-        probe = AnnotationQuery(value_id=join.right.value_id,
-                                track=join.right.track, op=op, lo=lo, hi=hi)
-        for track_key in _candidate_tracks(store, probe):
+        for track_key in tracks:
             if tx is not None:
                 tx.lock(track_sentinel(*track_key), LockMode.SHARED)
-            for key, oids in _track_walk(store, track_key, probe):
-                if not relation(left.start, left.end, key[0], key[1]):
-                    continue
-                for oid in oids:
-                    if oid == left.oid:
-                        continue
-                    if tx is not None:
-                        tx.lock(oid, LockMode.SHARED)
-                    obj = reader(oid)
-                    examined += 1
-                    if join.right._matches_residual(obj.attributes):
-                        pairs.append((left, Annotation.from_object(obj)))
+            oids = store._tracks[track_key].select(op, lo, hi)
+            if left.oid in oids:
+                oids.remove(left.oid)  # a row is not related to itself
+            examined += len(oids)
+            pairs += [(left, Annotation.from_object(obj))
+                      for obj in map(reader, oids)
+                      if matches(obj.attributes)]
     return QueryResult(pairs, "index", examined)
 
 
 def _run_join_scan(store: AnnotationStore, join: AnnotationJoin,
-                   lefts: List[Annotation],
-                   tx: Optional[Transaction]) -> QueryResult:
+                   lefts: Sequence, tx: Optional[Transaction]
+                   ) -> QueryResult:
     rights = _run_scan(store, join.right, tx)
+    right_rows = list(rights.rows)
     relation = WINDOW_OPS[join.relation]
     pairs = [(left, right)
              for left in lefts
-             for right in rights.rows
+             for right in right_rows
              if right.oid != left.oid
              and relation(left.start, left.end, right.start, right.end)]
     return QueryResult(pairs, "scan", rights.examined)

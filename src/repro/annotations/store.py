@@ -16,27 +16,30 @@ Concurrency protocol (the part the paper leaves implicit):
 * every writer takes an EXCLUSIVE lock on the *track sentinel* — a
   logical OID derived from ``sha256(value_id/track)`` — before its
   per-annotation locks;
-* every index-backed scan takes the sentinel SHARED plus SHARED locks on
-  each posting it yields (via the B-tree scan's ``on_visit`` hook).
+* every index-backed scan takes the sentinel SHARED plus a SHARED lock
+  on each posting as it reads it (``Transaction.read`` locks first).
 
 Under wait-die, a younger writer that hits a scan's sentinel dies
-(aborts, retriable) instead of mutating the tree under the iterator; an
-older writer waits.  The B-tree's mutation-counter guard backstops the
+(aborts, retriable) instead of mutating the index under the iterator; an
+older writer waits.  The index's mutation-counter guard backstops the
 protocol: an unlocked writer makes the scan raise rather than yield
-from a restructured tree.
+from columns that have moved.
 
 ``bulk_load`` is the corpus path: chunked ``commit_ops`` straight into
-the object store plus an O(n) bottom-up build of each track's interval
-index — the only way a million-annotation corpus loads in seconds.
+the object store, postings appended to per-track columns and each
+track's index cut from them after one sort — the only way a
+million-annotation corpus loads in seconds.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-from dataclasses import dataclass
+from array import array
 from itertools import islice
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from math import isfinite
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Optional, Tuple, Union)
 
 from repro.annotations.intervals import IntervalIndex
 from repro.annotations.model import Annotation, AnnotationType, Payload
@@ -52,8 +55,8 @@ from repro.obs import Obs, attach
 __all__ = ["AnnotationStore", "TrackStats", "track_sentinel"]
 
 TrackKey = Tuple[str, str]
-#: (start, end, serial, oid): a bulk-loaded row on its way to an index.
-_Posting = Tuple[float, float, int, OID]
+#: (starts, ends, oids): bulk-loaded postings on their way to an index.
+_Columns = Tuple[array, array, List[OID]]
 
 
 def track_sentinel(value_id: str, track: str) -> OID:
@@ -66,8 +69,7 @@ def track_sentinel(value_id: str, track: str) -> OID:
     return OID("AnnotationTrack", int.from_bytes(digest[:8], "big") >> 1)
 
 
-@dataclass(frozen=True)
-class TrackStats:
+class TrackStats(NamedTuple):
     """Planner-facing summary of one (value_id, track) index."""
 
     count: int
@@ -85,7 +87,7 @@ class TrackStats:
 
 
 class _IntervalRouter:
-    """Derived-index target: owns the per-track indexes and their totals.
+    """Derived-index target: owns the per-track indexes and their total.
 
     The router must not refer back to the :class:`AnnotationStore`.  The
     store reaches it through ``Database._derived``, so a back reference
@@ -94,11 +96,9 @@ class _IntervalRouter:
     pauses.
     """
 
-    def __init__(self, class_name: str, min_degree: int) -> None:
+    def __init__(self, class_name: str) -> None:
         self._class_name = class_name
-        self._min_degree = min_degree
         self.tracks: Dict[TrackKey, IntervalIndex] = {}
-        self.sum_len: Dict[TrackKey, float] = {}
         self.total = 0
 
     def track_index(self, value_id: str, track: str) -> IntervalIndex:
@@ -107,36 +107,27 @@ class _IntervalRouter:
         index = self.tracks.get(key)
         if index is None:
             index = IntervalIndex(self._class_name,
-                                  f"__interval__/{value_id}/{track}",
-                                  self._min_degree)
+                                  f"__interval__/{value_id}/{track}")
             self.tracks[key] = index
-            self.sum_len[key] = 0.0
         return index
 
     def insert(self, key, oid: OID) -> None:
         if key is None:
             return
         value_id, track, start, end = key
-        self.track_index(value_id, track).add(start, end, oid)
-        self.sum_len[(value_id, track)] += end - start
-        self.total += 1
+        if self.track_index(value_id, track).add(start, end, oid):
+            self.total += 1
 
     def remove(self, key, oid: OID) -> None:
         if key is None:
             return
         value_id, track, start, end = key
         index = self.tracks.get((value_id, track))
-        if index is None:
-            return
-        before = len(index)
-        index.discard(start, end, oid)
-        if len(index) < before:
-            self.sum_len[(value_id, track)] -= end - start
+        if index is not None and index.discard(start, end, oid):
             self.total -= 1
 
     def clear(self) -> None:
         self.tracks.clear()
-        self.sum_len.clear()
         self.total = 0
 
 
@@ -151,11 +142,11 @@ class AnnotationStore:
     CLASS_NAME = "Annotation"
 
     def __init__(self, db: Optional[Database] = None,
-                 obs: Optional[Obs] = None, min_degree: int = 16) -> None:
+                 obs: Optional[Obs] = None) -> None:
         self.obs = attach(obs)
         self.db = db if db is not None else Database(obs=self.obs)
         self._types: Dict[str, AnnotationType] = {}
-        self._router = _IntervalRouter(self.CLASS_NAME, min_degree)
+        self._router = _IntervalRouter(self.CLASS_NAME)
         #: The router's own dict (it is cleared in place, never rebound).
         self._tracks = self._router.tracks
         if self.CLASS_NAME not in self.db.schema:
@@ -196,6 +187,10 @@ class AnnotationStore:
     def _check_interval(self, start: float, end: float) -> None:
         if not (isinstance(start, float) and isinstance(end, float)):
             raise AnnotationError("interval endpoints must be floats")
+        if not (isfinite(start) and isfinite(end)):
+            raise AnnotationError(
+                f"annotation interval [{start!r}, {end!r}) must have "
+                f"finite endpoints")
         if not start < end:
             raise AnnotationError(
                 f"annotation interval [{start!r}, {end!r}) must have "
@@ -227,18 +222,26 @@ class AnnotationStore:
             with self.db.begin() as own:
                 self.remove(oid, tx=own)
             return
-        ann = Annotation.from_object(tx.read(oid))
+        ann = self.read(oid, tx)
         tx.lock(track_sentinel(ann.value_id, ann.track), LockMode.EXCLUSIVE)
         tx.delete(oid)
         self._m_removed.inc()
 
     # -- reads -----------------------------------------------------------
+    def _hydrate(self, obj: DBObject) -> Annotation:
+        name = obj.oid.class_name
+        if not (name == self.CLASS_NAME
+                or self.db.schema.is_subclass(name, self.CLASS_NAME)):
+            raise AnnotationError(
+                f"{obj.oid} is a {name}, not an annotation")
+        return Annotation.from_object(obj)
+
     def get(self, oid: OID) -> Annotation:
         """Non-transactional read of the latest committed snapshot."""
-        return Annotation.from_object(self.db.get(oid))
+        return self._hydrate(self.db.get(oid))
 
     def read(self, oid: OID, tx: Transaction) -> Annotation:
-        return Annotation.from_object(tx.read(oid))
+        return self._hydrate(tx.read(oid))
 
     def __len__(self) -> int:
         return self._router.total
@@ -254,7 +257,7 @@ class AnnotationStore:
         if index is None or not len(index):
             return TrackStats(0, 0.0, 0.0, 0.0)
         return TrackStats(len(index), index.min_start(), index.max_end(),
-                          self._router.sum_len[(value_id, track)])
+                          index.sum_len)
 
     def track_index(self, value_id: str, track: str) -> IntervalIndex:
         """The live interval index of one track (read-only to callers)."""
@@ -270,30 +273,20 @@ class AnnotationStore:
         """Ordered scan of one track, read-locked when ``tx`` is given.
 
         With a transaction, the sentinel is locked SHARED up front and
-        each posting is locked SHARED as the scan reaches it (the B-tree
-        ``on_visit`` hook) — held to commit under strict 2PL, so a
-        concurrent younger writer dies under wait-die instead of
-        mutating the tree mid-scan.
+        each posting is locked SHARED as the scan reaches it (by
+        ``tx.read``) — held to commit under strict 2PL, so a concurrent
+        younger writer dies under wait-die instead of mutating the
+        index mid-scan.
         """
         index = self._tracks.get((value_id, track))
         if index is None:
             return iter(())
         self._m_scans.inc()
-        on_visit = None
         if tx is not None:
             tx.lock(track_sentinel(value_id, track), LockMode.SHARED)
-
-            def on_visit(key, oids, _tx=tx):
-                for oid in oids:
-                    _tx.lock(oid, LockMode.SHARED)
-
         reader = tx.read if tx is not None else self.db.get
         return (Annotation.from_object(reader(oid))
-                for lo_key, oids in index.scan(
-                    lo=None if lo is None else (lo,),
-                    hi=None if hi is None else (hi,),
-                    include_hi=False, on_visit=on_visit)
-                for oid in oids)
+                for _, oids in index.scan(lo, hi) for oid in oids)
 
     # -- bulk corpus loading --------------------------------------------
     def bulk_load(self, rows: Iterable[Tuple[str, str, str, float, float,
@@ -306,9 +299,9 @@ class AnnotationStore:
         validated per row (type registered, start < end) but skips the
         per-object schema walk and per-row locking of the transactional
         path — this is a corpus loader for a store without concurrent
-        writers, not an online write path.  Indexes for *fresh* tracks
-        are built bottom-up; tracks that already have postings fall back
-        to per-key inserts.
+        writers, not an online write path.  A *fresh* track's index is
+        cut straight from its sorted columns; a track that already has
+        postings takes the new ones one at a time.
 
         A chunk is validated whole before its OIDs are reserved, so a
         bad row commits nothing of its chunk and burns no serial; the
@@ -321,7 +314,7 @@ class AnnotationStore:
         store = self.db._store
         types = self._types
         check_interval = self._check_interval
-        per_track: Dict[TrackKey, List[_Posting]] = {}
+        per_track: Dict[TrackKey, _Columns] = {}
         rows = iter(rows)
         size = max(chunk, 1)
         loaded = 0
@@ -347,8 +340,13 @@ class AnnotationStore:
                 self.db.stats["commits"] += 1
                 for oid, row in zip(oids, batch):
                     value_id, track, _, start, end, _ = row
-                    per_track.setdefault((value_id, track), []).append(
-                        (start, end, oid.serial, oid))
+                    columns = per_track.get((value_id, track))
+                    if columns is None:
+                        columns = per_track[(value_id, track)] = (
+                            array("d"), array("d"), [])
+                    columns[0].append(start)
+                    columns[1].append(end)
+                    columns[2].append(oid)
                 loaded += len(batch)
         finally:
             try:
@@ -359,25 +357,13 @@ class AnnotationStore:
         self._m_bulk.inc(loaded)
         return loaded
 
-    def _index_loaded(self, per_track: Dict[TrackKey, List[_Posting]]
-                      ) -> None:
-        """Post committed bulk rows to their tracks' interval indexes.
-
-        Keys are built here, a track at a time in key order, so the keys
-        a range walk reads one after another also sit together in memory.
-        """
+    def _index_loaded(self, per_track: Dict[TrackKey, _Columns]) -> None:
+        """Post committed bulk rows to their tracks' interval indexes."""
         router = self._router
         for value_id, track in sorted(per_track):
-            # Popped, so a track's entries are freed as its index is built.
-            entries = per_track.pop((value_id, track))
-            entries.sort()
+            # Popped, so a track's columns are freed as its index is built.
+            columns = per_track.pop((value_id, track))
             index = router.track_index(value_id, track)
-            if len(index):
-                for start, end, _, oid in entries:
-                    index.add(start, end, oid)
-            else:
-                index.bulk_load([((start, end, serial), (oid,))
-                                 for start, end, serial, oid in entries])
-            router.sum_len[(value_id, track)] += sum(
-                end - start for start, end, _, _ in entries)
-            router.total += len(entries)
+            before = len(index)
+            index.extend(*columns)
+            router.total += len(index) - before

@@ -14,13 +14,11 @@ Exposes the same interface as
 Beyond the set-returning ``range``, :meth:`BTreeIndex.scan` is a *lazy*
 ordered iterator with an ``on_visit`` hook, so a transactional caller can
 take (and, under strict 2PL, keep) read locks on every posting the scan
-touches — the contract the interval index in ``repro.annotations`` needs
-under concurrent wait-die writers.  A mutation counter guards in-flight
+touches while wait-die writers are kept out.  A mutation counter guards in-flight
 scans: any insert/remove while a scan generator is live makes its next
 step raise :class:`~repro.errors.QueryError` instead of silently
 yielding from a restructured tree.  :meth:`BTreeIndex.bulk_load` builds
-the tree bottom-up from sorted entries in O(n) — the corpus-loading path
-that makes million-posting indexes practical.
+the tree bottom-up from sorted entries in O(n).
 """
 
 from __future__ import annotations
@@ -52,10 +50,6 @@ class _Node:
 class BTreeIndex:
     """Ordered (key -> set of OIDs) index backed by a B-tree."""
 
-    #: Node factory; subclasses (e.g. the interval index) override this
-    #: to hang per-node augmentation off the same CLRS machinery.
-    node_class = _Node
-
     def __init__(self, class_name: str, attribute: str,
                  min_degree: int = 16) -> None:
         if min_degree < 2:
@@ -63,10 +57,9 @@ class BTreeIndex:
         self.class_name = class_name
         self.attribute = attribute
         self._t = min_degree
-        self._root = self.node_class()
+        self._root = _Node()
         self._size = 0
-        #: Bumped on every mutating call.  Doubles as the epoch for lazy
-        #: per-node augmentation memos and as the in-flight-scan guard.
+        #: Bumped on every mutating call: the in-flight-scan guard.
         self._mods = 0
 
     def __len__(self) -> int:
@@ -80,7 +73,7 @@ class BTreeIndex:
         self._mods += 1
         root = self._root
         if len(root.keys) == 2 * self._t - 1:
-            new_root = self.node_class()
+            new_root = _Node()
             new_root.children.append(root)
             self._split_child(new_root, 0)
             self._root = new_root
@@ -89,7 +82,7 @@ class BTreeIndex:
     def _split_child(self, parent: _Node, index: int) -> None:
         t = self._t
         child = parent.children[index]
-        sibling = self.node_class()
+        sibling = _Node()
         parent.keys.insert(index, child.keys[t - 1])
         parent.buckets.insert(index, child.buckets[t - 1])
         sibling.keys = child.keys[t:]
@@ -294,7 +287,7 @@ class BTreeIndex:
             # exactly when all n entries fit in a single (root) node.
             count = max(1, -(-(n + 1) // (cap + 1)))
             if count == 1:
-                root = self.node_class()
+                root = _Node()
                 root.keys = [key for key, _ in entries]
                 root.buckets = [bucket for _, bucket in entries]
                 if level is not None:
@@ -308,7 +301,7 @@ class BTreeIndex:
             child_at = 0
             for i in range(count):
                 take = base + (1 if i < extra else 0)
-                node = self.node_class()
+                node = _Node()
                 node.keys = [key for key, _ in entries[at:at + take]]
                 node.buckets = [bucket for _, bucket in entries[at:at + take]]
                 if level is not None:

@@ -1,7 +1,8 @@
 """The annotation store and temporal query engine.
 
-Covers the typed store over the db tier, the max-end-augmented
-interval index against a brute-force baseline, index/scan equivalence
+Covers the typed store over the db tier, the columnar interval index
+against a brute-force baseline and a stateful sorted-list model, lazy
+result rows, index/scan equivalence
 (example-based and property-based across all five operators), the
 cost-based planner and its DecisionLog trail, track joins, bulk
 loading, corpus determinism, and the wait-die writer-vs-scan
@@ -11,16 +12,21 @@ regression.
 import dataclasses
 import gc
 import hashlib
+import itertools
+import math
 import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule, run_state_machine_as_test)
 
 from repro.annotations import (
     AQ,
     Annotation,
     AnnotationJoin,
+    AnnotationRows,
     AnnotationStore,
     AnnotationType,
     CorpusSpec,
@@ -35,7 +41,9 @@ from repro.annotations import (
     run_join,
     track_sentinel,
 )
+from repro.annotations import intervals
 from repro.db.objects import OID
+from repro.db.schema import AttributeSpec, ClassDef
 from repro.errors import AnnotationError, LockTimeoutError, QueryError
 from repro.obs import scoped
 
@@ -111,7 +119,7 @@ class TestModel:
 # -- interval index vs brute force ---------------------------------------
 class TestIntervalIndex:
     def _build(self, intervals):
-        index = IntervalIndex("Annotation", "__interval__/t", min_degree=2)
+        index = IntervalIndex("Annotation", "__interval__/t")
         rows = []
         for serial, (s, e) in enumerate(intervals):
             ref = OID("Annotation", serial)
@@ -176,6 +184,178 @@ class TestIntervalIndex:
         assert len(list(index.window(op, 0.0, 100.0))) == len(rows)
 
 
+# -- interval index vs a sorted list, statefully ---------------------------
+#: A coarse grid, so equal starts, equal ends and exact touches are common.
+GRID = st.integers(0, 24).map(float)
+MODEL_OPS = sorted(WINDOW_OPS) + ["contains", None]
+
+
+def op_contains(s, e, lo, hi):
+    """The index-only operator a ``during`` join probes with."""
+    return s <= lo and e >= hi
+
+
+class IntervalIndexMachine(RuleBasedStateMachine):
+    """IntervalIndex against a sorted list of (start, end, serial).
+
+    Blocks are shrunk to 8 postings so a few dozen rows cross splits and
+    merges.  One walk may be live at a time; any rule may run between
+    two of its ``next()`` calls, and once a write has happened the next
+    step must raise.
+    """
+
+    index_class = IntervalIndex
+
+    def __init__(self):
+        super().__init__()
+        self.saved = (intervals.BLOCK_CAPACITY, intervals._HALF)
+        intervals.BLOCK_CAPACITY, intervals._HALF = 8, 4
+        self.index = self.index_class("Annotation", "__interval__/model")
+        self.rows = []  # sorted (start, end, serial)
+        self.serials = itertools.count()
+        self.walk = None  # (iterator, the keys it still owes)
+        self.stale = False  # written to since the walk began?
+
+    def teardown(self):
+        intervals.BLOCK_CAPACITY, intervals._HALF = self.saved
+
+    def _expected(self, op, lo, hi):
+        if op is None:
+            return list(self.rows)
+        predicate = op_contains if op == "contains" else WINDOW_OPS[op]
+        return [row for row in self.rows if predicate(row[0], row[1], lo, hi)]
+
+    # -- writes ----------------------------------------------------------
+    @rule(start=GRID, length=st.integers(1, 12), again=st.booleans())
+    def add(self, start, length, again):
+        row = (start, start + length, next(self.serials))
+        ref = OID("Annotation", row[2])
+        assert self.index.add(row[0], row[1], ref) is True
+        self.rows.append(row)
+        self.rows.sort()
+        if again:  # the same posting twice is one posting
+            assert self.index.add(row[0], row[1], ref) is False
+        self.stale = True
+
+    @rule(starts=st.lists(GRID, max_size=20))
+    def extend(self, starts):
+        rows = [(start, start + 1.5, next(self.serials)) for start in starts]
+        self.index.extend([row[0] for row in rows], [row[1] for row in rows],
+                          [OID("Annotation", row[2]) for row in rows])
+        self.rows = sorted(self.rows + rows)
+        self.stale = self.stale or bool(rows)
+
+    @precondition(lambda self: self.rows)
+    @rule(pick=st.integers(0, 10**6), run=st.integers(1, 12))
+    def discard(self, pick, run):
+        # A run of neighbours, so blocks thin out, merge and vanish.
+        at = pick % len(self.rows)
+        for start, end, serial in self.rows[at:at + run]:
+            assert self.index.discard(start, end, OID("Annotation", serial))
+        del self.rows[at:at + run]
+        self.stale = True
+
+    @rule(start=GRID)
+    def discard_missing(self, start):
+        mods = self.index._mods
+        assert not self.index.discard(start, start + 0.25,
+                                      OID("Annotation", 10**9))
+        assert self.index._mods == mods  # not a write: walks stay live
+
+    @rule()
+    def clear(self):
+        self.index.clear()
+        self.rows = []
+        self.stale = True
+
+    # -- reads -----------------------------------------------------------
+    @rule(op=st.sampled_from(MODEL_OPS), lo=GRID, width=st.integers(1, 12))
+    def window(self, op, lo, width):
+        expected = self._expected(op, lo, lo + width)
+        got = list(self.index.window(op, lo, lo + width))
+        assert [key for key, _ in got] == expected
+        assert all(oids == (OID("Annotation", key[2]),) for key, oids in got)
+        assert self.index.select(op, lo, lo + width) == \
+            [OID("Annotation", serial) for _, _, serial in expected]
+
+    @rule(lo=st.none() | GRID, hi=st.none() | GRID)
+    def scan(self, lo, hi):
+        expected = [row for row in self.rows
+                    if (lo is None or row[0] >= lo)
+                    and (hi is None or row[0] < hi)]
+        assert [key for key, _ in self.index.scan(lo, hi)] == expected
+
+    @rule(op=st.sampled_from(MODEL_OPS), lo=GRID, width=st.integers(1, 12))
+    def open_walk(self, op, lo, width):
+        self.walk = (self.index.window(op, lo, lo + width),
+                     self._expected(op, lo, lo + width))
+        self.stale = False
+
+    @precondition(lambda self: self.walk is not None)
+    @rule()
+    def step_walk(self):
+        walk, owed = self.walk
+        if self.stale:
+            try:
+                next(walk, None)
+            except AnnotationError as error:
+                assert "mutated" in str(error)
+            else:
+                raise AssertionError("a walk outlived a write")
+            self.walk = None
+        elif owed:
+            assert next(walk)[0] == owed.pop(0)
+        else:
+            with pytest.raises(StopIteration):
+                next(walk)
+            self.walk = None
+
+    # -- after every step --------------------------------------------------
+    @invariant()
+    def agrees_with_the_list(self):
+        index, rows = self.index, self.rows
+        index.check_invariants()
+        assert len(index) == len(rows)
+        assert index.min_key() == (rows[0] if rows else None)
+        assert index.min_start() == (rows[0][0] if rows else math.inf)
+        assert index.max_end() == max((row[1] for row in rows),
+                                      default=-math.inf)
+        assert index.sum_len == pytest.approx(
+            sum(end - start for start, end, _ in rows))
+        at = 0
+        for block in index._blocks:
+            part = rows[at:at + len(block.oids)]
+            assert block.max_end == max(row[1] for row in part)
+            at += len(part)
+
+
+#: 50 examples x 200 steps: the 10^4 steps ROADMAP item 2 asks of a model.
+MODEL_SETTINGS = settings(max_examples=50, stateful_step_count=200,
+                          deadline=None, derandomize=True)
+TestIntervalIndexModel = IntervalIndexMachine.TestCase
+TestIntervalIndexModel.settings = MODEL_SETTINGS
+
+
+class _ClearResetsCounter(IntervalIndex):
+    """The PR 13 bug, re-planted: ``clear()`` puts the counter back to 0."""
+
+    def clear(self):
+        super().clear()
+        self._mods = 0
+
+
+class _PlantedMachine(IntervalIndexMachine):
+    index_class = _ClearResetsCounter
+
+
+def test_model_finds_the_replanted_clear_bug():
+    # Found, not minimized: shrinking costs far more than finding it,
+    # and the shortest counterexample is known (open a walk, clear, step).
+    with pytest.raises(AssertionError, match="outlived a write"):
+        run_state_machine_as_test(_PlantedMachine, settings=settings(
+            MODEL_SETTINGS, phases=[Phase.generate]))
+
+
 # -- store ----------------------------------------------------------------
 class TestStore:
     def test_annotate_read_remove_roundtrip(self):
@@ -201,6 +381,37 @@ class TestStore:
                            {"label": "x"})
         with pytest.raises(AnnotationError, match="already defined"):
             store.define_type(WORD)
+
+    def test_oid_of_another_class_is_a_typed_error(self):
+        store = fresh_store()
+        store.db.define_class(ClassDef("Clip", attributes=[
+            AttributeSpec("title", str, required=True)]))
+        clip = store.db.insert("Clip", title="news")
+        kept = store.annotate("v", "audio", "word", 1.0, 2.0, {"label": "a"})
+        tx = store.db.begin()
+        for call in (lambda: store.get(clip), lambda: store.remove(clip),
+                     lambda: store.read(clip, tx)):
+            with pytest.raises(AnnotationError, match=r"Clip:\d+ is a Clip"):
+                call()
+        tx.abort()
+        assert store.db.exists(clip) and store.get(kept).start == 1.0
+
+    @pytest.mark.parametrize("start, end", [
+        (5.0, float("inf")), (float("-inf"), 5.0),
+        (float("nan"), 5.0), (5.0, float("nan"))])
+    def test_rejects_non_finite_endpoints(self, start, end):
+        store = fresh_store()
+        ref = store.annotate("v", "audio", "word", 1.0, 3.0, {"label": "a"})
+        with pytest.raises(AnnotationError, match="finite"):
+            store.annotate("v", "audio", "word", start, end, {"label": "x"})
+        with pytest.raises(AnnotationError, match="finite"):
+            store.bulk_load([("v", "audio", "word", start, end,
+                              (("label", "x"),))])
+        assert len(store) == 1
+        store.remove(ref)
+        store.annotate("v", "audio", "word", 2.0, 6.0, {"label": "b"})
+        # An infinite row, once removed, used to leave inf - inf behind.
+        assert store.track_stats("v", "audio").sum_len == 4.0
 
     def test_abort_rolls_back_index(self):
         store = fresh_store()
@@ -315,6 +526,42 @@ class TestQueries:
             assert index.rows == scan.rows, query.describe()
             assert index.rows == sorted(index.rows,
                                         key=lambda a: a.sort_key)
+
+    def test_rows_are_a_read_only_sequence_hydrated_on_touch(self):
+        store = seeded_store()
+        query = AQ.on("v0", "audio").during(0.0, 60.0)
+        rows = run(store, query, mode="index").rows
+        scanned = run(store, query, mode="scan").rows
+        assert isinstance(rows, AnnotationRows) and len(rows) > 10
+        as_list = list(rows)
+        assert all(isinstance(ann, Annotation) for ann in as_list)
+        # Equal to a list and to the other path's rows, both ways round.
+        assert rows == as_list and as_list == rows
+        assert rows == scanned and scanned == rows
+        assert not rows != as_list and rows != as_list[:-1]
+        assert rows != tuple(as_list) and rows != as_list[::-1]
+        # Indexing and slicing read like a list's.
+        assert rows[0] == as_list[0] and rows[-1] == as_list[-1]
+        assert rows[2:7] == as_list[2:7] and rows[::-3] == as_list[::-3]
+        assert isinstance(rows[2:7], AnnotationRows)
+        assert as_list[3] in rows and rows.index(as_list[3]) == 3
+        assert list(reversed(rows)) == as_list[::-1]
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        with pytest.raises(TypeError):
+            rows[0] = as_list[1]
+        with pytest.raises(TypeError):
+            hash(rows)
+
+    def test_a_row_outlives_its_annotation(self):
+        store = fresh_store()
+        ref = store.annotate("v", "audio", "word", 1.0, 2.0, {"label": "a"})
+        before = store.get(ref)
+        rows = run(store, AQ.on("v", "audio").overlaps(0.0, 5.0),
+                   mode="index").rows
+        store.remove(ref)
+        assert len(store) == 0
+        assert rows[0] == before and list(rows) == [before]
 
     def test_empty_results_are_equal_too(self):
         store = seeded_store()

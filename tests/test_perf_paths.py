@@ -1,7 +1,7 @@
 """Regression tests for the hot-path rework: ``with_payload`` sizing
 rules, batched channel accounting, heap-based C-SCAN, O(1) admission
 queue depth, constant-time value sizes, the bisecting B-tree range walk,
-and the profile CLI."""
+bulk index execution with rows hydrated on touch, and the profile CLI."""
 
 from __future__ import annotations
 
@@ -295,6 +295,56 @@ class TestBulkLoadCollectorPasses:
                 gc.disable()
         assert facts["annotations"] == len(store) == 20_000
         assert full == []
+
+
+class TestBulkIndexExecution:
+    # Counted, not timed: a full-track ``during`` over 10^4 rows enters
+    # the interval index a handful of times (per block, never per row)
+    # and builds no Annotation until a row is touched.
+    def test_full_track_during_is_per_block_and_hydrates_on_touch(
+            self, monkeypatch):
+        import sys
+
+        from repro.annotations import (AQ, Annotation, AnnotationStore,
+                                       AnnotationType, intervals, run)
+
+        store = AnnotationStore()
+        store.define_type(AnnotationType("word"))
+        store.bulk_load(("v", "audio", "word", i * 0.05, i * 0.05 + 0.25, ())
+                        for i in range(10_000))
+        blocks = len(store.track_index("v", "audio")._blocks)
+        assert blocks == 10_000 // (intervals.BLOCK_CAPACITY // 2) + 1
+
+        hydrated = []
+        original = Annotation.from_object.__func__
+        monkeypatch.setattr(
+            Annotation, "from_object",
+            classmethod(lambda cls, obj: hydrated.append(obj.oid)
+                        or original(cls, obj)))
+        index_calls = []
+
+        def profile(frame, event, arg):
+            if (event == "call"
+                    and frame.f_code.co_filename == intervals.__file__):
+                index_calls.append(frame.f_code.co_name)
+
+        query = AQ.on("v", "audio").during(0.0, 600.0)
+        sys.setprofile(profile)
+        try:
+            result = run(store, query, mode="index")
+        finally:
+            sys.setprofile(None)
+        assert result.examined == len(result.rows) == 10_000
+        # The planner's O(1) summaries, then select, _pieces, two _seeks
+        # and one _cut: whatever the row count.
+        assert sorted(set(index_calls)) == [
+            "__len__", "_cut", "_pieces", "_seek", "max_end", "min_start",
+            "select"]
+        assert len(index_calls) < 12
+        assert hydrated == []
+        assert result.rows[17].start == 17 * 0.05
+        assert len(hydrated) == 1
+        assert len(list(result.rows[:100])) == 100 and len(hydrated) == 101
 
 
 class TestProfileCLI:
