@@ -60,41 +60,26 @@ with the decision log armed and reconstructs the causal decision chain
 for one session (admitted -> degraded -> preempted -> failed over ...);
 without ``--session`` it lists every subject and its verdict history.
 
-``python -m repro profile <scenario>`` runs any named scenario (from
-the trace, fault, overload, cluster, or watch registry) under cProfile
-and prints the top-N hotspot report — the entry point for finding the
-next optimization target (see DESIGN.md "Performance").
+``python -m repro profile <scenario>`` runs any named scenario (bare,
+or qualified ``<family>-<name>``: the :mod:`repro.scenarios` table)
+under cProfile and prints the top-N hotspot report — the entry point
+for finding the next optimization target (see DESIGN.md "Performance").
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import repro
 from repro import AVDatabaseSystem, AttributeSpec, ClassDef, MagneticDisk, Q, VideoValue
 from repro.activities.library import ActivityCatalog
+from repro.scenarios import (
+    FAMILIES, lookup_scenario, positive, print_facts, run_family, table,
+)
 from repro.synth import fig1_timeline, moving_scene
-
-
-def _lookup_scenario(kind: str, name: str, registry,
-                     allow_all: bool = False) -> list[str] | None:
-    """Resolve a scenario argument to the list of names to run.
-
-    Returns None (after printing a consistent ``pick one of`` listing to
-    stderr) when the name is unknown — callers translate that to exit
-    code 2.  With ``allow_all`` the literal name ``all`` expands to
-    every scenario in the registry, sorted.
-    """
-    if allow_all and name == "all":
-        return sorted(registry)
-    if name in registry:
-        return [name]
-    options = ", ".join(sorted(registry) + (["all"] if allow_all else []))
-    print(f"unknown {kind} scenario {name!r}; pick one of: {options}",
-          file=sys.stderr)
-    return None
 
 
 def tour() -> None:
@@ -131,20 +116,18 @@ def tour() -> None:
     print("\nsee README.md, examples/ and `pytest benchmarks/ --benchmark-only`")
 
 
-def trace(scenario_name: str, out_dir: Path, canonical: bool = False) -> int:
+def trace(args) -> int:
     """Run a scenario under a tracing scope and export trace + summary."""
     from repro.obs import canonical_trace_bytes, current, scoped
     from repro.obs.export import write_chrome_trace, write_jsonl, write_summary
-    from repro.obs.scenarios import SCENARIOS
 
-    names = _lookup_scenario("trace", scenario_name, SCENARIOS)
-    if names is None:
+    scenario_name, out_dir = args.scenario, args.out
+    if lookup_scenario("trace", scenario_name, table()) is None:
         return 2
-    scenario = SCENARIOS[names[0]]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with scoped(tracing=True):
-        facts = scenario()
+        facts = table()[scenario_name].run()
         obs = current()
         trace_path = out_dir / f"{scenario_name}.trace.json"
         jsonl_path = out_dir / f"{scenario_name}.events.jsonl"
@@ -154,18 +137,16 @@ def trace(scenario_name: str, out_dir: Path, canonical: bool = False) -> int:
         write_summary(obs.metrics, summary_path, obs.tracer,
                       title=f"scenario: {scenario_name}")
         canonical_path = None
-        if canonical:
+        if args.canonical:
             # Wall-clock stamps stripped, keys sorted: two runs of the
             # same scenario produce byte-identical files, which is what
-            # the CI determinism job diffs.
+            # tests/test_determinism.py hashes.
             canonical_path = out_dir / f"{scenario_name}.canonical.json"
             canonical_path.write_bytes(
                 canonical_trace_bytes(obs.tracer, obs.metrics))
         events = len(obs.tracer.events)
 
-    print(f"scenario {scenario_name!r}:")
-    for key, value in facts.items():
-        print(f"  {key} = {value}")
+    print_facts(f"scenario {scenario_name!r}:", facts)
     print(f"{events} trace events")
     print(f"wrote {trace_path}  (open in Perfetto / chrome://tracing)")
     print(f"wrote {jsonl_path}")
@@ -173,200 +154,6 @@ def trace(scenario_name: str, out_dir: Path, canonical: bool = False) -> int:
     if canonical_path is not None:
         print(f"wrote {canonical_path}")
     return 0
-
-
-def faults(scenario_name: str, seed: int, no_recovery: bool,
-           compare: bool) -> int:
-    """Run fault scenarios and print delivered-vs-negotiated QoS facts."""
-    from repro.faults import SCENARIOS
-    from repro.obs import scoped
-
-    names = _lookup_scenario("fault", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    for name in names:
-        modes = (True, False) if compare else (not no_recovery,)
-        for recover in modes:
-            # A fresh observability scope per run keeps counters from
-            # bleeding between scenarios in one process.
-            with scoped():
-                facts = SCENARIOS[name](seed=seed, recover=recover)
-            label = "recovery" if recover else "no recovery"
-            print(f"scenario {name!r} ({label}, seed {seed}):")
-            for key, value in facts.items():
-                print(f"  {key} = {value}")
-    return 0
-
-
-def overload(scenario_name: str, seed: int, no_admission: bool,
-             compare: bool) -> int:
-    """Run overload scenarios and print admission-vs-baseline facts."""
-    from repro.admission import SCENARIOS, summary_line
-    from repro.obs import scoped
-
-    names = _lookup_scenario("overload", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    for name in names:
-        modes = (True, False) if compare else (not no_admission,)
-        for admission in modes:
-            # A fresh observability scope per run keeps admission.*
-            # counters from bleeding between runs in one process.
-            with scoped():
-                facts = SCENARIOS[name](seed=seed, admission=admission)
-            label = "admission" if admission else "no admission"
-            print(f"scenario {name!r} ({label}, seed {seed}):")
-            for key, value in facts.items():
-                print(f"  {key} = {value}")
-            print(summary_line(name, facts))
-    return 0
-
-
-def cluster(scenario_name: str, seed: int, nodes: int | None) -> int:
-    """Run scale-out cluster scenarios and print scaling/failover facts."""
-    from repro.cluster import SCENARIOS, summary_line
-    from repro.obs import scoped
-
-    names = _lookup_scenario("cluster", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    for name in names:
-        # A fresh observability scope per run keeps cluster.* counters
-        # from bleeding between scenarios in one process.
-        with scoped():
-            if nodes is None:
-                facts = SCENARIOS[name](seed=seed)
-            else:
-                facts = SCENARIOS[name](seed=seed, nodes=nodes)
-        print(f"scenario {name!r} (seed {seed}):")
-        for key, value in facts.items():
-            print(f"  {key} = {value}")
-        print(summary_line(name, facts))
-    return 0
-
-
-def cache(scenario_name: str, seed: int, no_cache: bool, compare: bool,
-          policy: str) -> int:
-    """Run cache-tier scenarios and print goodput/hit-ratio facts."""
-    import inspect
-
-    from repro.cache import SCENARIOS, summary_line
-    from repro.obs import scoped
-
-    names = _lookup_scenario("cache", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    for name in names:
-        fn = SCENARIOS[name]
-        takes_cached = "cached" in inspect.signature(fn).parameters
-        if (no_cache or compare) and not takes_cached:
-            print(f"cache scenario {name!r} has no cache-less baseline; "
-                  f"drop --no-cache/--compare", file=sys.stderr)
-            return 2
-        modes = (True, False) if compare else (not no_cache,)
-        for cached in modes:
-            # A fresh observability scope per run keeps cache.* counters
-            # from bleeding between runs in one process.
-            with scoped():
-                if takes_cached:
-                    facts = fn(seed=seed, cached=cached, policy=policy)
-                else:
-                    facts = fn(seed=seed, policy=policy)
-            label = f"cached, {policy}" if cached else "no cache"
-            print(f"scenario {name!r} ({label}, seed {seed}):")
-            for key, value in facts.items():
-                print(f"  {key} = {value}")
-            print(summary_line(name, facts))
-    return 0
-
-
-def watch(scenario_name: str, seed: int, bundle_dir: Path | None) -> int:
-    """Run supervised scenarios and print SLO/invariant facts."""
-    from repro.obs import scoped
-    from repro.watch import SCENARIOS, summary_line
-
-    names = _lookup_scenario("watch", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    for name in names:
-        # A fresh observability scope per run keeps decisions and
-        # counters from bleeding between scenarios in one process.
-        with scoped():
-            facts = SCENARIOS[name](
-                seed=seed,
-                bundle_dir=str(bundle_dir) if bundle_dir else None)
-        print(f"scenario {name!r} (seed {seed}):")
-        for key, value in facts.items():
-            print(f"  {key} = {value}")
-        print(summary_line(name, facts))
-    return 0
-
-
-def herd(scenario_name: str, seed: int, clients: int | None,
-         compare_discrete: bool) -> int:
-    """Run hybrid herd scenarios and print crowd/foreground facts."""
-    from repro.herd import SCENARIOS, summary_line
-    from repro.obs import scoped
-
-    names = _lookup_scenario("herd", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    exit_code = 0
-    for name in names:
-        # A fresh observability scope per run keeps herd.* counters
-        # from bleeding between scenarios in one process.
-        with scoped():
-            facts = SCENARIOS[name](seed=seed, clients=clients,
-                                    compare_discrete=compare_discrete)
-        print(f"scenario {name!r} (seed {seed}):")
-        for key, value in facts.items():
-            print(f"  {key} = {value}")
-        print(summary_line(name, facts))
-        if compare_discrete and not facts.get("probe_equivalent", False):
-            # The herd mode diverging from its discrete reference is a
-            # correctness failure, not a tuning matter — make it a
-            # non-zero exit so CI can gate on it directly.
-            exit_code = 1
-    return exit_code
-
-
-def query(scenario_name: str, seed: int, mode: str) -> int:
-    """Run annotation-query scenarios and print planner/agreement facts."""
-    from repro.annotations import SCENARIOS, summary_line
-    from repro.obs import scoped
-
-    names = _lookup_scenario("query", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    exit_code = 0
-    for name in names:
-        # A fresh observability scope per run keeps annotations.*
-        # counters and plan decisions from bleeding between scenarios.
-        with scoped(tracing=False):
-            facts = SCENARIOS[name](seed=seed, mode=mode)
-        print(f"scenario {name!r} (seed {seed}, mode {mode}):")
-        for key, value in facts.items():
-            print(f"  {key} = {value}")
-        print(summary_line(name, facts))
-        if not facts.get("all_agree", False):
-            # Index and scan paths disagreeing is a correctness failure;
-            # make it a non-zero exit so CI gates on it directly.
-            exit_code = 1
-    return exit_code
 
 
 def soak(args) -> int:
@@ -389,16 +176,14 @@ def soak(args) -> int:
     if args.action == "day":
         # A fresh observability scope per run keeps soak.* counters
         # from bleeding between runs in one process.
-        with scoped(tracing=False):
+        with scoped(tracing=FAMILIES["soak"].tracing):
             facts = day(seed=args.seed, phases=specs, scale=args.scale,
                         chaos=not args.no_chaos, chaos_seed=args.chaos_seed,
                         profile=args.profile, plant_leak=args.plant_leak,
-                        bundle_dir=str(args.bundle_dir)
-                        if args.bundle_dir else None)
-        print(f"soak day (seed {args.seed}, "
-              f"{'no chaos' if args.no_chaos else args.profile}):")
-        for key, value in facts.items():
-            print(f"  {key} = {value}")
+                        bundle_dir=args.bundle_dir)
+        print_facts(f"soak day (seed {args.seed}, "
+                    f"{'no chaos' if args.no_chaos else args.profile}):",
+                    facts)
         print(summary_line("day", facts))
         # Non-zero exit on the failure signature so CI can gate on the
         # clean-day acceptance criterion directly.
@@ -408,12 +193,10 @@ def soak(args) -> int:
              else range(args.chaos_seeds))
     report = chaos_search(chaos_seeds=seeds, seed=args.seed, phases=specs,
                           scale=args.scale, profile=args.profile,
-                          plant_leak=args.plant_leak,
-                          out_dir=str(args.out) if args.out else None)
-    print(f"soak search (workload seed {args.seed}, profile {args.profile}, "
-          f"{report['seeds_tried']} chaos seed(s) tried):")
-    for key, value in report.items():
-        print(f"  {key} = {value}")
+                          plant_leak=args.plant_leak, out_dir=args.out)
+    print_facts(f"soak search (workload seed {args.seed}, "
+                f"profile {args.profile}, "
+                f"{report['seeds_tried']} chaos seed(s) tried):", report)
     if report["failing_seed"] == "none":
         print("no failing chaos seed found")
         return 0
@@ -422,34 +205,20 @@ def soak(args) -> int:
     return 0 if report["replay_failing"] else 1
 
 
-def explain(scenario_name: str, session: str | None, seed: int) -> int:
-    """Rerun a scenario and reconstruct one session's decision chain.
-
-    The scenario may come from any decision-emitting registry; the
-    watch registry is preferred on a name collision, then overload,
-    cluster, and fault scenarios.
-    """
-    from repro.admission import SCENARIOS as OVERLOAD_SCENARIOS
-    from repro.cluster import SCENARIOS as CLUSTER_SCENARIOS
-    from repro.faults import SCENARIOS as FAULT_SCENARIOS
+def explain(args) -> int:
+    """Rerun a scenario and reconstruct one session's decision chain."""
     from repro.obs import current, scoped
-    from repro.watch import SCENARIOS as WATCH_SCENARIOS
     from repro.watch.explain import explain_report, subjects_summary
 
-    registry: dict = {}
-    for scenarios in (FAULT_SCENARIOS, CLUSTER_SCENARIOS,
-                      OVERLOAD_SCENARIOS, WATCH_SCENARIOS):
-        registry.update(scenarios)  # later registries win: watch first
-
-    names = _lookup_scenario("explain", scenario_name, registry)
-    if names is None:
+    scenario_name, session, seed = args.scenario, args.session, args.seed
+    if lookup_scenario("explain", scenario_name, table()) is None:
         return 2
 
     with scoped():
-        registry[names[0]](seed=seed)
+        table()[scenario_name].run(seed)
         decisions = current().decisions
 
-    print(f"scenario {names[0]!r} (seed {seed}): "
+    print(f"scenario {scenario_name!r} (seed {seed}): "
           f"{len(decisions)} decision events")
     if session is not None:
         print(explain_report(decisions, session))
@@ -460,23 +229,17 @@ def explain(scenario_name: str, session: str | None, seed: int) -> int:
     return 0
 
 
-def profile(scenario_name: str, top: int, sort: str,
-            out: Path | None) -> int:
+def profile(args) -> int:
     """Profile a scenario and print (or write) the hotspot report."""
-    from repro.perf import available_scenarios, profile_scenario
+    from repro.perf import profile_scenario
 
-    try:
-        report, facts = profile_scenario(scenario_name, top=top, sort=sort)
-    except KeyError:
-        names = ", ".join(sorted(available_scenarios()))
-        print(f"unknown scenario {scenario_name!r}; pick one of: {names}",
-              file=sys.stderr)
+    scenario_name, out = args.scenario, args.out
+    if lookup_scenario("profile", scenario_name, table()) is None:
         return 2
+    report, facts = profile_scenario(scenario_name, top=args.top,
+                                     sort=args.sort)
     print(report, end="")
-    if isinstance(facts, dict):
-        print("scenario facts:")
-        for key, value in facts.items():
-            print(f"  {key} = {value}")
+    print_facts("scenario facts:", facts)
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(report)
@@ -500,81 +263,21 @@ def main(argv=None) -> int:
     trace_parser.add_argument("--canonical", action="store_true",
                               help="also write the canonical (wall-clock-"
                                    "stripped, rerun-diffable) trace export")
-    faults_parser = sub.add_parser(
-        "faults", help="run a seeded fault-injection scenario and report QoS"
-    )
-    faults_parser.add_argument("scenario", nargs="?", default="disk-outage",
-                               help="fault scenario name, or 'all' "
-                                    "(default: disk-outage)")
-    faults_parser.add_argument("--seed", type=int, default=0,
-                               help="fault plan seed (default: 0)")
-    faults_parser.add_argument("--no-recovery", action="store_true",
-                               help="run without retry/degradation defenses")
-    faults_parser.add_argument("--compare", action="store_true",
-                               help="run both with and without recovery")
-    overload_parser = sub.add_parser(
-        "overload", help="run a seeded multi-client overload scenario "
-                         "through the admission controller"
-    )
-    overload_parser.add_argument("scenario", nargs="?", default="surge",
-                                 help="overload scenario name, or 'all' "
-                                      "(default: surge)")
-    overload_parser.add_argument("--seed", type=int, default=0,
-                                 help="workload seed (default: 0)")
-    overload_parser.add_argument("--no-admission", action="store_true",
-                                 help="run the uncontrolled baseline")
-    overload_parser.add_argument("--compare", action="store_true",
-                                 help="run both with and without admission")
-    cluster_parser = sub.add_parser(
-        "cluster", help="run a seeded scale-out storage cluster scenario"
-    )
-    cluster_parser.add_argument("scenario", nargs="?", default="node-kill",
-                                help="cluster scenario name, or 'all' "
-                                     "(default: node-kill)")
-    cluster_parser.add_argument("--seed", type=int, default=0,
-                                help="workload seed (default: 0)")
-    cluster_parser.add_argument("--nodes", type=int, default=None,
-                                help="override the scenario's node count")
-    cache_parser = sub.add_parser(
-        "cache", help="run a seeded cache-tier scenario against the cluster"
-    )
-    cache_parser.add_argument("scenario", nargs="?", default="zipf-crowd",
-                              help="cache scenario name, or 'all' "
-                                   "(default: zipf-crowd)")
-    cache_parser.add_argument("--seed", type=int, default=0,
-                              help="workload seed (default: 0)")
-    cache_parser.add_argument("--no-cache", action="store_true",
-                              help="run the cache-less baseline")
-    cache_parser.add_argument("--compare", action="store_true",
-                              help="run both with and without the cache tier")
-    cache_parser.add_argument("--policy", default="lru",
-                              choices=("lru", "cost-aware"),
-                              help="eviction policy (default: lru)")
-    watch_parser = sub.add_parser(
-        "watch", help="run a scenario under the SLO/invariant watchdog"
-    )
-    watch_parser.add_argument("scenario", nargs="?", default="leak",
-                              help="watch scenario name, or 'all' "
-                                   "(default: leak)")
-    watch_parser.add_argument("--seed", type=int, default=0,
-                              help="scenario seed (default: 0)")
-    watch_parser.add_argument("--bundle-dir", type=Path, default=None,
-                              help="write postmortem bundles here")
-    herd_parser = sub.add_parser(
-        "herd", help="run a hybrid vectorized-herd scenario "
-                     "(foreground sessions + fluid client crowds)"
-    )
-    herd_parser.add_argument("scenario", nargs="?", default="surge",
-                             help="herd scenario name, or 'all' "
-                                  "(default: surge)")
-    herd_parser.add_argument("--seed", type=int, default=0,
-                             help="population seed (default: 0)")
-    herd_parser.add_argument("--clients", type=int, default=None,
-                             help="expected crowd size (default: the "
-                                  "scenario's own)")
-    herd_parser.add_argument("--compare-discrete", action="store_true",
-                             help="also run the scaled-down herd-vs-"
-                                  "discrete equivalence probe")
+    trace_parser.set_defaults(handler=trace)
+    for family in FAMILIES.values():
+        if not family.help:
+            continue  # trace and soak: written out by hand here
+        family_parser = sub.add_parser(family.name, help=family.help)
+        family_parser.add_argument(
+            "scenario", nargs="?", default=family.default,
+            help=f"{family.name} scenario name, or 'all' "
+                 f"(default: {family.default})")
+        family_parser.add_argument("--seed", type=int, default=0,
+                                   help="scenario seed (default: 0)")
+        toggle_flags = family.toggle.flags() if family.toggle else ()
+        for option, keywords in toggle_flags + family.flags:
+            family_parser.add_argument(option, **keywords)
+        family_parser.set_defaults(handler=partial(run_family, family))
     soak_parser = sub.add_parser(
         "soak", help="run the broadcast-day soak or the chaos search"
     )
@@ -585,7 +288,7 @@ def main(argv=None) -> int:
                                   "failure (default: day)")
     soak_parser.add_argument("--seed", type=int, default=0,
                              help="workload seed (default: 0)")
-    soak_parser.add_argument("--scale", type=float, default=1.0,
+    soak_parser.add_argument("--scale", type=positive(float), default=1.0,
                              help="scale session/job counts by this factor "
                                   "(default: 1.0)")
     soak_parser.add_argument("--phases", default=None,
@@ -599,45 +302,36 @@ def main(argv=None) -> int:
     soak_parser.add_argument("--chaos-seed", type=int, default=None,
                              help="pin one chaos seed (day: defaults to the "
                                   "workload seed; search: sweep just this)")
-    soak_parser.add_argument("--chaos-seeds", type=int, default=32,
+    soak_parser.add_argument("--chaos-seeds", type=positive(int), default=32,
                              help="search: sweep chaos seeds 0..N-1 "
                                   "(default: 32)")
     soak_parser.add_argument("--plant-leak", action="store_true",
                              help="arm the planted leak latent bug "
                                   "(for exercising the search)")
-    soak_parser.add_argument("--bundle-dir", type=Path, default=None,
+    soak_parser.add_argument("--bundle-dir", default=None,
                              help="day: write postmortem bundles here")
-    soak_parser.add_argument("--out", type=Path, default=None,
+    soak_parser.add_argument("--out", default=None,
                              help="search: write minimized plan, report "
                                   "and replay bundles here")
-    query_parser = sub.add_parser(
-        "query", help="run an annotation-store temporal-query scenario"
-    )
-    query_parser.add_argument("scenario", nargs="?", default="speech",
-                              help="query scenario name, or 'all' "
-                                   "(default: speech)")
-    query_parser.add_argument("--seed", type=int, default=0,
-                              help="corpus seed (default: 0)")
-    query_parser.add_argument("--mode", default="auto",
-                              choices=("auto", "index", "scan"),
-                              help="planner mode (default: auto)")
+    soak_parser.set_defaults(handler=soak)
     explain_parser = sub.add_parser(
         "explain", help="reconstruct a session's causal decision chain"
     )
     explain_parser.add_argument("scenario", nargs="?", default="node-kill",
-                                help="any decision-emitting scenario "
+                                help="any scenario that emits decisions "
                                      "(default: node-kill)")
     explain_parser.add_argument("--session", default=None,
                                 help="session/stream label to explain "
                                      "(omit to list subjects)")
     explain_parser.add_argument("--seed", type=int, default=0,
                                 help="scenario seed (default: 0)")
+    explain_parser.set_defaults(handler=explain)
     profile_parser = sub.add_parser(
         "profile", help="run a scenario under cProfile and report hotspots"
     )
     profile_parser.add_argument("scenario", nargs="?", default="quickstart",
-                                help="any trace/fault/overload scenario "
-                                     "name (default: quickstart)")
+                                help="any scenario name, bare or qualified "
+                                     "<family>-<name> (default: quickstart)")
     profile_parser.add_argument("--top", type=int, default=15,
                                 help="number of hotspots to show (default: 15)")
     profile_parser.add_argument("--sort", default="cumulative",
@@ -645,34 +339,12 @@ def main(argv=None) -> int:
                                 help="pstats sort key (default: cumulative)")
     profile_parser.add_argument("--out", type=Path, default=None,
                                 help="also write the report to this file")
+    profile_parser.set_defaults(handler=profile)
     args = parser.parse_args(argv)
-    if args.command == "profile":
-        return profile(args.scenario, args.top, args.sort, args.out)
-    if args.command == "trace":
-        return trace(args.scenario, args.out, args.canonical)
-    if args.command == "cluster":
-        return cluster(args.scenario, args.seed, args.nodes)
-    if args.command == "cache":
-        return cache(args.scenario, args.seed, args.no_cache, args.compare,
-                     args.policy)
-    if args.command == "watch":
-        return watch(args.scenario, args.seed, args.bundle_dir)
-    if args.command == "herd":
-        return herd(args.scenario, args.seed, args.clients,
-                    args.compare_discrete)
-    if args.command == "soak":
-        return soak(args)
-    if args.command == "query":
-        return query(args.scenario, args.seed, args.mode)
-    if args.command == "explain":
-        return explain(args.scenario, args.session, args.seed)
-    if args.command == "faults":
-        return faults(args.scenario, args.seed, args.no_recovery, args.compare)
-    if args.command == "overload":
-        return overload(args.scenario, args.seed, args.no_admission,
-                        args.compare)
-    tour()
-    return 0
+    if args.command is None:
+        tour()
+        return 0
+    return args.handler(args)
 
 
 if __name__ == "__main__":

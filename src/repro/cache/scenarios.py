@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import partial
 from typing import Dict, List
 
 from repro.admission.controller import Priority
 from repro.cluster.scenarios import Blob, _build_cluster
 from repro.errors import AdmissionError, CacheError, ClusterError, FaultError
+from repro.obs import facts_line
 from repro.sim import Delay, Simulator
 from repro.synth.arrivals import uniform_arrival, zipf_pick, zipf_weights
 
@@ -314,8 +316,5 @@ SCENARIOS: Dict[str, object] = {
 }
 
 
-def summary_line(name: str, facts: Dict[str, object]) -> str:
-    """One deterministic line per run, for rerun diffing in CI."""
-    keys: List[str] = sorted(facts)
-    body = " ".join(f"{key}={facts[key]}" for key in keys)
-    return f"cache {name}: {body}"
+#: ``summary_line(name, facts)``: one deterministic line per run.
+summary_line = partial(facts_line, "cache")

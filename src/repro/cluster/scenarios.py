@@ -19,9 +19,11 @@ virtual time, and returns a flat dict of headline facts.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from functools import partial
+from typing import Dict
 
 from repro.admission.controller import Priority
+from repro.obs import facts_line
 from repro.sim import Delay, Simulator
 
 
@@ -278,8 +280,5 @@ SCENARIOS: Dict[str, object] = {
 }
 
 
-def summary_line(name: str, facts: Dict[str, object]) -> str:
-    """One deterministic line per run, for rerun diffing in CI."""
-    keys: List[str] = sorted(facts)
-    body = " ".join(f"{key}={facts[key]}" for key in keys)
-    return f"cluster {name}: {body}"
+#: ``summary_line(name, facts)``: one deterministic line per run.
+summary_line = partial(facts_line, "cluster")

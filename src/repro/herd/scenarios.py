@@ -33,7 +33,7 @@ from repro.admission.controller import (
     QoSContract,
 )
 from repro.cache.aggregate import AggregateHitModel
-from repro.errors import AdmissionError, AdmissionTimeoutError, PreemptedError
+from repro.errors import AdmissionError, AdmissionTimeoutError, PreemptedError, SimulationError
 from repro.herd.coupler import HerdCoupler
 from repro.herd.equivalence import equivalence_report
 from repro.herd.population import HerdPhase, HerdPopulation
@@ -136,10 +136,14 @@ def _foreground(simulator: Simulator, controller: AdmissionController,
         simulator.spawn(session(index), name=f"fg-{index:02d}")
 
 
-def _run(phases_for_rate, *, seed: int, clients: float,
-         capacity_streams: int, catalog_size: int, cached_assets: int,
-         fg_sessions: int, fg_start_s: float,
+def _run(phases_for_rate, own_clients: int, *, seed: int,
+         clients: Optional[int], capacity_streams: int, catalog_size: int,
+         cached_assets: int, fg_sessions: int, fg_start_s: float,
          compare_discrete: bool) -> Dict[str, object]:
+    if clients is None:
+        clients = own_clients
+    elif clients < 1:
+        raise SimulationError(f"a herd needs at least 1 client, got {clients}")
     nominal = _expected_clients(phases_for_rate(1.0))
     rate = clients / nominal
     phases = phases_for_rate(rate)
@@ -196,7 +200,7 @@ def _run(phases_for_rate, *, seed: int, clients: float,
 def surge(seed: int = 0, clients: Optional[int] = None,
           compare_discrete: bool = False) -> Dict[str, object]:
     """Ramp / peak / cooldown: a 2.5x-over-capacity evening."""
-    return _run(_surge_phases, seed=seed, clients=clients or 20_000,
+    return _run(_surge_phases, 20_000, seed=seed, clients=clients,
                 capacity_streams=160, catalog_size=32, cached_assets=6,
                 fg_sessions=8, fg_start_s=2.5,
                 compare_discrete=compare_discrete)
@@ -205,7 +209,7 @@ def surge(seed: int = 0, clients: Optional[int] = None,
 def flash(seed: int = 0, clients: Optional[int] = None,
           compare_discrete: bool = False) -> Dict[str, object]:
     """A 10x viral flash crowd with 95% of demand on one asset."""
-    return _run(_flash_phases, seed=seed, clients=clients or 30_000,
+    return _run(_flash_phases, 30_000, seed=seed, clients=clients,
                 capacity_streams=150, catalog_size=64, cached_assets=4,
                 fg_sessions=8, fg_start_s=1.6,
                 compare_discrete=compare_discrete)
@@ -214,7 +218,7 @@ def flash(seed: int = 0, clients: Optional[int] = None,
 def day(seed: int = 0, clients: Optional[int] = None,
         compare_discrete: bool = False) -> Dict[str, object]:
     """The broadcast-day soak phases, recast as a scalable herd."""
-    return _run(_day_phases, seed=seed, clients=clients or 25_000,
+    return _run(_day_phases, 25_000, seed=seed, clients=clients,
                 capacity_streams=200, catalog_size=32, cached_assets=6,
                 fg_sessions=6, fg_start_s=5.2,
                 compare_discrete=compare_discrete)

@@ -43,6 +43,7 @@ from repro.obs.export import (
     canonical_trace_bytes,
     chrome_trace,
     chrome_trace_events,
+    facts_line,
     text_summary,
     write_chrome_trace,
     write_jsonl,
@@ -71,7 +72,7 @@ __all__ = [
     "DecisionLog", "NullDecisionLog", "NULL_DECISIONS", "DecisionEvent",
     "canonical_trace_bytes",
     "chrome_trace", "chrome_trace_events", "write_chrome_trace",
-    "write_jsonl", "text_summary", "write_summary",
+    "write_jsonl", "text_summary", "write_summary", "facts_line",
 ]
 
 

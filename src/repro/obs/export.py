@@ -179,6 +179,12 @@ def text_summary(metrics: MetricsRegistry,
     return "\n".join(lines)
 
 
+def facts_line(family: str, name: str, facts: Dict[str, Any]) -> str:
+    """A scenario's facts as one deterministic line, keys sorted."""
+    body = " ".join(f"{key}={facts[key]}" for key in sorted(facts))
+    return f"{family} {name}: {body}"
+
+
 def write_summary(metrics: MetricsRegistry, path: PathLike,
                   tracer: Tracer | None = None,
                   title: str = "observability summary") -> Path:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.errors import AdmissionError
+from repro.scenarios import FAMILIES
 
 
 def _base_system(channel_bps: float = 200_000_000.0):
@@ -152,91 +153,12 @@ def contention() -> Dict[str, object]:
     }
 
 
-def faults() -> Dict[str, object]:
-    """The disk-outage fault scenario under tracing.
-
-    The trace shows the injected scheduler outages as ``fault:*``
-    instants, failed requests, and the retry-with-backoff recovery that
-    keeps the four streams delivering (late) frames.
-    """
-    from repro.faults.scenarios import disk_outage
-
-    return disk_outage(seed=0, recover=True)
-
-
-def overload() -> Dict[str, object]:
-    """The priority-mix admission scenario under tracing.
-
-    The trace shows the admission queue filling, two background streams
-    preempted to admit the interactive arrivals, and the ``admission.*``
-    counters (admitted / preempted / queue depth) in the summary.
-    """
-    from repro.admission.scenarios import priority_mix
-
-    return priority_mix(seed=0, admission=True)
-
-
-def cluster() -> Dict[str, object]:
-    """The node-kill cluster scenario under tracing.
-
-    The trace shows the ``cluster:node-down`` instant, per-stream
-    ``cluster:failover`` instants as in-flight reads re-home to
-    surviving replicas, and the capped ``cluster.repair`` spans that
-    restore replication in the background.
-    """
-    from repro.cluster.scenarios import node_kill
-
-    return node_kill(seed=0)
-
-
-def cache() -> Dict[str, object]:
-    """The Zipf flash-crowd cache scenario under tracing.
-
-    The trace shows edge-cache hits short-circuiting the origin read
-    path, BACKGROUND prefill streams racing the crowd, the
-    ``cache-hot``/``replica-boost`` reaction, and the fleet-wide
-    ``cache.*`` hit/miss/eviction counters in the summary.
-    """
-    from repro.cache.scenarios import zipf_crowd
-
-    return zipf_crowd(seed=0, cached=True, sessions=400)
-
-
-def herd() -> Dict[str, object]:
-    """The hybrid herd surge scenario under tracing, scaled down.
-
-    The trace shows the per-epoch coupler ticks folding thousands of
-    clients into cohort reservations (``admission:*`` decision
-    instants with ``count=`` fields), the foreground interactive
-    sessions threading through the saturated trunk, and the ``herd.*``
-    / ``cache.*`` aggregate counters in the summary.
-    """
-    from repro.herd.scenarios import surge
-
-    return surge(seed=0, clients=4_000)
-
-
-def query() -> Dict[str, object]:
-    """The speech annotation-query scenario, scaled for the trace loop.
-
-    No simulator runs here — the interesting record is the metrics
-    snapshot (``annotations.*``, ``db.*``) and the planner's decision
-    log, both of which land in the canonical export the CI determinism
-    job double-runs and diffs.
-    """
-    from repro.annotations.scenarios import speech
-
-    return speech(seed=0)
-
-
+#: Its own three scenarios, then ``trace <family>`` for every family
+#: that declares a preset in :mod:`repro.scenarios`.
 SCENARIOS: Dict[str, Callable[[], Dict[str, object]]] = {
     "quickstart": quickstart,
     "newscast": newscast,
     "contention": contention,
-    "faults": faults,
-    "overload": overload,
-    "cluster": cluster,
-    "cache": cache,
-    "herd": herd,
-    "query": query,
+    **{family.name: family.run_preset
+       for family in FAMILIES.values() if family.preset},
 }

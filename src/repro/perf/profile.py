@@ -1,15 +1,10 @@
-"""cProfile-based hotspot reporting over the named scenario registries.
+"""cProfile-based hotspot reporting over the scenario registry.
 
-A scenario name is resolved across the CLI registries in order — trace
-scenarios (:mod:`repro.obs.scenarios`), fault scenarios
-(:mod:`repro.faults`), overload scenarios (:mod:`repro.admission`),
-cluster scenarios (:mod:`repro.cluster`), cache scenarios
-(:mod:`repro.cache`), watch scenarios
-(:mod:`repro.watch`), soak scenarios (:mod:`repro.soak`), herd
-scenarios (:mod:`repro.herd`, names prefixed ``herd-``) — so every
-scenario the CLI can run can also be profiled.  Runs execute
-under the default observability configuration (metrics on, tracing
-off), which is the hot path the optimization work targets.
+A scenario name is resolved through the name table in
+:mod:`repro.scenarios`, so every scenario the CLI can run can also be
+profiled.  Runs execute under the default observability configuration
+(metrics on, tracing off), which is the hot path the optimization work
+targets.
 """
 
 from __future__ import annotations
@@ -17,74 +12,27 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
+
+from repro.scenarios import table
 
 #: pstats sort keys accepted by the CLI.
 SORT_KEYS = ("cumulative", "tottime", "ncalls")
 
 
-def _registries() -> List[Tuple[str, Dict[str, Callable], Callable]]:
-    """(kind, registry, thunk-maker) triples, in resolution order."""
-    from repro.admission import SCENARIOS as OVERLOAD_SCENARIOS
-    from repro.cache import SCENARIOS as CACHE_SCENARIOS
-    from repro.cluster import SCENARIOS as CLUSTER_SCENARIOS
-    from repro.faults import SCENARIOS as FAULT_SCENARIOS
-    from repro.herd import SCENARIOS as HERD_SCENARIOS
-    from repro.obs.scenarios import SCENARIOS as TRACE_SCENARIOS
-    from repro.soak import SCENARIOS as SOAK_SCENARIOS
-    from repro.watch import SCENARIOS as WATCH_SCENARIOS
-
-    from repro.annotations import SCENARIOS as QUERY_SCENARIOS
-
-    # Query names are prefixed to stay collision-proof as registries
-    # grow ("speech" -> "query-speech").
-    query_registry = {f"query-{name}": fn
-                      for name, fn in QUERY_SCENARIOS.items()}
-    # Herd names are prefixed: bare "surge"/"day" already belong to the
-    # overload and soak registries.
-    herd_registry = {f"herd-{name}": fn
-                     for name, fn in HERD_SCENARIOS.items()}
-    return [
-        ("trace", TRACE_SCENARIOS, lambda fn: fn),
-        ("faults", FAULT_SCENARIOS,
-         lambda fn: lambda: fn(seed=0, recover=True)),
-        ("overload", OVERLOAD_SCENARIOS,
-         lambda fn: lambda: fn(seed=0, admission=True)),
-        ("cluster", CLUSTER_SCENARIOS,
-         lambda fn: lambda: fn(seed=0)),
-        ("cache", CACHE_SCENARIOS,
-         lambda fn: lambda: fn(seed=0)),
-        ("watch", WATCH_SCENARIOS,
-         lambda fn: lambda: fn(seed=0)),
-        ("soak", SOAK_SCENARIOS,
-         lambda fn: lambda: fn(seed=0)),
-        ("herd", herd_registry,
-         lambda fn: lambda: fn(seed=0)),
-        ("query", query_registry,
-         lambda fn: lambda: fn(seed=0)),
-    ]
-
-
 def available_scenarios() -> Dict[str, str]:
-    """Every profilable scenario name -> the registry it comes from.
-
-    First registry wins on a name collision, matching
-    :func:`resolve_scenario`.
-    """
-    names: Dict[str, str] = {}
-    for kind, registry, _ in _registries():
-        for name in registry:
-            names.setdefault(name, kind)
-    return names
+    """Every profilable scenario name -> the family it resolves to."""
+    return {name: scenario.family.name
+            for name, scenario in table().items()}
 
 
 def resolve_scenario(name: str) -> Tuple[str, Callable[[], object]]:
-    """Resolve ``name`` to (registry kind, zero-argument runner)."""
-    for kind, registry, make in _registries():
-        if name in registry:
-            return kind, make(registry[name])
-    options = ", ".join(sorted(available_scenarios()))
-    raise KeyError(f"unknown scenario {name!r}; pick one of: {options}")
+    """Resolve ``name`` to (family name, zero-argument runner)."""
+    names = table()
+    if name not in names:
+        options = ", ".join(sorted(names))
+        raise KeyError(f"unknown scenario {name!r}; pick one of: {options}")
+    return names[name].family.name, names[name].run
 
 
 def profile_scenario(name: str, top: int = 15,

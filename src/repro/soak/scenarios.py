@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.admission.controller import Priority
@@ -45,6 +46,7 @@ from repro.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.obs import facts_line
 from repro.sim import Delay, Simulator
 from repro.soak.chaos import sample_chaos
 from repro.soak.phases import (
@@ -341,8 +343,5 @@ SCENARIOS: Dict[str, object] = {
 }
 
 
-def summary_line(name: str, facts: Dict[str, object]) -> str:
-    """One deterministic line per run, for rerun diffing in CI."""
-    keys: List[str] = sorted(facts)
-    body = " ".join(f"{key}={facts[key]}" for key in keys)
-    return f"soak {name}: {body}"
+#: ``summary_line(name, facts)``: one deterministic line per run.
+summary_line = partial(facts_line, "soak")

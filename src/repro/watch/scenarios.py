@@ -26,6 +26,7 @@ virtual time, and returns a flat dict of headline facts.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.admission.controller import AdmissionController, Priority, QoSContract
@@ -36,6 +37,7 @@ from repro.errors import (
     PreemptedError,
 )
 from repro.net.channel import Channel
+from repro.obs import facts_line
 from repro.sim import Delay, Simulator
 from repro.watch.recorder import FlightRecorder
 from repro.watch.slo import SLOSpec, default_slos
@@ -415,8 +417,5 @@ SCENARIOS: Dict[str, object] = {
 }
 
 
-def summary_line(name: str, facts: Dict[str, object]) -> str:
-    """One deterministic line per run, for rerun diffing in CI."""
-    keys: List[str] = sorted(facts)
-    body = " ".join(f"{key}={facts[key]}" for key in keys)
-    return f"watch {name}: {body}"
+#: ``summary_line(name, facts)``: one deterministic line per run.
+summary_line = partial(facts_line, "watch")

@@ -2,16 +2,19 @@
 
 ``tests/golden/trace_hashes.json`` holds SHA-256 hashes of the
 *canonical* Chrome-trace export (wall-clock stamps stripped, keys
-sorted) for the quickstart, faults, and overload scenarios, captured on
-the pre-optimization kernel, and for the query scenario, captured
-before the B-tree range walk was rewritten.  Its ``cli_stdout`` entry
-pins the bytes a CLI command prints, so the query battery's rows,
-plans and corpus fingerprint are held across revisions and not only
-across reruns.  If any kernel/dataplane change perturbs
-the schedule — event order, virtual timestamps, or metric totals — the
-exported bytes change and these tests fail.  That is what "preserving
-epoch semantics and (time, seq) determinism exactly" means, made
-executable.
+sorted) for every ``python -m repro trace`` scenario: quickstart,
+faults, and overload captured on the pre-optimization kernel, query
+before the B-tree range walk was rewritten, and the other five before
+the scenario registry replaced the per-family CLI handlers.  Its
+``cli_stdout`` entry pins the bytes a CLI command prints (every family's
+``all --seed 0``, the ``--compare`` regimes, the forced query paths, the
+soak day and the ``explain`` chains), so facts, plans, digests and
+summary lines are held across revisions and not only across reruns;
+CI's rerun-and-diff loops were retired in favour of these.  If any
+kernel/dataplane change perturbs the schedule — event order, virtual
+timestamps, or metric totals — the exported bytes change and these
+tests fail.  That is what "preserving epoch semantics and (time, seq)
+determinism exactly" means, made executable.
 
 The hashes cover the metrics snapshot too, so an *intentional* snapshot
 format change (e.g. the histogram ``sum``/percentile fields) requires

@@ -385,6 +385,11 @@ class TestHerdScenarios:
         assert facts["trunk_bits"] > 0
         assert facts["population_sha"]
 
+    def test_zero_clients_is_refused_not_defaulted(self):
+        # `clients or 20_000` used to turn 0 into the default crowd.
+        with pytest.raises(SimulationError, match="at least 1 client"):
+            surge(seed=0, clients=0)
+
     def test_summary_line_is_stable_format(self):
         with scoped(tracing=False):
             line = summary_line("surge", surge(seed=0, clients=2_000))

@@ -1,0 +1,167 @@
+"""The scenario registry is complete, and is the only list.
+
+``repro.scenarios`` is what ``python -m repro`` builds its family
+subcommands from and what ``trace``/``explain``/``profile`` resolve
+names through.  These tests hold the table to today's scenario set, pin
+the three shared bare names to their owners, and drive ``run_family``
+through the behaviours that differ between families.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import types
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.__main__ import main
+from repro.scenarios import FAMILIES, Family, run_family, table
+
+#: family -> scenario names, in name-resolution order.
+EXPECTED = {
+    "trace": {"quickstart", "newscast", "contention", "faults", "overload",
+              "cluster", "cache", "herd", "query"},
+    "faults": {"disk-outage", "lossy-channel", "crash-recovery",
+               "degraded-session"},
+    "overload": {"surge", "priority-mix", "device-outage"},
+    "watch": {"leak", "node-kill", "slo-burn", "cache-crowd"},
+    "cluster": {"read-storm", "node-kill", "rebalance"},
+    "cache": {"zipf-crowd", "churn"},
+    "soak": {"day"},
+    "herd": {"surge", "flash", "day"},
+    "query": {"speech", "dance", "planner"},
+}
+
+
+class TestTable:
+    def test_every_scenarios_module_is_reached(self):
+        reached = {id(family.scenarios()) for family in FAMILIES.values()}
+        modules = sorted(Path(repro.__file__).parent.glob("*/scenarios.py"))
+        assert len(modules) == len(FAMILIES)
+        for path in modules:
+            module = import_module(f"repro.{path.parent.name}.scenarios")
+            assert id(module.SCENARIOS) in reached, path
+
+    def test_holds_exactly_todays_names(self):
+        assert list(FAMILIES) == list(EXPECTED)
+        names = table()
+        rows = {(s.family.name, s.name) for s in names.values()}
+        assert rows == {(family, name) for family, members in EXPECTED.items()
+                        for name in members}
+        assert len(rows) == 32
+        bare = set().union(*EXPECTED.values())
+        qualified = {f"{family}-{name}" for family, name in rows}
+        assert not bare & qualified
+        assert set(names) == bare | qualified
+        for family, name in rows:
+            scenario = names[f"{family}-{name}"]
+            assert (scenario.family.name, scenario.name) == (family, name)
+            assert scenario.fn is FAMILIES[family].scenarios()[name]
+
+    def test_shared_bare_names_have_one_owner(self):
+        owners = {}
+        for family, members in EXPECTED.items():
+            for name in members:
+                owners.setdefault(name, []).append(family)
+        shared = {name: families for name, families in owners.items()
+                  if len(families) > 1}
+        assert shared == {"surge": ["overload", "herd"],
+                          "day": ["soak", "herd"],
+                          "node-kill": ["watch", "cluster"]}
+        names = table()
+        for name, families in owners.items():
+            assert names[name].family.name == families[0]
+
+    def test_profile_resolves_through_the_table(self):
+        from repro.perf import available_scenarios, resolve_scenario
+
+        assert available_scenarios() == {
+            name: scenario.family.name for name, scenario in table().items()}
+        assert resolve_scenario("node-kill")[0] == "watch"
+        assert resolve_scenario("cluster-node-kill")[0] == "cluster"
+        assert resolve_scenario("herd-surge")[0] == "herd"
+
+    def test_presets_name_real_scenarios(self):
+        for family in FAMILIES.values():
+            if family.preset is not None:
+                assert family.preset[0] in family.scenarios()
+                assert family.name in EXPECTED["trace"]
+
+    def test_tracing_is_per_family(self):
+        assert FAMILIES["watch"].tracing
+        assert not FAMILIES["query"].tracing
+        assert not FAMILIES["soak"].tracing
+
+
+class TestRunFamily:
+    """One handler, driven through a stub package."""
+
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        seen = []
+
+        def plain(seed=0):
+            seen.append(("plain", seed))
+            return {"b": 2, "a": 1}
+
+        def passing(seed=0):
+            seen.append(("passing", seed))
+            return {"ok": True}
+
+        module = types.SimpleNamespace(
+            SCENARIOS={"plain": plain, "passing": passing})
+        monkeypatch.setitem(sys.modules, "stub_family", module)
+        return module, seen
+
+    @staticmethod
+    def _args(**options):
+        return argparse.Namespace(**{"scenario": "all", "seed": 3, **options})
+
+    def test_no_summary_line_and_no_exit_fact(self, stub, capsys):
+        family = Family("stub", "stub_family", "plain")
+        assert run_family(family, self._args(scenario="plain")) == 0
+        assert capsys.readouterr().out == (
+            "scenario 'plain' (seed 3):\n  b = 2\n  a = 1\n")
+
+    def test_exit_fact_counts_only_when_present_and_false(self, stub, capsys):
+        module, seen = stub
+        module.summary_line = lambda name, facts: f"stub {name}: {len(facts)}"
+        family = Family("stub", "stub_family", "plain", exit_fact="ok")
+        assert run_family(family, self._args(scenario="plain")) == 0
+        assert run_family(family, self._args(scenario="passing")) == 0
+        assert "stub passing: 1\n" in capsys.readouterr().out
+        module.SCENARIOS["failing"] = lambda seed=0: {"ok": False}
+        assert run_family(family, self._args()) == 1
+        assert seen[-2:] == [("passing", 3), ("plain", 3)]
+
+    def test_unknown_name_exits_2(self, stub, capsys):
+        family = Family("stub", "stub_family", "plain")
+        assert run_family(family, self._args(scenario="nope")) == 2
+        assert ("unknown stub scenario 'nope'; pick one of: passing, plain, "
+                "all") in capsys.readouterr().err
+
+
+class TestCLI:
+    @pytest.mark.parametrize("command", [
+        "cluster read-storm --nodes 0",
+        "herd surge --clients -5",
+        "soak day --scale 0",
+        "soak search --chaos-seeds 0",
+    ])
+    def test_out_of_domain_numbers_are_usage_errors(self, command, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(command.split())
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be >" in err
+
+    @pytest.mark.parametrize("flag", ["--no-cache", "--compare"])
+    def test_cache_churn_has_no_cacheless_run(self, flag, capsys):
+        assert main(["cache", "churn", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "drop --no-cache/--compare" in captured.err

@@ -403,13 +403,13 @@ class TestExplain:
 
 class TestCLI:
     def test_lookup_scenario_helper(self, capsys):
-        from repro.__main__ import _lookup_scenario
+        from repro.scenarios import lookup_scenario
 
         registry = {"a": None, "b": None}
-        assert _lookup_scenario("unit", "a", registry) == ["a"]
-        assert _lookup_scenario("unit", "all", registry,
-                                allow_all=True) == ["a", "b"]
-        assert _lookup_scenario("unit", "nope", registry) is None
+        assert lookup_scenario("unit", "a", registry) == ["a"]
+        assert lookup_scenario("unit", "all", registry,
+                               allow_all=True) == ["a", "b"]
+        assert lookup_scenario("unit", "nope", registry) is None
         err = capsys.readouterr().err
         assert "unknown unit scenario 'nope'" in err
         assert "pick one of: a, b" in err
