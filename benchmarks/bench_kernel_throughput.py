@@ -250,9 +250,18 @@ def cmd_run(args) -> int:
     return 0
 
 
+def smoke_baseline(doc: dict):
+    """The latest trajectory row that carries smoke numbers (rows other
+    benchmarks append have none), or None."""
+    for entry in reversed(doc["trajectory"]):
+        if "smoke_normalized" in entry:
+            return entry
+    return None
+
+
 def cmd_smoke(args) -> int:
     """CI gate: normalized throughput must stay within tolerance of the
-    last committed trajectory entry's smoke numbers.
+    smoke numbers of the latest committed trajectory entry that has any.
 
     Shared CI machines see transient contention bursts that depress the
     workloads far more than the calibration loop, so a failing attempt
@@ -262,9 +271,13 @@ def cmd_smoke(args) -> int:
     if not PERF_PATH.exists():
         print(f"missing {PERF_PATH}; run --update first", file=sys.stderr)
         return 2
-    doc = json.loads(PERF_PATH.read_text())
-    entry = doc["trajectory"][-1]
+    entry = smoke_baseline(json.loads(PERF_PATH.read_text()))
+    if entry is None:
+        print(f"no trajectory row in {PERF_PATH} carries smoke numbers; "
+              f"run --update first", file=sys.stderr)
+        return 2
     committed = entry["smoke_normalized"]
+    print(f"gating against the PR {entry['pr']} row")
     failures = []
     for attempt in range(1, SMOKE_ATTEMPTS + 1):
         calibration = calibration_score()

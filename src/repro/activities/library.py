@@ -29,6 +29,12 @@ from typing import Generator, List, Optional, Sequence
 import numpy as np
 
 from repro.activities.base import Location, MediaActivity
+from repro.activities.clockout import (
+    FETCHING,
+    FRESH,
+    SERIALIZING,
+    ClockedRun,
+)
 from repro.activities.events import (
     EVENT_EACH_ELEMENT,
     EVENT_EACH_FRAME,
@@ -39,7 +45,9 @@ from repro.activities.ports import Direction
 from repro.avtime import ObjectTime, WorldTime
 from repro.errors import ActivityError, MediaTypeError
 from repro.obs.metrics import LATENCY_BUCKETS_MS
-from repro.sim import Delay, Simulator
+from repro.sim import Delay, SettledCounter, Simulator
+from repro.storage.devices import DeviceReservation
+from repro.streams.buffer import StreamBuffer
 from repro.streams.clock import PresentationLog
 from repro.streams.element import END_OF_STREAM, EndOfStream, StreamElement
 from repro.streams.sync import JitterModel, NoJitter, Resynchronizer, SyncGroup
@@ -73,6 +81,8 @@ class PacedSource(MediaActivity):
 
     EVENT_NAMES = MediaActivity.EVENT_NAMES + (EVENT_EACH_ELEMENT, EVENT_LAST_ELEMENT)
 
+    elements_produced = SettledCounter("_elements_produced")
+
     def __init__(self, simulator: Simulator, name: Optional[str] = None,
                  location: Location = Location.APPLICATION,
                  jitter: Optional[JitterModel] = None) -> None:
@@ -81,7 +91,10 @@ class PacedSource(MediaActivity):
         self._sync_group: Optional[SyncGroup] = None
         self._sync_member: Optional[str] = None
         self._resync: Optional[Resynchronizer] = None
-        self.elements_produced = 0
+        self._elements_produced = 0
+        #: the clocked-out run of the current start, while it lasts (see
+        #: :mod:`repro.activities.clockout`).
+        self.clocked: Optional[ClockedRun] = None
         self._m_produced = simulator.obs.metrics.counter("stream.elements_produced")
         #: optional storage stream (provided by the storage layer); when
         #: set, each element pays device read time.
@@ -135,15 +148,40 @@ class PacedSource(MediaActivity):
     #: device while earlier elements are being paced and transmitted).
     PREFETCH_DEPTH = 4
 
-    def _prefetch(self, payloads, fetched) -> Generator:
-        """Device-read pipeline stage: reads run ahead of the pacing loop."""
-        for position, (_payload, size_bits, _media_type) in enumerate(payloads):
-            if self._stop_requested:
-                break
-            yield from self.io_stream.read(size_bits)
-            yield from fetched.put(position)
+    def _prefetch(self, payloads, fetched, first: int = 0,
+                  begun: int = 0, stalled: bool = False) -> Generator:
+        """Device-read pipeline stage: reads run ahead of the pacing loop.
+
+        ``begun``/``stalled`` take the stage over from a cut clock-out
+        run in the middle of element ``first``: its read has ``begun``
+        (see ``DeviceReservation.read``), or is done and its put
+        ``stalled`` on the full buffer.
+        """
+        io_stream = self.io_stream
+        under_way = begun or stalled
+        for position in range(first, len(payloads)):
+            size_bits = payloads[position][1]
+            if not stalled:
+                if not under_way and (self._stop_requested or fetched.closed):
+                    break
+                if begun:       # only ever a plain DeviceReservation
+                    yield from io_stream.read(size_bits, begun)
+                else:
+                    yield from io_stream.read(size_bits)
+            yield from fetched.put(position, stalled)
+            under_way = begun = stalled = False
 
     # -- the pacing loop -----------------------------------------------------
+    def stop(self) -> None:
+        if self.clocked is not None:
+            self.clocked.cut()
+        super().stop()
+
+    def catch(self, event_name: str, handler) -> None:
+        if self.clocked is not None:
+            self.clocked.cut()
+        super().catch(event_name, handler)
+
     def _process(self) -> Generator:
         try:
             yield from self._paced_loop()
@@ -154,43 +192,94 @@ class PacedSource(MediaActivity):
             if release is not None:
                 release()
 
+    def _timeline_computable(self, connection, payloads) -> bool:
+        """The clock-out predicate (DESIGN.md §6.10): can every element's
+        timeline be computed now, before any of them is sent?"""
+        reservation = connection.reservation if connection is not None else None
+        io_stream = self.io_stream
+        return (
+            bool(payloads) and not self._stop_requested
+            # the hop has latency, so the sender never blocks on the buffer
+            and reservation is not None and reservation.latency_s > 0
+            and not reservation.released and not reservation.preempted
+            and reservation.clocked is None
+            # no fault model armed on the channel or the device
+            and reservation.channel.faults is None
+            and (io_stream is None
+                 or (type(io_stream) is DeviceReservation
+                     and io_stream.device.faults is None
+                     and not io_stream.released
+                     and io_stream.clocked is None))
+            # no jitter to draw, no resynchronizer to consult
+            and type(self.jitter) is NoJitter and self._resync is None
+            # nobody listening to the per-element events
+            and not any(self.events.has_handlers(name)
+                        for name in self.EVENT_NAMES
+                        if name not in MediaActivity.EVENT_NAMES)
+        )
+
     def _paced_loop(self) -> Generator:
+        simulator = self.simulator
         port = self.port(self._out_port_name())
-        t_start = self.simulator.now.seconds
+        t_start = simulator.now.seconds
         payloads = self._element_payloads()
         total = len(payloads)
-        fetched = None
-        if self.io_stream is not None:
-            from repro.streams.buffer import StreamBuffer
-            fetched = StreamBuffer(self.simulator, self.PREFETCH_DEPTH,
+        first, stage, fetched = 0, FRESH, None
+        if self._timeline_computable(port.connection, payloads):
+            run = ClockedRun(self, port.connection, payloads, t_start)
+            cut = yield from run.clock_out()
+            if cut is None:
+                self._emit_last()
+                return
+            first, stage = cut
+            fetched, connection = run.fetched, run.connection
+        elif self.io_stream is not None:
+            fetched = StreamBuffer(simulator, self.PREFETCH_DEPTH,
                                    name=f"{self.name}:prefetch")
-            self.simulator.spawn(self._prefetch(payloads, fetched),
-                                 name=f"{self.name}:prefetch")
-        for position, (payload, size_bits, media_type) in enumerate(payloads):
-            if self._stop_requested:
-                break
-            if self._resync is not None:
-                self._resync.maybe_resync(position, self.jitter)
-            offset = self._ideal_offset(position)
-            lag = self.jitter.offset(position)
-            if self._sync_group is not None:
-                drift = getattr(self.jitter, "drift", lag)
-                self._sync_group.report(self._sync_member, drift)
-            ideal = WorldTime(t_start + offset)
+            simulator.spawn(self._prefetch(payloads, fetched),
+                            name=f"{self.name}:prefetch")
+        try:
+            # An element taken over from a cut run (``stage`` past FRESH)
+            # skips the steps the run had already timed for it.
+            for position in range(first, total):
+                payload, size_bits, media_type = payloads[position]
+                lag = 0.0
+                if stage == FRESH:
+                    if self._stop_requested:
+                        break
+                    if self._resync is not None:
+                        self._resync.maybe_resync(position, self.jitter)
+                    lag = self.jitter.offset(position)
+                    if self._sync_group is not None:
+                        drift = getattr(self.jitter, "drift", lag)
+                        self._sync_group.report(self._sync_member, drift)
+                offset = self._ideal_offset(position)
+                ideal = WorldTime(t_start + offset)
+                if stage <= FETCHING:
+                    if fetched is not None:
+                        # wait for the device read
+                        yield from fetched.get(stage == FETCHING)
+                    if self.paced:
+                        target = t_start + offset + lag
+                        wait = target - simulator.now.seconds
+                        if wait > 0:
+                            yield Delay(wait)
+                element = StreamElement(payload, position, ideal, media_type, size_bits)
+                if stage == SERIALIZING:
+                    yield from connection.send(element, serialized=True)
+                else:
+                    yield from port.send(element)
+                stage = FRESH
+                self._elements_produced += 1
+                self._m_produced.inc()
+                self._emit_each(element, last=position == total - 1)
+            yield from port.send(END_OF_STREAM)
+            self._emit_last()
+        finally:
             if fetched is not None:
-                yield from fetched.get()  # wait for the device read
-            if self.paced:
-                target = t_start + offset + lag
-                wait = target - self.simulator.now.seconds
-                if wait > 0:
-                    yield Delay(wait)
-            element = StreamElement(payload, position, ideal, media_type, size_bits)
-            yield from port.send(element)
-            self.elements_produced += 1
-            self._m_produced.inc()
-            self._emit_each(element, last=position == total - 1)
-        yield from port.send(END_OF_STREAM)
-        self._emit_last()
+                # Whatever ended the loop, nobody will take another
+                # element: let the read-ahead stage finish too.
+                fetched.close()
 
     def _emit_each(self, element: StreamElement, last: bool) -> None:
         self._emit(EVENT_EACH_ELEMENT, element.index)

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import ConnectionError_, PortError
-from repro.sim import Simulator
+from repro.sim import SettledCounter, Simulator
 from repro.streams.buffer import StreamBuffer
 from repro.streams.element import EndOfStream, StreamElement
 from repro.values.mediatype import MediaType
@@ -188,35 +188,40 @@ class Connection:
         )
         real_source.connection = self
         real_sink.connection = self
-        self.elements_sent = 0
-        self.bits_sent = 0
+        self._elements_sent = 0
+        self._bits_sent = 0
+        #: the clocked-out run feeding this connection, if any: it owns
+        #: the two counters above and settles them when they are read.
+        self.clocked = None
 
-    def send(self, element: StreamElement | EndOfStream) -> Generator:
+    elements_sent = SettledCounter("_elements_sent")
+    bits_sent = SettledCounter("_bits_sent")
+
+    def send(self, element: StreamElement | EndOfStream,
+             serialized: bool = False) -> Generator:
         """Pipelined send: the sender pays serialization time; propagation
-        latency is absorbed by a delayed-delivery process, so the sender
-        can clock out the next element immediately."""
+        latency is absorbed by a timed hand-off (``StreamBuffer.deposit``),
+        so the sender can clock out the next element immediately.
+
+        ``serialized`` finishes a send whose serialization a cut
+        clock-out run began and timed (see ``Reservation.serialize``).
+        """
+        reservation = self.reservation
         latency = 0.0
         if isinstance(element, StreamElement):
-            if self.reservation is not None:
-                yield from self.reservation.serialize(element.size_bits)
-                latency = self.reservation.latency_s
-            self.elements_sent += 1
-            self.bits_sent += element.size_bits
-        elif self.reservation is not None:
+            if reservation is not None:
+                yield from reservation.serialize(element.size_bits,
+                                                 serialized)
+                latency = reservation.latency_s
+            self._elements_sent += 1
+            self._bits_sent += element.size_bits
+        elif reservation is not None:
             # EOS rides the same path so ordering is preserved.
-            latency = self.reservation.latency_s
+            latency = reservation.latency_s
         if latency > 0:
-            self.simulator.spawn(
-                self._deliver_later(element, latency),
-                name=f"deliver:{self.buffer.name}",
-            )
+            self.buffer.deposit(element, self.simulator._now + latency)
         else:
             yield from self.buffer.put(element)
-
-    def _deliver_later(self, element, latency: float) -> Generator:
-        from repro.sim import Delay
-        yield Delay(latency)
-        yield from self.buffer.put(element)
 
     def receive(self) -> Generator:
         element = yield from self.buffer.get()

@@ -15,7 +15,7 @@ import itertools
 from typing import Dict, Generator, Optional
 
 from repro.errors import AdmissionError, ChannelFaultError, PreemptedError
-from repro.sim import Delay, Simulator
+from repro.sim import Delay, SettledCounter, Simulator, cut_all
 
 _reservation_ids = itertools.count(1)
 
@@ -33,7 +33,11 @@ class Reservation:
         self.bps = bps
         self.label = label
         self.id = next(_reservation_ids)
-        self.bits_transmitted = 0
+        self._bits_transmitted = 0
+        #: the clocked-out stream run sending over this reservation, if
+        #: any (it is on ``channel._clocked`` too): it settles
+        #: ``bits_transmitted`` on read and is cut before a release.
+        self.clocked = None
         self.released = False
         #: set when an admission controller revoked this reservation to
         #: admit higher-priority work; subsequent transfers raise
@@ -48,6 +52,8 @@ class Reservation:
         #: release accounting charge per client, not per reservation.
         self.cohort_clients = 1
 
+    bits_transmitted = SettledCounter("_bits_transmitted")
+
     def _faulted_duration(self, bits: int, duration: float) -> float:
         """Apply the channel's injected loss/jitter model, if armed.
 
@@ -58,7 +64,7 @@ class Reservation:
         retry policy to handle.  Retransmitted bits are charged to the
         channel's traffic accounting like any other traffic.
         """
-        faults = self.channel.faults
+        faults = self.channel._faults
         if faults is None:
             return duration
         duration += faults.sample_jitter()
@@ -89,22 +95,27 @@ class Reservation:
         duration = self._faulted_duration(bits, self.channel.latency_s + bits / self.bps)
         if duration > 0:
             yield Delay(duration)
-        self.bits_transmitted += bits
+        self._bits_transmitted += bits
         self.channel._account(bits)
 
-    def serialize(self, bits: int) -> Generator:
+    def serialize(self, bits: int, done: bool = False) -> Generator:
         """DES subroutine: occupy the sender for serialization time only.
 
         Propagation latency is *not* charged here — a pipelined sender puts
         the next element on the wire as soon as the previous one has been
         clocked out; delivery happens ``latency_s`` later (the connection
         layer schedules it).
+
+        ``done`` takes over a serialization from a cut clock-out run,
+        which admitted and timed it when it began and slept it out: what
+        is left is to account for it.
         """
-        self._require_live()
-        duration = self._faulted_duration(bits, bits / self.bps)
-        if duration > 0:
-            yield Delay(duration)
-        self.bits_transmitted += bits
+        if not done:
+            self._require_live()
+            duration = self._faulted_duration(bits, bits / self.bps)
+            if duration > 0:
+                yield Delay(duration)
+        self._bits_transmitted += bits
         self.channel._account(bits)
 
     @property
@@ -113,6 +124,8 @@ class Reservation:
 
     def release(self) -> None:
         if not self.released:
+            if self.clocked is not None:
+                self.clocked.cut()
             self.released = True
             if not self.channel.debug_leak_releases:
                 self.channel._release(self)
@@ -149,11 +162,12 @@ class Channel:
         #: kept as a running total, so float rounding (and the integer 0
         #: of an empty channel) are those of the plain sum.
         self._reserved_bps: Optional[float] = None
-        self.total_bits = 0
+        self._total_bits = 0
+        #: clocked-out stream runs sending over this channel: they settle
+        #: ``total_bits`` on read and are cut when a loss model is armed.
+        self._clocked: Dict[object, None] = {}
         self.admission_failures = 0
-        #: fault-injection hook: a :class:`repro.faults.injector.ChannelFaults`
-        #: (seeded loss/jitter model) armed by a FaultInjector, or None.
-        self.faults = None
+        self._faults = None
         self.retransmits = 0
         #: seeded-bug hook for the watch layer's invariant-breach demo:
         #: when True, :meth:`Reservation.release` marks the reservation
@@ -172,11 +186,29 @@ class Channel:
         self._flushed_bits = 0
         metrics.add_flush_hook(self._flush_traffic)
 
+    @property
+    def total_bits(self) -> int:
+        for run in self._clocked:
+            run.settle()
+        return self._total_bits
+
+    @property
+    def faults(self):
+        """Fault-injection hook: a :class:`repro.faults.injector.ChannelFaults`
+        (seeded loss/jitter model) armed by a FaultInjector, or None."""
+        return self._faults
+
+    @faults.setter
+    def faults(self, model) -> None:
+        cut_all(self._clocked)
+        self._faults = model
+
     def _flush_traffic(self) -> None:
-        delta = self.total_bits - self._flushed_bits
+        total = self.total_bits
+        delta = total - self._flushed_bits
         if delta:
             self._m_bits_sent.inc(delta)
-            self._flushed_bits = self.total_bits
+            self._flushed_bits = total
 
     # -- admission control ---------------------------------------------------
     @property
@@ -212,7 +244,7 @@ class Channel:
         self._m_utilization.set(self.reserved_bps / self.capacity_bps)
 
     def _account(self, bits: int) -> None:
-        self.total_bits += bits
+        self._total_bits += bits
 
     # -- accounting ----------------------------------------------------------
     @property

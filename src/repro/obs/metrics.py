@@ -161,15 +161,21 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
-        self._flush_hooks: list = []
+        #: insertion-ordered; a dict so short-lived producers (a stream
+        #: buffer holding timed deposits) can take their hook out again.
+        self._flush_hooks: Dict[object, None] = {}
 
     def add_flush_hook(self, hook) -> None:
         """Register a callable that settles batched counts on read."""
-        self._flush_hooks.append(hook)
+        self._flush_hooks[hook] = None
+
+    def remove_flush_hook(self, hook) -> None:
+        """Take out a hook whose producer has nothing left to settle."""
+        del self._flush_hooks[hook]
 
     def flush(self) -> None:
         """Run every flush hook (idempotent between producer updates)."""
-        for hook in self._flush_hooks:
+        for hook in tuple(self._flush_hooks):
             hook()
 
     def _get(self, name: str, kind: type, *args):
@@ -288,6 +294,9 @@ class NullMetrics:
     """
 
     def add_flush_hook(self, hook) -> None:
+        pass
+
+    def remove_flush_hook(self, hook) -> None:
         pass
 
     def flush(self) -> None:

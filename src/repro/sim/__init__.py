@@ -25,12 +25,15 @@ from repro.sim.kernel import (
     WaitProcess,
 )
 from repro.sim.resource import SimResource
+from repro.sim.settled import SettledCounter, cut_all
 
 __all__ = [
     "Simulator",
     "Process",
     "SimEvent",
     "SimResource",
+    "SettledCounter",
+    "cut_all",
     "Delay",
     "EpochTicker",
     "WaitEvent",

@@ -68,6 +68,13 @@ Hot-path design (see DESIGN.md "Performance"):
   ``sim.events_dispatched`` at the moment the old kernel would have
   popped them, so metric totals, final virtual times, and therefore
   exported traces stay byte-identical with compaction on or off.
+* A wake-up queued with :meth:`Simulator.wake_at` lands at an *absolute*
+  virtual time (``now + (t - now)`` can miss ``t`` by an ulp) and can be
+  cancelled.  A cancelled entry is not a stale one: it is discarded at
+  the head of the queue without moving the clock or
+  ``sim.events_dispatched``, so a run that is cut short (a stopped
+  stream's end-of-run timer) ends when its last real event does.  The
+  run loop pays one truth test of an (almost always empty) set for it.
 """
 
 from __future__ import annotations
@@ -191,7 +198,8 @@ class Process:
     """A running simulation process wrapping a user generator."""
 
     __slots__ = ("simulator", "name", "_gen", "_stack", "done", "result", "error",
-                 "_watchers", "_span", "_epoch", "_abandoned", "_inflight")
+                 "_watchers", "_span", "_epoch", "_abandoned", "_inflight",
+                 "on_abandon")
 
     def __init__(self, simulator: "Simulator", gen: ProcessGen, name: str) -> None:
         self.simulator = simulator
@@ -212,6 +220,10 @@ class Process:
         # the epoch bumps they all become stale and are handed over to
         # the simulator's stale count (compaction bookkeeping).
         self._inflight = 0
+        #: called by :meth:`abandon`, before the process is wedged: a
+        #: process that has scheduled work ahead of itself (a clocked-out
+        #: stream run) takes back what a hung process would never do.
+        self.on_abandon: Optional[Callable[[], None]] = None
 
     @property
     def abandoned(self) -> bool:
@@ -249,6 +261,8 @@ class Process:
         """
         if self.done or self._abandoned:
             return
+        if self.on_abandon is not None:
+            self.on_abandon()
         self._abandoned = True
         self._epoch += 1  # invalidate any pending wakeup
         sim = self.simulator
@@ -377,6 +391,11 @@ class Simulator:
         self._now = 0.0
         #: stale wakeups currently sitting in the heap (exact count).
         self._stale = 0
+        #: sequence numbers of cancelled wake-ups still in the heap.
+        self._cancelled: set = set()
+        #: the process being stepped (what ``wake_at`` is handed by a
+        #: generator subroutine that does not know who is running it).
+        self.active: Optional[Process] = None
         #: (time, seq) of compacted-away entries not yet charged to
         #: ``sim.events_dispatched`` (see ``_account_compacted``).
         self._compacted: list[Tuple[float, int]] = []
@@ -422,8 +441,11 @@ class Simulator:
     def event(self, name: str = "") -> SimEvent:
         return SimEvent(self, name)
 
-    def spawn(self, gen: ProcessGen, name: str = "process") -> Process:
-        """Register a generator as a process, starting at the current time."""
+    def spawn(self, gen: ProcessGen, name: str = "process",
+              at: Optional[float] = None) -> Process:
+        """Register a generator as a process, starting at the current
+        time (or at the absolute time ``at``: a process that takes over
+        work whose current wait ends then)."""
         if not isinstance(gen, Iterator):
             raise SimulationError(f"spawn() requires a generator, got {type(gen).__name__}")
         proc = Process(self, gen, name)
@@ -432,7 +454,10 @@ class Simulator:
         tracer = self._tracer
         if tracer.enabled:
             proc._span = tracer.begin(name, "sim.process", track=name)
-        self._schedule_resume(proc, None)
+        if at is None:
+            self._schedule_resume(proc, None)
+        else:
+            self.wake_at(at, proc)
         return proc
 
     def add_failure_hook(
@@ -451,6 +476,34 @@ class Simulator:
         if when.seconds < self._now:
             raise SimulationError(f"cannot schedule in the past ({when!r} < now {self.now!r})")
         self._push(when.seconds, action)
+
+    def wake_at(self, when: float, target: Union[Process, Callable[[], None]],
+                value: Any = None) -> int:
+        """Queue a wake-up at the *absolute* virtual time ``when``.
+
+        ``target`` is a process, resumed with ``value`` if it is still in
+        the suspension it is in (or about to enter) now, or a plain
+        callable.  Returns a handle for :meth:`cancel`.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"cannot wake in the past ({when} < now {self._now})")
+        self._seq += 1
+        if isinstance(target, Process):
+            heappush(self._queue,
+                     (when, self._seq, _RESUME, target, target._epoch, value))
+            target._inflight += 1
+        else:
+            heappush(self._queue, (when, self._seq, _CALL, None, 0, target))
+        return self._seq
+
+    def cancel(self, handle: int) -> None:
+        """Cancel a :meth:`wake_at` wake-up that has not been dispatched.
+
+        The entry is dropped when it reaches the head of the queue,
+        without advancing the clock or counting as a dispatched event.
+        """
+        self._cancelled.add(handle)
 
     def schedule_every(self, interval_s: float, action: Callable[[int], Any],
                        until: Optional[WorldTime] = None,
@@ -486,8 +539,12 @@ class Simulator:
         queue = self._queue
         step = self._step
         m_inc = self._m_dispatched.inc
+        cancelled = self._cancelled
         while queue:
             entry = queue[0]
+            if cancelled and entry[1] in cancelled:
+                self._discard(heappop(queue))
+                continue
             etime = entry[0]
             if limit is not None and etime > limit:
                 if self._compacted:
@@ -530,8 +587,12 @@ class Simulator:
         queue = self._queue
         step = self._step
         m_inc = self._m_dispatched.inc
+        cancelled = self._cancelled
         while not proc.done and queue:
             entry = heappop(queue)
+            if cancelled and entry[1] in cancelled:
+                self._discard(entry)
+                continue
             if self._compacted:
                 self._account_compacted(entry[0], entry[1])
             self._now = entry[0]
@@ -595,6 +656,17 @@ class Simulator:
             self._stale += 1
             self._maybe_compact()
 
+    def _discard(self, entry: _QueueEntry) -> None:
+        """Drop a cancelled wake-up (already popped): no clock, no count."""
+        self._cancelled.remove(entry[1])
+        proc = entry[3]
+        if proc is not None:
+            if (entry[4] == proc._epoch and not proc.done
+                    and not proc._abandoned):
+                proc._inflight -= 1
+            else:
+                self._stale -= 1
+
     # -- lazy heap compaction ---------------------------------------------
     def _maybe_compact(self) -> None:
         """Compact once stale entries pass the threshold *and* dominate."""
@@ -614,14 +686,19 @@ class Simulator:
         queue = self._queue
         live: list = []
         compacted = self._compacted
+        cancelled = self._cancelled
+        removed = 0
         for entry in queue:
+            if cancelled and entry[1] in cancelled:
+                self._discard(entry)
+                continue
             proc = entry[3]
             if (proc is None or (entry[4] == proc._epoch and not proc.done
                                  and not proc._abandoned)):
                 live.append(entry)
             else:
                 heappush(compacted, (entry[0], entry[1]))
-        removed = len(queue) - len(live)
+                removed += 1
         queue[:] = live
         heapq.heapify(queue)
         self.heap_compactions += 1
@@ -632,11 +709,15 @@ class Simulator:
         """Charge compacted entries the old kernel would have popped
         strictly before the entry now being dispatched."""
         compacted = self._compacted
+        cancelled = self._cancelled
         key = (time, seq)
         n = 0
         while compacted and compacted[0] < key:
-            heappop(compacted)
-            n += 1
+            gone = heappop(compacted)[1]
+            if gone in cancelled:   # cancelled after it went stale
+                cancelled.remove(gone)
+            else:
+                n += 1
         if n:
             self._m_dispatched.inc(n)
 
@@ -648,11 +729,16 @@ class Simulator:
         would have popped only those scheduled at or before it.
         """
         compacted = self._compacted
+        cancelled = self._cancelled
         n = 0
         last_time = None
         while compacted and (limit is None or compacted[0][0] <= limit):
-            last_time = heappop(compacted)[0]
-            n += 1
+            time, gone = heappop(compacted)
+            if gone in cancelled:
+                cancelled.remove(gone)
+            else:
+                last_time = time
+                n += 1
         if n:
             self._m_dispatched.inc(n)
             if limit is None and last_time > self._now:
@@ -662,6 +748,7 @@ class Simulator:
               throw: Optional[BaseException] = None) -> None:
         if proc.done or proc._abandoned:
             return
+        self.active = proc
         proc._epoch += 1
         inflight = proc._inflight
         if inflight:
@@ -752,6 +839,10 @@ class Simulator:
         proc.done = True
         proc.result = result
         proc.error = error
+        if proc._inflight:
+            # Wake-ups queued for it during its last step are stale now.
+            self._stale += proc._inflight
+            proc._inflight = 0
         self.live_processes -= 1
         self._m_finished.inc()
         if error is not None:

@@ -21,10 +21,14 @@ import itertools
 from typing import Dict, Generator, Optional
 
 from repro.errors import AdmissionError, StorageError
-from repro.sim import Delay, Simulator
+from repro.sim import Delay, SettledCounter, Simulator, cut_all
 from repro.storage.extents import Extent, ExtentAllocator
 
 _reservation_ids = itertools.count(1)
+
+#: how far a read taken over from a cut clock-out run has got (see
+#: ``DeviceReservation.read``).
+SEEKED, READ = 1, 2
 
 
 class DeviceReservation:
@@ -41,10 +45,16 @@ class DeviceReservation:
         self.bps = bps
         self.label = label
         self.id = next(_reservation_ids)
-        self.bits_read = 0
+        self._bits_read = 0
+        #: the clocked-out stream run reading through this reservation,
+        #: if any (it is on ``device._clocked`` too): it settles
+        #: ``bits_read`` on read and is cut before a release.
+        self.clocked = None
         self.bits_written = 0
         self.released = False
         self._positioned = False
+
+    bits_read = SettledCounter("_bits_read")
 
     def open(self) -> Generator:
         """Position the device (seek / disc swap) before streaming."""
@@ -58,8 +68,12 @@ class DeviceReservation:
             raise StorageError(f"reservation {self.label!r} was released")
         if not self._positioned:
             yield from self.open()
+        yield from self._move(bits)
+
+    def _move(self, bits: int) -> Generator:
+        """The transfer proper, once the device is in position."""
         duration = bits / self.bps
-        faults = self.device.faults
+        faults = self.device._faults
         if faults is not None:
             # Injected outage/slowdown windows (see repro.faults.injector):
             # an outage blocks the transfer until the window ends (or
@@ -72,10 +86,16 @@ class DeviceReservation:
         if duration > 0:
             yield Delay(duration)
 
-    def read(self, bits: int) -> Generator:
-        yield from self._transfer(bits)
-        self.bits_read += bits
-        self.device.total_bits_read += bits
+    def read(self, bits: int, begun: int = 0) -> Generator:
+        """``begun`` takes over a read that a cut clock-out run had
+        started and slept through so far: ``SEEKED``, the device is in
+        position now; ``READ``, the whole transfer is over."""
+        if not begun:
+            yield from self._transfer(bits)
+        elif begun == SEEKED:
+            yield from self._move(bits)
+        self._bits_read += bits
+        self.device._total_bits_read += bits
         self.device._m_bits_read.inc(bits)
 
     def write(self, bits: int) -> Generator:
@@ -86,6 +106,8 @@ class DeviceReservation:
 
     def release(self) -> None:
         if not self.released:
+            if self.clocked is not None:
+                self.clocked.cut()
             self.released = True
             self.device._release(self)
 
@@ -97,9 +119,6 @@ class Device:
     """A storage device: capacity, streaming bandwidth, latency model."""
 
     kind = "device"
-    #: fault-injection hook: a :class:`repro.faults.injector.DeviceFaults`
-    #: (outage/slowdown windows) armed by a FaultInjector, or None.
-    faults = None
 
     def __init__(self, simulator: Simulator, name: str, capacity_bytes: int,
                  bandwidth_bps: float, seek_s: float = 0.0) -> None:
@@ -114,7 +133,11 @@ class Device:
         #: memo of ``reserved_bps``, re-summed after every change to
         #: ``_reservations`` (see ``Channel._reserved_bps``)
         self._reserved_bps: Optional[float] = None
-        self.total_bits_read = 0
+        self._total_bits_read = 0
+        #: clocked-out stream runs reading from this device: they settle
+        #: ``total_bits_read`` on read and are cut when faults are armed.
+        self._clocked: Dict[object, None] = {}
+        self._faults = None
         self.total_bits_written = 0
         self.admission_failures = 0
         metrics = simulator.obs.metrics
@@ -122,6 +145,27 @@ class Device:
         self._m_bits_written = metrics.counter(f"storage.device.{name}.bits_written")
         self._m_utilization = metrics.gauge(f"storage.device.{name}.utilization")
         self._m_admission_failures = metrics.counter("storage.admission_failures")
+
+    @property
+    def total_bits_read(self) -> int:
+        for run in self._clocked:
+            run.settle()
+        return self._total_bits_read
+
+    @total_bits_read.setter
+    def total_bits_read(self, bits: int) -> None:
+        self._total_bits_read = bits
+
+    @property
+    def faults(self):
+        """Fault-injection hook: a :class:`repro.faults.injector.DeviceFaults`
+        (outage/slowdown windows) armed by a FaultInjector, or None."""
+        return self._faults
+
+    @faults.setter
+    def faults(self, model) -> None:
+        cut_all(self._clocked)
+        self._faults = model
 
     # -- admission control (streaming) -----------------------------------
     @property

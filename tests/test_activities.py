@@ -272,3 +272,63 @@ class TestGraphRendering:
         graph.add(source)
         art = graph.render_ascii()
         assert "[source: [read] [decode]]" in art
+
+
+class TestReadAheadStageEnds:
+    """The source's ``:prefetch`` process used to outlive a stream that
+    was stopped or crashed mid-clip, blocked for good on its full 4-slot
+    buffer; whatever ends the pacing loop now ends it too."""
+
+    @staticmethod
+    def playback(per_element: bool):
+        from repro.activities import EVENT_EACH_ELEMENT
+        from repro.avdb import AVDatabaseSystem
+        from repro.storage import MagneticDisk
+        from repro.synth import moving_scene
+        system = AVDatabaseSystem()
+        system.add_storage(MagneticDisk(system.simulator, "disk0"))
+        video = moving_scene(48, 32, 24)
+        system.store_value(video, "disk0")
+        session = system.open_session("viewer")
+        source = session.new_db_source(video)
+        if per_element:     # a caught handler keeps the per-element loop
+            source.catch(EVENT_EACH_ELEMENT, lambda *_: None)
+        window = session.new_video_window()
+        session.connect(source, window).start()
+        return system, session, source, window
+
+    @pytest.mark.parametrize("per_element", [True, False])
+    @pytest.mark.parametrize("stop_at", [0.0, 0.01, 0.1, 0.5, 0.777, 1.55, 5.0])
+    def test_nothing_left_running_after_a_stop(self, per_element, stop_at):
+        system, session, source, window = self.playback(per_element)
+        sim = system.simulator
+        sim.run(until=WorldTime(stop_at))
+        if source.state is ActivityState.RUNNING:
+            source.stop()
+        sim.run()
+        assert sim.live_processes == 0
+        metrics = system.metrics
+        assert (metrics.counter("sim.processes_finished").value
+                == metrics.counter("sim.processes_spawned").value)
+        session.close()
+        sim.run()
+        assert sim.live_processes == 0
+
+    @pytest.mark.parametrize("per_element", [True, False])
+    def test_no_read_ahead_process_left_after_a_crash(self, per_element):
+        from repro.errors import FaultError
+        from repro.obs import scoped
+        with scoped(tracing=True) as obs:
+            system, session, source, window = self.playback(per_element)
+            sim = system.simulator
+            sim.run(until=WorldTime(0.5))
+            source.process.interrupt(FaultError("injected crash"))
+            sim.run()
+            # What is left is the sink, waiting for an end-of-stream that
+            # never comes: the hang ``Timeout`` exists for.
+            assert sim.live_processes == 1
+            assert not window.process.done
+            spans = [e for e in obs.tracer.events
+                     if e.category == "sim.process"
+                     and e.name.endswith(":prefetch")]
+            assert len(spans) == 1 and spans[0].dur is not None

@@ -5,7 +5,12 @@
 sorted) for every ``python -m repro trace`` scenario: quickstart,
 faults, and overload captured on the pre-optimization kernel, query
 before the B-tree range walk was rewritten, and the other five before
-the scenario registry replaced the per-family CLI handlers.  Its
+the scenario registry replaced the per-family CLI handlers; quickstart,
+newscast and contention were re-pinned when hops with latency stopped
+costing a process per element (the only events gone are the
+``deliver:*`` and ``*:prefetch`` process spans, the only metrics moved
+four ``sim.*`` counts: EXPERIMENTS.md Exp. P7 keeps the
+``tools/trace_diff.py`` output).  Its
 ``cli_stdout`` entry pins the bytes a CLI command prints (every family's
 ``all --seed 0``, the ``--compare`` regimes, the forced query paths, the
 soak day and the ``explain`` chains), so facts, plans, digests and

@@ -363,3 +363,80 @@ class TestProfileCLI:
 
         with pytest.raises(KeyError, match="pick one of"):
             resolve_scenario("definitely-not-a-scenario")
+
+
+class TestClockOutCounts:
+    """A paced source over a hop with latency costs a handful of kernel
+    events, not a process per element per hop."""
+
+    @staticmethod
+    def playback(per_element: bool):
+        from repro.activities import EVENT_EACH_ELEMENT, Location
+        from repro.activities.library import VideoDecoder
+        from repro.avdb import AVDatabaseSystem
+        from repro.codecs import JPEGCodec
+        from repro.storage import MagneticDisk
+        from repro.synth import moving_scene
+
+        system = AVDatabaseSystem()
+        system.add_storage(MagneticDisk(system.simulator, "disk0"))
+        value = JPEGCodec(75).encode_value(moving_scene(48, 32, 24))
+        system.store_value(value, "disk0")
+        session = system.open_session("viewer", latency_s=0.001)
+        source = session.new_db_source(value)
+        if per_element:
+            source.catch(EVENT_EACH_ELEMENT, lambda *_: None)
+        decoder = session.new_activity(VideoDecoder(
+            system.simulator, value.codec, value.width, value.height,
+            value.depth, name="decode", location=Location.APPLICATION))
+        window = session.new_video_window()
+        streams = [session.connect(source, decoder.port("video_in")),
+                   session.connect(decoder.port("video_out"), window)]
+        for stream in streams:
+            stream.start()
+        system.simulator.run(until=WorldTime(0.0))
+        clocked = source.clocked is not None
+        session.run()
+        assert window.elements_consumed == 48
+        counts = system.metrics.snapshot()
+        return (clocked, counts["sim.processes_spawned"],
+                counts["sim.events_dispatched"])
+
+    def test_plain_playback_is_clocked_out(self):
+        clocked, spawned, dispatched = self.playback(per_element=False)
+        # Before: 53 processes (one ``deliver:`` per element, a
+        # ``:prefetch``) and about 465 events; now 3 and 100.
+        assert clocked
+        assert spawned <= 6
+        assert dispatched <= 260
+
+    def test_a_caught_handler_keeps_the_per_element_loop(self):
+        clocked, spawned, dispatched = self.playback(per_element=True)
+        assert not clocked
+        assert spawned == 4     # source, its read-ahead stage, decoder, window
+        # one wake-up per element in each of the two source-side stages
+        # that the clock-out folds away
+        assert dispatched >= self.playback(per_element=False)[2] + 2 * 48
+
+
+class TestPerfSmokeBaseline:
+    def test_gates_against_the_latest_row_with_smoke_numbers(self):
+        import importlib.util
+        import json
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "bench_kernel_throughput",
+            root / "benchmarks" / "bench_kernel_throughput.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        doc = json.loads((root / "BENCH_PERF.json").read_text())
+        # Rows appended by other benchmarks carry no smoke numbers; the
+        # gate used to read the last row and die of a KeyError.
+        assert "smoke_normalized" not in doc["trajectory"][-1]
+        entry = bench.smoke_baseline(doc)
+        assert set(entry["smoke_normalized"]) == set(bench.METRICS)
+        later = doc["trajectory"][doc["trajectory"].index(entry) + 1:]
+        assert not any("smoke_normalized" in row for row in later)
+        assert bench.smoke_baseline({"trajectory": later}) is None

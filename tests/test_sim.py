@@ -174,6 +174,131 @@ class TestScheduleAt:
             sim.schedule_at(WorldTime(0.5), lambda: None)
 
 
+class TestWakeAt:
+    """Absolute, cancellable wake-ups (what a clocked-out stream run
+    sleeps on, see ``repro.activities.clockout``)."""
+
+    def test_lands_on_the_absolute_time(self, sim):
+        # now + (t - now) misses t by an ulp for these two.
+        now, t = 0.49548131256434724, 1.7014261750099402
+        assert now + (t - now) != t
+        woke = []
+
+        def sleeper():
+            yield Delay(now)
+            sim.wake_at(t, sim.active, "due")
+            woke.append((yield WaitEvent(sim.event())))
+            woke.append(sim.now.seconds)
+
+        sim.spawn(sleeper())
+        sim.run()
+        assert woke == ["due", t]
+
+    def test_callable_target_and_past_time(self, sim):
+        fired = []
+        sim.wake_at(2.5, lambda: fired.append(sim.now.seconds))
+        sim.run()
+        assert fired == [2.5]
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.wake_at(1.0, lambda: None)
+
+    def test_cancelled_wakeup_moves_neither_clock_nor_count(self, sim):
+        fired = []
+        sim.schedule_at(WorldTime(1.0), lambda: fired.append("real"))
+        handle = sim.wake_at(9.0, lambda: fired.append("cancelled"))
+        sim.cancel(handle)
+        assert sim.run().seconds == 1.0
+        assert fired == ["real"]
+        assert sim.obs.metrics.counter("sim.events_dispatched").value == 1
+        assert not sim._cancelled and not sim._queue
+
+    def test_stale_wakeup_is_still_a_counted_pop(self, sim):
+        # Not cancelled, only overtaken: popped, counted, and it moves
+        # the clock, as stale wake-ups always have.
+        event = sim.event()
+
+        def sleeper():
+            sim.wake_at(9.0, sim.active)
+            yield WaitEvent(event)
+
+        sim.spawn(sleeper())
+        sim.schedule_at(WorldTime(1.0), event.trigger)
+        assert sim.run().seconds == 9.0
+        assert sim.obs.metrics.counter("sim.events_dispatched").value == 4
+        assert sim._stale == 0
+
+    def test_cancelling_a_process_wakeup_keeps_the_books(self, sim):
+        event = sim.event()
+        handles = []
+
+        def sleeper():
+            handles.append(sim.wake_at(9.0, sim.active))
+            yield WaitEvent(event)          # woken at 1.0: the timer is stale
+            sim.cancel(handles[0])          # ...and cancelled after the fact
+            handles.append(sim.wake_at(8.0, sim.active))
+            sim.cancel(handles[1])          # cancelled while live
+            yield Delay(1.0)
+
+        process = sim.spawn(sleeper())
+        sim.schedule_at(WorldTime(1.0), event.trigger)
+        assert sim.run().seconds == 2.0
+        assert process.done and process._inflight == 0
+        assert sim._stale == 0 and not sim._cancelled
+
+    def test_cancel_after_compaction_took_the_stale_entry(self):
+        # Compaction sets stale entries aside to charge them later; one
+        # that is cancelled meanwhile must not be charged after all.
+        def run(threshold):
+            sim = Simulator()
+            sim.compact_threshold = threshold
+            event = sim.event()
+
+            def nap():
+                yield Delay(0.001)
+
+            def sleeper():
+                handle = sim.wake_at(50.0, sim.active)
+                yield WaitEvent(event)
+                for _ in range(6):          # strand stale timers: compact
+                    inner = sim.spawn(nap())
+                    yield Timeout(inner, 30.0)
+                sim.cancel(handle)
+
+            sim.spawn(sleeper())
+            sim.schedule_at(WorldTime(1.0), event.trigger)
+            end = sim.run().seconds
+            return (end, sim.obs.metrics.counter("sim.events_dispatched").value,
+                    sim.heap_compactions, len(sim._cancelled))
+
+        plain, compacted = run(10**6), run(2)
+        assert compacted[2] > 0 and plain[2] == 0
+        assert plain[:2] == compacted[:2] and plain[3] == compacted[3] == 0
+        assert plain[0] == pytest.approx(31.0, abs=0.01)    # not 50.0
+
+    def test_spawn_at_starts_the_process_then(self, sim):
+        started = []
+
+        def late():
+            started.append(sim.now.seconds)
+            yield Delay(1.0)
+
+        sim.spawn(late(), at=4.0)
+        assert sim.run().seconds == 5.0
+        assert started == [4.0]
+
+    def test_on_abandon_runs_before_the_process_is_wedged(self, sim):
+        seen = []
+
+        def proc():
+            yield Delay(10.0)
+
+        process = sim.spawn(proc())
+        process.on_abandon = lambda: seen.append(process.abandoned)
+        process.abandon()
+        process.abandon()
+        assert seen == [False] and process.abandoned
+
+
 class TestResources:
     def test_capacity_enforced_with_queueing(self, sim):
         resource = SimResource(sim, capacity=1, name="device")

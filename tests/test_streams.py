@@ -126,6 +126,78 @@ class TestStreamBuffer:
         assert sim.obs.metrics.counter("stream.producer_stalls").value == 1
 
 
+class TestTimedHandOff:
+    """``deposit``: nothing downstream sees an element before its time
+    (the model test against the delivery processes this replaced is in
+    ``tests/test_stream_runs.py``)."""
+
+    def test_nothing_is_seen_before_its_arrival_time(self, sim):
+        buffer = StreamBuffer(sim, capacity=2)
+        for item, at in enumerate([1.0, 1.0, 2.5, 2.5]):
+            buffer.deposit(item, at)
+        got = []
+
+        def consumer():
+            for _ in range(4):
+                item = yield from buffer.get()
+                got.append((sim.now.seconds, item, len(buffer)))
+
+        sim.spawn(consumer())
+        sim.run(until=WorldTime(0.5))
+        assert (len(buffer), buffer.total_put, got) == (0, 0, [])
+        sim.run()
+        assert got == [(1.0, 0, 1), (1.0, 1, 0), (2.5, 2, 1), (2.5, 3, 0)]
+        assert buffer.consumer_stalls == 2 and buffer.producer_stalls == 0
+
+    def test_statistics_settle_when_read_without_a_consumer(self, sim):
+        buffer = StreamBuffer(sim, capacity=2)
+        for item in range(4):
+            buffer.deposit(item, 1.0 + item)
+        snapshot = sim.obs.metrics.snapshot
+        assert snapshot()["stream.elements_buffered"] == 0
+        sim.run(until=WorldTime(3.5))
+        # Three are due; the third found the buffer full, as its
+        # delivery process would have.
+        assert snapshot()["stream.elements_buffered"] == 2
+        assert (buffer.total_put, buffer.high_watermark, buffer.full,
+                buffer.producer_stalls) == (2, 2, True, 1)
+        assert sim.now.seconds == 3.5 and sim.live_processes == 0
+
+    def test_a_withdrawn_arrival_never_arrives(self, sim):
+        buffer = StreamBuffer(sim, capacity=4)
+        buffer.deposit("kept", 1.0)
+        buffer.deposit("withdrawn", 2.0)
+        buffer.deposit("withdrawn too", 3.0)
+        got = []
+
+        def consumer():
+            while True:
+                got.append((yield from buffer.get()))
+
+        sim.spawn(consumer())
+        sim.run(until=WorldTime(1.5))
+        buffer.withdraw(2)
+        buffer.deposit("sent again", 5.0)
+        # The cancelled wake-up at 2.0 neither fires nor moves the clock.
+        assert sim.run().seconds == 5.0
+        assert got == ["kept", "sent again"]
+
+    def test_close_releases_a_blocked_producer(self, sim):
+        buffer = StreamBuffer(sim, capacity=1)
+
+        def producer():
+            for item in range(3):
+                yield from buffer.put(item)
+            return "done"
+
+        process = sim.spawn(producer())
+        sim.run()
+        assert not process.done and buffer.producer_stalls == 1
+        buffer.close()
+        sim.run()
+        assert process.result == "done" and len(buffer) == 1
+
+
 class TestPresentationLog:
     def make_log(self, latencies):
         log = PresentationLog("test")
