@@ -100,10 +100,6 @@ class BatchVerdict:
     granted_bps: float
     reservations: Tuple[Reservation, ...]
 
-    @property
-    def admitted(self) -> int:
-        return self.admitted_full + self.admitted_degraded
-
 
 class _Shed:
     """Sentinel payload: the queued request was shed, not granted."""

@@ -217,10 +217,6 @@ class QueryResult:
     examined: int = 0
     plan: Optional[Any] = None  # the planner's PlanDecision
 
-    @property
-    def matched(self) -> int:
-        return len(self.rows)
-
 
 # -- execution: shared helpers --------------------------------------------
 def _candidate_tracks(store: AnnotationStore,

@@ -2,9 +2,9 @@
 
 Annotations are ordinary ``Annotation``-class objects in the object
 database — written through :class:`~repro.db.transactions.Transaction`
-(strict 2PL, wait-die), durable through whatever store the
-:class:`~repro.db.database.Database` was built on (in-memory, WAL, or
-the slotted-page :mod:`repro.db.pages` backend).  What makes them
+(strict 2PL, wait-die), durable when the
+:class:`~repro.db.database.Database` was opened on a directory
+(:mod:`repro.db.store`: write-ahead log plus snapshots).  What makes them
 *queryable* is the derived interval index: the store registers a router
 with :meth:`Database.attach_index`, so every committed insert/update/
 delete also lands in a per-``(value_id, track)``

@@ -10,28 +10,15 @@ Exposes the same interface as
 :class:`~repro.db.index.OrderedIndex` (``insert`` / ``remove`` / ``eq`` /
 ``range`` / ``min_key`` / ``max_key``), so the database can use either;
 ``benchmarks/bench_ablation_index.py`` compares them.
-
-Beyond the set-returning ``range``, :meth:`BTreeIndex.scan` is a *lazy*
-ordered iterator with an ``on_visit`` hook, so a transactional caller can
-take (and, under strict 2PL, keep) read locks on every posting the scan
-touches while wait-die writers are kept out.  A mutation counter guards in-flight
-scans: any insert/remove while a scan generator is live makes its next
-step raise :class:`~repro.errors.QueryError` instead of silently
-yielding from a restructured tree.  :meth:`BTreeIndex.bulk_load` builds
-the tree bottom-up from sorted entries in O(n).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterator, List, Optional, Set, Tuple
 
 from repro.db.objects import OID
 from repro.errors import QueryError
-
-
-_MUTATED = ("B-tree mutated during an in-flight scan; writers must be "
-            "serialized behind the scan's read locks")
 
 
 class _Node:
@@ -59,8 +46,6 @@ class BTreeIndex:
         self._t = min_degree
         self._root = _Node()
         self._size = 0
-        #: Bumped on every mutating call: the in-flight-scan guard.
-        self._mods = 0
 
     def __len__(self) -> int:
         return self._size
@@ -70,7 +55,6 @@ class BTreeIndex:
         """Add one (key, oid) posting (None keys are not indexed)."""
         if key is None:
             return
-        self._mods += 1
         root = self._root
         if len(root.keys) == 2 * self._t - 1:
             new_root = _Node()
@@ -150,14 +134,13 @@ class BTreeIndex:
         if lo is not None and hi is not None and lo > hi:
             raise QueryError(f"range lower bound {lo!r} exceeds upper bound {hi!r}")
         result: Set[OID] = set()
-        for _, buckets in self._runs(lo, hi, include_lo, include_hi,
-                                     self._mods):
+        for buckets in self._runs(lo, hi, include_lo, include_hi):
             result.update(*buckets)
         return result
 
-    def _runs(self, lo, hi, include_lo, include_hi, expected: int
-              ) -> Iterator[Tuple[List[Any], List[Set[OID]]]]:
-        """The one range walk: ``[lo, hi]`` as ``(keys, buckets)`` runs.
+    def _runs(self, lo, hi, include_lo, include_hi
+              ) -> Iterator[List[Set[OID]]]:
+        """The one range walk: the buckets of ``[lo, hi]``, a run at a time.
 
         A flat in-order traversal that hands over one run per leaf: the
         separator an ancestor owes, then the leaf's in-range keys.  Each
@@ -166,17 +149,14 @@ class BTreeIndex:
         in-range keys is in range whole and is never compared at all.
         ``stack`` holds the ancestors that still owe keys; a node whose
         in-range keys are spent is not pushed, so once the range closes
-        the stack drains and the walk ends.  Runs are copies, and the
-        mutation counter is checked before a frame of ``stack`` is
-        followed back into the tree.
+        the stack drains and the walk ends.
         """
         cut_lo = bisect_left if include_lo else bisect_right
         cut_hi = bisect_right if include_hi else bisect_left
         # May this subtree hold keys below ``lo`` / above ``hi``?
         lower, upper = lo is not None, hi is not None
         stack: List[Tuple[_Node, int, int, bool]] = []
-        owed_keys: List[Any] = []
-        owed_buckets: List[Set[OID]] = []
+        owed: List[Set[OID]] = []
         node = self._root
         while True:
             while True:  # down to the leftmost leaf with in-range keys
@@ -190,130 +170,17 @@ class BTreeIndex:
                     stack.append((node, i, end, upper))
                     upper = False
                 node = node.children[i]
-            yield owed_keys + keys[i:end], owed_buckets + node.buckets[i:end]
+            yield owed + node.buckets[i:end]
             if not stack:
                 return
-            if self._mods != expected:
-                raise QueryError(_MUTATED)
             node, i, end, upper = stack.pop()
-            owed_keys, owed_buckets = node.keys[i:i + 1], node.buckets[i:i + 1]
+            owed = node.buckets[i:i + 1]
             i += 1
             if i < end:
                 stack.append((node, i, end, upper))
                 upper = False
             lower = False  # everything rightward is above keys[i - 1] >= lo
             node = node.children[i]
-
-    # -- lazy ordered scan -----------------------------------------------
-    def scan(self, lo: Optional[Any] = None, hi: Optional[Any] = None,
-             include_lo: bool = True, include_hi: bool = True,
-             on_visit: Optional[Callable[[Any, Tuple[OID, ...]], None]]
-             = None) -> Iterator[Tuple[Any, Tuple[OID, ...]]]:
-        """Lazily yield ``(key, oids)`` pairs in ascending key order.
-
-        ``on_visit(key, oids)`` fires immediately before each yield; a
-        transactional caller uses it to take SHARED locks on the postings
-        as the scan reaches them, so (under strict 2PL) the locks are
-        held for the remainder of the scan and any writer must go through
-        wait-die arbitration instead of mutating under the iterator.  As
-        a second line of defense, the scan snapshots the tree's mutation
-        counter and raises :class:`QueryError` if the tree changes while
-        the generator is live — yielding from a restructured tree would
-        silently skip or repeat entries.
-
-        OIDs within a bucket are yielded in sorted order so two scans of
-        equal trees produce byte-identical output.
-        """
-        if lo is not None and hi is not None and lo > hi:
-            raise QueryError(
-                f"scan lower bound {lo!r} exceeds upper bound {hi!r}")
-        return self._scan_walk(lo, hi, include_lo, include_hi, on_visit,
-                               self._mods)
-
-    def _scan_walk(self, lo, hi, include_lo, include_hi, on_visit,
-                   expected: int) -> Iterator[Tuple[Any, Tuple[OID, ...]]]:
-        # One emission site for separators and leaf keys alike, so the
-        # guard and ``on_visit`` run before every yield.
-        for keys, buckets in self._runs(lo, hi, include_lo, include_hi,
-                                        expected):
-            for key, bucket in zip(keys, buckets):
-                if self._mods != expected:
-                    raise QueryError(_MUTATED)
-                oids = (tuple(bucket) if len(bucket) == 1
-                        else tuple(sorted(bucket)))
-                if on_visit is not None:
-                    on_visit(key, oids)
-                yield key, oids
-
-    # -- bulk build ------------------------------------------------------
-    def bulk_load(self,
-                  items: Iterable[Tuple[Any, Iterable[OID]]]) -> None:
-        """Build the tree bottom-up from strictly-ascending (key, oids).
-
-        O(n) against O(n log n) repeated inserts — and, more to the
-        point, without the constant-factor cost of a million top-down
-        descents with pre-emptive splits.  Only valid on an empty tree;
-        keys must be strictly increasing (buckets are per-key, so a
-        repeated key is a caller bug, not a merge request).
-
-        Every built node holds between ``t - 1`` and ``2t - 1`` keys
-        (root exempt), so the result satisfies ``check_invariants`` and
-        is indistinguishable from an insert-built tree to every reader.
-        """
-        if self._size or self._root.keys:
-            raise QueryError("bulk_load requires an empty tree")
-        entries: List[Tuple[Any, Set[OID]]] = []
-        last_key = None
-        for key, oids in items:
-            if key is None:
-                raise QueryError("bulk_load keys must not be None")
-            if entries and not last_key < key:
-                raise QueryError(
-                    f"bulk_load keys must be strictly increasing; "
-                    f"{key!r} after {last_key!r}")
-            bucket = set(oids)
-            if not bucket:
-                raise QueryError(f"bulk_load bucket for {key!r} is empty")
-            entries.append((key, bucket))
-            last_key = key
-        self._mods += 1
-        self._size = sum(len(bucket) for _, bucket in entries)
-        cap = 2 * self._t - 1
-        level: Optional[List[_Node]] = None  # nodes of the level below
-        while True:
-            n = len(entries)
-            # Node count such that even distribution lands every node in
-            # [t-1, cap] keys: ceil((n + 1) / (cap + 1)); count == 1
-            # exactly when all n entries fit in a single (root) node.
-            count = max(1, -(-(n + 1) // (cap + 1)))
-            if count == 1:
-                root = _Node()
-                root.keys = [key for key, _ in entries]
-                root.buckets = [bucket for _, bucket in entries]
-                if level is not None:
-                    root.children = level
-                self._root = root
-                return
-            base, extra = divmod(n - (count - 1), count)
-            nodes: List[_Node] = []
-            separators: List[Tuple[Any, Set[OID]]] = []
-            at = 0
-            child_at = 0
-            for i in range(count):
-                take = base + (1 if i < extra else 0)
-                node = _Node()
-                node.keys = [key for key, _ in entries[at:at + take]]
-                node.buckets = [bucket for _, bucket in entries[at:at + take]]
-                if level is not None:
-                    node.children = level[child_at:child_at + take + 1]
-                    child_at += take + 1
-                at += take
-                nodes.append(node)
-                if i < count - 1:
-                    separators.append(entries[at])
-                    at += 1
-            entries = separators
-            level = nodes
 
     def min_key(self) -> Any:
         """Smallest indexed key, or None when empty."""
@@ -341,7 +208,6 @@ class BTreeIndex:
         bucket = self._find_bucket(self._root, key)
         if bucket is None or oid not in bucket:
             return
-        self._mods += 1
         bucket.discard(oid)
         self._size -= 1
         if not bucket:

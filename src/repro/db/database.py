@@ -27,17 +27,10 @@ class Database:
     """An object database instance (optionally durable)."""
 
     def __init__(self, directory: Optional[str] = None,
-                 paged: bool = False, pool_capacity: int = 128,
                  obs: Optional[Obs] = None) -> None:
         self.obs = attach(obs)
         self.schema = Schema()
-        if paged:
-            if directory is None:
-                raise SchemaError("a paged store requires a directory")
-            from repro.db.pagedstore import PagedObjectStore
-            self._store = PagedObjectStore(directory, pool_capacity)
-        else:
-            self._store = ObjectStore(directory)
+        self._store = ObjectStore(directory)
         # Ordered indexes are B-trees by default; the sorted-list
         # OrderedIndex stays available for comparison (see the index
         # ablation bench).

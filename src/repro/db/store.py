@@ -5,7 +5,11 @@ length prefix and CRC) and flushed *before* being applied to the
 in-memory object table — redo-only logging, so recovery is a pure replay
 of committed work.  ``checkpoint()`` pickles the full table to a snapshot
 file and truncates the log.  Recovery loads the snapshot then replays the
-WAL, stopping cleanly at a torn tail (simulated crash mid-append).
+WAL, stopping cleanly at a torn tail (simulated crash mid-append) and
+cutting the log back to its last whole record, so that what is appended
+next is not hidden behind the garbage.  Replay is idempotent: a crash
+between a checkpoint's two steps leaves a snapshot that already holds
+the log's effects, and replaying the log over it changes nothing.
 
 The store is representation-agnostic: attribute values (including media
 values with numpy payloads) are pickled.
@@ -125,6 +129,10 @@ class ObjectStore:
                 raise DatabaseError(f"unknown op kind {kind!r}")
 
     def _apply_ops(self, ops: List[Op]) -> None:
+        # Also the replay path, where the snapshot may already hold an
+        # op's effect: an insert or update overwrites, a delete of an
+        # object that is gone is a no-op (live commits never get here
+        # with one: _validate_ops).
         for kind, arg in ops:
             if kind == OP_INSERT:
                 self._objects[arg.oid] = arg
@@ -133,7 +141,7 @@ class ObjectStore:
             elif kind == OP_UPDATE:
                 self._objects[arg.oid] = arg
             elif kind == OP_DELETE:
-                del self._objects[arg]
+                self._objects.pop(arg, None)
 
     # -- durability ----------------------------------------------------------
     def checkpoint(self) -> None:
@@ -173,6 +181,14 @@ class ObjectStore:
             self._apply_ops(ops)
             self.recovered_records += 1
             pos = end
+        if pos < len(data):
+            # A torn or corrupt tail: cut it off before the log is
+            # opened for append, or the next recovery stops in front
+            # of every record written after it.
+            with open(self._wal_path, "r+b") as f:
+                f.truncate(pos)
+                f.flush()
+                os.fsync(f.fileno())
 
     def close(self) -> None:
         if self._wal_file is not None:

@@ -5,7 +5,8 @@ targets — storage devices, the disk scheduler, network channels, and
 processes.  Plans are pure data: nothing happens until a
 :class:`~repro.faults.injector.FaultInjector` arms the plan against live
 components.  Because every time and parameter is fixed (either written
-explicitly or drawn from ``random.Random(seed)`` at *plan-build* time),
+explicitly or drawn from a seeded generator at *plan-build* time, as
+:func:`repro.soak.sample_chaos` does),
 the same plan replays the identical fault schedule on every run — which
 is what lets ``bench_fault_recovery.py`` compare recovery policies under
 byte-identical adversity.
@@ -45,9 +46,8 @@ Fault kinds
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.errors import SimulationError
 
@@ -110,9 +110,8 @@ class Fault:
 class FaultPlan:
     """An ordered, seeded schedule of faults.
 
-    The ``seed`` does double duty: it seeds :meth:`randomized` plan
-    generation and the per-channel loss/jitter streams at arm time, so a
-    plan is fully determined by ``(seed, faults)``.
+    The ``seed`` seeds the per-channel loss/jitter streams at arm time,
+    so a plan is fully determined by ``(seed, faults)``.
     """
 
     seed: int = 0
@@ -162,47 +161,6 @@ class FaultPlan:
 
     def process_hang(self, target: str, at: float) -> "FaultPlan":
         return self.add(Fault("process-hang", target, at))
-
-    # -- randomized generation ---------------------------------------------
-    @classmethod
-    def randomized(cls, seed: int, horizon_s: float,
-                   devices: Sequence[str] = (),
-                   schedulers: Sequence[str] = (),
-                   channels: Sequence[str] = (),
-                   processes: Sequence[str] = (),
-                   faults_per_target: int = 2,
-                   max_outage_s: float | None = None,
-                   loss_rate: float = 0.05) -> "FaultPlan":
-        """Draw a plan from ``Random(seed)`` — same arguments, same plan.
-
-        Outage/slowdown windows land in ``[0.1, 0.9) * horizon`` so the
-        workload is already running when they hit; each channel gets one
-        persistent loss model.
-        """
-        if horizon_s <= 0:
-            raise SimulationError(f"horizon must be positive, got {horizon_s}")
-        rng = random.Random(seed)
-        plan = cls(seed=seed)
-        max_outage = max_outage_s if max_outage_s is not None else horizon_s / 8
-        for name in devices:
-            for _ in range(faults_per_target):
-                at = rng.uniform(0.1, 0.9) * horizon_s
-                if rng.random() < 0.5:
-                    plan.device_outage(name, at, rng.uniform(0.2, 1.0) * max_outage)
-                else:
-                    plan.device_slowdown(name, at, rng.uniform(0.2, 1.0) * max_outage,
-                                         factor=rng.uniform(2.0, 6.0))
-        for name in schedulers:
-            for _ in range(faults_per_target):
-                plan.scheduler_outage(name, rng.uniform(0.1, 0.9) * horizon_s,
-                                      rng.uniform(0.2, 1.0) * max_outage)
-        for name in channels:
-            plan.channel_loss(name, rate=loss_rate,
-                              jitter_s=rng.uniform(0.0, 0.002))
-        for name in processes:
-            plan.process_crash(name, rng.uniform(0.1, 0.9) * horizon_s)
-        plan.sort()
-        return plan
 
     # -- composition -------------------------------------------------------
     @classmethod

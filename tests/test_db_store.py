@@ -2,12 +2,12 @@
 
 import os
 import pickle
+import random
 
 import pytest
 
 from repro.db import AttributeSpec, ClassDef, Database
 from repro.db.objects import DBObject, OID
-from repro.db.pagedstore import PagedObjectStore
 from repro.db.store import OP_INSERT, ObjectStore
 from repro.errors import DatabaseError, ObjectNotFoundError
 
@@ -82,13 +82,8 @@ class TestInMemoryStore:
         with pytest.raises(DatabaseError):
             ObjectStore().checkpoint()
 
-    @pytest.mark.parametrize("paged", [False, True])
-    def test_next_oids_equals_successive_next_oid(self, tmp_path, paged):
-        def make(name):
-            return (PagedObjectStore(tmp_path / name) if paged
-                    else ObjectStore())
-
-        batched, single = make("batched"), make("single")
+    def test_next_oids_equals_successive_next_oid(self):
+        batched, single = ObjectStore(), ObjectStore()
         for store in (batched, single):
             assert store.next_oid("Doc") == OID("Doc", 1)
             assert store.next_oid("Clip") == OID("Clip", 1)
@@ -103,8 +98,6 @@ class TestInMemoryStore:
         assert batched._serials == single._serials
         with pytest.raises(DatabaseError):
             batched.next_oids("Doc", -1)
-        batched.close()
-        single.close()
 
     def test_oids_of_class_order_is_the_oid_order(self):
         # Inserted out of serial order, across classes whose names sort
@@ -165,6 +158,45 @@ class TestRecovery:
         assert recovered._store.recovered_records == 1
         assert len(recovered) == 1
 
+    def test_commit_after_torn_tail_survives_the_next_open(self, tmp_path):
+        db = Database(str(tmp_path))
+        db.define_class(doc_class())
+        db.insert("Doc", name="committed")
+        db.insert("Doc", name="casualty")
+        db.close()
+        wal = tmp_path / ObjectStore.WAL_NAME
+        with open(wal, "r+b") as f:
+            f.truncate(os.path.getsize(wal) - 7)
+
+        recovered = reopen(tmp_path)
+        assert len(recovered) == 1
+        later = recovered.insert("Doc", name="acknowledged")
+        recovered.close()
+        # The new record must not sit behind the torn one's remains.
+        again = reopen(tmp_path)
+        assert again.get(later).name == "acknowledged"
+        assert len(again) == 2
+
+    def test_recovery_is_idempotent_after_checkpoint(self, tmp_path):
+        """Snapshot replaced + WAL intact: replay must change nothing."""
+        db = Database(str(tmp_path))
+        db.define_class(doc_class())
+        gone = db.insert("Doc", name="gone")
+        kept = db.insert("Doc", name="kept")
+        db.checkpoint()
+        db.delete(gone)
+        db.update(kept, body="edited")
+        wal = tmp_path / ObjectStore.WAL_NAME
+        log = wal.read_bytes()
+        db.checkpoint()  # the snapshot now holds the log's effects...
+        db.close()
+        wal.write_bytes(log)  # ...and the crash came before the truncate
+
+        recovered = reopen(tmp_path)
+        assert recovered._store.all_oids() == [kept]
+        assert recovered.get(kept).body == "edited"
+        assert recovered._store.recovered_records == 2
+
     def test_corrupt_crc_stops_replay(self, tmp_path):
         db = Database(str(tmp_path))
         db.define_class(doc_class())
@@ -219,3 +251,132 @@ class TestRecovery:
         restored = recovered.get(oid).video
         assert np.array_equal(restored.frames_array, video.frames_array)
         assert restored.mapping.rate == video.mapping.rate
+
+
+class TestCrashPoints:
+    """A crash wherever the log or a checkpoint can be cut, against a dict.
+
+    A seeded history of single- and multi-op transactions with two
+    checkpoints runs against a durable database and a dict (two, because
+    only a log that deletes what an *earlier* snapshot brought in can
+    tell an idempotent replay from a plain one).  Then, for a crash at
+    every record boundary of the log, at three torn offsets inside every
+    record, and at the two instants inside each checkpoint (snapshot
+    replaced and log not yet truncated; log truncated), the files are
+    put back as the crash left them and the reopened database must hold
+    exactly the last durable commit, accept one more, and still hold
+    that after another reopen.
+    """
+
+    CLASSES = ("Doc", "Memo")
+    TRANSACTIONS = 42
+    CHECKPOINTS = (14, 28)
+
+    def _open(self, path):
+        db = Database(str(path))
+        for name in self.CLASSES:
+            db.define_class(ClassDef(name, attributes=[
+                AttributeSpec("name", str, indexed=True),
+                AttributeSpec("body", str),
+            ]))
+        db.rebuild_indexes()
+        return db
+
+    def _crash_points(self, path, seed):
+        """(snapshot bytes or None, log bytes, durable table, serials)s."""
+        rng = random.Random(seed)
+        db = self._open(path)
+        wal = path / ObjectStore.WAL_NAME
+        table, serials = {}, {}  # oid -> (attributes, version); class -> n
+
+        def insert(tx):
+            cls = rng.choice(self.CLASSES)
+            attributes = {"name": f"n{rng.randrange(6)}", "body": "new"}
+            oid = tx.insert(cls, **attributes)
+            serials[cls] = serials.get(cls, 0) + 1
+            assert oid == OID(cls, serials[cls])
+            table[oid] = (attributes, 1)
+
+        def update(tx, oid):
+            attributes, version = table[oid]
+            change = {"name": f"n{rng.randrange(6)}"}
+            tx.update(oid, **change)
+            table[oid] = ({**attributes, **change}, version + 1)
+
+        def delete(tx, oid):
+            tx.delete(oid)
+            del table[oid]
+
+        points = []
+        snapshot = None
+        # (log length, table, serials) at each commit since the snapshot
+        durable = [(0, {}, {})]
+
+        def cuts():
+            log = wal.read_bytes()
+            for (begin, *state), (end, *_) in zip(durable, durable[1:]):
+                for cut in (begin, begin + 1, (begin + end) // 2, end - 1):
+                    yield (snapshot, log[:cut], *state)
+            yield (snapshot, log, *durable[-1][1:])
+
+        for step in range(self.TRANSACTIONS):
+            if step in self.CHECKPOINTS:
+                points.extend(cuts())
+                log = points[-1][1]  # the whole log, as cuts() read it
+                db.checkpoint()
+                snapshot = (path / ObjectStore.SNAPSHOT_NAME).read_bytes()
+                state = durable[-1][1:]
+                points.append((snapshot, log, *state))  # log not truncated
+                durable = [(0, *state)]
+            with db.begin() as tx:
+                kind = rng.choice(("insert", "update", "delete", "multi"))
+                if kind == "insert" or len(table) < 3:
+                    insert(tx)
+                elif kind == "update":
+                    update(tx, rng.choice(sorted(table)))
+                elif kind == "delete":
+                    delete(tx, rng.choice(sorted(table)))
+                else:
+                    changed, dropped = rng.sample(sorted(table), 2)
+                    insert(tx)
+                    update(tx, changed)
+                    delete(tx, dropped)
+            durable.append((os.path.getsize(wal), dict(table), dict(serials)))
+        points.extend(cuts())
+        db.close()
+        return points
+
+    def _holds(self, db, table, serials):
+        store = db._store
+        assert {oid: (store.get(oid).attributes, store.get(oid).version)
+                for oid in store.all_oids()} == table
+        assert store._serials == serials
+        for cls in self.CLASSES:
+            by_name = {}
+            for oid, (attributes, _) in table.items():
+                if oid.class_name == cls:
+                    by_name.setdefault(attributes["name"], set()).add(oid)
+            assert list(db._ordered[cls, "name"].items()) == \
+                sorted(by_name.items())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_crash_point_recovers_the_last_durable_commit(
+            self, tmp_path, seed):
+        points = self._crash_points(tmp_path / "history", seed)
+        assert len(points) == \
+            4 * self.TRANSACTIONS + 2 * len(self.CHECKPOINTS) + 1
+        crashed = tmp_path / "crashed"
+        crashed.mkdir()
+        for snapshot, log, table, serials in points:
+            if snapshot is not None:
+                (crashed / ObjectStore.SNAPSHOT_NAME).write_bytes(snapshot)
+            (crashed / ObjectStore.WAL_NAME).write_bytes(log)
+            db = self._open(crashed)
+            self._holds(db, table, serials)
+            late = {"name": "after the crash", "body": "x"}
+            oid = db.insert("Doc", **late)
+            db.close()
+            db = self._open(crashed)
+            self._holds(db, {**table, oid: (late, 1)},
+                        {**serials, "Doc": serials.get("Doc", 0) + 1})
+            db.close()

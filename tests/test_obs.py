@@ -43,9 +43,9 @@ class TestInstruments:
 
     def test_kind_mismatch_raises(self):
         registry = MetricsRegistry()
-        registry.counter("db.page_reads")
+        registry.counter("db.tx_commits")
         with pytest.raises(MetricError, match="already registered as counter"):
-            registry.gauge("db.page_reads")
+            registry.gauge("db.tx_commits")
 
     def test_gauge_high_watermark(self):
         gauge = MetricsRegistry().gauge("storage.device.disk0.utilization")

@@ -237,34 +237,21 @@ class TestBisectingRangeWalk:
     # three-level tree; the window sits near the top of the key space,
     # where a walk that tests every key of a node against both bounds
     # pays for all the keys to the window's left.
-    @staticmethod
-    def _tree():
+    def test_narrow_window_compares_few_keys(self):
         from repro.db.btree import BTreeIndex
         from repro.db.objects import OID
 
         tree = BTreeIndex("T", "n")
-        tree.bulk_load((_CountedKey(k), [OID("T", k)]) for k in range(10_000))
-        return tree
-
-    def test_narrow_window_compares_few_keys(self):
-        tree = self._tree()
+        for k in range(10_000):
+            tree.insert(_CountedKey(k), OID("T", k))
         lo, hi = _CountedKey(9_900), _CountedKey(9_909)
         _CountedKey.compared = 0
-        got = [key.n for key, _ in tree.scan(lo, hi)]
-        assert got == list(range(9_900, 9_910))
+        assert tree.range(lo, hi) == {OID("T", k)
+                                      for k in range(9_900, 9_910)}
         assert _CountedKey.compared < 200
         _CountedKey.compared = 0
         assert len(tree.range(lo, hi, include_lo=False)) == 9
         assert _CountedKey.compared < 200
-
-    def test_scan_yields_from_one_frame(self):
-        tree = self._tree()
-        scan = tree.scan(_CountedKey(100), _CountedKey(2_000))
-        steps = 0
-        for _ in scan:
-            assert scan.gi_yieldfrom is None
-            steps += 1
-        assert steps == 1_901
 
 
 class TestBulkLoadCollectorPasses:

@@ -13,6 +13,7 @@ import argparse
 import sys
 import types
 from importlib import import_module
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,81 @@ class TestTable:
         assert FAMILIES["watch"].tracing
         assert not FAMILIES["query"].tracing
         assert not FAMILIES["soak"].tracing
+
+
+class TestReachGate:
+    """``tools/check_reach.py``'s verdicts on a synthetic tree; nothing is run."""
+
+    @pytest.fixture(scope="class")
+    def check_reach(self):
+        path = Path(__file__).parents[1] / "tools" / "check_reach.py"
+        spec = spec_from_file_location("check_reach", path)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.fixture
+    def reach(self, check_reach, tmp_path):
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        live = package / "live.py"
+        live.write_text(
+            "import abc\n"
+            "class Used:\n"
+            "    @property\n"               # line 3 is co_firstlineno
+            "    def run(self):\n"
+            "        return 1\n"
+            "class Unused:\n"
+            "    def run(self):\n"
+            "        return 2\n"
+            "class Interface(abc.ABC):\n"
+            "    @abc.abstractmethod\n"
+            "    def run(self): ...\n"
+            "    def also(self):\n"
+            "        raise NotImplementedError\n"
+            "def helper():\n"
+            "    return 3\n")
+        (package / "dead.py").write_text(
+            "class Inside:\n"
+            "    def run(self):\n"
+            "        return 4\n")
+        tree = check_reach.parse_tree(tmp_path)
+        return check_reach.measure(tree, {(str(live), 3)})
+
+    def test_what_counts_as_unreached(self, reach):
+        assert reach.modules == ["repro.dead"]
+        # Not Interface (declarations only), not Inside (its module is listed).
+        assert reach.classes == ["repro.live.Unused"]
+        assert reach.functions == ["repro.live.helper"]
+        assert reach.packages == [("repro", 18, 9, 6)]
+        assert {"repro", "repro.live.Interface", "repro.dead.Inside"} <= \
+            reach.known
+
+    def test_three_verdicts(self, check_reach, reach):
+        unreached = set(reach.modules) | set(reach.classes)
+        keep = {"repro.dead": "kept", "repro.live.Unused": "kept"}
+
+        def problems(keep):
+            return check_reach.verdicts(unreached, reach.known, keep)
+
+        assert problems(keep) == []
+        [unlisted] = problems({"repro.dead": "kept"})
+        assert unlisted.startswith("repro.live.Unused: never entered")
+        [stale] = problems({**keep, "repro.live.Used": "kept"})
+        assert stale.startswith("repro.live.Used:") and "reached" in stale
+        [nothing] = problems({**keep, "repro.gone.Thing": "kept"})
+        assert nothing.startswith("repro.gone.Thing:") \
+            and "no such module or class" in nothing
+
+    def test_every_kept_name_exists_and_cites_the_paper_or_the_design(
+            self, check_reach):
+        keep = check_reach.read_keep()
+        tree = check_reach.parse_tree()
+        assert set(keep) <= set(tree.lines) | set(tree.classes)
+        for name, reason in keep.items():
+            assert "DESIGN.md §" in reason or "PAPER.md" in reason, name
+            assert "test" not in reason.lower(), name
 
 
 class TestRunFamily:

@@ -51,7 +51,7 @@ from repro.streams.buffer import StreamBuffer
 from repro.synth import newscast_clip
 from repro.values.video import RawVideoValue
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=60)
 
 
 # -- the pipelines ----------------------------------------------------------
