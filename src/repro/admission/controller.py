@@ -7,16 +7,17 @@ everyone else gets an exception.  The :class:`AdmissionController`
 arbitrates instead.  Each request carries a :class:`QoSContract` — the
 bandwidth it needs, a :class:`Priority` class, the floor it would accept
 degraded service at, and how long it is willing to queue — and the
-controller decides, in order:
+controller decides, in order (``AdmissionController._decide`` is the
+one place the rules are written; every entry point is a case of it):
 
-1. **admit** at full rate when capacity allows;
-2. **preempt** background holders to admit an interactive request;
-3. **degrade** down to the contract's floor (the
-   ``Session._degraded_reservation`` path made policy);
-4. **shed** background work outright past the high-watermark;
+1. **shed** fresh background work outright past the high-watermark;
+2. **admit** at full rate when capacity allows;
+3. **preempt** background holders to admit an interactive request;
+4. **degrade** down to the contract's floor (:func:`degraded_rate`,
+   which a ``Session`` on a bare channel shares);
 5. **queue** in virtual time (bounded queue → backpressure; deadline →
-   :class:`~repro.errors.AdmissionTimeoutError`), draining
-   highest-priority-first whenever bandwidth is released.
+   :class:`~repro.errors.AdmissionTimeoutError`), draining best class
+   first on every release; a request with no patience is rejected.
 
 Shared device pools go through :meth:`acquire_device` (fail-fast, then
 queued with a deadline), and faulting components are wrapped in
@@ -31,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.admission.breaker import CircuitBreaker
 from repro.errors import (
@@ -83,8 +84,7 @@ class QoSContract:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class BatchVerdict:
+class BatchVerdict(NamedTuple):
     """Outcome of one :meth:`AdmissionController.admit_batch` call.
 
     ``reservations`` holds the cohort reservations actually granted —
@@ -93,12 +93,19 @@ class BatchVerdict:
     mirroring what a sequential arrival burst would have produced.
     """
 
-    requested: int
     admitted_full: int
     admitted_degraded: int
-    shed: int
-    granted_bps: float
+    shed: int  #: everyone else, shed and rejected alike
     reservations: Tuple[Reservation, ...]
+
+
+def degraded_rate(available: float, bps: float, min_fraction: float) -> float:
+    """The degrade rule: the rate a request for ``bps`` that would run at
+    ``min_fraction`` of it gets out of ``available`` b/s (all that is
+    left, at most what it asked), or 0.0 when the floor does not fit."""
+    if min_fraction < 1.0 and 0 < available and available + 1e-9 >= bps * min_fraction:
+        return min(available, bps)
+    return 0.0
 
 
 class _Shed:
@@ -188,13 +195,28 @@ class AdmissionController:
     def queue_depth(self) -> int:
         return self._live_queued
 
-    def holders(self, priority: Optional[Priority] = None) -> List[Reservation]:
-        return [r for r, p in self._held.values()
-                if priority is None or p is priority]
+    def _at_watermark(self, reserved: float) -> bool:
+        return reserved / self.channel.capacity_bps >= self.high_watermark - 1e-12
+
+    def _log(self, kind: str, label: str, clients: int = 1, cohort: bool = False,
+             queued_for: Optional[float] = None, via: Optional[str] = None,
+             **fields: object) -> None:
+        """One verdict into the decision log.  ``count`` is carried only
+        for a cohort or when the event speaks for other than one client,
+        how the grant came about only when from the queue or by preemption."""
+        if cohort or clients != 1:
+            fields["count"] = clients
+        if queued_for is not None:
+            fields.update(from_queue=True, waited_s=round(queued_for, 6))
+        if via is not None:
+            fields["via"] = via
+        self._decisions.record(kind, label, self.name, fields)
 
     # -- the decision core -------------------------------------------------
-    def _grant(self, bps: float, contract: QoSContract, label: str) -> Reservation:
+    def _grant(self, bps: float, contract: QoSContract, label: str,
+               clients: int = 1) -> Reservation:
         reservation = self.channel.reserve(bps, label=label)
+        reservation.cohort_clients = clients
         self._held[reservation.id] = (reservation, contract.priority)
         reservation.on_release = self._on_release
         self._m_utilization.set(self.utilization)
@@ -218,73 +240,93 @@ class AdmissionController:
             victim.preempted = True
             self._m_preempted.inc(victim.cohort_clients)
             if self._decisions.enabled:
-                # Ordinary streams keep the historical event shape; only
-                # herd cohorts carry the per-client count field.
-                if victim.cohort_clients == 1:
-                    self._decisions.emit("preempt", victim.label,
-                                         actor=self.name, bps=victim.bps)
-                else:
-                    self._decisions.emit("preempt", victim.label,
-                                         actor=self.name, bps=victim.bps,
-                                         count=victim.cohort_clients)
+                self._log("preempt", victim.label, victim.cohort_clients,
+                          bps=victim.bps)
             tracer = self.simulator.obs.tracer
             if tracer.enabled:
                 tracer.instant("admission:preempt", "admission",
                                victim=victim.label)
             victim.release()
 
-    def _decide(self, contract: QoSContract, label: str,
-                queued: bool = False) -> Optional[Reservation]:
-        """Grant now, or return None (caller may queue).
+    def _decide(self, contract: QoSContract, label: str, count: int = 1,
+                cohort: bool = False, waited_s: Optional[float] = None,
+                may_preempt: bool = False,
+                via: Optional[str] = None) -> Tuple[int, int, int, tuple]:
+        """The admission policy, written once: what ``count`` identical
+        requests arriving at one instant are granted, in O(1).
 
-        Raises :class:`~repro.errors.AdmissionError` when the request is
-        *shed* — refused outright because the system is past its
-        high-watermark and the request is lowest-priority.  Shed requests
-        must not be queued; that is the point of shedding.
+        Returns ``(full, degraded, shed, reservations)``: how many got
+        the full rate (one reservation of ``full x bps``), whether the
+        next took the degraded remainder (0 or 1, its own reservation),
+        how many were shed at the watermark.  The rest were granted
+        nothing: the caller rejects, queues or tallies them.  A ``cohort``'s
+        events carry client counts; ``waited_s`` is None for a fresh
+        request; ``via`` says how a retry came to fit.
         """
-        if (not queued
-                and contract.priority is Priority.BACKGROUND
-                and self.utilization >= self.high_watermark - 1e-12):
-            self._m_shed.inc()
+        bps = contract.bps
+        capacity = self.channel.capacity_bps
+        reserved = self.channel.reserved_bps
+        # (A queued request was let past the watermark when it arrived.)
+        watermarked = waited_s is None and contract.priority is Priority.BACKGROUND
+        if watermarked and self._at_watermark(reserved):
+            self._m_shed.inc(count)
             if self._decisions.enabled:
-                self._decisions.emit("shed", label, actor=self.name,
-                                     reason="watermark",
-                                     utilization=round(self.utilization, 4))
+                self._log("shed", label, count, cohort, reason="watermark",
+                          utilization=round(reserved / capacity, 4))
+            return 0, 0, count, ()
+        fit = (capacity - reserved + 1e-9) // bps
+        full = count if fit >= count else max(int(fit), 0)
+        if watermarked and full:
+            # Each arrival of a burst re-checks the watermark *before* its
+            # grant, so the k-th admits only while reserved + (k-1)*bps is
+            # under it (the first just did): cap there, not at capacity.
+            headroom = (self.high_watermark - 1e-12) * capacity - reserved
+            full = min(full, max(1, math.ceil(headroom / bps)))
+        granted = ()
+        if full:
+            self._m_admitted.inc(full)
+            if self._decisions.enabled:
+                self._log("admit", label, full, cohort, waited_s, via, bps=bps)
+            granted = (self._grant(full * bps, contract, label, full),)
+        elif may_preempt and contract.priority is Priority.INTERACTIVE:
+            self._pumping = True  # freed bandwidth is for this request
+            try:
+                self._preempt_for(bps)
+            finally:
+                self._pumping = False
+            return self._decide(contract, label, count, cohort, waited_s,
+                                via="preemption")
+        if full < count:
+            # The next request sees what that grant left: background work
+            # now at the watermark is shed, not degraded; anyone else may
+            # take the whole remainder, so at most one request degrades.
+            reserved = self.channel.reserved_bps
+            rate = 0.0 if watermarked and self._at_watermark(reserved) else (
+                degraded_rate(capacity - reserved, bps, contract.min_fraction))
+            if rate:
+                self._m_degraded.inc()
+                if self._decisions.enabled:
+                    self._log("degrade", label, queued_for=waited_s, bps=rate,
+                              requested_bps=bps, fraction=round(rate / bps, 4))
+                return full, 1, 0, granted + (
+                    self._grant(rate, contract, f"{label}-degraded"),)
+        return full, 0, 0, granted
+
+    def _admit_now(self, contract: QoSContract, label: str) -> Optional[Reservation]:
+        """One fresh request: its grant, or None (the caller may queue
+        it).  Raises when it is *shed*: shed requests must not be
+        queued; that is the point of shedding."""
+        _, _, shed, granted = self._decide(contract, label, may_preempt=self.preempt)
+        if shed:
             raise AdmissionError(
                 f"{self.name}: shedding background work "
                 f"({self.utilization:.0%} of {self.channel.name!r} reserved, "
                 f"watermark {self.high_watermark:.0%})"
             )
-        available = self.channel.available_bps
-        if available + 1e-9 >= contract.bps:
-            self._m_admitted.inc()
-            if self._decisions.enabled:
-                self._decisions.emit("admit", label, actor=self.name,
-                                     bps=contract.bps)
-            return self._grant(contract.bps, contract, label)
-        if self.preempt and contract.priority is Priority.INTERACTIVE:
-            self._pumping = True  # freed bandwidth is for this request
-            try:
-                self._preempt_for(contract.bps)
-            finally:
-                self._pumping = False
-            if self.channel.available_bps + 1e-9 >= contract.bps:
-                self._m_admitted.inc()
-                if self._decisions.enabled:
-                    self._decisions.emit("admit", label, actor=self.name,
-                                         bps=contract.bps, via="preemption")
-                return self._grant(contract.bps, contract, label)
-            available = self.channel.available_bps
-        floor = contract.bps * contract.min_fraction
-        if contract.min_fraction < 1.0 and available + 1e-9 >= floor and available > 0:
-            self._m_degraded.inc()
-            granted = min(available, contract.bps)
-            if self._decisions.enabled:
-                self._decisions.emit("degrade", label, actor=self.name,
-                                     bps=granted, requested_bps=contract.bps,
-                                     fraction=round(granted / contract.bps, 4))
-            return self._grant(granted, contract, f"{label}-degraded")
-        return None
+        if not granted:
+            return None
+        self._pump()  # a degraded grant may leave room for queued work
+        return granted[0]
 
     # -- synchronous admission (session connect path) ----------------------
     def try_admit(self, contract: QoSContract, label: str = "stream") -> Reservation:
@@ -294,13 +336,12 @@ class AdmissionController:
         ``Session.connect``) that are not running inside a DES process
         and therefore cannot wait in virtual time.
         """
-        reservation = self._decide(contract, label)
+        reservation = self._admit_now(contract, label)
         if reservation is None:
             self._m_rejected.inc()
             if self._decisions.enabled:
-                self._decisions.emit(
-                    "reject", label, actor=self.name, bps=contract.bps,
-                    available_bps=round(self.channel.available_bps, 3))
+                self._log("reject", label, bps=contract.bps,
+                          available_bps=round(self.channel.available_bps, 3))
             raise AdmissionError(
                 f"{self.name}: cannot admit {contract.bps:g} b/s "
                 f"({self.channel.available_bps:g} of "
@@ -308,7 +349,6 @@ class AdmissionController:
                 f"{self.channel.name!r}; floor "
                 f"{contract.bps * contract.min_fraction:g} b/s)"
             )
-        self._pump()  # a degraded grant may leave room for queued work
         return reservation
 
     # -- batched admission (the herd path) ---------------------------------
@@ -316,101 +356,31 @@ class AdmissionController:
                     label: str = "herd") -> BatchVerdict:
         """Admit up to ``count`` identical contracts in one decision.
 
-        The vectorized equivalent of ``count`` back-to-back
-        :meth:`try_admit` calls at one instant, minus queueing and
-        preemption: as many full-rate grants as capacity allows are
-        folded into **one** cohort :class:`~repro.net.channel.Reservation`
-        of ``n x bps`` (so a herd of 10^5 clients costs O(lifetime)
-        reservations, not O(clients)); the next client may take the
-        degraded remainder exactly as a sequential arrival would; the
-        rest are shed or rejected exactly as sequential arrivals would
-        be.  Background batches re-check the watermark per grant, so a
-        cohort stops growing the moment its own grants reach it — the
-        same point a sequential arrival burst stops admitting.
-
-        Cohort reservations carry ``cohort_clients`` so preemption by
-        foreground interactive work is charged per *client*, not per
-        reservation.  Metrics and the decision log advance by batch
-        counts.
+        ``count`` back-to-back :meth:`try_admit` calls at one instant by
+        construction (both are :meth:`_decide`), minus queueing and
+        preemption.  The full-rate grants are **one** cohort
+        :class:`~repro.net.channel.Reservation` of ``n x bps`` (a herd of
+        10^5 clients costs O(lifetime) reservations, not O(clients)); it
+        carries ``cohort_clients`` so preemption by foreground work is
+        charged per *client*, as metrics and decision events are.
         """
         if count < 0:
             raise AdmissionError(f"batch count must be >= 0, got {count}")
         if count == 0:
-            return BatchVerdict(0, 0, 0, 0, 0.0, ())
-        if (contract.priority is Priority.BACKGROUND
-                and self.utilization >= self.high_watermark - 1e-12):
-            self._m_shed.inc(count)
-            if self._decisions.enabled:
-                self._decisions.emit("shed", label, actor=self.name,
-                                     reason="watermark", count=count,
-                                     utilization=round(self.utilization, 4))
-            return BatchVerdict(count, 0, 0, count, 0.0, ())
-        reservations = []
-        granted_bps = 0.0
-        available = self.channel.available_bps
-        n_full = min(count, int((available + 1e-9) // contract.bps))
-        if contract.priority is Priority.BACKGROUND and n_full:
-            # A sequential background arrival re-checks the watermark
-            # *before* its grant, so the k-th client of a burst admits
-            # only while reserved + k*bps is still under it — cap the
-            # cohort there, not at channel capacity.
-            headroom = ((self.high_watermark - 1e-12)
-                        * self.channel.capacity_bps
-                        - self.channel.reserved_bps)
-            n_full = min(n_full, max(0, math.ceil(headroom / contract.bps)))
-        if n_full:
-            cohort = self._grant(n_full * contract.bps, contract, label)
-            cohort.cohort_clients = n_full
-            reservations.append(cohort)
-            granted_bps += cohort.bps
-            self._m_admitted.inc(n_full)
-            if self._decisions.enabled:
-                self._decisions.emit("admit", label, actor=self.name,
-                                     bps=contract.bps, count=n_full)
-        # Past the grants above, a sequential background arrival sheds
-        # at the watermark before it ever reaches the degrade step.
-        at_watermark = (contract.priority is Priority.BACKGROUND
-                        and self.utilization >= self.high_watermark - 1e-12)
-        n_degraded = 0
-        if count > n_full and contract.min_fraction < 1.0 and not at_watermark:
-            available = self.channel.available_bps
-            floor = contract.bps * contract.min_fraction
-            if available + 1e-9 >= floor and available > 0:
-                # Sequentially, the first client past capacity takes the
-                # whole remainder (>= its floor); everyone after it sees
-                # nothing left — so a batch degrades at most one client.
-                grant = min(available, contract.bps)
-                degraded = self._grant(grant, contract, f"{label}-degraded")
-                degraded.cohort_clients = 1
-                reservations.append(degraded)
-                granted_bps += grant
-                n_degraded = 1
-                self._m_degraded.inc()
-                if self._decisions.enabled:
-                    self._decisions.emit(
-                        "degrade", label, actor=self.name, bps=grant,
-                        requested_bps=contract.bps,
-                        fraction=round(grant / contract.bps, 4))
-        shed = count - n_full - n_degraded
-        if shed:
-            # Sequentially the leftovers all see the same post-grant
-            # state (a degraded grant may itself have reached the
-            # watermark, so re-check): background work at the watermark
-            # is shed, anything else is rejected.
+            return BatchVerdict(0, 0, 0, ())
+        full, degraded, shed, granted = self._decide(contract, label, count, cohort=True)
+        left = count - full - degraded - shed
+        if left:
+            # The leftovers all see the same post-grant state (a degraded
+            # grant may itself have reached the watermark): background
+            # work at the watermark is shed, anything else is rejected.
             at_watermark = (contract.priority is Priority.BACKGROUND
-                            and self.utilization
-                            >= self.high_watermark - 1e-12)
-            if at_watermark:
-                self._m_shed.inc(shed)
-            else:
-                self._m_rejected.inc(shed)
+                            and self._at_watermark(self.channel.reserved_bps))
+            (self._m_shed if at_watermark else self._m_rejected).inc(left)
             if self._decisions.enabled:
-                self._decisions.emit(
-                    "shed" if at_watermark else "reject", label,
-                    actor=self.name, count=shed,
-                    available_bps=round(self.channel.available_bps, 3))
-        return BatchVerdict(count, n_full, n_degraded, shed,
-                            granted_bps, tuple(reservations))
+                self._log("shed" if at_watermark else "reject", label, left, True,
+                          available_bps=round(self.channel.available_bps, 3))
+        return BatchVerdict(full, degraded, shed + left, granted)
 
     # -- queued admission (DES subroutine) ---------------------------------
     def admit(self, contract: QoSContract, label: str = "stream") -> Generator:
@@ -421,11 +391,14 @@ class AdmissionController:
         :class:`~repro.errors.AdmissionError` when shed (watermark or
         queue backpressure) and
         :class:`~repro.errors.AdmissionTimeoutError` when the contract's
-        queue deadline expires first.
+        queue deadline expires first.  With no patience
+        (``queue_timeout_s == 0``) this is :meth:`try_admit`: queued, the
+        request could only displace a patient one and time out at once.
         """
-        reservation = self._decide(contract, label)  # raises when shed
+        if contract.queue_timeout_s == 0:
+            return self.try_admit(contract, label)
+        reservation = self._admit_now(contract, label)
         if reservation is not None:
-            self._pump()
             return reservation
         self._make_room_for(contract, label)
         entry = _Pending(contract, label, next(self._seq),
@@ -435,9 +408,8 @@ class AdmissionController:
         self._live_queued += 1
         self._m_queued.inc()
         if self._decisions.enabled:
-            self._decisions.emit("queue", label, actor=self.name,
-                                 depth=self.queue_depth,
-                                 priority=contract.priority.name.lower())
+            self._log("queue", label, depth=self.queue_depth,
+                      priority=contract.priority.name.lower())
         self._publish_depth()
         try:
             payload = yield Timeout(entry.event, contract.queue_timeout_s)
@@ -451,8 +423,7 @@ class AdmissionController:
                 entry.granted.release()
             self._m_timeouts.inc()
             if self._decisions.enabled:
-                self._decisions.emit("queue-timeout", label, actor=self.name,
-                                     waited_s=contract.queue_timeout_s)
+                self._log("queue-timeout", label, waited_s=contract.queue_timeout_s)
             raise AdmissionTimeoutError(
                 f"{self.name}: {label!r} spent {contract.queue_timeout_s:g}s "
                 f"queued without admission (priority "
@@ -460,8 +431,7 @@ class AdmissionController:
             ) from None
         if isinstance(payload, _Shed):
             if self._decisions.enabled:
-                self._decisions.emit("shed", label, actor=self.name,
-                                     reason=payload.reason)
+                self._log("shed", label, reason=payload.reason)
             raise AdmissionError(
                 f"{self.name}: {label!r} shed while queued ({payload.reason})"
             )
@@ -490,8 +460,7 @@ class AdmissionController:
             return
         self._m_shed.inc()
         if self._decisions.enabled:
-            self._decisions.emit("shed", label, actor=self.name,
-                                 reason="queue-full", depth=self.max_queue)
+            self._log("shed", label, reason="queue-full", depth=self.max_queue)
         raise AdmissionError(
             f"{self.name}: admission queue full "
             f"({self.max_queue} waiting); backpressure"
@@ -513,28 +482,14 @@ class AdmissionController:
                 if entry.cancelled:
                     heapq.heappop(self._queue)
                     continue
-                contract = entry.contract
-                available = self.channel.available_bps
-                if available + 1e-9 >= contract.bps:
-                    grant = contract.bps
-                    self._m_admitted.inc()
-                    verdict = "admit"
-                elif (contract.min_fraction < 1.0
-                      and available + 1e-9 >= contract.bps * contract.min_fraction
-                      and available > 0):
-                    grant = min(available, contract.bps)
-                    self._m_degraded.inc()
-                    verdict = "degrade"
-                else:
+                waited_s = self.simulator.now.seconds - entry.queued_at
+                granted = self._decide(entry.contract, entry.label,
+                                       waited_s=waited_s)[3]
+                if not granted:
                     break  # head of queue cannot be served; keep order
                 heapq.heappop(self._queue)
                 self._live_queued -= 1
-                entry.granted = self._grant(grant, contract, entry.label)
-                if self._decisions.enabled:
-                    waited = self.simulator.now.seconds - entry.queued_at
-                    self._decisions.emit(verdict, entry.label, actor=self.name,
-                                         bps=grant, from_queue=True,
-                                         waited_s=round(waited, 6))
+                entry.granted = granted[0]
                 self._publish_depth()
                 entry.event.trigger(entry.granted)
         finally:
@@ -559,8 +514,7 @@ class AdmissionController:
         if priority is Priority.BACKGROUND:
             self._m_shed.inc()
             if self._decisions.enabled:
-                self._decisions.emit("shed", f"device:{pool.kind}",
-                                     actor=self.name, reason="pool-busy")
+                self._log("shed", f"device:{pool.kind}", reason="pool-busy")
             raise AdmissionError(
                 f"{self.name}: shedding background request for a "
                 f"{pool.kind!r} device ({pool.in_use}/{pool.count} busy)"

@@ -199,15 +199,10 @@ class EdgeStream:
         for name in hashing.rank(self.placement.key, names):
             candidate = self.tier.edge(name)
             contract = QoSContract(self.bps, self.priority,
-                                   queue_timeout_s=max(self.queue_timeout_s,
-                                                       0.001))
+                                   queue_timeout_s=self.queue_timeout_s)
             try:
-                if self.queue_timeout_s > 0:
-                    reservation = yield from candidate.admission.admit(
-                        contract, label=self.label)
-                else:
-                    reservation = candidate.admission.try_admit(
-                        contract, label=self.label)
+                reservation = yield from candidate.admission.admit(
+                    contract, label=self.label)
             except AdmissionError:
                 continue
             self._edge, self._reservation = candidate, reservation

@@ -229,15 +229,10 @@ class ClusterStream:
         for node in candidates:
             contract = QoSContract(self.bps, self.priority,
                                    min_fraction=self.min_fraction,
-                                   queue_timeout_s=max(self.queue_timeout_s,
-                                                       0.001))
+                                   queue_timeout_s=self.queue_timeout_s)
             try:
-                if self.queue_timeout_s > 0:
-                    reservation = yield from node.admission.admit(
-                        contract, label=self.label)
-                else:
-                    reservation = node.admission.try_admit(
-                        contract, label=self.label)
+                reservation = yield from node.admission.admit(
+                    contract, label=self.label)
             except AdmissionError as exc:
                 last_error = exc
                 continue

@@ -225,10 +225,6 @@ class HerdCoupler:
         cohort.reservation.on_release = hook
 
     # -- facts -------------------------------------------------------------
-    @property
-    def admitted(self) -> int:
-        return self.stats["admitted_full"] + self.stats["admitted_degraded"]
-
     def facts(self) -> Dict[str, object]:
         stats = self.stats
         return {

@@ -72,8 +72,13 @@ class DecisionLog:
     # -- recording ---------------------------------------------------------
     def emit(self, kind: str, subject: str, actor: str = "", **args: Any) -> None:
         """Record one verdict about ``subject`` at the current virtual time."""
+        self.record(kind, subject, actor, args)
+
+    def record(self, kind: str, subject: str, actor: str,
+               fields: Dict[str, Any]) -> None:
+        """:meth:`emit` with the fields as a dict, which is kept, not copied."""
         self.events.append(DecisionEvent(
-            self._clock(), kind, actor, subject, args or None))
+            self._clock(), kind, actor, subject, fields or None))
 
     # -- reconstruction ----------------------------------------------------
     def chain(self, subject: str) -> List[DecisionEvent]:
@@ -114,6 +119,10 @@ class NullDecisionLog:
         return False
 
     def emit(self, kind: str, subject: str, actor: str = "", **args: Any) -> None:
+        pass
+
+    def record(self, kind: str, subject: str, actor: str,
+               fields: Dict[str, Any]) -> None:
         pass
 
     def chain(self, subject: str) -> List[DecisionEvent]:

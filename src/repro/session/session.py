@@ -38,7 +38,7 @@ from repro.activities import (
 )
 from repro.activities.library import Speaker, SubtitleWindow, VideoWindow
 from repro.activities.ports import Connection, Direction, Port
-from repro.admission.controller import Priority, QoSContract
+from repro.admission.controller import Priority, QoSContract, degraded_rate
 from repro.avtime import WorldTime
 from repro.db.objects import DBObject, OID
 from repro.db.query import Predicate
@@ -351,7 +351,8 @@ class Session:
     def _degraded_reservation(self, bps: float, min_fraction: float):
         """Renegotiate a failed reservation down to the leftover capacity."""
         available = self.channel.available_bps
-        if available < bps * min_fraction or available <= 0:
+        granted = degraded_rate(available, bps, min_fraction)
+        if not granted:
             # Even the degraded contract cannot be honoured; the original
             # admission failure stands.
             raise AdmissionError(
@@ -359,9 +360,9 @@ class Session:
                 f"the degraded floor of {bps * min_fraction:g} b/s "
                 f"({min_fraction:.0%} of the requested {bps:g} b/s)"
             )
-        reservation = self.channel.reserve(available,
+        reservation = self.channel.reserve(granted,
                                            label=f"{self.name}-stream-degraded")
-        self._note_degraded(available / bps)
+        self._note_degraded(granted / bps)
         return reservation
 
     def _note_degraded(self, fraction: float) -> None:

@@ -31,10 +31,12 @@ from repro.errors import (
     ResourceError,
 )
 from repro.net.channel import Channel
+from repro.obs import scoped
 from repro.sim import Delay, Simulator
 from repro.storage import MagneticDisk
 from repro.synth import moving_scene
 from repro.values import VideoValue
+from repro.watch.explain import describe
 
 MBPS = 1_000_000.0
 
@@ -239,6 +241,86 @@ class TestControllerPolicy:
         sim.run()
         assert outcomes["first"] == "timeout"
         assert "backpressure" in outcomes["second"]
+
+    def test_request_without_patience_never_enters_the_queue(self):
+        """``admit`` with ``queue_timeout_s == 0`` is ``try_admit``: it
+        must not displace a patient request and then time out in the
+        same tick, leaving the freed trunk to nobody."""
+        sim, trunk, ctrl = make_controller(1.0, max_queue=1)
+        held = ctrl.try_admit(QoSContract(MBPS), label="holder")
+        outcomes = {}
+
+        def patient():
+            yield Delay(0.1)
+            try:
+                reservation = yield from ctrl.admit(
+                    QoSContract(MBPS, Priority.STANDARD, queue_timeout_s=5.0),
+                    label="patient-std")
+                outcomes["patient"] = ("admitted", sim.now.seconds)
+                reservation.release()
+            except AdmissionError as error:
+                outcomes["patient"] = str(error)
+
+        def impatient():
+            yield Delay(0.2)
+            try:
+                yield from ctrl.admit(
+                    QoSContract(MBPS, Priority.INTERACTIVE, queue_timeout_s=0),
+                    label="impatient-int")
+            except AdmissionError as error:
+                outcomes["impatient"] = error
+
+        def releaser():
+            yield Delay(1.0)
+            held.release()
+
+        for process in (patient, impatient, releaser):
+            sim.spawn(process())
+        sim.run()
+        assert outcomes["patient"] == ("admitted", pytest.approx(1.0))
+        assert not isinstance(outcomes["impatient"], AdmissionTimeoutError)
+        assert "cannot admit" in str(outcomes["impatient"])
+        counter = sim.obs.metrics.counter
+        assert counter("admission.rejected").value == 1
+        assert counter("admission.queued").value == 1  # the patient one only
+        assert counter("admission.timeouts").value == 0
+        assert counter("admission.shed").value == 0
+
+    def test_degraded_grant_from_the_queue_is_a_degraded_grant(self):
+        """The pump takes its verdict from the same rule as a fresh
+        arrival: same ``-degraded`` label, same event fields."""
+        with scoped(tracing=False) as obs:
+            sim, trunk, ctrl = make_controller(2.0)
+            small = ctrl.try_admit(QoSContract(0.6 * MBPS), label="small")
+            ctrl.try_admit(QoSContract(1.4 * MBPS), label="big")
+            got = {}
+
+            def waiter():
+                got["r"] = yield from ctrl.admit(
+                    QoSContract(MBPS, Priority.STANDARD, min_fraction=0.5,
+                                queue_timeout_s=5.0), label="elastic")
+
+            def releaser():
+                yield Delay(0.25)
+                small.release()
+
+            sim.spawn(waiter())
+            sim.spawn(releaser())
+            sim.run()
+        reservation = got["r"]
+        assert reservation.bps == pytest.approx(0.6 * MBPS)
+        assert reservation.label == "elastic-degraded"
+        assert sim.obs.metrics.counter("admission.degraded").value == 1
+        assert sim.obs.metrics.counter("admission.admitted").value == 2
+        (event,) = obs.decisions.by_kind("degrade")
+        assert event.subject == "elastic"
+        assert event.args == {
+            "bps": pytest.approx(0.6 * MBPS), "requested_bps": MBPS,
+            "fraction": 0.6, "from_queue": True, "waited_s": 0.25,
+        }
+        assert describe(event) == (
+            "degraded to 600000 b/s of 1e+06 b/s requested (60%) "
+            "from queue after 0.25s")
 
 
 class TestDeviceAdmission:
@@ -556,3 +638,27 @@ class TestSessionAdmissionIntegration:
         s2.close()
         s3.close()
         assert trunk.reserved_bps == 0
+
+    def test_degrades_at_the_same_floor_with_or_without_a_controller(self):
+        """A bare-channel session takes its degrade verdict from the
+        controller's rule, 1e-9 tolerance included: 0.3 - 0.1 - 0.1 is
+        a hair under the 0.1 floor of a 0.2 request."""
+        granted = {}
+        for fronted in (True, False):
+            system, _ = build_system()
+            trunk = Channel(system.simulator, 0.3, name="trunk")
+            if fronted:
+                system.enable_admission(trunk)
+            session = system.open_session("viewer", channel=trunk)
+            ref = session.select_one("Clip", Q.eq("title", "shared"))
+            for index, (bps, degrade) in enumerate(
+                    [(0.1, False), (0.1, False), (0.2, True)]):
+                stream = session.connect(
+                    session.new_db_source((ref, "video"), name=f"src{index}"),
+                    session.new_video_window(name=f"w{index}"),
+                    bandwidth_bps=bps, degrade=degrade,
+                    min_degraded_fraction=0.5)
+            assert session.degraded_streams == 1
+            granted[fronted] = stream.connections[0].reservation.bps
+            session.close()
+        assert granted[True] == granted[False] == 0.3 - 0.1 - 0.1

@@ -16,9 +16,14 @@ Covers the :mod:`repro.herd` hybrid mode end to end:
   :meth:`Simulator.schedule_every` epoch ticker.
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+from repro.admission import controller as controller_module
 from repro.admission import (
     AdmissionController,
     BatchVerdict,
@@ -149,6 +154,70 @@ class TestAdmitBatchEquivalence:
         assert (verdict.admitted_full, verdict.admitted_degraded, verdict.shed) == (0, 0, 0)
         assert verdict.reservations == ()
         assert trunk.reserved_bps == 0.0
+
+    # -- the same claim as a property (DESIGN.md §6.15) --------------------
+    COUNTERS = ("admission.admitted", "admission.degraded",
+                "admission.shed", "admission.rejected")
+    #: rates in Mb/s, non-integer included, on a trunk some prior stream
+    #: already holds a share of.
+    BURSTS = dict(
+        capacity=st.floats(1.0, 200.0), load=st.floats(0.0, 1.0),
+        bps=st.floats(0.05, 30.0), priority=st.sampled_from(Priority),
+        floor=st.floats(0.05, 1.0), watermark=st.floats(0.05, 1.0),
+        count=st.integers(0, 40),
+    )
+
+    @classmethod
+    def _burst(cls, batched, capacity, load, contract, count, watermark):
+        """One burst on a fresh rig: verdict counts, counter deltas, the
+        trunk's reserved rate, and the clients each decision kind spoke
+        for (an event without ``count`` speaks for one)."""
+        with scoped(tracing=False) as obs:
+            _, trunk, ctrl = make_controller(
+                capacity, max_queue=0, high_watermark=watermark, preempt=False)
+            if load * capacity > 0:
+                ctrl.try_admit(QoSContract(load * capacity * MBPS),
+                               label="prior")
+            counter = obs.metrics.counter
+            before = [counter(name).value for name in cls.COUNTERS]
+            logged = len(obs.decisions.events)
+            if batched:
+                verdict = ctrl.admit_batch(contract, count, label="burst")
+                counts = (verdict.admitted_full, verdict.admitted_degraded,
+                          verdict.shed)
+            else:
+                counts = cls._sequential(ctrl, contract, count, "burst")[:3]
+            deltas = [counter(name).value - was
+                      for name, was in zip(cls.COUNTERS, before)]
+            spoken_for = Counter()
+            for event in obs.decisions.events[logged:]:
+                spoken_for[event.kind] += (event.args or {}).get("count", 1)
+            return counts, deltas, trunk.reserved_bps, dict(spoken_for)
+
+    @classmethod
+    def _check_burst(cls, capacity, load, bps, priority, floor, watermark,
+                     count):
+        contract = QoSContract(bps * MBPS, priority, min_fraction=floor)
+        batch = cls._burst(True, capacity, load, contract, count, watermark)
+        loop = cls._burst(False, capacity, load, contract, count, watermark)
+        assert batch[:2] == loop[:2], "verdicts or counters diverge"
+        assert batch[2] == pytest.approx(loop[2], rel=1e-9, abs=1e-3)
+        assert batch[3] == loop[3], "decision logs diverge"
+
+    @settings(max_examples=2000)
+    @given(**BURSTS)
+    def test_batch_is_count_back_to_back_arrivals(self, **burst):
+        self._check_burst(**burst)
+
+    def test_property_finds_the_headroom_cap_removed(self, monkeypatch):
+        """The planted bug (PR 8's discipline): a background cohort grows
+        to channel capacity past the watermark its own grants reached."""
+        monkeypatch.setattr(controller_module, "math",
+                            SimpleNamespace(ceil=lambda x: 10 ** 9))
+        planted = settings(max_examples=2000, phases=[Phase.generate])(
+            given(**self.BURSTS)(self._check_burst))
+        with pytest.raises(AssertionError, match="verdicts or counters"):
+            planted()
 
 
 # ---------------------------------------------------------------------------

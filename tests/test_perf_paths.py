@@ -1,7 +1,8 @@
 """Regression tests for the hot-path rework: ``with_payload`` sizing
 rules, batched channel accounting, heap-based C-SCAN, O(1) admission
-queue depth, constant-time value sizes, the bisecting B-tree range walk,
-bulk index execution with rows hydrated on touch, and the profile CLI."""
+queue depth, the calls one ``admit_batch`` makes, constant-time value
+sizes, the bisecting B-tree range walk, bulk index execution with rows
+hydrated on touch, and the profile CLI."""
 
 from __future__ import annotations
 
@@ -189,6 +190,80 @@ class TestAdmissionQueueDepthCounter:
         assert controller.queue_depth == 0
         assert ("a", "timeout") in results
         assert ("b", "admitted") in results
+
+
+class TestAdmitBatchCallCounts:
+    """``admit_batch`` is the herd's hot entry (600 calls in a 10 ms
+    ``herd_day`` day), so a helper layered into it shows up in the
+    ledger as percents.  Counted, not timed: Python-level calls (``call``
+    and ``c_call``, the profiler's own removal included) in one batch,
+    under the scope the ledger runs in (decision log on, tracer off).
+    EXPERIMENTS.md Exp. S2 has the numbers before the decision core."""
+
+    MBPS = 1_000_000.0
+
+    @classmethod
+    def calls(cls, capacity_mbps, contract, count, held_mbps=0.0):
+        import gc
+        import sys
+
+        from repro.admission import AdmissionController, QoSContract
+        from repro.obs import scoped
+
+        mbps = cls.MBPS
+        with scoped(tracing=False):
+            sim = Simulator()
+            trunk = Channel(sim, capacity_bps=capacity_mbps * mbps, name="trunk")
+            controller = AdmissionController(sim, trunk, max_queue=0,
+                                             preempt=False)
+            if held_mbps:
+                controller.try_admit(QoSContract(held_mbps * mbps), "bulk")
+            seen = 0
+
+            def profiler(frame, event, arg):
+                nonlocal seen
+                if event in ("call", "c_call"):
+                    seen += 1
+
+            gc.collect()  # a collection mid-batch would close strangers'
+            gc.disable()  # generators, and each close is a counted call
+            sys.setprofile(profiler)
+            try:
+                verdict = controller.admit_batch(contract, count)
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+        return seen, (verdict.admitted_full, verdict.admitted_degraded,
+                      verdict.shed)
+
+    @pytest.fixture()
+    def contracts(self):
+        from repro.admission import Priority, QoSContract
+
+        return {"standard": QoSContract(self.MBPS, Priority.STANDARD, 0.5),
+                "background": QoSContract(self.MBPS, Priority.BACKGROUND, 0.25)}
+
+    def test_calls_per_batch_by_shape(self, contracts):
+        # 30 / 64 / 13 / 48 before the decision core was shared.
+        seen, verdict = self.calls(10.0, contracts["standard"], 4)
+        assert verdict == (4, 0, 0)         # all fit
+        assert seen <= 30
+        seen, verdict = self.calls(10.5, contracts["standard"], 25)
+        assert verdict == (10, 1, 14)       # full + degraded + rejected
+        assert seen <= 66
+        seen, verdict = self.calls(10.0, contracts["background"], 5,
+                                   held_mbps=9.0)
+        assert verdict == (0, 0, 5)         # shed at entry
+        assert seen <= 14
+        seen, verdict = self.calls(10.0, contracts["background"], 12)
+        assert verdict == (9, 0, 3)         # capped by the watermark
+        assert seen <= 48
+
+    def test_cost_does_not_grow_with_the_count(self, contracts):
+        ten, _ = self.calls(1e7, contracts["standard"], 10)
+        million, verdict = self.calls(1e7, contracts["standard"], 10 ** 6)
+        assert verdict == (10 ** 6, 0, 0)
+        assert ten == million
 
 
 class TestConstantTimeSizeRead:
