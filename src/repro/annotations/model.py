@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 Payload = Tuple[Tuple[str, Any], ...]
+#: The stored class's attributes, declared in this order and all required:
+#: every row's ``_values`` start with them (a subclass's own come after).
+FIELDS = ("value_id", "track", "atype", "start", "end", "payload")
+VALUE_ID, TRACK, ATYPE, START, END, PAYLOAD = range(len(FIELDS))
 
 
 # -- window predicates ----------------------------------------------------
@@ -170,13 +174,9 @@ class Annotation:
 
     @classmethod
     def from_object(cls, obj: DBObject) -> "Annotation":
-        attrs = obj.attributes
         # One dict update instead of the seven object.__setattr__ calls
         # a frozen dataclass's __init__ makes; assignment through the
         # instance stays refused.
         ann = object.__new__(cls)
-        ann.__dict__.update(
-            oid=obj.oid, value_id=attrs["value_id"], track=attrs["track"],
-            atype=attrs["atype"], start=attrs["start"], end=attrs["end"],
-            payload=attrs.get("payload") or ())
+        ann.__dict__.update(zip(FIELDS, obj._values), oid=obj.oid)
         return ann

@@ -34,7 +34,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.annotations.model import WINDOW_OPS, Annotation, Payload
+from repro.annotations.model import (ATYPE, END, PAYLOAD, START, TRACK,
+                                     VALUE_ID, WINDOW_OPS, Annotation, Payload)
 from repro.annotations.store import AnnotationStore, TrackKey, track_sentinel
 from repro.db.locks import LockMode
 from repro.db.objects import DBObject
@@ -114,30 +115,30 @@ class AnnotationQuery:
             parts.append(f"{key}={value!r}")
         return self.label or " ".join(parts)
 
-    # -- residual predicate ----------------------------------------------
-    def _matches_payload(self, attrs: dict) -> bool:
-        have = dict(attrs.get("payload") or ())
+    # -- residual predicate (over a row's values, model.FIELDS order) -----
+    def _matches_payload(self, values: tuple) -> bool:
+        have = dict(values[PAYLOAD])
         for key, value in self.payload:
             if key not in have or have[key] != value:
                 return False
         return True
 
-    def _matches_residual(self, attrs: dict) -> bool:
+    def _matches_residual(self, values: tuple) -> bool:
         """Everything but the temporal clause (used by the index path)."""
-        if self.atype is not None and attrs["atype"] != self.atype:
+        if self.atype is not None and values[ATYPE] != self.atype:
             return False
-        return not self.payload or self._matches_payload(attrs)
+        return not self.payload or self._matches_payload(values)
 
-    def matches(self, attrs: dict) -> bool:
+    def matches(self, values: tuple) -> bool:
         """The full row predicate (the scan path's only tool)."""
-        if self.value_id is not None and attrs["value_id"] != self.value_id:
+        if self.value_id is not None and values[VALUE_ID] != self.value_id:
             return False
-        if self.track is not None and attrs["track"] != self.track:
+        if self.track is not None and values[TRACK] != self.track:
             return False
-        if not self._matches_residual(attrs):
+        if not self._matches_residual(values):
             return False
         if self.op is not None:
-            return WINDOW_OPS[self.op](attrs["start"], attrs["end"],
+            return WINDOW_OPS[self.op](values[START], values[END],
                                        self.lo, self.hi)
         return True
 
@@ -231,8 +232,8 @@ def _candidate_tracks(store: AnnotationStore,
 
 def _sort_key(obj: DBObject) -> Tuple[str, str, float, float, int]:
     """:attr:`Annotation.sort_key`, read off the snapshot."""
-    attrs = obj.attributes
-    return (attrs["value_id"], attrs["track"], attrs["start"], attrs["end"],
+    values = obj._values
+    return (values[VALUE_ID], values[TRACK], values[START], values[END],
             obj.oid.serial)
 
 
@@ -252,10 +253,10 @@ def _run_index(store: AnnotationStore, query: AnnotationQuery,
         examined += len(oids)
         found = map(reader, oids)
         if atype is not None:
-            found = [obj for obj in found if obj.attributes["atype"] == atype]
+            found = [obj for obj in found if obj._values[ATYPE] == atype]
         if query.payload:
             found = [obj for obj in found
-                     if query._matches_payload(obj.attributes)]
+                     if query._matches_payload(obj._values)]
         snapshots += found
     # Tracks visited in sorted order, postings in key order: already
     # sorted by (value_id, track, start, end, serial).
@@ -272,7 +273,7 @@ def _run_scan(store: AnnotationStore, query: AnnotationQuery,
     reader = store.db.get if tx is None else tx.read
     oids = store.db._store.oids_of_class([store.CLASS_NAME])
     matches = query.matches
-    snapshots = [obj for obj in map(reader, oids) if matches(obj.attributes)]
+    snapshots = [obj for obj in map(reader, oids) if matches(obj._values)]
     snapshots.sort(key=_sort_key)
     return QueryResult(AnnotationRows(snapshots), "scan", len(oids))
 
@@ -329,7 +330,7 @@ def _run_join_index(store: AnnotationStore, join: AnnotationJoin,
             examined += len(oids)
             pairs += [(left, Annotation.from_object(obj))
                       for obj in map(reader, oids)
-                      if matches(obj.attributes)]
+                      if matches(obj._values)]
     return QueryResult(pairs, "index", examined)
 
 

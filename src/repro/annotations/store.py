@@ -42,7 +42,8 @@ from typing import (Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Tuple, Union)
 
 from repro.annotations.intervals import IntervalIndex
-from repro.annotations.model import Annotation, AnnotationType, Payload
+from repro.annotations.model import (END, FIELDS, START, TRACK, VALUE_ID,
+                                     Annotation, AnnotationType, Payload)
 from repro.db.database import Database
 from repro.db.locks import LockMode
 from repro.db.objects import DBObject, OID
@@ -132,8 +133,8 @@ class _IntervalRouter:
 
 
 def _interval_key(obj: DBObject):
-    attrs = obj.attributes
-    return (attrs["value_id"], attrs["track"], attrs["start"], attrs["end"])
+    values = obj._values
+    return (values[VALUE_ID], values[TRACK], values[START], values[END])
 
 
 class AnnotationStore:
@@ -149,15 +150,10 @@ class AnnotationStore:
         self._router = _IntervalRouter(self.CLASS_NAME)
         #: The router's own dict (it is cleared in place, never rebound).
         self._tracks = self._router.tracks
-        if self.CLASS_NAME not in self.db.schema:
-            self.db.define_class(ClassDef(self.CLASS_NAME, attributes=[
-                AttributeSpec("value_id", str, required=True),
-                AttributeSpec("track", str, required=True),
-                AttributeSpec("atype", str, required=True),
-                AttributeSpec("start", float, required=True),
-                AttributeSpec("end", float, required=True),
-                AttributeSpec("payload", tuple),
-            ]))
+        # Declared here and nowhere else: the readers go by position.
+        self.db.define_class(ClassDef(self.CLASS_NAME, attributes=[
+            AttributeSpec(name, kind, required=True) for name, kind in zip(
+                FIELDS, (str, str, str, float, float, tuple))]))
         self.db.attach_index("annotations.intervals", self.CLASS_NAME,
                              self._router, _interval_key)
         metrics = self.obs.metrics
@@ -312,6 +308,7 @@ class AnnotationStore:
         free nothing and cost as much as the load itself.
         """
         store = self.db._store
+        layout = store.layout(FIELDS)
         types = self._types
         check_interval = self._check_interval
         per_track: Dict[TrackKey, _Columns] = {}
@@ -332,11 +329,8 @@ class AnnotationStore:
                     check_interval(start, end)
                 oids = store.next_oids(self.CLASS_NAME, len(batch))
                 store.commit_ops(next(self.db._tx_ids), [
-                    (OP_INSERT, DBObject(oid, {
-                        "value_id": value_id, "track": track, "atype": atype,
-                        "start": start, "end": end, "payload": payload}))
-                    for oid, (value_id, track, atype, start, end, payload)
-                    in zip(oids, batch)])
+                    (OP_INSERT, DBObject(oid, layout, tuple(row)))
+                    for oid, row in zip(oids, batch)])
                 self.db.stats["commits"] += 1
                 for oid, row in zip(oids, batch):
                     value_id, track, _, start, end, _ = row

@@ -9,8 +9,7 @@ transaction, which installs a new snapshot (and a new version number).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, NamedTuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 from repro.errors import SchemaError
 
@@ -30,39 +29,67 @@ class OID(NamedTuple):
         return f"{self.class_name}:{self.serial}"
 
 
-@dataclass(frozen=True)
-class DBObject:
-    """One stored object snapshot."""
+_set = object.__setattr__
 
-    oid: OID
-    attributes: Dict[str, Any] = field(default_factory=dict)
-    version: int = 1
+
+class DBObject:
+    """One stored object snapshot: a layout and the values in its order.
+
+    The layout is the tuple of the attribute names present (absent is
+    not ``None``), in the class's declaration order; a store's objects
+    with the same names share one.
+    """
+
+    __slots__ = ("oid", "_layout", "_values", "version")
+
+    def __init__(self, oid: OID, layout: Tuple[str, ...] = (),
+                 values: Tuple[Any, ...] = (), version: int = 1) -> None:
+        _set(self, "oid", oid)
+        _set(self, "_layout", layout)
+        _set(self, "_values", values)
+        _set(self, "version", version)
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{self!r} is an immutable snapshot")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return DBObject, (self.oid, self._layout, self._values, self.version)
 
     @property
     def class_name(self) -> str:
         return self.oid.class_name
 
+    @property
+    def attributes(self) -> Dict[str, Any]:
+        """A dict built on each read, for callers off the hot paths."""
+        return dict(zip(self._layout, self._values))
+
     def get(self, name: str, default: Any = None) -> Any:
-        return self.attributes.get(name, default)
+        layout = self._layout
+        return self._values[layout.index(name)] if name in layout else default
 
     def __getattr__(self, name: str) -> Any:
         # Attribute-style access for queries and the session pseudo-code
-        # (myNews.videoTrack); dataclass fields resolve normally first.
-        attributes = object.__getattribute__(self, "attributes")
-        if name in attributes:
-            return attributes[name]
-        raise AttributeError(
-            f"object {object.__getattribute__(self, 'oid')} has no attribute {name!r}"
-        )
+        # (myNews.videoTrack); the slots resolve normally first.
+        if name in self._layout:
+            return self._values[self._layout.index(name)]
+        raise AttributeError(f"object {self.oid} has no attribute {name!r}")
 
     def updated(self, changes: Dict[str, Any]) -> "DBObject":
         """A new snapshot with ``changes`` merged and version bumped."""
         if not changes:
             raise SchemaError("update with no changes")
-        merged = dict(self.attributes)
-        merged.update(changes)
-        return DBObject(self.oid, merged, self.version + 1)
+        merged = {**self.attributes, **changes}
+        return DBObject(self.oid, tuple(merged), tuple(merged.values()),
+                        self.version + 1)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DBObject:
+            return NotImplemented
+        return ((self.oid, self.version, self.attributes)
+                == (other.oid, other.version, other.attributes))
 
     def __repr__(self) -> str:
-        keys = ", ".join(sorted(self.attributes))
+        keys = ", ".join(sorted(self._layout))
         return f"DBObject({self.oid}, v{self.version}, attrs=[{keys}])"

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type, Union
 
+from repro.db.objects import DBObject, OID
 from repro.errors import SchemaError
 from repro.quality.factors import QualityFactor, VideoQuality
 from repro.temporal.spec import TCompSpec
@@ -92,7 +93,6 @@ class AttributeSpec:
                 raise SchemaError(f"attribute {self.name!r} is required")
             return
         if self.is_reference:
-            from repro.db.objects import OID
             if not isinstance(value, OID):
                 raise SchemaError(
                     f"attribute {self.name!r} holds references to "
@@ -135,6 +135,9 @@ class ClassDef:
         names = [a.name for a in self.attributes] + [t.name for t in self.tcomps]
         if len(set(names)) != len(names):
             raise SchemaError(f"class {name!r} has duplicate attribute/tcomp names")
+        taken = [n for n in names if hasattr(DBObject, n)]
+        if taken:
+            raise SchemaError(f"class {name!r}: {taken} name the stored object's own fields")
 
     def attribute(self, name: str) -> Optional[AttributeSpec]:
         for spec in self.attributes:
@@ -154,6 +157,8 @@ class Schema:
 
     def __init__(self) -> None:
         self._classes: Dict[str, ClassDef] = {}
+        #: class -> (layout, attribute specs, tcomp specs), inherited included.
+        self._resolved: Dict[str, tuple] = {}
 
     def define(self, class_def: ClassDef) -> ClassDef:
         """Register a class; its superclass must already be defined."""
@@ -166,6 +171,7 @@ class Schema:
         # Reference attributes may point at classes defined later; checked
         # at insert time instead.
         self._classes[class_def.name] = class_def
+        self._resolved.clear()
         return class_def
 
     def get(self, name: str) -> ClassDef:
@@ -199,26 +205,28 @@ class Schema:
         """All classes whose ancestry includes ``name`` (including itself)."""
         return [c for c in self._classes if self.is_subclass(c, name)]
 
+    def _resolve(self, name: str) -> tuple:
+        resolved = self._resolved.get(name)
+        if resolved is None:
+            specs, tcomps = {}, {}
+            # Root class first; a subclass's spec takes its parent's place.
+            for cls_name in reversed(self.ancestry(name)):
+                class_def = self.get(cls_name)
+                specs.update((a.name, a) for a in class_def.attributes)
+                tcomps.update((t.name, t) for t in class_def.tcomps)
+            resolved = self._resolved[name] = (
+                tuple({**specs, **tcomps}), specs, tcomps)
+        return resolved
+
     def all_attributes(self, name: str) -> List[AttributeSpec]:
         """Own + inherited attributes, subclass-first on name conflicts."""
-        seen: Dict[str, AttributeSpec] = {}
-        for cls_name in self.ancestry(name):
-            for spec in self.get(cls_name).attributes:
-                seen.setdefault(spec.name, spec)
-        return list(seen.values())
+        return list(self._resolve(name)[1].values())
 
-    def all_tcomps(self, name: str) -> List[TCompSpec]:
-        seen: Dict[str, TCompSpec] = {}
-        for cls_name in self.ancestry(name):
-            for spec in self.get(cls_name).tcomps:
-                seen.setdefault(spec.name, spec)
-        return list(seen.values())
-
-    def validate_object(self, class_name: str, attributes: Dict[str, object]) -> None:
-        """Validate a full attribute dict for an object of ``class_name``."""
-        class_def = self.get(class_name)
-        specs = {a.name: a for a in self.all_attributes(class_name)}
-        tcomps = {t.name: t for t in self.all_tcomps(class_name)}
+    def validate_object(self, class_name: str,
+                        attributes: Dict[str, object]) -> Tuple[str, ...]:
+        """Validate a full attribute dict for an object of ``class_name``;
+        returns its layout: the names present, in declaration order."""
+        names, specs, tcomps = self._resolve(class_name)
         for key, value in attributes.items():
             if key in specs:
                 specs[key].validate_value(value, self)
@@ -241,3 +249,5 @@ class Schema:
                 raise SchemaError(
                     f"class {class_name!r}: required attribute {spec.name!r} missing"
                 )
+        return (names if len(names) == len(attributes)
+                else tuple(name for name in names if name in attributes))

@@ -12,7 +12,9 @@ between a checkpoint's two steps leaves a snapshot that already holds
 the log's effects, and replaying the log over it changes nothing.
 
 The store is representation-agnostic: attribute values (including media
-values with numpy payloads) are pickled.
+values with numpy payloads) are pickled.  Those bytes are the durable
+format, so both files open with a magic and a format version, and a file
+that opens otherwise is refused: the one reader is for what this tree writes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,24 @@ Op = Tuple[str, Any]  # (kind, DBObject | OID)
 _LEN = struct.Struct("<I")
 _CRC = struct.Struct("<I")
 
+MAGIC = b"AVDS"
+#: Bumped whenever the pickled bytes of a stored row change.
+FORMAT_VERSION = 2
+_HEADER = struct.Struct("<4sH")
+_STAMP = _HEADER.pack(MAGIC, FORMAT_VERSION)
+
+
+def _refusal(path: Path, head: bytes) -> DatabaseError:
+    """Refuse, never guess, a file this build did not write whole."""
+    found = "unstamped (format 1, or not a database file)"
+    if head == _STAMP:
+        found = f"a truncated format {FORMAT_VERSION} file"
+    elif len(head) == _HEADER.size and head.startswith(MAGIC):
+        found = f"format {_HEADER.unpack(head)[1]}"
+    return DatabaseError(
+        f"{path} is {found}; this build reads and writes only format "
+        f"{FORMAT_VERSION} (no other has a reader): re-create the directory")
+
 
 class ObjectStore:
     """In-memory object table with optional WAL-backed durability."""
@@ -47,6 +67,7 @@ class ObjectStore:
     def __init__(self, directory: Optional[os.PathLike | str] = None) -> None:
         self._objects: Dict[OID, DBObject] = {}
         self._serials: Dict[str, int] = {}
+        self._layouts: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._directory: Optional[Path] = Path(directory) if directory else None
         self._wal_file = None
         self.recovered_records = 0
@@ -54,6 +75,9 @@ class ObjectStore:
             self._directory.mkdir(parents=True, exist_ok=True)
             self._recover()
             self._wal_file = open(self._wal_path, "ab")
+            # What a new log, or one cut short while it was being created,
+            # lacks of the header; unflushed, the first commit's fsync covers it.
+            self._wal_file.write(_STAMP[self._wal_file.tell():])
 
     # -- paths ----------------------------------------------------------
     @property
@@ -82,6 +106,10 @@ class ObjectStore:
         self._serials[class_name] = first + count - 1
         return [OID(class_name, serial)
                 for serial in range(first, first + count)]
+
+    def layout(self, names: Tuple[str, ...]) -> Tuple[str, ...]:
+        """The one tuple equal to ``names`` that this store's rows share."""
+        return self._layouts.setdefault(names, names)
 
     def exists(self, oid: OID) -> bool:
         return oid in self._objects
@@ -150,6 +178,7 @@ class ObjectStore:
             raise DatabaseError("checkpoint requires a durable store")
         tmp = self._snapshot_path.with_suffix(".tmp")
         with open(tmp, "wb") as f:
+            f.write(_STAMP)
             pickle.dump((self._objects, self._serials), f,
                         protocol=pickle.HIGHEST_PROTOCOL)
             f.flush()
@@ -157,17 +186,30 @@ class ObjectStore:
         os.replace(tmp, self._snapshot_path)
         self._wal_file.close()
         self._wal_file = open(self._wal_path, "wb")
+        self._wal_file.write(_STAMP)
 
     def _recover(self) -> None:
         """Load the snapshot (if any) and replay the WAL's committed tail."""
         if self._snapshot_path.exists():
             with open(self._snapshot_path, "rb") as f:
-                self._objects, self._serials = pickle.load(f)
+                head = f.read(_HEADER.size)
+                if head != _STAMP:
+                    raise _refusal(self._snapshot_path, head)
+                try:
+                    self._objects, self._serials = pickle.load(f)
+                except (EOFError, pickle.UnpicklingError):
+                    raise _refusal(self._snapshot_path, head) from None
+            # Rows that shared a layout when pickled share it still (memo).
+            self._layouts = {obj._layout: obj._layout
+                             for obj in self._objects.values()}
         if not self._wal_path.exists():
             return
-        with open(self._wal_path, "rb") as f:
-            data = f.read()
-        pos = 0
+        data = self._wal_path.read_bytes()
+        pos = _HEADER.size
+        if len(data) < pos and _STAMP.startswith(data):
+            return  # cut short while being created: nothing was acknowledged
+        if data[:pos] != _STAMP:
+            raise _refusal(self._wal_path, data[:pos])
         while pos + _LEN.size <= len(data):
             (length,) = _LEN.unpack_from(data, pos)
             end = pos + _LEN.size + length + _CRC.size
@@ -178,6 +220,9 @@ class ObjectStore:
             if zlib.crc32(payload) != crc:
                 break  # corrupt tail
             _tx_id, ops = pickle.loads(payload)
+            for kind, arg in ops:
+                if kind != OP_DELETE:  # every record unpickles its own copy
+                    object.__setattr__(arg, "_layout", self.layout(arg._layout))
             self._apply_ops(ops)
             self.recovered_records += 1
             pos = end

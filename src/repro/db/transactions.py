@@ -70,10 +70,11 @@ class Transaction:
     def insert(self, class_name: str, **attributes: Any) -> OID:
         """Create a new object (validated against the schema)."""
         self._require_active()
-        self._db.schema.validate_object(class_name, attributes)
+        names = self._db.schema.validate_object(class_name, attributes)
         oid = self._db._store.next_oid(class_name)
         self._db._locks.acquire(self.tx_id, oid, LockMode.EXCLUSIVE)
-        self._writes[oid] = DBObject(oid, dict(attributes))
+        self._writes[oid] = DBObject(oid, self._db._store.layout(names),
+                                     tuple(map(attributes.__getitem__, names)))
         self._inserted.append(oid)
         return oid
 
@@ -86,10 +87,11 @@ class Transaction:
             if oid in self._writes:  # buffered delete
                 raise ObjectNotFoundError(f"object {oid} deleted in this transaction")
             current = self._db._store.get(oid)
-        merged = dict(current.attributes)
-        merged.update(changes)
-        self._db.schema.validate_object(oid.class_name, merged)
-        snapshot = current.updated(changes)
+        merged = current.updated(changes).attributes
+        names = self._db.schema.validate_object(oid.class_name, merged)
+        snapshot = DBObject(oid, self._db._store.layout(names),
+                            tuple(map(merged.__getitem__, names)),
+                            current.version + 1)
         self._writes[oid] = snapshot
         return snapshot
 

@@ -161,5 +161,5 @@ class TestParserProperties:
     def test_numbers_roundtrip(self, n):
         _, predicate = parse_query(f"select X where year = {n}")
         from repro.db.objects import DBObject, OID
-        obj = DBObject(OID("X", 1), {"year": n})
+        obj = DBObject(OID("X", 1), ("year",), (n,))
         assert predicate.matches(obj)

@@ -8,6 +8,7 @@ from repro.db.objects import OID
 from repro.errors import SchemaError
 from repro.quality import VideoQuality, parse_quality
 from repro.synth import NEWSCAST_CLIP_SPEC, moving_scene
+from repro.temporal import TCompSpec
 from repro.values import VideoValue
 
 
@@ -70,6 +71,27 @@ class TestClassDef:
         with pytest.raises(SchemaError, match="duplicate"):
             ClassDef("C", attributes=[AttributeSpec("clip", str)],
                      tcomps=[NEWSCAST_CLIP_SPEC])
+
+    @pytest.mark.parametrize("name", [
+        "version", "oid", "attributes", "get", "updated", "class_name",
+        "_layout", "_values", "__class__"])
+    def test_names_of_the_stored_object_itself_are_reserved(self, name):
+        # At the parent commit these were accepted, and obj.version read
+        # the snapshot's own field (1), not the 7 that was stored.
+        with pytest.raises(SchemaError, match="stored object's own"):
+            ClassDef("C", attributes=[AttributeSpec(name, int)])
+        with pytest.raises(SchemaError, match="stored object's own"):
+            ClassDef("C", tcomps=[TCompSpec(name, NEWSCAST_CLIP_SPEC.tracks)])
+
+    def test_values_and_names_stay_legal_attribute_names(self):
+        # The row's own slots are underscore-prefixed for this.
+        db = Database()
+        db.define_class(ClassDef("C", attributes=[
+            AttributeSpec("values", int), AttributeSpec("names", list),
+            AttributeSpec("layout", str)]))
+        obj = db.get(db.insert("C", values=7, names=["a"], layout="wide"))
+        assert (obj.values, obj.names, obj.layout) == (7, ["a"], "wide")
+        assert (obj.version, obj.oid.serial) == (1, 1)
 
     def test_lookup_helpers(self):
         class_def = simple_newscast_class()

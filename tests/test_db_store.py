@@ -60,7 +60,7 @@ class TestInMemoryStore:
     def test_basic_lifecycle(self):
         store = ObjectStore()
         oid = store.next_oid("Doc")
-        store.commit_ops(1, [(OP_INSERT, DBObject(oid, {"name": "a"}))])
+        store.commit_ops(1, [(OP_INSERT, DBObject(oid, ("name",), ("a",)))])
         assert store.get(oid).name == "a"
         assert len(store) == 1
         assert not store.durable
@@ -73,7 +73,7 @@ class TestInMemoryStore:
     def test_insert_existing_rejected(self):
         store = ObjectStore()
         oid = store.next_oid("Doc")
-        obj = DBObject(oid, {})
+        obj = DBObject(oid)
         store.commit_ops(1, [(OP_INSERT, obj)])
         with pytest.raises(DatabaseError, match="insert of existing"):
             store.commit_ops(2, [(OP_INSERT, obj)])
@@ -105,7 +105,7 @@ class TestInMemoryStore:
         store = ObjectStore()
         oids = [OID(name, serial) for serial in (7, 2, 11, 1, 30)
                 for name in ("Doc", "Clip", "Docs")]
-        store.commit_ops(1, [(OP_INSERT, DBObject(o, {})) for o in oids])
+        store.commit_ops(1, [(OP_INSERT, DBObject(o)) for o in oids])
         assert store.oids_of_class(["Docs", "Clip", "Doc"]) == sorted(oids)
         assert store.oids_of_class(["Doc"]) == sorted(
             o for o in oids if o.class_name == "Doc")

@@ -359,6 +359,33 @@ class TestBulkLoadCollectorPasses:
         assert full == []
 
 
+class TestStoredRowBytes:
+    # Counted, not timed, and exact where RSS is not: the live bytes a
+    # bulk-loaded annotation costs (row, OID, floats, its object-table
+    # slot and its posting).  615 with a dict per row, 399 with a shared
+    # layout and one value tuple (EXPERIMENTS.md, Exp. P8).
+    def test_a_loaded_annotation_costs_at_most_450_live_bytes(self):
+        import gc
+        import tracemalloc
+
+        from repro.annotations import AnnotationStore, CorpusSpec, load_corpus
+
+        store = AnnotationStore()
+        spec = CorpusSpec(seed=3, values=40, annotations=20_000,
+                          duration_s=600.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            load_corpus(store, spec)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 20_000
+        assert (after - before) / len(store) <= 450
+
+
 class TestBulkIndexExecution:
     # Counted, not timed: a full-track ``during`` over 10^4 rows enters
     # the interval index a handful of times (per block, never per row)
