@@ -5,8 +5,8 @@ time-anchored content you can query, not just media you can play.
 
 * :mod:`~repro.annotations.model` — annotation types, payload schemas,
   the five window predicates over half-open intervals;
-* :mod:`~repro.annotations.intervals` — the columnar per-track interval
-  index: sorted parallel arrays in blocks, each with its max-end;
+* :mod:`~repro.annotations.intervals` — the columnar, covering per-track
+  index: sorted parallel columns, the rows among them, in max-end blocks;
 * :mod:`~repro.annotations.store` — persistence through the db tier's
   transactions, per-track indexes kept in lockstep with commits, bulk
   corpus loading, the sentinel-lock concurrency protocol;

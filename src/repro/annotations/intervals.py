@@ -1,9 +1,10 @@
-"""A columnar per-track interval index.
+"""A columnar, covering per-track interval index.
 
-One track's postings, sorted by ``(start, end, serial)`` — unique per
+One track's postings, sorted by ``(start, end, oid)`` — unique per
 annotation, so key order *is* the deterministic result order — and kept
-as parallel columns: ``array('d')`` starts and ends and a list of OIDs,
-24 bytes a posting.  The columns are cut into blocks of at most
+as parallel columns: ``array('d')`` starts and ends, the committed rows
+(the object table's own ``DBObject`` snapshots) and a byte of type code
+each, 25 bytes a posting.  The columns are cut into blocks of at most
 :data:`BLOCK_CAPACITY` postings so that a write moves one block, never
 the track; beside each block sit its first key (the routing table a
 bisect reads) and the largest end in it.
@@ -12,11 +13,12 @@ A window is a range of *starts*, found by two bisects, plus a test on
 each posting's *end*; every operator is one or two such ranges (see
 :meth:`IntervalIndex._pieces`).  A block's max-end settles the end
 test for the whole block where it can — every end passes, or none can —
-and only the remaining blocks are filtered, in C.  The answer leaves
-either all at once as a list of OIDs (:meth:`IntervalIndex.select`, the
-query executor's read) or lazily, a block at a time, as
-``((start, end, serial), (oid,))`` pairs (:meth:`IntervalIndex.window`
-and the named walks) that refuse to outlive a write.
+and only the remaining blocks are filtered, in C, as is the type column.
+The answer leaves either all at once as a list of rows
+(:meth:`IntervalIndex.select`, which spares the query executor the
+object table) or lazily, a block at a time, as ``((start, end, serial),
+(oid,))`` pairs (:meth:`IntervalIndex.window` and the named walks) that
+refuse to outlive a write.
 """
 
 from __future__ import annotations
@@ -24,15 +26,16 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from operator import lt
+from operator import attrgetter, lt
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.db.objects import OID
+from repro.annotations.model import ATYPE
+from repro.db.objects import DBObject, OID
 from repro.errors import AnnotationError
 
-__all__ = ["BLOCK_CAPACITY", "IntervalIndex", "IntervalKey"]
+__all__ = ["BLOCK_CAPACITY", "IntervalIndex", "IntervalKey", "TypeCodes"]
 
-#: (start, end, serial) — serial breaks ties so keys are unique.
+#: (start, end, serial), as the walks yield it (the columns tie-break on oid).
 IntervalKey = Tuple[float, float, int]
 Posting = Tuple[IntervalKey, Tuple[OID, ...]]
 
@@ -44,6 +47,8 @@ _HALF = BLOCK_CAPACITY // 2
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
+#: The last type code: "some other type, read it off the row".
+_OTHER = 255
 
 #: (block, offset): where a key falls in the blocked columns.
 _Position = Tuple[int, int]
@@ -52,29 +57,42 @@ _Position = Tuple[int, int]
 _Piece = Tuple["_Block", int, int, Optional[Callable[[float], bool]]]
 
 
-class _Block:
-    __slots__ = ("starts", "ends", "oids", "max_end")
+class TypeCodes(dict):
+    """Type name -> its byte in a type column, assigned at first sight and
+    never persisted.  Types past the 255th share :data:`_OTHER`, so a code
+    always fits its byte and no write fails on one."""
 
-    def __init__(self, starts: array, ends: array, oids: List[OID]) -> None:
+    def __missing__(self, atype: str) -> int:
+        code = self[atype] = min(len(self), _OTHER)
+        return code
+
+
+class _Block:
+    __slots__ = ("starts", "ends", "rows", "types", "max_end")
+
+    def __init__(self, starts: array, ends: array, rows: List[DBObject],
+                 types: bytearray) -> None:
         self.starts = starts
         self.ends = ends
-        self.oids = oids
+        self.rows = rows
+        self.types = types
         self.max_end: float = max(ends, default=_NEG_INF)
 
 
 class IntervalIndex:
-    """(start, end, serial) -> oid postings of one track, in columns."""
+    """(start, end, oid) -> row postings of one track, in columns."""
 
-    __slots__ = ("class_name", "attribute", "_blocks", "_mins", "_size",
-                 "_max_end", "sum_len", "_mods")
+    __slots__ = ("class_name", "attribute", "codes", "_blocks", "_mins",
+                 "_size", "_max_end", "sum_len", "_mods")
 
     def __init__(self, class_name: str = "Annotation",
                  attribute: str = "__interval__") -> None:
         self.class_name = class_name
         self.attribute = attribute
+        self.codes = TypeCodes()  # a store's router rebinds it to a shared one
         self._blocks: List[_Block] = []
-        #: First key of each block: the table ``_seek`` bisects.
-        self._mins: List[IntervalKey] = []
+        #: First (start, end, oid) of each block: the table ``_seek`` bisects.
+        self._mins: List[Tuple[float, float, OID]] = []
         self._size = 0
         self._max_end = _NEG_INF
         #: Sum of ``end - start`` over the postings (a planner input).
@@ -87,7 +105,7 @@ class IntervalIndex:
 
     # -- positions -------------------------------------------------------
     def _seek(self, start: float, end: float = _NEG_INF,
-              serial: int = 0) -> _Position:
+              oid: Tuple = ()) -> _Position:
         """Where the first posting with a key >= the given one sits.
 
         With the default ``end`` that is the first posting starting at
@@ -98,86 +116,91 @@ class IntervalIndex:
         blocks = self._blocks
         if not blocks:
             return 0, 0
-        b = max(bisect_right(self._mins, (start, end, serial)) - 1, 0)
+        b = max(bisect_right(self._mins, (start, end, oid)) - 1, 0)
         block = blocks[b]
         starts = block.starts
         i = bisect_left(starts, start)
         if end > _NEG_INF:
-            ends, oids, n = block.ends, block.oids, len(starts)
+            ends, rows, n = block.ends, block.rows, len(starts)
             while (i < n and starts[i] == start
-                   and (ends[i], oids[i].serial) < (end, serial)):
+                   and (ends[i], rows[i].oid) < (end, oid)):
                 i += 1
         return b, i
 
     # -- posting maintenance --------------------------------------------
-    def add(self, start: float, end: float, oid: OID) -> bool:
-        """Post one interval; False if that posting was already there."""
+    def add(self, start: float, end: float, row: DBObject) -> bool:
+        """Post one committed row; False if its posting was already there."""
         if not _NEG_INF < start < end < _POS_INF:
             raise AnnotationError(
                 f"interval [{start!r}, {end!r}) must have finite "
                 f"start < end")
         self._mods += 1
-        fresh = self._insert(start, end, oid)
+        fresh = self._insert(start, end, row.oid, row,
+                             self.codes[row._values[ATYPE]])
         if fresh:
             self.sum_len += end - start
         return fresh
 
-    def _insert(self, start: float, end: float, oid: OID) -> bool:
+    def _insert(self, start: float, end: float, oid: OID, row: DBObject,
+                code: int) -> bool:
         """Put one posting in place; False if it was already there."""
         if not self._blocks:
-            self._blocks.append(_Block(array("d"), array("d"), []))
-            self._mins.append((start, end, oid.serial))
-        b, i = self._seek(start, end, oid.serial)
+            self._blocks.append(_Block(array("d"), array("d"), [],
+                                       bytearray()))
+            self._mins.append((start, end, oid))
+        b, i = self._seek(start, end, oid)
         block = self._blocks[b]
-        starts, ends, oids = block.starts, block.ends, block.oids
-        if (i < len(oids) and oids[i] == oid and starts[i] == start
+        starts, ends, rows = block.starts, block.ends, block.rows
+        if (i < len(rows) and rows[i].oid == oid and starts[i] == start
                 and ends[i] == end):
             return False
         starts.insert(i, start)
         ends.insert(i, end)
-        oids.insert(i, oid)
+        rows.insert(i, row)
+        block.types.insert(i, code)
         self._size += 1
         if i == 0:
-            self._mins[b] = (start, end, oid.serial)
+            self._mins[b] = (start, end, oid)
         if end > block.max_end:
             block.max_end = end
             if end > self._max_end:
                 self._max_end = end
-        if len(oids) > BLOCK_CAPACITY:
-            upper = _Block(starts[_HALF:], ends[_HALF:], oids[_HALF:])
-            del starts[_HALF:], ends[_HALF:], oids[_HALF:]
+        if len(rows) > BLOCK_CAPACITY:
+            upper = _Block(starts[_HALF:], ends[_HALF:], rows[_HALF:],
+                           block.types[_HALF:])
+            del starts[_HALF:], ends[_HALF:], rows[_HALF:], block.types[_HALF:]
             block.max_end = max(ends)
             self._blocks.insert(b + 1, upper)
             self._mins.insert(b + 1, (upper.starts[0], upper.ends[0],
-                                      upper.oids[0].serial))
+                                      upper.rows[0].oid))
         return True
 
-    def discard(self, start: float, end: float, oid: OID) -> bool:
-        """Drop one posting; False (and no write) if it is not there."""
+    def discard(self, start: float, end: float, row: DBObject) -> bool:
+        """Drop one row's posting; False (and no write) if it is not there."""
         blocks = self._blocks
         if not blocks:
             return False
-        b, i = self._seek(start, end, oid.serial)
+        b, i = self._seek(start, end, row.oid)
         block = blocks[b]
-        starts, ends, oids = block.starts, block.ends, block.oids
-        if not (i < len(oids) and oids[i] == oid and starts[i] == start
-                and ends[i] == end):
+        starts, ends, rows = block.starts, block.ends, block.rows
+        if not (i < len(rows) and rows[i].oid == row.oid
+                and starts[i] == start and ends[i] == end):
             return False
         self._mods += 1
-        del starts[i], ends[i], oids[i]
+        del starts[i], ends[i], rows[i], block.types[i]
         self._size -= 1
         self.sum_len -= end - start
-        if not oids:
+        if not rows:
             del blocks[b], self._mins[b]
         else:
             if i == 0:
-                self._mins[b] = (starts[0], ends[0], oids[0].serial)
+                self._mins[b] = (starts[0], ends[0], rows[0].oid)
             if end == block.max_end:
                 block.max_end = max(ends)
             for left in (b, b - 1):
                 if (0 <= left < len(blocks) - 1
-                        and len(blocks[left].oids)
-                        + len(blocks[left + 1].oids) <= _HALF):
+                        and len(blocks[left].rows)
+                        + len(blocks[left + 1].rows) <= _HALF):
                     self._merge(left)
                     break
         if end == self._max_end:
@@ -190,36 +213,40 @@ class IntervalIndex:
         into, upper = self._blocks[left], self._blocks[left + 1]
         into.starts.extend(upper.starts)
         into.ends.extend(upper.ends)
-        into.oids.extend(upper.oids)
+        into.rows.extend(upper.rows)
+        into.types.extend(upper.types)
         into.max_end = max(into.max_end, upper.max_end)
         del self._blocks[left + 1], self._mins[left + 1]
 
     def extend(self, starts: Sequence[float], ends: Sequence[float],
-               oids: Sequence[OID]) -> None:
+               rows: Sequence[DBObject], types: Sequence[int]) -> None:
         """Add many postings handed over as parallel columns, any order.
 
-        One sort; an empty index is then cut straight into blocks, a
-        populated one takes the rows one at a time.
+        ``types`` is each row's type in :attr:`codes`.  One sort; an
+        empty index is then cut straight into blocks, a populated one
+        takes the postings one at a time.
         """
-        if not oids:
+        if not rows:
             return
         if not (all(map(lt, starts, ends))
                 and _NEG_INF < min(starts) and max(ends) < _POS_INF):
             raise AnnotationError(
                 "every interval must have finite start < end")
-        rows = sorted(zip(starts, ends, oids))
+        posts = sorted(zip(starts, ends, map(attrgetter("oid"), rows), rows,
+                           types))
         self._mods += 1
         if self._blocks:
-            rows = [row for row in rows if self._insert(*row)]
+            posts = [post for post in posts if self._insert(*post)]
         else:
-            for at in range(0, len(rows), _HALF):
-                first, last, refs = zip(*rows[at:at + _HALF])
-                self._blocks.append(_Block(array("d", first),
-                                           array("d", last), list(refs)))
-                self._mins.append((first[0], last[0], refs[0].serial))
-            self._size = len(rows)
+            for at in range(0, len(posts), _HALF):
+                first, last, oids, refs, codes = zip(*posts[at:at + _HALF])
+                self._blocks.append(_Block(
+                    array("d", first), array("d", last), list(refs),
+                    bytearray(codes)))
+                self._mins.append((first[0], last[0], oids[0]))
+            self._size = len(posts)
             self._max_end = max(block.max_end for block in self._blocks)
-        self.sum_len += sum(end - start for start, end, _ in rows)
+        self.sum_len += sum(post[1] - post[0] for post in posts)
 
     def clear(self) -> None:
         # The counter stays monotonic: a walk begun at _mods == k must
@@ -234,7 +261,8 @@ class IntervalIndex:
     # -- O(1) summaries --------------------------------------------------
     def min_key(self) -> Optional[IntervalKey]:
         """Smallest key in the index, or None when empty."""
-        return self._mins[0] if self._mins else None
+        first = self._mins[0] if self._mins else None
+        return first and (first[0], first[1], first[2].serial)
 
     def min_start(self) -> float:
         """Smallest interval start in the index (+inf when empty)."""
@@ -304,7 +332,7 @@ class IntervalIndex:
         for b in range(b0, min(b1 + 1, len(blocks))):
             block = blocks[b]
             i = i0 if b == b0 else 0
-            j = i1 if b == b1 else len(block.oids)
+            j = i1 if b == b1 else len(block.rows)
             if i >= j:
                 continue
             if test is None or (capped and block.max_end <= bound):
@@ -314,15 +342,30 @@ class IntervalIndex:
         return pieces
 
     def select(self, op: Optional[str] = None, lo: float = 0.0,
-               hi: float = 0.0) -> List[OID]:
-        """The window's OIDs in key order, gathered a block slice at a time."""
-        found: List[OID] = []
+               hi: float = 0.0, atype: Optional[str] = None
+               ) -> Tuple[List[DBObject], int]:
+        """The window's rows of ``atype`` (None: any) in key order, and how
+        many postings the window matched before the type test; both tests
+        run over column slices, a block at a time."""
+        found: List[DBObject] = []
+        matched = 0
+        wanted = bytearray(256)  # code -> is it the one asked for
+        if atype is not None:
+            # A type never posted passes for "other" and fails on the row.
+            wanted[self.codes.get(atype, _OTHER)] = 1
         for block, i, j, test in self._pieces(op, lo, hi):
-            if test is None:
-                found += block.oids[i:j]
-            else:
-                found += compress(block.oids[i:j], map(test, block.ends[i:j]))
-        return found
+            rows = block.rows[i:j]
+            types = b"" if atype is None else block.types[i:j]
+            if test is not None:
+                keep = list(map(test, block.ends[i:j]))
+                rows = list(compress(rows, keep))
+                types = bytes(compress(types, keep))
+            matched += len(rows)
+            found += (rows if atype is None
+                      else compress(rows, types.translate(wanted)))
+        if wanted[_OTHER]:
+            found = [row for row in found if row._values[ATYPE] == atype]
+        return found, matched
 
     def _guard(self, expected: int) -> None:
         if self._mods != expected:
@@ -334,12 +377,12 @@ class IntervalIndex:
         # before every yield, so a walk resumed after a write raises.
         for block, i, j, test in pieces:
             self._guard(expected)
-            rows = zip(block.starts[i:j], block.ends[i:j], block.oids[i:j])
+            rows = zip(block.starts[i:j], block.ends[i:j], block.rows[i:j])
             if test is not None:
                 rows = compress(rows, map(test, block.ends[i:j]))
-            for start, end, oid in rows:
+            for start, end, row in rows:
                 self._guard(expected)
-                yield (start, end, oid.serial), (oid,)
+                yield (start, end, row.oid.serial), (row.oid,)
         self._guard(expected)
 
     # Every walk yields ((start, end, serial), (oid,)) lazily in key
@@ -380,17 +423,19 @@ class IntervalIndex:
     # -- invariants (used by property tests) ------------------------------
     def check_invariants(self) -> None:
         """Assert the block invariant; raises AssertionError."""
-        keys: List[IntervalKey] = []
+        keys: List[Tuple[float, float, OID]] = []
         assert len(self._mins) == len(self._blocks)
         for first, block in zip(self._mins, self._blocks):
-            n = len(block.oids)
+            n = len(block.rows)
             assert 0 < n <= BLOCK_CAPACITY, "empty or overfull block"
             assert len(block.starts) == len(block.ends) == n
             assert block.max_end == max(block.ends), "stale block max-end"
             assert first == (block.starts[0], block.ends[0],
-                             block.oids[0].serial), "stale block first key"
+                             block.rows[0].oid), "stale block first key"
+            assert list(block.types) == [self.codes.get(
+                row._values[ATYPE]) for row in block.rows], "stale type column"
             keys.extend(zip(block.starts, block.ends,
-                            (oid.serial for oid in block.oids)))
+                            (row.oid for row in block.rows)))
         assert keys == sorted(set(keys)), "postings out of key order"
         assert len(keys) == self._size
         assert self._max_end == max((key[1] for key in keys),

@@ -160,10 +160,10 @@ class Annotation:
         return dict(self.payload)
 
     @property
-    def sort_key(self) -> Tuple[str, str, float, float, int]:
-        """The one total order every execution path sorts by."""
-        return (self.value_id, self.track, self.start, self.end,
-                self.oid.serial)
+    def sort_key(self) -> Tuple[str, str, float, float, OID]:
+        """The one total order every execution path sorts by (on the whole
+        OID last: serials are per class, and a subclass row may share one)."""
+        return (self.value_id, self.track, self.start, self.end, self.oid)
 
     def to_row(self) -> str:
         """A canonical single-line rendering (used for byte comparisons)."""

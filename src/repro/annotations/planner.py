@@ -15,11 +15,11 @@ cost model stay an estimate:
   under a uniform-start assumption; ``meets`` is priced as a thin
   equality slice.
 
-Every decision is emitted to the :mod:`repro.obs` DecisionLog
-(``kind="plan"``, actor ``annotations.planner``) with both estimates,
-so ``python -m repro explain``-style tooling and the scenario facts can
-show *why* a path was taken; ``annotations.plans_index`` /
-``annotations.plans_scan`` count the outcomes.
+A decision goes to the :mod:`repro.obs` DecisionLog (``kind="plan"``,
+actor ``annotations.planner``) with both estimates when a query's
+verdict is first taken or changes (a repeat logs nothing), so
+``explain``-style tooling can show *why* a path was taken;
+``annotations.plans_index`` / ``annotations.plans_scan`` count every run.
 """
 
 from __future__ import annotations
@@ -103,10 +103,13 @@ def _decide(store: AnnotationStore, subject: str, est_index: float,
     decision = PlanDecision(chosen, est_index, est_scan, n_tracks,
                             forced, subject)
     obs = store.obs
-    obs.decisions.emit("plan", subject, actor="annotations.planner",
-                       mode=chosen, est_index=round(est_index, 1),
-                       est_scan=round(est_scan, 1), tracks=n_tracks,
-                       forced=forced)
+    verdict = (chosen, forced, n_tracks)
+    if obs.decisions.enabled and store._verdicts.get(subject) != verdict:
+        store._verdicts[subject] = verdict
+        obs.decisions.emit("plan", subject, actor="annotations.planner",
+                           mode=chosen, est_index=round(est_index, 1),
+                           est_scan=round(est_scan, 1), tracks=n_tracks,
+                           forced=forced)
     obs.metrics.counter(f"annotations.plans_{chosen}").inc()
     return decision
 

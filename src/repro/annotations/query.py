@@ -19,7 +19,8 @@ Rows are references until someone looks (§3.1: queries "may return
 references ... rather than the values themselves"): a result holds the
 immutable ``DBObject`` snapshots read at execution time in an
 :class:`AnnotationRows`, and an :class:`Annotation` is built only when
-a row is indexed, iterated or compared.
+a row is indexed, iterated or compared.  The index path takes them
+from the index's postings, and so never enters the object table.
 
 Track joins (Cassidy & Bird's cross-tier queries: "words during this
 speaker turn", "gestures overlapping a music beat") pair a left query
@@ -38,7 +39,7 @@ from repro.annotations.model import (ATYPE, END, PAYLOAD, START, TRACK,
                                      VALUE_ID, WINDOW_OPS, Annotation, Payload)
 from repro.annotations.store import AnnotationStore, TrackKey, track_sentinel
 from repro.db.locks import LockMode
-from repro.db.objects import DBObject
+from repro.db.objects import DBObject, OID
 from repro.db.transactions import Transaction
 from repro.errors import AnnotationError
 
@@ -230,11 +231,11 @@ def _candidate_tracks(store: AnnotationStore,
     return store.tracks()
 
 
-def _sort_key(obj: DBObject) -> Tuple[str, str, float, float, int]:
+def _sort_key(obj: DBObject) -> Tuple[str, str, float, float, OID]:
     """:attr:`Annotation.sort_key`, read off the snapshot."""
     values = obj._values
     return (values[VALUE_ID], values[TRACK], values[START], values[END],
-            obj.oid.serial)
+            obj.oid)
 
 
 # -- execution: the two paths ---------------------------------------------
@@ -242,24 +243,27 @@ def _run_index(store: AnnotationStore, query: AnnotationQuery,
                tx: Optional[Transaction]) -> QueryResult:
     snapshots: List[DBObject] = []
     examined = 0
-    # Untransacted reads go straight to the object table; ``tx.read``
-    # takes the posting's SHARED lock before it reads.
-    reader = store.db._store.get if tx is None else tx.read
     op, lo, hi, atype = query.op, query.lo, query.hi, query.atype
     for track_key in _candidate_tracks(store, query):
         if tx is not None:
             tx.lock(track_sentinel(*track_key), LockMode.SHARED)
-        oids = store._tracks[track_key].select(op, lo, hi)
-        examined += len(oids)
-        found = map(reader, oids)
-        if atype is not None:
-            found = [obj for obj in found if obj._values[ATYPE] == atype]
+        # Window and type are settled over the index's columns, whose
+        # postings are the committed rows: no object table is read.  A
+        # transaction may have retyped a row, so one with writes reads
+        # the whole window and tests the type it sees.
+        found, matched = store._tracks[track_key].select(
+            op, lo, hi, atype if tx is None or not tx._writes else None)
+        examined += matched
+        if tx is not None:
+            # ``tx.read`` takes the row's SHARED lock before it reads.
+            found = [obj for obj in map(tx.read, (row.oid for row in found))
+                     if atype is None or obj._values[ATYPE] == atype]
         if query.payload:
             found = [obj for obj in found
                      if query._matches_payload(obj._values)]
         snapshots += found
     # Tracks visited in sorted order, postings in key order: already
-    # sorted by (value_id, track, start, end, serial).
+    # sorted by (value_id, track, start, end, oid).
     return QueryResult(AnnotationRows(snapshots), "index", examined)
 
 
@@ -271,7 +275,9 @@ def _run_scan(store: AnnotationStore, query: AnnotationQuery,
         for track_key in store.tracks():
             tx.lock(track_sentinel(*track_key), LockMode.SHARED)
     reader = store.db.get if tx is None else tx.read
-    oids = store.db._store.oids_of_class([store.CLASS_NAME])
+    # Subclass rows are annotations too: the index posts them.
+    oids = store.db._store.oids_of_class(
+        store.db.schema.subclasses_of(store.CLASS_NAME))
     matches = query.matches
     snapshots = [obj for obj in map(reader, oids) if matches(obj._values)]
     snapshots.sort(key=_sort_key)
@@ -316,7 +322,6 @@ def _run_join_index(store: AnnotationStore, join: AnnotationJoin,
                     ) -> QueryResult:
     pairs: List[Tuple[Annotation, Annotation]] = []
     examined = 0
-    reader = store.db._store.get if tx is None else tx.read
     matches = join.right._matches_residual
     tracks = _candidate_tracks(store, join.right)
     for left in lefts:
@@ -324,13 +329,13 @@ def _run_join_index(store: AnnotationStore, join: AnnotationJoin,
         for track_key in tracks:
             if tx is not None:
                 tx.lock(track_sentinel(*track_key), LockMode.SHARED)
-            oids = store._tracks[track_key].select(op, lo, hi)
-            if left.oid in oids:
-                oids.remove(left.oid)  # a row is not related to itself
-            examined += len(oids)
+            found, _ = store._tracks[track_key].select(op, lo, hi)
+            found = [row for row in found if row.oid != left.oid]  # not itself
+            examined += len(found)
+            if tx is not None:
+                found = [tx.read(row.oid) for row in found]
             pairs += [(left, Annotation.from_object(obj))
-                      for obj in map(reader, oids)
-                      if matches(obj._values)]
+                      for obj in found if matches(obj._values)]
     return QueryResult(pairs, "index", examined)
 
 

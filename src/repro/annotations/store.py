@@ -9,7 +9,8 @@ database — written through :class:`~repro.db.transactions.Transaction`
 with :meth:`Database.attach_index`, so every committed insert/update/
 delete also lands in a per-``(value_id, track)``
 :class:`~repro.annotations.intervals.IntervalIndex` — commit and index
-can never drift, because both happen in :meth:`Database._reindex`.
+can never drift, because both happen in :meth:`Database._reindex`.  A
+posting holds the committed row itself: it *is* ``db.get(row.oid)``.
 
 Concurrency protocol (the part the paper leaves implicit):
 
@@ -17,7 +18,8 @@ Concurrency protocol (the part the paper leaves implicit):
   logical OID derived from ``sha256(value_id/track)`` — before its
   per-annotation locks;
 * every index-backed scan takes the sentinel SHARED plus a SHARED lock
-  on each posting as it reads it (``Transaction.read`` locks first).
+  on each row it reads (``Transaction.read`` locks first); a typed query
+  reads only the rows of its type.
 
 Under wait-die, a younger writer that hits a scan's sentinel dies
 (aborts, retriable) instead of mutating the index under the iterator; an
@@ -41,7 +43,7 @@ from math import isfinite
 from typing import (Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Tuple, Union)
 
-from repro.annotations.intervals import IntervalIndex
+from repro.annotations.intervals import IntervalIndex, TypeCodes
 from repro.annotations.model import (END, FIELDS, START, TRACK, VALUE_ID,
                                      Annotation, AnnotationType, Payload)
 from repro.db.database import Database
@@ -56,8 +58,8 @@ from repro.obs import Obs, attach
 __all__ = ["AnnotationStore", "TrackStats", "track_sentinel"]
 
 TrackKey = Tuple[str, str]
-#: (starts, ends, oids): bulk-loaded postings on their way to an index.
-_Columns = Tuple[array, array, List[OID]]
+#: (starts, ends, rows, codes): bulk-loaded postings on their way to an index.
+_Columns = Tuple[array, array, List[DBObject], bytearray]
 
 
 def track_sentinel(value_id: str, track: str) -> OID:
@@ -100,6 +102,7 @@ class _IntervalRouter:
     def __init__(self, class_name: str) -> None:
         self._class_name = class_name
         self.tracks: Dict[TrackKey, IntervalIndex] = {}
+        self.codes = TypeCodes()  # one table for every track's type column
         self.total = 0
 
     def track_index(self, value_id: str, track: str) -> IntervalIndex:
@@ -109,22 +112,19 @@ class _IntervalRouter:
         if index is None:
             index = IntervalIndex(self._class_name,
                                   f"__interval__/{value_id}/{track}")
+            index.codes = self.codes
             self.tracks[key] = index
         return index
 
-    def insert(self, key, oid: OID) -> None:
-        if key is None:
-            return
+    def insert(self, key, obj: DBObject) -> None:
         value_id, track, start, end = key
-        if self.track_index(value_id, track).add(start, end, oid):
+        if self.track_index(value_id, track).add(start, end, obj):
             self.total += 1
 
-    def remove(self, key, oid: OID) -> None:
-        if key is None:
-            return
+    def remove(self, key, obj: DBObject) -> None:
         value_id, track, start, end = key
         index = self.tracks.get((value_id, track))
-        if index is not None and index.discard(start, end, oid):
+        if index is not None and index.discard(start, end, obj):
             self.total -= 1
 
     def clear(self) -> None:
@@ -147,6 +147,8 @@ class AnnotationStore:
         self.obs = attach(obs)
         self.db = db if db is not None else Database(obs=self.obs)
         self._types: Dict[str, AnnotationType] = {}
+        #: Query description -> the (mode, forced, tracks) last logged for it.
+        self._verdicts: Dict[str, Tuple[str, bool, int]] = {}
         self._router = _IntervalRouter(self.CLASS_NAME)
         #: The router's own dict (it is cleared in place, never rebound).
         self._tracks = self._router.tracks
@@ -310,6 +312,7 @@ class AnnotationStore:
         store = self.db._store
         layout = store.layout(FIELDS)
         types = self._types
+        codes = self._router.codes
         check_interval = self._check_interval
         per_track: Dict[TrackKey, _Columns] = {}
         rows = iter(rows)
@@ -328,19 +331,21 @@ class AnnotationStore:
                             f"unknown annotation type {atype!r}")
                     check_interval(start, end)
                 oids = store.next_oids(self.CLASS_NAME, len(batch))
-                store.commit_ops(next(self.db._tx_ids), [
-                    (OP_INSERT, DBObject(oid, layout, tuple(row)))
-                    for oid, row in zip(oids, batch)])
+                ops = [(OP_INSERT, DBObject(oid, layout, tuple(row)))
+                       for oid, row in zip(oids, batch)]
+                store.commit_ops(next(self.db._tx_ids), ops)
                 self.db.stats["commits"] += 1
-                for oid, row in zip(oids, batch):
-                    value_id, track, _, start, end, _ = row
+                # Posted as committed: a posting's row is the table's row.
+                for (_, obj), row in zip(ops, batch):
+                    value_id, track, atype, start, end, _ = row
                     columns = per_track.get((value_id, track))
                     if columns is None:
                         columns = per_track[(value_id, track)] = (
-                            array("d"), array("d"), [])
+                            array("d"), array("d"), [], bytearray())
                     columns[0].append(start)
                     columns[1].append(end)
-                    columns[2].append(oid)
+                    columns[2].append(obj)
+                    columns[3].append(codes[atype])
                 loaded += len(batch)
         finally:
             try:

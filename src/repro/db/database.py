@@ -76,10 +76,11 @@ class Database:
         a derived index is keyed by ``key_of(obj)`` — any function of the
         whole object (e.g. the ``(value_id, track, start, end)`` interval
         key in ``repro.annotations``).  The index object must implement
-        ``insert(key, oid)`` / ``remove(key, oid)`` / ``clear()``; a
-        ``None`` key means "do not index this object".  Existing objects
-        of the class are backfilled immediately; afterwards every commit
-        keeps the index in lockstep via :meth:`_reindex`.
+        ``insert(key, obj)`` / ``remove(key, obj)`` / ``clear()``; ``obj``
+        is the committed snapshot :meth:`get` returns, so an index may
+        keep it and answer without the object table.  Existing objects
+        are backfilled immediately; afterwards :meth:`_reindex` removes
+        the old snapshot and inserts the new one on every commit.
         """
         if name in self._derived:
             raise SchemaError(f"derived index {name!r} already attached")
@@ -88,7 +89,7 @@ class Database:
             classes = self.schema.subclasses_of(class_name)
             for oid in self._store.oids_of_class(classes):
                 obj = self._store.get(oid)
-                index.insert(key_of(obj), oid)
+                index.insert(key_of(obj), obj)
 
     def detach_index(self, name: str) -> None:
         """Drop a derived index registration (the index itself survives)."""
@@ -142,9 +143,9 @@ class Database:
             if not self.schema.is_subclass(class_name, cls):
                 continue
             if old is not None:
-                index.remove(key_of(old), oid)
+                index.remove(key_of(old), old)
             if new is not None:
-                index.insert(key_of(new), oid)
+                index.insert(key_of(new), new)
 
     # -- autocommit conveniences -----------------------------------------
     def insert(self, class_name: str, **attributes: Any) -> OID:

@@ -104,7 +104,7 @@ class ObjectStore:
             raise DatabaseError(f"cannot reserve {count} OIDs")
         first = self._serials.get(class_name, 0) + 1
         self._serials[class_name] = first + count - 1
-        return [OID(class_name, serial)
+        return [tuple.__new__(OID, (class_name, serial))  # OID() runs in Python
                 for serial in range(first, first + count)]
 
     def layout(self, names: Tuple[str, ...]) -> Tuple[str, ...]:
@@ -163,9 +163,10 @@ class ObjectStore:
         # with one: _validate_ops).
         for kind, arg in ops:
             if kind == OP_INSERT:
-                self._objects[arg.oid] = arg
-                serial = self._serials.get(arg.oid.class_name, 0)
-                self._serials[arg.oid.class_name] = max(serial, arg.oid.serial)
+                oid = arg.oid  # read once: a DBObject attribute read is slow
+                self._objects[oid] = arg
+                serial = self._serials.get(oid.class_name, 0)
+                self._serials[oid.class_name] = max(serial, oid.serial)
             elif kind == OP_UPDATE:
                 self._objects[arg.oid] = arg
             elif kind == OP_DELETE:

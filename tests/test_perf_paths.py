@@ -2,7 +2,8 @@
 rules, batched channel accounting, heap-based C-SCAN, O(1) admission
 queue depth, the calls one ``admit_batch`` makes, constant-time value
 sizes, the bisecting B-tree range walk, bulk index execution with rows
-hydrated on touch, and the profile CLI."""
+hydrated on touch, the covering interval index's counts, and the profile
+CLI."""
 
 from __future__ import annotations
 
@@ -434,6 +435,141 @@ class TestBulkIndexExecution:
         assert result.rows[17].start == 17 * 0.05
         assert len(hydrated) == 1
         assert len(list(result.rows[:100])) == 100 and len(hydrated) == 101
+
+
+class TestCoveringIndexCounts:
+    # Counted, not timed: a posting carries its row and its type, so an
+    # untransacted index query never enters the object table, a typed
+    # one is handed only rows of its type, and a store that keeps
+    # answering the same queries keeps no memory of having done so.
+    @staticmethod
+    def corpus():
+        from repro.annotations import AnnotationStore, CorpusSpec, load_corpus
+
+        store = AnnotationStore()
+        load_corpus(store, CorpusSpec(seed=3, values=8, annotations=4_000,
+                                      duration_s=600.0))
+        return store
+
+    @staticmethod
+    def battery():
+        from repro.annotations import AQ
+
+        on = AQ.on("value-00000", "audio")
+        return [on.during(0.0, 600.0), on.overlaps(100.0, 101.0),
+                on.before(60.0), on.after(540.0), on.meets(100.0, 130.0),
+                on.of_type("word").where(label="word-003").during(0.0, 300.0),
+                AQ.of_type("turn").during(200.0, 220.0),
+                AQ.on("value-00001").of_type("phone").overlaps(0.0, 600.0)]
+
+    def test_an_index_query_never_enters_the_object_table(self, monkeypatch):
+        from repro.annotations import run
+        from repro.db.store import ObjectStore
+
+        store = self.corpus()
+        gets = []
+        original = ObjectStore.get
+        monkeypatch.setattr(ObjectStore, "get", lambda self, oid: (
+            gets.append(oid), original(self, oid))[1])
+        returned = 0
+        for query in self.battery():
+            result = run(store, query, mode="index")
+            returned += len(result.rows)
+            assert len(list(result.rows)) == len(result.rows)  # hydrated
+        assert returned > 500 and gets == []
+        # The scan path does enter it, once a row: the count is live.
+        scanned = run(store, self.battery()[0], mode="scan")
+        assert len(gets) == scanned.examined == len(store)
+
+    def test_a_typed_query_is_handed_rows_of_its_type_only(self, monkeypatch):
+        from repro.annotations import AQ, IntervalIndex, run
+
+        store = self.corpus()
+        handed = []
+        original = IntervalIndex.select
+
+        def select(self, *args):
+            found, matched = original(self, *args)
+            handed.extend(found)
+            return found, matched
+
+        monkeypatch.setattr(IntervalIndex, "select", select)
+        result = run(store, AQ.of_type("turn").during(0.0, 600.0),
+                     mode="index")
+        # Every track answered, every posting was examined, and what the
+        # indexes handed over is the result, row for row.
+        assert result.examined == len(store) > 10 * len(result.rows) > 0
+        assert len(handed) == len(result.rows)
+        assert all(map(lambda obj, ann: obj.oid == ann.oid,
+                       handed, result.rows))
+        assert {ann.atype for ann in result.rows} == {"turn"}
+
+    @staticmethod
+    def retained_by(store, queries):
+        """Traced bytes still held once every query has run."""
+        import gc
+        import tracemalloc
+
+        from repro.annotations import run
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for query in queries:
+                run(store, query)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return after - before
+
+    @staticmethod
+    def one_track():
+        from repro.annotations import AnnotationStore, AnnotationType
+
+        store = AnnotationStore()
+        store.define_type(AnnotationType("word"))
+        store.bulk_load(("v", "audio", "word", i * 0.5, i * 0.5 + 0.75, ())
+                        for i in range(100))
+        return store
+
+    def test_repeated_queries_retain_no_memory(self):
+        # At the parent every execution appended a plan event with a
+        # fresh subject string and argument dict: 375 bytes a query, for
+        # as long as the store lived (15 MB over these repeats).
+        from repro.annotations import AQ, run
+        from repro.obs import scoped
+
+        repeats = 2_000
+        with scoped(tracing=False) as obs:
+            store = self.one_track()
+            battery = [
+                AQ.on("v", "audio").of_type("word").overlaps(lo, lo + 1.0)
+                for lo in range(1, 21)]
+            for query in battery:  # first sight: each verdict is logged
+                assert len(run(store, query).rows) == 3
+            assert len(obs.decisions.by_kind("plan")) == 20
+            assert self.retained_by(store, battery * repeats) < 64 * 1024
+            # Logged once, and every execution still counted.
+            assert len(obs.decisions.by_kind("plan")) == 20
+            assert obs.metrics.counter("annotations.plans_index").value \
+                == 20 * (repeats + 1)
+
+    def test_distinct_queries_retain_nothing_where_no_plan_is_logged(self):
+        # The default Obs logs no decision, so the store keeps no verdict
+        # either: queries that never repeat leave nothing behind.
+        from repro.annotations import AQ
+
+        store = self.one_track()
+        assert not store.obs.decisions.enabled
+        on = AQ.on("v", "audio").of_type("word")
+        distinct = [on.overlaps(i * 0.01, i * 0.01 + 1.0)
+                    for i in range(2_000)]
+        assert len({query.describe() for query in distinct}) == 2_000
+        assert self.retained_by(store, distinct) < 4 * 1024
+        assert store.obs.metrics.counter(
+            "annotations.plans_index").value == 2_000
 
 
 class TestProfileCLI:
