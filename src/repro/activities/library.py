@@ -221,7 +221,7 @@ class PacedSource(MediaActivity):
     def _paced_loop(self) -> Generator:
         simulator = self.simulator
         port = self.port(self._out_port_name())
-        t_start = simulator.now.seconds
+        t_start = simulator.now_s
         payloads = self._element_payloads()
         total = len(payloads)
         first, stage, fetched = 0, FRESH, None
@@ -261,7 +261,7 @@ class PacedSource(MediaActivity):
                         yield from fetched.get(stage == FETCHING)
                     if self.paced:
                         target = t_start + offset + lag
-                        wait = target - simulator.now.seconds
+                        wait = target - simulator.now_s
                         if wait > 0:
                             yield Delay(wait)
                 element = StreamElement(payload, position, ideal, media_type, size_bits)
@@ -344,7 +344,7 @@ class SinkActivity(MediaActivity):
             if self._stop_requested:
                 continue  # drain without presenting
             if self.paced:
-                wait = self._scheduled_time(element) - self.simulator.now.seconds
+                wait = self._scheduled_time(element) - self.simulator.now_s
                 if wait > 0:
                     yield Delay(wait)
             self._present(element)

@@ -84,7 +84,7 @@ class LiveSource(MediaActivity):
 
     def _process(self) -> Generator:
         port = self.out_ports()[0]
-        t_start = self.simulator.now.seconds
+        t_start = self.simulator.now_s
         media_type = self._media_type()
         index = 0
         while not self._stop_requested:
@@ -92,7 +92,7 @@ class LiveSource(MediaActivity):
                 break
             ideal = WorldTime(t_start + index / self.rate)
             target = ideal.seconds + self.jitter.offset(index)
-            wait = target - self.simulator.now.seconds
+            wait = target - self.simulator.now_s
             if wait > 0:
                 yield Delay(wait)
             payload = self.capture(index)

@@ -84,7 +84,7 @@ class CircuitBreaker:
     def _transition(self, to: BreakerState) -> None:
         if to is self.state:
             return
-        now = self.simulator.now.seconds
+        now = self.simulator.now_s
         self.transitions.append((now, self.state.value, to.value))
         if self._decisions.enabled:
             self._decisions.emit("breaker", self.name, actor="breaker",
@@ -101,7 +101,7 @@ class CircuitBreaker:
         if self.state is BreakerState.CLOSED:
             return True
         if self.state is BreakerState.OPEN:
-            if self.simulator.now.seconds >= self._opened_at + self.reset_timeout_s:
+            if self.simulator.now_s >= self._opened_at + self.reset_timeout_s:
                 self._transition(BreakerState.HALF_OPEN)
                 return True
             return False
@@ -121,7 +121,7 @@ class CircuitBreaker:
             self._open()
 
     def _open(self) -> None:
-        self._opened_at = self.simulator.now.seconds
+        self._opened_at = self.simulator.now_s
         self._transition(BreakerState.OPEN)
 
     # -- guarded calls -----------------------------------------------------

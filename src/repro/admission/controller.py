@@ -403,7 +403,7 @@ class AdmissionController:
         self._make_room_for(contract, label)
         entry = _Pending(contract, label, next(self._seq),
                          self.simulator.event(f"admit:{label}"),
-                         self.simulator.now.seconds)
+                         self.simulator.now_s)
         heapq.heappush(self._queue, (entry.sort_key, entry))
         self._live_queued += 1
         self._m_queued.inc()
@@ -436,7 +436,7 @@ class AdmissionController:
                 f"{self.name}: {label!r} shed while queued ({payload.reason})"
             )
         self._m_queue_wait_s.observe(
-            self.simulator.now.seconds - entry.queued_at
+            self.simulator.now_s - entry.queued_at
         )
         return payload
 
@@ -482,7 +482,7 @@ class AdmissionController:
                 if entry.cancelled:
                     heapq.heappop(self._queue)
                     continue
-                waited_s = self.simulator.now.seconds - entry.queued_at
+                waited_s = self.simulator.now_s - entry.queued_at
                 granted = self._decide(entry.contract, entry.label,
                                        waited_s=waited_s)[3]
                 if not granted:
@@ -520,7 +520,7 @@ class AdmissionController:
                 f"{pool.kind!r} device ({pool.in_use}/{pool.count} busy)"
             )
         self._m_queued.inc()
-        queued_at = self.simulator.now.seconds
+        queued_at = self.simulator.now_s
         proc = self.simulator.spawn(pool.acquire(),
                                     name=f"admit-device:{pool.kind}")
         try:
@@ -545,7 +545,7 @@ class AdmissionController:
                 f"{self.name}: no {pool.kind!r} device freed up within "
                 f"{timeout_s:g}s"
             ) from None
-        self._m_queue_wait_s.observe(self.simulator.now.seconds - queued_at)
+        self._m_queue_wait_s.observe(self.simulator.now_s - queued_at)
         return lease
 
     # -- circuit breakers ----------------------------------------------------

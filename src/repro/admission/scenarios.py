@@ -70,8 +70,8 @@ def priority_mix(seed: int = 0, admission: bool = True) -> Dict[str, object]:
 
     def client(name: str, arrival_s: float, priority: Priority,
                min_fraction: float, timeout_s: float):
-        if arrival_s > sim.now.seconds:
-            yield Delay(arrival_s - sim.now.seconds)
+        if arrival_s > sim.now_s:
+            yield Delay(arrival_s - sim.now_s)
         contract = QoSContract(stream_bps, priority, min_fraction, timeout_s)
         try:
             reservation = yield from controller.admit(contract, label=name)
@@ -85,16 +85,16 @@ def priority_mix(seed: int = 0, admission: bool = True) -> Dict[str, object]:
                Priority.STANDARD: "standard_admitted",
                Priority.BACKGROUND: "background_admitted"}[priority]
         stats[key] += 1
-        start = sim.now.seconds
+        start = sim.now_s
         period = element_bits / reservation.bps
         try:
             with reservation:
                 for i in range(elements):
                     ideal = start + i * period
-                    if ideal > sim.now.seconds:
-                        yield Delay(ideal - sim.now.seconds)
+                    if ideal > sim.now_s:
+                        yield Delay(ideal - sim.now_s)
                     yield from reservation.serialize(element_bits)
-                    late = sim.now.seconds - (ideal + period)
+                    late = sim.now_s - (ideal + period)
                     if (priority is Priority.INTERACTIVE
                             and late > 0.25 * period):
                         stats["interactive_violations"] += 1
@@ -155,8 +155,8 @@ def device_outage(seed: int = 0, admission: bool = True) -> Dict[str, object]:
     def reader(index: int):
         for i in range(frames):
             ideal = i * period
-            if ideal > sim.now.seconds:
-                yield Delay(ideal - sim.now.seconds)
+            if ideal > sim.now_s:
+                yield Delay(ideal - sim.now_s)
             position = (index * 150 + i * 7) % disk.cylinders
 
             def attempt(p=position, d=ideal + slack):

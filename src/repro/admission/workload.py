@@ -211,16 +211,16 @@ class OverloadWorkload:
         operative schedule's slack — the element-level goodput of this
         stream, provided it runs to completion.
         """
-        start = sim.now.seconds
+        start = sim.now_s
         slack = self.slack_fraction * op_period
         violations = 0
         ontime_bits = 0
         for i in range(self.elements):
             ideal = start + i * op_period
-            if ideal > sim.now.seconds:
-                yield Delay(ideal - sim.now.seconds)
+            if ideal > sim.now_s:
+                yield Delay(ideal - sim.now_s)
             yield from serialize(self.element_bits)
-            finish = sim.now.seconds
+            finish = sim.now_s
             lateness = finish - (ideal + op_period)
             if lateness > slack + 1e-12:
                 violations += 1
@@ -237,8 +237,8 @@ class OverloadWorkload:
     def _client_controlled(self, system, trunk, pool, controller,
                            spec: ClientSpec, stats: Dict[str, int]) -> Generator:
         sim = system.simulator
-        if spec.arrival_s > sim.now.seconds:
-            yield Delay(spec.arrival_s - sim.now.seconds)
+        if spec.arrival_s > sim.now_s:
+            yield Delay(spec.arrival_s - sim.now_s)
         session = system.open_session(spec.name, channel=trunk)
         lease = None
         reservation = None
@@ -290,8 +290,8 @@ class OverloadWorkload:
     def _client_baseline(self, system, trunk, link, pool, spec: ClientSpec,
                          stats: Dict[str, int]) -> Generator:
         sim = system.simulator
-        if spec.arrival_s > sim.now.seconds:
-            yield Delay(spec.arrival_s - sim.now.seconds)
+        if spec.arrival_s > sim.now_s:
+            yield Delay(spec.arrival_s - sim.now_s)
         session = system.open_session(spec.name, channel=trunk)
         lease = None
         try:

@@ -92,35 +92,34 @@ class BlockCache:
         self._m_invalidations = metrics.counter("cache.invalidations")
         self._m_bytes = metrics.gauge(f"cache.{name}.bytes")
 
-    # -- geometry ------------------------------------------------------------
-    def _span(self, byte_off: int, nbytes: int) -> range:
-        return span_blocks(self.block_bytes, byte_off, nbytes)
-
     # -- lookups -------------------------------------------------------------
     def get(self, key: str, byte_off: int, nbytes: int,
             version: int) -> bool:
         """True iff every block covering the span is resident at ``version``."""
         self._m_lookups.inc()
-        span = self._span(byte_off, nbytes)
-        for index in span:
-            if self._blocks.get((key, index)) != version:
-                self._m_misses.inc()
-                return False
-        for index in span:
-            self.policy.touched((key, index))
-        self._m_hits.inc()
-        return True
-
-    def stamps(self, key: str, byte_off: int, nbytes: int,
-               version: int) -> List[str]:
-        """The content digests a read of this span serves."""
-        return [content_stamp(key, version, index)
-                for index in self._span(byte_off, nbytes)]
+        span = span_blocks(self.block_bytes, byte_off, nbytes)
+        if len(span) == 1:
+            # One block, as every paced element is: test and touch in
+            # one pass.
+            block = (key, span[0])
+            if self._blocks.get(block) == version:
+                self.policy.touched(block)
+                self._m_hits.inc()
+                return True
+        elif all(self._blocks.get((key, index)) == version
+                 for index in span):
+            for index in span:
+                self.policy.touched((key, index))
+            self._m_hits.inc()
+            return True
+        self._m_misses.inc()
+        return False
 
     def missing(self, key: str, byte_off: int, nbytes: int,
                 version: int) -> List[int]:
         """Block indices of the span not resident at ``version``."""
-        return [index for index in self._span(byte_off, nbytes)
+        return [index
+                for index in span_blocks(self.block_bytes, byte_off, nbytes)
                 if self._blocks.get((key, index)) != version]
 
     # -- fills ---------------------------------------------------------------
@@ -135,7 +134,7 @@ class BlockCache:
         if version < self._floor.get(key, 0):
             return 0
         inserted = 0
-        for index in self._span(byte_off, nbytes):
+        for index in span_blocks(self.block_bytes, byte_off, nbytes):
             block = (key, index)
             old = self._blocks.get(block)
             if old == version:

@@ -19,6 +19,7 @@ the next read, so an edge outage costs hit ratio, never availability.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Generator, Optional
 
 from repro.admission.controller import (
@@ -32,6 +33,13 @@ from repro.cluster import hashing
 from repro.errors import AdmissionError, CacheError
 from repro.net.channel import Channel, Reservation
 from repro.sim import Delay, Simulator
+
+
+@lru_cache(maxsize=4096)
+def _stamp_bytes(key: str, version: int, index: int) -> bytes:
+    """What one block chains into a digest.  Pure in its arguments: the
+    memo spares a crowd on one block a SHA-256 of its name per read."""
+    return content_stamp(key, version, index).encode()
 
 
 class EdgeCacheNode:
@@ -147,15 +155,17 @@ class EdgeStream:
         """DES subroutine: read ``bits``, hit-serving or reading through."""
         if self.closed:
             raise CacheError(f"stream {self.label!r} is closed")
-        total_bits = self.placement.nbytes * 8
-        if self._pos_bits + bits > total_bits:
+        placement = self.placement
+        if self._pos_bits + bits > placement.nbytes * 8:
             raise CacheError(
                 f"stream {self.label!r} read past end of "
-                f"{self.placement.key!r}"
+                f"{placement.key!r}"
             )
-        self.tier.detector.note(self.placement)
-        yield from self._ensure()
-        placement = self.placement
+        self.tier.detector.note(placement)
+        reservation = self._reservation
+        if (reservation is None or reservation.released
+                or reservation.preempted or not self._edge.live):
+            yield from self._ensure()
         version = placement.version
         byte_off = self._pos_bits // 8
         span_bytes = (bits + 7) // 8
@@ -179,21 +189,18 @@ class EdgeStream:
                                    version)
                     edge.account_fill(bits)
         for index in span_blocks(self.tier.block_bytes, byte_off, span_bytes):
-            self._digest.update(
-                content_stamp(placement.key, version, index).encode())
+            self._digest.update(_stamp_bytes(placement.key, version, index))
         self._pos_bits += bits
         self.bits_read += bits
 
     # -- edge attachment -----------------------------------------------------
     def _ensure(self) -> Generator:
-        """(Re)attach to the best live edge, or drop to pass-through."""
-        edge = self._edge
-        if (edge is not None and edge.live
-                and self._reservation is not None
-                and not self._reservation.released
-                and not self._reservation.preempted):
-            return
-        had_edge = edge is not None
+        """(Re)attach to the best live edge, or drop to pass-through.
+
+        ``read`` enters only when the stream is not attached: no edge
+        yet, the edge died, or the reservation was released or preempted.
+        """
+        had_edge = self._edge is not None
         self._detach()
         names = self.tier.live_edge_names
         for name in hashing.rank(self.placement.key, names):

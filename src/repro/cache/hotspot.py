@@ -50,7 +50,7 @@ class HotContentDetector:
         window = self._events.get(key)
         if window is None:
             window = self._events[key] = deque()
-        now = self.simulator.now.seconds
+        now = self.simulator.now_s
         window.append(now)
         horizon = now - self.window_s
         while window and window[0] < horizon:
@@ -68,7 +68,7 @@ class HotContentDetector:
         window = self._events.get(key)
         if not window:
             return 0
-        horizon = self.simulator.now.seconds - self.window_s
+        horizon = self.simulator.now_s - self.window_s
         while window and window[0] < horizon:
             window.popleft()
         return len(window)

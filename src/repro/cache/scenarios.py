@@ -128,10 +128,10 @@ def zipf_crowd(seed: int = 0, nodes: int = 4, cached: bool = True,
             admitted[idx] = True
             delivered_bits[idx] = ELEMENT_BITS
             on_time_bits[idx] = ELEMENT_BITS
-            start = sim.now.seconds
+            start = sim.now_s
             for n in range(1, elements):
                 ideal = start + (n - 1) * PERIOD_S
-                now = sim.now.seconds
+                now = sim.now_s
                 if now < ideal:
                     yield Delay(ideal - now)
                 try:
@@ -142,11 +142,11 @@ def zipf_crowd(seed: int = 0, nodes: int = 4, cached: bool = True,
                     failed[idx] = 1
                     return
                 delivered_bits[idx] += ELEMENT_BITS
-                if sim.now.seconds > ideal + PERIOD_S + 1e-9:
+                if sim.now_s > ideal + PERIOD_S + 1e-9:
                     violations[idx] += 1
                 else:
                     on_time_bits[idx] += ELEMENT_BITS
-            done_at[idx] = sim.now.seconds
+            done_at[idx] = sim.now_s
             digests.append(stream.digest
                            if hasattr(stream, "digest") else "")
 
@@ -265,16 +265,6 @@ def churn(seed: int = 0, nodes: int = 4, edges: int = 2,
     sim.spawn(control(), name="churn-control")
     end = sim.run()
 
-    def stale_tags() -> int:
-        stale = 0
-        for placement in cluster.placements:
-            keys = {placement.key} | {s.key for s in placement.shards}
-            for cache in tier.all_caches:
-                for key in keys:
-                    stale += sum(1 for tag in cache.versions_of(key)
-                                 if tag != placement.version)
-        return stale
-
     metrics = sim.obs.metrics
     metrics.flush()
 
@@ -291,7 +281,9 @@ def churn(seed: int = 0, nodes: int = 4, edges: int = 2,
     facts: Dict[str, object] = {
         "version_of_a": placement_a.version,
         "invalidations": count("cache.invalidations"),
-        "stale_tags": stale_tags(),
+        "stale_tags": sum(len(tags)
+                          for of_cache in tier.stale_spans().values()
+                          for tags in of_cache.values()),
         "edge_deaths": sum(edge.deaths for edge in tier.edges),
         "faults_injected": injector.injected,
         "passthrough_reads": passthrough[0],

@@ -132,6 +132,28 @@ class CacheTier:
             for cache in self.node_caches:
                 cache.invalidate(shard.key, version)
 
+    def stale_spans(self) -> Dict[str, Dict[str, List[int]]]:
+        """cache name -> resident key -> the tags it holds other than its
+        placement's version (sorted, distinct); coherent when empty.
+
+        Re-derived on every call from the placements and each cache's
+        residency, never from a dirty flag: the watch probe reads it to
+        see state corrupted behind the API (DESIGN.md section 6, 12).
+        """
+        authoritative: Dict[str, int] = {}
+        for placement in self.cluster.placements:
+            for key in (placement.key, *(s.key for s in placement.shards)):
+                authoritative[key] = placement.version
+        stale: Dict[str, Dict[str, List[int]]] = {}
+        for cache in self.all_caches:
+            for key, of_key in cache._by_key.items():
+                if key in authoritative:
+                    tags = set(of_key.values())
+                    tags.discard(authoritative[key])
+                    if tags:
+                        stale.setdefault(cache.name, {})[key] = sorted(tags)
+        return stale
+
     # -- flash-crowd handling ------------------------------------------------
     def _went_hot(self, placement) -> None:
         key = placement.key

@@ -19,11 +19,17 @@ between runs and break every determinism guarantee in this repo.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import List, Sequence
 
 
+@lru_cache(maxsize=4096)
 def score(key: str, node: str) -> int:
-    """The rendezvous weight of ``node`` for ``key`` (64-bit, stable)."""
+    """The rendezvous weight of ``node`` for ``key`` (64-bit, stable).
+
+    Pure in ``(key, node)``: the bounded memo spares a pass-through
+    stream, which re-ranks the same edges on every read, the hashing.
+    """
     digest = hashlib.sha256(f"{key}|{node}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -99,7 +99,7 @@ def read_storm(seed: int = 0, nodes: int = 4) -> Dict[str, object]:
             for _ in range(elements):
                 yield from stream.read(element_bits)
             done_bits[idx] = stream.bits_read
-            done_at[idx] = sim.now.seconds
+            done_at[idx] = sim.now_s
 
     for idx in range(streams):
         sim.spawn(client(idx), name=f"storm-client-{idx}")
@@ -161,15 +161,15 @@ def node_kill(seed: int = 0, nodes: int = 4) -> Dict[str, object]:
             label=f"viewer-{idx}", priority=Priority.STANDARD,
             queue_timeout_s=1.0)
         with stream:
-            start = sim.now.seconds
+            start = sim.now_s
             for n in range(elements):
                 ideal = start + n * period_s
-                now = sim.now.seconds
+                now = sim.now_s
                 if now < ideal:
                     yield Delay(ideal - now)
                 yield from stream.read(element_bits,
                                        deadline=ideal + period_s)
-                if sim.now.seconds > ideal + period_s + 1e-9:
+                if sim.now_s > ideal + period_s + 1e-9:
                     violations[idx] += 1
                 delivered[idx] += 1
 
@@ -232,14 +232,14 @@ def rebalance(seed: int = 0, nodes: int = 3) -> Dict[str, object]:
             values[idx], stream_bps, label=f"reader-{idx}",
             priority=Priority.INTERACTIVE, queue_timeout_s=1.0)
         with stream:
-            start = sim.now.seconds
+            start = sim.now_s
             for n in range(elements):
                 ideal = start + n * 0.04
-                now = sim.now.seconds
+                now = sim.now_s
                 if now < ideal:
                     yield Delay(ideal - now)
                 yield from stream.read(element_bits)
-                if sim.now.seconds > ideal + 0.04 + 1e-9:
+                if sim.now_s > ideal + 0.04 + 1e-9:
                     violations[idx] += 1
 
     from repro.cluster.node import StorageNode

@@ -121,7 +121,7 @@ class ContainerDemuxer(MediaActivity):
         raise DataModelError(f"cannot demux a {info.media_type} track")
 
     def _process(self) -> Generator:
-        t_start = self.simulator.now.seconds
+        t_start = self.simulator.now_s
         offset = 0
         ports = [self.port(info.name) for info in self._tracks]
         while offset < len(self._mdat) and not self._stop_requested:
@@ -133,7 +133,7 @@ class ContainerDemuxer(MediaActivity):
             offset += size
             when = self._record_time(track_index, element_index)
             if self.paced:
-                wait = t_start + when - self.simulator.now.seconds
+                wait = t_start + when - self.simulator.now_s
                 if wait > 0:
                     yield Delay(wait)
             element = StreamElement(

@@ -49,7 +49,7 @@ class Editor:
         Run it with ``simulator.run_until_complete(simulator.spawn(...))``.
         """
         simulator = self.placement.simulator
-        started = simulator.now.seconds
+        started = simulator.now_s
         copied = False
         copy_seconds = 0.0
         if not self.can_mix_interactively(a, b):
@@ -63,9 +63,9 @@ class Editor:
             # Physical-data-independence fallback: move b elsewhere first.
             source_device = self.placement.device_of(b).name
             target = self.placement.pick_device_for_copy(b, avoid=source_device)
-            copy_start = simulator.now.seconds
+            copy_start = simulator.now_s
             yield from self.placement.copy(b, target.name)
-            copy_seconds = simulator.now.seconds - copy_start
+            copy_seconds = simulator.now_s - copy_start
             copied = True
         # Both streams now admissible: reserve, stream, release.
         res_a = self.placement.device_of(a).reserve(a.data_rate_bps(), "mix-a")
@@ -73,7 +73,7 @@ class Editor:
         try:
             yield from res_a.open()
             yield from res_b.open()
-            start_delay = simulator.now.seconds - started
+            start_delay = simulator.now_s - started
             # Both reads proceed in parallel; the slower stream (here: the
             # longer read at its reserved rate) bounds the mix duration.
             yield from res_a.read(a.data_size_bits())

@@ -58,8 +58,8 @@ def disk_outage(seed: int = 0, recover: bool = True) -> Dict[str, object]:
     def client(index: int):
         for i in range(frames):
             ideal = i * period
-            if ideal > sim.now.seconds:
-                yield Delay(ideal - sim.now.seconds)
+            if ideal > sim.now_s:
+                yield Delay(ideal - sim.now_s)
             position = (index * 200 + i * 3) % disk.cylinders
             deadline = ideal + slack
 
@@ -120,8 +120,8 @@ def lossy_channel(seed: int = 0, recover: bool = True) -> Dict[str, object]:
     def sender():
         for i in range(elements):
             ideal = i * period
-            if ideal > sim.now.seconds:
-                yield Delay(ideal - sim.now.seconds)
+            if ideal > sim.now_s:
+                yield Delay(ideal - sim.now_s)
             try:
                 yield from reservation.transmit(bits)
             except FaultError:
@@ -129,7 +129,7 @@ def lossy_channel(seed: int = 0, recover: bool = True) -> Dict[str, object]:
                 continue
             stats["delivered"] += 1
             nominal = channel.latency_s + bits / reservation.bps
-            if sim.now.seconds <= ideal + nominal + on_time_slack:
+            if sim.now_s <= ideal + nominal + on_time_slack:
                 stats["on_time"] += 1
 
     sim.spawn(sender(), name="sender")

@@ -139,7 +139,7 @@ class HerdCoupler:
         done = tick >= self.population.n_epochs
         if not done:
             self._arrive(tick)
-        self.occupancy.append((round(self.simulator.now.seconds, 9),
+        self.occupancy.append((round(self.simulator.now_s, 9),
                                self.controller.utilization))
         # Fixed horizon: the last possible departure is at tick
         # ``n_epochs - 1 + session_epochs`` — run exactly through it so
@@ -156,7 +156,7 @@ class HerdCoupler:
                 # A foreground interactive stream revoked this cohort
                 # mid-session; everything it sent up to that point was
                 # wasted work (the discrete scoring rule).
-                held_s = ((cohort.released_at or self.simulator.now.seconds)
+                held_s = ((cohort.released_at or self.simulator.now_s)
                           - cohort.admitted_at)
                 bits = int(reservation.bps * held_s)
                 self.controller.channel._account(bits)
@@ -191,7 +191,7 @@ class HerdCoupler:
                 self.stats["goodput_bits"] += int(
                     hits * self.stream_bps * self.session_s)
                 counts = apportion(misses, counts)
-        now = self.simulator.now.seconds
+        now = self.simulator.now_s
         depart_tick = tick + self.session_epochs
         for priority, count in zip(PRIORITY_ORDER, counts):
             if not count:
@@ -218,7 +218,7 @@ class HerdCoupler:
 
         def hook(reservation: Reservation, _inner=inner,
                  _cohort=cohort) -> None:
-            _cohort.released_at = self.simulator.now.seconds
+            _cohort.released_at = self.simulator.now_s
             if _inner is not None:
                 _inner(reservation)
 

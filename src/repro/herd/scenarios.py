@@ -113,15 +113,15 @@ def _foreground(simulator: Simulator, controller: AdmissionController,
             return
         stats["fg_admitted"] += 1
         period = FG_ELEMENT_BITS / reservation.bps
-        start = simulator.now.seconds
+        start = simulator.now_s
         late = 0
         try:
             for i in range(FG_ELEMENTS):
                 ideal = start + i * period
-                if ideal > simulator.now.seconds:
-                    yield Delay(ideal - simulator.now.seconds)
+                if ideal > simulator.now_s:
+                    yield Delay(ideal - simulator.now_s)
                 yield from reservation.serialize(FG_ELEMENT_BITS)
-                if simulator.now.seconds > ideal + 1.25 * period + 1e-12:
+                if simulator.now_s > ideal + 1.25 * period + 1e-12:
                     late += 1
         except PreemptedError:
             stats["fg_preempted"] += 1

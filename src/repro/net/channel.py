@@ -253,7 +253,7 @@ class Channel:
 
     def mean_throughput_bps(self) -> float:
         """Average delivered rate since time 0."""
-        now = self.simulator.now.seconds
+        now = self.simulator.now_s
         if now <= 0:
             return 0.0
         return self.total_bits / now

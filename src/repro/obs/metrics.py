@@ -17,7 +17,7 @@ per-instance metrics insert the instance name
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import AVDBError
 
@@ -206,6 +206,12 @@ class MetricsRegistry:
             self.flush()
         return self._instruments.get(name)
 
+    def settled(self) -> Mapping[str, object]:
+        """Flush once and return the instrument table, for a reader of
+        many names at one instant; stale once the kernel runs on."""
+        self.flush()
+        return self._instruments
+
     def names(self) -> list:
         return sorted(self._instruments)
 
@@ -313,6 +319,9 @@ class NullMetrics:
 
     def get(self, name: str) -> None:
         return None
+
+    def settled(self) -> Dict[str, object]:
+        return {}
 
     def names(self) -> list:
         return []

@@ -437,6 +437,11 @@ class Simulator:
         """Current virtual world time."""
         return WorldTime(self._now)
 
+    @property
+    def now_s(self) -> float:
+        """``now`` in seconds, as the plain float the kernel keeps."""
+        return self._now
+
     # -- public API ------------------------------------------------------
     def event(self, name: str = "") -> SimEvent:
         return SimEvent(self, name)

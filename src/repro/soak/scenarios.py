@@ -98,15 +98,22 @@ def day_chaos_plan(seed: int = 0, chaos_seed: Optional[int] = None,
     state.
     """
     specs = _resolve_phases(phases, scale)
-    horizon_s = sum(spec.duration_s for spec in specs)
     events = build_timeline(specs, seed, catalog_size=CATALOG)
-    edits = [f"edit-{e.ordinal}" for e in events if e.kind == "edit"]
+    return _sample_plan(seed, chaos_seed,
+                        sum(spec.duration_s for spec in specs), events,
+                        profile)
+
+
+def _sample_plan(seed: int, chaos_seed: Optional[int], horizon_s: float,
+                 events, profile: str) -> FaultPlan:
+    """Chaos over the fixed topology and a timeline's edit batches."""
     return sample_chaos(
         chaos_seed if chaos_seed is not None else seed, horizon_s,
         nodes=[f"node-{i}" for i in range(NODES)],
         edges=[f"edge-{i}" for i in range(EDGES)],
         channels=[f"edge-{i}.nic" for i in range(EDGES)],
-        processes=edits, profile=profile)
+        processes=[f"edit-{e.ordinal}" for e in events if e.kind == "edit"],
+        profile=profile)
 
 
 def day(seed: int = 0, phases: Optional[Sequence[PhaseSpec]] = None,
@@ -136,7 +143,7 @@ def day(seed: int = 0, phases: Optional[Sequence[PhaseSpec]] = None,
     if fault_plan is not None:
         plan = fault_plan
     elif chaos:
-        plan = day_chaos_plan(seed, chaos_seed, specs, 1.0, profile)
+        plan = _sample_plan(seed, chaos_seed, horizon_s, events, profile)
     else:
         plan = FaultPlan(seed=seed)
 
@@ -159,10 +166,10 @@ def day(seed: int = 0, phases: Optional[Sequence[PhaseSpec]] = None,
             counters["admitted"] += 1
         if is_interactive:
             interactive["admitted"] += 1
-        start = sim.now.seconds
+        start = sim.now_s
         for n in range(1, elements):
             ideal = start + (n - 1) * PERIOD_S
-            now = sim.now.seconds
+            now = sim.now_s
             if now < ideal:
                 yield Delay(ideal - now)
             try:
@@ -173,7 +180,7 @@ def day(seed: int = 0, phases: Optional[Sequence[PhaseSpec]] = None,
                 return
             if counters is live:
                 counters["elements"] += 1
-            if sim.now.seconds > ideal + PERIOD_S + 1e-9:
+            if sim.now_s > ideal + PERIOD_S + 1e-9:
                 counters["violations"] += 1
                 if is_interactive:
                     interactive["violations"] += 1
@@ -232,7 +239,7 @@ def day(seed: int = 0, phases: Optional[Sequence[PhaseSpec]] = None,
         # node and edge-0 down at once, the re-attach path on the
         # surviving edge stops unregistering released reservations.
         node = cluster.node(LEAK_NODE)
-        while sim.now.seconds + LEAK_POLL_S <= horizon_s:
+        while sim.now_s + LEAK_POLL_S <= horizon_s:
             yield Delay(LEAK_POLL_S)
             if not node.live and not tier.edge(LEAK_EDGE).live:
                 tier.edge("edge-1").nic.debug_leak_releases = True

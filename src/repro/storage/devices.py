@@ -79,7 +79,7 @@ class DeviceReservation:
             # an outage blocks the transfer until the window ends (or
             # raises, per the plan's mode); a slowdown stretches it.
             wait_s, duration = faults.adjust(
-                self.device.simulator.now.seconds, duration, self.device.name
+                self.device.simulator.now_s, duration, self.device.name
             )
             if wait_s > 0:
                 yield Delay(wait_s)

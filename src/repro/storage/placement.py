@@ -182,7 +182,7 @@ class PlacementManager:
         read_res = src.reserve(rate, "copy-read")
         write_res = dst.reserve(rate, "copy-write")
         bits = nbytes * 8
-        started = self.simulator.now.seconds
+        started = self.simulator.now_s
         span = self.simulator.obs.tracer.begin(
             "placement.copy", "storage", track="placement",
             src=src.name, dst=dst.name, nbytes=nbytes,
@@ -208,5 +208,5 @@ class PlacementManager:
         self._placements[placement.value_id] = new_placement
         self.copy_count += 1
         self._m_copies.inc()
-        self._m_copy_s.observe(self.simulator.now.seconds - started)
+        self._m_copy_s.observe(self.simulator.now_s - started)
         return new_placement

@@ -160,7 +160,7 @@ class DiskScheduler:
                 f"disk scheduler ({self.policy.value}) is stopped"
             )
         request = DiskRequest(position, bits, self.simulator.event("disk-done"),
-                              submitted_at=self.simulator.now.seconds,
+                              submitted_at=self.simulator.now_s,
                               deadline=deadline)
         if self.policy is Policy.FCFS:
             self._queue.append(request)
@@ -286,7 +286,7 @@ class DiskScheduler:
                        + request.bits / self.transfer_bps) * self.service_scale
             if service > 0:
                 yield Delay(service)
-            request.completed_at = self.simulator.now.seconds
+            request.completed_at = self.simulator.now_s
             self.requests_served += 1
             self._m_wait_s.observe(request.wait_seconds)
             if request.missed_deadline:

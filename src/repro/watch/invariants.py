@@ -36,7 +36,7 @@ and a fail-fast :class:`~repro.errors.InvariantBreachError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.sim import Simulator
 
@@ -130,7 +130,7 @@ class InvariantMonitor:
 
     # -- individual probes -------------------------------------------------
     def _now(self) -> float:
-        return self.simulator.now.seconds
+        return self.simulator.now_s
 
     def _probe_reservations(self, out: List[Breach]) -> None:
         for channel in self._channels:
@@ -199,12 +199,13 @@ class InvariantMonitor:
                     "free list is not sorted", self._now(),
                     {"free_ranges": len(free)}))
 
-    def _probe_bits(self, out: List[Breach]) -> None:
+    def _probe_bits(self, out: List[Breach],
+                    instruments: Optional[Mapping] = None) -> None:
         if not (self._channels_complete and self._channels):
             return
-        metrics = self.simulator.obs.metrics
-        metrics.flush()
-        counter = metrics.get("net.bits_sent")
+        if instruments is None:
+            instruments = self.simulator.obs.metrics.settled()
+        counter = instruments.get("net.bits_sent")
         recorded = getattr(counter, "value", 0) or 0
         actual = sum(c.total_bits for c in self._channels)
         if recorded != actual:
@@ -280,24 +281,16 @@ class InvariantMonitor:
     def _probe_cache_coherence(self, out: List[Breach]) -> None:
         if self._tier is None or self._cluster is None:
             return
-        stale: Dict[str, List[str]] = {}
-        for placement in self._cluster.placements:
-            version = placement.version
-            keys = {placement.key} | {s.key for s in placement.shards}
-            for cache in self._tier.all_caches:
-                for key in sorted(keys):
-                    tags = [tag for tag in cache.versions_of(key)
-                            if tag != version]
-                    if tags:
-                        stale.setdefault(cache.name, []).append(
-                            f"{key}@{tags}")
+        stale = self._tier.stale_spans()
         if stale:
             out.append(Breach(
                 "cache-coherence", "cache",
                 f"{sum(len(v) for v in stale.values())} cached span(s) "
                 f"diverge from the authoritative placement version",
-                self._now(), {"stale": {k: sorted(v)
-                                        for k, v in sorted(stale.items())}}))
+                self._now(),
+                {"stale": {name: sorted(f"{key}@{tags}"
+                                        for key, tags in of_cache.items())
+                           for name, of_cache in sorted(stale.items())}}))
 
     def _probe_processes(self, out: List[Breach],
                          teardown: bool = False) -> None:
@@ -321,13 +314,16 @@ class InvariantMonitor:
                 out.append(Breach(name, "custom", detail, self._now()))
 
     # -- entry points ------------------------------------------------------
-    def check_now(self) -> List[Breach]:
-        """Run the mid-run probes; record and return any breaches."""
+    def check_now(self,
+                  instruments: Optional[Mapping] = None) -> List[Breach]:
+        """Run the mid-run probes; record and return any breaches.
+        ``instruments`` is a metrics table the caller settled at this
+        instant (the watchdog shares it with its SLO pass), if any."""
         found: List[Breach] = []
         self._probe_reservations(found)
         self._probe_controllers(found)
         self._probe_extents(found)
-        self._probe_bits(found)
+        self._probe_bits(found, instruments)
         self._probe_replication(found)
         self._probe_cache_coherence(found)
         self._probe_processes(found)

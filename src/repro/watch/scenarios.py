@@ -160,15 +160,15 @@ def node_kill(seed: int = 0, nodes: int = 4,
             label=f"viewer-{idx}", priority=Priority.STANDARD,
             queue_timeout_s=1.0, min_fraction=0.25)
         with stream:
-            start = sim.now.seconds
+            start = sim.now_s
             for n in range(elements):
                 ideal = start + n * period_s
-                now = sim.now.seconds
+                now = sim.now_s
                 if now < ideal:
                     yield Delay(ideal - now)
                 yield from stream.read(element_bits,
                                        deadline=ideal + period_s)
-                if sim.now.seconds > ideal + period_s + 1e-9:
+                if sim.now_s > ideal + period_s + 1e-9:
                     violations[idx] += 1
                 delivered[idx] += 1
 
@@ -230,8 +230,8 @@ def slo_burn(seed: int = 0,
 
     def client(name: str, arrival_s: float, priority: Priority,
                min_fraction: float, timeout_s: float):
-        if arrival_s > sim.now.seconds:
-            yield Delay(arrival_s - sim.now.seconds)
+        if arrival_s > sim.now_s:
+            yield Delay(arrival_s - sim.now_s)
         contract = QoSContract(stream_bps, priority, min_fraction, timeout_s)
         try:
             reservation = yield from controller.admit(contract, label=name)
@@ -241,14 +241,14 @@ def slo_burn(seed: int = 0,
         except AdmissionError:
             return
         stats["admitted"] += 1
-        start = sim.now.seconds
+        start = sim.now_s
         period = element_bits / reservation.bps
         try:
             with reservation:
                 for i in range(elements):
                     ideal = start + i * period
-                    if ideal > sim.now.seconds:
-                        yield Delay(ideal - sim.now.seconds)
+                    if ideal > sim.now_s:
+                        yield Delay(ideal - sim.now_s)
                     yield from reservation.serialize(element_bits)
         except PreemptedError:
             stats["preempted"] += 1

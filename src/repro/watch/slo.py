@@ -20,7 +20,7 @@ needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import WatchError
 from repro.obs.metrics import MetricsRegistry
@@ -131,15 +131,15 @@ class SLOEngine:
         return spec
 
     # -- evaluation --------------------------------------------------------
-    def _measure(self, spec: SLOSpec) -> float:
-        inst = self.metrics.get(spec.metric)
+    def _measure(self, spec: SLOSpec, instruments: Mapping) -> float:
+        inst = instruments.get(spec.metric)
         if spec.kind == "histogram-quantile":
             if inst is None or getattr(inst, "count", 0) == 0:
                 return 0.0
             return float(inst.percentile(spec.quantile))
         if spec.kind == "ratio":
             num = float(getattr(inst, "value", 0) or 0)
-            den_inst = self.metrics.get(spec.denominator)
+            den_inst = instruments.get(spec.denominator)
             den = float(getattr(den_inst, "value", 0) or 0)
             return num / den if den > 0 else 0.0
         if spec.kind == "counter-max":
@@ -147,17 +147,25 @@ class SLOEngine:
         # gauge-max / gauge-min
         return float(getattr(inst, "value", 0) or 0)
 
-    def evaluate_one(self, spec: SLOSpec) -> SLOResult:
-        value = self._measure(spec)
+    def evaluate_one(self, spec: SLOSpec,
+                     instruments: Optional[Mapping] = None) -> SLOResult:
+        """Evaluate one spec against ``instruments``: a table the caller
+        settled at this instant, or (by default) one settled here."""
+        if instruments is None:
+            instruments = self.metrics.settled()
+        value = self._measure(spec, instruments)
         if spec.kind == "gauge-min":
             burn = _burn_floor(value, spec.target)
         else:
             burn = _burn_ceiling(value, spec.target)
         return SLOResult(spec, value, burn)
 
-    def evaluate(self) -> List[SLOResult]:
-        """Evaluate every spec, in catalog order."""
-        return [self.evaluate_one(spec) for spec in self.specs]
+    def evaluate(self,
+                 instruments: Optional[Mapping] = None) -> List[SLOResult]:
+        """Evaluate every spec, in catalog order, over one settled table."""
+        if instruments is None:
+            instruments = self.metrics.settled()
+        return [self.evaluate_one(spec, instruments) for spec in self.specs]
 
     # -- reporting ---------------------------------------------------------
     @staticmethod

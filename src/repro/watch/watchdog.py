@@ -94,7 +94,7 @@ class Watchdog:
                              name=f"{self.name}:ticker")
 
     def _run(self, cadence_s: float, horizon_s: float) -> Generator:
-        while self.simulator.now.seconds + cadence_s <= horizon_s:
+        while self.simulator.now_s + cadence_s <= horizon_s:
             yield Delay(cadence_s)
             self.check()
 
@@ -117,7 +117,7 @@ class Watchdog:
                                      invariant=breach.invariant,
                                      detail=breach.detail)
         doc = self.recorder.bundle("invariant-breach",
-                                   self.simulator.now.seconds,
+                                   self.simulator.now_s,
                                    breaches=breaches,
                                    slo_report=self.engine.report())
         path = self._write_bundle(doc)
@@ -144,13 +144,13 @@ class Watchdog:
                                  error_type=failure["error_type"],
                                  detail=failure["error"])
         doc = self.recorder.bundle("unhandled-failure",
-                                   self.simulator.now.seconds,
+                                   self.simulator.now_s,
                                    slo_report=self.engine.report(),
                                    failure=failure)
         self._write_bundle(doc)
 
-    def _check_hard_slos(self) -> None:
-        results = self.engine.evaluate()
+    def _check_hard_slos(self, instruments) -> None:
+        results = self.engine.evaluate(instruments)
         failed = [r for r in self.engine.hard_failures(results)
                   if r.spec.name not in self._slo_bundled]
         if not failed:
@@ -165,7 +165,7 @@ class Watchdog:
                                      target=result.spec.target,
                                      burn=round(result.burn, 4))
         doc = self.recorder.bundle("slo-hard-fail",
-                                   self.simulator.now.seconds,
+                                   self.simulator.now_s,
                                    slo_report=self.engine.report())
         self._write_bundle(doc)
         if self.raise_on_hard_slo:
@@ -176,12 +176,14 @@ class Watchdog:
                 f"(burn {worst.burn:.2f})")
 
     def check(self) -> None:
-        """One supervision tick: invariants first, then hard SLOs."""
+        """One supervision tick: invariants first, then hard SLOs, over
+        one settling of the metrics registry (nothing runs in between)."""
         self.ticks += 1
-        breaches = self.monitor.check_now()
+        instruments = self.simulator.obs.metrics.settled()
+        breaches = self.monitor.check_now(instruments)
         if breaches:
             self._fail(breaches)
-        self._check_hard_slos()
+        self._check_hard_slos(instruments)
 
     def teardown(self, strict: bool = True) -> Dict[str, object]:
         """Final audit: end-state invariants + the full SLO report.

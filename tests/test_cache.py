@@ -1,6 +1,8 @@
 """Cache tier: policies, block cache, edge streams, hot boost, scenarios."""
 
+import hashlib
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -184,7 +186,133 @@ class TestPerKeyIndex:
         assert evictions.value > 100 and dropped > 100
 
 
+class TestCoherenceProbeAgainstItsOldSelf:
+    """The probe walks residency; the sweep it replaced asked every
+    placement x cache x key.  The old body is kept here as the reference
+    and the two must report the same evidence after every step of a walk
+    that also corrupts state behind the API."""
+
+    BLOCK = 1_000
+
+    @staticmethod
+    def _reference(cluster, tier):
+        stale = {}
+        for placement in cluster.placements:
+            version = placement.version
+            keys = {placement.key} | {s.key for s in placement.shards}
+            for cache in tier.all_caches:
+                for key in sorted(keys):
+                    tags = [tag for tag in cache.versions_of(key)
+                            if tag != version]
+                    if tags:
+                        stale.setdefault(cache.name, []).append(
+                            f"{key}@{tags}")
+        return {k: sorted(v) for k, v in sorted(stale.items())}
+
+    @pytest.mark.parametrize("policy", ["lru", "cost-aware"])
+    def test_random_walk_reports_what_the_triple_loop_did(self, sim, policy):
+        rng = random.Random(7)
+        cluster = make_cluster(sim, nodes=2, replication=1)
+        tier = make_tier(sim, cluster, policy=policy, block_bytes=self.BLOCK,
+                         edge_capacity_bytes=12 * self.BLOCK,
+                         node_cache_bytes=6 * self.BLOCK)
+        values = [Blob(20 * self.BLOCK, 6e6) for _ in "abc"]
+        placements = [cluster.place(value, key=key)
+                      for value, key in zip(values, "abc")]
+        # An edge holds placement keys and a node cache shard keys, as
+        # the tier fills them; "stray" is nobody's and neither sweep
+        # judges it.
+        edge_caches = [edge.cache for edge in tier.edges]
+        owner = {key: p for p in placements
+                 for key in (p.key, *(s.key for s in p.shards))}
+        monitor = InvariantMonitor(sim).arm(cluster=cluster, tier=tier)
+        breached = refused = 0
+        for _ in range(5_000):
+            cache = rng.choice(tier.all_caches)
+            key = rng.choice("abc") + ("" if cache in edge_caches else "#0")
+            if rng.random() < 0.05:
+                key = "stray"
+            now = owner[key].version if key in owner else 0
+            off = rng.randrange(0, 20) * self.BLOCK
+            op = rng.random()
+            if op < 0.50:
+                # Mostly current fills; late ones land under the floor
+                # once the key was invalidated, early ones are stale too.
+                tag = max(now + rng.choice((0,) * 12 + (-1, -1, 1)), 0)
+                refused += cache.put(key, off, 2 * self.BLOCK, tag) == 0
+            elif op < 0.70:
+                cache.get(key, off, self.BLOCK, now)
+            elif op < 0.88:
+                cluster.bump_version(rng.choice(values))  # listeners fire
+            elif op < 0.90:
+                rng.choice(placements).version += 1  # behind the tier's back
+            elif op < 0.96:
+                cache.invalidate(key, now)
+            elif op < 0.99:
+                edge = rng.choice(tier.edges)
+                edge.kill() if edge.live else edge.restore()
+            else:
+                cache.clear()
+            found = []
+            monitor._probe_cache_coherence(found)
+            expected = self._reference(cluster, tier)
+            assert [b.evidence["stale"] for b in found] == (
+                [expected] if expected else [])
+            breached += bool(expected)
+        assert 1_000 < breached < 4_000 and refused > 100, (breached, refused)
+        assert sum(edge.deaths for edge in tier.edges) > 10
+
+
 class TestEdgeStreams:
+    def test_digest_is_the_chain_of_content_stamps(self, sim, monkeypatch):
+        # The memo in front of content_stamp, at a size every stream
+        # below overflows: the digest must still be the direct chain.
+        from repro.cache import edge as edge_module
+        tiny = lru_cache(maxsize=2)(edge_module._stamp_bytes.__wrapped__)
+        monkeypatch.setattr(edge_module, "_stamp_bytes", tiny)
+        cluster = make_cluster(sim)
+        tier = make_tier(sim, cluster)
+        value = Blob(300_000, 6e6)
+        placement = cluster.place(value, key="v")
+
+        def chained(stream, bump_after=None):
+            direct, total = hashlib.sha256(), placement.nbytes * 8
+
+            def client():
+                reads = 0
+                while stream.bits_read < total:
+                    if reads == bump_after:
+                        cluster.bump_version(value)
+                    bits = min(240_000, total - stream.bits_read)
+                    at_version = placement.version
+                    for index in span_blocks(tier.block_bytes,
+                                             stream.bits_read // 8, bits // 8):
+                        direct.update(content_stamp(
+                            "v", at_version, index).encode())
+                    yield from stream.read(bits)
+                    reads += 1
+
+            sim.run_until_complete(sim.spawn(client(), name=stream.label))
+            assert stream.digest == direct.hexdigest()
+            return stream
+
+        cold = chained(tier.open_read(value, 6e6, label="cold"))
+        warm = chained(tier.open_read(value, 6e6, label="warm"))
+        assert cold.misses and warm.hits and not warm.misses
+        evicted = chained(CacheTier(
+            sim, cluster, edges=1, edge_capacity_bytes=60_000,
+            hot_threshold=10_000).open_read(value, 6e6, label="evicted"))
+        assert evicted.misses
+        bumped = chained(tier.open_read(value, 6e6, label="bumped"),
+                         bump_after=4)
+        assert bumped.hits and bumped.misses and bumped.digest != warm.digest
+        for edge in tier.edges:
+            edge.kill()
+        orphan = chained(tier.open_read(value, 6e6, label="orphan"))
+        assert orphan.passthroughs and not orphan.hits
+        info = tiny.cache_info()
+        assert info.currsize == 2 and info.misses > 10 * info.currsize
+
     def test_cold_warm_evicted_reads_are_byte_identical(self, sim):
         cluster = make_cluster(sim)
         tier = make_tier(sim, cluster)

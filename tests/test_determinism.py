@@ -2,10 +2,14 @@
 
 ``tests/golden/trace_hashes.json`` holds SHA-256 hashes of the
 *canonical* Chrome-trace export (wall-clock stamps stripped, keys
-sorted) for every ``python -m repro trace`` scenario: quickstart,
+sorted), the bytes ``python -m repro trace <name> --canonical`` writes,
+for the nine trace presets and two supervised runs: quickstart,
 faults, and overload captured on the pre-optimization kernel, query
-before the B-tree range walk was rewritten, and the other five before
-the scenario registry replaced the per-family CLI handlers; quickstart,
+before the B-tree range walk was rewritten, the other five before
+the scenario registry replaced the per-family CLI handlers, and ``day``
+and ``watch-cache-crowd`` (the watch stack armed over the cache tier)
+before the edge hit path and the supervision tick stopped redoing
+per-element and per-tick bookkeeping (Exp. P10); quickstart,
 newscast and contention were re-pinned when hops with latency stopped
 costing a process per element (the only events gone are the
 ``deliver:*`` and ``*:prefetch`` process spans, the only metrics moved
@@ -36,7 +40,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import canonical_trace_bytes, scoped
-from repro.obs.scenarios import SCENARIOS
+from repro.scenarios import table
 from repro.sim import Delay, Simulator, Timeout
 
 GOLDEN = json.loads(
@@ -47,7 +51,7 @@ CLI_STDOUT = GOLDEN.pop("cli_stdout")
 
 def _run_canonical(name: str) -> bytes:
     with scoped(tracing=True) as obs:
-        SCENARIOS[name]()
+        table()[name].run()
         return canonical_trace_bytes(obs.tracer, obs.metrics)
 
 

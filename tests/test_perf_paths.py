@@ -1,7 +1,7 @@
 """Regression tests for the hot-path rework: ``with_payload`` sizing
 rules, batched channel accounting, heap-based C-SCAN, O(1) admission
-queue depth, the calls one ``admit_batch`` makes, constant-time value
-sizes, the bisecting B-tree range walk, bulk index execution with rows
+queue depth, the calls one ``admit_batch`` makes, what an attached edge
+hit and a supervision tick no longer do, constant-time value sizes, the bisecting B-tree range walk, bulk index execution with rows
 hydrated on touch, the covering interval index's counts, and the profile
 CLI."""
 
@@ -17,6 +17,7 @@ from repro.sim import Simulator
 from repro.storage.scheduler import DiskScheduler, Policy
 from repro.streams.element import StreamElement
 from repro.values.mediatype import standard_type
+from repro.watch.slo import SLOSpec
 
 
 def _element(payload, size_bits=None):
@@ -265,6 +266,122 @@ class TestAdmitBatchCallCounts:
         million, verdict = self.calls(1e7, contracts["standard"], 10 ** 6)
         assert verdict == (10 ** 6, 0, 0)
         assert ten == million
+
+
+class TestEdgeHitCounts:
+    """A broadcast day is 9,512 edge lookups at 93 % hits and 220
+    watchdog ticks, so what one hit and one tick do is what the day
+    costs.  Counted, not timed (EXPERIMENTS.md Exp. P10)."""
+
+    ELEMENT_BITS = 240_000  # one 30,000-byte block, as every soak element
+
+    @pytest.fixture()
+    def warm(self):
+        """A tier whose edges hold all of one value, and a second
+        stream over it that has made its first (attaching) read."""
+        from repro.cache import CacheTier
+        from repro.cluster import ClusterPlacementManager, StorageNode
+        from repro.cluster.scenarios import Blob
+        from repro.obs import scoped
+
+        with scoped(tracing=False):
+            sim = Simulator()
+            cluster = ClusterPlacementManager(sim, replication=2)
+            for i in range(3):
+                cluster.add_node(StorageNode(sim, f"node-{i}"))
+            tier = CacheTier(sim, cluster, edges=2, hot_threshold=10_000)
+            value = Blob(12 * self.ELEMENT_BITS // 8, 6e6)
+            cluster.place(value, key="v")
+            for label, elements in (("filler", 12), ("viewer", 1)):
+                stream = tier.open_read(value, 6e6, label=label)
+                self.read(sim, stream, elements)
+            yield sim, tier, stream
+
+    @classmethod
+    def read(cls, sim, stream, elements):
+        def client():
+            for _ in range(elements):
+                yield from stream.read(cls.ELEMENT_BITS)
+
+        sim.run_until_complete(sim.spawn(client(), name="client"))
+
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        """Route ``owner.name`` through a counter; returns the tally."""
+        original, seen = getattr(owner, name), []
+
+        def counted(*args, **kwargs):
+            seen.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return seen
+
+    def test_attached_hit_attaches_reads_no_clock_object_hashes_nothing(
+            self, warm, monkeypatch):
+        import hashlib
+
+        from repro.cache.edge import EdgeStream
+
+        sim, tier, stream = warm
+        ensures = self.count(monkeypatch, EdgeStream, "_ensure")
+        clocks = self.count(monkeypatch, WorldTime, "__post_init__")
+        hashes = self.count(monkeypatch, hashlib, "sha256")
+        dispatched = sim._m_dispatched.value
+        self.read(sim, stream, 8)
+        assert stream.hits == 9 and stream.misses == 0
+        assert ensures == [] and hashes == [] and clocks == []
+        # The spawn and each hit's transfer delay: one event an element.
+        assert sim._m_dispatched.value - dispatched == 1 + 8
+        # The counters are live: the parent's read paid each of these.
+        assert sim.now.seconds == sim.now_s and len(clocks) == 1
+        assert hashlib.sha256(b"x") and len(hashes) == 1
+
+    def test_a_detached_stream_still_reattaches(self, warm, monkeypatch):
+        from repro.cache.edge import EdgeStream
+
+        sim, tier, stream = warm
+        ensures = self.count(monkeypatch, EdgeStream, "_ensure")
+        first = stream.serving_edge
+        tier.edge(first).kill()
+        self.read(sim, stream, 2)
+        assert len(ensures) == 1 and stream.edge_switches == 1
+        assert stream.serving_edge not in (None, first)
+        # Preempted off the survivor: the next read asks for it again.
+        revoked = stream._reservation
+        revoked.preempted = True
+        revoked.release()
+        self.read(sim, stream, 2)
+        assert len(ensures) == 2 and stream.edge_switches == 2
+        assert stream._reservation is not revoked
+        assert not stream._reservation.released
+        for edge in tier.edges:
+            edge.kill()
+        self.read(sim, stream, 2)  # nothing to attach to: asks each time
+        assert len(ensures) == 4 and stream.passthroughs == 2
+
+    def test_one_tick_settles_the_registry_once(self, monkeypatch):
+        from repro.obs import scoped
+        from repro.obs.metrics import MetricsRegistry
+        from repro.watch import Watchdog, default_slos
+
+        with scoped(tracing=False):
+            sim = Simulator()
+            trunk = Channel(sim, capacity_bps=1e6, name="trunk")
+            dog = Watchdog(sim, slos=default_slos(nodes_floor=1.0))
+            dog.arm(channels=[trunk], channels_complete=True)
+            sim.obs.metrics.gauge("cluster.nodes_live").set(2.0)
+            flushes = self.count(monkeypatch, MetricsRegistry, "flush")
+            dog.check()
+            assert len(flushes) == 1
+            # Standing alone, one objective still reads settled totals:
+            # the channel's traffic tally reaches the registry unasked.
+            reservation = trunk.reserve(1e6, "r")
+            sim.run_until_complete(sim.spawn(reservation.transmit(8_000)))
+            spec = dog.add_slo(SLOSpec("bits", "counter-max",
+                                       "net.bits_sent", 1e9))
+            assert dog.engine.evaluate_one(spec).value == 8_000
+            assert len(flushes) == 2
 
 
 class TestConstantTimeSizeRead:
