@@ -3,8 +3,8 @@
 Measures the three layers every scenario funnels through:
 
 * **events/sec** — raw DES kernel dispatch over a mixed command workload
-  (delays, event ping-pong, timeouts that are beaten by their target —
-  the stale-timer pattern the lazy heap compaction exists for);
+  (delays, event ping-pong, timeouts that are beaten by their target,
+  each leaving a stale timer queued until its deadline);
 * **elements/sec** — the stream dataplane: produce, transform
   (``with_payload``), serialize on a channel reservation, buffer
   hand-off, consume;

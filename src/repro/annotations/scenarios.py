@@ -5,8 +5,8 @@ battery of temporal queries **three ways** — planner-chosen, forced
 index, forced scan — and cross-checks that every way returned the
 identical rows.  The returned facts are pure data (counts, plan modes,
 corpus fingerprint, agreement flags): no wall-clock anywhere, so two
-runs of the same seed print byte-identical output — the contract the
-CI determinism job diffs.
+runs of the same seed print byte-identical output — the contract
+``tests/golden/trace_hashes.json`` pins.
 
 * ``speech`` — Cassidy & Bird's running examples: words during a
   window, phones overlapping it, speaker turns before/after a cut

@@ -6,10 +6,11 @@ borrow/merge on the way down, so the tree never needs back-tracking and
 stays balanced — every leaf at the same depth.  Keys map to *sets* of
 OIDs (attribute values are not unique across objects).
 
-Exposes the same interface as
-:class:`~repro.db.index.OrderedIndex` (``insert`` / ``remove`` / ``eq`` /
-``range`` / ``min_key`` / ``max_key``), so the database can use either;
-``benchmarks/bench_ablation_index.py`` compares them.
+The database builds every ordered attribute index as one of these.  It
+exposes the same interface as :class:`~repro.db.index.OrderedIndex`
+(``insert`` / ``remove`` / ``eq`` / ``range`` / ``min_key`` /
+``max_key``), the sorted-list reference implementation it is tested
+against; ``benchmarks/bench_ablation_index.py`` compares the two.
 """
 
 from __future__ import annotations

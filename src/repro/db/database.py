@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional
 
-from repro.db.index import KeywordIndex, OrderedIndex
+from repro.db.btree import BTreeIndex
+from repro.db.index import KeywordIndex
 from repro.db.locks import LockManager
 from repro.db.objects import DBObject, OID
 from repro.db.query import Predicate, Q
@@ -31,15 +32,10 @@ class Database:
         self.obs = attach(obs)
         self.schema = Schema()
         self._store = ObjectStore(directory)
-        # Ordered indexes are B-trees by default; the sorted-list
-        # OrderedIndex stays available for comparison (see the index
-        # ablation bench).
-        from repro.db.btree import BTreeIndex
-        self._index_factory = BTreeIndex
         self._locks = LockManager(obs=self.obs)
         self._tx_ids = itertools.count(1)
         # (class_name, attribute) -> index
-        self._ordered: Dict[tuple, OrderedIndex] = {}
+        self._ordered: Dict[tuple, BTreeIndex] = {}
         self._keyword: Dict[tuple, KeywordIndex] = {}
         # name -> (class_name, index, key_of): derived-key indexes kept
         # in lockstep with commits (see attach_index).
@@ -59,7 +55,7 @@ class Database:
         self.schema.define(class_def)
         for spec in class_def.attributes:
             if spec.indexed:
-                self._ordered[(class_def.name, spec.name)] = self._index_factory(
+                self._ordered[(class_def.name, spec.name)] = BTreeIndex(
                     class_def.name, spec.name
                 )
             if spec.keyword_indexed:

@@ -57,17 +57,13 @@ Hot-path design (see DESIGN.md "Performance"):
   tie-break is structurally identical to the previous implementation.
 * Process wakeups carry ``(proc, epoch, value)`` directly instead of a
   per-wakeup closure; staleness is checked inline at dispatch.
-* Yielded commands dispatch through a type-keyed table
-  (:data:`_COMMAND_CODE`) instead of an ``isinstance`` chain; command
-  *subclasses* still work through the fallback path.
-* The kernel counts stale wakeups (``Timeout`` timers whose target
-  already completed, waiters overtaken by an interrupt) exactly, and
-  once ``compact_threshold`` of them accumulate *and* they are the
-  majority of the heap, it compacts the heap lazily.  Removed entries
-  are remembered by ``(time, seq)`` and charged to
-  ``sim.events_dispatched`` at the moment the old kernel would have
-  popped them, so metric totals, final virtual times, and therefore
-  exported traces stay byte-identical with compaction on or off.
+* Yielded commands dispatch through a table keyed on their exact type
+  (:data:`_COMMAND_CODE`) instead of an ``isinstance`` chain; a command
+  subclass is an unsupported command, like ``yield 42``.
+* A stale wake-up (a ``Timeout`` timer whose target already completed,
+  a waiter overtaken by an interrupt) stays queued until its time: it
+  is popped, moves the clock, counts in ``sim.events_dispatched`` and
+  does nothing.
 * A wake-up queued with :meth:`Simulator.wake_at` lands at an *absolute*
   virtual time (``now + (t - now)`` can miss ``t`` by an ulp) and can be
   cancelled.  A cancelled entry is not a stale one: it is discarded at
@@ -79,7 +75,6 @@ Hot-path design (see DESIGN.md "Performance"):
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple, Union
 
@@ -198,8 +193,7 @@ class Process:
     """A running simulation process wrapping a user generator."""
 
     __slots__ = ("simulator", "name", "_gen", "_stack", "done", "result", "error",
-                 "_watchers", "_span", "_epoch", "_abandoned", "_inflight",
-                 "on_abandon")
+                 "_watchers", "_span", "_epoch", "_abandoned", "on_abandon")
 
     def __init__(self, simulator: "Simulator", gen: ProcessGen, name: str) -> None:
         self.simulator = simulator
@@ -216,10 +210,6 @@ class Process:
         # from a previous suspension are discarded (see module docstring).
         self._epoch = 0
         self._abandoned = False
-        # Number of queued wakeups that target the *current* epoch; when
-        # the epoch bumps they all become stale and are handed over to
-        # the simulator's stale count (compaction bookkeeping).
-        self._inflight = 0
         #: called by :meth:`abandon`, before the process is wedged: a
         #: process that has scheduled work ahead of itself (a clocked-out
         #: stream run) takes back what a hung process would never do.
@@ -266,10 +256,6 @@ class Process:
         self._abandoned = True
         self._epoch += 1  # invalidate any pending wakeup
         sim = self.simulator
-        if self._inflight:
-            sim._stale += self._inflight
-            self._inflight = 0
-            sim._maybe_compact()
         sim.live_processes -= 1
         sim._m_faults.inc()
         if self._span is not None:
@@ -301,7 +287,7 @@ _CALL = 2     # payload = plain callable (proc is None, never stale)
 #: remaining elements never need to be comparable.
 _QueueEntry = Tuple[float, int, int, Optional["Process"], int, Any]
 
-# Type-keyed command dispatch (exact types; subclasses take the fallback).
+# Type-keyed command dispatch (exact types: a subclass is unsupported).
 _CMD_DELAY = 1
 _CMD_WAIT_EVENT = 2
 _CMD_WAIT_PROCESS = 3
@@ -317,15 +303,6 @@ _COMMAND_CODE = {
     Acquire: _CMD_ACQUIRE,
     Release: _CMD_RELEASE,
 }
-
-
-def _COMMAND_FALLBACK(command: Any) -> int:
-    """Resolve command subclasses (rare path) and memoize their type."""
-    for base, code in _COMMAND_CODE.items():
-        if isinstance(command, base):
-            _COMMAND_CODE[type(command)] = code
-            return code
-    return 0  # unsupported
 
 
 class EpochTicker:
@@ -379,31 +356,15 @@ class EpochTicker:
 class Simulator:
     """The event loop: virtual clock + priority queue of pending actions."""
 
-    #: compact the heap once at least this many stale entries accumulate
-    #: (and they are the majority of the heap).  Large enough that small
-    #: simulations never pay the rebuild, small enough that timeout-heavy
-    #: workloads cannot grow the heap without bound.
-    compact_threshold = 512
-
     def __init__(self, obs: Optional[Obs] = None) -> None:
         self._queue: list[_QueueEntry] = []
         self._seq = 0
         self._now = 0.0
-        #: stale wakeups currently sitting in the heap (exact count).
-        self._stale = 0
         #: sequence numbers of cancelled wake-ups still in the heap.
         self._cancelled: set = set()
         #: the process being stepped (what ``wake_at`` is handed by a
         #: generator subroutine that does not know who is running it).
         self.active: Optional[Process] = None
-        #: (time, seq) of compacted-away entries not yet charged to
-        #: ``sim.events_dispatched`` (see ``_account_compacted``).
-        self._compacted: list[Tuple[float, int]] = []
-        #: lifetime compaction stats (plain attributes, deliberately not
-        #: registry metrics so snapshots stay identical to the
-        #: pre-compaction kernel).
-        self.heap_compactions = 0
-        self.entries_compacted = 0
         #: number of spawned processes that have not finished (nor been
         #: abandoned) — bounded bookkeeping; finished processes are not
         #: retained by the kernel.
@@ -497,7 +458,6 @@ class Simulator:
         if isinstance(target, Process):
             heappush(self._queue,
                      (when, self._seq, _RESUME, target, target._epoch, value))
-            target._inflight += 1
         else:
             heappush(self._queue, (when, self._seq, _CALL, None, 0, target))
         return self._seq
@@ -538,9 +498,13 @@ class Simulator:
 
         Returns the final virtual time.  If any process raised (other
         than dying from an injected fault), the first such failure
-        propagates after being recorded on the process.
+        propagates after being recorded on the process.  ``until``
+        before now is an error: the clock never runs backwards.
         """
         limit = until.seconds if until is not None else None
+        if limit is not None and limit < self._now:
+            raise SimulationError(
+                f"cannot run in the past ({until!r} < now {self.now!r})")
         queue = self._queue
         step = self._step
         m_inc = self._m_dispatched.inc
@@ -548,17 +512,12 @@ class Simulator:
         while queue:
             entry = queue[0]
             if cancelled and entry[1] in cancelled:
-                self._discard(heappop(queue))
+                cancelled.remove(heappop(queue)[1])
                 continue
             etime = entry[0]
             if limit is not None and etime > limit:
-                if self._compacted:
-                    self._account_compacted_drain(limit)
-                self._now = limit
                 break
             heappop(queue)
-            if self._compacted:
-                self._account_compacted(etime, entry[1])
             self._now = etime
             m_inc()
             kind = entry[2]
@@ -568,21 +527,12 @@ class Simulator:
                 proc = entry[3]
                 if (entry[4] == proc._epoch and not proc.done
                         and not proc._abandoned):
-                    proc._inflight -= 1
                     if kind == _RESUME:
                         step(proc, entry[5])
                     else:
                         step(proc, None, entry[5])
-                else:
-                    self._stale -= 1
-        else:
-            # Queue drained: the old kernel would have popped any stale
-            # entries still pending, advancing the clock and the dispatch
-            # count — settle the compacted remainder the same way.
-            if self._compacted:
-                self._account_compacted_drain(limit)
-            if limit is not None:
-                self._now = max(self._now, limit)
+        if limit is not None:
+            self._now = limit
         if self._first_failure is not None:
             raise self._first_failure
         return self.now
@@ -596,10 +546,8 @@ class Simulator:
         while not proc.done and queue:
             entry = heappop(queue)
             if cancelled and entry[1] in cancelled:
-                self._discard(entry)
+                cancelled.remove(entry[1])
                 continue
-            if self._compacted:
-                self._account_compacted(entry[0], entry[1])
             self._now = entry[0]
             m_inc()
             kind = entry[2]
@@ -609,15 +557,10 @@ class Simulator:
                 target = entry[3]
                 if (entry[4] == target._epoch and not target.done
                         and not target._abandoned):
-                    target._inflight -= 1
                     if kind == _RESUME:
                         step(target, entry[5])
                     else:
                         step(target, None, entry[5])
-                else:
-                    self._stale -= 1
-        if not proc.done and self._compacted:
-            self._account_compacted_drain(None)
         if proc.error is not None:
             raise proc.error
         if not proc.done:
@@ -626,7 +569,7 @@ class Simulator:
 
     # -- internals ---------------------------------------------------------
     def _push(self, time: float, action: Callable[[], None]) -> None:
-        """Queue a plain callable (never stale, never compacted)."""
+        """Queue a plain callable (never stale)."""
         self._seq += 1
         heappush(self._queue, (time, self._seq, _CALL, None, 0, action))
 
@@ -638,16 +581,10 @@ class Simulator:
         current one); the wakeup is dropped if the process has since been
         resumed by something else.
         """
-        wake_epoch = proc._epoch if epoch is None else epoch
         self._seq += 1
         heappush(self._queue,
-                 (self._now + delay, self._seq, _RESUME, proc, wake_epoch, value))
-        if wake_epoch == proc._epoch and not proc.done and not proc._abandoned:
-            proc._inflight += 1
-        else:
-            # Stale on arrival (e.g. an event trigger racing an interrupt).
-            self._stale += 1
-            self._maybe_compact()
+                 (self._now + delay, self._seq, _RESUME, proc,
+                  proc._epoch if epoch is None else epoch, value))
 
     def _schedule_throw(self, proc: Process, exc: BaseException,
                         epoch: int, delay: float = 0.0) -> None:
@@ -655,99 +592,6 @@ class Simulator:
         self._seq += 1
         heappush(self._queue,
                  (self._now + delay, self._seq, _THROW, proc, epoch, exc))
-        if epoch == proc._epoch and not proc.done and not proc._abandoned:
-            proc._inflight += 1
-        else:
-            self._stale += 1
-            self._maybe_compact()
-
-    def _discard(self, entry: _QueueEntry) -> None:
-        """Drop a cancelled wake-up (already popped): no clock, no count."""
-        self._cancelled.remove(entry[1])
-        proc = entry[3]
-        if proc is not None:
-            if (entry[4] == proc._epoch and not proc.done
-                    and not proc._abandoned):
-                proc._inflight -= 1
-            else:
-                self._stale -= 1
-
-    # -- lazy heap compaction ---------------------------------------------
-    def _maybe_compact(self) -> None:
-        """Compact once stale entries pass the threshold *and* dominate."""
-        if (self._stale >= self.compact_threshold
-                and self._stale * 2 > len(self._queue)):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every stale wakeup from the heap in one pass.
-
-        The removed entries' ``(time, seq)`` keys are kept so their
-        dispatch-count contribution (a no-op pop in the old kernel) can
-        be charged at exactly the point the old kernel would have popped
-        them — see ``_account_compacted`` — keeping ``sim.*`` metrics
-        and final clock values identical with or without compaction.
-        """
-        queue = self._queue
-        live: list = []
-        compacted = self._compacted
-        cancelled = self._cancelled
-        removed = 0
-        for entry in queue:
-            if cancelled and entry[1] in cancelled:
-                self._discard(entry)
-                continue
-            proc = entry[3]
-            if (proc is None or (entry[4] == proc._epoch and not proc.done
-                                 and not proc._abandoned)):
-                live.append(entry)
-            else:
-                heappush(compacted, (entry[0], entry[1]))
-                removed += 1
-        queue[:] = live
-        heapq.heapify(queue)
-        self.heap_compactions += 1
-        self.entries_compacted += removed
-        self._stale = 0
-
-    def _account_compacted(self, time: float, seq: int) -> None:
-        """Charge compacted entries the old kernel would have popped
-        strictly before the entry now being dispatched."""
-        compacted = self._compacted
-        cancelled = self._cancelled
-        key = (time, seq)
-        n = 0
-        while compacted and compacted[0] < key:
-            gone = heappop(compacted)[1]
-            if gone in cancelled:   # cancelled after it went stale
-                cancelled.remove(gone)
-            else:
-                n += 1
-        if n:
-            self._m_dispatched.inc(n)
-
-    def _account_compacted_drain(self, limit: Optional[float]) -> None:
-        """Settle compacted entries at the end of a run.
-
-        With no ``limit`` the old kernel would have popped every pending
-        entry (advancing the clock to the last one); with a ``limit`` it
-        would have popped only those scheduled at or before it.
-        """
-        compacted = self._compacted
-        cancelled = self._cancelled
-        n = 0
-        last_time = None
-        while compacted and (limit is None or compacted[0][0] <= limit):
-            time, gone = heappop(compacted)
-            if gone in cancelled:
-                cancelled.remove(gone)
-            else:
-                last_time = time
-                n += 1
-        if n:
-            self._m_dispatched.inc(n)
-            if limit is None and last_time > self._now:
-                self._now = last_time
 
     def _step(self, proc: Process, send_value: Any,
               throw: Optional[BaseException] = None) -> None:
@@ -755,12 +599,6 @@ class Simulator:
             return
         self.active = proc
         proc._epoch += 1
-        inflight = proc._inflight
-        if inflight:
-            # Every wakeup queued for the previous suspension is stale now.
-            self._stale += inflight
-            proc._inflight = 0
-            self._maybe_compact()
         stack = proc._stack
         command_code = _COMMAND_CODE.get
         while True:
@@ -790,16 +628,12 @@ class Simulator:
                 self._finish(proc, None, exc)
                 return
             code = command_code(type(command))
-            if code is None:
-                if isinstance(command, Iterator):
-                    stack.append(command)
-                    send_value = None
-                    continue
-                code = _COMMAND_FALLBACK(command)
+            if code is None and isinstance(command, Iterator):
+                stack.append(command)
+                send_value = None
+                continue
             if code == _CMD_DELAY:
-                # Inlined _schedule_resume: the wakeup is for the epoch
-                # just entered, so it is live by construction.
-                proc._inflight += 1
+                # Inlined _schedule_resume for the epoch just entered.
                 self._seq += 1
                 heappush(self._queue, (self._now + command.seconds, self._seq,
                                        _RESUME, proc, proc._epoch, None))
@@ -844,10 +678,6 @@ class Simulator:
         proc.done = True
         proc.result = result
         proc.error = error
-        if proc._inflight:
-            # Wake-ups queued for it during its last step are stale now.
-            self._stale += proc._inflight
-            proc._inflight = 0
         self.live_processes -= 1
         self._m_finished.inc()
         if error is not None:

@@ -137,13 +137,21 @@ class TestProcesses:
         with pytest.raises(ValueError, match="boom"):
             sim.run()
 
-    def test_unsupported_yield_is_error(self, sim):
-        def bad():
-            yield 42
+    def test_unsupported_yield_is_error(self):
+        # Commands dispatch on their exact type: a subclass of one is
+        # as unsupported as a plain value.
+        class Nap(Delay):
+            pass
 
-        sim.spawn(bad())
-        with pytest.raises(SimulationError, match="unsupported command"):
-            sim.run()
+        for command in (42, Nap(1.0)):
+            sim = Simulator()
+
+            def bad():
+                yield command
+
+            sim.spawn(bad())
+            with pytest.raises(SimulationError, match="unsupported command"):
+                sim.run()
 
     def test_spawn_requires_generator(self, sim):
         with pytest.raises(SimulationError):
@@ -225,7 +233,7 @@ class TestWakeAt:
         sim.schedule_at(WorldTime(1.0), event.trigger)
         assert sim.run().seconds == 9.0
         assert sim.obs.metrics.counter("sim.events_dispatched").value == 4
-        assert sim._stale == 0
+        assert not sim._queue and not sim._cancelled
 
     def test_cancelling_a_process_wakeup_keeps_the_books(self, sim):
         event = sim.event()
@@ -242,38 +250,31 @@ class TestWakeAt:
         process = sim.spawn(sleeper())
         sim.schedule_at(WorldTime(1.0), event.trigger)
         assert sim.run().seconds == 2.0
-        assert process.done and process._inflight == 0
-        assert sim._stale == 0 and not sim._cancelled
+        assert process.done
+        assert not sim._queue and not sim._cancelled
 
-    def test_cancel_after_compaction_took_the_stale_entry(self):
-        # Compaction sets stale entries aside to charge them later; one
-        # that is cancelled meanwhile must not be charged after all.
-        def run(threshold):
-            sim = Simulator()
-            sim.compact_threshold = threshold
-            event = sim.event()
+    def test_stale_then_cancelled_wakeup_is_dropped_uncounted(self, sim):
+        # The 50 s wake-up goes stale at 1.0 s (the event wins), then is
+        # cancelled: it moves neither the clock nor the count, while the
+        # six stale 30 s Timeout timers still do.
+        event = sim.event()
 
-            def nap():
-                yield Delay(0.001)
+        def nap():
+            yield Delay(0.001)
 
-            def sleeper():
-                handle = sim.wake_at(50.0, sim.active)
-                yield WaitEvent(event)
-                for _ in range(6):          # strand stale timers: compact
-                    inner = sim.spawn(nap())
-                    yield Timeout(inner, 30.0)
-                sim.cancel(handle)
+        def sleeper():
+            handle = sim.wake_at(50.0, sim.active)
+            yield WaitEvent(event)
+            for _ in range(6):
+                inner = sim.spawn(nap())
+                yield Timeout(inner, 30.0)
+            sim.cancel(handle)
 
-            sim.spawn(sleeper())
-            sim.schedule_at(WorldTime(1.0), event.trigger)
-            end = sim.run().seconds
-            return (end, sim.obs.metrics.counter("sim.events_dispatched").value,
-                    sim.heap_compactions, len(sim._cancelled))
-
-        plain, compacted = run(10**6), run(2)
-        assert compacted[2] > 0 and plain[2] == 0
-        assert plain[:2] == compacted[:2] and plain[3] == compacted[3] == 0
-        assert plain[0] == pytest.approx(31.0, abs=0.01)    # not 50.0
+        sim.spawn(sleeper())
+        sim.schedule_at(WorldTime(1.0), event.trigger)
+        assert sim.run().seconds == 31.005      # not 50.0
+        assert sim.obs.metrics.counter("sim.events_dispatched").value == 27
+        assert not sim._queue and not sim._cancelled
 
     def test_spawn_at_starts_the_process_then(self, sim):
         started = []
@@ -578,3 +579,13 @@ class TestRunBookkeeping:
         with pytest.raises(RuntimeError, match="first"):
             sim.run()
         assert sim.obs.metrics.counter("sim.process_failures").value == 2
+
+    def test_run_until_the_past_is_refused(self, sim):
+        sim.schedule_at(WorldTime(10.0), lambda: None)
+        assert sim.run(until=WorldTime(6.0)).seconds == 6.0
+        assert sim.run(until=WorldTime(6.0)).seconds == 6.0   # now: legal
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.run(until=WorldTime(2.0))
+        assert sim.now_s == 6.0
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.schedule_at(WorldTime(3.0), lambda: None)
