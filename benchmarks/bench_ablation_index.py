@@ -1,76 +1,82 @@
-"""Ablation F — ordered index implementation: B-tree vs sorted list.
+"""Ablation F — ordered index layout: blocked columns vs one sorted list.
 
-The database's ordered indexes default to B-trees; the sorted-list
-``OrderedIndex`` (bisect + ``list.insert``) is the simple baseline.
-Sorted-array insertion is O(n) per key; the B-tree's is O(log n) —
-the crossover is what justifies the default for large catalogs.
+Attribute indexes are one sorted list (``OrderedIndex``: bisect +
+``list.insert``); the annotation interval index cuts its sorted columns
+into blocks of at most ``BLOCK_CAPACITY`` postings (``IntervalIndex``).
+One list's insert moves O(n) pointers, a block's at most a block, so
+the list's total grows quadratically; this sweep finds where that
+starts to matter.  No attribute index in any scenario comes near it.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.db.btree import BTreeIndex
+from repro.annotations.intervals import IntervalIndex
+from repro.annotations.model import FIELDS
 from repro.db.index import OrderedIndex
-from repro.db.objects import OID
+from repro.db.objects import DBObject, OID
 
 
-def bulk_insert(index, count, stride=7):
-    # Non-sequential key order: the sorted list's worst-ish case.
+def postings(count, stride=7):
+    """``count`` (start, row) pairs of one-second intervals, in a
+    non-sequential key order: the sorted list's worst-ish case."""
+    posts = []
     for i in range(count):
-        index.insert((i * stride) % count, OID("T", i))
+        start = float((i * stride) % count)
+        posts.append((start, DBObject(OID("T", i), FIELDS, (
+            "v", "t", "word", start, start + 1.0, ()))))
+    return posts
+
+
+def list_insert(posts):
+    index = OrderedIndex()
+    for start, row in posts:
+        index.insert(start, row.oid)
+    return index
+
+
+def blocks_insert(posts):
+    index = IntervalIndex()
+    for start, row in posts:
+        index.add(start, start + 1.0, row)
     return index
 
 
 def timed(callable_):
     start = time.perf_counter()
-    result = callable_()
-    return time.perf_counter() - start, result
+    callable_()
+    return time.perf_counter() - start
 
 
 def test_ablation_index_insert_scaling(benchmark, exhibit):
     lines = [
-        "Ablation F — ordered index: B-tree vs sorted list",
+        "Ablation F — ordered index: blocked columns vs one sorted list",
         "",
-        f"{'keys':<9}{'sorted-list insert (ms)':>25}{'B-tree insert (ms)':>20}",
+        f"{'keys':<9}{'sorted-list insert (ms)':>25}{'blocks insert (ms)':>20}",
     ]
     timings = {}
     sizes = (1_000, 10_000, 40_000, 160_000)
     for count in sizes:
-        list_s, _ = timed(lambda: bulk_insert(OrderedIndex("T", "n"), count))
-        tree_s, _ = timed(lambda: bulk_insert(BTreeIndex("T", "n"), count))
-        timings[count] = (list_s, tree_s)
-        lines.append(f"{count:<9,}{list_s * 1000:>25.1f}{tree_s * 1000:>20.1f}")
+        posts = postings(count)
+        list_s = timed(lambda: list_insert(posts))
+        blocks_s = timed(lambda: blocks_insert(posts))
+        timings[count] = (list_s, blocks_s)
+        lines.append(f"{count:<9,}{list_s * 1000:>25.1f}{blocks_s * 1000:>20.1f}")
     lines += [
         "",
         "shape: at small catalogs the C-speed memmove of list.insert wins",
         "on constants, but its O(n)-per-insert total grows quadratically;",
-        "the B-tree's O(log n) inserts overtake it as the catalog grows.",
+        "blocks bound the memmove and overtake it as the catalog grows.",
     ]
     exhibit("ablation_index", "\n".join(lines))
 
     # Quadratic vs near-linear growth over the sweep.
     list_growth = timings[sizes[-1]][0] / timings[sizes[0]][0]
-    tree_growth = timings[sizes[-1]][1] / timings[sizes[0]][1]
-    assert tree_growth < list_growth
+    blocks_growth = timings[sizes[-1]][1] / timings[sizes[0]][1]
+    assert blocks_growth < list_growth
     # At the largest size the asymptotics dominate the constants.
     assert timings[sizes[-1]][1] < timings[sizes[-1]][0]
 
-    benchmark(lambda: len(bulk_insert(BTreeIndex("T", "n"), 2_000)))
-
-
-def test_ablation_index_queries_agree(benchmark, exhibit):
-    """Both implementations answer identically (sanity for the swap)."""
-    count = 5_000
-    tree = bulk_insert(BTreeIndex("T", "n"), count)
-    baseline = bulk_insert(OrderedIndex("T", "n"), count)
-    for lo, hi in ((0, 100), (2_000, 2_500), (4_900, 4_999)):
-        assert tree.range(lo=lo, hi=hi) == baseline.range(lo=lo, hi=hi)
-    for key in (0, 1234, 4_999):
-        assert tree.eq(key) == baseline.eq(key)
-    exhibit("ablation_index_agreement", "\n".join([
-        "Ablation F (cont.) — implementations agree on every probed query",
-        f"  keys: {count:,}; ranges and point lookups identical: True",
-    ]))
-
-    benchmark(lambda: tree.range(lo=1_000, hi=2_000))
+    posts = postings(2_000)
+    benchmark(lambda: len(list_insert(posts)))

@@ -10,7 +10,7 @@ execution paths.  Before any speed claim, two honesty gates must pass:
 * **concurrency** — queries interleaved with seeded wait-die writer
   transactions stay correct: a younger writer hitting an in-flight
   scan's locks dies (aborts, retriable) instead of corrupting the
-  B-tree, and the index still agrees with the scan afterwards.
+  index, and the index still agrees with the scan afterwards.
 
 Usage::
 

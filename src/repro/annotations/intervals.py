@@ -17,8 +17,8 @@ and only the remaining blocks are filtered, in C, as is the type column.
 The answer leaves either all at once as a list of rows
 (:meth:`IntervalIndex.select`, which spares the query executor the
 object table) or lazily, a block at a time, as ``((start, end, serial),
-(oid,))`` pairs (:meth:`IntervalIndex.window` and the named walks) that
-refuse to outlive a write.
+(oid,))`` pairs (:meth:`IntervalIndex.window` and
+:meth:`IntervalIndex.scan`) that refuse to outlive a write.
 """
 
 from __future__ import annotations
@@ -399,26 +399,6 @@ class IntervalIndex:
         begin = (0, 0) if lo is None else self._seek(lo)
         finish = (len(self._blocks), 0) if hi is None else self._seek(hi)
         return self._walk(self._cut(begin, finish), self._mods)
-
-    def overlapping(self, lo: float, hi: float) -> Iterator[Posting]:
-        """Intervals sharing at least an instant with ``[lo, hi)``."""
-        return self.window("overlaps", lo, hi)
-
-    def during(self, lo: float, hi: float) -> Iterator[Posting]:
-        """Intervals contained in ``[lo, hi)``."""
-        return self.window("during", lo, hi)
-
-    def before(self, lo: float) -> Iterator[Posting]:
-        """Intervals ending at or before ``lo`` (they also start below it)."""
-        return self.window("before", lo, lo)
-
-    def after(self, hi: float) -> Iterator[Posting]:
-        """Intervals starting at or after ``hi``."""
-        return self.window("after", hi, hi)
-
-    def meets(self, lo: float, hi: float) -> Iterator[Posting]:
-        """Intervals touching the window exactly: end == lo or start == hi."""
-        return self.window("meets", lo, hi)
 
     # -- invariants (used by property tests) ------------------------------
     def check_invariants(self) -> None:

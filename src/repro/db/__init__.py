@@ -16,7 +16,7 @@ favors the object-oriented approach and suggests the use of an OODBMS"
   concurrency control with wait-die deadlock avoidance;
 * :mod:`repro.db.query` — predicate language and query engine with
   index acceleration and content-based keyword retrieval;
-* :mod:`repro.db.index` — ordered attribute indexes;
+* :mod:`repro.db.index` — ordered and keyword attribute indexes;
 * :mod:`repro.db.versions` — version control for multimedia objects
   ("version control is also considered important", §2);
 * :mod:`repro.db.database` — the facade tying them together.

@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional
 
-from repro.db.btree import BTreeIndex
-from repro.db.index import KeywordIndex
+from repro.db.index import KeywordIndex, OrderedIndex
 from repro.db.locks import LockManager
 from repro.db.objects import DBObject, OID
 from repro.db.query import Predicate, Q
@@ -35,7 +34,7 @@ class Database:
         self._locks = LockManager(obs=self.obs)
         self._tx_ids = itertools.count(1)
         # (class_name, attribute) -> index
-        self._ordered: Dict[tuple, BTreeIndex] = {}
+        self._ordered: Dict[tuple, OrderedIndex] = {}
         self._keyword: Dict[tuple, KeywordIndex] = {}
         # name -> (class_name, index, key_of): derived-key indexes kept
         # in lockstep with commits (see attach_index).
@@ -55,13 +54,9 @@ class Database:
         self.schema.define(class_def)
         for spec in class_def.attributes:
             if spec.indexed:
-                self._ordered[(class_def.name, spec.name)] = BTreeIndex(
-                    class_def.name, spec.name
-                )
+                self._ordered[(class_def.name, spec.name)] = OrderedIndex()
             if spec.keyword_indexed:
-                self._keyword[(class_def.name, spec.name)] = KeywordIndex(
-                    class_def.name, spec.name
-                )
+                self._keyword[(class_def.name, spec.name)] = KeywordIndex()
         return class_def
 
     def attach_index(self, name: str, class_name: str, index: Any,
@@ -121,14 +116,8 @@ class Database:
             # Recovered objects whose class has not been redefined yet;
             # rebuild_indexes() after the definition will pick them up.
             return
-        for (cls, attr), index in self._ordered.items():
-            if not self.schema.is_subclass(class_name, cls):
-                continue
-            if old is not None:
-                index.remove(old.get(attr), oid)
-            if new is not None:
-                index.insert(new.get(attr), oid)
-        for (cls, attr), index in self._keyword.items():
+        for (cls, attr), index in itertools.chain(self._ordered.items(),
+                                                   self._keyword.items()):
             if not self.schema.is_subclass(class_name, cls):
                 continue
             if old is not None:
@@ -224,11 +213,9 @@ class Database:
 
     def rebuild_indexes(self) -> None:
         """Repopulate all indexes from the store (after recovery)."""
-        for index in self._ordered.values():
-            index.__init__(index.class_name, index.attribute)
-        for index in self._keyword.values():
-            index.__init__(index.class_name, index.attribute)
-        for _, index, _ in self._derived.values():
+        for index in itertools.chain(
+                self._ordered.values(), self._keyword.values(),
+                (index for _, index, _ in self._derived.values())):
             index.clear()
         for oid in self._store.all_oids():
             self._reindex(None, self._store.get(oid))

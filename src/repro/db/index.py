@@ -1,88 +1,96 @@
-"""Ordered attribute indexes.
+"""Attribute indexes.
 
-A sorted-key index per (class, attribute) pair, supporting equality and
-range lookups.  Kept as sorted parallel arrays with bisect — the classic
-in-memory ordered index; rebuilt incrementally on commit by the database
-facade.  Keyword (containment) queries use a separate inverted index.
+An ordered index per indexed (class, attribute) pair, supporting equality
+and range lookups, and an inverted index per keyword-indexed one for
+containment queries.  Both are maintained incrementally on commit by the
+database facade through the same ``insert(value, oid)`` /
+``remove(value, oid)`` pair.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.db.objects import OID
 from repro.errors import QueryError
 
 
 class OrderedIndex:
-    """Ordered (key -> set of OIDs) index for one attribute."""
+    """Ordered (key -> set of OIDs) index for one attribute.
 
-    def __init__(self, class_name: str, attribute: str) -> None:
-        self.class_name = class_name
-        self.attribute = attribute
+    Sorted keys beside a parallel list of OID buckets, found by bisection.
+    Keys are compared and never hashed, so any totally ordered value can
+    be a key.  ``None`` is never indexed, and a key leaves with the last
+    OID of its bucket.
+    """
+
+    def __init__(self) -> None:
         self._keys: List[Any] = []
-        self._buckets: Dict[Any, Set[OID]] = {}
+        self._buckets: List[Set[OID]] = []
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
+        return sum(map(len, self._buckets))
+
+    def _find(self, key: Any) -> Tuple[int, bool]:
+        """Where ``key`` sits or would sit, and whether it is there."""
+        i = bisect_left(self._keys, key)
+        return i, i < len(self._keys) and self._keys[i] == key
 
     def insert(self, key: Any, oid: OID) -> None:
+        """Add one (key, oid) posting (None keys are not indexed)."""
         if key is None:
-            return  # unindexed absence
-        if key not in self._buckets:
-            bisect.insort(self._keys, key)
-            self._buckets[key] = set()
-        self._buckets[key].add(oid)
+            return
+        i, found = self._find(key)
+        if found:
+            self._buckets[i].add(oid)
+        else:
+            self._keys.insert(i, key)
+            self._buckets.insert(i, {oid})
 
     def remove(self, key: Any, oid: OID) -> None:
-        """Drop one (key, oid) posting, pruning empty buckets."""
-        bucket = self._buckets.get(key)
-        if bucket is None:
+        """Drop one posting; the key goes when its bucket empties."""
+        if key is None:
             return
-        bucket.discard(oid)
-        if not bucket:
-            del self._buckets[key]
-            position = bisect.bisect_left(self._keys, key)
-            if position < len(self._keys) and self._keys[position] == key:
-                del self._keys[position]
+        i, found = self._find(key)
+        if found:
+            bucket = self._buckets[i]
+            bucket.discard(oid)
+            if not bucket:
+                del self._keys[i], self._buckets[i]
+
+    def clear(self) -> None:
+        self._keys = []
+        self._buckets = []
 
     # -- lookups -------------------------------------------------------------
     def eq(self, key: Any) -> Set[OID]:
-        return set(self._buckets.get(key, ()))
+        """OIDs stored under exactly ``key``."""
+        i, found = self._find(key)
+        return set(self._buckets[i]) if found else set()
 
     def range(self, lo: Optional[Any] = None, hi: Optional[Any] = None,
               include_lo: bool = True, include_hi: bool = True) -> Set[OID]:
         """OIDs with key in the given (optionally open) range."""
         if lo is not None and hi is not None and lo > hi:
             raise QueryError(f"range lower bound {lo!r} exceeds upper bound {hi!r}")
-        start = 0
-        if lo is not None:
-            start = bisect.bisect_left(self._keys, lo) if include_lo \
-                else bisect.bisect_right(self._keys, lo)
-        end = len(self._keys)
-        if hi is not None:
-            end = bisect.bisect_right(self._keys, hi) if include_hi \
-                else bisect.bisect_left(self._keys, hi)
-        result: Set[OID] = set()
-        for key in self._keys[start:end]:
-            result |= self._buckets[key]
-        return result
+        keys = self._keys
+        start = 0 if lo is None else \
+            (bisect_left if include_lo else bisect_right)(keys, lo)
+        end = len(keys) if hi is None else \
+            (bisect_right if include_hi else bisect_left)(keys, hi)
+        return set().union(*self._buckets[start:end])
 
-    def min_key(self) -> Any:
-        return self._keys[0] if self._keys else None
-
-    def max_key(self) -> Any:
-        return self._keys[-1] if self._keys else None
+    def items(self) -> Iterator[Tuple[Any, Set[OID]]]:
+        """All (key, bucket) pairs in ascending key order."""
+        return zip(self._keys, self._buckets)
 
 
 class KeywordIndex:
     """Inverted index for content-based keyword retrieval (§2)."""
 
-    def __init__(self, class_name: str, attribute: str) -> None:
-        self.class_name = class_name
-        self.attribute = attribute
+    def __init__(self) -> None:
         self._postings: Dict[str, Set[OID]] = defaultdict(set)
 
     @staticmethod
@@ -107,6 +115,9 @@ class KeywordIndex:
                 bucket.discard(oid)
                 if not bucket:
                     del self._postings[term]
+
+    def clear(self) -> None:
+        self._postings.clear()
 
     def lookup(self, term: str) -> Set[OID]:
         return set(self._postings.get(term.lower(), ()))

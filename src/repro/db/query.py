@@ -80,8 +80,8 @@ class Compare(Predicate):
 
     def index_plan(self, indexes: IndexMap, keywords: KeywordMap) -> Optional[Set[OID]]:
         index = indexes.get(self.attribute)
-        if index is None:
-            return None
+        if index is None or self.value is None:
+            return None  # no index holds None
         if self.op == "==":
             return index.eq(self.value)
         if self.op == "<":

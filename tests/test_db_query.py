@@ -127,6 +127,23 @@ class TestIndexUsage:
             ]
             assert via_index == db_scan
 
+    @pytest.mark.parametrize("populated", [False, True])
+    def test_eq_none_agrees_with_scan(self, populated):
+        """No index holds None, so ``year = None`` must find what a scan
+        finds: the rows without a year, whether or not the index has keys."""
+        database = Database()
+        database.define_class(ClassDef("Item", attributes=[
+            AttributeSpec("year", int, indexed=True),
+        ]))
+        undated = database.insert("Item")
+        if populated:
+            database.insert("Item", year=1992)
+        predicate = Q.eq("year", None)
+        scan = [oid for oid in database.select("Item")
+                if predicate.matches(database.get(oid))]
+        assert scan == [undated]
+        assert database.select("Item", predicate) == scan
+
     def test_index_maintained_on_update_and_delete(self, db):
         oid = db.select("Newscast", Q.eq("title", "60 Minutes"))[0]
         db.update(oid, title="Sixty Minutes")

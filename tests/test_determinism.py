@@ -19,7 +19,10 @@ four ``sim.*`` counts: EXPERIMENTS.md Exp. P7 keeps the
 ``all --seed 0``, the ``--compare`` regimes, the forced query paths, the
 soak day and the ``explain`` chains), so facts, plans, digests and
 summary lines are held across revisions and not only across reruns;
-CI's rerun-and-diff loops were retired in favour of these.  If any
+CI's rerun-and-diff loops were retired in favour of these.  Its
+``decision_log`` entry pins, from the same run as each trace, the
+decision log as sorted-key JSON, so a changed verdict is named as one
+even where the trace would only say that something moved.  If any
 kernel/dataplane change perturbs the schedule — event order, virtual
 timestamps, or metric totals — the exported bytes change and these
 tests fail.  That is what "preserving epoch semantics and (time, seq)
@@ -36,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 
@@ -47,12 +51,16 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "trace_hashes.json").read_text()
 )
 CLI_STDOUT = GOLDEN.pop("cli_stdout")
+DECISION_LOG = GOLDEN.pop("decision_log")
 
 
-def _run_canonical(name: str) -> bytes:
+def _run_canonical(name: str) -> Tuple[bytes, bytes]:
+    """The canonical trace and the decision log (sorted-key JSON) of one run."""
     with scoped(tracing=True) as obs:
         table()[name].run()
-        return canonical_trace_bytes(obs.tracer, obs.metrics)
+        return (canonical_trace_bytes(obs.tracer, obs.metrics),
+                json.dumps([event.to_dict() for event in obs.decisions.events],
+                           sort_keys=True).encode())
 
 
 class TestGoldenTraces:
@@ -60,12 +68,15 @@ class TestGoldenTraces:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_trace_matches_pre_optimization_hash(self, name):
-        digest = hashlib.sha256(_run_canonical(name)).hexdigest()
-        assert digest == GOLDEN[name], (
+        trace, decisions = _run_canonical(name)
+        assert hashlib.sha256(trace).hexdigest() == GOLDEN[name], (
             f"canonical trace for {name!r} diverged from the "
             f"pre-optimization kernel — the schedule or metric totals "
             f"changed"
         )
+        assert hashlib.sha256(decisions).hexdigest() == DECISION_LOG[name], (
+            f"decision log for {name!r} diverged: a verdict, its subject, "
+            f"time or arguments changed")
 
     def test_rerun_is_byte_identical(self):
         assert _run_canonical("quickstart") == _run_canonical("quickstart")

@@ -1,7 +1,7 @@
 """Regression tests for the hot-path rework: ``with_payload`` sizing
 rules, batched channel accounting, heap-based C-SCAN, O(1) admission
 queue depth, the calls one ``admit_batch`` makes, what an attached edge
-hit and a supervision tick no longer do, constant-time value sizes, the bisecting B-tree range walk, bulk index execution with rows
+hit and a supervision tick no longer do, constant-time value sizes, the bisecting ordered-index range walk, bulk index execution with rows
 hydrated on touch, the covering interval index's counts, and the profile
 CLI."""
 
@@ -426,15 +426,14 @@ class _CountedKey:
 
 
 class TestBisectingRangeWalk:
-    # Counted, not timed.  10^4 keys at the default degree is a
-    # three-level tree; the window sits near the top of the key space,
-    # where a walk that tests every key of a node against both bounds
-    # pays for all the keys to the window's left.
+    # Counted, not timed.  The window sits near the top of 10^4 keys,
+    # where a walk that tests every key against both bounds pays for
+    # all the keys to the window's left; two bisects pay about 28.
     def test_narrow_window_compares_few_keys(self):
-        from repro.db.btree import BTreeIndex
+        from repro.db.index import OrderedIndex
         from repro.db.objects import OID
 
-        tree = BTreeIndex("T", "n")
+        tree = OrderedIndex()
         for k in range(10_000):
             tree.insert(_CountedKey(k), OID("T", k))
         lo, hi = _CountedKey(9_900), _CountedKey(9_909)

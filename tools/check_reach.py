@@ -99,9 +99,9 @@ sys.settrace(_enter)
 
 
 class Function(NamedTuple):
-    module: str             # "repro.db.btree"
-    owner: Optional[str]    # "repro.db.btree.BTreeIndex" for a method
-    name: str               # "BTreeIndex.range"
+    module: str             # "repro.db.index"
+    owner: Optional[str]    # "repro.db.index.OrderedIndex" for a method
+    name: str               # "OrderedIndex.range"
     lines: int              # its own lines, nested functions excluded
     public: bool
 
