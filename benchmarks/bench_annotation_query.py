@@ -8,9 +8,9 @@ execution paths.  Before any speed claim, two honesty gates must pass:
 * **equivalence** — every query's index-path rows must be byte-identical
   (same rows, same order, same rendering) to its scan-path rows;
 * **concurrency** — queries interleaved with seeded wait-die writer
-  transactions stay correct: a younger writer hitting an in-flight
-  scan's locks dies (aborts, retriable) instead of corrupting the
-  index, and the index still agrees with the scan afterwards.
+  transactions stay correct: a younger writer hitting a transactional
+  read's locks dies (aborts, retriable) instead of changing the track
+  under it, and the index still agrees with the scan afterwards.
 
 Usage::
 
@@ -171,11 +171,11 @@ def check_concurrency(store: AnnotationStore, spec: CorpusSpec,
                                == run(store, probe, mode="scan").rows)
     store.track_index(HOT, "audio").check_invariants()
 
-    # The wait-die probe: an older reader's in-flight scan holds SHARED
-    # locks (sentinel + visited postings); a younger writer must die.
+    # The wait-die probe: an older reader's whole-track read holds SHARED
+    # locks (sentinel + every row it read); a younger writer must die.
     reader_tx = store.db.begin()
-    scan = store.scan_track(HOT, "audio", tx=reader_tx)
-    consumed = [next(scan) for _ in range(5)]
+    track = AQ.on(HOT, "audio")
+    read = run(store, track, mode="index", tx=reader_tx).rows
     writer_tx = store.db.begin()
     died = False
     try:
@@ -184,10 +184,10 @@ def check_concurrency(store: AnnotationStore, spec: CorpusSpec,
     except LockTimeoutError as error:
         died = not error.should_retry
         writer_tx.abort()
-    rest = list(scan)  # the aborted writer must not have broken the scan
+    # The aborted writer must have left the track as the reader read it.
+    scan_ok = (len(read) == store.track_stats(HOT, "audio").count
+               and run(store, track, mode="index", tx=reader_tx).rows == read)
     reader_tx.commit()
-    scan_ok = len(consumed) + len(rest) == store.track_stats(HOT,
-                                                             "audio").count
     store.track_index(HOT, "audio").check_invariants()
     # After the reader releases its locks the (new, still younger than
     # nothing) writer retries and goes through.

@@ -14,11 +14,9 @@ each posting's *end*; every operator is one or two such ranges (see
 :meth:`IntervalIndex._pieces`).  A block's max-end settles the end
 test for the whole block where it can — every end passes, or none can —
 and only the remaining blocks are filtered, in C, as is the type column.
-The answer leaves either all at once as a list of rows
-(:meth:`IntervalIndex.select`, which spares the query executor the
-object table) or lazily, a block at a time, as ``((start, end, serial),
-(oid,))`` pairs (:meth:`IntervalIndex.window` and
-:meth:`IntervalIndex.scan`) that refuse to outlive a write.
+:meth:`IntervalIndex.select` is the one read: it hands the window's
+rows back as one list, which spares the query executor the object
+table.
 """
 
 from __future__ import annotations
@@ -27,17 +25,13 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
 from operator import attrgetter, lt
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.annotations.model import ATYPE
 from repro.db.objects import DBObject, OID
 from repro.errors import AnnotationError
 
-__all__ = ["BLOCK_CAPACITY", "IntervalIndex", "IntervalKey", "TypeCodes"]
-
-#: (start, end, serial), as the walks yield it (the columns tie-break on oid).
-IntervalKey = Tuple[float, float, int]
-Posting = Tuple[IntervalKey, Tuple[OID, ...]]
+__all__ = ["BLOCK_CAPACITY", "IntervalIndex", "TypeCodes"]
 
 #: Most postings one block holds; a fuller block is cut in two.
 BLOCK_CAPACITY = 512
@@ -82,13 +76,9 @@ class _Block:
 class IntervalIndex:
     """(start, end, oid) -> row postings of one track, in columns."""
 
-    __slots__ = ("class_name", "attribute", "codes", "_blocks", "_mins",
-                 "_size", "_max_end", "sum_len", "_mods")
+    __slots__ = ("codes", "_blocks", "_mins", "_size", "_max_end", "sum_len")
 
-    def __init__(self, class_name: str = "Annotation",
-                 attribute: str = "__interval__") -> None:
-        self.class_name = class_name
-        self.attribute = attribute
+    def __init__(self) -> None:
         self.codes = TypeCodes()  # a store's router rebinds it to a shared one
         self._blocks: List[_Block] = []
         #: First (start, end, oid) of each block: the table ``_seek`` bisects.
@@ -97,8 +87,6 @@ class IntervalIndex:
         self._max_end = _NEG_INF
         #: Sum of ``end - start`` over the postings (a planner input).
         self.sum_len = 0.0
-        #: Bumped on every write; a live walk compares it before each step.
-        self._mods = 0
 
     def __len__(self) -> int:
         return self._size
@@ -134,7 +122,6 @@ class IntervalIndex:
             raise AnnotationError(
                 f"interval [{start!r}, {end!r}) must have finite "
                 f"start < end")
-        self._mods += 1
         fresh = self._insert(start, end, row.oid, row,
                              self.codes[row._values[ATYPE]])
         if fresh:
@@ -186,7 +173,6 @@ class IntervalIndex:
         if not (i < len(rows) and rows[i].oid == row.oid
                 and starts[i] == start and ends[i] == end):
             return False
-        self._mods += 1
         del starts[i], ends[i], rows[i], block.types[i]
         self._size -= 1
         self.sum_len -= end - start
@@ -234,7 +220,6 @@ class IntervalIndex:
                 "every interval must have finite start < end")
         posts = sorted(zip(starts, ends, map(attrgetter("oid"), rows), rows,
                            types))
-        self._mods += 1
         if self._blocks:
             posts = [post for post in posts if self._insert(*post)]
         else:
@@ -248,22 +233,7 @@ class IntervalIndex:
             self._max_end = max(block.max_end for block in self._blocks)
         self.sum_len += sum(post[1] - post[0] for post in posts)
 
-    def clear(self) -> None:
-        # The counter stays monotonic: a walk begun at _mods == k must
-        # not pass its guard on an index rebuilt with exactly k writes.
-        self._blocks = []
-        self._mins = []
-        self._size = 0
-        self._max_end = _NEG_INF
-        self.sum_len = 0.0
-        self._mods += 1
-
     # -- O(1) summaries --------------------------------------------------
-    def min_key(self) -> Optional[IntervalKey]:
-        """Smallest key in the index, or None when empty."""
-        first = self._mins[0] if self._mins else None
-        return first and (first[0], first[1], first[2].serial)
-
     def min_start(self) -> float:
         """Smallest interval start in the index (+inf when empty)."""
         return self._mins[0][0] if self._mins else _POS_INF
@@ -272,7 +242,7 @@ class IntervalIndex:
         """Largest interval end in the index (-inf when empty)."""
         return self._max_end
 
-    # -- the one window walk ---------------------------------------------
+    # -- the one read ----------------------------------------------------
     def _pieces(self, op: Optional[str], lo: float,
                 hi: float) -> List[_Piece]:
         """A window operator as start ranges with an end test each.
@@ -366,39 +336,6 @@ class IntervalIndex:
         if wanted[_OTHER]:
             found = [row for row in found if row._values[ATYPE] == atype]
         return found, matched
-
-    def _guard(self, expected: int) -> None:
-        if self._mods != expected:
-            raise AnnotationError(
-                "interval index mutated during an in-flight window walk")
-
-    def _walk(self, pieces: List[_Piece], expected: int) -> Iterator[Posting]:
-        # The counter is compared before a block's columns are read and
-        # before every yield, so a walk resumed after a write raises.
-        for block, i, j, test in pieces:
-            self._guard(expected)
-            rows = zip(block.starts[i:j], block.ends[i:j], block.rows[i:j])
-            if test is not None:
-                rows = compress(rows, map(test, block.ends[i:j]))
-            for start, end, row in rows:
-                self._guard(expected)
-                yield (start, end, row.oid.serial), (row.oid,)
-        self._guard(expected)
-
-    # Every walk yields ((start, end, serial), (oid,)) lazily in key
-    # order — an in-flight walk outliving a write is a bug in the
-    # caller's locking, and we refuse to paper over it.
-    def window(self, op: Optional[str], lo: float,
-               hi: float) -> Iterator[Posting]:
-        """One of the window operators by name (None: every posting)."""
-        return self._walk(self._pieces(op, lo, hi), self._mods)
-
-    def scan(self, lo: Optional[float] = None,
-             hi: Optional[float] = None) -> Iterator[Posting]:
-        """Postings whose start falls in ``[lo, hi)`` (None: unbounded)."""
-        begin = (0, 0) if lo is None else self._seek(lo)
-        finish = (len(self._blocks), 0) if hi is None else self._seek(hi)
-        return self._walk(self._cut(begin, finish), self._mods)
 
     # -- invariants (used by property tests) ------------------------------
     def check_invariants(self) -> None:

@@ -17,15 +17,15 @@ Concurrency protocol (the part the paper leaves implicit):
 * every writer takes an EXCLUSIVE lock on the *track sentinel* — a
   logical OID derived from ``sha256(value_id/track)`` — before its
   per-annotation locks;
-* every index-backed scan takes the sentinel SHARED plus a SHARED lock
-  on each row it reads (``Transaction.read`` locks first); a typed query
-  reads only the rows of its type.
+* every transactional query takes the sentinel SHARED plus a SHARED
+  lock on each row it reads (``Transaction.read`` locks first); a typed
+  query reads only the rows of its type.
 
-Under wait-die, a younger writer that hits a scan's sentinel dies
-(aborts, retriable) instead of mutating the index under the iterator; an
-older writer waits.  The index's mutation-counter guard backstops the
-protocol: an unlocked writer makes the scan raise rather than yield
-from columns that have moved.
+Under wait-die, a younger writer that hits a reader's sentinel dies
+(aborts, retriable) instead of changing the track under a transaction
+that has read it; an older writer waits.  The index is read eagerly
+(:meth:`IntervalIndex.select`), so no walk is ever in flight across a
+write.
 
 ``bulk_load`` is the corpus path: chunked ``commit_ops`` straight into
 the object store, postings appended to per-track columns and each
@@ -40,8 +40,8 @@ import hashlib
 from array import array
 from itertools import islice
 from math import isfinite
-from typing import (Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
-                    Optional, Tuple, Union)
+from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Tuple, Union)
 
 from repro.annotations.intervals import IntervalIndex, TypeCodes
 from repro.annotations.model import (END, FIELDS, START, TRACK, VALUE_ID,
@@ -99,8 +99,7 @@ class _IntervalRouter:
     pauses.
     """
 
-    def __init__(self, class_name: str) -> None:
-        self._class_name = class_name
+    def __init__(self) -> None:
         self.tracks: Dict[TrackKey, IntervalIndex] = {}
         self.codes = TypeCodes()  # one table for every track's type column
         self.total = 0
@@ -110,8 +109,7 @@ class _IntervalRouter:
         key = (value_id, track)
         index = self.tracks.get(key)
         if index is None:
-            index = IntervalIndex(self._class_name,
-                                  f"__interval__/{value_id}/{track}")
+            index = IntervalIndex()
             index.codes = self.codes
             self.tracks[key] = index
         return index
@@ -149,7 +147,7 @@ class AnnotationStore:
         self._types: Dict[str, AnnotationType] = {}
         #: Query description -> the (mode, forced, tracks) last logged for it.
         self._verdicts: Dict[str, Tuple[str, bool, int]] = {}
-        self._router = _IntervalRouter(self.CLASS_NAME)
+        self._router = _IntervalRouter()
         #: The router's own dict (it is cleared in place, never rebound).
         self._tracks = self._router.tracks
         # Declared here and nowhere else: the readers go by position.
@@ -162,7 +160,6 @@ class AnnotationStore:
         self._m_added = metrics.counter("annotations.added")
         self._m_removed = metrics.counter("annotations.removed")
         self._m_bulk = metrics.counter("annotations.bulk_loaded")
-        self._m_scans = metrics.counter("annotations.track_scans")
 
     # -- types -----------------------------------------------------------
     def define_type(self, atype: AnnotationType) -> AnnotationType:
@@ -206,8 +203,8 @@ class AnnotationStore:
                 return self.annotate(value_id, track, atype, start, end,
                                      canonical, tx=own)
         # Sentinel first, per-annotation lock second — the fixed order
-        # every writer and scan shares, so wait-die sees the conflict at
-        # the track granularity before any tree state is at risk.
+        # every writer and reader shares, so wait-die sees the conflict
+        # at the track granularity before any posting is at risk.
         tx.lock(track_sentinel(value_id, track), LockMode.EXCLUSIVE)
         oid = tx.insert(self.CLASS_NAME, value_id=value_id, track=track,
                         atype=atype, start=start, end=end, payload=canonical)
@@ -263,28 +260,6 @@ class AnnotationStore:
         if index is None:
             raise AnnotationError(f"no annotations on {value_id}/{track}")
         return index
-
-    def scan_track(self, value_id: str, track: str,
-                   tx: Optional[Transaction] = None,
-                   lo: Optional[float] = None, hi: Optional[float] = None
-                   ) -> Iterator[Annotation]:
-        """Ordered scan of one track, read-locked when ``tx`` is given.
-
-        With a transaction, the sentinel is locked SHARED up front and
-        each posting is locked SHARED as the scan reaches it (by
-        ``tx.read``) — held to commit under strict 2PL, so a concurrent
-        younger writer dies under wait-die instead of mutating the
-        index mid-scan.
-        """
-        index = self._tracks.get((value_id, track))
-        if index is None:
-            return iter(())
-        self._m_scans.inc()
-        if tx is not None:
-            tx.lock(track_sentinel(value_id, track), LockMode.SHARED)
-        reader = tx.read if tx is not None else self.db.get
-        return (Annotation.from_object(reader(oid))
-                for _, oids in index.scan(lo, hi) for oid in oids)
 
     # -- bulk corpus loading --------------------------------------------
     def bulk_load(self, rows: Iterable[Tuple[str, str, str, float, float,

@@ -82,10 +82,6 @@ class Database:
                 obj = self._store.get(oid)
                 index.insert(key_of(obj), obj)
 
-    def detach_index(self, name: str) -> None:
-        """Drop a derived index registration (the index itself survives)."""
-        self._derived.pop(name, None)
-
     # -- transactions ------------------------------------------------------
     def begin(self) -> Transaction:
         self._m_begins.inc()
