@@ -27,7 +27,11 @@ CI's rerun-and-diff loops were retired in favour of these.  Its
 decision log as sorted-key JSON, so a changed verdict is named as one
 even where the trace would only say that something moved, and its
 ``metrics`` entry the metric snapshot as sorted-key JSON, so a moved
-or vanished instrument is named as one.  If any
+or vanished instrument is named as one.  ``scenario_decision_log`` and
+``scenario_metrics`` pin the same two hashes, untraced, for every
+``<family>-<name>`` of the scenario table at seeds 0 and 1 (an unseeded
+``trace`` preset once), so a change that must move nothing is checked
+on every scenario and not only on the eleven pinned traces.  If any
 kernel/dataplane change perturbs the schedule — event order, virtual
 timestamps, or metric totals — the exported bytes change and these
 tests fail.  That is what "preserving epoch semantics and (time, seq)
@@ -44,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Tuple
+from typing import Dict, Tuple
 
 import pytest
 
@@ -58,6 +62,14 @@ GOLDEN = json.loads(
 CLI_STDOUT = GOLDEN.pop("cli_stdout")
 DECISION_LOG = GOLDEN.pop("decision_log")
 METRICS = GOLDEN.pop("metrics")
+SCENARIO_DECISION_LOG = GOLDEN.pop("scenario_decision_log")
+SCENARIO_METRICS = GOLDEN.pop("scenario_metrics")
+
+
+def _decisions_and_metrics(obs) -> Tuple[bytes, bytes]:
+    return (json.dumps([event.to_dict() for event in obs.decisions.events],
+                       sort_keys=True).encode(),
+            json.dumps(obs.metrics.snapshot(), sort_keys=True).encode())
 
 
 def _run_canonical(name: str) -> Tuple[bytes, bytes, bytes]:
@@ -66,9 +78,30 @@ def _run_canonical(name: str) -> Tuple[bytes, bytes, bytes]:
     with scoped(tracing=True) as obs:
         table()[name].run()
         return (canonical_trace_bytes(obs.tracer, obs.metrics),
-                json.dumps([event.to_dict() for event in obs.decisions.events],
-                           sort_keys=True).encode(),
-                json.dumps(obs.metrics.snapshot(), sort_keys=True).encode())
+                *_decisions_and_metrics(obs))
+
+
+def scenario_runs() -> Dict[str, Tuple[str, int]]:
+    """Run id -> (qualified name, seed): every ``<family>-<name>`` of the
+    table at seeds 0 and 1, an unseeded ``trace`` preset once."""
+    runs = {}
+    for name, scenario in table().items():
+        if name != f"{scenario.family.name}-{scenario.name}":
+            continue
+        seeds = (0, 1) if scenario.family.seeded else (0,)
+        for seed in seeds:
+            runs[f"{name} --seed {seed}" if scenario.family.seeded
+                 else name] = (name, seed)
+    return runs
+
+
+def scenario_hashes(run_id: str) -> Tuple[str, str]:
+    """SHA-256 of one run's decision log and metric snapshot, untraced."""
+    name, seed = scenario_runs()[run_id]
+    with scoped(tracing=False) as obs:
+        table()[name].run(seed)
+        return tuple(hashlib.sha256(blob).hexdigest()
+                     for blob in _decisions_and_metrics(obs))
 
 
 class TestGoldenTraces:
@@ -100,6 +133,20 @@ class TestGoldenTraces:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == CLI_STDOUT[command], (
             f"`python -m repro {command}` printed different bytes")
+
+    def test_every_scenario_run_is_pinned(self):
+        assert sorted(scenario_runs()) == sorted(SCENARIO_METRICS) == sorted(
+            SCENARIO_DECISION_LOG)
+
+    @pytest.mark.parametrize("run_id", sorted(SCENARIO_METRICS))
+    def test_scenario_decisions_and_metrics_match_pinned_hash(self, run_id):
+        decisions, metrics = scenario_hashes(run_id)
+        assert decisions == SCENARIO_DECISION_LOG[run_id], (
+            f"decision log of {run_id!r} diverged: a verdict, its subject, "
+            f"time or arguments changed")
+        assert metrics == SCENARIO_METRICS[run_id], (
+            f"metric snapshot of {run_id!r} diverged: a counter, gauge or "
+            f"histogram was added, dropped or moved")
 
 
 class TestStaleTimers:
