@@ -33,6 +33,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.herd.coupler import STREAM_BPS  # noqa: E402
 from repro.herd.equivalence import (  # noqa: E402
     equivalence_report,
     run_discrete,
@@ -43,9 +44,7 @@ from repro.herd.population import HerdPhase, HerdPopulation  # noqa: E402
 PERF_PATH = REPO_ROOT / "BENCH_PERF.json"
 RESULTS_PATH = REPO_ROOT / "benchmarks" / "results" / "herd_scale.txt"
 
-STREAM_BPS = 1_000_000.0
 EPOCH_S = 0.05
-SESSION_EPOCHS = 4
 
 #: expected client counts per mode.  The discrete side is deliberately
 #: small — its measured clients/s extrapolates linearly (every client
@@ -90,8 +89,7 @@ def measure(mode: str, clients: int, seed: int = 0) -> dict:
     runner = run_herd if mode == "herd" else run_discrete
     t0 = time.perf_counter()
     population = _population(clients, seed)
-    facts = runner(population, capacity_bps=_capacity_bps(clients),
-                   stream_bps=STREAM_BPS, session_epochs=SESSION_EPOCHS)
+    facts = runner(population, capacity_bps=_capacity_bps(clients))
     dt = time.perf_counter() - t0
     simulated = int(facts["clients"])
     return {
@@ -107,11 +105,8 @@ def measure(mode: str, clients: int, seed: int = 0) -> dict:
 def check_equivalence(seed: int = 0) -> dict:
     """The honesty gate: herd == discrete on a small same-seed run."""
     population = _population(PROBE_CLIENTS, seed)
-    report = equivalence_report(population,
-                                capacity_bps=_capacity_bps(PROBE_CLIENTS),
-                                stream_bps=STREAM_BPS,
-                                session_epochs=SESSION_EPOCHS)
-    return report
+    return equivalence_report(population,
+                              capacity_bps=_capacity_bps(PROBE_CLIENTS))
 
 
 def run_pair(sizes: dict, repeats: int = 3) -> dict:

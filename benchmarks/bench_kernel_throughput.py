@@ -13,8 +13,11 @@ Measures the three layers every scenario funnels through:
 
 Throughputs are also *normalized* by a pure-Python calibration loop so
 numbers recorded on one machine can gate another (the ``--smoke`` CI
-mode): a 10% drop in normalized throughput vs the committed
-``BENCH_PERF.json`` fails the job.
+mode): a 10% drop in normalized kernel or stream throughput vs the
+committed ``BENCH_PERF.json`` fails the job.  Codec frames/sec is
+printed but not gated: the calibration loop is pure Python and the
+codecs spend their time in numpy, so its ratio to the calibration
+moves with the machine, not only with the code.
 
 Usage::
 
@@ -199,6 +202,9 @@ def codec_workload(frames: int, width: int, height: int) -> float:
 # ---------------------------------------------------------------------------
 
 METRICS = ("kernel_events_per_s", "stream_elements_per_s", "codec_frames_per_s")
+#: what ``--smoke`` gates: the pure-Python layers the calibration loop
+#: can normalize.
+GATED = ("kernel_events_per_s", "stream_elements_per_s")
 
 
 def run_suite(sizes: dict, repeats: int = 3) -> dict:
@@ -260,8 +266,9 @@ def smoke_baseline(doc: dict):
 
 
 def cmd_smoke(args) -> int:
-    """CI gate: normalized throughput must stay within tolerance of the
-    smoke numbers of the latest committed trajectory entry that has any.
+    """CI gate: normalized kernel and stream throughput must stay within
+    tolerance of the smoke numbers of the latest committed trajectory
+    entry that has any; codec throughput is printed beside them.
 
     Shared CI machines see transient contention bursts that depress the
     workloads far more than the calibration loop, so a failing attempt
@@ -288,11 +295,15 @@ def cmd_smoke(args) -> int:
         for name in METRICS:
             measured = results[name] / calibration
             floor = committed[name] * (1.0 - SMOKE_TOLERANCE)
-            status = "ok" if measured >= floor else "REGRESSION"
+            if name not in GATED:
+                status = "ungated"
+            elif measured >= floor:
+                status = "ok"
+            else:
+                status = "REGRESSION"
+                failures.append(name)
             print(f"   {name:<24} normalized {measured:.4f} vs committed "
                   f"{committed[name]:.4f} (floor {floor:.4f}) {status}")
-            if measured < floor:
-                failures.append(name)
         if not failures:
             print("perf-smoke ok")
             return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.activities.base import ActivityState, MediaActivity
+from repro.activities.base import MediaActivity
 from repro.activities.composite import CompositeActivity
 from repro.activities.ports import Connection, Direction, Port
 from repro.avtime import WorldTime
@@ -196,11 +196,6 @@ class ActivityGraph:
         for activity in self.activities.values():
             activity.start()
 
-    def stop_all(self) -> None:
-        for activity in self.activities.values():
-            if activity.state is ActivityState.RUNNING:
-                activity.stop()
-
     def run(self, until: Optional[WorldTime] = None) -> WorldTime:
         """Run the simulation until all streams drain (or ``until``)."""
         return self.simulator.run(until)
@@ -209,10 +204,6 @@ class ActivityGraph:
         """start_all + run; the common one-shot pattern."""
         self.start_all()
         return self.run()
-
-    # -- accounting ----------------------------------------------------------
-    def total_bits_sent(self) -> int:
-        return sum(c.bits_sent for c in self.connections)
 
     # -- the paper's graphical notation -------------------------------------
     def render_ascii(self) -> str:

@@ -1,11 +1,11 @@
 """Seeded multi-client overload workload (ROADMAP: "millions of users").
 
-:class:`OverloadWorkload` drives N client sessions (N >= 50 by default)
-against one :class:`~repro.avdb.AVDatabaseSystem` whose streams share a
-single trunk channel, a shared decoder pool, and the catalog database.
+:class:`OverloadWorkload` drives 60 client sessions against one
+:class:`~repro.avdb.AVDatabaseSystem` whose streams share a single
+trunk channel, a shared decoder pool, and the catalog database.
 Arrivals are Poisson in *virtual* time; every random draw comes from one
 seeded generator consumed before the simulation starts, so a run is a
-pure function of ``(seed, parameters)`` — byte-identical facts across
+pure function of ``(seed, admission)`` — byte-identical facts across
 runs, which the overload benchmark gates on.
 
 Each client: opens a session, runs a catalog transaction (read + update
@@ -68,6 +68,23 @@ _PRIORITY_MIX = (
 
 CLIP_COUNT = 3
 
+#: The surge experiment: 60 clients offering 10x a trunk of five 2 Mb/s
+#: streams, each stream 20 elements of 200 kbit.
+CLIENTS = 60
+LOAD_FACTOR = 10.0
+STREAM_BPS = 2_000_000.0
+ELEMENT_BITS = 200_000
+ELEMENTS = 20
+CAPACITY_BPS = STREAM_BPS * 5
+PERIOD_S = ELEMENT_BITS / STREAM_BPS
+STREAM_DURATION_S = ELEMENTS * PERIOD_S
+#: decoder leases in the shared pool.
+POOL_SIZE = 6
+#: lateness tolerated per element, as a fraction of its period.
+SLACK_FRACTION = 0.25
+#: a baseline client abandons once an element is this many periods late.
+ABANDON_FACTOR = 8.0
+
 
 @dataclass(frozen=True, slots=True)
 class ClientSpec:
@@ -102,43 +119,19 @@ class FairShareLink:
 class OverloadWorkload:
     """Build, run and score one seeded overload experiment."""
 
-    def __init__(self, seed: int = 0, admission: bool = True,
-                 clients: int = 60, load_factor: float = 10.0,
-                 stream_bps: float = 2_000_000.0,
-                 element_bits: int = 200_000,
-                 elements: int = 20,
-                 capacity_streams: int = 5,
-                 pool_size: int = 6,
-                 slack_fraction: float = 0.25,
-                 abandon_factor: float = 8.0,
-                 max_queue: int = 32,
-                 high_watermark: float = 0.85) -> None:
+    def __init__(self, seed: int = 0, admission: bool = True) -> None:
         self.seed = seed
         self.admission = admission
-        self.clients = clients
-        self.load_factor = load_factor
-        self.stream_bps = stream_bps
-        self.element_bits = element_bits
-        self.elements = elements
-        self.capacity_bps = stream_bps * capacity_streams
-        self.pool_size = pool_size
-        self.slack_fraction = slack_fraction
-        self.abandon_factor = abandon_factor
-        self.max_queue = max_queue
-        self.high_watermark = high_watermark
-        self.period_s = element_bits / stream_bps
-        self.stream_duration_s = elements * self.period_s
         self.specs = self._draw_specs()
 
     def _draw_specs(self) -> List[ClientSpec]:
         rng = random.Random(f"overload:{self.seed}")
         # Offered load = load_factor x capacity: arrival rate such that
         # (arrivals/s) x (stream duration) x (stream rate) = load x capacity.
-        lam = (self.load_factor * self.capacity_bps
-               / (self.stream_bps * self.stream_duration_s))
+        lam = LOAD_FACTOR * CAPACITY_BPS / (STREAM_BPS * STREAM_DURATION_S)
         specs: List[ClientSpec] = []
         clock = 0.0
-        for index in range(self.clients):
+        for index in range(CLIENTS):
             clock += poisson_step(rng, lam)
             priority = mixture_pick(rng, _PRIORITY_MIX)
             specs.append(ClientSpec(
@@ -160,15 +153,12 @@ class OverloadWorkload:
         ]))
         for i in range(CLIP_COUNT):
             system.db.insert("Clip", title=f"clip-{i}", plays=0)
-        pool = system.resources.add_pool("decoder", self.pool_size)
-        trunk = Channel(sim, capacity_bps=self.capacity_bps,
+        pool = system.resources.add_pool("decoder", POOL_SIZE)
+        trunk = Channel(sim, capacity_bps=CAPACITY_BPS,
                         latency_s=0.0, name="trunk")
         controller = None
         if self.admission:
-            controller = system.enable_admission(
-                trunk, max_queue=self.max_queue,
-                high_watermark=self.high_watermark,
-            )
+            controller = system.enable_admission(trunk)
         return system, trunk, pool, controller
 
     # -- the client process ------------------------------------------------
@@ -204,7 +194,7 @@ class OverloadWorkload:
 
     def _stream(self, sim, serialize, op_period: float, priority: Priority,
                 stats: Dict[str, int], baseline: bool) -> Generator:
-        """Pace ``elements`` elements; returns (violations, ontime_bits,
+        """Pace :data:`ELEMENTS` elements; returns (violations, ontime_bits,
         abandoned).
 
         ``ontime_bits`` counts only elements delivered within the
@@ -212,14 +202,14 @@ class OverloadWorkload:
         stream, provided it runs to completion.
         """
         start = sim.now_s
-        slack = self.slack_fraction * op_period
+        slack = SLACK_FRACTION * op_period
         violations = 0
         ontime_bits = 0
-        for i in range(self.elements):
+        for i in range(ELEMENTS):
             ideal = start + i * op_period
             if ideal > sim.now_s:
                 yield Delay(ideal - sim.now_s)
-            yield from serialize(self.element_bits)
+            yield from serialize(ELEMENT_BITS)
             finish = sim.now_s
             lateness = finish - (ideal + op_period)
             if lateness > slack + 1e-12:
@@ -227,8 +217,8 @@ class OverloadWorkload:
                 if priority is Priority.INTERACTIVE:
                     stats["interactive_violations"] += 1
             else:
-                ontime_bits += self.element_bits
-            if baseline and lateness > self.abandon_factor * op_period:
+                ontime_bits += ELEMENT_BITS
+            if baseline and lateness > ABANDON_FACTOR * op_period:
                 # The user gave up waiting; everything sent was wasted.
                 stats["abandoned"] += 1
                 return violations, ontime_bits, True
@@ -245,7 +235,7 @@ class OverloadWorkload:
         try:
             yield from self._metadata_transaction(system, spec, stats)
             min_fraction, timeout_s = PRIORITY_QOS[spec.priority]
-            contract = QoSContract(self.stream_bps, spec.priority,
+            contract = QoSContract(STREAM_BPS, spec.priority,
                                    min_fraction, timeout_s)
             try:
                 lease = yield from controller.acquire_device(
@@ -259,7 +249,7 @@ class OverloadWorkload:
             except AdmissionError:
                 stats["shed"] += 1
                 return
-            if reservation.bps + 1e-9 >= self.stream_bps:
+            if reservation.bps + 1e-9 >= STREAM_BPS:
                 stats["admitted_full"] += 1
             else:
                 stats["admitted_degraded"] += 1
@@ -267,7 +257,7 @@ class OverloadWorkload:
                 stats["interactive_admitted"] += 1
             # Pace against the operative contract: a degraded grant is a
             # renegotiated (slower) schedule the stream then honours.
-            op_period = self.element_bits / reservation.bps
+            op_period = ELEMENT_BITS / reservation.bps
             try:
                 violations, ontime_bits, _ = yield from self._stream(
                     sim, reservation.serialize, op_period, spec.priority,
@@ -305,7 +295,7 @@ class OverloadWorkload:
             link.active += 1
             try:
                 violations, ontime_bits, abandoned = yield from self._stream(
-                    sim, link.serialize, self.period_s, spec.priority,
+                    sim, link.serialize, PERIOD_S, spec.priority,
                     stats, baseline=True,
                 )
             finally:
@@ -325,7 +315,7 @@ class OverloadWorkload:
     def run(self) -> Dict[str, object]:
         system, trunk, pool, controller = self._build()
         sim = system.simulator
-        link = FairShareLink(self.capacity_bps)
+        link = FairShareLink(CAPACITY_BPS)
         stats: Dict[str, int] = {key: 0 for key in (
             "admitted_full", "admitted_degraded", "shed", "timeouts",
             "preempted", "abandoned", "completed", "qos_streams",
@@ -351,9 +341,9 @@ class OverloadWorkload:
         facts: Dict[str, object] = {
             "mode": "admission" if self.admission else "no-admission",
             "seed": self.seed,
-            "clients": self.clients,
-            "load_factor": round(self.load_factor, 3),
-            "capacity_bps": int(self.capacity_bps),
+            "clients": CLIENTS,
+            "load_factor": LOAD_FACTOR,
+            "capacity_bps": int(CAPACITY_BPS),
             "admitted_full": stats["admitted_full"],
             "admitted_degraded": stats["admitted_degraded"],
             "shed": stats["shed"],

@@ -9,7 +9,7 @@ stable, so the same spec always produces the byte-identical corpus
 The shape mirrors an annotated AV archive: thousands of values, value
 popularity Zipf-distributed (a few values carry deep annotation tiers,
 a long tail is sparse), two tracks per value, annotation types drawn
-from a per-corpus mix, starts uniform over each value's duration and
+from a fixed mix, starts uniform over each value's duration and
 lengths exponential with a per-type mean.  Everything is drawn as flat
 vectorized arrays first and assembled into rows second — at a million
 rows, per-row Python sampling is the difference between seconds and
@@ -19,7 +19,7 @@ minutes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
@@ -33,13 +33,16 @@ __all__ = ["CorpusSpec", "corpus_fingerprint", "default_types",
            "generate_rows", "load_corpus"]
 
 #: (type name, mix weight, mean length in seconds, label vocabulary size)
-_DEFAULT_MIX = (
+_MIX = (
     ("word", 0.40, 0.35, 24),
     ("phone", 0.30, 0.09, 12),
     ("turn", 0.10, 8.0, 6),
     ("gesture", 0.12, 1.8, 10),
     ("scene", 0.08, 14.0, 8),
 )
+
+#: the share of annotations on value 0; Zipf spreads the rest.
+VIRAL_SHARE = 0.05
 
 
 #: Rows converted from arrays to Python objects at a time.
@@ -50,7 +53,7 @@ def default_types() -> Tuple[AnnotationType, ...]:
     """The type schema every generated corpus is validated against."""
     return tuple(
         AnnotationType(name, (FieldSpec("label", str, required=True),))
-        for name, _, _, _ in _DEFAULT_MIX)
+        for name, _, _, _ in _MIX)
 
 
 @dataclass(frozen=True)
@@ -61,14 +64,11 @@ class CorpusSpec:
     values: int = 2000
     annotations: int = 1_000_000
     duration_s: float = 600.0
-    viral_share: float = 0.05
     tracks: Tuple[str, ...] = ("audio", "video")
-    mix: Tuple[Tuple[str, float, float, int], ...] = field(
-        default=_DEFAULT_MIX)
 
     def rng(self) -> np.random.Generator:
         tag = (f"annotations-corpus:{self.seed}:{self.values}:"
-               f"{self.annotations}:{self.duration_s!r}:{self.viral_share!r}")
+               f"{self.annotations}:{self.duration_s!r}:{VIRAL_SHARE!r}")
         digest = hashlib.sha256(tag.encode()).digest()
         words = [int.from_bytes(digest[i:i + 4], "big")
                  for i in range(0, 16, 4)]
@@ -82,13 +82,13 @@ def _draw_arrays(spec: CorpusSpec):
         raise AnnotationError("corpus needs >= 1 value and >= 1 annotation")
     rng = spec.rng()
     per_value = rng.multinomial(spec.annotations,
-                                zipf_pmf(spec.values, spec.viral_share))
+                                zipf_pmf(spec.values, VIRAL_SHARE))
     value_idx = np.repeat(np.arange(spec.values), per_value)
     n = value_idx.size
     track_idx = rng.integers(0, len(spec.tracks), size=n)
-    weights = np.array([w for _, w, _, _ in spec.mix], dtype=np.float64)
-    type_idx = rng.choice(len(spec.mix), size=n, p=weights / weights.sum())
-    means = np.array([m for _, _, m, _ in spec.mix], dtype=np.float64)
+    weights = np.array([w for _, w, _, _ in _MIX], dtype=np.float64)
+    type_idx = rng.choice(len(_MIX), size=n, p=weights / weights.sum())
+    means = np.array([m for _, _, m, _ in _MIX], dtype=np.float64)
     lengths = np.clip(rng.exponential(means[type_idx]), 0.02, 60.0)
     starts = rng.uniform(0.0, spec.duration_s, size=n)
     # Keep every interval inside the value: shift, never truncate, so
@@ -118,12 +118,12 @@ def generate_rows(spec: CorpusSpec
     value_idx, track_idx, type_idx, starts, lengths, label_idx = \
         _draw_arrays(spec)
     value_ids = [f"value-{i:05d}" for i in range(spec.values)]
-    names = [name for name, _, _, _ in spec.mix]
-    vocab = [v for _, _, _, v in spec.mix]
+    names = [name for name, _, _, _ in _MIX]
+    vocab = [v for _, _, _, v in _MIX]
     # Pre-render every (type, label) payload once; rows share the tuples.
     payloads = [
         tuple([("label", f"{names[t]}-{k:03d}")])
-        for t in range(len(spec.mix)) for k in range(vocab[t])]
+        for t in range(len(_MIX)) for k in range(vocab[t])]
     offsets = np.cumsum([0] + vocab[:-1]).tolist()
     tracks = spec.tracks
     columns = (value_idx, track_idx, type_idx, starts, lengths, label_idx)

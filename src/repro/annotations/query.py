@@ -318,8 +318,7 @@ def _probe_window(relation: str, left: Annotation) -> Tuple[str, float, float]:
 
 
 def _run_join_index(store: AnnotationStore, join: AnnotationJoin,
-                    lefts: Sequence, tx: Optional[Transaction]
-                    ) -> QueryResult:
+                    lefts: Sequence) -> QueryResult:
     pairs: List[Tuple[Annotation, Annotation]] = []
     examined = 0
     matches = join.right._matches_residual
@@ -327,22 +326,17 @@ def _run_join_index(store: AnnotationStore, join: AnnotationJoin,
     for left in lefts:
         op, lo, hi = _probe_window(join.relation, left)
         for track_key in tracks:
-            if tx is not None:
-                tx.lock(track_sentinel(*track_key), LockMode.SHARED)
             found, _ = store._tracks[track_key].select(op, lo, hi)
             found = [row for row in found if row.oid != left.oid]  # not itself
             examined += len(found)
-            if tx is not None:
-                found = [tx.read(row.oid) for row in found]
             pairs += [(left, Annotation.from_object(obj))
                       for obj in found if matches(obj._values)]
     return QueryResult(pairs, "index", examined)
 
 
 def _run_join_scan(store: AnnotationStore, join: AnnotationJoin,
-                   lefts: Sequence, tx: Optional[Transaction]
-                   ) -> QueryResult:
-    rights = _run_scan(store, join.right, tx)
+                   lefts: Sequence) -> QueryResult:
+    rights = _run_scan(store, join.right, None)
     right_rows = list(rights.rows)
     relation = WINDOW_OPS[join.relation]
     pairs = [(left, right)
@@ -354,16 +348,15 @@ def _run_join_scan(store: AnnotationStore, join: AnnotationJoin,
 
 
 def run_join(store: AnnotationStore, join: AnnotationJoin,
-             mode: str = "auto",
-             tx: Optional[Transaction] = None) -> QueryResult:
+             mode: str = "auto") -> QueryResult:
     """Execute ``left REL right``; pairs sorted by (left, right) keys."""
     from repro.annotations.planner import plan_join
-    left_result = run(store, join.left, mode, tx)
+    left_result = run(store, join.left, mode)
     decision = plan_join(store, join, len(left_result.rows), mode)
     if decision.mode == "index":
-        result = _run_join_index(store, join, left_result.rows, tx)
+        result = _run_join_index(store, join, left_result.rows)
     else:
-        result = _run_join_scan(store, join, left_result.rows, tx)
+        result = _run_join_scan(store, join, left_result.rows)
     result.examined += left_result.examined
     result.plan = decision
     return result

@@ -114,9 +114,6 @@ class ResourceManager:
                 f"no device pool {kind!r} (pools: {sorted(self._pools)})"
             ) from None
 
-    def has_pool(self, kind: str) -> bool:
-        return kind in self._pools
-
     def pools(self) -> List[SharedDevicePool]:
         return list(self._pools.values())
 

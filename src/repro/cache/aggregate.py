@@ -10,13 +10,14 @@ edge tier's steady state.
 
 The approximation: under sustained Zipf demand an LRU/cost-aware edge
 converges to keeping the most popular assets resident.  The model
-therefore declares a capacity of ``cached_assets`` slots, ranks the
-catalog by the population's popularity pmf, and treats the top-K ranked
-assets as *cacheable*.  A cacheable asset becomes resident the first
-time demand touches it; that cold epoch's demand is the read-through
-fill and still counts as misses.  Demand on resident assets counts as
-edge hits (served locally — no trunk bandwidth); everything else is a
-pass-through miss that must be carried by the trunk.
+therefore declares a capacity of ``cached_assets`` slots and treats the
+first K assets in catalogue order as *cacheable*: a herd catalogue is
+drawn in popularity order, so these are the top K by popularity.  A
+cacheable asset becomes resident the first time demand touches it;
+that cold epoch's demand is the read-through fill and still counts as
+misses.  Demand on resident assets counts as edge hits (served locally
+— no trunk bandwidth); everything else is a pass-through miss that must
+be carried by the trunk.
 
 Hit/miss/lookup counts are folded into the same ``cache.lookups`` /
 ``cache.hits`` / ``cache.misses`` counters the discrete
@@ -26,7 +27,7 @@ herd`` reports cache efficacy through the ordinary metrics registry.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -41,13 +42,8 @@ class AggregateHitModel:
     in clients, updating residency and the shared cache counters.
     """
 
-    def __init__(
-        self,
-        metrics,
-        catalog_size: int,
-        cached_assets: int,
-        pmf: Optional[Sequence[float]] = None,
-    ) -> None:
+    def __init__(self, metrics, catalog_size: int,
+                 cached_assets: int) -> None:
         if catalog_size < 1:
             raise SimulationError(
                 f"aggregate cache needs a catalog of >= 1 asset, got {catalog_size}"
@@ -58,19 +54,8 @@ class AggregateHitModel:
             )
         self.catalog_size = catalog_size
         self.cached_assets = min(cached_assets, catalog_size)
-        if pmf is None:
-            ranked = np.arange(catalog_size)
-        else:
-            pmf = np.asarray(pmf, dtype=float)
-            if pmf.shape != (catalog_size,):
-                raise SimulationError(
-                    f"popularity pmf has shape {pmf.shape}, expected ({catalog_size},)"
-                )
-            # Stable sort so popularity ties keep catalog order — residency
-            # must not depend on argsort implementation details.
-            ranked = np.argsort(-pmf, kind="stable")
         self._cacheable = np.zeros(catalog_size, dtype=bool)
-        self._cacheable[ranked[: self.cached_assets]] = True
+        self._cacheable[: self.cached_assets] = True
         self._resident = np.zeros(catalog_size, dtype=bool)
         self.lookups = 0
         self.hits = 0

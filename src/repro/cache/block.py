@@ -39,6 +39,9 @@ from repro.sim import Simulator
 
 BlockId = Tuple[str, int]  # (content key, block index)
 
+#: bytes per cached block, at both levels of the hierarchy.
+BLOCK_BYTES = 30_000
+
 
 def content_stamp(key: str, version: int, index: int) -> str:
     """Deterministic digest of one block's bytes at one version."""
@@ -56,17 +59,17 @@ class BlockCache:
     """Bounded block store with pluggable eviction and version tags."""
 
     def __init__(self, simulator: Simulator, name: str,
-                 capacity_bytes: int, block_bytes: int = 30_000,
+                 capacity_bytes: int,
                  policy: Optional[EvictionPolicy] = None) -> None:
-        if capacity_bytes < block_bytes:
+        self.block_bytes = BLOCK_BYTES
+        if capacity_bytes < self.block_bytes:
             raise CacheError(
                 f"cache {name!r} capacity {capacity_bytes} below one "
-                f"block ({block_bytes})"
+                f"block ({self.block_bytes})"
             )
         self.simulator = simulator
         self.name = name
         self.capacity_bytes = capacity_bytes
-        self.block_bytes = block_bytes
         self.policy = policy if policy is not None else LRUPolicy()
         self.bytes_used = 0
         #: (key, block index) -> version tag

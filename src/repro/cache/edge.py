@@ -27,7 +27,12 @@ from repro.admission.controller import (
     Priority,
     QoSContract,
 )
-from repro.cache.block import BlockCache, content_stamp, span_blocks
+from repro.cache.block import (
+    BLOCK_BYTES,
+    BlockCache,
+    content_stamp,
+    span_blocks,
+)
 from repro.cache.policy import EvictionPolicy
 from repro.cluster import hashing
 from repro.errors import AdmissionError, CacheError
@@ -42,22 +47,23 @@ def _stamp_bytes(key: str, version: int, index: int) -> bytes:
     return content_stamp(key, version, index).encode()
 
 
+#: admission queue bound on an edge's NIC.
+MAX_QUEUE = 64
+
+
 class EdgeCacheNode:
     """A named, killable cache node: NIC + admission + block cache."""
 
     def __init__(self, simulator: Simulator, name: str,
                  bandwidth_bps: float = 240_000_000.0,
                  capacity_bytes: int = 60_000_000,
-                 block_bytes: int = 30_000,
-                 policy: Optional[EvictionPolicy] = None,
-                 max_queue: int = 64) -> None:
+                 policy: Optional[EvictionPolicy] = None) -> None:
         self.simulator = simulator
         self.name = name
         self.nic = Channel(simulator, bandwidth_bps, name=f"{name}.nic")
         self.admission = AdmissionController(simulator, self.nic,
-                                             max_queue=max_queue, name=name)
-        self.cache = BlockCache(simulator, name, capacity_bytes,
-                                block_bytes, policy)
+                                             max_queue=MAX_QUEUE, name=name)
+        self.cache = BlockCache(simulator, name, capacity_bytes, policy)
         self.live = True
         self.deaths = 0
         self.bits_served = 0
@@ -188,7 +194,7 @@ class EdgeStream:
                     edge.cache.put(placement.key, byte_off, span_bytes,
                                    version)
                     edge.account_fill(bits)
-        for index in span_blocks(self.tier.block_bytes, byte_off, span_bytes):
+        for index in span_blocks(BLOCK_BYTES, byte_off, span_bytes):
             self._digest.update(_stamp_bytes(placement.key, version, index))
         self._pos_bits += bits
         self.bits_read += bits

@@ -2,7 +2,7 @@
 
 The detector is purely access-driven: every :class:`EdgeStream` read
 notes its placement, the note prunes the key's event window, and a key
-crossing ``hot_threshold`` accesses inside ``window_s`` fires the
+crossing ``hot_threshold`` accesses inside :data:`WINDOW_S` fires the
 ``on_hot`` callback exactly once per hot episode.  Cooling is the
 tier's job (a per-key watcher process polls :meth:`recent` on the same
 window), because cooling needs virtual time to pass with *no* accesses
@@ -15,26 +15,26 @@ counts, and no wall clock or unseeded randomness is involved.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Set
+from typing import Callable, Deque, Dict, Set
 
 from repro.errors import CacheError
 from repro.sim import Simulator
+
+#: the sliding access window, in virtual seconds.
+WINDOW_S = 0.5
 
 
 class HotContentDetector:
     """Marks placements hot when a Zipf crowd lands on them."""
 
-    def __init__(self, simulator: Simulator, window_s: float = 0.5,
-                 hot_threshold: int = 40,
-                 on_hot: Optional[Callable] = None) -> None:
-        if window_s <= 0:
-            raise CacheError(f"window must be positive, got {window_s}")
+    def __init__(self, simulator: Simulator, hot_threshold: int,
+                 on_hot: Callable) -> None:
         if hot_threshold < 1:
             raise CacheError(
                 f"hot threshold must be >= 1, got {hot_threshold}"
             )
         self.simulator = simulator
-        self.window_s = window_s
+        self.window_s = WINDOW_S
         self.hot_threshold = hot_threshold
         self.on_hot = on_hot
         self.episodes = 0
@@ -60,8 +60,7 @@ class HotContentDetector:
             self.episodes += 1
             self._m_hot.inc()
             self._m_hot_now.set(len(self._hot))
-            if self.on_hot is not None:
-                self.on_hot(placement)
+            self.on_hot(placement)
 
     def recent(self, key: str) -> int:
         """Accesses inside the window ending now (prunes as it counts)."""
@@ -72,9 +71,6 @@ class HotContentDetector:
         while window and window[0] < horizon:
             window.popleft()
         return len(window)
-
-    def is_hot(self, key: str) -> bool:
-        return key in self._hot
 
     @property
     def hot_keys(self) -> Set[str]:

@@ -91,7 +91,7 @@ def zipf_crowd(seed: int = 0, nodes: int = 4, cached: bool = True,
         tier = CacheTier(sim, cluster, edges=edges, policy=policy,
                          edge_bandwidth_bps=320_000_000.0,
                          edge_capacity_bytes=edge_capacity_bytes,
-                         hot_window_s=0.5, hot_threshold=40)
+                         hot_threshold=40)
         open_read = tier.open_read
 
     # The whole workload is drawn up front from one rng, so cached and

@@ -35,6 +35,12 @@ from repro.cache.policy import make_policy
 from repro.errors import AdmissionError, CacheError, FaultError
 from repro.sim import Delay, Simulator
 
+#: block cache bytes on every storage node.
+NODE_CACHE_BYTES = 12_000_000
+#: a prefill stream's rate, and the failed reads after which it gives up.
+FILL_BPS = 24_000_000.0
+FILL_MAX_ATTEMPTS = 4
+
 
 class CacheTier:
     """Two-level popularity-aware caching in front of cluster placement."""
@@ -42,25 +48,13 @@ class CacheTier:
     def __init__(self, simulator: Simulator, cluster, edges: int = 2,
                  edge_bandwidth_bps: float = 240_000_000.0,
                  edge_capacity_bytes: int = 60_000_000,
-                 node_cache_bytes: int = 12_000_000,
-                 block_bytes: int = 30_000,
                  policy: str = "lru",
-                 hot_window_s: float = 0.5,
-                 hot_threshold: int = 40,
-                 boost_extra: int = 1,
-                 fill_bps: float = 24_000_000.0,
-                 fill_max_attempts: int = 4,
-                 edge_max_queue: int = 64) -> None:
+                 hot_threshold: int = 40) -> None:
         if edges < 0:
             raise CacheError(f"edge count must be >= 0, got {edges}")
         self.simulator = simulator
         self.cluster = cluster
-        self.block_bytes = block_bytes
         self.policy_name = policy
-        self.hot_window_s = hot_window_s
-        self.boost_extra = boost_extra
-        self.fill_bps = fill_bps
-        self.fill_max_attempts = fill_max_attempts
         self.cool_threshold = max(1, hot_threshold // 4)
         self._stopping = False
         self._values: Dict[int, object] = {}
@@ -70,16 +64,14 @@ class CacheTier:
             self._edges[name] = EdgeCacheNode(
                 simulator, name, bandwidth_bps=edge_bandwidth_bps,
                 capacity_bytes=edge_capacity_bytes,
-                block_bytes=block_bytes, policy=make_policy(policy),
-                max_queue=edge_max_queue)
+                policy=make_policy(policy))
         for node in cluster.nodes:
             node.block_cache = BlockCache(
-                simulator, f"{node.name}.cache", node_cache_bytes,
-                block_bytes, make_policy(policy))
+                simulator, f"{node.name}.cache", NODE_CACHE_BYTES,
+                make_policy(policy))
         cluster.add_version_listener(self._on_version_bump)
         self.detector = HotContentDetector(
-            simulator, window_s=hot_window_s, hot_threshold=hot_threshold,
-            on_hot=self._went_hot)
+            simulator, hot_threshold=hot_threshold, on_hot=self._went_hot)
         self._decisions = simulator.obs.decisions
         metrics = simulator.obs.metrics
         self._m_edge_bits = metrics.counter("cache.edge_bits")
@@ -161,8 +153,8 @@ class CacheTier:
             self._decisions.emit(
                 "cache-hot", key, actor="cache",
                 recent=self.detector.recent(key),
-                window_s=self.hot_window_s)
-        self.cluster.repair.boost(placement, self.boost_extra)
+                window_s=self.detector.window_s)
+        self.cluster.repair.boost(placement)
         for name in self.live_edge_names:
             self.simulator.spawn(
                 self._prefill(self._edges[name], placement),
@@ -174,7 +166,7 @@ class CacheTier:
         """Poll the access window; unboost once the crowd passes."""
         key = placement.key
         while not self._stopping:
-            yield Delay(self.hot_window_s)
+            yield Delay(self.detector.window_s)
             if self.detector.recent(key) < self.cool_threshold:
                 break
         self.detector.cooled(key)
@@ -188,10 +180,10 @@ class CacheTier:
         if value is None:
             return
         key = placement.key
-        block = self.block_bytes
+        block = edge.cache.block_bytes
         total = (placement.nbytes + block - 1) // block
         stream = self.cluster.open_read(
-            value, self.fill_bps, label=f"fill:{key}:{edge.name}",
+            value, FILL_BPS, label=f"fill:{key}:{edge.name}",
             priority=Priority.BACKGROUND, queue_timeout_s=0.02,
             min_fraction=0.25)
         attempts = 0
@@ -211,7 +203,7 @@ class CacheTier:
                     yield from stream.read(nbytes * 8)
                 except (AdmissionError, FaultError):
                     attempts += 1
-                    if attempts >= self.fill_max_attempts:
+                    if attempts >= FILL_MAX_ATTEMPTS:
                         self._m_fill_aborts.inc()
                         return
                     yield Delay(0.02 * 2 ** (attempts - 1))

@@ -27,32 +27,27 @@ from repro.net.channel import Channel
 from repro.sim import Simulator
 from repro.storage.devices import MagneticDisk
 from repro.storage.extents import Extent
-from repro.storage.scheduler import DiskScheduler, Policy
+from repro.storage.scheduler import DiskScheduler
+
+#: every node's disk capacity; the disk is the scheduler's default
+#: C-SCAN geometry and its NIC the controller's default queue.
+CAPACITY_BYTES = 2_000_000_000
 
 
 class StorageNode:
     """A named cluster member: disk + scheduler + admission-controlled NIC."""
 
     def __init__(self, simulator: Simulator, name: str,
-                 capacity_bytes: int = 2_000_000_000,
-                 bandwidth_bps: float = 48_000_000.0,
-                 policy: Policy = Policy.CSCAN,
-                 cylinders: int = 1000,
-                 seek_per_cylinder_s: float = 0.00002,
-                 max_queue: int = 32) -> None:
+                 bandwidth_bps: float = 48_000_000.0) -> None:
         self.simulator = simulator
         self.name = name
         self.device = MagneticDisk(simulator, f"{name}.disk",
-                                   capacity_bytes=capacity_bytes,
+                                   capacity_bytes=CAPACITY_BYTES,
                                    bandwidth_bps=bandwidth_bps)
-        self.scheduler = DiskScheduler(simulator, policy=policy,
-                                       cylinders=cylinders,
-                                       seek_per_cylinder_s=seek_per_cylinder_s,
-                                       transfer_bps=bandwidth_bps)
+        self.scheduler = DiskScheduler(simulator, transfer_bps=bandwidth_bps)
         self.scheduler.start()
         self.nic = Channel(simulator, bandwidth_bps, name=f"{name}.nic")
-        self.admission = AdmissionController(simulator, self.nic,
-                                             max_queue=max_queue, name=name)
+        self.admission = AdmissionController(simulator, self.nic, name=name)
         self.live = True
         self.bits_read = 0
         self.deaths = 0

@@ -40,6 +40,11 @@ from repro.sim import Delay, Simulator
 from repro.storage.extents import Extent
 from repro.values.base import MediaValue
 
+#: backoff for failover reconnects: short base so a replica switch
+#: costs milliseconds, enough attempts to ride out repair.
+FAILOVER_RETRY = RetryPolicy(max_attempts=6, base_delay_s=0.005,
+                             max_delay_s=0.25)
+
 
 @dataclass
 class ClusterShard:
@@ -204,8 +209,8 @@ class ClusterStream:
             if cache is not None:
                 cache.put(shard.key, byte_off, span_bytes, version)
 
-        yield from with_retries(self.simulator, attempt,
-                                self.cluster.retry_policy, label=self.label)
+        yield from with_retries(self.simulator, attempt, FAILOVER_RETRY,
+                                label=self.label)
         self._pos_bits += bits
 
     def _ensure(self, shard: ClusterShard) -> Generator:
@@ -283,17 +288,11 @@ class ClusterStream:
 class ClusterPlacementManager:
     """Shards values across nodes, routes reads, tracks replica health."""
 
-    def __init__(self, simulator: Simulator, replication: int = 2,
-                 repair_bps_cap: float = 12_000_000.0,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+    def __init__(self, simulator: Simulator, replication: int = 2) -> None:
         if replication < 1:
             raise ClusterError(f"replication must be >= 1, got {replication}")
         self.simulator = simulator
         self.replication = replication
-        #: backoff for failover reconnects: short base so a replica
-        #: switch costs milliseconds, enough attempts to ride out repair.
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=6, base_delay_s=0.005, max_delay_s=0.25)
         self._nodes: Dict[str, StorageNode] = {}
         self._placements: Dict[int, ClusterPlacement] = {}
         self._keys = itertools.count(1)
@@ -311,7 +310,7 @@ class ClusterPlacementManager:
         self._m_version_bumps = metrics.counter("cluster.version_bumps")
         self._version_listeners: List = []
         from repro.cluster.repair import RepairManager
-        self.repair = RepairManager(self, repair_bps_cap)
+        self.repair = RepairManager(self)
 
     # -- membership ----------------------------------------------------------
     def add_node(self, node: StorageNode) -> StorageNode:
@@ -527,11 +526,6 @@ class ClusterPlacementManager:
         if tracer.enabled:
             tracer.instant("cluster:failover", "cluster",
                            stream=label, src=old, dst=new)
-
-    # -- facts ---------------------------------------------------------------
-    def node_read_bits(self) -> Dict[str, int]:
-        return {name: self._nodes[name].bits_read
-                for name in sorted(self._nodes)}
 
     def __repr__(self) -> str:
         return (f"ClusterPlacementManager({len(self._nodes)} nodes "

@@ -10,10 +10,11 @@ Repair traffic is deliberately second-class:
 
 * the copy admits itself on *both* the source and destination nodes'
   admission controllers at :class:`~repro.admission.controller.Priority`
-  ``BACKGROUND``, capped at ``cap_bps`` — so an interactive stream can
-  preempt it, and past the high-watermark it is shed outright;
+  ``BACKGROUND``, capped at :data:`CAP_BPS` — so an interactive stream
+  can preempt it, and past the high-watermark it is shed outright;
 * a shed/preempted copy backs off (virtual time) and retries; after
-  ``max_attempts`` the shard is deferred until the next membership kick.
+  :data:`MAX_ATTEMPTS` the shard is deferred until the next membership
+  kick.
 
 That is the invariant the node-kill benchmark gates: repair restores R
 without ever starving an admitted interactive stream.
@@ -38,21 +39,22 @@ from repro.errors import (
 )
 from repro.sim import Delay, Process, SimEvent, WaitEvent
 
+#: the rate a repair or rebalance copy asks for, and its chunk: a
+#: preemption or a node death aborts a copy at the next chunk.
+CAP_BPS = 12_000_000.0
+CHUNK_BITS = 1_000_000
+#: attempts at one shard copy, backing off from BACKOFF_S doubling.
+MAX_ATTEMPTS = 4
+BACKOFF_S = 0.02
+#: replicas a hot placement gets above its declared R.
+BOOST_EXTRA = 1
+
 
 class RepairManager:
     """Restores replication factor R with background, capped copies."""
 
-    def __init__(self, cluster, cap_bps: float = 12_000_000.0,
-                 chunk_bits: int = 1_000_000,
-                 max_attempts: int = 4,
-                 backoff_s: float = 0.02) -> None:
-        if cap_bps <= 0:
-            raise ClusterError(f"repair cap must be positive, got {cap_bps}")
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.cap_bps = cap_bps
-        self.chunk_bits = chunk_bits
-        self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
         self.repairs = 0
         self.repaired_bits = 0
         metrics = cluster.simulator.obs.metrics
@@ -141,9 +143,9 @@ class RepairManager:
                 return
             except (AdmissionError, FaultError):
                 attempts += 1
-                if attempts >= self.max_attempts:
+                if attempts >= MAX_ATTEMPTS:
                     raise
-                yield Delay(self.backoff_s * 2 ** (attempts - 1))
+                yield Delay(BACKOFF_S * 2 ** (attempts - 1))
 
     def _pick_target(self, shard):
         """Next rendezvous-ranked live node that can hold the shard."""
@@ -177,7 +179,7 @@ class RepairManager:
             )
         src = sources[0]
         extent = target.device.allocate(shard.nbytes)
-        contract = QoSContract(self.cap_bps, Priority.BACKGROUND,
+        contract = QoSContract(CAP_BPS, Priority.BACKGROUND,
                                min_fraction=0.25, queue_timeout_s=0.001)
         tracer = cluster.simulator.obs.tracer
         try:
@@ -205,7 +207,7 @@ class RepairManager:
                                     f"repair of {shard.key!r} preempted by "
                                     f"interactive work"
                                 )
-                            chunk = min(self.chunk_bits, bits_left)
+                            chunk = min(CHUNK_BITS, bits_left)
                             yield Delay(chunk / rate)
                             bits_left -= chunk
                             self.repaired_bits += chunk
@@ -259,7 +261,7 @@ class RepairManager:
             self.kick()
 
     # -- flash-crowd replication boost ---------------------------------------
-    def boost(self, placement, extra: int = 1) -> int:
+    def boost(self, placement) -> int:
         """Temporarily raise a hot placement's replication factor.
 
         The raise is bounded by live membership; the repair worker then
@@ -268,7 +270,7 @@ class RepairManager:
         with :meth:`unboost` once the crowd passes — the watch layer's
         teardown probe holds ``replication`` to ``declared_replication``.
         """
-        target = min(placement.declared_replication + extra,
+        target = min(placement.declared_replication + BOOST_EXTRA,
                      len(self.cluster.live_nodes))
         if target <= placement.replication:
             return placement.replication

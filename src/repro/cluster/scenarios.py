@@ -47,14 +47,11 @@ class Blob:
         return self._rate_bps
 
 
-def _build_cluster(sim: Simulator, nodes: int, replication: int,
-                   repair_bps_cap: float = 12_000_000.0):
+def _build_cluster(sim: Simulator, nodes: int, replication: int):
     from repro.cluster.node import StorageNode
     from repro.cluster.placement import ClusterPlacementManager
 
-    cluster = ClusterPlacementManager(
-        sim, replication=min(replication, nodes),
-        repair_bps_cap=repair_bps_cap)
+    cluster = ClusterPlacementManager(sim, replication=min(replication, nodes))
     for i in range(nodes):
         cluster.add_node(StorageNode(sim, f"node-{i}"))
     return cluster

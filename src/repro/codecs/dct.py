@@ -110,22 +110,6 @@ def dct_quantize_channel(
     return quantized.astype(np.int16), padded.shape[-2:]
 
 
-def dct_dequantize_channel(quantized: np.ndarray, table: np.ndarray,
-                           padded_shape: tuple[int, int],
-                           out_shape: tuple[int, int]) -> np.ndarray:
-    """Inverse path: int16 coefficients -> float plane (centered)."""
-    coeffs = quantized.astype(np.float64) * table
-    blocks = _IDCT @ coeffs @ _DCT
-    plane = _from_blocks(blocks, *padded_shape)
-    return plane[: out_shape[0], : out_shape[1]]
-
-
-def _split_channels(frame: np.ndarray) -> List[np.ndarray]:
-    if frame.ndim == 2:
-        return [frame]
-    return [frame[:, :, c] for c in range(frame.shape[2])]
-
-
 def _join_channels(planes: List[np.ndarray], depth: int) -> np.ndarray:
     if depth == 8:
         return planes[0]

@@ -79,10 +79,6 @@ class AttributeSpec:
                 )
 
     @property
-    def is_media(self) -> bool:
-        return isinstance(self.attr_type, type) and issubclass(self.attr_type, MediaValue)
-
-    @property
     def is_reference(self) -> bool:
         return isinstance(self.attr_type, str)
 

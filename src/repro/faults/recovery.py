@@ -19,13 +19,13 @@ All are generator subroutines for DES processes::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import DeadlineExceeded, FaultError, Interrupted
 from repro.sim import Delay, Process, Simulator, Timeout, WaitProcess
 
-#: what a recovery layer treats as transient by default: injected faults
+#: what a recovery layer treats as transient: injected faults
 #: (device/channel/scheduler) and guard-level timeouts.
 TRANSIENT = (FaultError, DeadlineExceeded)
 
@@ -42,7 +42,6 @@ class RetryPolicy:
     base_delay_s: float = 0.01
     factor: float = 2.0
     max_delay_s: float = 10.0
-    retry_on: Tuple[Type[BaseException], ...] = field(default=TRANSIENT)
 
     def delay_for(self, retry_index: int) -> float:
         """Backoff before the ``retry_index``-th retry (0-based)."""
@@ -71,7 +70,7 @@ def with_retries(simulator: Simulator,
         try:
             result = yield from make_attempt()
             return result
-        except policy.retry_on as exc:
+        except TRANSIENT as exc:
             attempt += 1
             if attempt >= policy.max_attempts:
                 if label is not None and decisions.enabled:

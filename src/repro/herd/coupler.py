@@ -5,7 +5,7 @@
 It registers one :meth:`~repro.sim.Simulator.schedule_every` cadence
 and, on every epoch tick, in this order:
 
-1. **departures** — cohorts admitted ``session_epochs`` ticks ago
+1. **departures** — cohorts admitted :data:`SESSION_EPOCHS` ticks ago
    release their aggregate reservations (or are counted preempted if a
    foreground interactive stream revoked them in between), and their
    delivered bits are charged to the trunk's traffic accounting;
@@ -37,6 +37,10 @@ from repro.errors import SimulationError
 from repro.herd.population import PRIORITY_ORDER, HerdPopulation
 from repro.net.channel import Reservation
 from repro.sim import Simulator
+
+#: a herd client's stream: 1 Mb/s for 4 epochs.
+STREAM_BPS = 1_000_000.0
+SESSION_EPOCHS = 4
 
 
 def apportion(total: int, counts: List[int]) -> List[int]:
@@ -79,31 +83,19 @@ class HerdCoupler:
     def __init__(self, simulator: Simulator,
                  controller: AdmissionController,
                  population: HerdPopulation, *,
-                 stream_bps: float = 1_000_000.0,
-                 session_epochs: int = 4,
-                 cache_model=None,
-                 label: str = "herd") -> None:
-        if stream_bps <= 0:
-            raise SimulationError(
-                f"herd stream rate must be positive, got {stream_bps}")
-        if session_epochs < 1:
-            raise SimulationError(
-                f"herd sessions must span >= 1 epoch, got {session_epochs}")
+                 cache_model=None) -> None:
         self.simulator = simulator
         self.controller = controller
         self.population = population
-        self.stream_bps = stream_bps
-        self.session_epochs = session_epochs
-        self.session_s = session_epochs * population.epoch_s
+        self.session_s = SESSION_EPOCHS * population.epoch_s
         self.cache_model = cache_model
-        self.label = label
         self._contracts = {
-            priority: QoSContract(stream_bps, priority,
+            priority: QoSContract(STREAM_BPS, priority,
                                   *PRIORITY_QOS[priority])
             for priority in PRIORITY_ORDER
         }
         self._labels = {
-            priority: f"{label}-{priority.name.lower()}"
+            priority: f"herd-{priority.name.lower()}"
             for priority in PRIORITY_ORDER
         }
         #: departure tick -> cohorts whose sessions end there.
@@ -142,10 +134,10 @@ class HerdCoupler:
         self.occupancy.append((round(self.simulator.now_s, 9),
                                self.controller.utilization))
         # Fixed horizon: the last possible departure is at tick
-        # ``n_epochs - 1 + session_epochs`` — run exactly through it so
-        # the occupancy curve always has ``n_epochs + session_epochs``
+        # ``n_epochs - 1 + SESSION_EPOCHS`` — run exactly through it so
+        # the occupancy curve always has ``n_epochs + SESSION_EPOCHS``
         # points, shed-everything tails included.
-        if tick + 1 >= self.population.n_epochs + self.session_epochs:
+        if tick + 1 >= self.population.n_epochs + SESSION_EPOCHS:
             raise StopIteration
 
     def _depart(self, tick: int) -> None:
@@ -189,10 +181,10 @@ class HerdCoupler:
                 self.stats["edge_served"] += hits
                 self._m_edge.inc(hits)
                 self.stats["goodput_bits"] += int(
-                    hits * self.stream_bps * self.session_s)
+                    hits * STREAM_BPS * self.session_s)
                 counts = apportion(misses, counts)
         now = self.simulator.now_s
-        depart_tick = tick + self.session_epochs
+        depart_tick = tick + SESSION_EPOCHS
         for priority, count in zip(PRIORITY_ORDER, counts):
             if not count:
                 continue

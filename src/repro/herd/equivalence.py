@@ -33,7 +33,7 @@ from repro.admission.controller import AdmissionController, QoSContract
 from repro.admission.workload import PRIORITY_QOS
 from repro.avtime import WorldTime
 from repro.errors import AdmissionError
-from repro.herd.coupler import HerdCoupler
+from repro.herd.coupler import SESSION_EPOCHS, STREAM_BPS, HerdCoupler
 from repro.herd.population import PRIORITY_ORDER, HerdPopulation
 from repro.net.channel import Channel
 from repro.sim import Delay, Simulator
@@ -43,24 +43,23 @@ from repro.sim import Delay, Simulator
 #: enough to order releases ahead of same-boundary arrivals.
 RELEASE_SLACK_S = 1e-7
 
+#: the largest gap between the two occupancy curves that still agrees.
+OCCUPANCY_TOLERANCE = 1e-9
 
-def _rig(capacity_bps: float, high_watermark: float):
+
+def _rig(capacity_bps: float):
     simulator = Simulator()
     trunk = Channel(simulator, capacity_bps=capacity_bps, name="trunk")
     controller = AdmissionController(simulator, trunk, max_queue=0,
-                                     high_watermark=high_watermark,
                                      preempt=False)
     return simulator, trunk, controller
 
 
-def run_herd(population: HerdPopulation, *, capacity_bps: float,
-             stream_bps: float, session_epochs: int = 4,
-             high_watermark: float = 0.85) -> Dict[str, object]:
+def run_herd(population: HerdPopulation, *,
+             capacity_bps: float) -> Dict[str, object]:
     """Run the population through the coupler; no cache, no foreground."""
-    simulator, trunk, controller = _rig(capacity_bps, high_watermark)
-    coupler = HerdCoupler(simulator, controller, population,
-                          stream_bps=stream_bps,
-                          session_epochs=session_epochs)
+    simulator, trunk, controller = _rig(capacity_bps)
+    coupler = HerdCoupler(simulator, controller, population)
     coupler.start()
     end = simulator.run()
     facts = coupler.facts()
@@ -70,15 +69,14 @@ def run_herd(population: HerdPopulation, *, capacity_bps: float,
     return facts
 
 
-def run_discrete(population: HerdPopulation, *, capacity_bps: float,
-                 stream_bps: float, session_epochs: int = 4,
-                 high_watermark: float = 0.85) -> Dict[str, object]:
+def run_discrete(population: HerdPopulation, *,
+                 capacity_bps: float) -> Dict[str, object]:
     """The reference: one real DES process per compiled client."""
-    simulator, trunk, controller = _rig(capacity_bps, high_watermark)
+    simulator, trunk, controller = _rig(capacity_bps)
     epoch_s = population.epoch_s
-    session_s = session_epochs * epoch_s
+    session_s = SESSION_EPOCHS * epoch_s
     hold_s = session_s - RELEASE_SLACK_S
-    contracts = {priority: QoSContract(stream_bps, priority,
+    contracts = {priority: QoSContract(STREAM_BPS, priority,
                                        *PRIORITY_QOS[priority])
                  for priority in PRIORITY_ORDER}
     stats = {key: 0 for key in (
@@ -95,7 +93,7 @@ def run_discrete(population: HerdPopulation, *, capacity_bps: float,
         except AdmissionError:
             stats["shed"] += 1
             return
-        if reservation.bps + 1e-9 >= stream_bps:
+        if reservation.bps + 1e-9 >= STREAM_BPS:
             stats["admitted_full"] += 1
         else:
             stats["admitted_degraded"] += 1
@@ -122,7 +120,7 @@ def run_discrete(population: HerdPopulation, *, capacity_bps: float,
                                 name=f"{label}-e{tick}-{index}")
 
     # Mid-epoch occupancy samples, matching the coupler's tick count.
-    n_samples = population.n_epochs + session_epochs
+    n_samples = population.n_epochs + SESSION_EPOCHS
     occupancy: List[float] = []
 
     def sample(tick: int) -> None:
@@ -149,8 +147,8 @@ EXACT_KEYS = ("clients", "admitted_full", "admitted_degraded", "shed",
               "completed", "goodput_bits", "trunk_bits")
 
 
-def compare(herd_facts: Dict[str, object], discrete_facts: Dict[str, object],
-            occupancy_tolerance: float = 1e-9) -> List[str]:
+def compare(herd_facts: Dict[str, object],
+            discrete_facts: Dict[str, object]) -> List[str]:
     """Diff the two runs; returns human-readable mismatch lines."""
     mismatches: List[str] = []
     for key in EXACT_KEYS:
@@ -167,25 +165,18 @@ def compare(herd_facts: Dict[str, object], discrete_facts: Dict[str, object],
     else:
         worst = max((abs(h - d) for h, d in zip(herd_curve, discrete_curve)),
                     default=0.0)
-        if worst > occupancy_tolerance:
+        if worst > OCCUPANCY_TOLERANCE:
             mismatches.append(
                 f"occupancy curve diverges by {worst:g} "
-                f"(> {occupancy_tolerance:g})")
+                f"(> {OCCUPANCY_TOLERANCE:g})")
     return mismatches
 
 
-def equivalence_report(population: HerdPopulation, *, capacity_bps: float,
-                       stream_bps: float, session_epochs: int = 4,
-                       high_watermark: float = 0.85) -> Dict[str, object]:
+def equivalence_report(population: HerdPopulation, *,
+                       capacity_bps: float) -> Dict[str, object]:
     """Run both modes and return the verdict (the CI probe's payload)."""
-    herd_facts = run_herd(population, capacity_bps=capacity_bps,
-                          stream_bps=stream_bps,
-                          session_epochs=session_epochs,
-                          high_watermark=high_watermark)
-    discrete_facts = run_discrete(population, capacity_bps=capacity_bps,
-                                  stream_bps=stream_bps,
-                                  session_epochs=session_epochs,
-                                  high_watermark=high_watermark)
+    herd_facts = run_herd(population, capacity_bps=capacity_bps)
+    discrete_facts = run_discrete(population, capacity_bps=capacity_bps)
     mismatches = compare(herd_facts, discrete_facts)
     return {
         "clients": herd_facts["clients"],

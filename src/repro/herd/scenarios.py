@@ -34,16 +34,14 @@ from repro.admission.controller import (
 )
 from repro.cache.aggregate import AggregateHitModel
 from repro.errors import AdmissionError, AdmissionTimeoutError, PreemptedError, SimulationError
-from repro.herd.coupler import HerdCoupler
+from repro.herd.coupler import STREAM_BPS, HerdCoupler
 from repro.herd.equivalence import equivalence_report
 from repro.herd.population import HerdPhase, HerdPopulation
 from repro.net.channel import Channel
 from repro.sim import Delay, Simulator
 
-#: herd streams: 1 Mb/s each, 4 epochs (0.2 s) per session.
-STREAM_BPS = 1_000_000.0
+#: the herd's epoch: a session's 4 epochs last 0.2 s.
 EPOCH_S = 0.05
-SESSION_EPOCHS = 4
 
 #: foreground sessions: interactive, full-rate-or-nothing.
 FG_ELEMENT_BITS = 50_000
@@ -154,13 +152,11 @@ def _run(phases_for_rate, own_clients: int, *, seed: int,
                                      high_watermark=0.85, preempt=True)
     population = HerdPopulation(phases, seed=seed,
                                 catalog_size=catalog_size, epoch_s=EPOCH_S)
-    # pmf=None ranks the catalog in index order, which *is* popularity
-    # order here (asset 0 viral, then Zipf by rank).
+    # The model caches the first assets in catalogue order, which *is*
+    # popularity order here (asset 0 viral, then Zipf by rank).
     cache_model = AggregateHitModel(simulator.obs.metrics, catalog_size,
                                     cached_assets)
     coupler = HerdCoupler(simulator, controller, population,
-                          stream_bps=STREAM_BPS,
-                          session_epochs=SESSION_EPOCHS,
                           cache_model=cache_model)
     coupler.start()
     fg_stats = {key: 0 for key in (
@@ -189,8 +185,7 @@ def _run(phases_for_rate, own_clients: int, *, seed: int,
         report = equivalence_report(
             probe,
             capacity_bps=STREAM_BPS * max(2, int(
-                capacity_streams * PROBE_CLIENTS / clients)),
-            stream_bps=STREAM_BPS, session_epochs=SESSION_EPOCHS)
+                capacity_streams * PROBE_CLIENTS / clients)))
         facts["probe_clients"] = report["clients"]
         facts["probe_equivalent"] = report["equivalent"]
         facts["probe_mismatches"] = len(report["mismatches"])

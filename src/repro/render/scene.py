@@ -78,10 +78,6 @@ class Scene:
     def add_quad(self, corners, shade: int = 128, textured: bool = False) -> None:
         self.surfaces.extend(quad(corners, shade, textured))
 
-    @property
-    def textured_surfaces(self) -> List[Surface]:
-        return [s for s in self.surfaces if s.textured]
-
     def __len__(self) -> int:
         return len(self.surfaces)
 

@@ -1,8 +1,9 @@
 """Seeded chaos: sampling fault plans against the broadcast day.
 
 A :class:`ChaosProfile` says how much adversity to draw — how many
-storage-node and edge-cache outages, whether any edge NIC carries a
-loss model, whether a batch process gets crashed.  :func:`sample_chaos`
+storage-node outages, whether any edge NIC carries a loss model,
+whether a batch process gets crashed; every draw also takes
+:data:`EDGE_OUTAGES` edge-cache outages.  :func:`sample_chaos`
 turns ``(seed, horizon, names, profile)`` into a concrete, *validated*
 :class:`~repro.faults.plan.FaultPlan`:
 
@@ -30,6 +31,12 @@ from typing import Dict, Sequence
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 
+#: edge-cache outages in every draw.
+EDGE_OUTAGES = 2
+#: outage duration bounds, as fractions of the horizon.
+OUTAGE_MIN = 0.06
+OUTAGE_MAX = 0.22
+
 
 @dataclass(frozen=True, slots=True)
 class ChaosProfile:
@@ -37,13 +44,9 @@ class ChaosProfile:
 
     name: str
     node_outages: int = 0
-    edge_outages: int = 0
     loss_channels: int = 0
     loss_rate: float = 0.0
     process_crashes: int = 0
-    #: outage duration bounds, as fractions of the horizon.
-    outage_min: float = 0.06
-    outage_max: float = 0.22
     #: at most one *node* down at a time.  At R=2, two concurrent node
     #: outages can outrun repair and leave a shard with zero live
     #: replicas — a replication breach by design, not a survivable
@@ -56,11 +59,11 @@ PROFILES: Dict[str, ChaosProfile] = {
     # Gentle is the soak default and must be survivable: outages only,
     # all restored, one node at a time, no loss, no crashes.  A clean
     # day under gentle chaos is the acceptance gate.
-    "gentle": ChaosProfile("gentle", node_outages=2, edge_outages=2),
+    "gentle": ChaosProfile("gentle", node_outages=2),
     # Aggressive piles on: concurrent node outages, a lossy edge NIC,
     # and one crashed batch process.  Used to stress the search
     # harness, not gated clean.
-    "aggressive": ChaosProfile("aggressive", node_outages=3, edge_outages=2,
+    "aggressive": ChaosProfile("aggressive", node_outages=3,
                                loss_channels=1, loss_rate=0.02,
                                process_crashes=1, serialize_nodes=False),
 }
@@ -68,7 +71,7 @@ PROFILES: Dict[str, ChaosProfile] = {
 
 def _sample_outages(plan: FaultPlan, rng: random.Random, kind: str,
                     targets: Sequence[str], count: int, horizon_s: float,
-                    profile: ChaosProfile, serialize: bool = False) -> None:
+                    serialize: bool = False) -> None:
     """Place ``count`` non-overlapping outage windows across targets.
 
     With ``serialize`` the windows are disjoint across *all* targets
@@ -78,8 +81,7 @@ def _sample_outages(plan: FaultPlan, rng: random.Random, kind: str,
     add = plan.node_outage if kind == "node-outage" else plan.edge_cache_outage
     for _ in range(count):
         target = targets[rng.randrange(len(targets))]
-        duration = rng.uniform(profile.outage_min, profile.outage_max) \
-            * horizon_s
+        duration = rng.uniform(OUTAGE_MIN, OUTAGE_MAX) * horizon_s
         floor = max(last_end.values(), default=0.0) if serialize \
             else last_end.get(target, 0.0)
         start_lo = max(0.1 * horizon_s, floor)
@@ -114,12 +116,12 @@ def sample_chaos(seed: int, horizon_s: float,
     node_plan = FaultPlan(seed=seed)
     if nodes and prof.node_outages:
         _sample_outages(node_plan, rng, "node-outage", list(nodes),
-                        prof.node_outages, horizon_s, prof,
+                        prof.node_outages, horizon_s,
                         serialize=prof.serialize_nodes)
     edge_plan = FaultPlan(seed=seed)
-    if edges and prof.edge_outages:
+    if edges:
         _sample_outages(edge_plan, rng, "edge-cache-outage", list(edges),
-                        prof.edge_outages, horizon_s, prof)
+                        EDGE_OUTAGES, horizon_s)
     extra = FaultPlan(seed=seed)
     for name in list(channels)[:prof.loss_channels]:
         extra.channel_loss(name, rate=prof.loss_rate,

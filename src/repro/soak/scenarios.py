@@ -137,8 +137,7 @@ def day(seed: int = 0, phases: Optional[Sequence[PhaseSpec]] = None,
     cluster.repair.start()
     from repro.cache.tier import CacheTier
     tier = CacheTier(sim, cluster, edges=EDGES,
-                     edge_bandwidth_bps=320_000_000.0,
-                     hot_window_s=0.5, hot_threshold=40)
+                     edge_bandwidth_bps=320_000_000.0, hot_threshold=40)
 
     if fault_plan is not None:
         plan = fault_plan

@@ -290,10 +290,6 @@ class JukeboxDevice(Device):
         self._pending_swap_s = self.swap_s
         return self.swap_s
 
-    @property
-    def loaded_disc(self) -> Optional[int]:
-        return self._loaded_disc
-
     def reserve(self, bps: float, label: str = "stream") -> DeviceReservation:
         """Admit at most one concurrent analog stream."""
         # Analog playback: exactly one stream at a time, regardless of rate.

@@ -136,6 +136,3 @@ class SyncGroup:
 
     def max_skew(self) -> float:
         return max(self._history, default=0.0)
-
-    def skew_history(self) -> List[float]:
-        return list(self._history)

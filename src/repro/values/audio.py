@@ -22,7 +22,7 @@ from typing import Any, List, Protocol
 
 import numpy as np
 
-from repro.avtime import TimeMapping, WorldTime
+from repro.avtime import TimeMapping
 from repro.errors import DataModelError
 from repro.values.base import MediaValue
 from repro.values.mediatype import MediaType, standard_type
@@ -70,9 +70,6 @@ class AudioValue(MediaValue, abc.ABC):
     def element_payload(self, index: int) -> Any:
         self._check_index(index)
         return self.samples()[:, index]
-
-    def samples_at(self, when: WorldTime) -> np.ndarray:
-        return self.element_payload(self.world_to_object(when).index)
 
     def sample_slice(self, start: int, count: int) -> np.ndarray:
         """Samples ``[start, start+count)`` across all channels."""

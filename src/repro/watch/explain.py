@@ -18,7 +18,7 @@ CLI over it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.decisions import DecisionEvent, DecisionLog
 
@@ -125,14 +125,10 @@ def explain_report(decisions: DecisionLog, subject: str) -> str:
     return "\n".join(lines)
 
 
-def subjects_summary(decisions: DecisionLog,
-                     limit: Optional[int] = None) -> List[str]:
+def subjects_summary(decisions: DecisionLog) -> List[str]:
     """One line per known subject: its decision kinds in causal order."""
     per_subject: Dict[str, List[str]] = {}
     for event in decisions.events:
         per_subject.setdefault(event.subject, []).append(event.kind)
-    lines = [f"{subject}: {' -> '.join(kinds)}"
-             for subject, kinds in sorted(per_subject.items())]
-    if limit is not None and len(lines) > limit:
-        lines = lines[:limit] + [f"... and {len(lines) - limit} more"]
-    return lines
+    return [f"{subject}: {' -> '.join(kinds)}"
+            for subject, kinds in sorted(per_subject.items())]

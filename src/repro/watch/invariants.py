@@ -36,7 +36,7 @@ and a fail-fast :class:`~repro.errors.InvariantBreachError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.sim import Simulator
 
@@ -91,7 +91,6 @@ class InvariantMonitor:
         self._channels_complete = False
         self.checks = 0
         self.breaches: List[Breach] = []
-        self._extra_probes: List[Tuple[str, Callable[[], Optional[str]]]] = []
 
     # -- arming ------------------------------------------------------------
     def arm(self, channels=(), allocators=(), controllers=(), cluster=None,
@@ -122,11 +121,6 @@ class InvariantMonitor:
         if channels_complete:
             self._channels_complete = True
         return self
-
-    def add_probe(self, name: str,
-                  probe: Callable[[], Optional[str]]) -> None:
-        """Register a custom probe: return None when healthy, else detail."""
-        self._extra_probes.append((name, probe))
 
     # -- individual probes -------------------------------------------------
     def _now(self) -> float:
@@ -307,12 +301,6 @@ class InvariantMonitor:
                 f"kernel processes)", self._now(),
                 {"live_processes": live}))
 
-    def _probe_extra(self, out: List[Breach]) -> None:
-        for name, probe in self._extra_probes:
-            detail = probe()
-            if detail is not None:
-                out.append(Breach(name, "custom", detail, self._now()))
-
     # -- entry points ------------------------------------------------------
     def check_now(self,
                   instruments: Optional[Mapping] = None) -> List[Breach]:
@@ -327,7 +315,6 @@ class InvariantMonitor:
         self._probe_replication(found)
         self._probe_cache_coherence(found)
         self._probe_processes(found)
-        self._probe_extra(found)
         self.checks += 1
         self.breaches.extend(found)
         return found
@@ -342,7 +329,6 @@ class InvariantMonitor:
         self._probe_replication(found, teardown=True)
         self._probe_cache_coherence(found)
         self._probe_processes(found, teardown=True)
-        self._probe_extra(found)
         self.checks += 1
         self.breaches.extend(found)
         return found

@@ -21,7 +21,7 @@ from repro.obs import Obs
 
 PathLike = Union[str, Path]
 
-#: default bundle tail sizes — enough context to reconstruct the causal
+#: bundle tail sizes — enough context to reconstruct the causal
 #: neighbourhood of a failure without shipping the whole run.
 TRACE_TAIL = 256
 DECISION_TAIL = 128
@@ -112,12 +112,8 @@ def component_state(obj) -> Dict[str, object]:
 class FlightRecorder:
     """Bounded-tail recorder over one observability scope."""
 
-    def __init__(self, obs: Obs,
-                 trace_tail: int = TRACE_TAIL,
-                 decision_tail: int = DECISION_TAIL) -> None:
+    def __init__(self, obs: Obs) -> None:
         self.obs = obs
-        self.trace_tail = trace_tail
-        self.decision_tail = decision_tail
         self._components: List = []
         self.bundles: List[Dict[str, object]] = []
 
@@ -148,12 +144,12 @@ class FlightRecorder:
             "slo": slo_report if slo_report is not None else {},
             "decisions": [
                 e.to_dict()
-                for e in (decisions.events[-self.decision_tail:]
+                for e in (decisions.events[-DECISION_TAIL:]
                           if decisions.enabled else [])
             ],
             "trace_tail": [
                 _canonical_trace_event(e)
-                for e in (tracer.events[-self.trace_tail:]
+                for e in (tracer.events[-TRACE_TAIL:]
                           if tracer.enabled else [])
             ],
             "metrics": self.obs.metrics.snapshot(),

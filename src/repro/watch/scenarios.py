@@ -323,8 +323,7 @@ def cache_crowd(seed: int = 0,
         cluster.place(value)
     cluster.repair.start()
     tier = CacheTier(sim, cluster, edges=2,
-                     edge_bandwidth_bps=320_000_000.0,
-                     hot_window_s=0.5, hot_threshold=40)
+                     edge_bandwidth_bps=320_000_000.0, hot_threshold=40)
 
     weights = [1.0 / rank for rank in range(1, values_count)]
     plans = []

@@ -194,9 +194,6 @@ class SLOEngine:
 
 
 def default_slos(startup_p95_s: float = 0.25,
-                 deadline_miss_budget: float = 0.05,
-                 jitter_p99_ms: float = 50.0,
-                 late_budget: float = 0.10,
                  nodes_floor: Optional[float] = None,
                  cache_hit_floor: Optional[float] = None) -> Tuple[SLOSpec, ...]:
     """The stock SLO catalog over the repo-wide metric names.
@@ -217,15 +214,15 @@ def default_slos(startup_p95_s: float = 0.25,
                 klass="latency", hard=False,
                 description="p95 admission queue wait per session start"),
         SLOSpec("deadline-miss-budget", "ratio",
-                "storage.deadline_misses", deadline_miss_budget,
+                "storage.deadline_misses", 0.05,
                 denominator="storage.disk_requests", klass="deadline",
                 description="disk reads missing their presentation deadline"),
         SLOSpec("jitter-budget", "histogram-quantile",
-                "stream.jitter_ms", jitter_p99_ms, quantile=99.0,
+                "stream.jitter_ms", 50.0, quantile=99.0,
                 klass="latency",
                 description="p99 inter-element presentation jitter"),
         SLOSpec("interactive-qos-violations", "ratio",
-                "stream.late_presentations", late_budget,
+                "stream.late_presentations", 0.10,
                 denominator="stream.elements_presented", klass="qos",
                 description="late presentations per element presented"),
     ]

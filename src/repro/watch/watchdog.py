@@ -19,8 +19,7 @@ writes a postmortem bundle, and raises
 :class:`~repro.errors.InvariantBreachError` — which the kernel records
 as a *failure* (not a fault) and re-raises from ``Simulator.run()``, so
 a corrupted run cannot quietly continue.  A hard SLO failure dumps a
-bundle too but by default only records the ``slo-breach`` decision; pass
-``raise_on_hard_slo=True`` to make it fatal as well.
+bundle too but only records the ``slo-breach`` decision: the run goes on.
 """
 
 from __future__ import annotations
@@ -36,19 +35,18 @@ from repro.watch.slo import SLOEngine, SLOSpec
 
 PathLike = Union[str, Path]
 
+#: the actor of the watchdog's decisions and the name of its ticker.
+NAME = "watchdog"
+
 
 class Watchdog:
     """Arms probes and SLOs over a scenario and supervises it."""
 
     def __init__(self, simulator: Simulator,
                  slos=(),
-                 bundle_dir: Optional[PathLike] = None,
-                 raise_on_hard_slo: bool = False,
-                 name: str = "watchdog") -> None:
+                 bundle_dir: Optional[PathLike] = None) -> None:
         self.simulator = simulator
-        self.name = name
         self.bundle_dir = Path(bundle_dir) if bundle_dir is not None else None
-        self.raise_on_hard_slo = raise_on_hard_slo
         self.monitor = InvariantMonitor(simulator)
         self.engine = SLOEngine(simulator.obs.metrics, slos)
         self.recorder = FlightRecorder(simulator.obs)
@@ -91,7 +89,7 @@ class Watchdog:
             raise SLOViolationError(
                 f"watchdog cadence must be positive, got {cadence_s}")
         self.simulator.spawn(self._run(cadence_s, horizon_s),
-                             name=f"{self.name}:ticker")
+                             name=f"{NAME}:ticker")
 
     def _run(self, cadence_s: float, horizon_s: float) -> Generator:
         while self.simulator.now_s + cadence_s <= horizon_s:
@@ -113,7 +111,7 @@ class Watchdog:
         if self._decisions.enabled:
             for breach in breaches:
                 self._decisions.emit("invariant-breach", breach.component,
-                                     actor=self.name,
+                                     actor=NAME,
                                      invariant=breach.invariant,
                                      detail=breach.detail)
         doc = self.recorder.bundle("invariant-breach",
@@ -140,7 +138,7 @@ class Watchdog:
         }
         if self._decisions.enabled:
             self._decisions.emit("unhandled-failure", proc.name,
-                                 actor=self.name,
+                                 actor=NAME,
                                  error_type=failure["error_type"],
                                  detail=failure["error"])
         doc = self.recorder.bundle("unhandled-failure",
@@ -159,7 +157,7 @@ class Watchdog:
             self._slo_bundled.add(result.spec.name)
             if self._decisions.enabled:
                 self._decisions.emit("slo-breach", result.spec.name,
-                                     actor=self.name,
+                                     actor=NAME,
                                      klass=result.spec.klass,
                                      value=round(result.value, 6),
                                      target=result.spec.target,
@@ -168,12 +166,6 @@ class Watchdog:
                                    self.simulator.now_s,
                                    slo_report=self.engine.report())
         self._write_bundle(doc)
-        if self.raise_on_hard_slo:
-            worst = max(failed, key=lambda r: r.burn)
-            raise SLOViolationError(
-                f"hard SLO {worst.spec.name!r} failed: "
-                f"value {worst.value:g} vs target {worst.spec.target:g} "
-                f"(burn {worst.burn:.2f})")
 
     def check(self) -> None:
         """One supervision tick: invariants first, then hard SLOs, over
@@ -202,6 +194,6 @@ class Watchdog:
         return report
 
     def __repr__(self) -> str:
-        return (f"Watchdog({self.name!r}, {self.ticks} ticks, "
+        return (f"Watchdog({self.ticks} ticks, "
                 f"{len(self.monitor.breaches)} breaches, "
                 f"{len(self.engine.specs)} SLOs)")

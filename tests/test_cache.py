@@ -6,6 +6,9 @@ from functools import lru_cache
 
 import pytest
 
+from repro.cache import block as block_module
+from repro.cache import hotspot as hotspot_module
+from repro.cache import tier as tier_module
 from repro.cache import (
     BlockCache,
     CacheTier,
@@ -88,8 +91,8 @@ class TestEvictionPolicies:
 
 class TestBlockCache:
     def test_fill_then_hit_and_span_geometry(self, sim):
-        cache = BlockCache(sim, "c", capacity_bytes=300_000,
-                           block_bytes=30_000)
+        cache = BlockCache(sim, "c", capacity_bytes=300_000)
+        assert cache.block_bytes == 30_000
         assert not cache.get("k", 0, 60_000, version=0)
         assert cache.put("k", 0, 60_000, version=0) == 2
         assert cache.get("k", 0, 60_000, version=0)
@@ -99,13 +102,13 @@ class TestBlockCache:
         assert list(span_blocks(30_000, 45_000, 30_000)) == [1, 2]
 
     def test_version_mismatch_is_a_miss(self, sim):
-        cache = BlockCache(sim, "c", 300_000, 30_000)
+        cache = BlockCache(sim, "c", 300_000)
         cache.put("k", 0, 30_000, version=0)
         assert not cache.get("k", 0, 30_000, version=1)
         assert cache.versions_of("k") == [0]
 
     def test_invalidate_drops_stale_and_blocks_late_fills(self, sim):
-        cache = BlockCache(sim, "c", 300_000, 30_000)
+        cache = BlockCache(sim, "c", 300_000)
         cache.put("k", 0, 90_000, version=0)
         assert cache.invalidate("k", min_version=1) == 3
         assert cache.resident_blocks == 0
@@ -114,8 +117,7 @@ class TestBlockCache:
         assert cache.put("k", 0, 30_000, version=1) == 1
 
     def test_capacity_evicts_but_never_overflows(self, sim):
-        cache = BlockCache(sim, "c", capacity_bytes=90_000,
-                           block_bytes=30_000)
+        cache = BlockCache(sim, "c", capacity_bytes=90_000)
         for i in range(10):
             cache.put("k", i * 30_000, 30_000, version=0)
         assert cache.resident_blocks == 3
@@ -124,7 +126,7 @@ class TestBlockCache:
 
     def test_capacity_below_one_block_rejected(self, sim):
         with pytest.raises(CacheError, match="below one"):
-            BlockCache(sim, "c", capacity_bytes=10, block_bytes=30_000)
+            BlockCache(sim, "c", capacity_bytes=10)
 
     def test_content_stamp_is_version_sensitive(self):
         assert content_stamp("k", 0, 0) != content_stamp("k", 1, 0)
@@ -155,10 +157,11 @@ class TestPerKeyIndex:
     @pytest.mark.parametrize("policy", ["lru", "cost-aware"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_mutations_keep_index_equal_to_scan(self, sim, policy,
-                                                       seed):
+                                                       seed, monkeypatch):
+        monkeypatch.setattr(block_module, "BLOCK_BYTES", self.BLOCK)
         rng = random.Random(seed)
         cache = BlockCache(sim, "c", capacity_bytes=12 * self.BLOCK,
-                           block_bytes=self.BLOCK, policy=make_policy(policy))
+                           policy=make_policy(policy))
         version = dict.fromkeys(self.KEYS, 0)
         evictions = sim.obs.metrics.counter("cache.evictions")
         dropped = 0
@@ -210,12 +213,14 @@ class TestCoherenceProbeAgainstItsOldSelf:
         return {k: sorted(v) for k, v in sorted(stale.items())}
 
     @pytest.mark.parametrize("policy", ["lru", "cost-aware"])
-    def test_random_walk_reports_what_the_triple_loop_did(self, sim, policy):
+    def test_random_walk_reports_what_the_triple_loop_did(self, sim, policy,
+                                                          monkeypatch):
+        monkeypatch.setattr(block_module, "BLOCK_BYTES", self.BLOCK)
+        monkeypatch.setattr(tier_module, "NODE_CACHE_BYTES", 6 * self.BLOCK)
         rng = random.Random(7)
         cluster = make_cluster(sim, nodes=2, replication=1)
-        tier = make_tier(sim, cluster, policy=policy, block_bytes=self.BLOCK,
-                         edge_capacity_bytes=12 * self.BLOCK,
-                         node_cache_bytes=6 * self.BLOCK)
+        tier = make_tier(sim, cluster, policy=policy,
+                         edge_capacity_bytes=12 * self.BLOCK)
         values = [Blob(20 * self.BLOCK, 6e6) for _ in "abc"]
         placements = [cluster.place(value, key=key)
                       for value, key in zip(values, "abc")]
@@ -285,7 +290,7 @@ class TestEdgeStreams:
                         cluster.bump_version(value)
                     bits = min(240_000, total - stream.bits_read)
                     at_version = placement.version
-                    for index in span_blocks(tier.block_bytes,
+                    for index in span_blocks(block_module.BLOCK_BYTES,
                                              stream.bits_read // 8, bits // 8):
                         direct.update(content_stamp(
                             "v", at_version, index).encode())
@@ -396,10 +401,11 @@ class TestEdgeStreams:
 
 
 class TestHotBoostLifecycle:
-    def test_crowd_boosts_then_restores_replication(self, sim):
+    def test_crowd_boosts_then_restores_replication(self, sim, monkeypatch):
+        monkeypatch.setattr(hotspot_module, "WINDOW_S", 0.2)
         cluster = make_cluster(sim, nodes=3, replication=1)
         cluster.repair.start()
-        tier = make_tier(sim, cluster, hot_threshold=4, hot_window_s=0.2)
+        tier = make_tier(sim, cluster, hot_threshold=4)
         value = Blob(120_000, 6e6)
         placement = cluster.place(value, key="viral")
         monitor = InvariantMonitor(sim).arm(cluster=cluster, tier=tier)

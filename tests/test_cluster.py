@@ -10,6 +10,8 @@ from repro.cluster import (
     StorageNode,
     hashing,
 )
+from repro.cluster import node as node_module
+from repro.cluster import repair as repair_module
 from repro.cluster.scenarios import Blob, read_storm
 from repro.errors import ClusterError, OutOfSpaceError, PlacementError
 from repro.faults.injector import FaultInjector
@@ -18,12 +20,10 @@ from repro.obs import scoped
 from repro.sim import Delay
 
 
-def make_cluster(sim, nodes, replication=2, repair_cap=12_000_000.0,
-                 **node_kwargs):
-    cluster = ClusterPlacementManager(sim, replication=replication,
-                                      repair_bps_cap=repair_cap)
+def make_cluster(sim, nodes, replication=2):
+    cluster = ClusterPlacementManager(sim, replication=replication)
     for i in range(nodes):
-        cluster.add_node(StorageNode(sim, f"node-{i}", **node_kwargs))
+        cluster.add_node(StorageNode(sim, f"node-{i}"))
     return cluster
 
 
@@ -75,8 +75,9 @@ class TestClusterPlacement:
         assert used == 2 * 900_000
         assert cluster.under_replicated() == []
 
-    def test_place_rolls_back_on_out_of_space(self, sim):
-        cluster = make_cluster(sim, 2, replication=2, capacity_bytes=1000)
+    def test_place_rolls_back_on_out_of_space(self, sim, monkeypatch):
+        monkeypatch.setattr(node_module, "CAPACITY_BYTES", 1000)
+        cluster = make_cluster(sim, 2, replication=2)
         with pytest.raises(OutOfSpaceError):
             cluster.place(Blob(1100, 1e6), key="big", shards=2)
         for node in cluster.nodes:
@@ -273,9 +274,10 @@ class TestClusterReads:
 
 
 class TestRepair:
-    def test_repair_restores_replication_under_cap(self, sim):
+    def test_repair_restores_replication_under_cap(self, sim, monkeypatch):
         cap = 8_000_000.0
-        cluster = make_cluster(sim, 3, replication=2, repair_cap=cap)
+        monkeypatch.setattr(repair_module, "CAP_BPS", cap)
+        cluster = make_cluster(sim, 3, replication=2)
         values = [Blob(300_000, 6e6) for _ in range(4)]  # held: keyed by id()
         for i, value in enumerate(values):
             cluster.place(value, key=f"v{i}")

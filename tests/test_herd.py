@@ -232,9 +232,7 @@ class TestHerdDiscreteEquivalence:
         population = HerdPopulation(phases(), seed=3, catalog_size=16,
                                     epoch_s=0.05)
         report = equivalence_report(population,
-                                    capacity_bps=capacity_mbps * MBPS,
-                                    stream_bps=1.0 * MBPS,
-                                    session_epochs=4)
+                                    capacity_bps=capacity_mbps * MBPS)
         assert report["equivalent"], report["mismatches"]
         assert report["herd"]["clients"] == report["discrete"]["clients"]
         assert report["herd"]["trunk_bits"] == report["discrete"][
@@ -245,8 +243,7 @@ class TestHerdDiscreteEquivalence:
         # its fixed horizon so the curves stay comparable.
         population = HerdPopulation(phases(10.0), seed=1, catalog_size=8,
                                     epoch_s=0.05)
-        report = equivalence_report(population, capacity_bps=0.4 * MBPS,
-                                    stream_bps=1.0 * MBPS, session_epochs=4)
+        report = equivalence_report(population, capacity_bps=0.4 * MBPS)
         assert report["equivalent"], report["mismatches"]
         n = population.n_epochs + 4
         assert len(report["herd"]["occupancy"]) == n
@@ -368,16 +365,6 @@ class TestAggregateHitModel:
             hits, misses = model.account(hist)
             assert (hits, misses) == (0, 5)
         assert model.resident_assets == 0
-
-    def test_explicit_pmf_ranks_cacheability(self):
-        sim = Simulator()
-        pmf = np.array([0.1, 0.6, 0.1, 0.2])
-        model = AggregateHitModel(sim.obs.metrics, 4, 1, pmf=pmf)
-        hist = np.array([0, 3, 0, 2], dtype=np.int64)
-        model.account(hist)
-        hits, misses = model.account(hist)
-        assert (hits, misses) == (3, 2)        # only asset 1 is cacheable
-        assert model.resident_assets == 1
 
     def test_hit_ratio_and_counters(self):
         model = self._model()
