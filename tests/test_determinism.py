@@ -31,7 +31,11 @@ or vanished instrument is named as one.  ``scenario_decision_log`` and
 ``scenario_metrics`` pin the same two hashes, untraced, for every
 ``<family>-<name>`` of the scenario table at seeds 0 and 1 (an unseeded
 ``trace`` preset once), so a change that must move nothing is checked
-on every scenario and not only on the eleven pinned traces.  If any
+on every scenario and not only on the eleven pinned traces;
+``crowd_decision_log`` and ``crowd_metrics`` pin the same two for the
+herd ``day`` at the ledger's million clients, seeds 0 and 1, taken
+before the coupler compiled its cache verdicts and class splits ahead
+of the first tick (Exp. P11).  If any
 kernel/dataplane change perturbs the schedule — event order, virtual
 timestamps, or metric totals — the exported bytes change and these
 tests fail.  That is what "preserving epoch semantics and (time, seq)
@@ -64,6 +68,12 @@ DECISION_LOG = GOLDEN.pop("decision_log")
 METRICS = GOLDEN.pop("metrics")
 SCENARIO_DECISION_LOG = GOLDEN.pop("scenario_decision_log")
 SCENARIO_METRICS = GOLDEN.pop("scenario_metrics")
+CROWD_DECISION_LOG = GOLDEN.pop("crowd_decision_log")
+CROWD_METRICS = GOLDEN.pop("crowd_metrics")
+
+#: the crowd the ledger's ``herd_day`` runs; every ``herd-*`` scenario
+#: above runs its own 20k-30k.
+CROWD = 1_000_000
 
 
 def _decisions_and_metrics(obs) -> Tuple[bytes, bytes]:
@@ -147,6 +157,20 @@ class TestGoldenTraces:
         assert metrics == SCENARIO_METRICS[run_id], (
             f"metric snapshot of {run_id!r} diverged: a counter, gauge or "
             f"histogram was added, dropped or moved")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_herd_day_at_the_ledger_crowd_matches_pinned_hash(self, seed):
+        from repro.herd.scenarios import day
+
+        run_id = f"herd-day --seed {seed} --clients {CROWD}"
+        with scoped(tracing=False) as obs:
+            day(seed=seed, clients=CROWD)
+            decisions, metrics = (hashlib.sha256(blob).hexdigest()
+                                  for blob in _decisions_and_metrics(obs))
+        assert decisions == CROWD_DECISION_LOG[run_id], (
+            f"decision log of {run_id!r} diverged")
+        assert metrics == CROWD_METRICS[run_id], (
+            f"metric snapshot of {run_id!r} diverged")
 
 
 class TestStaleTimers:
