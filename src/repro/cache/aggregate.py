@@ -4,9 +4,9 @@ The discrete cache hierarchy (:mod:`repro.cache.tier`) simulates every
 block lookup of every stream.  The herd layer
 (:mod:`repro.herd`) advances whole client populations per epoch and
 never materialises individual streams, so it cannot walk the real
-read path — instead it folds each epoch's *content-demand histogram*
-through :class:`AggregateHitModel`, a stationary approximation of the
-edge tier's steady state.
+read path — instead it folds its *content-demand histograms* through
+:class:`AggregateHitModel`, a stationary approximation of the edge
+tier's steady state.
 
 The approximation: under sustained Zipf demand an LRU/cost-aware edge
 converges to keeping the most popular assets resident.  The model
@@ -19,15 +19,22 @@ misses.  Demand on resident assets counts as edge hits (served locally
 — no trunk bandwidth); everything else is a pass-through miss that must
 be carried by the trunk.
 
-Hit/miss/lookup counts are folded into the same ``cache.lookups`` /
-``cache.hits`` / ``cache.misses`` counters the discrete
+Nothing is ever evicted, so an asset's residency only grows and an
+epoch's hits depend on the demand of earlier epochs alone, never on
+what admission decides.  :meth:`AggregateHitModel.fold` therefore
+computes every epoch's ``(hits, misses, fills)`` from the whole demand
+matrix in one pass before the run starts, and
+:meth:`AggregateHitModel.charge` books one epoch's counts as the run
+reaches it, into the same ``cache.lookups`` / ``cache.hits`` /
+``cache.misses`` / ``cache.fills`` counters the discrete
 :class:`~repro.cache.block.BlockCache` maintains, so ``python -m repro
-herd`` reports cache efficacy through the ordinary metrics registry.
+herd`` reports cache efficacy through the ordinary metrics registry,
+epoch by epoch.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -37,9 +44,10 @@ from repro.errors import SimulationError
 class AggregateHitModel:
     """Top-K-by-popularity stationary model of the edge cache tier.
 
-    ``account(histogram)`` takes one epoch's per-asset client-demand
-    histogram (length ``catalog_size``) and returns ``(hits, misses)``
-    in clients, updating residency and the shared cache counters.
+    ``fold(demand)`` takes the ``(epochs, catalog_size)`` per-asset
+    client-demand matrix and returns every epoch's ``(hits, misses,
+    fills)`` in clients (fills in assets); ``charge`` books one epoch of
+    them on the model and the shared cache counters.
     """
 
     def __init__(self, metrics, catalog_size: int,
@@ -54,9 +62,8 @@ class AggregateHitModel:
             )
         self.catalog_size = catalog_size
         self.cached_assets = min(cached_assets, catalog_size)
-        self._cacheable = np.zeros(catalog_size, dtype=bool)
-        self._cacheable[: self.cached_assets] = True
-        self._resident = np.zeros(catalog_size, dtype=bool)
+        #: assets filled by the epochs charged so far.
+        self.resident_assets = 0
         self.lookups = 0
         self.hits = 0
         self.misses = 0
@@ -66,33 +73,39 @@ class AggregateHitModel:
         self._m_fills = metrics.counter("cache.fills")
 
     @property
-    def resident_assets(self) -> int:
-        return int(self._resident.sum())
-
-    @property
     def hit_ratio(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def account(self, histogram: Sequence[int]) -> Tuple[int, int]:
-        """Fold one epoch's demand histogram; returns ``(hits, misses)``."""
-        hist = np.asarray(histogram)
-        if hist.shape != (self.catalog_size,):
+    def fold(self, demand) -> Tuple[List[int], List[int], List[int]]:
+        """Every epoch's ``(hits, misses, fills)`` lists, from one pass.
+
+        An asset is resident from the epoch after demand first touches
+        it, so residency is a running OR of ``demand > 0`` over the
+        cacheable columns, shifted down one epoch.
+        """
+        demand = np.asarray(demand)
+        if demand.ndim != 2 or demand.shape[1] != self.catalog_size:
             raise SimulationError(
-                f"demand histogram has shape {hist.shape}, "
-                f"expected ({self.catalog_size},)"
+                f"demand matrix has shape {demand.shape}, "
+                f"expected (epochs, {self.catalog_size})"
             )
-        if hist.min(initial=0) < 0:
-            raise SimulationError("demand histogram cannot contain negative counts")
-        total = int(hist.sum())
-        hits = int(hist[self._resident].sum())
-        misses = total - hits
-        # Warm newly-touched cacheable assets: resident from the *next*
-        # epoch on (this epoch's demand was the read-through fill).
-        fills = (hist > 0) & self._cacheable & ~self._resident
-        n_fills = int(fills.sum())
-        if n_fills:
-            self._resident |= fills
-            self._m_fills.inc(n_fills)
+        if demand.min(initial=0) < 0:
+            raise SimulationError("demand matrix cannot contain negative counts")
+        cacheable = demand[:, :self.cached_assets]
+        touched = np.logical_or.accumulate(cacheable > 0, axis=0)
+        resident = np.zeros_like(touched)
+        resident[1:] = touched[:-1]
+        hits = (cacheable * resident).sum(axis=1)
+        misses = demand.sum(axis=1) - hits
+        fills = (touched & ~resident).sum(axis=1)
+        return hits.tolist(), misses.tolist(), fills.tolist()
+
+    def charge(self, hits: int, misses: int, fills: int) -> None:
+        """Book one epoch of :meth:`fold`'s output."""
+        if fills:
+            self.resident_assets += fills
+            self._m_fills.inc(fills)
+        total = hits + misses
         self.lookups += total
         self.hits += hits
         self.misses += misses
@@ -102,7 +115,6 @@ class AggregateHitModel:
             self._m_hits.inc(hits)
         if misses:
             self._m_misses.inc(misses)
-        return hits, misses
 
     def __repr__(self) -> str:
         return (

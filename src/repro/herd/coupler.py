@@ -2,17 +2,24 @@
 
 :class:`HerdCoupler` is the bridge between a compiled
 :class:`~repro.herd.population.HerdPopulation` and the discrete world.
-It registers one :meth:`~repro.sim.Simulator.schedule_every` cadence
-and, on every epoch tick, in this order:
+
+:meth:`HerdCoupler.start` compiles, before the first tick, everything
+the population already fixes: per-epoch arrivals, the optional
+:class:`~repro.cache.aggregate.AggregateHitModel`'s hits, misses and
+fills (the model never evicts, so they depend on earlier demand alone),
+and each epoch's misses split across the priority classes by
+:func:`apportion` — all epochs in one vectorized pass, kept as Python
+lists.  It then registers one
+:meth:`~repro.sim.Simulator.schedule_every` cadence, and every epoch
+tick does only what depends on admission, in this order:
 
 1. **departures** — cohorts admitted :data:`SESSION_EPOCHS` ticks ago
    release their aggregate reservations (or are counted preempted if a
    foreground interactive stream revoked them in between), and their
    delivered bits are charged to the trunk's traffic accounting;
-2. **arrivals** — the epoch's client counts, optionally thinned by an
-   :class:`~repro.cache.aggregate.AggregateHitModel` (edge hits never
-   touch the trunk), are put to
-   :meth:`~repro.admission.AdmissionController.admit_batch` per
+2. **arrivals** — the epoch's compiled cache counts are charged (edge
+   hits never touch the trunk) and its compiled class counts are put
+   to :meth:`~repro.admission.AdmissionController.admit_batch` per
    priority class, best class first.
 
 Because admitted cohorts hold *real*
@@ -27,6 +34,8 @@ trick.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.admission.controller import (
     AdmissionController,
@@ -43,27 +52,33 @@ STREAM_BPS = 1_000_000.0
 SESSION_EPOCHS = 4
 
 
-def apportion(total: int, counts: List[int]) -> List[int]:
-    """Split ``total`` across ``counts`` proportionally (largest remainder).
+def apportion(totals, counts) -> np.ndarray:
+    """Split each row's total across its counts (largest remainder).
 
-    Deterministic: exact quotas are floored, then the leftover units go
-    to the largest fractional parts, first-listed winning ties.  Used
-    to spread cache misses across the priority classes of one epoch.
+    Row ``i`` splits ``totals[i]`` across ``counts[i]`` proportionally:
+    exact quotas ``total * c / pool`` are floored, then the leftover
+    units go to the largest fractional parts, first-listed winning
+    ties.  Deterministic, and exact while ``total * c`` stays below
+    2**53.  Used to spread every epoch's cache misses across its
+    priority classes at once.
     """
-    pool = sum(counts)
-    if total < 0 or total > pool:
+    totals = np.asarray(totals, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    pools = counts.sum(axis=1)
+    bad = (totals < 0) | (totals > pools)
+    if bad.any():
+        row = int(np.argmax(bad))
         raise SimulationError(
-            f"cannot apportion {total} across counts summing to {pool}")
-    if total == pool:
-        return list(counts)
-    quotas = [total * c / pool if pool else 0.0 for c in counts]
-    floors = [int(q) for q in quotas]
-    shortfall = total - sum(floors)
-    order = sorted(range(len(counts)),
-                   key=lambda i: (-(quotas[i] - floors[i]), i))
-    for i in order[:shortfall]:
-        floors[i] += 1
-    return floors
+            f"cannot apportion {totals[row]} across counts summing to "
+            f"{pools[row]}")
+    quotas = np.divide(totals[:, None] * counts, pools[:, None],
+                       out=np.zeros(counts.shape),
+                       where=pools[:, None] > 0)
+    floors = quotas.astype(np.int64)
+    shortfall = totals - floors.sum(axis=1)
+    order = np.argsort(-(quotas - floors), axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)
+    return floors + (rank < shortfall[:, None])
 
 
 class _Cohort:
@@ -118,11 +133,23 @@ class HerdCoupler:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self):
-        """Register the epoch cadence; returns the ticker handle."""
+        """Compile the horizon, register the epoch cadence; returns the ticker."""
         if self._ticker is not None:
             raise SimulationError("herd coupler already started")
+        population = self.population
+        counts = np.stack([population.by_priority[p]
+                           for p in PRIORITY_ORDER], axis=1)
+        # A list per column, not per epoch: a finished day waits as
+        # cyclic garbage for a collection, so few containers peak lower.
+        self._arrivals = population.arrivals.tolist()
+        self._cache = None
+        if self.cache_model is not None:
+            self._cache = self.cache_model.fold(population.demand)
+            _, misses, _ = self._cache
+            counts = apportion(misses, counts)
+        self._counts = counts.T.tolist()
         self._ticker = self.simulator.schedule_every(
-            self.population.epoch_s, self._on_epoch)
+            population.epoch_s, self._on_epoch)
         return self._ticker
 
     # -- the epoch tick ----------------------------------------------------
@@ -148,8 +175,9 @@ class HerdCoupler:
                 # A foreground interactive stream revoked this cohort
                 # mid-session; everything it sent up to that point was
                 # wasted work (the discrete scoring rule).
-                held_s = ((cohort.released_at or self.simulator.now_s)
-                          - cohort.admitted_at)
+                released_at = cohort.released_at
+                held_s = ((self.simulator.now_s if released_at is None
+                           else released_at) - cohort.admitted_at)
                 bits = int(reservation.bps * held_s)
                 self.controller.channel._account(bits)
                 self.stats["preempted"] += clients
@@ -164,28 +192,27 @@ class HerdCoupler:
             self._m_completed.inc(clients)
 
     def _arrive(self, tick: int) -> None:
-        population = self.population
-        total = int(population.arrivals[tick])
+        total = self._arrivals[tick]
         if not total:
             return
         self.stats["clients"] += total
         self._m_clients.inc(total)
-        counts = [int(population.by_priority[p][tick])
-                  for p in PRIORITY_ORDER]
-        if self.cache_model is not None:
-            hits, misses = self.cache_model.account(population.demand[tick])
+        if self._cache is not None:
+            hits_at, misses_at, fills_at = self._cache
+            hits = hits_at[tick]
+            self.cache_model.charge(hits, misses_at[tick], fills_at[tick])
             if hits:
                 # Edge hits are served locally at full rate; they never
-                # reach the trunk.  Spread the misses across the
-                # priority classes proportionally (deterministic).
+                # reach the trunk (start() split the misses alone
+                # across the priority classes).
                 self.stats["edge_served"] += hits
                 self._m_edge.inc(hits)
                 self.stats["goodput_bits"] += int(
                     hits * STREAM_BPS * self.session_s)
-                counts = apportion(misses, counts)
         now = self.simulator.now_s
         depart_tick = tick + SESSION_EPOCHS
-        for priority, count in zip(PRIORITY_ORDER, counts):
+        for priority, counts in zip(PRIORITY_ORDER, self._counts):
+            count = counts[tick]
             if not count:
                 continue
             verdict = self.controller.admit_batch(

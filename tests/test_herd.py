@@ -11,8 +11,10 @@ Covers the :mod:`repro.herd` hybrid mode end to end:
   epoch-sampled occupancy curve for the same seeded population.
 * Populations and scenario summaries must be byte-identical across
   reruns (the determinism contract the rest of the repo holds).
-* The satellite pieces: :func:`repro.herd.coupler.apportion`,
-  :class:`repro.cache.aggregate.AggregateHitModel`, and the kernel's
+* The satellite pieces: :func:`repro.herd.coupler.apportion` and
+  :class:`repro.cache.aggregate.AggregateHitModel`, each against the
+  per-epoch scalar code it replaced (kept here as the oracle), a cohort
+  preempted at time zero, and the kernel's
   :meth:`Simulator.schedule_every` epoch ticker.
 """
 
@@ -33,6 +35,7 @@ from repro.admission import (
 from repro.cache.aggregate import AggregateHitModel
 from repro.errors import AdmissionError, SimulationError
 from repro.herd import (
+    HerdCoupler,
     HerdPhase,
     HerdPopulation,
     PRIORITY_ORDER,
@@ -315,45 +318,140 @@ class TestHerdDeterminism:
 # apportion
 # ---------------------------------------------------------------------------
 
+def reference_apportion(total, counts):
+    """The one-epoch scalar split the array :func:`apportion` replaced,
+    kept as its oracle."""
+    pool = sum(counts)
+    if total < 0 or total > pool:
+        raise SimulationError(
+            f"cannot apportion {total} across counts summing to {pool}")
+    if total == pool:
+        return list(counts)
+    quotas = [total * c / pool if pool else 0.0 for c in counts]
+    floors = [int(q) for q in quotas]
+    shortfall = total - sum(floors)
+    order = sorted(range(len(counts)),
+                   key=lambda i: (-(quotas[i] - floors[i]), i))
+    for i in order[:shortfall]:
+        floors[i] += 1
+    return floors
+
+
+COUNT = st.one_of(st.integers(0, 10 ** 6), st.sampled_from((0, 1, 2, 7)))
+
+
+@st.composite
+def split_rows(draw):
+    """Rows of ``(total, counts)``: zero pools, ties, ``total == pool``
+    and counts up to 10^6, so every ``total * c`` stays below 2**53."""
+    classes = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.one_of(
+        st.lists(COUNT, min_size=classes, max_size=classes),
+        COUNT.map(lambda c: [c] * classes)), min_size=1, max_size=8))
+    # Per row: none of the pool, all of it, or a drawn share.
+    shares = draw(st.lists(st.one_of(st.sampled_from((0.0, 1.0)),
+                                     st.floats(0.0, 1.0)),
+                           min_size=len(rows), max_size=len(rows)))
+    return [(int(share * sum(counts)), counts)
+            for share, counts in zip(shares, rows)]
+
+
 class TestApportion:
+    @staticmethod
+    def one(total, counts):
+        return apportion([total], [counts]).tolist()[0]
+
     def test_preserves_total_and_proportion(self):
-        out = apportion(10, [5, 3, 2])
+        out = self.one(10, [5, 3, 2])
         assert out == [5, 3, 2]
 
     def test_largest_remainder_rounding(self):
-        out = apportion(7, [5, 3, 2])
+        out = self.one(7, [5, 3, 2])
         assert sum(out) == 7
         assert out == [4, 2, 1]
 
     def test_ties_break_by_index(self):
-        out = apportion(1, [1, 1])
+        out = self.one(1, [1, 1])
         assert out == [1, 0]
 
     def test_zero_everywhere(self):
-        assert apportion(0, [3, 4]) == [0, 0]
-        assert apportion(0, [0, 0]) == [0, 0]
+        assert self.one(0, [3, 4]) == [0, 0]
+        assert self.one(0, [0, 0]) == [0, 0]
 
     def test_overallocation_raises(self):
         with pytest.raises(SimulationError):
-            apportion(5, [2, 1])
+            self.one(5, [2, 1])
+
+    @settings(max_examples=50)
+    @given(rows=split_rows())
+    def test_array_split_is_the_scalar_split_row_by_row(self, rows):
+        totals = [total for total, _ in rows]
+        counts = [row for _, row in rows]
+        assert apportion(totals, counts).tolist() == [
+            reference_apportion(total, row) for total, row in rows]
 
 
 # ---------------------------------------------------------------------------
 # AggregateHitModel
 # ---------------------------------------------------------------------------
 
+class ReferenceHitModel:
+    """The per-epoch ``account`` loop ``fold`` + ``charge`` replaced,
+    kept as their oracle: one histogram at a time, residency as a list."""
+
+    def __init__(self, catalog_size, cached_assets):
+        self.cacheable = [i < cached_assets for i in range(catalog_size)]
+        self.resident = [False] * catalog_size
+        self.lookups = self.hits = self.misses = self.fills = 0
+
+    def account(self, histogram):
+        hits = sum(n for n, r in zip(histogram, self.resident) if r)
+        misses = sum(histogram) - hits
+        for asset, n in enumerate(histogram):
+            if n and self.cacheable[asset] and not self.resident[asset]:
+                self.resident[asset] = True
+                self.fills += 1
+        self.lookups += hits + misses
+        self.hits += hits
+        self.misses += misses
+        return hits, misses
+
+
+@st.composite
+def demand_matrices(draw):
+    """A demand matrix with all-zero rows, an uncacheable tail, and a
+    capacity of 0, of the whole catalog, or anything between."""
+    catalog = draw(st.integers(1, 8))
+    cached = draw(st.one_of(st.just(0), st.just(catalog),
+                            st.integers(0, catalog)))
+    row = st.one_of(st.just([0] * catalog),
+                    st.lists(st.integers(0, 20), min_size=catalog,
+                             max_size=catalog))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return catalog, cached, rows
+
+
 class TestAggregateHitModel:
     def _model(self, catalog=8, cached=3):
         sim = Simulator()
         return AggregateHitModel(sim.obs.metrics, catalog, cached)
 
+    @staticmethod
+    def _epochs(model, rows):
+        """Fold every row, then charge them in order; yields each
+        epoch's ``(hits, misses)`` after its charge."""
+        for hits, misses, fills in zip(*model.fold(np.array(rows))):
+            model.charge(hits, misses, fills)
+            yield hits, misses
+
     def test_cold_epoch_is_all_misses_then_resident(self):
         model = self._model()
         hist = np.zeros(8, dtype=np.int64)
         hist[0] = 10
-        hits, misses = model.account(hist)
+        epochs = self._epochs(model, [hist, hist])
+        hits, misses = next(epochs)
         assert (hits, misses) == (0, 10)       # read-through fill
-        hits, misses = model.account(hist)
+        hits, misses = next(epochs)
         assert (hits, misses) == (10, 0)       # resident now
         assert model.resident_assets == 1
 
@@ -361,8 +459,7 @@ class TestAggregateHitModel:
         model = self._model(catalog=8, cached=3)
         hist = np.zeros(8, dtype=np.int64)
         hist[7] = 5                            # rank 7 > top-3
-        for _ in range(3):
-            hits, misses = model.account(hist)
+        for hits, misses in self._epochs(model, [hist] * 3):
             assert (hits, misses) == (0, 5)
         assert model.resident_assets == 0
 
@@ -370,16 +467,61 @@ class TestAggregateHitModel:
         model = self._model()
         hist = np.zeros(8, dtype=np.int64)
         hist[1] = 4
-        model.account(hist)
-        model.account(hist)
+        list(self._epochs(model, [hist, hist]))
         assert model.hit_ratio == pytest.approx(0.5)
 
     def test_rejects_bad_histograms(self):
         model = self._model()
         with pytest.raises(SimulationError):
-            model.account(np.zeros(7, dtype=np.int64))
+            model.fold(np.zeros((1, 7), dtype=np.int64))
         with pytest.raises(SimulationError):
-            model.account(np.array([-1] + [0] * 7, dtype=np.int64))
+            model.fold(np.array([[-1] + [0] * 7], dtype=np.int64))
+
+    @settings(max_examples=50)
+    @given(drawn=demand_matrices())
+    def test_fold_and_charge_are_the_per_epoch_loop(self, drawn):
+        catalog, cached, rows = drawn
+        with scoped(tracing=False) as obs:
+            model = AggregateHitModel(obs.metrics, catalog, cached)
+            reference = ReferenceHitModel(catalog, cached)
+            counter = obs.metrics.counter
+            for row, got in zip(rows, self._epochs(model, rows)):
+                assert got == reference.account(row)
+                assert (model.lookups, model.hits, model.misses) == (
+                    reference.lookups, reference.hits, reference.misses)
+                assert model.resident_assets == sum(reference.resident)
+                assert [counter(f"cache.{name}").value for name in (
+                    "lookups", "hits", "misses", "fills")] == [
+                    reference.lookups, reference.hits, reference.misses,
+                    reference.fills]
+
+
+# ---------------------------------------------------------------------------
+# the coupler's departures
+# ---------------------------------------------------------------------------
+
+class TestPreemptedCohort:
+    def test_preempted_at_time_zero_is_charged_nothing(self):
+        # A cohort revoked at virtual time 0.0 was charged the whole
+        # session: ``released_at or now`` read 0.0 as "not released".
+        sim, trunk, controller = make_controller(10.0, preempt=True)
+        population = HerdPopulation(
+            (HerdPhase("bg", 0.05, 2000.0, interactive_share=0.0,
+                       background_share=1.0),), seed=1)
+        coupler = HerdCoupler(sim, controller, population)
+        coupler.start()
+
+        def foreground():
+            yield from controller.admit(
+                QoSContract(4 * MBPS, Priority.INTERACTIVE,
+                            min_fraction=1.0), label="fg")
+
+        sim.spawn(foreground(), name="fg")
+        sim.run()
+        facts = coupler.facts()
+        assert facts["preempted"] == facts["admitted_full"] > 0
+        assert facts["wasted_bits"] == 0
+        assert trunk.total_bits == 0
 
 
 # ---------------------------------------------------------------------------

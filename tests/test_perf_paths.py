@@ -1,6 +1,6 @@
 """Regression tests for the hot-path rework: ``with_payload`` sizing
 rules, batched channel accounting, heap-based C-SCAN, O(1) admission
-queue depth, the calls one ``admit_batch`` makes, what an attached edge
+queue depth, the calls one ``admit_batch`` and one herd epoch make, what an attached edge
 hit and a supervision tick no longer do, constant-time value sizes, the bisecting ordered-index range walk, bulk index execution with rows
 hydrated on touch, the covering interval index's counts, and the profile
 CLI."""
@@ -195,7 +195,7 @@ class TestAdmissionQueueDepthCounter:
 
 
 class TestAdmitBatchCallCounts:
-    """``admit_batch`` is the herd's hot entry (600 calls in a 10 ms
+    """``admit_batch`` is the herd's hot entry (600 calls in a 5 ms
     ``herd_day`` day), so a helper layered into it shows up in the
     ledger as percents.  Counted, not timed: Python-level calls (``call``
     and ``c_call``, the profiler's own removal included) in one batch,
@@ -266,6 +266,71 @@ class TestAdmitBatchCallCounts:
         million, verdict = self.calls(1e7, contracts["standard"], 10 ** 6)
         assert verdict == (10 ** 6, 0, 0)
         assert ten == million
+
+
+class TestHerdEpochCounts:
+    """What one herd epoch tick does once ``HerdCoupler.start()`` has
+    compiled the cache verdicts and class splits: no numpy at all, and
+    one ``admit_batch`` per priority class with clients, as before.
+    Counted like :class:`TestAdmitBatchCallCounts` (EXPERIMENTS.md Exp.
+    P11)."""
+
+    EPOCH_S = 0.05
+
+    def test_a_tick_calls_no_numpy_and_one_batch_per_class(self):
+        import gc
+        import os
+        import sys
+
+        from repro.admission import AdmissionController
+        from repro.cache.aggregate import AggregateHitModel
+        from repro.herd import HerdCoupler, HerdPhase, HerdPopulation
+        from repro.obs import scoped
+
+        numpy_dir = os.path.dirname(np.__file__)
+        numpy_calls = batches = 0
+
+        def profiler(frame, event, arg):
+            nonlocal numpy_calls, batches
+            if event == "call":
+                code = frame.f_code
+                numpy_calls += code.co_filename.startswith(numpy_dir)
+                batches += code.co_name == "admit_batch"
+            elif event == "c_call":
+                numpy_calls += (
+                    (getattr(arg, "__module__", None) or "").startswith("numpy")
+                    or isinstance(getattr(arg, "__self__", None),
+                                  (np.ndarray, np.generic)))
+
+        with scoped(tracing=False):
+            sim = Simulator()
+            trunk = Channel(sim, capacity_bps=40e6, name="trunk")
+            controller = AdmissionController(sim, trunk, max_queue=64,
+                                             high_watermark=0.85, preempt=True)
+            population = HerdPopulation(
+                (HerdPhase("peak", 1.0, 4000.0, viral_share=0.6,
+                           interactive_share=0.25, background_share=0.1),),
+                seed=0, catalog_size=32, epoch_s=self.EPOCH_S)
+            cache = AggregateHitModel(sim.obs.metrics, 32, 6)
+            coupler = HerdCoupler(sim, controller, population,
+                                  cache_model=cache)
+            coupler.start()
+            tick = 10
+            sim.run(until=WorldTime((tick - 0.5) * self.EPOCH_S))
+            hits, clients = cache.hits, coupler.stats["clients"]
+            gc.collect()
+            gc.disable()
+            sys.setprofile(profiler)
+            try:
+                sim.run(until=WorldTime((tick + 0.5) * self.EPOCH_S))
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+        # The tick did arrive clients and serve some at the edge.
+        assert coupler.stats["clients"] - clients == population.arrivals[tick]
+        assert cache.hits > hits
+        assert numpy_calls == 0     # 9 when the tick folded the cache
+        assert batches <= 3         # one per class, as then
 
 
 class TestEdgeHitCounts:
