@@ -14,9 +14,10 @@ Two things keep this indistinguishable from the per-element loop:
 
 *settle on read* — the counters the source side owns (the source's,
 connection's, reservations', channel's and device's tallies, and the
-``stream.*`` instruments of the folded read-ahead buffer) are brought up
-to the current virtual time whenever one of them is read, the way
-``Channel._flush_traffic`` settles ``net.bits_sent``;
+``stream.*`` instruments of the folded read-ahead buffer, ``net.bits_sent``
+among them) are brought up to the current virtual time whenever one of
+them is read: through the ``clocked`` attribute of the object that owns
+the tally, or through the run's flush hook on the metrics registry;
 
 *the cut* — anything that could change an element not yet sent (a stop,
 an interrupt or hang of the source's process, a handler caught, either
@@ -211,7 +212,7 @@ class ClockedRun:
     # -- settle on read ------------------------------------------------------
     def settle(self) -> None:
         """Apply every count whose moment is not after the current time."""
-        now = self.simulator._now
+        now = self.simulator._clock.now
         source = self.source
         payloads = self.payloads
         total = len(payloads)
@@ -268,13 +269,13 @@ class ClockedRun:
             connection._bits_sent += bits
             reservation = connection.reservation
             reservation._bits_transmitted += bits
-            reservation.channel._total_bits += bits
+            reservation.channel._account(bits)
 
     # -- the cut ------------------------------------------------------------------
     def asleep_since(self) -> float:
         """When the per-element loop would have begun the wait it is in
         now (what ``cut_all`` orders simultaneous cuts by)."""
-        now = self.simulator._now
+        now = self.simulator._clock.now
         position = min(bisect_right(self.sent, now), len(self.sent) - 1)
         for since in (self.paced, self.got):
             if since[position] <= now:
@@ -287,7 +288,7 @@ class ClockedRun:
         if self.source.clocked is not self:
             return      # cut already, or run out
         simulator = self.simulator
-        now = simulator._now
+        now = simulator._clock.now
         self.settle()
         position = self._n_sent
         total = len(self.payloads)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 from typing import TYPE_CHECKING, Generator, Optional
+from weakref import ref
 
 from repro.errors import ConnectionError_, PortError
 from repro.sim import SettledCounter, Simulator
@@ -41,11 +42,19 @@ class Port:
         self.name = name
         self.direction = direction
         self._media_type = media_type
-        self.owner = owner
+        # The activity holds this port in its ``ports``; the port holds
+        # it back weakly, so a finished graph is freed by reference
+        # counting (DESIGN.md decision 23).  Read when wiring and when a
+        # stopping activity finds its connection gone, never per element.
+        self._owner = None if owner is None else ref(owner)
         self.connection: Optional[Connection] = None
         # When this port re-exports a component's port on a composite
         # activity, ``proxy_for`` points at the inner port.
         self.proxy_for: Optional[Port] = None
+
+    @property
+    def owner(self) -> Optional["MediaActivity"]:
+        return None if self._owner is None else self._owner()
 
     @property
     def media_type(self) -> MediaType:
@@ -179,8 +188,10 @@ class Connection:
                     f"(use a tee activity to fan out)"
                 )
         self.simulator = simulator
-        self.source = real_source
-        self.sink = real_sink
+        # The ports hold this connection; it holds them back weakly, like
+        # a port its activity (see ``Port.__init__``).
+        self._source = ref(real_source)
+        self._sink = ref(real_sink)
         self.reservation = reservation
         self.buffer = StreamBuffer(
             simulator, capacity,
@@ -196,6 +207,14 @@ class Connection:
 
     elements_sent = SettledCounter("_elements_sent")
     bits_sent = SettledCounter("_bits_sent")
+
+    @property
+    def source(self) -> Port:
+        return self._source()
+
+    @property
+    def sink(self) -> Port:
+        return self._sink()
 
     def send(self, element: StreamElement | EndOfStream,
              serialized: bool = False) -> Generator:
@@ -219,7 +238,7 @@ class Connection:
             # EOS rides the same path so ordering is preserved.
             latency = reservation.latency_s
         if latency > 0:
-            self.buffer.deposit(element, self.simulator._now + latency)
+            self.buffer.deposit(element, self.simulator._clock.now + latency)
         else:
             yield from self.buffer.put(element)
 

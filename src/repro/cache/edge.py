@@ -167,7 +167,9 @@ class EdgeStream:
                 f"stream {self.label!r} read past end of "
                 f"{placement.key!r}"
             )
-        self.tier.detector.note(placement)
+        tier = self.tier
+        if tier.detector.note(placement):
+            tier._went_hot(placement)
         reservation = self._reservation
         if (reservation is None or reservation.released
                 or reservation.preempted or not self._edge.live):

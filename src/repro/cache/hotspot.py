@@ -2,8 +2,9 @@
 
 The detector is purely access-driven: every :class:`EdgeStream` read
 notes its placement, the note prunes the key's event window, and a key
-crossing ``hot_threshold`` accesses inside :data:`WINDOW_S` fires the
-``on_hot`` callback exactly once per hot episode.  Cooling is the
+crossing ``hot_threshold`` accesses inside :data:`WINDOW_S` makes
+:meth:`~HotContentDetector.note` return True, exactly once per hot
+episode; the tier that asked then acts on it.  Cooling is the
 tier's job (a per-key watcher process polls :meth:`recent` on the same
 window), because cooling needs virtual time to pass with *no* accesses
 — an access-driven hook alone would never fire.
@@ -15,7 +16,7 @@ counts, and no wall clock or unseeded randomness is involved.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Set
+from typing import Deque, Dict, Set
 
 from repro.errors import CacheError
 from repro.sim import Simulator
@@ -27,8 +28,7 @@ WINDOW_S = 0.5
 class HotContentDetector:
     """Marks placements hot when a Zipf crowd lands on them."""
 
-    def __init__(self, simulator: Simulator, hot_threshold: int,
-                 on_hot: Callable) -> None:
+    def __init__(self, simulator: Simulator, hot_threshold: int) -> None:
         if hot_threshold < 1:
             raise CacheError(
                 f"hot threshold must be >= 1, got {hot_threshold}"
@@ -36,7 +36,6 @@ class HotContentDetector:
         self.simulator = simulator
         self.window_s = WINDOW_S
         self.hot_threshold = hot_threshold
-        self.on_hot = on_hot
         self.episodes = 0
         self._events: Dict[str, Deque[float]] = {}
         self._hot: Set[str] = set()
@@ -44,8 +43,8 @@ class HotContentDetector:
         self._m_hot = metrics.counter("cache.hot_episodes")
         self._m_hot_now = metrics.gauge("cache.hot_values")
 
-    def note(self, placement) -> None:
-        """Record one access; may flip the placement hot."""
+    def note(self, placement) -> bool:
+        """Record one access; True when it flips the placement hot."""
         key = placement.key
         window = self._events.get(key)
         if window is None:
@@ -60,7 +59,8 @@ class HotContentDetector:
             self.episodes += 1
             self._m_hot.inc()
             self._m_hot_now.set(len(self._hot))
-            self.on_hot(placement)
+            return True
+        return False
 
     def recent(self, key: str) -> int:
         """Accesses inside the window ending now (prunes as it counts)."""

@@ -33,7 +33,7 @@ from repro.cache.edge import EdgeCacheNode, EdgeStream
 from repro.cache.hotspot import HotContentDetector
 from repro.cache.policy import make_policy
 from repro.errors import AdmissionError, CacheError, FaultError
-from repro.sim import Delay, Simulator
+from repro.sim import Delay, Simulator, weak_hook
 
 #: block cache bytes on every storage node.
 NODE_CACHE_BYTES = 12_000_000
@@ -69,9 +69,8 @@ class CacheTier:
             node.block_cache = BlockCache(
                 simulator, f"{node.name}.cache", NODE_CACHE_BYTES,
                 make_policy(policy))
-        cluster.add_version_listener(self._on_version_bump)
-        self.detector = HotContentDetector(
-            simulator, hot_threshold=hot_threshold, on_hot=self._went_hot)
+        cluster.add_version_listener(weak_hook(self._on_version_bump))
+        self.detector = HotContentDetector(simulator, hot_threshold)
         self._decisions = simulator.obs.decisions
         metrics = simulator.obs.metrics
         self._m_edge_bits = metrics.counter("cache.edge_bits")

@@ -36,7 +36,7 @@ from repro.errors import (
 )
 from repro.faults.recovery import RetryPolicy, with_retries
 from repro.net.channel import Reservation
-from repro.sim import Delay, Simulator
+from repro.sim import Delay, Simulator, weak_hook
 from repro.storage.extents import Extent
 from repro.values.base import MediaValue
 
@@ -239,7 +239,8 @@ class ClusterStream:
                 reservation = yield from node.admission.admit(
                     contract, label=self.label)
             except AdmissionError as exc:
-                last_error = exc
+                # Kept without its traceback, which holds this frame.
+                last_error = exc.with_traceback(None)
                 continue
             self._node, self._reservation = node, reservation
             self._shard, self._lost = shard, False
@@ -317,8 +318,8 @@ class ClusterPlacementManager:
         if node.name in self._nodes:
             raise ClusterError(f"node {node.name!r} already registered")
         self._nodes[node.name] = node
-        node.on_down = self._node_down
-        node.on_up = self._node_up
+        node.on_down = weak_hook(self._node_down)
+        node.on_up = weak_hook(self._node_up)
         self._refresh_health()
         return node
 

@@ -27,6 +27,7 @@ join traffic is bounded exactly like repair traffic.
 from __future__ import annotations
 
 from typing import Generator, List, Optional, Set, Tuple
+from weakref import ref
 
 from repro.admission.controller import Priority, QoSContract
 from repro.cluster import hashing
@@ -54,7 +55,10 @@ class RepairManager:
     """Restores replication factor R with background, capped copies."""
 
     def __init__(self, cluster) -> None:
-        self.cluster = cluster
+        # The cluster owns this manager and holds it; the manager holds
+        # the cluster back weakly, so the two are freed by reference
+        # counting when a run ends (DESIGN.md decision 23).
+        self._cluster = ref(cluster)
         self.repairs = 0
         self.repaired_bits = 0
         metrics = cluster.simulator.obs.metrics
@@ -74,6 +78,10 @@ class RepairManager:
         #: shard keys whose trim found a replica with attached readers;
         #: reader_detached() kicks the worker when the last one leaves.
         self._trim_waiting: Set[str] = set()
+
+    @property
+    def cluster(self):
+        return self._cluster()
 
     # -- lifecycle -----------------------------------------------------------
     @property

@@ -105,7 +105,7 @@ class FaultInjector:
     # -- bookkeeping -------------------------------------------------------
     def record(self, kind: str, target: str) -> None:
         self._m_injected.inc()
-        self.log.append((self.simulator._now, kind, target))
+        self.log.append((self.simulator._clock.now, kind, target))
         tracer = self.simulator.obs.tracer
         if tracer.enabled:
             tracer.instant(f"fault:{kind}", "faults", target=target)

@@ -139,8 +139,7 @@ class HerdCoupler:
         population = self.population
         counts = np.stack([population.by_priority[p]
                            for p in PRIORITY_ORDER], axis=1)
-        # A list per column, not per epoch: a finished day waits as
-        # cyclic garbage for a collection, so few containers peak lower.
+        # A list per column, not per epoch: few containers.
         self._arrivals = population.arrivals.tolist()
         self._cache = None
         if self.cache_model is not None:

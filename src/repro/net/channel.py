@@ -176,15 +176,11 @@ class Channel:
         #: inflated — the leak the reservation-conservation probe catches.
         self.debug_leak_releases = False
         metrics = simulator.obs.metrics
+        #: shared by every channel of the scope; each adds its own bits,
+        #: as it sends them (a clocked run, as it settles them).
         self._m_bits_sent = metrics.counter("net.bits_sent")
         self._m_admission_failures = metrics.counter("net.admission_failures")
         self._m_utilization = metrics.gauge(f"net.channel.{name}.utilization")
-        # Traffic accounting is batched: _account() is one plain int add
-        # on total_bits (the exact source of truth); the shared
-        # net.bits_sent counter is settled from it by this flush hook
-        # whenever the registry is read (see MetricsRegistry.flush).
-        self._flushed_bits = 0
-        metrics.add_flush_hook(self._flush_traffic)
 
     @property
     def total_bits(self) -> int:
@@ -202,13 +198,6 @@ class Channel:
     def faults(self, model) -> None:
         cut_all(self._clocked)
         self._faults = model
-
-    def _flush_traffic(self) -> None:
-        total = self.total_bits
-        delta = total - self._flushed_bits
-        if delta:
-            self._m_bits_sent.inc(delta)
-            self._flushed_bits = total
 
     # -- admission control ---------------------------------------------------
     @property
@@ -245,6 +234,7 @@ class Channel:
 
     def _account(self, bits: int) -> None:
         self._total_bits += bits
+        self._m_bits_sent.inc(bits)
 
     # -- accounting ----------------------------------------------------------
     @property

@@ -69,7 +69,8 @@ class Stream:
 
     def __init__(self, session: "Session", connections: List[Connection],
                  activities: List[MediaActivity]) -> None:
-        self.session = session
+        # The counter, not the session: the session holds its streams.
+        self._m_started = session._m_streams_started
         self.connections = connections
         self.activities = activities
         self.started = False
@@ -80,7 +81,7 @@ class Stream:
         if self.started:
             raise SessionError("stream already started")
         self.started = True
-        self.session._m_streams_started.inc()
+        self._m_started.inc()
         for activity in self.activities:
             if activity.state is not ActivityState.RUNNING:
                 activity.start()

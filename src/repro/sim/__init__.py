@@ -23,6 +23,7 @@ from repro.sim.kernel import (
     Timeout,
     WaitEvent,
     WaitProcess,
+    weak_hook,
 )
 from repro.sim.resource import SimResource
 from repro.sim.settled import SettledCounter, cut_all
@@ -34,6 +35,7 @@ __all__ = [
     "SimResource",
     "SettledCounter",
     "cut_all",
+    "weak_hook",
     "Delay",
     "EpochTicker",
     "WaitEvent",

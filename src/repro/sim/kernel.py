@@ -79,6 +79,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple, Union
 
 from dataclasses import dataclass
+from weakref import WeakMethod
 
 from repro.avtime import WorldTime
 from repro.errors import DeadlineExceeded, FaultError, Interrupted, SimulationError
@@ -239,7 +240,7 @@ class Process:
             if not self.done and not self._abandoned:
                 sim._step(self, None, throw=exc)
 
-        sim._push(sim._now, fire)
+        sim._push(sim._clock.now, fire)
 
     def abandon(self) -> None:
         """Wedge the process forever (a simulated hang).
@@ -335,7 +336,11 @@ class EpochTicker:
         self.cancelled = False
 
     def cancel(self) -> None:
+        """Stop the cadence.  The action is dropped with it: an action
+        is usually a bound method of the ticker's owner, which holds the
+        ticker, and a stopped ticker has no use for it."""
         self.cancelled = True
+        self.action = None
 
     def _fire(self) -> None:
         if self.cancelled:
@@ -343,14 +348,53 @@ class EpochTicker:
         try:
             self.action(self.ticks)
         except StopIteration:
-            self.cancelled = True
+            self.cancel()
             return
         self.ticks += 1
-        next_at = self.simulator._now + self.interval_s
+        next_at = self.simulator._clock.now + self.interval_s
         if self.until_s is not None and next_at > self.until_s + 1e-12:
-            self.cancelled = True
+            self.cancel()
             return
         self.simulator._push(next_at, self._fire)
+
+
+def weak_hook(method: Callable[..., Any]) -> Callable[..., None]:
+    """A hook that calls the bound ``method`` while its object lives.
+
+    For a component that registers one of its methods on something it
+    holds (the watchdog on its simulator, a cluster on its nodes, a cache
+    tier on its cluster): the holder calling back no longer keeps the
+    component alive, so a finished run is freed by reference counting
+    (DESIGN.md decision 23).  For registration-time hooks, never for a
+    per-element path.
+    """
+    ref = WeakMethod(method)
+
+    def hook(*args: Any) -> None:
+        target = ref()
+        if target is not None:
+            target(*args)
+    return hook
+
+
+class Clock:
+    """A simulator's virtual time in seconds, readable without the simulator.
+
+    The simulator advances ``now``; the tracer and decision log of its
+    obs scope call the clock to stamp what they record.  The clock holds
+    nothing, so the scope the simulator points at does not point back
+    (DESIGN.md decision 23): a finished run is freed by reference
+    counting, and the clock stays readable for as long as anything can
+    still record, a generator closed by the collector included.
+    """
+
+    __slots__ = ("now",)
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
 
 
 class Simulator:
@@ -359,11 +403,13 @@ class Simulator:
     def __init__(self, obs: Optional[Obs] = None) -> None:
         self._queue: list[_QueueEntry] = []
         self._seq = 0
-        self._now = 0.0
+        self._clock = Clock()
         #: sequence numbers of cancelled wake-ups still in the heap.
         self._cancelled: set = set()
         #: the process being stepped (what ``wake_at`` is handed by a
-        #: generator subroutine that does not know who is running it).
+        #: generator subroutine that does not know who is running it);
+        #: None between steps, so a queued callable never sees the last
+        #: process stepped, and a finished run holds none.
         self.active: Optional[Process] = None
         #: number of spawned processes that have not finished (nor been
         #: abandoned) — bounded bookkeeping; finished processes are not
@@ -379,8 +425,8 @@ class Simulator:
         #: that would otherwise only surface as a raise from ``run()``.
         self._failure_hooks: List[Callable[[Process, BaseException], None]] = []
         self.obs = attach(obs)
-        self.obs.tracer.bind_clock(lambda: self._now)
-        self.obs.decisions.bind_clock(lambda: self._now)
+        self.obs.tracer.bind_clock(self._clock)
+        self.obs.decisions.bind_clock(self._clock)
         # Pre-bound tracer: the disabled-tracing check in spawn() is one
         # attribute load instead of two.
         self._tracer = self.obs.tracer
@@ -396,12 +442,12 @@ class Simulator:
     @property
     def now(self) -> WorldTime:
         """Current virtual world time."""
-        return WorldTime(self._now)
+        return WorldTime(self._clock.now)
 
     @property
     def now_s(self) -> float:
         """``now`` in seconds, as the plain float the kernel keeps."""
-        return self._now
+        return self._clock.now
 
     # -- public API ------------------------------------------------------
     def event(self, name: str = "") -> SimEvent:
@@ -439,7 +485,7 @@ class Simulator:
 
     def schedule_at(self, when: WorldTime, action: Callable[[], None]) -> None:
         """Run a plain callable at virtual time ``when``."""
-        if when.seconds < self._now:
+        if when.seconds < self._clock.now:
             raise SimulationError(f"cannot schedule in the past ({when!r} < now {self.now!r})")
         self._push(when.seconds, action)
 
@@ -451,9 +497,10 @@ class Simulator:
         the suspension it is in (or about to enter) now, or a plain
         callable.  Returns a handle for :meth:`cancel`.
         """
-        if when < self._now:
+        now = self._clock.now
+        if when < now:
             raise SimulationError(
-                f"cannot wake in the past ({when} < now {self._now})")
+                f"cannot wake in the past ({when} < now {now})")
         self._seq += 1
         if isinstance(target, Process):
             heappush(self._queue,
@@ -483,11 +530,12 @@ class Simulator:
         :meth:`EpochTicker.cancel`, or when the action raises
         ``StopIteration``.  Returns the :class:`EpochTicker` handle.
         """
-        first = self._now if start_at is None else start_at.seconds
-        if first < self._now:
+        now = self._clock.now
+        first = now if start_at is None else start_at.seconds
+        if first < now:
             raise SimulationError(
                 f"cannot start an epoch cadence in the past "
-                f"({first} < now {self._now})")
+                f"({first} < now {now})")
         ticker = EpochTicker(self, interval_s,
                              action, until.seconds if until else None)
         self._push(first, ticker._fire)
@@ -502,11 +550,12 @@ class Simulator:
         before now is an error: the clock never runs backwards.
         """
         limit = until.seconds if until is not None else None
-        if limit is not None and limit < self._now:
+        if limit is not None and limit < self._clock.now:
             raise SimulationError(
                 f"cannot run in the past ({until!r} < now {self.now!r})")
         queue = self._queue
         step = self._step
+        clock = self._clock
         m_inc = self._m_dispatched.inc
         cancelled = self._cancelled
         while queue:
@@ -518,7 +567,7 @@ class Simulator:
             if limit is not None and etime > limit:
                 break
             heappop(queue)
-            self._now = etime
+            clock.now = etime
             m_inc()
             kind = entry[2]
             if kind == _CALL:
@@ -532,7 +581,7 @@ class Simulator:
                     else:
                         step(proc, None, entry[5])
         if limit is not None:
-            self._now = limit
+            clock.now = limit
         if self._first_failure is not None:
             raise self._first_failure
         return self.now
@@ -541,6 +590,7 @@ class Simulator:
         """Run until ``proc`` finishes; return its result."""
         queue = self._queue
         step = self._step
+        clock = self._clock
         m_inc = self._m_dispatched.inc
         cancelled = self._cancelled
         while not proc.done and queue:
@@ -548,7 +598,7 @@ class Simulator:
             if cancelled and entry[1] in cancelled:
                 cancelled.remove(entry[1])
                 continue
-            self._now = entry[0]
+            clock.now = entry[0]
             m_inc()
             kind = entry[2]
             if kind == _CALL:
@@ -583,7 +633,7 @@ class Simulator:
         """
         self._seq += 1
         heappush(self._queue,
-                 (self._now + delay, self._seq, _RESUME, proc,
+                 (self._clock.now + delay, self._seq, _RESUME, proc,
                   proc._epoch if epoch is None else epoch, value))
 
     def _schedule_throw(self, proc: Process, exc: BaseException,
@@ -591,88 +641,91 @@ class Simulator:
         """Schedule ``exc`` to be raised at ``proc``'s yield point."""
         self._seq += 1
         heappush(self._queue,
-                 (self._now + delay, self._seq, _THROW, proc, epoch, exc))
+                 (self._clock.now + delay, self._seq, _THROW, proc, epoch, exc))
 
     def _step(self, proc: Process, send_value: Any,
               throw: Optional[BaseException] = None) -> None:
         if proc.done or proc._abandoned:
             return
         self.active = proc
-        proc._epoch += 1
-        stack = proc._stack
-        command_code = _COMMAND_CODE.get
-        while True:
-            gen = stack[-1]
-            try:
-                if throw is not None:
-                    exc, throw = throw, None
-                    command = gen.throw(exc)
-                else:
-                    command = gen.send(send_value)
-            except StopIteration as stop:
-                stack.pop()
-                if stack:
-                    # Subroutine returned: resume the caller with its value.
-                    send_value = stop.value
-                    continue
-                self._finish(proc, stop.value, None)
-                return
-            except BaseException as exc:  # noqa: BLE001 - recorded / propagated
-                stack.pop()
-                if stack:
-                    # Subroutine raised: propagate into the caller, which
-                    # may catch it at its yield point.
-                    throw = exc
+        try:
+            proc._epoch += 1
+            stack = proc._stack
+            command_code = _COMMAND_CODE.get
+            while True:
+                gen = stack[-1]
+                try:
+                    if throw is not None:
+                        exc, throw = throw, None
+                        command = gen.throw(exc)
+                    else:
+                        command = gen.send(send_value)
+                except StopIteration as stop:
+                    stack.pop()
+                    if stack:
+                        # Subroutine returned: resume the caller with its value.
+                        send_value = stop.value
+                        continue
+                    self._finish(proc, stop.value, None)
+                    return
+                except BaseException as exc:  # noqa: BLE001 - recorded / propagated
+                    stack.pop()
+                    if stack:
+                        # Subroutine raised: propagate into the caller, which
+                        # may catch it at its yield point.
+                        throw = exc
+                        send_value = None
+                        continue
+                    self._finish(proc, None, exc)
+                    return
+                code = command_code(type(command))
+                if code is None and isinstance(command, Iterator):
+                    stack.append(command)
                     send_value = None
                     continue
-                self._finish(proc, None, exc)
-                return
-            code = command_code(type(command))
-            if code is None and isinstance(command, Iterator):
-                stack.append(command)
-                send_value = None
-                continue
-            if code == _CMD_DELAY:
-                # Inlined _schedule_resume for the epoch just entered.
-                self._seq += 1
-                heappush(self._queue, (self._now + command.seconds, self._seq,
-                                       _RESUME, proc, proc._epoch, None))
-                return
-            if code == _CMD_WAIT_EVENT:
-                command.event._add_waiter(proc)
-                return
-            if code == _CMD_WAIT_PROCESS:
-                command.process._add_watcher(proc)
-                return
-            if code == _CMD_TIMEOUT:
-                epoch = proc._epoch
-                target = command.target
-                if isinstance(target, Process):
-                    target._add_watcher(proc)
-                else:
-                    target._add_waiter(proc)
-                self._schedule_throw(
+                if code == _CMD_DELAY:
+                    # Inlined _schedule_resume for the epoch just entered.
+                    self._seq += 1
+                    heappush(self._queue, (self._clock.now + command.seconds, self._seq,
+                                           _RESUME, proc, proc._epoch, None))
+                    return
+                if code == _CMD_WAIT_EVENT:
+                    command.event._add_waiter(proc)
+                    return
+                if code == _CMD_WAIT_PROCESS:
+                    command.process._add_watcher(proc)
+                    return
+                if code == _CMD_TIMEOUT:
+                    epoch = proc._epoch
+                    target = command.target
+                    if isinstance(target, Process):
+                        target._add_watcher(proc)
+                    else:
+                        target._add_waiter(proc)
+                    self._schedule_throw(
+                        proc,
+                        DeadlineExceeded(
+                            f"timed out after {command.seconds:g}s waiting for "
+                            f"{getattr(target, 'name', target)!r}"
+                        ),
+                        epoch, delay=command.seconds,
+                    )
+                    return
+                if code == _CMD_ACQUIRE:
+                    command.resource._acquire(proc, command.amount)
+                    return
+                if code == _CMD_RELEASE:
+                    command.resource._release(command.amount)
+                    send_value = None
+                    continue
+                self._finish(
                     proc,
-                    DeadlineExceeded(
-                        f"timed out after {command.seconds:g}s waiting for "
-                        f"{getattr(target, 'name', target)!r}"
-                    ),
-                    epoch, delay=command.seconds,
+                    None,
+                    SimulationError(f"process {proc.name!r} yielded unsupported command {command!r}"),
                 )
                 return
-            if code == _CMD_ACQUIRE:
-                command.resource._acquire(proc, command.amount)
-                return
-            if code == _CMD_RELEASE:
-                command.resource._release(command.amount)
-                send_value = None
-                continue
-            self._finish(
-                proc,
-                None,
-                SimulationError(f"process {proc.name!r} yielded unsupported command {command!r}"),
-            )
-            return
+        finally:
+            self.active = None
 
     def _finish(self, proc: Process, result: Any, error: Optional[BaseException]) -> None:
         proc.done = True

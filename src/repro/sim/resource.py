@@ -76,7 +76,7 @@ class SimResource:
         else:
             self.wait_count += 1
             self._m_waits.inc()
-            self._waiters.append((proc, amount, self.simulator._now, proc._epoch))
+            self._waiters.append((proc, amount, self.simulator._clock.now, proc._epoch))
 
     def _release(self, amount: int) -> None:
         if amount <= 0 or amount > self.in_use:
@@ -96,7 +96,7 @@ class SimResource:
             self.in_use += want
             self.grant_count += 1
             self._m_grants.inc()
-            self._m_wait_s.observe(self.simulator._now - queued_at)
+            self._m_wait_s.observe(self.simulator._clock.now - queued_at)
             self.simulator._schedule_resume(proc, None, epoch=epoch)
 
     def __repr__(self) -> str:

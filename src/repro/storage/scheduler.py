@@ -56,7 +56,9 @@ class DiskRequest:
     #: a completion past the deadline counts as a ``storage.deadline_misses``.
     deadline: Optional[float] = None
     #: why the request failed (e.g. the scheduler stopped); the ``done``
-    #: event still fires, with the request itself as payload.
+    #: event still fires.  It fires without a payload: the waiter holds
+    #: the request, and an event holding it back would make the pair a
+    #: cycle that outlives the run (DESIGN.md decision 23).
     error: Optional[BaseException] = None
 
     @property
@@ -243,7 +245,7 @@ class DiskScheduler:
             request.error = error
             self.requests_failed += 1
             self._m_failed.inc()
-            request.done.trigger(request)
+            request.done.trigger()
 
     def _pick(self) -> DiskRequest:
         if self.policy is Policy.FCFS:
@@ -295,7 +297,7 @@ class DiskScheduler:
             if span is not None:
                 span.end(seek_cylinders=distance)
             self.in_service = 0
-            request.done.trigger(request)
+            request.done.trigger()
 
     def mean_wait(self, requests: List[DiskRequest]) -> float:
         waits = [r.wait_seconds for r in requests if r.completed]

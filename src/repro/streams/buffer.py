@@ -198,7 +198,7 @@ class StreamBuffer:
         elif self._blocked and len(self._blocked) > self._letting_in:
             self._letting_in += 1
             simulator = self.simulator
-            simulator._push(simulator._now, self._let_in)
+            simulator._push(simulator._clock.now, self._let_in)
         return item
 
     # -- timed hand-off ----------------------------------------------------------
@@ -238,7 +238,7 @@ class StreamBuffer:
         """Let in every arrival that is due, as its delivery process would
         have at its arrival time (nothing else touches ``_items`` between
         two looks, so doing it late changes no sample)."""
-        now = self.simulator._now
+        now = self.simulator._clock.now
         arrivals = self._arrivals
         blocked = self._blocked
         items = self._items

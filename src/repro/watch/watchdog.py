@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, Generator, List, Optional, Union
 
 from repro.errors import InvariantBreachError, SLOViolationError
-from repro.sim import Delay, Simulator
+from repro.sim import Delay, Simulator, weak_hook
 from repro.watch.invariants import Breach, InvariantMonitor
 from repro.watch.recorder import FlightRecorder
 from repro.watch.slo import SLOEngine, SLOSpec
@@ -58,7 +58,7 @@ class Watchdog:
         # A scenario can die from an unhandled exception between ticks;
         # hook the kernel's first-failure path so even those crashes
         # leave a postmortem instead of only a raise from run().
-        simulator.add_failure_hook(self._on_kernel_failure)
+        simulator.add_failure_hook(weak_hook(self._on_kernel_failure))
 
     # -- setup -------------------------------------------------------------
     def arm(self, channels=(), allocators=(), controllers=(), cluster=None,

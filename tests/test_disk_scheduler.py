@@ -163,7 +163,9 @@ class TestShutdownSemantics:
         assert queued.failed and not queued.completed
         assert isinstance(queued.error, SchedulerStoppedError)
         assert queued.done.triggered
-        assert queued.done.payload is queued
+        # The request carries the error; the event does not point back
+        # at it (a request and its event are freed by refcount).
+        assert queued.done.payload is None
 
     def test_submit_after_stop_raises(self, sim):
         disk = self._started(sim)

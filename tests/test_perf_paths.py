@@ -1,9 +1,9 @@
 """Regression tests for the hot-path rework: ``with_payload`` sizing
-rules, batched channel accounting, heap-based C-SCAN, O(1) admission
+rules, channel accounting, heap-based C-SCAN, O(1) admission
 queue depth, the calls one ``admit_batch`` and one herd epoch make, what an attached edge
 hit and a supervision tick no longer do, constant-time value sizes, the bisecting ordered-index range walk, bulk index execution with rows
-hydrated on touch, the covering interval index's counts, and the profile
-CLI."""
+hydrated on touch, the covering interval index's counts, the profile
+CLI, and the teardown pins: a finished run leaves no reference cycle."""
 
 from __future__ import annotations
 
@@ -75,7 +75,21 @@ class TestWithPayloadSizing:
         assert channel.total_bits == 8000 + 1000
 
 
+def _assert_bits_agree(metrics, channels) -> None:
+    """``net.bits_sent`` equals the channels' ``total_bits`` on every
+    registry read path (each settles what a clocked run owes)."""
+    reads = (metrics.get("net.bits_sent").value,
+             metrics.snapshot()["net.bits_sent"],
+             metrics.by_kind("counter")["net.bits_sent"].value,
+             metrics.settled()["net.bits_sent"].value)
+    total = sum(channel.total_bits for channel in channels)
+    assert reads == (total,) * 4
+
+
 class TestBatchedChannelAccounting:
+    """A channel adds its bits to ``net.bits_sent`` as it sends them; no
+    registry flush hook settles the counter from ``total_bits``."""
+
     def test_counter_settles_on_every_read_path(self):
         sim = Simulator()
         channel = Channel(sim, capacity_bps=1e9)
@@ -87,6 +101,7 @@ class TestBatchedChannelAccounting:
         channel._account(1)
         assert metrics.by_kind("counter")["net.bits_sent"].value == 4501
         assert channel.total_bits == 4501
+        assert not metrics._flush_hooks
 
     def test_two_channels_share_one_counter(self):
         sim = Simulator()
@@ -95,6 +110,97 @@ class TestBatchedChannelAccounting:
         a._account(100)
         b._account(23)
         assert sim.obs.metrics.get("net.bits_sent").value == 123
+
+    @pytest.mark.parametrize("send", ["transmit", "serialize"])
+    def test_transfers_agree_at_every_read(self, send):
+        sim = Simulator()
+        channel = Channel(sim, capacity_bps=1e6, latency_s=0.002)
+        reservation = channel.reserve(1e5)
+
+        def sender():
+            for bits in (800, 1600, 8):
+                yield from getattr(reservation, send)(bits)
+
+        sim.spawn(sender(), "sender")
+        for until in (0.0, 0.005, 0.009, 0.02, 0.05):
+            sim.run(until=WorldTime(until))
+            _assert_bits_agree(sim.obs.metrics, [channel])
+        assert channel.total_bits == 2408
+
+    @staticmethod
+    def _clocked_playback():
+        from repro.avdb import AVDatabaseSystem
+        from repro.storage import MagneticDisk
+        from repro.synth import moving_scene
+
+        system = AVDatabaseSystem()
+        system.add_storage(MagneticDisk(system.simulator, "disk0"))
+        value = moving_scene(48, 32, 24)
+        system.store_value(value, "disk0")
+        session = system.open_session("viewer", latency_s=0.001)
+        source = session.new_db_source(value)
+        window = session.new_video_window()
+        session.connect(source, window).start()
+        system.simulator.run(until=WorldTime(0.0))
+        assert source.clocked is not None
+        return system, session, source
+
+    def test_a_clocked_run_agrees_mid_run_and_to_the_end(self):
+        system, session, source = self._clocked_playback()
+        sim, metrics = system.simulator, system.metrics
+        for until in (0.2, 0.7, 1.1):
+            sim.run(until=WorldTime(until))
+            assert source.clocked is not None
+            _assert_bits_agree(metrics, [session.channel])
+        session.run()
+        _assert_bits_agree(metrics, [session.channel])
+        assert session.channel.total_bits > 0
+        assert not metrics._flush_hooks
+
+    def test_a_cut_run_agrees_before_and_after_the_cut(self):
+        system, session, source = self._clocked_playback()
+        sim, metrics = system.simulator, system.metrics
+        sim.run(until=WorldTime(0.5))
+        _assert_bits_agree(metrics, [session.channel])
+        source.clocked.cut()
+        assert source.clocked is None
+        _assert_bits_agree(metrics, [session.channel])
+        sim.run(until=WorldTime(0.9))
+        _assert_bits_agree(metrics, [session.channel])
+        session.run()
+        _assert_bits_agree(metrics, [session.channel])
+
+    def test_the_herd_accounts_its_epochs_as_it_goes(self):
+        from repro.admission import AdmissionController
+        from repro.herd import HerdCoupler, HerdPhase, HerdPopulation
+        from repro.obs import scoped
+
+        with scoped(tracing=False) as obs:
+            sim = Simulator()
+            trunk = Channel(sim, capacity_bps=40e6, name="trunk")
+            controller = AdmissionController(sim, trunk, max_queue=64,
+                                             high_watermark=0.85,
+                                             preempt=True)
+            population = HerdPopulation(
+                (HerdPhase("peak", 1.0, 4000.0, viral_share=0.6,
+                           interactive_share=0.25, background_share=0.1),),
+                seed=0, catalog_size=32, epoch_s=0.05)
+            HerdCoupler(sim, controller, population).start()
+            for until in (0.3, 0.6, 1.5, 4.0):
+                sim.run(until=WorldTime(until))
+                _assert_bits_agree(obs.metrics, [trunk])
+            sim.run()
+            _assert_bits_agree(obs.metrics, [trunk])
+            assert trunk.total_bits > 0
+            assert not obs.metrics._flush_hooks
+
+    def test_a_drained_traced_playback_leaves_no_flush_hook(self):
+        from repro.obs import scenarios, scoped
+
+        with scoped(tracing=True) as obs:
+            scenarios.newscast()
+        assert obs.metrics.get("net.bits_sent").value > 0
+        assert obs.metrics._flush_hooks == {}
 
 
 class TestHeapCSCAN:
@@ -331,6 +437,63 @@ class TestHerdEpochCounts:
         assert cache.hits > hits
         assert numpy_calls == 0     # 9 when the tick folded the cache
         assert batches <= 3         # one per class, as then
+
+
+class TestTeardownCycles:
+    """A finished run is freed by reference counting (DESIGN.md decision
+    23): with the collector off, nothing of a herd day, a soak day or a
+    traced playback is left for it.  A failure names each cycle by its
+    types and the attributes that close it (``tests/gc_cycles.py``)."""
+
+    @staticmethod
+    def assert_freed(run) -> None:
+        from gc_cycles import leftover_cycles
+
+        unreachable, report = leftover_cycles(run)
+        assert unreachable == 0, (
+            f"{unreachable} objects left for the collector, in these "
+            f"cycles:\n" + "\n".join(report))
+
+    @staticmethod
+    def herd_day(clients: int = 10**6) -> None:
+        from repro.herd.scenarios import day
+        from repro.obs import scoped
+
+        with scoped(tracing=False):
+            day(seed=0, clients=clients)
+
+    def test_herd_day_at_a_million_clients(self):
+        self.assert_freed(self.herd_day)
+
+    def test_soak_day(self):
+        from repro.obs import scoped
+        from repro.soak.scenarios import day
+
+        def run():
+            with scoped(tracing=False):
+                day(seed=0)
+        self.assert_freed(run)
+
+    def test_traced_newscast_playback(self):
+        from repro.obs import scenarios, scoped
+
+        def run():
+            with scoped(tracing=True):
+                scenarios.newscast()
+        self.assert_freed(run)
+
+    def test_a_planted_ticker_cycle_is_named(self, monkeypatch):
+        from repro.sim import EpochTicker
+
+        def keep_action(ticker):   # the cancel that kept its action
+            ticker.cancelled = True
+
+        monkeypatch.setattr(EpochTicker, "cancel", keep_action)
+        with pytest.raises(AssertionError) as failure:
+            self.assert_freed(lambda: self.herd_day(clients=20_000))
+        message = str(failure.value)
+        assert "(1 method HerdCoupler._on_epoch, 1 EpochTicker, " in message
+        assert "HerdCoupler._ticker -> EpochTicker.action" in message
 
 
 class TestEdgeHitCounts:

@@ -589,3 +589,40 @@ class TestRunBookkeeping:
         assert sim.now_s == 6.0
         with pytest.raises(SimulationError, match="in the past"):
             sim.schedule_at(WorldTime(3.0), lambda: None)
+
+
+class TestActiveProcess:
+    """``Simulator.active`` names the process being stepped and nothing
+    else: it used to keep the last process stepped after a run returned,
+    and a queued callable (an epoch tick, a ``wake_at`` callable) saw
+    that stale process."""
+
+    def test_none_once_a_run_returns(self, sim):
+        seen = []
+
+        def proc():
+            seen.append(sim.active)
+            yield Delay(1.0)
+            seen.append(sim.active)
+
+        process = sim.spawn(proc(), "p")
+        sim.run()
+        assert seen == [process, process]
+        assert sim.active is None
+        other = sim.spawn(proc(), "q")
+        sim.run_until_complete(other)
+        assert sim.active is None
+
+    def test_a_queued_callable_sees_no_process(self, sim):
+        seen = []
+
+        def proc():
+            yield Delay(1.0)
+            # Queued behind this step, at the same instant.
+            sim.wake_at(sim.now_s, lambda: seen.append(sim.active))
+            sim.schedule_every(0.5, lambda tick: seen.append(sim.active),
+                               until=WorldTime(1.5))
+
+        sim.spawn(proc(), "p")
+        sim.run()
+        assert seen == [None, None, None]
