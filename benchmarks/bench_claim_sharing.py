@@ -75,14 +75,17 @@ def test_claim_sharing_wait_vs_pool_size(benchmark, exhibit):
 
 def test_claim_sharing_fail_fast_semantics(benchmark, exhibit):
     """The §4.3 alternative: statement-fails instead of queueing."""
+    from repro.activities.library import VideoMixer
     from repro.errors import DeviceBusyError
     system = AVDatabaseSystem()
-    pool = system.resources.add_pool("dve", 2)
+    system.resources.add_pool("dve", 2)
+    session = system.open_session("effects-app")
     granted, refused = 0, 0
-    leases = []
-    for _ in range(5):
+    for i in range(5):
         try:
-            leases.append(pool.allocate())
+            # The activity-creation statement takes the shared device.
+            session.new_activity(VideoMixer(system.simulator, name=f"dve-{i}"),
+                                 device_kind="dve")
             granted += 1
         except DeviceBusyError:
             refused += 1
@@ -95,8 +98,8 @@ def test_claim_sharing_fail_fast_semantics(benchmark, exhibit):
         f"  refused            : {refused}",
     ]))
     assert granted == 2 and refused == 3
-    for lease in leases:
-        lease.release()
+    session.close()
+    assert system.resources.pool("dve").available == 2
 
     def run():
         fresh = AVDatabaseSystem()

@@ -19,12 +19,14 @@ from repro.activities.library import (
     VideoReader,
     VideoWindow,
 )
+from repro.avtime import WorldTime
 from repro.sim import Simulator
 from repro.streams.clock import skew_between
 from repro.synth import fig1_timeline, newscast_clip
 
 VIDEO_FRAMES = 30
 AUDIO_SECONDS = 1.0
+PROBE_S = 0.5
 
 
 def build_playback(clip):
@@ -34,7 +36,6 @@ def build_playback(clip):
     sink = MultiSink(sim, name="appSink")
     sinks = {}
     for track in clip.track_names:
-        value = clip.value(track)
         if track == "videoTrack":
             reader = VideoReader(sim, name=f"read.{track}")
             consumer = VideoWindow(sim, name=f"play.{track}", keep_payloads=False)
@@ -44,10 +45,10 @@ def build_playback(clip):
         else:
             reader = AudioReader(sim, name=f"read.{track}")
             consumer = Speaker(sim, name=f"play.{track}", keep_payloads=False)
-        reader.bind(value)
         source.install(reader, track=track)
         sink.install(consumer, track=track)
         sinks[track] = consumer
+    source.bind(clip)  # each installed reader gets its track's value
     graph.add(source)
     graph.add(sink)
     graph.connect_composites(source, sink)
@@ -78,10 +79,26 @@ def test_fig1_timeline_reproduction(benchmark, exhibit):
         f"  audio blocks presented : {len(english_log)}",
         f"  max |video-audio skew| : {max(abs(s) for s in skew) * 1000:.3f} ms",
         f"  mean video latency     : {video_log.mean_latency() * 1000:.3f} ms",
+        "",
+        f"Element(WorldTime {PROBE_S} s) of each track:",
     ]
+    for track in clip.track_names:
+        value = clip.value(track)
+        element = value.element(WorldTime(PROBE_S))
+        shown = (f"{element.dtype}{list(element.shape)}"
+                 if hasattr(element, "shape") else repr(element))
+        lines.append(f"  {track:<14} @ {value.rate:>7g}/s : {shown}")
+    # The paper's signature returns the element as a media value: for
+    # video, a still image shown for one frame period.
+    video = clip.value("videoTrack")
+    still = video.element_value(WorldTime(PROBE_S))
+    lines.append(f"  videoTrack as a value     : {still.media_type.name} "
+                 f"{still.width}x{still.height}, {still.data_size_bits()} bits, "
+                 f"shown {still.duration.seconds * 1000:.1f} ms")
     exhibit("fig1_timeline", "\n".join(lines))
     assert len(video_log) == VIDEO_FRAMES
     assert max(abs(s) for s in skew) < 0.005  # jitter-free: sub-frame sync
+    assert (still.pixels == video.element(WorldTime(PROBE_S))).all()
 
 
 def test_fig1_delayed_video_placement(benchmark, exhibit):

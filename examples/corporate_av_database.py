@@ -93,8 +93,6 @@ def main() -> None:
         system.store_value(encoded_promo, "production-disk")
         promo_oid = system.db.insert("PromoVideo", title="Product Announcement",
                                      video=encoded_promo, status="rough-cut")
-        system.db.versions.record_derivation(promo_oid, broadcasts[0], 1,
-                                             "promo cut from broadcast master")
         print(f"promo rendered: {promo.num_frames} frames, stored as "
               f"{encoded_promo.media_type.name} "
               f"({encoded_promo.compression_ratio():.1f}x compression)")
@@ -111,6 +109,8 @@ def main() -> None:
                         media_path="video")
         print(f"linked document {plan} to the archive "
               f"({len(hypermedia.links_from(plan))} links)")
+        cited_by = [str(link.source) for link in hypermedia.links_to(promo_oid)]
+        print(f"documents citing the promo: {cited_by}")
 
         # -- a user follows a link and watches, synchronized --------------
         session = system.open_session("hypermedia-browser")

@@ -4,7 +4,8 @@ Builds on Scenario I with the capabilities the paper's survey section
 wishes for but 1993 systems lacked:
 
 1. per-class access control (the "security ... never really addressed"
-   gap of §2) for producer / editor / viewer roles;
+   gap of §2) for chief / producer / intern roles: the intern reads, the
+   producer retitles and retires footage, the chief revokes;
 2. live capture recorded through an MPEG encoder into the archive;
 3. textual queries in the paper's own ``select ... where`` syntax;
 4. REDI-style query-by-example over a feature index ("avoid retrieval
@@ -14,7 +15,7 @@ wishes for but 1993 systems lacked:
 Run:  python examples/newsroom_workflow.py
 """
 
-from repro import AVDatabaseSystem, AttributeSpec, ClassDef, MagneticDisk
+from repro import AVDatabaseSystem, AttributeSpec, ClassDef, MagneticDisk, Q
 from repro.activities import ActivityGraph
 from repro.activities.library import VideoReader, VideoWindow
 from repro.activities.live import LiveCamera
@@ -33,6 +34,7 @@ def main() -> None:
     system.db.define_class(ClassDef("Footage", attributes=[
         AttributeSpec("title", str, indexed=True),
         AttributeSpec("kind", str, indexed=True),
+        AttributeSpec("keywords", list, keyword_indexed=True),
         AttributeSpec("video", VideoValue),
     ]))
 
@@ -71,11 +73,12 @@ def main() -> None:
         "stadium crowd": noise_video(18, 64, 48, seed=4),
         "city traffic": moving_scene(18, 64, 48, seed=9),
     }
+    refs = {}
     for title, video in library.items():
         system.store_value(video, "archive-1")
-        ref = producer_db.insert("Footage", title=title, kind="stock",
-                                 video=video)
-        retrieval.ingest(ref, "video")
+        refs[title] = producer_db.insert("Footage", title=title, kind="stock",
+                                         keywords=title.split(), video=video)
+        retrieval.ingest(refs[title], "video")
     hits = system.db.query('select Footage where kind = "stock"')
     print(f"textual query found {len(hits)} stock clips")
 
@@ -85,6 +88,29 @@ def main() -> None:
     best = system.db.get(matches[0].ref)
     print(f"query-by-example: best match is {best.title!r} "
           f"(distance {matches[0].distance:.3f})")
+
+    # -- the desk: the intern reads, the producer edits, the chief revokes --
+    stock = intern_db.select("Footage", Q.eq("kind", "stock"))
+    print(f"intern sees {len(stock)} stock clips, first "
+          f"{intern_db.get(stock[0]).title!r}")
+    producer_db.update(refs["city traffic"], title="city traffic (dusk)")
+    # Retiring a clip deletes its object, forgets its features and frees
+    # its disk extent.
+    archive = system.placement.device("archive-1")
+    free_before = archive.free_bytes
+    producer_db.delete(refs["weather map"])
+    retrieval.forget(refs["weather map"], "video")
+    system.placement.remove(library["weather map"])
+    print(f"producer retitled one clip and retired another; "
+          f"{len(system.db.select('Footage', Q.contains('keywords', 'map')))} "
+          f"clips still tagged 'map', "
+          f"{archive.free_bytes - free_before:,} bytes freed on archive-1")
+    control.revoke("intern", "Footage", Permission.READ, revoked_by="chief")
+    try:
+        intern_db.get(stock[0])
+    except AccessDeniedError:
+        print(f"chief revoked the intern's read; intern now holds "
+              f"{control.permissions_of('intern')}")
 
     # -- 5. striping a hot clip across both archive disks ------------------
     hot = moving_scene(30, 128, 96)  # too fast for either disk alone?
@@ -111,6 +137,9 @@ def main() -> None:
     print(f"striped playback presented {window.elements_consumed} frames; "
           f"disk shares: "
           + ", ".join(f"{d.name}={d.total_bits_read // 8:,}B" for d in slow_disks))
+    striping.remove(hot)  # the clip has cooled: its stripes are dropped
+    print("stripes dropped; slow disks free again: "
+          + ", ".join(f"{d.name}={d.free_bytes:,}B" for d in slow_disks))
 
 
 if __name__ == "__main__":

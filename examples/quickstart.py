@@ -36,13 +36,12 @@ def main() -> None:
     window = session.new_video_window("320x240x8@30")
     stream = session.connect(source, window)
 
-    # 4. Asynchronous notification, then start and run.
-    source.catch(EVENT_LAST_FRAME,
-                 lambda activity, event, frame:
-                 print(f"last frame ({frame}) produced at "
-                       f"{system.simulator.now.seconds:.3f}s"))
+    # 4. Ask to be notified asynchronously, then start and run.
+    session.notify_on(source, EVENT_LAST_FRAME)
     stream.start()
     end = session.run()
+    (last,) = session.notifications_for(source)
+    print(f"last frame ({last.payload}) produced at {last.at.seconds:.3f}s")
 
     print(f"presented {len(window.presented)} frames "
           f"in {end.seconds:.3f}s of virtual time")

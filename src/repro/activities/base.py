@@ -169,10 +169,6 @@ class MediaActivity(abc.ABC):
             raise ActivityStateError(f"cannot cue while {self.name!r} is running")
         self._cue_position = when
 
-    @property
-    def cue_position(self) -> WorldTime:
-        return self._cue_position
-
     def start(self) -> Process:
         """Spawn the activity's process; returns the DES process handle."""
         if self.state is ActivityState.RUNNING:

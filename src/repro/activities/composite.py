@@ -90,10 +90,6 @@ class CompositeActivity(MediaActivity):
         proxy.proxy_for = inner_port
         return proxy
 
-    def simple(self) -> bool:
-        """The paper's simple/composite distinction."""
-        return False
-
     def attach_sync(self, group: SyncGroup, member: str,
                     resync: Optional[Resynchronizer] = None) -> None:
         """Join an outer sync group: delegate to syncable components."""

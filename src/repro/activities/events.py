@@ -41,10 +41,6 @@ class EventDispatcher:
         self._handlers: Dict[str, List[Handler]] = {name: [] for name in event_names}
         self.emit_counts: Dict[str, int] = {name: 0 for name in event_names}
 
-    @property
-    def event_names(self) -> Tuple[str, ...]:
-        return self._event_names
-
     def catch(self, event_name: str, handler: Handler) -> None:
         """The paper's ``Catch(Event, Handler)``."""
         if event_name not in self._handlers:
@@ -52,14 +48,6 @@ class EventDispatcher:
                 f"unknown event {event_name!r} (this activity provides {self._event_names})"
             )
         self._handlers[event_name].append(handler)
-
-    def uncatch(self, event_name: str, handler: Handler) -> None:
-        try:
-            self._handlers[event_name].remove(handler)
-        except (KeyError, ValueError):
-            raise ActivityError(
-                f"handler not registered for event {event_name!r}"
-            ) from None
 
     def emit(self, activity: "MediaActivity", event_name: str, payload: Any = None) -> None:
         if event_name not in self._handlers:

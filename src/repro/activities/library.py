@@ -702,7 +702,6 @@ class VideoWriter(SinkActivity):
         self.rate = rate
         self.codec = codec
         self.geometry = geometry  # (width, height, depth) for encoded streams
-        self.io_stream = None
         self.paced = False  # writers persist as fast as the stream arrives
         self.add_port("video_in", Direction.IN, standard_type("video/*"))
 
@@ -712,8 +711,6 @@ class VideoWriter(SinkActivity):
             element = yield from port.receive()
             if isinstance(element, EndOfStream):
                 break
-            if self.io_stream is not None:
-                yield from self.io_stream.write(element.size_bits)
             self.presented.append(element.payload)
             self.elements_consumed += 1
             self.log.record(element.index, element.ideal_time, self.simulator.now)
@@ -961,7 +958,6 @@ class AudioWriter(SinkActivity):
                  sample_rate: float = 44100.0) -> None:
         super().__init__(simulator, name, location, keep_payloads=True)
         self.sample_rate = sample_rate
-        self.io_stream = None
         self.paced = False
         self.add_port("audio_in", Direction.IN, standard_type("audio/pcm"))
 

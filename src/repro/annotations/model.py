@@ -151,20 +151,6 @@ class Annotation:
     end: float
     payload: Payload = ()
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def payload_dict(self) -> Dict[str, Any]:
-        return dict(self.payload)
-
-    @property
-    def sort_key(self) -> Tuple[str, str, float, float, OID]:
-        """The one total order every execution path sorts by (on the whole
-        OID last: serials are per class, and a subclass row may share one)."""
-        return (self.value_id, self.track, self.start, self.end, self.oid)
-
     def to_row(self) -> str:
         """A canonical single-line rendering (used for byte comparisons)."""
         fields = " ".join(f"{k}={v!r}" for k, v in self.payload)

@@ -232,7 +232,9 @@ def _candidate_tracks(store: AnnotationStore,
 
 
 def _sort_key(obj: DBObject) -> Tuple[str, str, float, float, OID]:
-    """:attr:`Annotation.sort_key`, read off the snapshot."""
+    """The one total order every execution path sorts rows by: value id,
+    track, start, end, then the whole OID (serials are per class, and a
+    subclass row may share one)."""
     values = obj._values
     return (values[VALUE_ID], values[TRACK], values[START], values[END],
             obj.oid)

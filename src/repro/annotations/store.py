@@ -231,10 +231,6 @@ class AnnotationStore:
                 f"{obj.oid} is a {name}, not an annotation")
         return Annotation.from_object(obj)
 
-    def get(self, oid: OID) -> Annotation:
-        """Non-transactional read of the latest committed snapshot."""
-        return self._hydrate(self.db.get(oid))
-
     def read(self, oid: OID, tx: Transaction) -> Annotation:
         return self._hydrate(tx.read(oid))
 

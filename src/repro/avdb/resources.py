@@ -11,7 +11,7 @@ measures those waits).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
+from typing import Dict, Generator
 
 from repro.errors import DeviceBusyError, ResourceError
 from repro.sim import Acquire, SimResource, Simulator
@@ -113,9 +113,6 @@ class ResourceManager:
             raise ResourceError(
                 f"no device pool {kind!r} (pools: {sorted(self._pools)})"
             ) from None
-
-    def pools(self) -> List[SharedDevicePool]:
-        return list(self._pools.values())
 
     def allocate(self, kind: str) -> DeviceLease:
         return self.pool(kind).allocate()

@@ -75,18 +75,9 @@ class AVDatabaseSystem:
 
     # -- observability ----------------------------------------------------
     @property
-    def obs(self):
-        """The observability context every layer of this system reports to."""
-        return self.simulator.obs
-
-    @property
     def metrics(self):
         """The system-wide metrics registry (sim.*, stream.*, storage.*...)."""
         return self.simulator.obs.metrics
-
-    @property
-    def tracer(self):
-        return self.simulator.obs.tracer
 
     # -- storage ---------------------------------------------------------
     def add_storage(self, device: Device) -> Device:

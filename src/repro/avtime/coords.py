@@ -44,10 +44,6 @@ class WorldTime:
     def zero(cls) -> "WorldTime":
         return cls(0.0)
 
-    @classmethod
-    def from_ms(cls, milliseconds: Number) -> "WorldTime":
-        return cls(milliseconds / 1000.0)
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "WorldTime") -> "WorldTime":
         if not isinstance(other, WorldTime):
@@ -90,10 +86,6 @@ class WorldTime:
         return self.seconds < other.seconds
 
     # -- conversions ---------------------------------------------------
-    @property
-    def ms(self) -> float:
-        return self.seconds * 1000.0
-
     def is_negative(self) -> bool:
         return self.seconds < 0
 
@@ -117,10 +109,6 @@ class ObjectTime:
     def __post_init__(self) -> None:
         if not isinstance(self.index, int):
             raise TemporalError(f"object time must be an integer index, got {self.index!r}")
-
-    @classmethod
-    def zero(cls) -> "ObjectTime":
-        return cls(0)
 
     def __add__(self, other: "ObjectTime") -> "ObjectTime":
         if not isinstance(other, ObjectTime):

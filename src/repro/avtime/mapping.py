@@ -67,11 +67,6 @@ class TimeMapping:
         return TimeMapping(self.rate, self.start + delta, self.scale)
 
     # -- derived quantities --------------------------------------------
-    @property
-    def effective_rate(self) -> float:
-        """Elements presented per world-time second under this mapping."""
-        return self.rate / self.scale
-
     def duration_of(self, element_count: int) -> WorldTime:
         """World-time presentation span of ``element_count`` elements."""
         if element_count < 0:

@@ -214,9 +214,6 @@ class BlockCache:
         """(block, version-tag) pairs, deterministic order."""
         return sorted(self._blocks.items())
 
-    def versions_of(self, key: str) -> List[int]:
-        return sorted(set(self._by_key.get(key, {}).values()))
-
     def __repr__(self) -> str:
         return (f"BlockCache({self.name!r}, "
                 f"{self.resident_blocks} blocks / {self.bytes_used} bytes, "

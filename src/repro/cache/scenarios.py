@@ -80,7 +80,7 @@ def zipf_crowd(seed: int = 0, nodes: int = 4, cached: bool = True,
     cluster = _build_cluster(sim, nodes, replication=2)
     rng = random.Random(seed)
     asset_bytes = elements * ELEMENT_BITS // 8
-    values = [Blob(asset_bytes, stream_bps) for _ in range(values_count)]
+    values = [Blob(asset_bytes) for _ in range(values_count)]
     for value in values:
         cluster.place(value)
     cluster.repair.start()
@@ -223,8 +223,8 @@ def churn(seed: int = 0, nodes: int = 4, edges: int = 2,
     cluster = _build_cluster(sim, nodes, replication=2)
     rng = random.Random(seed)
     asset_bytes = elements * ELEMENT_BITS // 8
-    value_a = Blob(asset_bytes, stream_bps)
-    value_b = Blob(asset_bytes, stream_bps)
+    value_a = Blob(asset_bytes)
+    value_b = Blob(asset_bytes)
     placement_a = cluster.place(value_a, key="asset-a")
     cluster.place(value_b, key="asset-b")
     cluster.repair.start()

@@ -28,7 +28,7 @@ from repro.sim import Delay, Simulator
 
 
 class Blob:
-    """A minimal stored value: a size and a nominal rate.
+    """A minimal stored value: a size.
 
     Cluster scenarios shard synthetic values by size; nothing below the
     placement layer cares about media semantics, so this stands in for a
@@ -36,15 +36,11 @@ class Blob:
     manager only calls ``data_size_bits``).
     """
 
-    def __init__(self, nbytes: int, rate_bps: float) -> None:
+    def __init__(self, nbytes: int) -> None:
         self._nbytes = nbytes
-        self._rate_bps = rate_bps
 
     def data_size_bits(self) -> int:
         return self._nbytes * 8
-
-    def data_rate_bps(self) -> float:
-        return self._rate_bps
 
 
 def _build_cluster(sim: Simulator, nodes: int, replication: int):
@@ -78,7 +74,7 @@ def read_storm(seed: int = 0, nodes: int = 4) -> Dict[str, object]:
     sim = Simulator()
     cluster = _build_cluster(sim, nodes, replication=2)
     rng = random.Random(seed)
-    values = [Blob(elements * element_bits // 8, stream_bps)
+    values = [Blob(elements * element_bits // 8)
               for _ in range(values_count)]
     for value in values:
         cluster.place(value)
@@ -143,7 +139,7 @@ def node_kill(seed: int = 0, nodes: int = 4) -> Dict[str, object]:
     sim = Simulator()
     cluster = _build_cluster(sim, nodes, replication=2)
     rng = random.Random(seed)
-    values = [Blob(elements * element_bits // 8, stream_bps)
+    values = [Blob(elements * element_bits // 8)
               for _ in range(values_count)]
     for value in values:
         cluster.place(value)
@@ -204,7 +200,7 @@ def rebalance(seed: int = 0, nodes: int = 3) -> Dict[str, object]:
     sim = Simulator()
     cluster = _build_cluster(sim, nodes, replication=2)
     rng = random.Random(seed)
-    values = [Blob(elements * element_bits // 8, stream_bps)
+    values = [Blob(elements * element_bits // 8)
               for _ in range(values_count)]
     for value in values:
         cluster.place(value, shards=2)

@@ -21,7 +21,7 @@ from repro.codecs.dct import JPEGCodec
 from repro.codecs.interframe import MPEGCodec
 from repro.codecs.midisynth import MIDISynthesizer
 from repro.codecs.raw import RawCodec
-from repro.codecs.registry import available_codecs, get_codec
+from repro.codecs.registry import get_codec
 from repro.codecs.rle import RLECodec
 from repro.codecs.vq import DVICodec
 
@@ -38,5 +38,4 @@ __all__ = [
     "decode_mulaw",
     "MIDISynthesizer",
     "get_codec",
-    "available_codecs",
 ]

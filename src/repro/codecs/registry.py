@@ -41,7 +41,3 @@ def get_codec(name: str, **params):
             f"unknown codec {name!r} (available: {sorted(_FACTORIES)})"
         ) from None
     return factory(**params)
-
-
-def available_codecs() -> list[str]:
-    return sorted(_FACTORIES)

@@ -16,7 +16,7 @@ self-contained).
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.activities.events import EVENT_EACH_ELEMENT, EVENT_LAST_ELEMENT
 from repro.activities.ports import Direction
 from repro.avtime import WorldTime
 from repro.codecs.registry import get_codec
-from repro.container.format import _SAMPLE, _read_atom, AUDIO_BLOCK, ContainerReader, MAGIC, _FTYP
+from repro.container.format import _SAMPLE, _read_atom, _unpack, AUDIO_BLOCK, ContainerReader, MAGIC, _FTYP
 from repro.errors import DataModelError
 from repro.sim import Delay, Simulator
 from repro.streams.element import END_OF_STREAM, StreamElement
@@ -63,10 +63,6 @@ class ContainerDemuxer(MediaActivity):
                 port_type = media_type
             self.add_port(info.name, Direction.OUT, port_type)
 
-    @property
-    def track_names(self) -> List[str]:
-        return [info.name for info in self._tracks]
-
     # -- header parsing (reusing the reader's atom walkers) ----------------
     @staticmethod
     def _parse_header(data: bytes):
@@ -74,7 +70,7 @@ class ContainerDemuxer(MediaActivity):
         kind, payload, offset = _read_atom(data, offset)
         if kind != b"FTYP":
             raise DataModelError("not a container stream")
-        magic, _version = _FTYP.unpack_from(payload, 0)
+        magic, _version = _unpack(_FTYP, payload, 0)
         if magic != MAGIC:
             raise DataModelError(f"bad container magic {magic!r}")
         kind, moov, offset = _read_atom(data, offset)

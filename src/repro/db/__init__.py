@@ -8,8 +8,8 @@ favors the object-oriented approach and suggests the use of an OODBMS"
 
 * :mod:`repro.db.schema` — class definitions with typed attributes and
   the ``tcomp`` construct (the Newscast example compiles to one);
-* :mod:`repro.db.objects` — objects with OIDs; queries return
-  *references*, not values (§3.1);
+* :mod:`repro.db.objects` — objects with OIDs and a per-object version
+  number; queries return *references*, not values (§3.1);
 * :mod:`repro.db.store` — durable store: write-ahead log + snapshot
   checkpoints, crash recovery by replay;
 * :mod:`repro.db.locks` / :mod:`repro.db.transactions` — strict 2PL
@@ -17,8 +17,6 @@ favors the object-oriented approach and suggests the use of an OODBMS"
 * :mod:`repro.db.query` — predicate language and query engine with
   index acceleration and content-based keyword retrieval;
 * :mod:`repro.db.index` — ordered and keyword attribute indexes;
-* :mod:`repro.db.versions` — version control for multimedia objects
-  ("version control is also considered important", §2);
 * :mod:`repro.db.database` — the facade tying them together.
 """
 
@@ -27,7 +25,6 @@ from repro.db.objects import DBObject, OID
 from repro.db.query import Q, Predicate
 from repro.db.schema import AttributeSpec, ClassDef, Schema
 from repro.db.transactions import Transaction
-from repro.db.versions import VersionGraph
 
 __all__ = [
     "Database",
@@ -39,5 +36,4 @@ __all__ = [
     "ClassDef",
     "AttributeSpec",
     "Transaction",
-    "VersionGraph",
 ]

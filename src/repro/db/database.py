@@ -1,9 +1,9 @@
-"""The database facade: schema + store + locks + indexes + versions.
+"""The database facade: schema + store + locks + indexes.
 
 Ties the substrate together and exposes the traditional-database surface
 the paper requires of an AV database system (§3.1): schema definition,
-transactions, queries returning references, index maintenance, versioning,
-checkpoint/recovery.
+transactions, queries returning references, index maintenance, a
+per-object version number, checkpoint/recovery.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.db.query import Predicate, Q
 from repro.db.schema import ClassDef, Schema
 from repro.db.store import OP_DELETE, OP_INSERT, OP_UPDATE, ObjectStore, Op
 from repro.db.transactions import Transaction
-from repro.db.versions import VersionCatalog
 from repro.errors import SchemaError
 from repro.obs import Obs, attach
 
@@ -39,7 +38,6 @@ class Database:
         # name -> (class_name, index, key_of): derived-key indexes kept
         # in lockstep with commits (see attach_index).
         self._derived: Dict[str, tuple] = {}
-        self.versions = VersionCatalog()
         self.stats = {"commits": 0, "aborts": 0, "index_scans": 0, "full_scans": 0}
         metrics = self.obs.metrics
         self._m_begins = metrics.counter("db.tx_begins")
@@ -100,8 +98,6 @@ class Database:
         self._store.commit_ops(tx.tx_id, ops)
         for old, new in index_moves:
             self._reindex(old, new)
-            if new is not None and old is not None:
-                self.versions.record_update(new.oid, new.version)
         self.stats["commits"] += 1
         self._m_commits.inc()
 

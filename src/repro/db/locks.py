@@ -87,10 +87,3 @@ class LockManager:
                 empty.append(oid)
         for oid in empty:
             del self._locks[oid]
-
-    def held_by(self, tx_id: int) -> Set[OID]:
-        return {oid for oid, e in self._locks.items() if tx_id in e.holders}
-
-    def mode_of(self, oid: OID) -> LockMode | None:
-        entry = self._locks.get(oid)
-        return entry.mode if entry else None

@@ -135,18 +135,6 @@ class ClassDef:
         if taken:
             raise SchemaError(f"class {name!r}: {taken} name the stored object's own fields")
 
-    def attribute(self, name: str) -> Optional[AttributeSpec]:
-        for spec in self.attributes:
-            if spec.name == name:
-                return spec
-        return None
-
-    def tcomp(self, name: str) -> Optional[TCompSpec]:
-        for spec in self.tcomps:
-            if spec.name == name:
-                return spec
-        return None
-
 
 class Schema:
     """Registry of class definitions with inheritance resolution."""
@@ -179,9 +167,6 @@ class Schema:
     def __contains__(self, name: str) -> bool:
         return name in self._classes
 
-    def class_names(self) -> List[str]:
-        return sorted(self._classes)
-
     # -- inheritance ---------------------------------------------------------
     def ancestry(self, name: str) -> List[str]:
         """[name, superclass, ...] up to the root."""
@@ -213,10 +198,6 @@ class Schema:
             resolved = self._resolved[name] = (
                 tuple({**specs, **tcomps}), specs, tcomps)
         return resolved
-
-    def all_attributes(self, name: str) -> List[AttributeSpec]:
-        """Own + inherited attributes, subclass-first on name conflicts."""
-        return list(self._resolve(name)[1].values())
 
     def validate_object(self, class_name: str,
                         attributes: Dict[str, object]) -> Tuple[str, ...]:

@@ -88,10 +88,6 @@ class ObjectStore:
     def _wal_path(self) -> Path:
         return self._directory / self.WAL_NAME
 
-    @property
-    def durable(self) -> bool:
-        return self._directory is not None
-
     # -- object table ----------------------------------------------------
     def next_oid(self, class_name: str) -> OID:
         serial = self._serials.get(class_name, 0) + 1

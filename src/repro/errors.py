@@ -167,10 +167,6 @@ class AnnotationError(DatabaseError):
     """Invalid annotation, annotation type, or temporal query."""
 
 
-class VersionError(DatabaseError):
-    """Invalid version-graph operation."""
-
-
 class CodecError(AVDBError):
     """Encoding or decoding failure."""
 

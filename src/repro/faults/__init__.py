@@ -24,9 +24,7 @@ from repro.faults.plan import KINDS, Fault, FaultPlan
 from repro.faults.recovery import (
     TRANSIENT,
     RetryPolicy,
-    fire_and_forget,
     supervised,
-    with_deadline,
     with_retries,
 )
 from repro.faults.scenarios import SCENARIOS
@@ -41,8 +39,6 @@ __all__ = [
     "TRANSIENT",
     "RetryPolicy",
     "with_retries",
-    "with_deadline",
     "supervised",
-    "fire_and_forget",
     "SCENARIOS",
 ]

@@ -46,7 +46,7 @@ Fault kinds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.errors import SimulationError
@@ -245,33 +245,10 @@ class FaultPlan:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, object]) -> "FaultPlan":
-        """Rebuild a plan emitted by :meth:`to_dict` (replay artifacts)."""
-        return cls(seed=int(doc["seed"]),
-                   faults=[Fault(**fields) for fields in doc["faults"]])
-
     # -- inspection --------------------------------------------------------
     def sort(self) -> "FaultPlan":
         self.faults.sort(key=lambda f: (f.at, f.kind, f.target))
         return self
-
-    def for_target(self, target: str) -> List[Fault]:
-        return [f for f in self.faults if f.target == target]
-
-    def scaled(self, time_factor: float) -> "FaultPlan":
-        """A copy with every time stretched by ``time_factor``."""
-        return FaultPlan(self.seed, [
-            replace(f, at=f.at * time_factor, duration=f.duration * time_factor)
-            for f in self.faults
-        ])
-
-    def describe(self) -> str:
-        if not self.faults:
-            return f"fault plan (seed {self.seed}): empty"
-        lines = [f"fault plan (seed {self.seed}, {len(self.faults)} faults):"]
-        lines += [f"  {fault.describe()}" for fault in self.faults]
-        return "\n".join(lines)
 
     def __len__(self) -> int:
         return len(self.faults)

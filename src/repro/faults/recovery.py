@@ -5,9 +5,6 @@ injects:
 
 * :func:`with_retries` — retry a failed DES subroutine with exponential
   backoff (virtual-time delays; attempt counts in ``faults.retries``);
-* :func:`with_deadline` — bound any operation with a kernel ``Timeout``,
-  interrupting the guarded process when the deadline passes (the defense
-  against hang faults);
 * :func:`supervised` — restart a crashed/hung/timed-out process up to
   ``max_restarts`` times (``faults.restarts``).
 
@@ -20,7 +17,7 @@ All are generator subroutines for DES processes::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.errors import DeadlineExceeded, FaultError, Interrupted
 from repro.sim import Delay, Process, Simulator, Timeout, WaitProcess
@@ -87,28 +84,6 @@ def with_retries(simulator: Simulator,
             yield Delay(backoff)
 
 
-def with_deadline(simulator: Simulator, gen: Generator, seconds: float,
-                  name: str = "guarded") -> Generator:
-    """DES subroutine: run ``gen`` as a child process with a deadline.
-
-    Returns the child's result; re-raises the child's error.  When the
-    deadline passes first, the child is interrupted (so it cannot hold
-    resources forever) and :class:`~repro.errors.DeadlineExceeded`
-    propagates to the caller.
-    """
-    proc = simulator.spawn(gen, name=name)
-    try:
-        result = yield Timeout(proc, seconds)
-    except DeadlineExceeded:
-        proc.interrupt()
-        decisions = simulator.obs.decisions
-        if decisions.enabled:
-            decisions.emit("deadline", name, actor="recovery",
-                           seconds=seconds)
-        raise
-    return result
-
-
 def supervised(simulator: Simulator,
                make_gen: Callable[[], Generator],
                max_restarts: int = 3,
@@ -149,13 +124,3 @@ def supervised(simulator: Simulator,
             raise failure
         restarts.inc()
         yield Delay(backoff.delay_for(failures - 1))
-
-
-def fire_and_forget(result: Any = None) -> Generator:
-    """A degenerate subroutine: immediately return ``result``.
-
-    Useful as a stand-in attempt in tests and as the no-op branch of
-    conditional recovery pipelines.
-    """
-    return result
-    yield  # pragma: no cover - makes this a generator

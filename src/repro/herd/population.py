@@ -175,17 +175,8 @@ class HerdPopulation:
                                                     pmf)
 
     # -- introspection -----------------------------------------------------
-    @property
-    def total_clients(self) -> int:
-        return int(self.arrivals.sum())
-
     def epoch_start(self, epoch: int) -> float:
         return epoch * self.epoch_s
-
-    def counts_at(self, epoch: int) -> Dict[Priority, int]:
-        """This epoch's arrivals split by priority, in admission order."""
-        return {priority: int(self.by_priority[priority][epoch])
-                for priority in PRIORITY_ORDER}
 
     def sha256(self) -> str:
         """Digest of every compiled array — the determinism fact."""
@@ -199,6 +190,6 @@ class HerdPopulation:
         return folded.hexdigest()
 
     def __repr__(self) -> str:
-        return (f"HerdPopulation({self.total_clients} clients over "
+        return (f"HerdPopulation({int(self.arrivals.sum())} clients over "
                 f"{self.n_epochs} epochs x {self.epoch_s:g}s, "
                 f"{len(self.phases)} phases, seed {self.seed})")

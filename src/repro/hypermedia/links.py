@@ -85,9 +85,6 @@ class HypermediaBase:
         )
         return self._to_link(oid)
 
-    def unlink(self, link: Link) -> None:
-        self.db.delete(link.oid)
-
     # -- navigation ----------------------------------------------------------
     def links_from(self, source: OID) -> List[Link]:
         oids = self.db.select(LINK_CLASS, Q.eq("source", str(source)))

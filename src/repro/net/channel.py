@@ -237,17 +237,6 @@ class Channel:
         self._m_bits_sent.inc(bits)
 
     # -- accounting ----------------------------------------------------------
-    @property
-    def total_bytes(self) -> float:
-        return self.total_bits / 8
-
-    def mean_throughput_bps(self) -> float:
-        """Average delivered rate since time 0."""
-        now = self.simulator.now_s
-        if now <= 0:
-            return 0.0
-        return self.total_bits / now
-
     def __repr__(self) -> str:
         return (
             f"Channel({self.name!r}, {self.reserved_bps:g}/{self.capacity_bps:g} b/s "

@@ -86,13 +86,9 @@ class Obs:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.decisions = decisions if decisions is not None else NULL_DECISIONS
 
-    @property
-    def tracing(self) -> bool:
-        return self.tracer.enabled
-
     def __repr__(self) -> str:
         return (f"Obs({len(self.metrics)} metrics, "
-                f"tracing={'on' if self.tracing else 'off'}, "
+                f"tracing={'on' if self.tracer.enabled else 'off'}, "
                 f"decisions={'on' if self.decisions.enabled else 'off'})")
 
 

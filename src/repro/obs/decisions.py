@@ -90,10 +90,6 @@ class DecisionLog:
         """
         return [e for e in self.events if e.subject == subject]
 
-    def subjects(self) -> List[str]:
-        """Every subject that has at least one decision, sorted."""
-        return sorted({e.subject for e in self.events})
-
     def by_kind(self, kind: str) -> List[DecisionEvent]:
         return [e for e in self.events if e.kind == kind]
 
@@ -126,9 +122,6 @@ class NullDecisionLog:
         pass
 
     def chain(self, subject: str) -> List[DecisionEvent]:
-        return []
-
-    def subjects(self) -> List[str]:
         return []
 
     def by_kind(self, kind: str) -> List[DecisionEvent]:

@@ -75,12 +75,6 @@ class Gauge:
         if value > self.high_watermark:
             self.high_watermark = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def __repr__(self) -> str:
         return f"Gauge({self.name!r}, {self.value:g})"
 
@@ -212,9 +206,6 @@ class MetricsRegistry:
         self.flush()
         return self._instruments
 
-    def names(self) -> list:
-        return sorted(self._instruments)
-
     def by_kind(self, kind: str) -> Dict[str, object]:
         if self._flush_hooks:
             self.flush()
@@ -322,9 +313,6 @@ class NullMetrics:
 
     def settled(self) -> Dict[str, object]:
         return {}
-
-    def names(self) -> list:
-        return []
 
     def by_kind(self, kind: str) -> Dict[str, object]:
         return {}

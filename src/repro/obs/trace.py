@@ -10,9 +10,7 @@ Every event carries two timestamps (the dual-stamping rule, README
   CPU cost can be correlated with virtual behaviour.
 
 A :class:`Span` measures a region that may cover virtual time (it can be
-held across DES yields); :meth:`Tracer.instant` marks a point;
-:meth:`Tracer.complete` records a region retroactively from its virtual
-start and duration.  :class:`NullTracer` is the disabled implementation:
+held across DES yields); :meth:`Tracer.instant` marks a point.  :class:`NullTracer` is the disabled implementation:
 every operation is a no-op and ``enabled`` is ``False`` so hot paths can
 skip argument construction entirely.
 """
@@ -139,15 +137,6 @@ class Tracer:
             time.perf_counter() - self._epoch, None, args or None,
         ))
 
-    def complete(self, name: str, category: str, start_ts: float,
-                 dur: float, track: Optional[str] = None, **args: Any) -> None:
-        """Record a span retroactively from known virtual start/duration."""
-        wall = time.perf_counter() - self._epoch
-        self.events.append(TraceEvent(
-            "X", name, category, track or name, start_ts, dur,
-            wall, None, args or None,
-        ))
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -195,10 +184,6 @@ class NullTracer:
 
     def instant(self, name: str, category: str = "",
                 track: Optional[str] = None, **args: Any) -> None:
-        pass
-
-    def complete(self, name: str, category: str, start_ts: float,
-                 dur: float, track: Optional[str] = None, **args: Any) -> None:
         pass
 
     def __len__(self) -> int:

@@ -9,9 +9,8 @@ produced by ``benchmarks/bench_kernel_throughput.py``.
 """
 
 from repro.perf.profile import (
-    available_scenarios,
     profile_scenario,
     resolve_scenario,
 )
 
-__all__ = ["available_scenarios", "profile_scenario", "resolve_scenario"]
+__all__ = ["profile_scenario", "resolve_scenario"]

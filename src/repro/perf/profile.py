@@ -12,18 +12,12 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from repro.scenarios import table
 
 #: pstats sort keys accepted by the CLI.
 SORT_KEYS = ("cumulative", "tottime", "ncalls")
-
-
-def available_scenarios() -> Dict[str, str]:
-    """Every profilable scenario name -> the family it resolves to."""
-    return {name: scenario.family.name
-            for name, scenario in table().items()}
 
 
 def resolve_scenario(name: str) -> Tuple[str, Callable[[], object]]:

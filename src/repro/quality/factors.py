@@ -51,10 +51,6 @@ class VideoQuality:
         """Uncompressed data rate this quality implies, bits/second."""
         return self.width * self.height * self.depth * self.rate
 
-    @property
-    def pixels(self) -> int:
-        return self.width * self.height
-
     def dominates(self, other: "VideoQuality") -> bool:
         """True when this quality is >= ``other`` in every dimension."""
         return (

@@ -17,7 +17,7 @@ being sent to the user."
   client-side vs database-side rendering.
 """
 
-from repro.render.camera import CameraPath, CameraPose, orbit_path, walk_path
+from repro.render.camera import CameraPath, CameraPose, walk_path
 from repro.render.rasterizer import Rasterizer
 from repro.render.scene import Scene, Surface, museum_room
 from repro.render.activities import MoveSource, RenderActivity
@@ -30,7 +30,6 @@ from repro.render.virtualworld import (
 __all__ = [
     "CameraPose",
     "CameraPath",
-    "orbit_path",
     "walk_path",
     "Scene",
     "Surface",

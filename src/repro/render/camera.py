@@ -100,19 +100,3 @@ def walk_path(steps: int = 30, start: tuple = (0.0, 1.6, -6.0),
         z = start[2] + (end[2] - start[2]) * t
         poses.append(CameraPose(x, y, z, yaw=0.0))
     return CameraPath(poses, rate=rate)
-
-
-def orbit_path(steps: int = 30, radius: float = 5.0, height: float = 1.6,
-               rate: float = 30.0) -> CameraPath:
-    """A circular orbit around the scene origin, always looking inward."""
-    if steps < 1:
-        raise RenderError(f"orbit needs >= 1 step, got {steps}")
-    poses = []
-    for i in range(steps):
-        angle = 2 * math.pi * i / steps
-        x = radius * math.sin(angle)
-        z = -radius * math.cos(angle)
-        # Look toward the origin: yaw such that forward points at (0,0,0).
-        yaw = math.atan2(-x, -z)
-        poses.append(CameraPose(x, height, z, yaw=yaw))
-    return CameraPath(poses, rate=rate)

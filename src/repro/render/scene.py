@@ -72,9 +72,6 @@ class Scene:
     surfaces: List[Surface] = field(default_factory=list)
     background: int = 20
 
-    def add(self, surface: Surface) -> None:
-        self.surfaces.append(surface)
-
     def add_quad(self, corners, shade: int = 128, textured: bool = False) -> None:
         self.surfaces.extend(quad(corners, shade, textured))
 

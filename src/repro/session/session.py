@@ -11,7 +11,7 @@ The paper's first example::
 
 maps to::
 
-    db_source = session.new_db_video_source()                  # 1
+    db_source = session.new_activity(VideoReader(sim, location=DATABASE))  # 1
     app_sink = session.new_video_window("320x240x8@30")        # 2
     stream = session.connect(db_source, app_sink)              # 3
     my_news = session.select_one("SimpleNewscast",
@@ -36,7 +36,7 @@ from repro.activities import (
     MediaActivity,
     MultiSink,
 )
-from repro.activities.library import Speaker, SubtitleWindow, VideoWindow
+from repro.activities.library import VideoWindow
 from repro.activities.ports import Connection, Direction, Port
 from repro.admission.controller import Priority, QoSContract, degraded_rate
 from repro.avtime import WorldTime
@@ -44,7 +44,8 @@ from repro.db.objects import DBObject, OID
 from repro.db.query import Predicate
 from repro.errors import AdmissionError, SessionError
 from repro.net.channel import Channel
-from repro.quality.factors import AudioQuality, VideoQuality, parse_quality
+from repro.quality.factors import VideoQuality, parse_quality
+from repro.sim import weak_hook
 from repro.streams.sync import JitterModel
 from repro.temporal.composite import TemporalComposite
 from repro.values.base import MediaValue
@@ -111,9 +112,6 @@ class Recording:
     def start(self) -> None:
         self.stream.start()
 
-    def stop(self) -> None:
-        self.stream.stop()
-
     def finished(self) -> bool:
         return self.stream.finished()
 
@@ -167,11 +165,6 @@ class Session:
             predicate = parse_predicate(predicate)
         return self.system.db.select(class_name, predicate)
 
-    def query(self, text: str) -> List[OID]:
-        """Full textual query: ``select <Class> where <expr>``."""
-        self._require_open()
-        return self.system.db.query(text)
-
     def select_one(self, class_name: str, predicate: Optional[Predicate] = None) -> OID:
         self._require_open()
         return self.system.db.select_one(class_name, predicate)
@@ -203,22 +196,6 @@ class Session:
         window = VideoWindow(self.system.simulator, quality=quality,
                              name=name or f"{self.name}.window",
                              location=Location.APPLICATION)
-        return self.new_activity(window)
-
-    def new_speaker(self, quality: Union[str, AudioQuality, None] = None,
-                    name: Optional[str] = None) -> Speaker:
-        """An application-located audio sink, optionally quality-factored."""
-        if isinstance(quality, str):
-            quality = parse_quality(quality)
-        speaker = Speaker(self.system.simulator, quality=quality,
-                          name=name or f"{self.name}.speaker",
-                          location=Location.APPLICATION)
-        return self.new_activity(speaker)
-
-    def new_subtitle_window(self, name: Optional[str] = None) -> SubtitleWindow:
-        window = SubtitleWindow(self.system.simulator,
-                                name=name or f"{self.name}.subtitles",
-                                location=Location.APPLICATION)
         return self.new_activity(window)
 
     def new_multi_sink(self, name: Optional[str] = None) -> MultiSink:
@@ -436,14 +413,15 @@ class Session:
     def notify_on(self, activity: MediaActivity, event_name: str) -> None:
         """Subscribe: events arrive in ``session.notifications``."""
         self._require_open()
+        # The session holds the activity; a weak hook keeps the activity
+        # from holding the session (DESIGN.md decision 23).
+        activity.catch(event_name, weak_hook(self._notify))
 
-        def _handler(act, name, payload):
-            self._m_notifications.inc()
-            self.notifications.append(
-                Notification(act.name, name, payload, self.system.simulator.now)
-            )
-
-        activity.catch(event_name, _handler)
+    def _notify(self, activity: MediaActivity, event_name: str,
+                payload: Any) -> None:
+        self._m_notifications.inc()
+        self.notifications.append(Notification(
+            activity.name, event_name, payload, self.system.simulator.now))
 
     def notifications_for(self, activity: MediaActivity) -> List[Notification]:
         return [n for n in self.notifications if n.activity == activity.name]

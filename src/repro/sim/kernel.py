@@ -168,10 +168,6 @@ class SimEvent:
     def triggered(self) -> bool:
         return self._triggered
 
-    @property
-    def payload(self) -> Any:
-        return self._payload
-
     def trigger(self, payload: Any = None) -> None:
         """Fire the event once, waking every waiter with ``payload``."""
         if self._triggered:
@@ -215,10 +211,6 @@ class Process:
         #: process that has scheduled work ahead of itself (a clocked-out
         #: stream run) takes back what a hung process would never do.
         self.on_abandon: Optional[Callable[[], None]] = None
-
-    @property
-    def abandoned(self) -> bool:
-        return self._abandoned
 
     def interrupt(self, error: Optional[BaseException] = None) -> None:
         """Throw ``error`` into the process at the current virtual time.

@@ -128,9 +128,9 @@ def day(seed: int = 0, phases: Optional[Sequence[PhaseSpec]] = None,
 
     sim = Simulator()
     cluster = _build_cluster(sim, NODES, replication=2)
-    catalog = [Blob(VOD_ELEMENTS * ELEMENT_BITS // 8, STREAM_BPS)
+    catalog = [Blob(VOD_ELEMENTS * ELEMENT_BITS // 8)
                for _ in range(CATALOG)]
-    news = Blob((MAX_LIVE_ELEMENTS + 8) * ELEMENT_BITS // 8, STREAM_BPS)
+    news = Blob((MAX_LIVE_ELEMENTS + 8) * ELEMENT_BITS // 8)
     for value in catalog:
         cluster.place(value)
     cluster.place(news, key="newscast")

@@ -11,8 +11,7 @@ per probe), then **replays** the minimized plan with postmortem
 bundles armed and writes the artifacts:
 
 * ``minimized-plan.json`` — the minimal failing
-  :meth:`~repro.faults.plan.FaultPlan.to_dict`, replayable via
-  ``FaultPlan.from_dict``;
+  :meth:`~repro.faults.plan.FaultPlan.to_dict`;
 * ``search-report.json`` — seeds tried, ddmin probe economy, and the
   replay's breach facts;
 * ``postmortem-*.json`` — the watchdog's bundle from the replay.

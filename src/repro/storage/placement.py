@@ -62,10 +62,6 @@ class PlacementManager:
         except KeyError:
             raise PlacementError(f"unknown device {name!r}") from None
 
-    @property
-    def devices(self) -> List[Device]:
-        return list(self._devices.values())
-
     # -- placement -----------------------------------------------------------
     @staticmethod
     def _value_bytes(value: MediaValue) -> int:
@@ -102,9 +98,6 @@ class PlacementManager:
         except KeyError:
             raise PlacementError("value has no placement") from None
 
-    def placement_of(self, value: MediaValue) -> Placement:
-        return self._placement_of(value)
-
     def device_of(self, value: MediaValue) -> Device:
         return self.device(self._placement_of(value).device_name)
 
@@ -112,12 +105,6 @@ class PlacementManager:
         return id(value) in self._placements
 
     # -- the §3.3 placement questions --------------------------------------
-    def co_located(self, value_a: MediaValue, value_b: MediaValue) -> bool:
-        return (
-            self._placement_of(value_a).device_name
-            == self._placement_of(value_b).device_name
-        )
-
     def can_stream_together(self, values: List[MediaValue]) -> bool:
         """Could all values stream concurrently from their current devices?
 

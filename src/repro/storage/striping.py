@@ -125,23 +125,11 @@ class StripingManager:
         self._stripes[id(value)] = stripe
         return stripe
 
-    def is_striped(self, value: MediaValue) -> bool:
-        return id(value) in self._stripes
-
     def stripe_of(self, value: MediaValue) -> StripeSet:
         try:
             return self._stripes[id(value)]
         except KeyError:
             raise PlacementError("value is not striped") from None
-
-    def can_stream(self, value: MediaValue) -> bool:
-        """Could the stripe members jointly sustain the value's rate?"""
-        stripe = self.stripe_of(value)
-        share = value.data_rate_bps() / stripe.stripe_count
-        return all(
-            self.placement.device(name).can_admit(share)
-            for name in stripe.device_names
-        )
 
     def reserve(self, value: MediaValue,
                 readahead: float = 2.0) -> StripedReservation:

@@ -85,14 +85,6 @@ class StreamBuffer:
         return len(self._settled()._items)
 
     @property
-    def full(self) -> bool:
-        return len(self._settled()._items) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._settled()._items
-
-    @property
     def total_put(self) -> int:
         return self._settled()._total_put
 

@@ -65,18 +65,6 @@ class PresentationLog:
             return 0.0
         return max(values) - min(values)
 
-    def interarrival_stddev(self) -> float:
-        """Standard deviation of actual inter-presentation gaps."""
-        if len(self.records) < 3:
-            return 0.0
-        gaps = [
-            (b.actual - a.actual).seconds
-            for a, b in zip(self.records, self.records[1:])
-        ]
-        mean = sum(gaps) / len(gaps)
-        var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
-        return var ** 0.5
-
     def latency_at_ideal(self, ideal: WorldTime) -> Optional[float]:
         """Latency of the record closest to ``ideal``, or None if empty."""
         if not self.records:

@@ -117,10 +117,6 @@ class SyncGroup:
             raise TemporalError(f"member {member!r} already in sync group {self.name!r}")
         self._drifts[member] = 0.0
 
-    @property
-    def members(self) -> List[str]:
-        return sorted(self._drifts)
-
     def report(self, member: str, drift: float) -> None:
         if member not in self._drifts:
             raise TemporalError(f"member {member!r} not in sync group {self.name!r}")

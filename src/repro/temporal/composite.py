@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.avtime import Interval, WorldTime
+from repro.avtime import WorldTime
 from repro.errors import TemporalError
 from repro.temporal.spec import TCompSpec
 from repro.temporal.timeline import Timeline, TimelineEntry
@@ -80,14 +80,6 @@ class TemporalComposite:
         return iter(self._values.items())
 
     # -- temporal interface --------------------------------------------------
-    @property
-    def interval(self) -> Interval:
-        return self.timeline.span()
-
-    @property
-    def start(self) -> WorldTime:
-        return self.interval.start
-
     @property
     def duration(self) -> WorldTime:
         return self.timeline.duration

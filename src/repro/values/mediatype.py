@@ -84,10 +84,6 @@ class MediaType:
             return True
         return False
 
-    def require_kind(self, kind: MediaKind) -> None:
-        if self.kind is not kind:
-            raise MediaTypeError(f"expected a {kind.value} type, got {self.name!r}")
-
     def __str__(self) -> str:
         return self.name
 

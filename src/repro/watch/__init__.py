@@ -28,7 +28,6 @@ from repro.errors import InvariantBreachError, SLOViolationError, WatchError
 from repro.obs.decisions import DecisionEvent, DecisionLog
 from repro.watch.explain import (
     describe,
-    explain_chain,
     explain_report,
     render_event,
     subjects_summary,
@@ -56,7 +55,6 @@ __all__ = [
     "component_state",
     "default_slos",
     "describe",
-    "explain_chain",
     "explain_report",
     "render_event",
     "subjects_summary",

@@ -102,11 +102,6 @@ def render_event(event: DecisionEvent) -> str:
     return f"t={event.ts:.6f}s  {actor}{describe(event)}"
 
 
-def explain_chain(decisions: DecisionLog, subject: str) -> List[str]:
-    """The rendered causal chain for one subject, in causal order."""
-    return [render_event(event) for event in decisions.chain(subject)]
-
-
 def explain_report(decisions: DecisionLog, subject: str) -> str:
     """A full explain report for one subject (deterministic text)."""
     chain = decisions.chain(subject)

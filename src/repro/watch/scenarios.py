@@ -145,7 +145,7 @@ def node_kill(seed: int = 0, nodes: int = 4,
         cluster.add_node(StorageNode(sim, f"node-{i}",
                                      bandwidth_bps=20_000_000.0))
     rng = random.Random(seed)
-    values = [Blob(elements * element_bits // 8, stream_bps)
+    values = [Blob(elements * element_bits // 8)
               for _ in range(values_count)]
     for value in values:
         cluster.place(value)
@@ -317,7 +317,7 @@ def cache_crowd(seed: int = 0,
     sim = Simulator()
     cluster = _build_cluster(sim, 4, replication=2)
     rng = random.Random(seed)
-    values = [Blob(elements * ELEMENT_BITS // 8, stream_bps)
+    values = [Blob(elements * ELEMENT_BITS // 8)
               for _ in range(values_count)]
     for value in values:
         cluster.place(value)

@@ -124,12 +124,6 @@ class SLOEngine:
         if len(names) != len(set(names)):
             raise WatchError(f"duplicate SLO names in catalog: {sorted(names)}")
 
-    def add(self, spec: SLOSpec) -> SLOSpec:
-        if any(s.name == spec.name for s in self.specs):
-            raise WatchError(f"SLO {spec.name!r} is already in the catalog")
-        self.specs.append(spec)
-        return spec
-
     # -- evaluation --------------------------------------------------------
     def _measure(self, spec: SLOSpec, instruments: Mapping) -> float:
         inst = instruments.get(spec.metric)

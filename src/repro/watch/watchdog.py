@@ -31,7 +31,7 @@ from repro.errors import InvariantBreachError, SLOViolationError
 from repro.sim import Delay, Simulator, weak_hook
 from repro.watch.invariants import Breach, InvariantMonitor
 from repro.watch.recorder import FlightRecorder
-from repro.watch.slo import SLOEngine, SLOSpec
+from repro.watch.slo import SLOEngine
 
 PathLike = Union[str, Path]
 
@@ -73,9 +73,6 @@ class Watchdog:
         if tier is not None:
             self.recorder.track(tier)
         return self
-
-    def add_slo(self, spec: SLOSpec) -> SLOSpec:
-        return self.engine.add(spec)
 
     # -- the cadence process -----------------------------------------------
     def start(self, cadence_s: float = 0.05,

@@ -10,6 +10,8 @@ metadata load.
 
 import pytest
 
+from repro.activities import Location
+from repro.activities.library import Speaker
 from repro.admission import (
     AdmissionController,
     BreakerState,
@@ -502,7 +504,8 @@ class TestConnectReservationLeak:
         # A video source into an audio sink: admission succeeds (the
         # boundary is crossed, bandwidth is reserved), then the
         # type-checked connection fails.
-        speaker = session.new_speaker(name="wrong-sink")
+        speaker = session.new_activity(Speaker(
+            system.simulator, name="wrong-sink", location=Location.APPLICATION))
         with pytest.raises(AVDBError):
             session.connect(source, speaker)
         assert session.channel.reserved_bps == 0, (

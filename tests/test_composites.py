@@ -105,9 +105,6 @@ class TestExportRules:
         with pytest.raises(ActivityError, match="no components"):
             CompositeActivity(sim).start()
 
-    def test_simple_flag(self, sim):
-        assert CompositeActivity(sim).simple() is False
-
 
 class TestMultiSourceSink:
     def build(self, sim, clip, resync_interval=None, jitter_factory=None):

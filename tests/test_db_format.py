@@ -164,7 +164,7 @@ class TestSharedLayouts:
         assert len({id(row._layout) for row in rows}) == 1
         assert rows[0]._layout == ("value_id", "track", "atype", "start",
                                    "end", "payload")
-        assert store.get(two).value_id == "w"
+        assert store.db.get(two).value_id == "w"
 
     def test_partial_rows_share_too(self):
         db = Database()

@@ -140,10 +140,6 @@ class TestSessionIntegration:
         session = system.open_session()
         hits = session.select("SimpleNewscast", 'title = "60 Minutes"')
         assert len(hits) == 1
-        hits2 = session.query(
-            'select SimpleNewscast where year = 1992'
-        )
-        assert len(hits2) == 2
 
 
 class TestParserProperties:

@@ -93,11 +93,6 @@ class TestClassDef:
         assert (obj.values, obj.names, obj.layout) == (7, ["a"], "wide")
         assert (obj.version, obj.oid.serial) == (1, 1)
 
-    def test_lookup_helpers(self):
-        class_def = simple_newscast_class()
-        assert class_def.attribute("title").indexed
-        assert class_def.attribute("ghost") is None
-
 
 class TestInheritance:
     def make_db(self):
@@ -112,8 +107,9 @@ class TestInheritance:
 
     def test_subclass_inherits_attributes(self):
         db = self.make_db()
-        names = {a.name for a in db.schema.all_attributes("Newscast")}
-        assert names == {"title", "whenBroadcast"}
+        layout = db.schema.validate_object(
+            "Newscast", {"title": "t", "whenBroadcast": "w"})
+        assert set(layout) == {"title", "whenBroadcast"}
 
     def test_subclass_queryable_via_superclass(self):
         db = self.make_db()

@@ -63,7 +63,6 @@ class TestInMemoryStore:
         store.commit_ops(1, [(OP_INSERT, DBObject(oid, ("name",), ("a",)))])
         assert store.get(oid).name == "a"
         assert len(store) == 1
-        assert not store.durable
 
     def test_missing_object(self):
         store = ObjectStore()

@@ -189,22 +189,27 @@ class TestWaitDie:
         assert db.get(oid).count == 1
 
 
+def mode_of(db, oid):
+    entry = db._locks._locks.get(oid)
+    return entry.mode if entry else None
+
+
 class TestLockManager:
     def test_mode_tracking(self, db):
         oid = db.insert("Doc", name="x")
         tx = db.begin()
         tx.read(oid)
-        assert db._locks.mode_of(oid) is LockMode.SHARED
+        assert mode_of(db, oid) is LockMode.SHARED
         tx.update(oid, count=1)
-        assert db._locks.mode_of(oid) is LockMode.EXCLUSIVE
+        assert mode_of(db, oid) is LockMode.EXCLUSIVE
         tx.commit()
-        assert db._locks.mode_of(oid) is None
+        assert mode_of(db, oid) is None
 
     def test_held_by(self, db):
         oid = db.insert("Doc", name="x")
         tx = db.begin()
         tx.read(oid)
-        assert oid in db._locks.held_by(tx.tx_id)
+        assert tx.tx_id in db._locks._locks[oid].holders
 
 
 class TestWaitDieProperties:

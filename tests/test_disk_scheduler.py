@@ -159,13 +159,13 @@ class TestShutdownSemantics:
         queued = disk.submit(200, 10_000_000)
         sim.schedule_at(WorldTime(0.001), disk.stop)
         sim.run()
-        assert blocker.completed and not blocker.failed
-        assert queued.failed and not queued.completed
+        assert blocker.completed and blocker.error is None
+        assert queued.error is not None and not queued.completed
         assert isinstance(queued.error, SchedulerStoppedError)
         assert queued.done.triggered
         # The request carries the error; the event does not point back
         # at it (a request and its event are freed by refcount).
-        assert queued.done.payload is None
+        assert queued.done._payload is None
 
     def test_submit_after_stop_raises(self, sim):
         disk = self._started(sim)
@@ -176,9 +176,9 @@ class TestShutdownSemantics:
     def test_drain_serves_backlog_before_exiting(self, sim):
         disk = self._started(sim)
         requests = [disk.submit(p, 10_000_000) for p in (100, 200, 300)]
-        disk.drain()
+        disk.stop(drain=True)
         sim.run()
-        assert all(r.completed and not r.failed for r in requests)
+        assert all(r.completed and r.error is None for r in requests)
         assert disk.requests_failed == 0
         assert not disk.running
         with pytest.raises(SchedulerStoppedError):

@@ -4,7 +4,6 @@ placement interaction of the Editor facade."""
 import numpy as np
 import pytest
 
-from repro.avtime import WorldTime
 from repro.codecs import JPEGCodec, MPEGCodec
 from repro.editing import (
     EditDecisionList,
@@ -15,7 +14,6 @@ from repro.editing import (
     overlay_mix,
     splice,
 )
-from repro.editing.ops import cut_at_time
 from repro.errors import DataModelError, PlacementError
 from repro.sim import Simulator
 from repro.storage import MagneticDisk, PlacementManager
@@ -52,10 +50,6 @@ class TestClipAndCut:
         assert head.num_frames == 4
         assert tail.num_frames == 6
         assert np.array_equal(tail.frame(0), small_video.frame(4))
-
-    def test_cut_at_time(self, small_video):
-        head, tail = cut_at_time(small_video, WorldTime(0.1))  # frame 3 at 30fps
-        assert head.num_frames == 3
 
     def test_invalid_ranges(self, small_video):
         with pytest.raises(DataModelError):

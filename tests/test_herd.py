@@ -291,10 +291,10 @@ class TestHerdDeterminism:
         assert pop.demand.shape == (pop.n_epochs, 16)
         # Per epoch: arrivals == sum over priorities == sum over assets.
         for epoch in range(pop.n_epochs):
-            counts = pop.counts_at(epoch)
+            counts = {priority: int(pop.by_priority[priority][epoch])
+                      for priority in PRIORITY_ORDER}
             assert sum(counts.values()) == pop.arrivals[epoch]
             assert pop.demand[epoch].sum() == pop.arrivals[epoch]
-        assert pop.total_clients == int(pop.arrivals.sum())
         assert set(counts) == set(PRIORITY_ORDER)
 
     def test_phase_validation(self):

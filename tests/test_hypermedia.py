@@ -68,7 +68,7 @@ class TestLinking:
         doc = db.insert("Document", name="d")
         video = db.insert("Video", title="v")
         link = hm.link(doc, "x", video)
-        hm.unlink(link)
+        db.delete(link.oid)
         assert hm.links_from(doc) == []
 
     def test_negative_cue_rejected(self, db, hm):

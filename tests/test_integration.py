@@ -93,10 +93,8 @@ class TestCorporateScenario:
         system.store_value(rough_cut, "disk0")
         cut_oid = system.db.insert("Presentation", title="rough cut",
                                    presenter="x", keywords=[], video=rough_cut)
-        system.db.versions.record_derivation(cut_oid, master_oid, 1, "EDL cut")
-        derivation = system.db.versions.derived_from(cut_oid)
-        assert derivation.source == master_oid
         assert system.db.get(cut_oid).video.num_frames == 6
+        assert system.db.get(master_oid).video.num_frames == 12
 
 
 class TestJukeboxPath:
@@ -205,7 +203,9 @@ class TestAlternateRepresentation:
             MIDISource(system.simulator, location=Location.DATABASE)
         )
         source.bind(jingle())
-        speaker = session.new_speaker("voice")
+        speaker = session.new_activity(Speaker(
+            system.simulator, quality=parse_quality("voice"),
+            location=Location.APPLICATION))
         stream = session.connect(source, speaker)
         stream.start()
         session.run()

@@ -70,11 +70,6 @@ class TestCompatibility:
         assert not standard_type("video/raw").compressed
         assert not standard_type("audio/cd").compressed
 
-    def test_require_kind(self):
-        standard_type("video/raw").require_kind(MediaKind.VIDEO)
-        with pytest.raises(MediaTypeError):
-            standard_type("video/raw").require_kind(MediaKind.AUDIO)
-
     def test_native_rates(self):
         assert standard_type("audio/cd").native_rate == 44100.0
         assert standard_type("video/mpeg").native_rate is None  # spans a range

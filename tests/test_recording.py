@@ -81,7 +81,7 @@ class TestRecording:
         def director():
             from repro.sim import Delay
             yield Delay(0.3)
-            recording.stop()
+            recording.stream.stop()
 
         system.simulator.spawn(director())
         session.run()

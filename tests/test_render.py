@@ -15,7 +15,6 @@ from repro.render import (
     client_side_rendering,
     database_side_rendering,
     museum_room,
-    orbit_path,
     walk_path,
 )
 from repro.synth import moving_scene
@@ -28,17 +27,6 @@ class TestCameraPath:
         assert path.pose(0).z == -10
         assert path.pose(4).z == -2
         assert path.pose(2).z == pytest.approx(-6)
-
-    def test_orbit_looks_inward(self):
-        path = orbit_path(steps=8, radius=5.0)
-        for i in range(8):
-            pose = path.pose(i)
-            _, _, forward = pose.basis()
-            to_origin = -pose.position
-            to_origin[1] = 0  # ignore height
-            norm = np.linalg.norm(to_origin)
-            cosine = float(forward[[0, 2]] @ to_origin[[0, 2]] / norm)
-            assert cosine > 0.95  # looking roughly at the origin
 
     def test_media_value_interface(self):
         path = walk_path(steps=30)

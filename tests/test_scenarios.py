@@ -78,10 +78,10 @@ class TestTable:
             assert names[name].family.name == families[0]
 
     def test_profile_resolves_through_the_table(self):
-        from repro.perf import available_scenarios, resolve_scenario
+        from repro.perf import resolve_scenario
 
-        assert available_scenarios() == {
-            name: scenario.family.name for name, scenario in table().items()}
+        for name, scenario in table().items():
+            assert resolve_scenario(name)[0] == scenario.family.name
         assert resolve_scenario("node-kill")[0] == "watch"
         assert resolve_scenario("cluster-node-kill")[0] == "cluster"
         assert resolve_scenario("herd-surge")[0] == "herd"
@@ -130,46 +130,75 @@ class TestReachGate:
             "    def also(self):\n"
             "        raise NotImplementedError\n"
             "def helper():\n"
-            "    return 3\n")
+            "    return 3\n"
+            "class Pair:\n"
+            "    def used(self):\n"         # line 17
+            "        return 5\n"
+            "    def idle(self):\n"
+            "        return 6\n")
         (package / "dead.py").write_text(
             "class Inside:\n"
             "    def run(self):\n"
             "        return 4\n")
         tree = check_reach.parse_tree(tmp_path)
-        return check_reach.measure(tree, {(str(live), 3)})
+        return check_reach.measure(tree, {(str(live), 3), (str(live), 17)})
 
     def test_what_counts_as_unreached(self, reach):
         assert reach.modules == ["repro.dead"]
         # Not Interface (declarations only), not Inside (its module is listed).
         assert reach.classes == ["repro.live.Unused"]
-        assert reach.functions == ["repro.live.helper"]
-        assert reach.packages == [("repro", 18, 9, 6)]
-        assert {"repro", "repro.live.Interface", "repro.dead.Inside"} <= \
-            reach.known
+        assert reach.functions == ["repro.live.Pair.idle", "repro.live.helper"]
+        assert reach.packages == [("repro", 23, 13, 8)]
+        assert {"repro", "repro.live.Interface", "repro.dead.Inside",
+                "repro.live.Pair.used", "repro.live.helper"} <= reach.known
 
-    def test_three_verdicts(self, check_reach, reach):
-        unreached = set(reach.modules) | set(reach.classes)
-        keep = {"repro.dead": "kept", "repro.live.Unused": "kept"}
+    def test_three_verdicts(self, check_reach, reach, tmp_path):
+        unreached = (set(reach.modules) | set(reach.classes)
+                     | set(reach.functions))
+        keep = {"repro.dead": "kept", "repro.live.Unused": "kept",
+                "repro.live.helper": "kept", "repro.live.Pair.idle": "kept"}
 
         def problems(keep):
             return check_reach.verdicts(unreached, reach.known, keep)
 
+        def read(line):
+            path = tmp_path / "keep.txt"
+            path.write_text(f"# a comment\n\n{line}\n")
+            return check_reach.read_keep(path)
+
         assert problems(keep) == []
-        [unlisted] = problems({"repro.dead": "kept"})
+        [unlisted] = problems({"repro.dead": "kept",
+                               "repro.live.helper": "kept",
+                               "repro.live.Pair.idle": "kept"})
         assert unlisted.startswith("repro.live.Unused: never entered")
         [stale] = problems({**keep, "repro.live.Used": "kept"})
         assert stale.startswith("repro.live.Used:") and "reached" in stale
         [nothing] = problems({**keep, "repro.gone.Thing": "kept"})
         assert nothing.startswith("repro.gone.Thing:") \
-            and "no such module or class" in nothing
+            and "no such module, class or function" in nothing
+        # Functions: an unreached one that is not kept fails.
+        [function] = problems({k: v for k, v in keep.items()
+                               if k != "repro.live.helper"})
+        assert function.startswith("repro.live.helper: never entered")
+        # A brace line names each member, and each is checked on its own.
+        assert read("repro.live.Pair.{idle}  kept") == {
+            "repro.live.Pair.idle": "kept"}
+        braced = read("repro.live.Pair.{idle,used}  kept")
+        [stale] = problems({**keep, **braced})
+        assert stale.startswith("repro.live.Pair.used:") and "reached" in stale
+        [nothing] = problems({**keep, **read("repro.live.Pair.{idle,gone}  kept")})
+        assert nothing.startswith("repro.live.Pair.gone:") \
+            and "no such module, class or function" in nothing
 
     def test_every_kept_name_exists_and_cites_the_paper_or_the_design(
             self, check_reach):
         keep = check_reach.read_keep()
         tree = check_reach.parse_tree()
-        assert set(keep) <= set(tree.lines) | set(tree.classes)
+        functions = {f"{f.module}.{f.name}" for f in tree.functions.values()}
+        assert set(keep) <= set(tree.lines) | set(tree.classes) | functions
         for name, reason in keep.items():
-            assert "DESIGN.md §" in reason or "PAPER.md" in reason, name
+            assert ("DESIGN.md §" in reason or "PAPER.md" in reason
+                    or "ROADMAP.md item" in reason), name
             assert "test" not in reason.lower(), name
 
 

@@ -294,10 +294,10 @@ class TestWakeAt:
             yield Delay(10.0)
 
         process = sim.spawn(proc())
-        process.on_abandon = lambda: seen.append(process.abandoned)
+        process.on_abandon = lambda: seen.append(process._abandoned)
         process.abandon()
         process.abandon()
-        assert seen == [False] and process.abandoned
+        assert seen == [False] and process._abandoned
 
 
 class TestResources:
@@ -493,7 +493,7 @@ class TestFaultPrimitives:
         process.abandon()
         assert sim.live_processes == 0
         sim.run()
-        assert process.abandoned and not process.done
+        assert process._abandoned and not process.done
         assert sim.obs.metrics.counter("sim.process_faults").value == 1
 
     def test_timeout_passes_payload_when_target_is_in_time(self, sim):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import SimulationError
-from repro.faults import FaultPlan
+from repro.faults import Fault, FaultPlan
 from repro.obs import scoped
 from repro.soak import (
     PROFILES,
@@ -244,9 +244,9 @@ class TestChaosSearch:
         report, _ = demo_search
         assert report["failing_seed"] == SEARCH_DEMO_SEED
         assert report["minimized_len"] == 2
-        minimized = FaultPlan.from_dict(json.loads(
-            (demo_search[1] / "minimized-plan.json").read_text()))
-        assert {(f.kind, f.target) for f in minimized} == {
+        minimized = json.loads(
+            (demo_search[1] / "minimized-plan.json").read_text())["faults"]
+        assert {(f["kind"], f["target"]) for f in minimized} == {
             ("node-outage", "node-1"), ("edge-cache-outage", "edge-0")}
 
     def test_minimized_schedule_replays_the_breach(self, demo_search):
@@ -265,8 +265,9 @@ class TestChaosSearch:
     def test_artifacts_roundtrip(self, demo_search):
         report, out = demo_search
         doc = json.loads((out / "minimized-plan.json").read_text())
-        assert plan_sha256(FaultPlan.from_dict(doc)) == \
-            report["minimized_sha256"]
+        plan = FaultPlan(seed=doc["seed"],
+                         faults=[Fault(**fields) for fields in doc["faults"]])
+        assert plan_sha256(plan) == report["minimized_sha256"]
         on_disk = json.loads((out / "search-report.json").read_text())
         assert on_disk["minimized_sha256"] == report["minimized_sha256"]
 
@@ -304,6 +305,6 @@ class TestSoakCLI:
         assert "pick from" in capsys.readouterr().err
 
     def test_soak_scenarios_are_profilable(self):
-        from repro.perf import available_scenarios
+        from repro.perf import resolve_scenario
 
-        assert available_scenarios()["day"] == "soak"
+        assert resolve_scenario("day")[0] == "soak"

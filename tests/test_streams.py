@@ -159,8 +159,8 @@ class TestTimedHandOff:
         # Three are due; the third found the buffer full, as its
         # delivery process would have.
         assert snapshot()["stream.elements_buffered"] == 2
-        assert (buffer.total_put, buffer.high_watermark, buffer.full,
-                buffer.producer_stalls) == (2, 2, True, 1)
+        assert (buffer.total_put, buffer.high_watermark, len(buffer),
+                buffer.producer_stalls) == (2, 2, buffer.capacity, 1)
         assert sim.now.seconds == 3.5 and sim.live_processes == 0
 
     def test_a_withdrawn_arrival_never_arrives(self, sim):
@@ -216,10 +216,6 @@ class TestPresentationLog:
         log = PresentationLog("empty")
         with pytest.raises(TemporalError):
             log.mean_latency()
-
-    def test_interarrival_stddev_zero_for_uniform(self):
-        log = self.make_log([0.0] * 10)
-        assert log.interarrival_stddev() == pytest.approx(0.0)
 
     def test_skew_between_identical_logs_is_zero(self):
         a = self.make_log([0.05] * 10)

@@ -16,7 +16,7 @@ from repro.avtime import WorldTime
 from repro.codecs import (ADPCMCodec, DVICodec, JPEGCodec, MPEGCodec,
                           MuLawCodec, RLECodec)
 from repro.codecs.rle import RLEVideoValue
-from repro.render.camera import CameraPath, orbit_path
+from repro.render.camera import CameraPath, walk_path
 from repro.synth import moving_scene, tone
 from repro.values import (ADPCMAudioValue, CCIRVideoValue, DVIVideoValue,
                           EncodedVideoValue, ImageValue, JPEGVideoValue,
@@ -77,7 +77,7 @@ FIXTURES = {
     TextStreamValue: lambda: TextStreamValue(
         ["", "héllo wörld", "x", "字幕 — a longer subtitle line"], rate=0.75),
     MIDIValue: _midi,
-    CameraPath: lambda: orbit_path(steps=11, rate=24.0),
+    CameraPath: lambda: walk_path(steps=11, rate=24.0),
 }
 
 

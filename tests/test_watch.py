@@ -100,10 +100,10 @@ class TestSLOEngine:
             SLOSpec("bad", "ratio", "m", 1.0)
         with pytest.raises(WatchError, match="positive"):
             SLOSpec("bad", "gauge-min", "m", 0.0)
-        engine = SLOEngine(MetricsRegistry(),
-                           [SLOSpec("dup", "counter-max", "m", 1.0)])
-        with pytest.raises(WatchError, match="already"):
-            engine.add(SLOSpec("dup", "counter-max", "m", 2.0))
+        with pytest.raises(WatchError, match="duplicate"):
+            SLOEngine(MetricsRegistry(),
+                      [SLOSpec("dup", "counter-max", "m", 1.0),
+                       SLOSpec("dup", "counter-max", "m", 2.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ class TestDecisionChains:
         assert facts["background_preempted"] == 2
         preempted = {e.subject for e in decisions.by_kind("preempt")}
         assert len(preempted) == 2
-        for subject in decisions.subjects():
+        for subject in {e.subject for e in decisions.events}:
             _assert_coherent_chain(decisions.chain(subject))
         for subject in preempted:
             kinds = [e.kind for e in decisions.chain(subject)]
@@ -300,7 +300,7 @@ class TestDecisionChains:
         assert len(decisions) > 0
         outcomes = {e.kind for e in decisions.events}
         assert {"admit", "shed"} <= outcomes
-        for subject in decisions.subjects():
+        for subject in {e.subject for e in decisions.events}:
             _assert_coherent_chain(decisions.chain(subject))
 
 

@@ -6,8 +6,8 @@ function-entry recorder, and reports what none of them entered:
 * ``python -m repro`` bare (the tour); every family's ``all --seed 0``,
   once more per declared ``store_true`` flag and per non-default
   ``choices`` value; every scenario's ``--compare`` run where its toggle
-  applies; ``soak day`` and ``soak search``; every ``trace`` preset;
-  ``explain`` and ``profile``.  All read from
+  applies; ``soak day`` and ``soak search``; every ``trace`` preset,
+  and one more with ``--canonical``; ``explain`` and ``profile``.  All read from
   ``repro.scenarios.FAMILIES``, so a new scenario, flag or family is
   covered without an edit here;
 * ``examples/*.py`` and every ``benchmarks/bench_*.py`` with a
@@ -33,11 +33,13 @@ never entered.  An interface's declarations (abstract methods, bodies
 of ``...`` or ``raise NotImplementedError``) are not functions here:
 their implementations are what runs.
 
-Only modules and classes are gated (a list of two hundred one-line
-accessors is noise): exit status 1 when one is unreached and not in
-``tools/reach_keep.txt`` (a dotted name and a one-line reason per
-line), and also when a keep-list line names something that is reached,
-or names nothing, so the list cannot rot.  A driver's own exit status
+Modules, classes and public functions are gated: exit status 1 when one
+is unreached and not in ``tools/reach_keep.txt`` (a dotted name and a
+one-line reason per line), and also when a keep-list line names
+something that is reached, or names nothing, so the list cannot rot.
+One line may name several members of one class or module in brace
+form, ``repro.db.query.Q.{between,like}``; each member is checked on
+its own.  A driver's own exit status
 is printed, not gated (the timing gates of ``bench_obs_overhead`` fail
 under any recorder by construction): a driver that stops running
 shrinks reach and trips the gate by that route.
@@ -213,6 +215,9 @@ def drivers(scratch: Path) -> Iterator[Tuple[str, List[str]]]:
     for name in sorted(FAMILIES["trace"].scenarios()):
         yield f"trace {name}", [*cli, "trace", name, "--out",
                                 str(scratch / "traces")]
+    yield "trace quickstart --canonical", [
+        *cli, "trace", "quickstart", "--canonical",
+        "--out", str(scratch / "canonical")]
     yield "explain node-kill", [*cli, "explain", "node-kill",
                                 "--session", "viewer-10"]
     yield "explain priority-mix", [*cli, "explain", "priority-mix"]
@@ -273,7 +278,7 @@ class Reach(NamedTuple):
     modules: List[str]      # >= 1 function, none entered
     classes: List[str]      # >= 1 method, none entered, module reached
     functions: List[str]    # public, never entered, module/class reached
-    known: Set[str]         # every module and class name
+    known: Set[str]         # every module, class and function name
 
 
 def measure(tree: Tree, entered: Set[Tuple[str, int]]) -> Reach:
@@ -299,11 +304,15 @@ def measure(tree: Tree, entered: Set[Tuple[str, int]]) -> Reach:
             row[2] += function.lines
     packages = [(name, *row) for name, row in sorted(totals.items())]
     return Reach(packages, sorted(modules), sorted(classes), never,
-                 set(tree.lines) | set(tree.classes))
+                 set(tree.lines) | set(tree.classes)
+                 | {f"{f.module}.{f.name}" for f in functions.values()})
 
 
 def read_keep(path: Path = KEEP) -> Dict[str, str]:
-    """``dotted.name  reason`` per line; ``#`` comments and blanks skipped."""
+    """``dotted.name  reason`` per line; ``#`` comments and blanks skipped.
+
+    ``prefix.{a,b}  reason`` names ``prefix.a`` and ``prefix.b``.
+    """
     keep = {}
     for number, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -311,7 +320,11 @@ def read_keep(path: Path = KEEP) -> Dict[str, str]:
         name, _, reason = line.strip().partition(" ")
         if not reason.strip():
             raise SystemExit(f"{path}:{number}: {name} has no reason")
-        keep[name] = reason.strip()
+        prefix, brace, members = name.partition("{")
+        if brace and not members.endswith("}"):
+            raise SystemExit(f"{path}:{number}: {name} has an unclosed brace")
+        for member in members[:-1].split(",") if brace else [""]:
+            keep[prefix + member] = reason.strip()
     return keep
 
 
@@ -324,11 +337,12 @@ def verdicts(unreached: Set[str], known: Set[str],
     for name in keep:
         if name not in known:
             problems.append(f"{name}: {KEEP.name} lists it, but src/repro "
-                            f"has no such module or class; drop the line")
+                            f"has no such module, class or function; "
+                            f"drop the line")
         elif name not in unreached:
             problems.append(f"{name}: {KEEP.name} lists it, but it is "
-                            f"reached (or inside an unreached module, "
-                            f"whose line covers it); drop the line")
+                            f"reached (or inside an unreached module or "
+                            f"class, whose line covers it); drop it")
     return problems
 
 
@@ -344,13 +358,11 @@ def render(reach: Reach, keep: Dict[str, str],
                  f"  ({never / inside:.1%} of the lines inside functions)")
     for title, names in (
             ("modules with no function entered", reach.modules),
-            ("classes with no method entered", reach.classes)):
+            ("classes with no method entered", reach.classes),
+            ("public functions never entered", reach.functions)):
         lines.append(f"\n{title} ({len(names)}):")
         lines.extend(f"  {name}  [{keep.get(name, 'NOT ON THE KEEP-LIST')}]"
                      for name in names)
-    lines.append(f"\npublic functions never entered, not gated "
-                 f"({len(reach.functions)}):")
-    lines.extend(f"  {name}" for name in reach.functions)
     lines.append(f"\ndrivers ({len(outcomes)}, {wall_s:.0f} s wall), "
                  f"exit status not gated:")
     lines.extend(f"  exit {code:3} {seconds:6.1f} s  {label}"
@@ -374,8 +386,9 @@ def main(argv=None) -> int:
     print(report, end="")
     if args.report is not None:
         args.report.write_text(report)
-    problems = verdicts(set(reach.modules) | set(reach.classes),
-                        reach.known, keep)
+    problems = verdicts(
+        set(reach.modules) | set(reach.classes) | set(reach.functions),
+        reach.known, keep)
     for problem in problems:
         print(f"check_reach: {problem}", file=sys.stderr)
     if problems:
