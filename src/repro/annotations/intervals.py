@@ -13,7 +13,8 @@ A window is a range of *starts*, found by two bisects, plus a test on
 each posting's *end*; every operator is one or two such ranges (see
 :meth:`IntervalIndex._pieces`).  A block's max-end settles the end
 test for the whole block where it can — every end passes, or none can —
-and only the remaining blocks are filtered, in C, as is the type column.
+and only the remaining blocks are filtered, in C, as is the type column;
+a piece of a few postings is tested one posting at a time instead.
 :meth:`IntervalIndex.select` is the one read: it hands the window's
 rows back as one list, which spares the query executor the object
 table.
@@ -39,10 +40,17 @@ BLOCK_CAPACITY = 512
 #: neighbours may hold together to be merged after a removal.
 _HALF = BLOCK_CAPACITY // 2
 
+#: The most postings a piece may hold and still be tested one at a time,
+#: not sliced (EXPERIMENTS.md, Exp. P13 measures the crossover).
+SHORT_PIECE = 16
+
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 #: The last type code: "some other type, read it off the row".
 _OTHER = 255
+
+#: Type code -> the translate table that keeps it and drops every other.
+_WANTED = [bytes(code) + b"\1" + bytes(255 - code) for code in range(256)]
 
 #: (block, offset): where a key falls in the blocked columns.
 _Position = Tuple[int, int]
@@ -104,7 +112,9 @@ class IntervalIndex:
         blocks = self._blocks
         if not blocks:
             return 0, 0
-        b = max(bisect_right(self._mins, (start, end, oid)) - 1, 0)
+        # From the second first key on: a key below the first is block 0's.
+        b = (bisect_right(self._mins, (start, end, oid), 1) - 1
+             if len(blocks) > 1 else 0)
         block = blocks[b]
         starts = block.starts
         i = bisect_left(starts, start)
@@ -265,24 +275,26 @@ class IntervalIndex:
         chaining them keeps key order.
         """
         lo, hi = float(lo), float(hi)  # int.__ge__(float) is NotImplemented
-        seek, cut = self._seek, self._cut
-        head, tail = (0, 0), (len(self._blocks), 0)
-        if op is None:
-            return cut(head, tail)
+        # Methods called on self, not bound to locals: a query over every
+        # track runs this once a track.
         if op == "during":
-            return cut(seek(lo), seek(hi), hi.__ge__, hi, True)
+            return self._cut(self._seek(lo), self._seek(hi), hi.__ge__, hi,
+                             True)
+        if op is None:
+            return self._cut((0, 0), (len(self._blocks), 0))
         if op == "before":
-            return cut(head, seek(lo), lo.__ge__, lo, True)
+            return self._cut((0, 0), self._seek(lo), lo.__ge__, lo, True)
         if op == "after":
-            return cut(seek(hi), tail)
+            return self._cut(self._seek(hi), (len(self._blocks), 0))
         if op == "overlaps":
-            at_lo = seek(lo)
-            return cut(head, at_lo, lo.__lt__, lo) + cut(at_lo, seek(hi))
+            at_lo = self._seek(lo)
+            return (self._cut((0, 0), at_lo, lo.__lt__, lo)
+                    + self._cut(at_lo, self._seek(hi)))
         if op == "meets":
-            return (cut(head, seek(lo), lo.__eq__, lo)
-                    + cut(seek(hi), seek(hi, _POS_INF)))
+            return (self._cut((0, 0), self._seek(lo), lo.__eq__, lo)
+                    + self._cut(self._seek(hi), self._seek(hi, _POS_INF)))
         if op == "contains":
-            return cut(head, seek(lo, _POS_INF), hi.__le__, hi)
+            return self._cut((0, 0), self._seek(lo, _POS_INF), hi.__le__, hi)
         raise AnnotationError(f"unknown window operator {op!r}")
 
     def _cut(self, begin: _Position, finish: _Position,
@@ -299,12 +311,13 @@ class IntervalIndex:
         (b0, i0), (b1, i1) = begin, finish
         blocks = self._blocks
         pieces: List[_Piece] = []
-        for b in range(b0, min(b1 + 1, len(blocks))):
-            block = blocks[b]
+        for b in range(b0, b1 + 1):
+            # Offsets first: ``finish`` may be the head of no block at all.
             i = i0 if b == b0 else 0
-            j = i1 if b == b1 else len(block.rows)
+            j = i1 if b == b1 else len(blocks[b].rows)
             if i >= j:
                 continue
+            block = blocks[b]
             if test is None or (capped and block.max_end <= bound):
                 pieces.append((block, i, j, None))
             elif capped or block.max_end >= bound:
@@ -315,25 +328,33 @@ class IntervalIndex:
                hi: float = 0.0, atype: Optional[str] = None
                ) -> Tuple[List[DBObject], int]:
         """The window's rows of ``atype`` (None: any) in key order, and how
-        many postings the window matched before the type test; both tests
-        run over column slices, a block at a time."""
+        many postings the window matched before the type test.  A short
+        piece with a test to pass is tested posting by posting; any other
+        piece over column slices, in C."""
         found: List[DBObject] = []
         matched = 0
-        wanted = bytearray(256)  # code -> is it the one asked for
-        if atype is not None:
-            # A type never posted passes for "other" and fails on the row.
-            wanted[self.codes.get(atype, _OTHER)] = 1
+        # A type never posted passes for "other" and fails on the row.
+        code = None if atype is None else self.codes.get(atype, _OTHER)
         for block, i, j, test in self._pieces(op, lo, hi):
+            if (j - i <= SHORT_PIECE
+                    and (test is not None or code is not None)):
+                rows, ends, types = block.rows, block.ends, block.types
+                for k in range(i, j):
+                    if test is None or test(ends[k]):
+                        matched += 1
+                        if code is None or types[k] == code:
+                            found.append(rows[k])
+                continue
             rows = block.rows[i:j]
-            types = b"" if atype is None else block.types[i:j]
+            types = b"" if code is None else block.types[i:j]
             if test is not None:
                 keep = list(map(test, block.ends[i:j]))
                 rows = list(compress(rows, keep))
                 types = bytes(compress(types, keep))
             matched += len(rows)
-            found += (rows if atype is None
-                      else compress(rows, types.translate(wanted)))
-        if wanted[_OTHER]:
+            found += (rows if code is None
+                      else compress(rows, types.translate(_WANTED[code])))
+        if code == _OTHER:
             found = [row for row in found if row._values[ATYPE] == atype]
         return found, matched
 

@@ -11,7 +11,8 @@ cost model stay an estimate:
 * **index**: for each candidate track, finding the window's two ends
   by bisection (``C_SEEK * log2(n + 1)``) plus the estimated result
   rows, each costing ``C_EMIT`` (object fetch + residual filter —
-  dearer than a scan touch).  Selectivity comes from per-track :class:`TrackStats`
+  dearer than a scan touch).  Selectivity comes from each track's count,
+  first start, max end and summed lengths, read straight off its index,
   under a uniform-start assumption; ``meets`` is priced as a thin
   equality slice.
 
@@ -55,40 +56,53 @@ class PlanDecision:
 
 
 def _clamp(fraction: float) -> float:
-    return min(1.0, max(0.0, fraction))
+    """``min(1.0, max(0.0, fraction))`` (nan too), without two calls."""
+    if fraction > 0.0:
+        return fraction if fraction < 1.0 else 1.0
+    return 0.0
 
 
-def estimate_track_matches(stats, op, lo: float, hi: float) -> float:
-    """Expected result rows from one track, uniform-start model."""
-    if stats.count == 0:
+def estimate_track_matches(count: int, min_start: float, max_end: float,
+                           sum_len: float, op, lo: float,
+                           hi: float) -> float:
+    """Expected result rows from one track of ``count`` postings, from
+    its first start, max end and summed lengths; uniform-start model."""
+    if count == 0:
         return 0.0
     if op is None:
-        return float(stats.count)
-    extent = stats.extent or 1e-9
+        return float(count)
+    extent = max_end - min_start if max_end > min_start else 1e-9
     if op == "overlaps":
         # A window catches starts in [lo - avg_len, hi): widen by the
         # mean annotation length.
-        return stats.count * _clamp((hi - lo + stats.avg_len)
-                                    / (extent + stats.avg_len))
+        avg_len = sum_len / count
+        return count * _clamp((hi - lo + avg_len) / (extent + avg_len))
     if op == "during":
-        return stats.count * _clamp((hi - lo) / extent)
+        return count * _clamp((hi - lo) / extent)
     if op == "before":
-        return stats.count * _clamp((lo - stats.min_start) / extent)
+        return count * _clamp((lo - min_start) / extent)
     if op == "after":
-        return stats.count * _clamp((stats.max_end - hi) / extent)
+        return count * _clamp((max_end - hi) / extent)
     if op == "meets":
-        return max(1.0, stats.count * MEETS_FRACTION)
+        return max(1.0, count * MEETS_FRACTION)
     raise AnnotationError(f"unknown window operator {op!r}")
 
 
 def _index_cost(store: AnnotationStore, query: AnnotationQuery,
                 tracks) -> float:
+    """Every candidate track priced in one pass over its index's four
+    running summaries; an empty track adds nothing."""
+    op, lo, hi = query.op, query.lo, query.hi
+    indexes = store._tracks
     cost = 0.0
-    for value_id, track in tracks:
-        stats = store.track_stats(value_id, track)
-        cost += C_SEEK * log2(stats.count + 1)
-        cost += C_EMIT * estimate_track_matches(stats, query.op,
-                                                query.lo, query.hi)
+    for key in tracks:
+        index = indexes[key]
+        count = len(index)
+        if count:
+            cost += C_SEEK * log2(count + 1)
+            cost += C_EMIT * estimate_track_matches(
+                count, index.min_start(), index.max_end(), index.sum_len,
+                op, lo, hi)
     return cost
 
 
@@ -110,7 +124,11 @@ def _decide(store: AnnotationStore, subject: str, est_index: float,
                            mode=chosen, est_index=round(est_index, 1),
                            est_scan=round(est_scan, 1), tracks=n_tracks,
                            forced=forced)
-    obs.metrics.counter(f"annotations.plans_{chosen}").inc()
+    counter = store._m_plans.get(chosen)
+    if counter is None:  # bound at first use: an unused mode stays unlisted
+        counter = store._m_plans[chosen] = obs.metrics.counter(
+            f"annotations.plans_{chosen}")
+    counter.inc()
     return decision
 
 

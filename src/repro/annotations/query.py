@@ -118,9 +118,11 @@ class AnnotationQuery:
 
     # -- residual predicate (over a row's values, model.FIELDS order) -----
     def _matches_payload(self, values: tuple) -> bool:
-        have = dict(values[PAYLOAD])
-        for key, value in self.payload:
-            if key not in have or have[key] != value:
+        # Both are canonical sorted (name, value) pairs, one per name:
+        # a wanted pair is matched by being one of the row's.
+        have = values[PAYLOAD]
+        for pair in self.payload:
+            if pair not in have:
                 return False
         return True
 
@@ -223,12 +225,16 @@ class QueryResult:
 # -- execution: shared helpers --------------------------------------------
 def _candidate_tracks(store: AnnotationStore,
                       query: AnnotationQuery) -> List[TrackKey]:
-    if query.value_id is not None and query.track is not None:
-        key = (query.value_id, query.track)
-        return [key] if key in store._tracks else []
-    if query.value_id is not None:
-        return store.tracks_of(query.value_id)
-    return store.tracks()
+    """The tracks a query can read, in sorted order (never to be mutated:
+    an unpinned query is handed the store's track directory itself)."""
+    value_id, track = query.value_id, query.track
+    if value_id is None:
+        keys = store._router.keys
+        return keys if track is None else [key for key in keys
+                                           if key[1] == track]
+    if track is None:
+        return store.tracks_of(value_id)
+    return [(value_id, track)] if (value_id, track) in store._tracks else []
 
 
 def _sort_key(obj: DBObject) -> Tuple[str, str, float, float, OID]:
@@ -246,15 +252,16 @@ def _run_index(store: AnnotationStore, query: AnnotationQuery,
     snapshots: List[DBObject] = []
     examined = 0
     op, lo, hi, atype = query.op, query.lo, query.hi, query.atype
+    # Window and type are settled over the index's columns, whose
+    # postings are the committed rows: no object table is read.  A
+    # transaction may have retyped a row, so one with writes reads
+    # the whole window and tests the type it sees.
+    typed = atype if tx is None or not tx._writes else None
+    indexes = store._tracks
     for track_key in _candidate_tracks(store, query):
         if tx is not None:
             tx.lock(track_sentinel(*track_key), LockMode.SHARED)
-        # Window and type are settled over the index's columns, whose
-        # postings are the committed rows: no object table is read.  A
-        # transaction may have retyped a row, so one with writes reads
-        # the whole window and tests the type it sees.
-        found, matched = store._tracks[track_key].select(
-            op, lo, hi, atype if tx is None or not tx._writes else None)
+        found, matched = indexes[track_key].select(op, lo, hi, typed)
         examined += matched
         if tx is not None:
             # ``tx.read`` takes the row's SHARED lock before it reads.

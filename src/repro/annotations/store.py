@@ -38,6 +38,7 @@ from __future__ import annotations
 import gc
 import hashlib
 from array import array
+from bisect import bisect_left, insort
 from itertools import islice
 from math import isfinite
 from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
@@ -90,7 +91,9 @@ class TrackStats(NamedTuple):
 
 
 class _IntervalRouter:
-    """Derived-index target: owns the per-track indexes and their total.
+    """Derived-index target: owns the per-track indexes, their keys in
+    sorted order (the track directory every multi-track read walks; a
+    key is put in place when its track is created) and their total.
 
     The router must not refer back to the :class:`AnnotationStore`.  The
     store reaches it through ``Database._derived``, so a back reference
@@ -101,6 +104,7 @@ class _IntervalRouter:
 
     def __init__(self) -> None:
         self.tracks: Dict[TrackKey, IntervalIndex] = {}
+        self.keys: List[TrackKey] = []
         self.codes = TypeCodes()  # one table for every track's type column
         self.total = 0
 
@@ -112,6 +116,7 @@ class _IntervalRouter:
             index = IntervalIndex()
             index.codes = self.codes
             self.tracks[key] = index
+            insort(self.keys, key)
         return index
 
     def insert(self, key, obj: DBObject) -> None:
@@ -127,6 +132,7 @@ class _IntervalRouter:
 
     def clear(self) -> None:
         self.tracks.clear()
+        self.keys.clear()
         self.total = 0
 
 
@@ -160,6 +166,8 @@ class AnnotationStore:
         self._m_added = metrics.counter("annotations.added")
         self._m_removed = metrics.counter("annotations.removed")
         self._m_bulk = metrics.counter("annotations.bulk_loaded")
+        #: Planner mode -> its ``annotations.plans_<mode>`` counter.
+        self._m_plans: Dict[str, Any] = {}
 
     # -- types -----------------------------------------------------------
     def define_type(self, atype: AnnotationType) -> AnnotationType:
@@ -238,10 +246,14 @@ class AnnotationStore:
         return self._router.total
 
     def tracks(self) -> List[TrackKey]:
-        return sorted(self._tracks)
+        return self._router.keys[:]
 
     def tracks_of(self, value_id: str) -> List[TrackKey]:
-        return sorted(key for key in self._tracks if key[0] == value_id)
+        keys = self._router.keys
+        # Every (value_id, track) sorts after (value_id,) and before
+        # (value_id + "\0",), and every other value's keys outside them.
+        return keys[bisect_left(keys, (value_id,)):
+                    bisect_left(keys, (value_id + "\0",))]
 
     def track_stats(self, value_id: str, track: str) -> TrackStats:
         index = self._tracks.get((value_id, track))

@@ -9,9 +9,11 @@ loading, corpus determinism, and the wait-die writer-vs-reader
 regression.
 """
 
+import bisect
 import dataclasses
 import gc
 import hashlib
+import itertools
 import math
 import operator
 import os
@@ -45,6 +47,8 @@ from repro.annotations import (
     track_sentinel,
 )
 from repro.annotations import intervals
+from repro.annotations import planner as planner_module
+from repro.annotations import query as query_module
 from repro.annotations import store as store_module
 from repro.annotations.model import FIELDS
 from repro.db.database import Database
@@ -813,6 +817,40 @@ class TestQueries:
         assert run(store, query, mode="index").rows == \
             run(store, query, mode="scan").rows == []
 
+    def test_a_track_only_query_reads_that_track_only(self):
+        # At the parent the index path ignored a track given without a
+        # value: every track was priced and read, 33 rows against 13.
+        store = AnnotationStore()
+        load_corpus(store, CorpusSpec(seed=1, values=5, annotations=500))
+        query = AQ.on(None, "audio").of_type("word").during(0.0, 100.0)
+        index = run(store, query, mode="index")
+        assert index.rows == run(store, query, mode="scan").rows
+        assert len(index.rows) == 13
+        assert {(ann.track, ann.atype) for ann in index.rows} == {
+            ("audio", "word")}
+        assert index.plan.tracks == 5 == len(store.tracks()) // 2
+
+    def test_where_matches_every_named_field_and_only_those(self):
+        # A row matches when each (name, value) asked for is one of its
+        # pairs: fields it lacks, or holds with another value, fail it.
+        store = fresh_store()
+        rng = random.Random("where")
+        for n in range(120):
+            payload = {"label": f"word-{rng.randrange(3)}"}
+            if n % 3:
+                payload["confidence"] = rng.choice((0.5, 1.0))
+            store.annotate("v", "audio", "word", n / 2, n / 2 + 1.0, payload)
+        every = run(store, AQ.on("v", "audio"), mode="scan").rows
+        for wanted in ({"label": "word-1"}, {"confidence": 0.5},
+                       {"label": "word-2", "confidence": 1.0},
+                       {"label": "word-9"}):
+            query = AQ.on("v", "audio").where(**wanted).during(0.0, 61.0)
+            expected = [ann for ann in every
+                        if wanted.items() <= dict(ann.payload).items()]
+            for mode in ("index", "scan"):
+                assert run(store, query, mode=mode).rows == expected, wanted
+        assert 0 < len(run(store, AQ.on("v").where(confidence=0.5)).rows)
+
     def test_planner_prefers_index_for_narrow_pinned(self):
         with scoped(tracing=False) as obs:
             store = seeded_store(n=2000)
@@ -901,8 +939,8 @@ class TestEquivalenceProperty:
         insert_note(store.db, "v0", "audio", "turn", 5.0, 9.0, "note")
         for op, lo, width, value, track, atype in predicates:
             query = AQ
-            if value is not None:
-                query = query.on(value, track) if track else query.on(value)
+            if value is not None or track is not None:
+                query = query.on(value, track)
             if atype is not None:
                 query = query.of_type(atype)
             if op in ("before", "after"):
@@ -941,6 +979,234 @@ class TestEquivalenceProperty:
             assert all(atype in (None, a.atype) for a in index.rows)
         tx.abort()
         assert run(store, on.of_type("word")).rows == unwritten.rows
+
+
+# -- the parent's select and pricing, as oracles ---------------------------
+# The interval index's one read and the planner's per-track pricing as they
+# stood before the short-piece loop and the one-pass pricing: every piece
+# sliced and filtered by ``compress``, every track priced through a
+# ``TrackStats``.  The live code must agree with them exactly: the same
+# rows (the very objects), the same ``matched``, the same float.
+def parent_seek(index, start, end=-math.inf, oid=()):
+    blocks = index._blocks
+    if not blocks:
+        return 0, 0
+    b = max(bisect.bisect_right(index._mins, (start, end, oid)) - 1, 0)
+    block = blocks[b]
+    starts = block.starts
+    i = bisect.bisect_left(starts, start)
+    if end > -math.inf:
+        ends, rows, n = block.ends, block.rows, len(starts)
+        while (i < n and starts[i] == start
+               and (ends[i], rows[i].oid) < (end, oid)):
+            i += 1
+    return b, i
+
+
+def parent_cut(index, begin, finish, test=None, bound=0.0, capped=False):
+    (b0, i0), (b1, i1) = begin, finish
+    blocks = index._blocks
+    pieces = []
+    for b in range(b0, min(b1 + 1, len(blocks))):
+        block = blocks[b]
+        i = i0 if b == b0 else 0
+        j = i1 if b == b1 else len(block.rows)
+        if i >= j:
+            continue
+        if test is None or (capped and block.max_end <= bound):
+            pieces.append((block, i, j, None))
+        elif capped or block.max_end >= bound:
+            pieces.append((block, i, j, test))
+    return pieces
+
+
+def parent_pieces(index, op, lo, hi):
+    lo, hi = float(lo), float(hi)
+
+    def seek(*key):
+        return parent_seek(index, *key)
+
+    def cut(*args):
+        return parent_cut(index, *args)
+
+    head, tail = (0, 0), (len(index._blocks), 0)
+    if op is None:
+        return cut(head, tail)
+    if op == "during":
+        return cut(seek(lo), seek(hi), hi.__ge__, hi, True)
+    if op == "before":
+        return cut(head, seek(lo), lo.__ge__, lo, True)
+    if op == "after":
+        return cut(seek(hi), tail)
+    if op == "overlaps":
+        at_lo = seek(lo)
+        return cut(head, at_lo, lo.__lt__, lo) + cut(at_lo, seek(hi))
+    if op == "meets":
+        return (cut(head, seek(lo), lo.__eq__, lo)
+                + cut(seek(hi), seek(hi, math.inf)))
+    assert op == "contains"
+    return cut(head, seek(lo, math.inf), hi.__le__, hi)
+
+
+def parent_select(index, op=None, lo=0.0, hi=0.0, atype=None):
+    found = []
+    matched = 0
+    wanted = bytearray(256)
+    if atype is not None:
+        wanted[index.codes.get(atype, intervals._OTHER)] = 1
+    for block, i, j, test in parent_pieces(index, op, lo, hi):
+        rows = block.rows[i:j]
+        types = b"" if atype is None else block.types[i:j]
+        if test is not None:
+            keep = list(map(test, block.ends[i:j]))
+            rows = list(itertools.compress(rows, keep))
+            types = bytes(itertools.compress(types, keep))
+        matched += len(rows)
+        found += (rows if atype is None
+                  else itertools.compress(rows, types.translate(wanted)))
+    if wanted[intervals._OTHER]:
+        found = [row for row in found if row.atype == atype]
+    return found, matched
+
+
+def parent_estimate(stats, op, lo, hi):
+    def clamp(fraction):
+        return min(1.0, max(0.0, fraction))
+
+    if stats.count == 0:
+        return 0.0
+    if op is None:
+        return float(stats.count)
+    extent = stats.extent or 1e-9
+    if op == "overlaps":
+        return stats.count * clamp((hi - lo + stats.avg_len)
+                                   / (extent + stats.avg_len))
+    if op == "during":
+        return stats.count * clamp((hi - lo) / extent)
+    if op == "before":
+        return stats.count * clamp((lo - stats.min_start) / extent)
+    if op == "after":
+        return stats.count * clamp((stats.max_end - hi) / extent)
+    assert op == "meets"
+    return max(1.0, stats.count * planner_module.MEETS_FRACTION)
+
+
+def parent_index_cost(store, query, tracks):
+    cost = 0.0
+    for value_id, track in tracks:
+        stats = store.track_stats(value_id, track)
+        cost += planner_module.C_SEEK * math.log2(stats.count + 1)
+        cost += planner_module.C_EMIT * parent_estimate(
+            stats, query.op, query.lo, query.hi)
+    return cost
+
+
+#: The six operators ``select`` answers (``contains`` is a join probe's).
+SELECT_OPS = OPERATORS + ["contains"]
+#: A window: its lower end as an offset from one of the first or last
+#: dozen starts (a piece that runs to a block's end is common), its width,
+#: both on a half-second grid (so are the postings: ties and exact
+#: touches are common), and the type asked for.
+WINDOWS = st.tuples(st.integers(-12, 11),
+                    st.integers(-40, 40).map(lambda n: n / 2),
+                    st.integers(1, 40).map(lambda n: n / 2),
+                    st.sampled_from([None, "word", "turn", "scene",
+                                     "never-posted"]))
+
+
+class TestParentOracles:
+    """The short-piece ``select`` and the one-pass pricing against the
+    parent's, on typed and untyped windows over single- and multi-block
+    tracks, with writes between the reads."""
+
+    @staticmethod
+    def track(rng, size, crowded):
+        """One track of ``size`` postings on a half-second grid.  Crowded,
+        the type table is full before any is posted, so "turn" and
+        "scene" share the last code and are told apart on the row."""
+        index = IntervalIndex()
+        if crowded:
+            index.codes.update((f"filler-{n}", n) for n in range(254))
+        rows = [row_of(serial, start, start + rng.randrange(1, 13) / 2,
+                       rng.choice(("word", "turn", "scene")))
+                for serial, start in enumerate(
+                    rng.randrange(0, 120) / 2 for _ in range(size))]
+        index.extend([row.start for row in rows], [row.end for row in rows],
+                     rows, [index.codes[row.atype] for row in rows])
+        return index, rows
+
+    @pytest.mark.parametrize("op", SELECT_OPS)
+    @given(seed=st.integers(0, 2**16),
+           size=st.sampled_from([1, 6, 17, 90, intervals.BLOCK_CAPACITY - 1,
+                                 intervals.BLOCK_CAPACITY + 1, 1_300]),
+           crowded=st.booleans(),
+           windows=st.lists(WINDOWS, min_size=1, max_size=6))
+    @settings(max_examples=25)
+    def test_select_returns_the_parents_rows_and_matched(
+            self, op, seed, size, crowded, windows):
+        rng = random.Random(seed)
+        index, rows = self.track(rng, size, crowded)
+        for anchor, offset, width, atype in windows:
+            starts = sorted(row.start for row in rows) or [0.0]
+            lo = starts[anchor % len(starts)] + offset
+            got, matched = index.select(op, lo, lo + width, atype)
+            want, want_matched = parent_select(index, op, lo, lo + width,
+                                               atype)
+            assert matched == want_matched, (op, lo, width, atype)
+            assert len(got) == len(want) and all(map(operator.is_, got,
+                                                     want))
+            # A write between reads: a new posting or a dropped one.
+            if rng.random() < 0.5 or not rows:
+                start = rng.randrange(0, 120) / 2
+                rows.append(row_of(10**6 + len(rows), start, start + 0.5,
+                                   rng.choice(("word", "turn", "scene"))))
+                assert index.add(start, start + 0.5, rows[-1])
+            else:
+                row = rows.pop(rng.randrange(len(rows)))
+                assert index.discard(row.start, row.end, row)
+        index.check_invariants()
+
+    @given(seed=st.integers(0, 2**16), big=st.booleans(),
+           emptied=st.booleans(),
+           queries=st.lists(
+               st.tuples(st.sampled_from([None] + OPERATORS),
+                         st.floats(-10.0, 70.0, allow_nan=False),
+                         st.floats(0.001, 30.0, allow_nan=False),
+                         st.sampled_from([None, "v0", "v1"]),
+                         st.sampled_from([None, "audio", "video"]),
+                         st.sampled_from([None, "word", "turn"])),
+               min_size=1, max_size=8))
+    @settings(max_examples=30)
+    def test_pricing_equals_the_parents_to_the_bit(self, seed, big, emptied,
+                                                   queries):
+        store = seeded_store(seed=seed % 7, n=150)
+        if big:  # one multi-block track
+            store.bulk_load(("v0", "audio", "word", n / 10, n / 10 + 1.5,
+                             (("label", "word-0"),))
+                            for n in range(intervals.BLOCK_CAPACITY + 90))
+        rng = random.Random(seed)
+        for op, lo, width, value, track, atype in queries:
+            query = AQ if value is None and track is None \
+                else AQ.on(value, track)
+            if atype is not None:
+                query = query.of_type(atype)
+            if op in ("before", "after"):
+                query = getattr(query, op)(lo)
+            elif op is not None:
+                query = getattr(query, op)(lo, lo + width)
+            tracks = query_module._candidate_tracks(store, query)
+            want = parent_index_cost(store, query, tracks)
+            assert planner_module._index_cost(store, query, tracks) == want
+            assert plan(store, query).est_index == want
+            # A write between reads; emptied, a track loses every row.
+            if emptied and rng.random() < 0.3:
+                for ann in run(store, AQ.on("v1", "video")).rows:
+                    store.remove(ann.oid)
+            else:
+                start = rng.uniform(0.0, 60.0)
+                store.annotate("v2", rng.choice(("audio", "video")), "turn",
+                               start, start + rng.uniform(0.1, 8.0),
+                               {"label": "turn-9"})
 
 
 # -- bulk loading and the corpus -----------------------------------------

@@ -935,6 +935,69 @@ class TestCoveringIndexCounts:
             "annotations.plans_index").value == 2_000
 
 
+class TestBroadQueryCounts:
+    # Counted, not timed: a query over every track prices each one from
+    # its index's running summaries, builds no TrackStats, reads each
+    # track once through ``select``, and walks a sorted track directory
+    # that only the creation of a track writes.
+    def test_one_select_a_track_no_stats_and_a_directory_queries_leave(
+            self, monkeypatch):
+        from repro.annotations import (AQ, AnnotationJoin, AnnotationStore,
+                                       CorpusSpec, IntervalIndex, TrackStats,
+                                       load_corpus, run, run_join)
+        from repro.annotations import store as store_module
+
+        placed = []
+        insort = store_module.insort
+        monkeypatch.setattr(store_module, "insort", lambda keys, key: (
+            placed.append(key), insort(keys, key))[1])
+        store = AnnotationStore()
+        load_corpus(store, CorpusSpec(seed=3, values=40, annotations=4_000,
+                                      duration_s=600.0))
+        directory = store._router.keys
+        tracks = store.tracks()
+        assert len(tracks) == len(placed) == 80
+        assert tracks == sorted(store._tracks) == directory
+        assert tracks is not directory  # a caller gets a copy
+
+        made, read = [], []
+        new = TrackStats.__new__
+        monkeypatch.setattr(TrackStats, "__new__", lambda cls, *args: (
+            made.append(args), new(cls, *args))[1])
+        select = IntervalIndex.select
+        monkeypatch.setattr(IntervalIndex, "select", lambda self, *args: (
+            read.append(self), select(self, *args))[1])
+        store.track_stats(*tracks[0])
+        assert len(made) == 1  # the count is live
+        made.clear()
+
+        for query, n in ((AQ.of_type("word").during(100.0, 120.0), 80),
+                         (AQ.overlaps(0.0, 600.0), 80),
+                         (AQ.on(None, "audio").before(60.0), 40),
+                         (AQ.on("value-00002").after(300.0), 2)):
+            read.clear()
+            result = run(store, query, mode="index")
+            assert result.plan.tracks == n == len(read)
+            assert len(set(map(id, read))) == n
+            assert made == []
+        run(store, AQ.overlaps(0.0, 600.0), mode="scan")
+        run_join(store, AnnotationJoin(
+            AQ.on("value-00001", "audio").during(0.0, 60.0), "overlaps",
+            AQ.on("value-00001", "video")))
+        assert len(placed) == 80 and store._router.keys is directory
+
+        # A write to a known track leaves the directory alone; a new
+        # track is put in its place, once.
+        store.annotate("value-00000", "audio", "word", 1.0, 2.0,
+                       {"label": "w"})
+        assert len(placed) == 80
+        store.annotate("value-00000-b", "audio", "word", 1.0, 2.0,
+                       {"label": "w"})
+        assert placed[80:] == [("value-00000-b", "audio")]
+        assert directory == sorted(store._tracks)
+        assert store._router.keys is directory
+
+
 class TestProfileCLI:
     def test_profile_resolves_all_registries(self):
         from repro.perf import profile_scenario
