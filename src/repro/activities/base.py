@@ -112,6 +112,11 @@ class MediaActivity(abc.ABC):
         #: when False the activity runs in free-run mode (no rate pacing);
         #: used by the pure-throughput benchmarks (DESIGN.md ablation 1).
         self.paced = True
+        #: the run that has this activity's future worked out, while it
+        #: lasts: a source's clocked-out run (``activities.clockout``) or a
+        #: consumer chain's (``activities.consumer``).  It owns the
+        #: activity's counters and is cut before a stop or a catch.
+        self.clocked = None
 
     # -- ports ---------------------------------------------------------------
     def add_port(self, name: str, direction: Direction, media_type: MediaType) -> Port:
@@ -184,6 +189,8 @@ class MediaActivity(abc.ABC):
 
     def stop(self) -> None:
         """Request the activity stop at the next element boundary."""
+        if self.clocked is not None:
+            self.clocked.cut()
         if self.state is not ActivityState.RUNNING:
             raise ActivityStateError(
                 f"cannot stop {self.name!r} in state {self.state.value}"
@@ -192,6 +199,8 @@ class MediaActivity(abc.ABC):
 
     def catch(self, event_name: str, handler: Handler) -> None:
         """The paper's ``Catch(Event, Handler)``."""
+        if self.clocked is not None:
+            self.clocked.cut()
         self.events.catch(event_name, handler)
 
     @property

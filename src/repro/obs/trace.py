@@ -130,10 +130,13 @@ class Tracer:
         return Span(self, name, category, track or name, args or None)
 
     def instant(self, name: str, category: str = "",
-                track: Optional[str] = None, **args: Any) -> None:
-        """Mark a point in time."""
+                track: Optional[str] = None, at: Optional[float] = None,
+                **args: Any) -> None:
+        """Mark a point in time: now, or the virtual time ``at`` (a
+        settled run marks its past moments when they are read)."""
         self.events.append(TraceEvent(
-            "i", name, category, track or name, self._clock(), None,
+            "i", name, category, track or name,
+            self._clock() if at is None else at, None,
             time.perf_counter() - self._epoch, None, args or None,
         ))
 
@@ -183,7 +186,8 @@ class NullTracer:
         return _NULL_SPAN
 
     def instant(self, name: str, category: str = "",
-                track: Optional[str] = None, **args: Any) -> None:
+                track: Optional[str] = None, at: Optional[float] = None,
+                **args: Any) -> None:
         pass
 
     def __len__(self) -> int:

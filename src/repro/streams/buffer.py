@@ -20,6 +20,10 @@ arrival that finds the buffer full, same occupancy samples — and a
 consumer waiting in ``get`` is woken at the head arrival's time.  Ties go
 to the arrival: an element due at ``t`` is in the buffer for a ``get``
 at ``t``.
+
+While a consumer run (``repro.activities.consumer``) has the buffer's
+future worked out, ``clocked`` points at it: every statistic is read
+through it, and it cuts itself before a withdrawal changes that future.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Any, Deque, Generator, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.metrics import DEPTH_BUCKETS
-from repro.sim import Process, SimEvent, Simulator, WaitEvent
+from repro.sim import Process, SettledCounter, SimEvent, Simulator, WaitEvent
 
 #: what a consumer waiting in ``get`` is resumed with when the wake-up at
 #: its head arrival's time fires (a ``put`` resumes it with ``None``).
@@ -65,8 +69,10 @@ class StreamBuffer:
         # names admit due arrivals first, see the properties below).
         self._total_put = 0
         self._producer_stalls = 0
-        self.consumer_stalls = 0
+        self._consumer_stalls = 0
         self._high_watermark = 0
+        #: the consumer run that owns this buffer's future, if any.
+        self.clocked = None
         metrics = simulator.obs.metrics
         self._metrics = metrics
         self._m_put = metrics.counter("stream.elements_buffered")
@@ -77,9 +83,13 @@ class StreamBuffer:
 
     # -- reads: settle due arrivals first ------------------------------------
     def _settled(self) -> "StreamBuffer":
-        if self._arrivals:
+        if self.clocked is not None:
+            self.clocked.settle()
+        elif self._arrivals:
             self._admit_due()
         return self
+
+    consumer_stalls = SettledCounter("_consumer_stalls")
 
     def __len__(self) -> int:
         return len(self._settled()._items)
@@ -151,38 +161,38 @@ class StreamBuffer:
         while self._not_full:
             self._not_full.popleft().trigger()
 
-    def get(self, stalled: bool = False) -> Generator:
+    def get(self, stalled: bool = False,
+            resumed: Optional[Tuple[SimEvent, Any]] = None) -> Generator:
         """Generator subroutine: dequeue, stalling while empty.
 
-        ``stalled`` as for :meth:`put`.
+        ``stalled`` as for :meth:`put`; ``resumed`` takes over a wait that
+        a cut consumer run left registered (see :meth:`_wait_for`): the
+        event it waited on and what woke it.
         """
-        if self._arrivals:
-            self._admit_due()
         items = self._items
-        if not items:
-            if not stalled:
-                self.consumer_stalls += 1
-                self._m_consumer_stalls.inc()
-            simulator = self.simulator
-            while not items:
+        if resumed is None:
+            if self._arrivals:
+                self._admit_due()
+            if not items and not stalled:
+                self._count_consumer_stall()
+        while resumed is not None or not items:
+            if resumed is None:
                 # Wait for a put, or for the head arrival to fall due.
-                event = SimEvent(simulator, self._not_empty_name)
-                self._not_empty.append(event)
-                self._sleeper = simulator.active
-                if self._arrivals:
-                    self._timer = simulator.wake_at(self._arrivals[0][0],
-                                                    self._sleeper, _DUE)
+                event = SimEvent(self.simulator, self._not_empty_name)
+                self._wait_for(event, self.simulator.active)
                 woke = yield WaitEvent(event)
-                self._sleeper = None
-                if woke is _DUE:
-                    self._timer = None
-                    if not event.triggered:
-                        self._not_empty.remove(event)
-                elif self._timer is not None:
-                    simulator.cancel(self._timer)
-                    self._timer = None
-                if self._arrivals:
-                    self._admit_due()
+            else:
+                (event, woke), resumed = resumed, None
+            self._sleeper = None
+            if woke is _DUE:
+                self._timer = None
+                if not event.triggered:
+                    self._not_empty.remove(event)
+            elif self._timer is not None:
+                self.simulator.cancel(self._timer)
+                self._timer = None
+            if self._arrivals:
+                self._admit_due()
         item = items.popleft()
         not_full = self._not_full
         if not_full:
@@ -192,6 +202,20 @@ class StreamBuffer:
             simulator = self.simulator
             simulator._push(simulator._clock.now, self._let_in)
         return item
+
+    def _wait_for(self, event: SimEvent, process: Process) -> None:
+        """What a get does before it waits: register ``event`` to be
+        triggered by the next put, and wake ``process`` at the head
+        arrival's time."""
+        self._not_empty.append(event)
+        self._sleeper = process
+        if self._arrivals:
+            self._timer = self.simulator.wake_at(self._arrivals[0][0],
+                                                 process, _DUE)
+
+    def _count_consumer_stall(self) -> None:
+        self._consumer_stalls += 1
+        self._m_consumer_stalls.inc()
 
     # -- timed hand-off ----------------------------------------------------------
     def deposit(self, item: Any, at: float) -> None:
@@ -209,6 +233,8 @@ class StreamBuffer:
     def withdraw(self, count: int) -> None:
         """Take back the last ``count`` deposits, none of them due yet
         (the unsent tail of a cut run)."""
+        if self.clocked is not None:
+            self.clocked.cut()
         arrivals = self._arrivals
         for _ in range(count):
             arrivals.pop()

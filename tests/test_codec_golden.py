@@ -5,7 +5,8 @@ chunk streams and decoded frame bytes produced by the pre-vectorization
 (per-run / per-plane loop) implementations of the RLE, DCT and
 interframe codecs.  The vectorized kernels must reproduce those bytes
 exactly — lossy codecs included, since quantization happens before
-entropy coding and both are deterministic.
+entropy coding and both are deterministic.  The decoded hashes hold for
+random access and for the stateful stream decoder a playback uses.
 """
 
 from __future__ import annotations
@@ -63,16 +64,21 @@ class TestVideoCodecGolden:
         )
         assert sum(len(c) for c in chunks) == GOLDEN[key]["bytes"]
 
-        decoded = b"".join(
-            np.ascontiguousarray(
-                codec.decode_frame_at(chunks, i, video.width, video.height,
-                                      video.depth)
-            ).tobytes()
-            for i in range(len(frames))
-        )
-        assert _sha(decoded) == GOLDEN[key]["decoded"], (
-            f"{key}: decoded frames diverged from the scalar implementation"
-        )
+        geometry = (video.width, video.height, video.depth)
+        # Random access, and the stateful decoder playback runs
+        # (``stream_decoder(...).decode_next``), must agree on the bytes.
+        stream = codec.stream_decoder(*geometry)
+        for path, decode in (
+                ("decode_frame_at",
+                 lambda i: codec.decode_frame_at(chunks, i, *geometry)),
+                ("stream_decoder",
+                 lambda i: stream.decode_next(chunks[i]))):
+            decoded = b"".join(np.ascontiguousarray(decode(i)).tobytes()
+                               for i in range(len(frames)))
+            assert _sha(decoded) == GOLDEN[key]["decoded"], (
+                f"{key}: {path} frames diverged from the scalar "
+                f"implementation"
+            )
 
 
 class TestRLEByteStreams:

@@ -178,6 +178,69 @@ class TestMPEG:
             MPEGCodec(delta_quant=0)
 
 
+class TestMalformedChunks:
+    """A video chunk that is not what its codec wrote raises
+    ``CodecError``; nothing else escapes the decoder."""
+
+    GEOMETRY = (24, 16, 8)     # width, height, depth
+
+    @staticmethod
+    def _chunks(codec_name):
+        video = moving_scene(4, 24, 16)
+        codec = (JPEGCodec(70) if codec_name == "jpeg"
+                 else MPEGCodec(70, gop=2))
+        return codec, codec.encode_frames(
+            [video.frame(i) for i in range(video.num_frames)])
+
+    def test_each_reproduced_case_is_a_codec_error(self):
+        import struct
+        import zlib
+
+        jpeg, chunks = self._chunks("jpeg")
+        header = chunks[0][:9]
+        magic, quality, ph, pw = struct.unpack("<4sBHH", header)
+        cases = [
+            # padded height disagreeing with the payload (a reshape)
+            struct.pack("<4sBHH", magic, quality, ph + 8, pw) + chunks[0][9:],
+            # valid zlib, 5 bytes of coefficients
+            header + zlib.compress(b"12345"),
+            # not zlib at all
+            header + b"not zlib",
+        ]
+        for chunk in cases:
+            with pytest.raises(CodecError):
+                jpeg.decode_frame(chunk, *self.GEOMETRY)
+        mpeg, chunks = self._chunks("mpeg")
+        wrong_delta = chunks[1][:5] + zlib.compress(b"\x00" * 7)
+        decoder = mpeg.stream_decoder(*self.GEOMETRY)
+        decoder.decode_next(chunks[0])
+        with pytest.raises(CodecError):
+            decoder.decode_next(wrong_delta)
+        with pytest.raises(CodecError):
+            mpeg.stream_decoder(*self.GEOMETRY).decode_next(chunks[0][:4])
+
+    @settings(max_examples=150)
+    @given(codec_name=st.sampled_from(["jpeg", "mpeg"]),
+           index=st.integers(0, 3), data=st.data())
+    def test_truncated_or_flipped_chunk(self, codec_name, index, data):
+        codec, chunks = self._chunks(codec_name)
+        chunk = bytearray(chunks[index])
+        if data.draw(st.booleans(), label="truncate"):
+            chunk = chunk[:data.draw(st.integers(0, len(chunk) - 1))]
+        else:
+            at = data.draw(st.integers(0, len(chunk) - 1))
+            chunk[at] ^= data.draw(st.integers(1, 255))
+        damaged = list(chunks)
+        damaged[index] = bytes(chunk)
+        width, height, depth = self.GEOMETRY
+        try:
+            frame = codec.decode_frame_at(damaged, index, width, height, depth)
+        except CodecError:
+            return
+        assert frame.dtype == np.uint8
+        assert frame.shape == (height, width)
+
+
 class TestDVI:
     def test_roundtrip_quality(self, small_video):
         codec = DVICodec()

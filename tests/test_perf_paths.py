@@ -1017,11 +1017,12 @@ class TestProfileCLI:
 
 
 class TestClockOutCounts:
-    """A paced source over a hop with latency costs a handful of kernel
-    events, not a process per element per hop."""
+    """A paced source over a hop with latency, and the decoder and window
+    behind it, cost a handful of kernel events, not one per element per
+    stage."""
 
     @staticmethod
-    def playback(per_element: bool):
+    def playback(per_element: bool, window_per_element: bool = False):
         from repro.activities import EVENT_EACH_ELEMENT, Location
         from repro.activities.library import VideoDecoder
         from repro.avdb import AVDatabaseSystem
@@ -1041,12 +1042,15 @@ class TestClockOutCounts:
             system.simulator, value.codec, value.width, value.height,
             value.depth, name="decode", location=Location.APPLICATION))
         window = session.new_video_window()
+        if window_per_element:
+            window.catch(EVENT_EACH_ELEMENT, lambda *_: None)
         streams = [session.connect(source, decoder.port("video_in")),
                    session.connect(decoder.port("video_out"), window)]
         for stream in streams:
             stream.start()
         system.simulator.run(until=WorldTime(0.0))
-        clocked = source.clocked is not None
+        clocked = (source.clocked is not None, decoder.clocked is not None
+                   and window.clocked is decoder.clocked)
         session.run()
         assert window.elements_consumed == 48
         counts = system.metrics.snapshot()
@@ -1055,19 +1059,30 @@ class TestClockOutCounts:
 
     def test_plain_playback_is_clocked_out(self):
         clocked, spawned, dispatched = self.playback(per_element=False)
-        # Before: 53 processes (one ``deliver:`` per element, a
-        # ``:prefetch``) and about 465 events; now 3 and 100.
-        assert clocked
+        # Before the source's clock-out: 53 processes (one ``deliver:``
+        # per element, a ``:prefetch``) and about 465 events; before the
+        # consumer run, 3 and 100; now 3 and 6 (each process starts and
+        # wakes once at its end).
+        assert clocked == (True, True)
         assert spawned <= 6
-        assert dispatched <= 260
+        assert dispatched <= 25
 
     def test_a_caught_handler_keeps_the_per_element_loop(self):
         clocked, spawned, dispatched = self.playback(per_element=True)
-        assert not clocked
+        assert clocked == (False, False)
         assert spawned == 4     # source, its read-ahead stage, decoder, window
         # one wake-up per element in each of the two source-side stages
         # that the clock-out folds away
-        assert dispatched >= self.playback(per_element=False)[2] + 2 * 48
+        assert dispatched >= self.playback(per_element=False,
+                                           window_per_element=True)[2] + 2 * 48
+
+    def test_a_handler_caught_on_the_window_keeps_its_consumers_per_element(self):
+        clocked, spawned, dispatched = self.playback(
+            per_element=False, window_per_element=True)
+        assert clocked == (True, False)
+        assert spawned == 3
+        # the decoder's and the window's wake-up per element
+        assert dispatched >= 2 * 48
 
 
 class TestPerfSmokeBaseline:
