@@ -50,11 +50,13 @@ class EventDispatcher:
         self._handlers[event_name].append(handler)
 
     def emit(self, activity: "MediaActivity", event_name: str, payload: Any = None) -> None:
-        if event_name not in self._handlers:
+        handlers = self._handlers.get(event_name)
+        if handlers is None:
             raise ActivityError(f"activity cannot emit undeclared event {event_name!r}")
         self.emit_counts[event_name] += 1
-        for handler in list(self._handlers[event_name]):
-            handler(activity, event_name, payload)
+        if handlers:
+            for handler in list(handlers):
+                handler(activity, event_name, payload)
 
     def has_handlers(self, event_name: str) -> bool:
         return bool(self._handlers.get(event_name))

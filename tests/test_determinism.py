@@ -14,7 +14,11 @@ newscast and contention were re-pinned when hops with latency stopped
 costing a process per element (the only events gone are the
 ``deliver:*`` and ``*:prefetch`` process spans, the only metrics moved
 four ``sim.*`` counts: EXPERIMENTS.md Exp. P7 keeps the
-``tools/trace_diff.py`` output), and query's trace and metric snapshot
+``tools/trace_diff.py`` output) and again when the decoder and sink
+behind a clocked-out hop began to run as one (no event added or removed,
+only ``sim.events_dispatched`` moved, there and in the metric pins of
+``faults-degraded-session`` and the three ``trace-*`` runs: Exp. P14),
+and query's trace and metric snapshot
 when the lazy track scan went with its counter
 ``annotations.track_scans``, which no scenario incremented (EXPERIMENTS.md
 Exp. S5: that key is all that moved).  Its
