@@ -12,7 +12,9 @@ their buffers do, in the order the kernel would do it (an arrival is
 admitted before a get at the same instant), and records every buffer
 operation, transform and presentation as an *op* stamped with its
 virtual time.  Each process then sleeps on one wake-up until its last
-element.
+element.  A chain whose model fills a buffer is not a run: the model
+stops there (:class:`Filled`), and the chain goes per element from its
+first look.
 
 The source side's two rules carry over:
 
@@ -28,8 +30,8 @@ several sinks (``stream.latency_ms``) add in the per-element order;
 the run first: an upstream cut (``StreamBuffer.withdraw``), a stop, a
 caught handler, an interrupt or hang of one of its processes.  The cut
 settles, replays the model up to now, and leaves every process waiting
-exactly where the per-element loop would be waiting (in a get, a put, or
-a presentation delay), its wake-ups queued in the order the kernel had
+exactly where the per-element loop would be waiting (in a get or a
+presentation delay), its wake-ups queued in the order the kernel had
 them; each then carries on per element.
 """
 
@@ -50,23 +52,26 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
 
 # Where a process taken over from a cut run stands (past ``FRESH``,
-# nothing taken over): waiting in a get, blocked in a put, or holding an
-# element until its presentation time.
-GETTING, PUTTING, DELAYED = range(FRESH + 1, FRESH + 4)
+# nothing taken over): waiting in a get, or holding an element until its
+# presentation time.
+GETTING, DELAYED = range(FRESH + 1, FRESH + 3)
 
 #: what a process is resumed with when its part of the run is over.
 _RAN_OUT = object()
 
 # The ops a run records (see ``ConsumerRun._apply``).
-(ADMIT, BLOCK, LET_IN, GET, TRANSFORM, PUT, STALL_GET, STALL_PUT,
- PRESENT, LAST) = range(10)
+ADMIT, GET, TRANSFORM, PUT, STALL_GET, PRESENT, LAST = range(7)
 
-# Model wake-up kinds: a get's timer at its head arrival, a trigger (a put
-# or get that makes room or an element), the end of a presentation delay.
+# Model wake-up kinds: a get's timer at its head arrival, a trigger (an
+# element admitted or put), the end of a presentation delay.
 _DUE, _TRIGGER, _DELAY = range(3)
 # Model process states.
-_GET_WAIT, _PUT_WAIT, _DELAYING, _DONE = range(4)
+_GET_WAIT, _DELAYING, _DONE = range(3)
 _INF = float("inf")
+
+
+class Filled(Exception):
+    """The model found a buffer full: the chain is not a consumer run."""
 
 
 class _Timeline:
@@ -76,8 +81,8 @@ class _Timeline:
     sink) produces into buffer ``p + 1``.  Items are element positions,
     ``len(sched)`` being end-of-stream.  Wake-ups are ``(time, seq,
     process, epoch, kind)``, ``seq`` numbering pushes in kernel order and
-    ``epoch`` the suspension they belong to, as in the kernel; a let-in is
-    process ``-1``.
+    ``epoch`` the suspension they belong to, as in the kernel.  An
+    arrival or a put that finds its buffer full raises :class:`Filled`.
     """
 
     def __init__(self, t0: float, arrivals: Sequence[float],
@@ -90,14 +95,11 @@ class _Timeline:
         self.last = count - 1
         self.items = [deque() for _ in range(count)]
         self.not_empty = [-1] * count
-        self.not_full = [-1] * count
         self.state = [_GET_WAIT] * count
         self.epoch = [0] * count
         self.hand = [-1] * count
         self.final = [_INF] * count
         self.next_arrival = 0
-        self.blocked: deque = deque()
-        self.letting_in = 0
         self.ops: list = []
         self.now = t0
         self.seq = 0
@@ -111,17 +113,14 @@ class _Timeline:
 
     def _push(self, time: float, process: int, kind: int) -> None:
         self.seq += 1
-        epoch = self.epoch[process] if process >= 0 else 0
-        heappush(self.heap, (time, self.seq, process, epoch, kind))
+        heappush(self.heap, (time, self.seq, process, self.epoch[process], kind))
 
     def run(self, until: float = _INF) -> "_Timeline":
         heap, epoch, state = self.heap, self.epoch, self.state
         while heap and heap[0][0] <= until:
             now, _, process, woken, kind = heappop(heap)
             self.now = now
-            if process < 0:
-                self._let_in()
-            elif woken == epoch[process] and state[process] != _DONE:
+            if woken == epoch[process] and state[process] != _DONE:
                 epoch[process] += 1
                 self._resume(process, kind)
         return self
@@ -138,24 +137,16 @@ class _Timeline:
         arrival times: the real buffer lets an arrival in whenever it is
         read after it is due, and nothing has touched the buffer since."""
         arrivals, items, ops = self.arrivals, self.items[0], self.ops
-        now, capacity, blocked = self.now, self.capacities[0], self.blocked
+        now, capacity = self.now, self.capacities[0]
         position = self.next_arrival
         while position <= self.eos and arrivals[position] <= now:
-            if blocked or len(items) >= capacity:
-                ops.append((arrivals[position], BLOCK, 0))
-                blocked.append(position)
-            else:
-                items.append(position)
-                ops.append((arrivals[position], ADMIT, 0))
-                self._wake_consumer(0)
+            if len(items) >= capacity:
+                raise Filled
+            items.append(position)
+            ops.append((arrivals[position], ADMIT, 0))
+            self._wake_consumer(0)
             position += 1
         self.next_arrival = position
-
-    def _let_in(self) -> None:
-        self.letting_in -= 1
-        self.items[0].append(self.blocked.popleft())
-        self.ops.append((self.now, LET_IN, 0))
-        self._wake_consumer(0)
 
     def _get(self, process: int) -> bool:
         """A get that has not waited yet: True with the item in hand,
@@ -179,26 +170,14 @@ class _Timeline:
     def _pop(self, process: int) -> None:
         self.hand[process] = self.items[process].popleft()
         self.ops.append((self.now, GET, process))
-        producer = self.not_full[process]
-        if producer >= 0:
-            self.not_full[process] = -1
-            self._push(self.now, producer, _TRIGGER)
-        elif process == 0 and len(self.blocked) > self.letting_in:
-            self.letting_in += 1
-            self._push(self.now, -1, _TRIGGER)
 
-    def _put(self, process: int, stalled: bool = False) -> bool:
+    def _put(self, process: int) -> None:
         buffer = process + 1
         if len(self.items[buffer]) >= self.capacities[buffer]:
-            if not stalled:
-                self.ops.append((self.now, STALL_PUT, buffer))
-            self.state[process] = _PUT_WAIT
-            self.not_full[buffer] = process
-            return False
+            raise Filled
         self.items[buffer].append(self.hand[process])
         self.ops.append((self.now, PUT, buffer))
         self._wake_consumer(buffer)
-        return True
 
     # -- the processes ------------------------------------------------------
     def _resume(self, process: int, kind: int) -> None:
@@ -213,17 +192,14 @@ class _Timeline:
                 return
             self._pop(process)
             self._carry_on(process)
-        elif state == _PUT_WAIT:
-            if self._put(process, stalled=True):
-                self._carry_on(process, put=True)
         else:       # a sink at the end of its presentation delay
             self.ops.append((self.now, PRESENT, process))
             if self._get(process):
                 self._carry_on(process)
 
-    def _carry_on(self, process: int, put: bool = False) -> None:
-        """Run the process on from an element in hand (or, ``put``, from
-        a put that just completed) until it waits or ends."""
+    def _carry_on(self, process: int) -> None:
+        """Run the process on from an element in hand until it waits or
+        ends."""
         eos, ops = self.eos, self.ops
         if process == self.last:
             sched = self.sched
@@ -243,12 +219,9 @@ class _Timeline:
                 if not self._get(process):
                     return
         while True:
-            if not put:
-                if self.hand[process] != eos:
-                    ops.append((self.now, TRANSFORM, process))
-                if not self._put(process):
-                    return
-            put = False
+            if self.hand[process] != eos:
+                ops.append((self.now, TRANSFORM, process))
+            self._put(process)
             if self.hand[process] == eos:
                 self._finish(process)
                 return
@@ -357,8 +330,7 @@ class ConsumerRun:
                 self._detach()
             return None
         stage, held = self._resumes[process]
-        buffer = self.buffers[process + (stage == PUTTING)]
-        return stage, held, buffer, (wake, woke)
+        return stage, held, self.buffers[process], (wake, woke)
 
     # -- settle on read ------------------------------------------------------
     def next_time(self) -> float:
@@ -397,15 +369,6 @@ class ConsumerRun:
                 buffers[which]._count_consumer_stall()
             elif code == PRESENT:
                 chain[which]._present_element(hands[which], at)
-            elif code == BLOCK:
-                source._producer_stalls += 1
-                source._m_producer_stalls.inc()
-                source._blocked.append(source._arrivals.popleft()[1])
-            elif code == LET_IN:
-                source._append(source._blocked.popleft())
-            elif code == STALL_PUT:
-                buffers[which]._producer_stalls += 1
-                buffers[which]._m_producer_stalls.inc()
             else:       # LAST
                 sink = chain[which]
                 sink._emit(EVENT_LAST_ELEMENT, sink._elements_consumed)
@@ -433,16 +396,12 @@ class ConsumerRun:
                 if not buffer._arrivals:    # a get with a timer waits below
                     buffer._wait_for(wakes[process], processes[process])
                 self._resumes[process] = (GETTING, None)
-            elif state == _PUT_WAIT:
-                self.buffers[process + 1]._not_full.append(wakes[process])
-                self._resumes[process] = (PUTTING, self.hands[process])
             else:
                 self._resumes[process] = (DELAYED, self.hands[process])
         # The timed waits, queued in the order the kernel had them.
         for at, _, process, epoch, kind in sorted(timeline.heap,
                                                   key=lambda entry: entry[1]):
-            if (process < 0 or not joined[process]
-                    or epoch != timeline.epoch[process]
+            if (not joined[process] or epoch != timeline.epoch[process]
                     or timeline.state[process] == _DONE):
                 continue
             if kind == _DUE:
@@ -454,7 +413,7 @@ class ConsumerRun:
         self._attach(None)
         self.runs.remove(self)
         source = self.buffers[0]
-        if source._arrivals or source._blocked:
+        if source._arrivals:
             source._metrics.add_flush_hook(source._admit_due)
 
 

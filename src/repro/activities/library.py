@@ -38,8 +38,8 @@ from repro.activities.clockout import (
 from repro.activities.consumer import (
     DELAYED,
     GETTING,
-    PUTTING,
     ConsumerRun,
+    Filled,
     runs_of,
 )
 from repro.activities.events import (
@@ -296,7 +296,8 @@ def _consumer_chain(head: MediaActivity):
     time ending in a sink, each over a hop without a reservation and
     with an empty buffer, nobody listens to their per-element events,
     none has been stopped, and every activity downstream of ``head`` is
-    yet to take its first step.
+    yet to take its first step.  The last term, that its model never
+    fills a buffer, is the run's own (``consumer.Filled``).
     """
     connection = head.in_ports()[0].connection
     if connection is None or connection.clocked is None:
@@ -348,7 +349,10 @@ def _take_part(activity: MediaActivity) -> Generator:
         chain = _consumer_chain(activity)
         if chain is None:
             return _FRESH
-        run = ConsumerRun(*chain)
+        try:
+            run = ConsumerRun(*chain)
+        except Filled:
+            return _FRESH       # its model fills a buffer
     return (yield from run.sleep(activity))
 
 
@@ -510,23 +514,17 @@ class TransformerActivity(MediaActivity):
         taken_over = yield from _take_part(self)
         if taken_over is None:
             return      # the consumer run passed everything on
-        stage, held, buffer, resumed = taken_over
+        stage, _, buffer, resumed = taken_over
         while True:
-            if stage == PUTTING:
-                # blocked sending ``held`` when the run was cut
-                yield from buffer.put(held, True)
-                if held is END_OF_STREAM:
-                    return
+            if stage == GETTING:
+                element = yield from buffer.get(True, resumed)
             else:
-                if stage == GETTING:
-                    element = yield from buffer.get(True, resumed)
-                else:
-                    element = yield from in_port.receive()
-                if isinstance(element, EndOfStream) or self._stop_requested:
-                    break
-                if self.process_seconds > 0:
-                    yield Delay(self.process_seconds)
-                yield from out_port.send(self._transform(element))
+                element = yield from in_port.receive()
+            if isinstance(element, EndOfStream) or self._stop_requested:
+                break
+            if self.process_seconds > 0:
+                yield Delay(self.process_seconds)
+            yield from out_port.send(self._transform(element))
             stage = FRESH
             self._count_processed()
         yield from out_port.send(END_OF_STREAM)

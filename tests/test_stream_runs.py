@@ -488,7 +488,7 @@ class TestConsumerRunEqualsPerElement:
 
     def test_the_fast_side_really_is_a_consumer_run(self):
         for kind, chained in (("plain", 1), ("decoded", 2), ("multi", 4)):
-            spec = dataclasses.replace(_consumer_draw(3), kind=kind,
+            spec = dataclasses.replace(_consumer_draw(0), kind=kind,
                                        frames=12, paced=True)
             rig = Rig(spec, per_element=False)
             rig.sim.run(until=WorldTime(0.0))
@@ -500,21 +500,33 @@ class TestConsumerRunEqualsPerElement:
             rig.sim.run(until=WorldTime(0.0))
             assert all(a.clocked is None for a in rig.decoders + rig.sinks)
 
-    def test_stalls_and_delays_are_driven(self):
-        # The draws reach a full buffer in front of a paced sink, a
-        # decoder blocked on its output, and a sink holding an element.
-        blocked = waiting = held = 0
+    def test_runs_fills_and_stalls_are_driven(self, monkeypatch):
+        # The draws reach chains that run as one and chains whose model
+        # fills a buffer, which stay per element; inside the runs, a sink
+        # finds its buffer empty and a sink holds an element.
+        begun = []      # per chain: its run, or None where the model filled
+        begin = consumer.ConsumerRun.__init__
+
+        def spy(run, *chain):
+            begun.append(None)
+            begin(run, *chain)
+            begun[-1] = run
+
+        monkeypatch.setattr(consumer.ConsumerRun, "__init__", spy)
+        ran = filled = stalled = held = 0
         for seed in range(60):
-            spec = _consumer_draw(seed)
-            rig = Rig(spec, per_element=False)
+            begun.clear()
+            rig = Rig(_consumer_draw(seed), per_element=False)
             rig.sim.run(until=WorldTime(0.0))
             runs = [a.clocked for a in rig.sinks if a.clocked is not None]
+            assert len(runs) + begun.count(None) == len(rig.sinks)
+            ran += bool(runs)
+            filled += None in begun
             codes = {op[1] for run in runs for op in run.ops}
-            blocked += consumer.BLOCK in codes
-            waiting += consumer.STALL_PUT in codes
-            held += any(r.sched is not None for r in runs)
+            stalled += consumer.STALL_GET in codes
+            held += any(run.sched is not None for run in runs)
             rig.sim.run()
-        assert min(blocked, waiting, held) >= 3
+        assert min(ran, filled, stalled, held) >= 3
 
 
 def test_an_arrival_at_a_get_instant_is_in_the_buffer():
@@ -583,21 +595,17 @@ class TestConsumerCutEqualsPerElement:
         check()
 
 
-def _without_consumer_stall(monkeypatch) -> None:
-    """Re-plant: a consumer that finds its buffer empty is not counted
-    as stalled."""
-    source = inspect.getsource(consumer._Timeline._get)
-    planted = source.replace(
-        "self.ops.append((self.now, STALL_GET, process))", "pass")
-    assert planted != source
+def _replant_model(monkeypatch, name: str, line: str, planted: str) -> None:
+    """Re-plant: ``line`` of the model's method ``name`` reads
+    ``planted``."""
+    source = inspect.getsource(getattr(consumer._Timeline, name))
+    assert line in source
     scope: dict = {}
-    exec(textwrap.dedent(planted), vars(consumer), scope)
-    monkeypatch.setattr(consumer._Timeline, "_get", scope["_get"])
+    exec(textwrap.dedent(source.replace(line, planted)), vars(consumer), scope)
+    monkeypatch.setattr(consumer._Timeline, name, scope[name])
 
 
-def test_a_dropped_consumer_stall_is_found(monkeypatch):
-    _without_consumer_stall(monkeypatch)
-
+def _assert_consumer_bug_found() -> None:
     @settings(SETTINGS, phases=[Phase.generate])    # found, not minimized
     @given(spec=CONSUMER_PIPELINES)
     def check(spec):
@@ -605,6 +613,20 @@ def test_a_dropped_consumer_stall_is_found(monkeypatch):
 
     with pytest.raises(AssertionError, match="differs"):
         check()
+
+
+def test_a_dropped_consumer_stall_is_found(monkeypatch):
+    # a consumer that finds its buffer empty is not counted as stalled
+    _replant_model(monkeypatch, "_get",
+                   "self.ops.append((self.now, STALL_GET, process))", "pass")
+    _assert_consumer_bug_found()
+
+
+def test_a_dropped_capacity_check_is_found(monkeypatch):
+    # the model never finds a buffer full, so a chain that fills one runs
+    for name in ("_admit_due", "_put"):
+        _replant_model(monkeypatch, name, "raise Filled", "pass")
+    _assert_consumer_bug_found()
 
 
 # -- (c) the timed hand-off against the deliverers it replaced -----------------
