@@ -296,8 +296,8 @@ def _consumer_chain(head: MediaActivity):
     time ending in a sink, each over a hop without a reservation and
     with an empty buffer, nobody listens to their per-element events,
     none has been stopped, and every activity downstream of ``head`` is
-    yet to take its first step.  The last term, that its model never
-    fills a buffer, is the run's own (``consumer.Filled``).
+    yet to take its first step.  A chain that passes still goes per
+    element if its model fills a buffer (``consumer.Filled``).
     """
     connection = head.in_ports()[0].connection
     if connection is None or connection.clocked is None:

@@ -19,7 +19,7 @@ path beside a reference:
     handler caught on every sink (the sources stay clocked out), whole
     and cut, including the presented payload bytes.
 
-Each part re-plants one bug and shows that it is found.
+Each part re-plants a bug (part (d) two) and shows that it is found.
 """
 
 from __future__ import annotations
