@@ -84,45 +84,35 @@ def _tiled_table(quality: int, blocks: int) -> np.ndarray:
     return table
 
 
-def _pad_to_blocks(channel: np.ndarray) -> np.ndarray:
-    h, w = channel.shape[-2:]
-    ph = (-h) % BLOCK
-    pw = (-w) % BLOCK
-    if ph or pw:
-        pad = [(0, 0)] * (channel.ndim - 2) + [(0, ph), (0, pw)]
-        channel = np.pad(channel, pad, mode="edge")
-    return channel
+def _reconstruct(quantized: np.ndarray, quality: int,
+                 width: int, height: int, depth: int) -> np.ndarray:
+    """Inverse path: (C, rows, cols, 8, 8) int16 coefficients -> uint8 frame.
 
-
-def _to_blocks(channel: np.ndarray) -> np.ndarray:
-    """(..., H, W) -> (... * H//8 * W//8, 8, 8) row-major block view.
-
-    Leading axes (channel / frame batches) come before the per-plane
-    block order, so a batched call produces exactly the per-plane block
-    streams concatenated.
+    The decoder runs it on a chunk's payload, and the interframe encoder
+    on the coefficients it just quantized, so a keyframe's reference is
+    the decoded keyframe without a zlib round trip.
     """
-    h, w = channel.shape[-2:]
-    lead = channel.shape[:-2]
-    blocks = channel.reshape(*lead, h // BLOCK, BLOCK, w // BLOCK, BLOCK)
-    axes = tuple(range(len(lead))) + (channel.ndim - 2, channel.ndim,
-                                      channel.ndim - 1, channel.ndim + 1)
-    return blocks.transpose(axes).reshape(-1, BLOCK, BLOCK)
-
-
-def dct_quantize_channel(
-    channel: np.ndarray, table: np.ndarray
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Forward path: centered float plane(s) -> (int16 coefficients, padded shape).
-
-    Accepts one (H, W) plane or a stacked (..., H, W) batch — every 8x8
-    block goes through one batched matmul, and each block's arithmetic
-    is identical to the per-plane path (bit-identical output).
-    """
-    padded = _pad_to_blocks(channel)
-    blocks = _to_blocks(padded.astype(np.float64))
-    coeffs = _DCT @ blocks @ _IDCT
-    quantized = np.round(coeffs / table)
-    return quantized.astype(np.int16), padded.shape[-2:]
+    channels, rows, cols = quantized.shape[:3]
+    ph, pw = rows * BLOCK, cols * BLOCK
+    quantized = quantized.reshape(-1, BLOCK, BLOCK)
+    coeffs = quantized.astype(np.float64)
+    coeffs *= _tiled_table(quality, len(quantized))
+    blocks = _IDCT @ coeffs @ _DCT
+    # Every block of every plane at once: shifted and clamped in place
+    # (clip's elementwise result), then cast to uint8 straight into
+    # raster order, (C, H/8, W/8, 8, 8) -> (C, H, W).
+    blocks += 128.0
+    blocks.clip(0.0, 255.0, out=blocks)
+    planes = np.empty((channels, ph, pw), dtype=np.uint8)
+    np.copyto(planes.reshape(channels, rows, BLOCK, cols, BLOCK)
+              .transpose(0, 1, 3, 2, 4),
+              blocks.reshape(channels, rows, cols, BLOCK, BLOCK),
+              casting="unsafe")
+    if ph != height or pw != width:
+        planes = np.ascontiguousarray(planes[:, :height, :width])
+    if depth == 8:
+        return planes[0]
+    return np.ascontiguousarray(planes.transpose(1, 2, 0))
 
 
 class JPEGCodec(VideoCodec):
@@ -141,17 +131,40 @@ class JPEGCodec(VideoCodec):
 
     def encode_frame(self, frame: np.ndarray) -> bytes:
         """Encode one frame (used directly by the interframe codec)."""
+        return self._encode(frame)[0]
+
+    def _encode(self, frame: np.ndarray) -> tuple[bytes, np.ndarray]:
+        """Forward path: a (H, W) or (H, W, 3) frame -> (chunk, coefficients).
+
+        The coefficients are int16, (channels, block rows, block
+        columns, 8, 8) in the chunk's block order. The planes are copied
+        once into a float64 block array, and centring, both transform
+        matmuls, the division and the rounding run in that array and
+        one scratch array, so a frame's working set stays in cache.
+        """
         frame = np.asarray(frame)
-        # (C, H, W) channel stack: one batched matmul covers every block
-        # of every channel, and the int16 stream is laid out exactly as
-        # the per-plane streams concatenated.
-        stack = frame[None] if frame.ndim == 2 else frame.transpose(2, 0, 1)
-        centered = stack.astype(np.float64) - 128.0
-        quantized, padded_shape = dct_quantize_channel(centered, self._table)
-        payload = zlib.compress(quantized.tobytes(), level=6)
-        header = self._HEADER.pack(self._MAGIC, self.quality,
-                                   padded_shape[0], padded_shape[1])
-        return header + payload
+        if frame.ndim == 2:
+            planes = frame[None]
+        elif frame.ndim == 3 and frame.shape[2] == 3:
+            planes = frame.transpose(2, 0, 1)
+        else:
+            raise CodecError(f"a frame is (H, W) or (H, W, 3), not {frame.shape}")
+        h, w = frame.shape[:2]
+        if h % BLOCK or w % BLOCK:
+            planes = np.pad(planes, ((0, 0), (0, -h % BLOCK), (0, -w % BLOCK)),
+                            mode="edge")
+        channels, ph, pw = planes.shape
+        rows, cols = ph // BLOCK, pw // BLOCK
+        blocks = np.empty((channels, rows, cols, BLOCK, BLOCK))
+        np.copyto(blocks, planes.reshape(channels, rows, BLOCK, cols, BLOCK)
+                  .transpose(0, 1, 3, 2, 4), casting="unsafe")
+        blocks -= 128.0
+        scratch = np.matmul(_DCT, blocks)
+        np.matmul(scratch, _IDCT, out=blocks)
+        blocks /= self._table
+        quantized = np.rint(blocks, out=blocks).astype(np.int16)
+        header = self._HEADER.pack(self._MAGIC, self.quality, ph, pw)
+        return header + zlib.compress(quantized.tobytes(), level=6), quantized
 
     def decode_frame(self, chunk: bytes, width: int, height: int, depth: int) -> np.ndarray:
         """Decode one intraframe chunk back to a uint8 frame.
@@ -178,41 +191,12 @@ class JPEGCodec(VideoCodec):
             raise CodecError(f"JPEG chunk holds {len(raw)} coefficient bytes, "
                              f"not the {channels * ph * pw * 2} of "
                              f"{channels} {pw}x{ph} plane(s)")
-        quantized = np.frombuffer(raw, dtype=np.int16).reshape(-1, BLOCK, BLOCK)
-        coeffs = quantized.astype(np.float64)
-        coeffs *= _tiled_table(quality, len(quantized))
-        blocks = _IDCT @ coeffs @ _DCT
-        # Every block of every plane at once: shifted and clamped in place
-        # (clip's elementwise result), then cast to uint8 straight into
-        # raster order, (C, H/8, W/8, 8, 8) -> (C, H, W).
-        blocks += 128.0
-        blocks.clip(0.0, 255.0, out=blocks)
-        planes = np.empty((channels, ph, pw), dtype=np.uint8)
-        rows, cols = ph // BLOCK, pw // BLOCK
-        np.copyto(planes.reshape(channels, rows, BLOCK, cols, BLOCK)
-                  .transpose(0, 1, 3, 2, 4),
-                  blocks.reshape(channels, rows, cols, BLOCK, BLOCK),
-                  casting="unsafe")
-        if ph != height or pw != width:
-            planes = np.ascontiguousarray(planes[:, :height, :width])
-        if depth == 8:
-            return planes[0]
-        return np.ascontiguousarray(planes.transpose(1, 2, 0))
+        quantized = np.frombuffer(raw, dtype=np.int16).reshape(
+            channels, ph // BLOCK, pw // BLOCK, BLOCK, BLOCK)
+        return _reconstruct(quantized, quality, width, height, depth)
 
     # -- VideoCodec interface --------------------------------------------
     def encode_frames(self, frames: Sequence[np.ndarray]) -> List[bytes]:
-        frames = [np.asarray(f) for f in frames]
-        if len(frames) > 1 and all(f.shape == frames[0].shape for f in frames):
-            # Uniform geometry: run every block of every frame through a
-            # single batched transform, then entropy-code per frame.
-            stack = np.stack(frames)
-            stack = stack[:, None] if stack.ndim == 3 else stack.transpose(0, 3, 1, 2)
-            centered = stack.astype(np.float64) - 128.0
-            quantized, (ph, pw) = dct_quantize_channel(centered, self._table)
-            per_frame = quantized.reshape(len(frames), -1)
-            header = self._HEADER.pack(self._MAGIC, self.quality, ph, pw)
-            return [header + zlib.compress(q.tobytes(), level=6)
-                    for q in per_frame]
         return [self.encode_frame(f) for f in frames]
 
     def decode_frame_at(self, chunks: Sequence[bytes], index: int,

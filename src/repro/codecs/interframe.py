@@ -20,7 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.codecs.base import VideoCodec
-from repro.codecs.dct import JPEGCodec
+from repro.codecs.dct import JPEGCodec, _reconstruct
 from repro.errors import CodecError
 from repro.values.video import MPEGVideoValue
 
@@ -48,32 +48,9 @@ class MPEGCodec(VideoCodec):
 
     # -- encoding ----------------------------------------------------------
     def encode_frames(self, frames: Sequence[np.ndarray]) -> List[bytes]:
-        """Encode a sequence as keyframes + reconstructed-reference deltas.
-
-        The rolling reconstructed reference is held as int16 (its values
-        stay in [0, 255], so the representation is lossless) — the delta
-        path then runs without any per-frame uint8<->int16 round trips.
-        """
-        chunks: List[bytes] = []
-        reference: np.ndarray | None = None  # int16, values in [0, 255]
-        for i, frame in enumerate(frames):
-            frame = np.asarray(frame)
-            if i % self.gop == 0:
-                intra_chunk = self._intra.encode_frame(frame)
-                chunks.append(self._HEADER.pack(self._MAGIC, self._KEY) + intra_chunk)
-                height, width = frame.shape[:2]
-                depth = 8 if frame.ndim == 2 else 24
-                reference = self._intra.decode_frame(
-                    intra_chunk, width, height, depth
-                ).astype(np.int16)
-            else:
-                delta = frame.astype(np.int16) - reference
-                quantized = (delta // self.delta_quant).astype(np.int8)
-                payload = zlib.compress(quantized.tobytes(), level=6)
-                chunks.append(self._HEADER.pack(self._MAGIC, self._DELTA) + payload)
-                restored = quantized.astype(np.int16) * self.delta_quant
-                reference = np.clip(reference + restored, 0, 255)
-        return chunks
+        """Encode a sequence as keyframes + reconstructed-reference deltas."""
+        encoder = self.stream_encoder()
+        return [encoder.encode_next(frame) for frame in frames]
 
     # -- decoding ----------------------------------------------------------
     def _chunk_kind(self, chunk: bytes) -> bytes:
@@ -130,19 +107,8 @@ class MPEGCodec(VideoCodec):
 
     def decode_value(self, value) -> np.ndarray:
         """Sequential decode of every frame (linear, not quadratic)."""
-        frames: List[np.ndarray] = []
-        reference: np.ndarray | None = None
-        for chunk in value.chunks:
-            if self._chunk_kind(chunk) == self._KEY:
-                reference = self._decode_key(chunk, value.width, value.height, value.depth)
-            else:
-                if reference is None:
-                    raise CodecError("delta frame before any keyframe")
-                reference = self._apply_delta(
-                    reference, chunk, value.width, value.height, value.depth
-                )
-            frames.append(reference)
-        return np.stack(frames)
+        decoder = self.stream_decoder(value.width, value.height, value.depth)
+        return np.stack([decoder.decode_next(chunk) for chunk in value.chunks])
 
 
 class _MPEGStreamEncoder:
@@ -151,24 +117,33 @@ class _MPEGStreamEncoder:
     def __init__(self, codec: MPEGCodec) -> None:
         self._codec = codec
         self._count = 0
+        self._shape: tuple[int, ...] | None = None
         self._reference: np.ndarray | None = None
 
     def encode_next(self, frame: np.ndarray) -> bytes:
         """Encode one live frame, keeping GOP and reference state.
 
-        The reference is held as int16 in [0, 255] (lossless), like
-        :meth:`MPEGCodec.encode_frames`.
+        The rolling reconstructed reference is held as int16 (its values
+        stay in [0, 255], so the representation is lossless), so the
+        delta path runs without per-frame uint8<->int16 round trips. A
+        keyframe's reference is rebuilt from the coefficients just
+        quantized, by the decoder's own inverse. Every frame must have
+        the first frame's geometry.
         """
         frame = np.asarray(frame)
         codec = self._codec
-        if self._count % codec.gop == 0 or self._reference is None:
-            intra_chunk = codec._intra.encode_frame(frame)
+        if self._shape is not None and frame.shape != self._shape:
+            raise CodecError(f"frame of shape {frame.shape} in a stream of "
+                             f"{self._shape} frames")
+        if self._count % codec.gop == 0:
+            intra_chunk, quantized = codec._intra._encode(frame)
             chunk = codec._HEADER.pack(codec._MAGIC, codec._KEY) + intra_chunk
             height, width = frame.shape[:2]
             depth = 8 if frame.ndim == 2 else 24
-            self._reference = codec._intra.decode_frame(
-                intra_chunk, width, height, depth
+            self._reference = _reconstruct(
+                quantized, codec.quality, width, height, depth
             ).astype(np.int16)
+            self._shape = frame.shape
         else:
             delta = frame.astype(np.int16) - self._reference
             quantized = (delta // codec.delta_quant).astype(np.int8)

@@ -115,6 +115,12 @@ class TestJPEG:
         with pytest.raises(CodecError, match="magic"):
             codec.decode_frame(b"XXXX" + b"\x00" * 40, 32, 24, 8)
 
+    def test_a_four_channel_frame_is_refused(self):
+        # It used to be encoded as four planes, a chunk that no frame
+        # geometry (8 or 24 bits) decodes.
+        with pytest.raises(CodecError, match=r"\(H, W\) or \(H, W, 3\)"):
+            JPEGCodec(75).encode_frame(np.zeros((8, 8, 4), dtype=np.uint8))
+
 
 class TestMPEG:
     def test_interframe_beats_intraframe_on_coherent_video(self):
@@ -170,6 +176,30 @@ class TestMPEG:
         decoder = codec.stream_decoder(32, 24, 8)
         with pytest.raises(CodecError, match="keyframe"):
             decoder.decode_next(chunks[1])  # a delta chunk
+
+    @staticmethod
+    def _after_a_keyframe(shape):
+        """Encode a 16x16 keyframe, then a frame of ``shape``, both ways."""
+        key = np.full((16, 16), 100, dtype=np.uint8)
+        frame = np.full(shape, 120, dtype=np.uint8)
+        codec = MPEGCodec(75, gop=4)
+        with pytest.raises(CodecError, match="stream of"):
+            codec.encode_frames([key, frame])
+        encoder = codec.stream_encoder()
+        encoder.encode_next(key)
+        with pytest.raises(CodecError, match="stream of"):
+            encoder.encode_next(frame)
+
+    def test_a_narrower_frame_is_not_broadcast_into_a_delta(self):
+        # A (1, 16) frame used to broadcast against the 16x16 reference
+        # and come out as a 16x16 delta chunk.
+        self._after_a_keyframe((1, 16))
+
+    def test_a_smaller_frame_is_a_codec_error(self):
+        self._after_a_keyframe((8, 8))        # was numpy's ValueError
+
+    def test_a_colour_frame_after_a_grey_one_is_a_codec_error(self):
+        self._after_a_keyframe((16, 16, 3))   # was numpy's ValueError
 
     def test_invalid_parameters(self):
         with pytest.raises(CodecError):

@@ -3,7 +3,8 @@ rules, channel accounting, heap-based C-SCAN, O(1) admission
 queue depth, the calls one ``admit_batch`` and one herd epoch make, what an attached edge
 hit and a supervision tick no longer do, constant-time value sizes, the bisecting ordered-index range walk, bulk index execution with rows
 hydrated on touch, the covering interval index's counts, the profile
-CLI, and the teardown pins: a finished run leaves no reference cycle."""
+CLI, the teardown pins (a finished run leaves no reference cycle), and
+what one clip encode allocates and decompresses."""
 
 from __future__ import annotations
 
@@ -1083,6 +1084,55 @@ class TestClockOutCounts:
         assert spawned == 3
         # the decoder's and the window's wake-up per element
         assert dispatched >= 2 * 48
+
+
+class TestCodecKernelCounts:
+    """Encoding a 48-frame 96x64 clip: the JPEG forward path works one
+    frame at a time in place, and an MPEG keyframe's reference is made
+    from the encoder's own coefficients, not by decoding its chunk."""
+
+    @staticmethod
+    def frames():
+        from repro.synth import moving_scene
+
+        video = moving_scene(48, 96, 64)
+        return [video.frame(i) for i in range(video.num_frames)]
+
+    def test_jpeg_encode_peak_stays_under_a_megabyte(self):
+        import tracemalloc
+
+        from repro.codecs import JPEGCodec
+
+        codec, frames = JPEGCodec(75), self.frames()
+        codec.encode_frames(frames[:1])      # warm the table caches
+        tracemalloc.start()
+        try:
+            codec.encode_frames(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 11.8 MB when every block of the clip went through one batched
+        # transform (about seven 2.4 MB float64 temporaries).
+        assert peak < 1_000_000
+
+    def test_mpeg_encode_decompresses_nothing(self, monkeypatch):
+        import zlib
+
+        from repro.codecs import MPEGCodec
+
+        calls = []
+        decompress = zlib.decompress
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decompress(*args, **kwargs)
+
+        monkeypatch.setattr(zlib, "decompress", counted)
+        chunks = MPEGCodec(75, gop=10).encode_frames(self.frames())
+        assert len(chunks) == 48
+        # 5 at the parent: each keyframe's chunk was decompressed and
+        # decoded again to make the reference.
+        assert calls == []
 
 
 class TestPerfSmokeBaseline:
