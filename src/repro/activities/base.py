@@ -236,9 +236,3 @@ class MediaActivity(abc.ABC):
 
     def _emit(self, event_name: str, payload: Any = None) -> None:
         self.events.emit(self, event_name, payload)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}({self.name!r}, {self.kind.value}, "
-            f"state={self.state.value})"
-        )

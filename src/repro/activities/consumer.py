@@ -185,11 +185,11 @@ class _Timeline:
         if state == _GET_WAIT:
             if kind == _DUE and self.not_empty[process] == process:
                 self.not_empty[process] = -1
+            # A get waits only on an empty buffer, and it resumes only
+            # at its due arrival (buffer 0, let in here) or on the put
+            # that fills it: it always finds an item.
             if process == 0:
                 self._admit_due()
-            if not self.items[process]:
-                self._wait_get(process)
-                return
             self._pop(process)
             self._carry_on(process)
         else:       # a sink at the end of its presentation delay
@@ -398,12 +398,12 @@ class ConsumerRun:
                 self._resumes[process] = (GETTING, None)
             else:
                 self._resumes[process] = (DELAYED, self.hands[process])
-        # The timed waits, queued in the order the kernel had them.
-        for at, _, process, epoch, kind in sorted(timeline.heap,
-                                                  key=lambda entry: entry[1]):
-            if (not joined[process] or epoch != timeline.epoch[process]
-                    or timeline.state[process] == _DONE):
-                continue
+        # The timed waits, queued in the order the kernel had them.  Each
+        # is its joined process's current wait: a process joins at the
+        # run's first instant, where all but the head stall on an empty
+        # buffer with no timed wait, and only its own timer ends one.
+        for at, _, process, _, kind in sorted(timeline.heap,
+                                              key=lambda entry: entry[1]):
             if kind == _DUE:
                 self.buffers[0]._wait_for(wakes[0], processes[0])
             else:

@@ -157,9 +157,7 @@ class ActivityGraph:
         * the connection graph is acyclic (streams flow forward).
         """
         for activity in self._leaf_activities():
-            for port in activity.ports.values():
-                if port.proxy_for is not None:
-                    continue
+            for port in activity.ports.values():   # proxies: composites only
                 if not port.resolve().connected:
                     raise GraphError(
                         f"port {port.full_name} is not connected"
@@ -229,9 +227,3 @@ class ActivityGraph:
                 f"[{connection.sink.owner.name}]"
             )
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"ActivityGraph({self.name!r}, {len(self.activities)} activities, "
-            f"{len(self.connections)} connections)"
-        )

@@ -132,9 +132,6 @@ class Port:
         element = yield from self.connection.receive()
         return element
 
-    def __repr__(self) -> str:
-        return f"Port({self.full_name}, {self.direction.value}, {self._media_type.name})"
-
 
 class Connection:
     """A stream link from an 'out' port to an 'in' port.
@@ -252,6 +249,3 @@ class Connection:
         self.sink.connection = None
         if self.reservation is not None:
             self.reservation.release()
-
-    def __repr__(self) -> str:
-        return f"Connection({self.source.full_name} -> {self.sink.full_name})"

@@ -153,7 +153,3 @@ class CircuitBreaker:
                 self._probe_in_flight = False
         self.record_success()
         return result
-
-    def __repr__(self) -> str:
-        return (f"CircuitBreaker({self.name!r}, {self.state.value}, "
-                f"{self.consecutive_failures} consecutive failures)")

@@ -556,7 +556,3 @@ class AdmissionController:
             breaker = CircuitBreaker(self.simulator, name=name, **kwargs)
             self._breakers[name] = breaker
         return breaker
-
-    def __repr__(self) -> str:
-        return (f"AdmissionController({self.name!r} on {self.channel.name!r}, "
-                f"{len(self._held)} held, {self.queue_depth} queued)")

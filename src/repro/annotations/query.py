@@ -204,9 +204,6 @@ class AnnotationRows(Sequence):
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __repr__(self) -> str:
-        return f"AnnotationRows({list(self)!r})"
-
 
 @dataclass
 class QueryResult:

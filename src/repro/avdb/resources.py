@@ -87,10 +87,6 @@ class DeviceLease:
         if not self.released:
             self.release()
 
-    def __repr__(self) -> str:
-        state = "released" if self.released else "held"
-        return f"DeviceLease({self.pool.kind!r}, {state})"
-
 
 class ResourceManager:
     """All shared device pools of one AV database system."""

@@ -256,10 +256,3 @@ class AVDatabaseSystem:
     # -- convenience ---------------------------------------------------------
     def run(self, until=None):
         return self.simulator.run(until)
-
-    def __repr__(self) -> str:
-        return (
-            f"AVDatabaseSystem({self.name!r}, {len(self.db)} objects, "
-            f"{len(self.placement.devices)} devices, "
-            f"{len(self.graph.activities)} activities)"
-        )

@@ -127,6 +127,3 @@ class ObjectTime:
 
     def __int__(self) -> int:
         return self.index
-
-    def __repr__(self) -> str:
-        return f"ObjectTime({self.index})"

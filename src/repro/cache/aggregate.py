@@ -115,9 +115,3 @@ class AggregateHitModel:
             self._m_hits.inc(hits)
         if misses:
             self._m_misses.inc(misses)
-
-    def __repr__(self) -> str:
-        return (
-            f"AggregateHitModel({self.resident_assets}/{self.cached_assets} resident, "
-            f"hit_ratio={self.hit_ratio:.3f})"
-        )

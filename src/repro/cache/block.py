@@ -213,8 +213,3 @@ class BlockCache:
     def resident(self) -> Iterable[Tuple[BlockId, int]]:
         """(block, version-tag) pairs, deterministic order."""
         return sorted(self._blocks.items())
-
-    def __repr__(self) -> str:
-        return (f"BlockCache({self.name!r}, "
-                f"{self.resident_blocks} blocks / {self.bytes_used} bytes, "
-                f"policy={self.policy.name})")

@@ -88,12 +88,6 @@ class EdgeCacheNode:
     def account_fill(self, bits: int) -> None:
         self.bits_filled += bits
 
-    def __repr__(self) -> str:
-        state = "live" if self.live else "down"
-        return (f"EdgeCacheNode({self.name!r}, {state}, "
-                f"{self.cache.resident_blocks} blocks, "
-                f"{self.bits_served} bits served)")
-
 
 class EdgeStream:
     """A read stream through the cache hierarchy.
@@ -234,8 +228,3 @@ class EdgeStream:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __repr__(self) -> str:
-        return (f"EdgeStream({self.label!r} via {self.serving_edge!r}, "
-                f"{self.hits} hits / {self.misses} misses / "
-                f"{self.passthroughs} passthrough)")

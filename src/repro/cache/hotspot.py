@@ -80,7 +80,3 @@ class HotContentDetector:
         """The tier's watcher decided the crowd passed."""
         self._hot.discard(key)
         self._m_hot_now.set(len(self._hot))
-
-    def __repr__(self) -> str:
-        return (f"HotContentDetector({len(self._hot)} hot, "
-                f"threshold={self.hot_threshold}/{self.window_s}s)")

@@ -50,9 +50,6 @@ class EvictionPolicy:
         """The cache dropped ``key`` outside eviction (invalidation)."""
         raise NotImplementedError
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
 
 class LRUPolicy(EvictionPolicy):
     """Least-recently-used: victim is the stalest block."""

@@ -25,7 +25,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.admission.controller import Priority
 from repro.cache.block import BlockCache
@@ -223,9 +223,3 @@ class CacheTier:
         """Stop fill/cool workers at their next step and unboost."""
         self._stopping = True
         self.quiesce()
-
-    def __repr__(self) -> str:
-        return (f"CacheTier({len(self._edges)} edges "
-                f"({len(self.live_edge_names)} live), "
-                f"{len(self.node_caches)} node caches, "
-                f"policy={self.policy_name})")

@@ -125,9 +125,3 @@ class StorageNode:
         """Shut the node down cleanly (scenario teardown)."""
         if self.scheduler.running:
             self.scheduler.stop()
-
-    def __repr__(self) -> str:
-        state = "live" if self.available else "down"
-        return (f"StorageNode({self.name!r}, {state}, "
-                f"depth={self.admission.queue_depth}, "
-                f"util={self.admission.utilization:.0%})")

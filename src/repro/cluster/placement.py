@@ -87,14 +87,10 @@ class ClusterPlacement:
     version: int = 0
 
     def shard_at(self, byte_offset: int) -> ClusterShard:
-        index = min(byte_offset // self.shards[0].nbytes,
-                    len(self.shards) - 1)
-        shard = self.shards[index]
-        if not shard.offset <= byte_offset < shard.end:  # uneven last shard
-            for shard in self.shards:
-                if shard.offset <= byte_offset < shard.end:
-                    break
-        return shard
+        # Every shard but the last is shards[0].nbytes long (place()), and
+        # an offset past the end falls in the last one.
+        return self.shards[min(byte_offset // self.shards[0].nbytes,
+                               len(self.shards) - 1)]
 
 
 class ClusterStream:
@@ -276,10 +272,6 @@ class ClusterStream:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __repr__(self) -> str:
-        return (f"ClusterStream({self.label!r} on {self.serving_node!r}, "
-                f"{self.bits_read} bits, {self.failovers} failovers)")
-
 
 class ClusterPlacementManager:
     """Shards values across nodes, routes reads, tracks replica health."""
@@ -356,6 +348,7 @@ class ClusterPlacementManager:
         shards = max(1, min(shards, nbytes))
         key = key if key is not None else f"value-{next(self._keys)}"
         shard_nbytes = -(-nbytes // shards)
+        shards = -(-nbytes // shard_nbytes)  # so that no shard is empty
         placed: List[ClusterShard] = []
         allocated: List[Tuple[StorageNode, Extent]] = []
         try:
@@ -505,8 +498,3 @@ class ClusterPlacementManager:
         if tracer.enabled:
             tracer.instant("cluster:failover", "cluster",
                            stream=label, src=old, dst=new)
-
-    def __repr__(self) -> str:
-        return (f"ClusterPlacementManager({len(self._nodes)} nodes "
-                f"({len(self.live_nodes)} live), "
-                f"{len(self._placements)} values, R={self.replication})")

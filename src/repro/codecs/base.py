@@ -73,9 +73,6 @@ class VideoCodec(abc.ABC):
         if frame.shape != expected:
             raise CodecError(f"decoded frame shape {frame.shape} != expected {expected}")
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 class StreamEncoder(abc.ABC):
     """Per-frame encoder with stream state."""

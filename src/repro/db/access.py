@@ -124,6 +124,3 @@ class GuardedDatabase:
     def delete(self, oid: OID) -> None:
         self.controller.require(self.user, oid.class_name, Permission.WRITE)
         self.db.delete(oid)
-
-    def __repr__(self) -> str:
-        return f"GuardedDatabase(user={self.user!r})"

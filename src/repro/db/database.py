@@ -211,9 +211,3 @@ class Database:
             index.clear()
         for oid in self._store.all_oids():
             self._reindex(None, self._store.get(oid))
-
-    def __enter__(self) -> "Database":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -52,9 +52,6 @@ class True_(Predicate):
     def matches(self, obj: DBObject) -> bool:
         return True
 
-    def __repr__(self) -> str:
-        return "Q.true()"
-
 
 class Compare(Predicate):
     """Attribute comparison against a constant."""
@@ -116,9 +113,6 @@ class Between(Predicate):
             return None
         return index.range(lo=self.lo, hi=self.hi)
 
-    def __repr__(self) -> str:
-        return f"Q({self.attribute} between {self.lo!r} and {self.hi!r})"
-
 
 class Contains(Predicate):
     """Keyword containment (content-based retrieval)."""
@@ -140,9 +134,6 @@ class Contains(Predicate):
             return None
         return index.lookup_all(self.terms)
 
-    def __repr__(self) -> str:
-        return f"Q({self.attribute} contains {self.terms!r})"
-
 
 class Like(Predicate):
     """Substring match on a string attribute (no index support)."""
@@ -155,9 +146,6 @@ class Like(Predicate):
         value = obj.get(self.attribute)
         return isinstance(value, str) and self.fragment in value.lower()
 
-    def __repr__(self) -> str:
-        return f"Q({self.attribute} like {self.fragment!r})"
-
 
 class IsNull(Predicate):
     def __init__(self, attribute: str) -> None:
@@ -165,9 +153,6 @@ class IsNull(Predicate):
 
     def matches(self, obj: DBObject) -> bool:
         return obj.get(self.attribute) is None
-
-    def __repr__(self) -> str:
-        return f"Q({self.attribute} is null)"
 
 
 class And(Predicate):
@@ -204,9 +189,6 @@ class Or(Predicate):
             return None  # one side needs a scan anyway
         return left | right
 
-    def __repr__(self) -> str:
-        return f"({self.left!r} | {self.right!r})"
-
 
 class Not(Predicate):
     def __init__(self, inner: Predicate) -> None:
@@ -214,9 +196,6 @@ class Not(Predicate):
 
     def matches(self, obj: DBObject) -> bool:
         return not self.inner.matches(obj)
-
-    def __repr__(self) -> str:
-        return f"~{self.inner!r}"
 
 
 class Q:

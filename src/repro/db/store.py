@@ -236,9 +236,3 @@ class ObjectStore:
         if self._wal_file is not None:
             self._wal_file.close()
             self._wal_file = None
-
-    def __enter__(self) -> "ObjectStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -143,6 +143,3 @@ class Transaction:
             self.commit()
         else:
             self.abort()
-
-    def __repr__(self) -> str:
-        return f"Transaction({self.tx_id}, {self.state.value}, {len(self._writes)} writes)"

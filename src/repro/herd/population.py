@@ -188,8 +188,3 @@ class HerdPopulation:
             folded.update(self.by_priority[priority].tobytes())
         folded.update(self.demand.tobytes())
         return folded.hexdigest()
-
-    def __repr__(self) -> str:
-        return (f"HerdPopulation({int(self.arrivals.sum())} clients over "
-                f"{self.n_epochs} epochs x {self.epoch_s:g}s, "
-                f"{len(self.phases)} phases, seed {self.seed})")

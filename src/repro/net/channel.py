@@ -139,9 +139,6 @@ class Reservation:
     def __exit__(self, *exc_info) -> None:
         self.release()
 
-    def __repr__(self) -> str:
-        return f"Reservation({self.label!r}, {self.bps:g} b/s on {self.channel.name!r})"
-
 
 class Channel:
     """A network link with finite capacity and admission control."""
@@ -237,8 +234,3 @@ class Channel:
         self._m_bits_sent.inc(bits)
 
     # -- accounting ----------------------------------------------------------
-    def __repr__(self) -> str:
-        return (
-            f"Channel({self.name!r}, {self.reserved_bps:g}/{self.capacity_bps:g} b/s "
-            f"reserved, {len(self._reservations)} streams)"
-        )

@@ -86,11 +86,6 @@ class Obs:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.decisions = decisions if decisions is not None else NULL_DECISIONS
 
-    def __repr__(self) -> str:
-        return (f"Obs({len(self.metrics)} metrics, "
-                f"tracing={'on' if self.tracer.enabled else 'off'}, "
-                f"decisions={'on' if self.decisions.enabled else 'off'})")
-
 
 #: the fully disabled context (null metrics + null tracer + null decisions).
 NULL_OBS = Obs(NULL_METRICS, NULL_TRACER, NULL_DECISIONS)

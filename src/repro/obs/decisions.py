@@ -45,10 +45,6 @@ class DecisionEvent:
             out["args"] = self.args
         return out
 
-    def __repr__(self) -> str:
-        return (f"DecisionEvent({self.kind!r}, subject={self.subject!r}, "
-                f"actor={self.actor!r}, ts={self.ts:g})")
-
 
 class DecisionLog:
     """Collects decision events against a virtual clock (append-only)."""

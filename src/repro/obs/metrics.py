@@ -54,9 +54,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value})"
-
 
 class Gauge:
     """A point-in-time level, remembering its high watermark."""
@@ -74,9 +71,6 @@ class Gauge:
         self.value = value
         if value > self.high_watermark:
             self.high_watermark = value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, {self.value:g})"
 
 
 class Histogram:
@@ -125,21 +119,18 @@ class Histogram:
             return 0.0
         rank = max(1, round(p / 100.0 * self.count))
         cumulative = 0
-        for i, n in enumerate(self.counts):
+        for i, n in enumerate(self.counts):  # rank <= count: it breaks
             cumulative += n
             if cumulative >= rank:
-                if i < len(self.bounds):
-                    return min(self.bounds[i], self.max)
-                return self.max
+                break
+        if i < len(self.bounds):
+            return min(self.bounds[i], self.max)
         return self.max
 
     def bucket_counts(self) -> Dict[str, int]:
         """Bucket label -> count, labels being the upper edges + ``+inf``."""
         labels = [f"<={b:g}" for b in self.bounds] + ["+inf"]
         return dict(zip(labels, self.counts))
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name!r}, n={self.count}, mean={self.mean:g})"
 
 
 class MetricsRegistry:

@@ -54,10 +54,6 @@ class TraceEvent:
             out["args"] = self.args
         return out
 
-    def __repr__(self) -> str:
-        return (f"TraceEvent({self.phase}, {self.name!r}, ts={self.ts:g}"
-                + (f", dur={self.dur:g}" if self.dur is not None else "") + ")")
-
 
 class Span:
     """An open span; ``end()`` (or exiting the context) records it."""
@@ -139,9 +135,6 @@ class Tracer:
             self._clock() if at is None else at, None,
             time.perf_counter() - self._epoch, None, args or None,
         ))
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 def _zero() -> float:

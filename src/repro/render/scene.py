@@ -75,9 +75,6 @@ class Scene:
     def add_quad(self, corners, shade: int = 128, textured: bool = False) -> None:
         self.surfaces.extend(quad(corners, shade, textured))
 
-    def __len__(self) -> int:
-        return len(self.surfaces)
-
 
 def museum_room(wall_width: float = 4.0, wall_height: float = 3.0) -> Scene:
     """The virtual-museum room: floor, back wall, pedestals, video wall.

@@ -52,9 +52,6 @@ class FeatureIndex:
     def __len__(self) -> int:
         return len(self._features)
 
-    def __contains__(self, key: Tuple[OID, str]) -> bool:
-        return key in self._features
-
     def rank(self, query: FeatureVector, limit: Optional[int] = None) -> List[Match]:
         """All indexed entries ordered by ascending feature distance."""
         matches = [

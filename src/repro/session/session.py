@@ -494,7 +494,3 @@ class Session:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else "open"
-        return f"Session({self.name!r}, {state}, {len(self._activities)} activities)"

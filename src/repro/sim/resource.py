@@ -98,6 +98,3 @@ class SimResource:
             self._m_grants.inc()
             self._m_wait_s.observe(self.simulator._clock.now - queued_at)
             self.simulator._schedule_resume(proc, None, epoch=epoch)
-
-    def __repr__(self) -> str:
-        return f"SimResource({self.name!r}, {self.in_use}/{self.capacity} in use)"

@@ -105,9 +105,6 @@ class DeviceReservation:
             self.released = True
             self.device._release(self)
 
-    def __repr__(self) -> str:
-        return f"DeviceReservation({self.label!r}, {self.bps:g} b/s on {self.device.name!r})"
-
 
 class Device:
     """A storage device: capacity, streaming bandwidth, latency model."""
@@ -211,13 +208,6 @@ class Device:
     @property
     def free_bytes(self) -> int:
         return self.allocator.free_bytes
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}({self.name!r}, "
-            f"{self.reserved_bps:g}/{self.bandwidth_bps:g} b/s reserved, "
-            f"{self.allocator.used_bytes}/{self.allocator.capacity_bytes} bytes used)"
-        )
 
 
 class MagneticDisk(Device):

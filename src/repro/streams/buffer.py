@@ -276,6 +276,3 @@ class StreamBuffer:
         self._letting_in -= 1
         self._append(self._blocked.popleft())
         self._unhook_if_settled()
-
-    def __repr__(self) -> str:
-        return f"StreamBuffer({self.name!r}, {len(self._items)}/{self.capacity})"

@@ -9,7 +9,7 @@ transfer and traffic accounting charge for).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.avtime import WorldTime
@@ -56,9 +56,6 @@ class StreamElement:
         one — a transformer that changes the payload's shape must say
         what the new wire size is, otherwise channel and device traffic
         accounting would silently keep charging the old size.
-
-        Subclasses of ``StreamElement`` keep their concrete type
-        through transformer chains (``dataclasses.replace`` path).
         """
         if size_bits is None:
             old = self.payload
@@ -80,25 +77,17 @@ class StreamElement:
                 f"stream element size_bits must be >= 0, got {size_bits} "
                 f"(element index {self.index})"
             )
-        cls = type(self)
-        if cls is StreamElement:
-            # Fast constructor path: frozen-dataclass __init__ +
-            # __post_init__ via replace() is ~3x the cost of five slot
-            # stores, and size_bits is already validated above.
-            new = object.__new__(cls)
-            _set = object.__setattr__
-            _set(new, "payload", payload)
-            _set(new, "index", self.index)
-            _set(new, "ideal_time", self.ideal_time)
-            _set(new, "media_type", media_type or self.media_type)
-            _set(new, "size_bits", size_bits)
-            return new
-        return replace(
-            self,
-            payload=payload,
-            media_type=media_type or self.media_type,
-            size_bits=size_bits,
-        )
+        # Five slot stores: frozen-dataclass __init__ + __post_init__ via
+        # replace() costs ~3x as much, and size_bits is validated above.
+        # StreamElement has no subclass, so the copy is one.
+        new = object.__new__(StreamElement)
+        _set = object.__setattr__
+        _set(new, "payload", payload)
+        _set(new, "index", self.index)
+        _set(new, "ideal_time", self.ideal_time)
+        _set(new, "media_type", media_type or self.media_type)
+        _set(new, "size_bits", size_bits)
+        return new
 
 
 class EndOfStream:

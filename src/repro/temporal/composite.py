@@ -118,9 +118,3 @@ class TemporalComposite:
                     f"track {entry.track!r}: value interval {value.interval!r} "
                     f"does not match timeline placement {entry.interval!r}"
                 )
-
-    def __repr__(self) -> str:
-        return (
-            f"TemporalComposite({self.spec.name!r}, tracks={list(self.track_names)}, "
-            f"duration={self.duration.seconds:g}s)"
-        )

@@ -117,14 +117,8 @@ class Timeline:
         return self.place_entry(TimelineEntry(track, candidate))
 
     # -- lookup -------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __iter__(self) -> Iterator[TimelineEntry]:
         return iter(self._entries)
-
-    def __contains__(self, track: str) -> bool:
-        return track in self._by_track
 
     def entry(self, track: str) -> TimelineEntry:
         try:
@@ -203,7 +197,3 @@ class Timeline:
         axis = f"{'':<{label_width}} {axis_lo}{' ' * max(1, width - len(axis_lo) - len(axis_hi))}{axis_hi}"
         lines.append(axis)
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"Timeline({len(self._entries)} tracks, span={self.span()!r})" if self._entries \
-            else "Timeline(empty)"

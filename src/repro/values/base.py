@@ -154,10 +154,3 @@ class MediaValue(abc.ABC):
 
     def __len__(self) -> int:
         return self.element_count
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(type={self.media_type.name}, "
-            f"n={self.element_count}, rate={self.rate:g}/s, "
-            f"dur={self.duration.seconds:g}s)"
-        )

@@ -84,9 +84,6 @@ class MediaType:
             return True
         return False
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class MediaTypeRegistry:
     """Mutable registry of media types, pre-seeded with the standard set."""

@@ -81,8 +81,6 @@ def describe(event: DecisionEvent) -> str:
     if kind == "retries-exhausted":
         return (f"retries exhausted after {a.get('attempts', '?')} "
                 f"attempts ({a.get('error', 'error')})")
-    if kind == "deadline":
-        return f"deadline exceeded ({a.get('seconds', 0):g}s)"
     if kind == "session-degraded":
         return (f"session degraded to {a.get('fraction', 0):.0%} of "
                 f"negotiated QoS")

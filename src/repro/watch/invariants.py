@@ -332,9 +332,3 @@ class InvariantMonitor:
         self.checks += 1
         self.breaches.extend(found)
         return found
-
-    def __repr__(self) -> str:
-        return (f"InvariantMonitor({len(self._channels)} channels, "
-                f"{len(self._controllers)} controllers, "
-                f"{len(self._allocators)} allocators, "
-                f"{self.checks} checks, {len(self.breaches)} breaches)")

@@ -41,7 +41,9 @@ def _canonical_trace_event(event) -> Dict[str, object]:
 
 
 def component_state(obj) -> Dict[str, object]:
-    """A plain-data dump of one armed component's observable state."""
+    """A plain-data dump of one armed component's observable state: a
+    channel, admission controller, extent allocator, cache tier or
+    cluster, what ``Watchdog.arm`` tracks (anything else: its type)."""
     state: Dict[str, object] = {"type": type(obj).__name__}
     # Channels
     if hasattr(obj, "capacity_bps") and hasattr(obj, "_reservations"):
@@ -104,8 +106,6 @@ def component_state(obj) -> Dict[str, object]:
                 s.key for _, s in obj.under_replicated()),
             "failovers": obj.failovers,
         })
-    else:
-        state["repr"] = repr(obj)
     return state
 
 
@@ -173,7 +173,3 @@ class FlightRecorder:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(self.to_bytes(doc) + b"\n")
         return path
-
-    def __repr__(self) -> str:
-        return (f"FlightRecorder({len(self._components)} components, "
-                f"{len(self.bundles)} bundles)")

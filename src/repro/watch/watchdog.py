@@ -189,8 +189,3 @@ class Watchdog:
         report["ticks"] = self.ticks
         report["checks"] = self.monitor.checks
         return report
-
-    def __repr__(self) -> str:
-        return (f"Watchdog({self.ticks} ticks, "
-                f"{len(self.monitor.breaches)} breaches, "
-                f"{len(self.engine.specs)} SLOs)")

@@ -98,6 +98,19 @@ class TestTimecode:
         assert Timecode.parse(str(tc)).frames == frames
 
 
+@pytest.mark.parametrize("mixed", [
+    lambda: WorldTime(1.0) + 1.0, lambda: WorldTime(1.0) - 1.0,
+    lambda: WorldTime(1.0) * WorldTime(2.0), lambda: WorldTime(1.0) / "2",
+    lambda: WorldTime(1.0) < 2.0, lambda: ObjectTime(1) + 1,
+    lambda: ObjectTime(1) - 1, lambda: ObjectTime(1) < 2,
+    lambda: Timecode(1, 25) + 1, lambda: Timecode(1, 25) - 1,
+], ids=["wt+", "wt-", "wt*", "wt/", "wt<", "ot+", "ot-", "ot<", "tc+", "tc-"])
+def test_mixing_coordinate_types_is_a_type_error(mixed):
+    # Each operator answers NotImplemented, so Python raises TypeError.
+    with pytest.raises(TypeError):
+        mixed()
+
+
 class TestInterval:
     def test_between_and_end(self):
         iv = Interval.between(WorldTime(1.0), WorldTime(3.0))

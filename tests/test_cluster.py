@@ -1,5 +1,6 @@
 """Scale-out cluster tier: hashing, placement, failover, repair, rebalance."""
 
+import random
 from collections import Counter as TallyCounter
 
 import pytest
@@ -94,6 +95,49 @@ class TestClusterPlacement:
         cluster = make_cluster(sim, 1, replication=1)
         with pytest.raises(ClusterError, match="replication 2"):
             cluster.place(Blob(1000), replication=2)
+
+    def test_repeated_controls_are_no_ops(self, sim):
+        cluster = make_cluster(sim, 2, replication=2)
+        value = Blob(1000)
+        placement = cluster.place(value, key="v")
+        node = cluster.node("node-0")
+        node.restore()              # live already
+        node.kill()
+        node.kill()                 # dead already
+        assert node.deaths == 1
+        cluster.repair.start()
+        cluster.repair.start()      # running already
+        assert cluster.repair.unboost(placement) == 2   # never boosted
+        # One live node cannot hold more than the declared two.
+        assert cluster.repair.boost(placement) == 2
+
+    @pytest.mark.parametrize("nbytes, shards, sizes", [
+        (9, 4, [3, 3, 3]), (5, 4, [2, 2, 1]), (7, 5, [2, 2, 2, 1])])
+    def test_small_value_cut_into_many_shards(self, sim, nbytes, shards,
+                                              sizes):
+        # Regression: ceil-division used to cut an empty or negative last
+        # shard here, and the allocator refused it.
+        cluster = make_cluster(sim, 2, replication=1)
+        placement = cluster.place(Blob(nbytes), key="v", shards=shards)
+        assert [shard.nbytes for shard in placement.shards] == sizes
+        for offset in range(nbytes):
+            shard = placement.shard_at(offset)
+            assert shard.offset <= offset < shard.end
+
+    def test_shard_at_equals_a_linear_scan(self, sim):
+        rng = random.Random(37)
+        for _ in range(300):
+            nbytes, shards = rng.randint(1, 500), rng.randint(1, 40)
+            placement = make_cluster(sim, 1, replication=1).place(
+                Blob(nbytes), key="v", shards=shards)
+            assert all(shard.nbytes > 0 for shard in placement.shards)
+            assert placement.shards[-1].end == nbytes
+            for offset in {0, nbytes - 1, nbytes, nbytes + 7,
+                           *(rng.randrange(nbytes) for _ in range(8))}:
+                scanned = next((s for s in placement.shards
+                                if s.offset <= offset < s.end),
+                               placement.shards[-1])
+                assert placement.shard_at(offset) is scanned
 
 
 class TestClusterReads:

@@ -31,6 +31,13 @@ class TestBasics:
         tx.abort()
         assert not db.exists(oid)
 
+    def test_abort_after_commit_is_a_no_op(self, db):
+        tx = db.begin()
+        oid = tx.insert("Doc", name="a")
+        tx.commit()
+        tx.abort()
+        assert db.exists(oid)
+
     def test_own_writes_visible(self, db):
         tx = db.begin()
         oid = tx.insert("Doc", name="a", count=1)

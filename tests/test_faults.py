@@ -43,6 +43,15 @@ class TestFaultPlan:
         }
         assert [f.target for f in plan].count("worker") == 2
 
+    def test_describe(self):
+        plan = (FaultPlan(seed=3)
+                .device_slowdown("disk0", at=1.0, duration=0.5, factor=3.0)
+                .channel_loss("net", rate=0.1, jitter_s=0.001))
+        assert [f.describe() for f in plan] == [
+            "t=1s device-slowdown on 'disk0' for 0.5s x3",
+            "t=0s channel-loss on 'net' loss=10% jitter<=0.001s "
+            "(retransmit)"]
+
     def test_validation(self):
         with pytest.raises(SimulationError, match="unknown fault kind"):
             Fault("meteor-strike", "disk0")

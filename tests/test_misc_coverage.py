@@ -165,3 +165,27 @@ class TestSessionMisc:
         window = session.new_video_window()
         with pytest.raises(SessionError, match="pass the port explicitly"):
             session.connect(window, mixer)  # mixer has 2 in ports
+
+
+class TestEmptyStatistics:
+    """What a statistic answers before it has seen anything."""
+
+    def test_histogram(self):
+        from repro.obs.metrics import Histogram
+
+        histogram = Histogram("h", (1.0, 2.0))
+        assert histogram.percentile(95) == 0.0
+        histogram.observe(5.0)
+        assert histogram.percentile(100) == 5.0
+
+    def test_presentation_log(self):
+        from repro.streams.clock import PresentationLog
+
+        log = PresentationLog()
+        assert log.jitter() == 0.0
+        assert log.latency_at_ideal(WorldTime(1.0)) is None
+
+    def test_sync_group(self):
+        from repro.streams.sync import SyncGroup
+
+        assert SyncGroup().current_skew() == 0.0

@@ -49,6 +49,10 @@ class TestWithPayloadSizing:
         with pytest.raises(SimulationError, match="size_bits"):
             element.with_payload(b"compressed")
 
+    def test_opaque_payload_of_the_same_type_inherits_size(self):
+        element = _element("subtitle", size_bits=64)
+        assert element.with_payload("caption").size_bits == 64
+
     def test_explicit_size_always_allowed(self):
         element = _element(np.zeros((8, 8), dtype=np.uint8))
         out = element.with_payload(b"xx", size_bits=16)

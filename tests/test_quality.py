@@ -70,6 +70,14 @@ class TestAudioQuality:
             parse_quality("studio")
 
 
+def test_qualities_order_only_among_their_kind():
+    video, audio = parse_quality("320x240x8@30"), AUDIO_QUALITIES["cd"]
+    with pytest.raises(TypeError):
+        video < audio
+    with pytest.raises(TypeError):
+        audio < video
+
+
 class TestNegotiator:
     def test_video_plan_prefers_compression(self):
         plan = Negotiator().plan(VideoQuality(320, 240, 8, 30.0))

@@ -141,14 +141,16 @@ class TestReachGate:
             "    def run(self):\n"
             "        return 4\n")
         tree = check_reach.parse_tree(tmp_path)
-        return check_reach.measure(tree, {(str(live), 3), (str(live), 17)})
+        return check_reach.measure(tree, {(str(live), 3), (str(live), 17)},
+                                   set())
 
     def test_what_counts_as_unreached(self, reach):
         assert reach.modules == ["repro.dead"]
         # Not Interface (declarations only), not Inside (its module is listed).
         assert reach.classes == ["repro.live.Unused"]
         assert reach.functions == ["repro.live.Pair.idle", "repro.live.helper"]
-        assert reach.packages == [("repro", 23, 13, 8)]
+        # Six statements, all in functions no driver ran past the entry.
+        assert reach.packages == [("repro", 23, 13, 8, 6, 0, 6)]
         assert {"repro", "repro.live.Interface", "repro.dead.Inside",
                 "repro.live.Pair.used", "repro.live.helper"} <= reach.known
 
@@ -189,6 +191,52 @@ class TestReachGate:
         [nothing] = problems({**keep, **read("repro.live.Pair.{idle,gone}  kept")})
         assert nothing.startswith("repro.live.Pair.gone:") \
             and "no such module, class or function" in nothing
+
+    def test_statement_classes_and_ceilings(self, check_reach, tmp_path):
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        path = package / "lines.py"
+        path.write_text(
+            "def work(flag, mode):\n"      # 1
+            "    total = (flag +\n"        # 2: one statement, two lines
+            "             mode)\n"         # 3
+            "    if flag:\n"               # 4
+            "        total += 10\n"        # 5: drivers only
+            "    elif mode:\n"             # 6: tier-1 only
+            "        total += 20\n"        # 7: tier-1 only
+            "    else:\n"
+            "        raise ValueError(\n"  # 9: nothing, a raise
+            "            'neither')\n"
+            "    def inner():\n"           # 11: the header runs
+            "        return total\n"       # 12: nothing
+            "    return total + 1\n")      # 13
+        tree = check_reach.parse_tree(tmp_path)
+        [two_lines] = [s for s in tree.statements if s.line == 2]
+        assert two_lines.lines == {2, 3}
+
+        def lines(*numbers):
+            return {(str(path), n) for n in numbers}
+
+        # The drivers trace only line 3 of the two-line statement.
+        reach = check_reach.measure(tree, lines(1, 3, 4, 5, 11, 13),
+                                    lines(1, 2, 3, 4, 6, 7, 13))
+        assert [(s.line, s.function.name, s.is_raise)
+                for s in reach.tier1_only] == [(6, "work", False),
+                                               (7, "work", False)]
+        assert [(s.line, s.function.name, s.is_raise)
+                for s in reach.nothing] == [(9, "work", True),
+                                            (12, "work.inner", False)]
+        # inner's entry is its header line, which work ran: a nested
+        # function (never gated) counts as entered where it is defined.
+        assert reach.packages == [("repro", 13, 13, 0, 9, 2, 2)]
+        ceilings = check_reach.ceilings
+        assert ceilings(reach, nothing=1, tier1_only=2) == ([], [])
+        [over], lower = ceilings(reach, nothing=0, tier1_only=2)
+        assert "NOTHING_CEILING = 0" in over and lower == []
+        assert ceilings(reach, nothing=4, tier1_only=3) == ([], [
+            "NOTHING_CEILING can drop to 1",
+            "TIER1_ONLY_CEILING can drop to 2"])
 
     def test_every_kept_name_exists_and_cites_the_paper_or_the_design(
             self, check_reach):

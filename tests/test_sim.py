@@ -220,6 +220,27 @@ class TestWakeAt:
         assert sim.obs.metrics.counter("sim.events_dispatched").value == 1
         assert not sim._cancelled and not sim._queue
 
+    def test_run_until_complete_drops_a_cancelled_wakeup(self, sim):
+        fired = []
+        handle = sim.wake_at(0.5, lambda: fired.append("cancelled"))
+        sim.cancel(handle)
+
+        def sleeper():
+            yield Delay(1.0)
+            return "done"
+
+        assert sim.run_until_complete(sim.spawn(sleeper())) == "done"
+        assert fired == [] and sim.now.seconds == 1.0
+        assert not sim._cancelled and not sim._queue
+
+    def test_a_cancelled_cadence_fires_no_more(self, sim):
+        ticks = []
+        ticker = sim.schedule_every(1.0, ticks.append)
+        sim.run(until=WorldTime(1.5))
+        ticker.cancel()     # the fire queued for 2.0 finds it cancelled
+        sim.run()
+        assert ticks == [0, 1] and ticker.ticks == 2
+
     def test_stale_wakeup_is_still_a_counted_pop(self, sim):
         # Not cancelled, only overtaken: popped, counted, and it moves
         # the clock, as stale wake-ups always have.

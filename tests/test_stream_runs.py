@@ -25,6 +25,7 @@ Each part re-plants a bug (part (d) two) and shows that it is found.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import random
 import textwrap
@@ -120,7 +121,10 @@ class Rig:
     """One built pipeline: what to run, disturb and read."""
 
     def __init__(self, spec: Pipeline, per_element: bool,
-                 sinks_per_element: bool = False) -> None:
+                 sinks_per_element: bool = False, window=VideoWindow,
+                 plant=None) -> None:
+        """``window`` builds a single-track pipeline's sink; ``plant``,
+        when given, is called on the built rig before its streams start."""
         self.spec = spec
         self.decoders = []
         system = self.system = AVDatabaseSystem()
@@ -170,8 +174,7 @@ class Rig:
             self.streams = [session.connect(source, sink,
                                             capacity=spec.capacity)]
         else:
-            window = VideoWindow(self.sim, name="win",
-                                 presentation_delay=delay)
+            window = window(self.sim, name="win", presentation_delay=delay)
             session.new_activity(window)
             self.sinks = [window]
             if spec.kind in ("stored", "decoded"):
@@ -188,8 +191,10 @@ class Rig:
                     session.connect(source, decoder.port("video_in"),
                                     capacity=spec.capacity,
                                     bandwidth_bps=hop_bps * spec.hop_share),
+                    # (reserved only where the window sits at the database)
                     session.connect(decoder.port("video_out"), window,
-                                    capacity=9 - spec.capacity)]
+                                    capacity=9 - spec.capacity,
+                                    bandwidth_bps=hop_bps * spec.hop_share)]
             else:
                 # "raw": reader -> decoder at the database, raw over the hop
                 source = session.new_db_source(
@@ -210,6 +215,8 @@ class Rig:
             for sink in self.sinks:
                 sink.catch(EVENT_EACH_ELEMENT, lambda *_: None)
         self.connections = [c for s in self.streams for c in s.connections]
+        if plant is not None:
+            plant(self)
         for stream in self.streams:
             stream.start()
 
@@ -265,10 +272,11 @@ def _span_s(spec: Pipeline) -> float:
 
 
 def _play(spec: Pipeline, per_element: bool, disturb=None,
-          at: float = 0.0, sinks_per_element: bool = False) -> list:
+          at: float = 0.0, sinks_per_element: bool = False,
+          **build) -> list:
     """Run to seeded checkpoints, optionally disturb, run out; return
     everything observed on the way."""
-    rig = Rig(spec, per_element, sinks_per_element)
+    rig = Rig(spec, per_element, sinks_per_element, **build)
     rng = random.Random(spec.seed)
     span = _span_s(spec)
     seen = []
@@ -426,11 +434,7 @@ class TestCutEqualsPerElement:
         # first reads, then mostly waits for the pace target with the
         # read-ahead stage stalled on its full buffer, and serializes in
         # between.  A sweep of cut times lands in each of those.
-        spec = Pipeline(kind="plain", frames=10, width=8, rate=30.0,
-                        hop_share=4.0, latency_s=0.013, placed=True,
-                        device_share=2.5, seek_s=0.015, readahead=2.0,
-                        capacity=2, cue_share=0.0, paced=True,
-                        prebuffer_s=0.05, cut_share=0.0, seed=7)
+        spec = SWEPT
         stages = set()
         for step in range(40):
             at = step * 0.0093
@@ -439,6 +443,39 @@ class TestCutEqualsPerElement:
                          _play(spec, True, disturb, at))
         assert stages == {"seeking", "fetching", "pacing", "serializing",
                           "sent"}
+
+
+#: One source over a fast hop and a fast device (part (b)'s sweep).
+SWEPT = Pipeline(kind="plain", frames=10, width=8, rate=30.0, hop_share=4.0,
+                 latency_s=0.013, placed=True, device_share=2.5, seek_s=0.015,
+                 readahead=2.0, capacity=2, cue_share=0.0, paced=True,
+                 prebuffer_s=0.05, cut_share=0.0, seed=7)
+
+
+def test_an_interrupt_after_a_stop_finds_the_run_cut():
+    # The stop cuts the run; the source, asleep until its pace target,
+    # is interrupted before it wakes, and its cut finds nothing to cut.
+    def stop_then_interrupt(rig: Rig) -> None:
+        _stop_source(rig)
+        _interrupt(rig)
+
+    for at in (0.05, 0.15):
+        _assert_same(_play(SWEPT, False, stop_then_interrupt, at),
+                     _play(SWEPT, True, stop_then_interrupt, at))
+
+
+def test_a_cut_at_the_last_send_leaves_the_run_to_run_out():
+    # Queued before the run's own wake-up at its last send, a stop at
+    # that instant finds every element on the wire.
+    probe = Rig(SWEPT, per_element=False)
+    probe.sim.run(until=WorldTime(0.0))
+    last = probe.sources[0].clocked.sent[-1]
+
+    def stop_at_last_send(rig: Rig) -> None:
+        rig.sim.schedule_at(WorldTime(last), lambda: _stop_source(rig))
+
+    _assert_same(_play(SWEPT, False, plant=stop_at_last_send),
+                 _play(SWEPT, True, plant=stop_at_last_send))
 
 
 def _stage_at(spec: Pipeline, at: float) -> str:
@@ -527,6 +564,109 @@ class TestConsumerRunEqualsPerElement:
             held += any(run.sched is not None for run in runs)
             rig.sim.run()
         assert min(ran, filled, stalled, held) >= 3
+
+
+class _OwnLoopWindow(VideoWindow):
+    """A sink with a loop of its own (``VideoWriter`` has one): no model
+    of the base loop may stand in for it."""
+
+    def _process(self):
+        return (yield from super()._process())
+
+
+def _start_late(rig: Rig) -> None:
+    """The head of the consumer chain takes its first look after the
+    first element is due behind the clocked-out hop."""
+    head = (rig.decoders + rig.sinks)[0]
+    for stream in rig.streams:
+        stream.activities.remove(head)
+
+    def starter():
+        yield Delay(0.1)    # (the hop's arrivals span 0.045 s to 0.228 s)
+        head.start()
+
+    rig.sim.spawn(starter(), name="late-start")
+
+
+def _start_window_first(rig: Rig) -> None:
+    rig.sinks[0].start()    # waiting on the decoder's buffer already
+
+
+def _never_start_window(rig: Rig) -> None:
+    del rig.streams[1:]     # the decoder's output has no consumer
+
+
+def _decoded() -> Pipeline:
+    """A reader -> decoder -> window chain behind a clocked-out hop."""
+    return dataclasses.replace(_consumer_draw(0), kind="decoded",
+                               frames=12, latency_s=0.013, paced=True)
+
+
+#: Chains the consumer-run predicate refuses, one per refusal it makes
+#: behind a clocked-out hop: (kind, Rig keywords).
+REFUSED_CHAINS = {
+    "head-buffer-due": ("plain", {"plant": _start_late}),
+    "sink-with-own-loop": ("plain", {"window": _OwnLoopWindow}),
+    "reserved-hop": ("decoded", {"window": functools.partial(
+        VideoWindow, location=Location.DATABASE)}),
+    "consumer-waiting": ("decoded", {"plant": _start_window_first}),
+    "consumer-unstarted": ("decoded", {"plant": _never_start_window}),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_CHAINS)
+def test_a_refused_chain_runs_per_element(case, monkeypatch):
+    kind, build = REFUSED_CHAINS[case]
+    spec = dataclasses.replace(_decoded(), kind=kind)
+    built = []
+    begin = consumer.ConsumerRun.__init__
+
+    def spy(run, *chain):
+        built.append(run)
+        begin(run, *chain)
+
+    monkeypatch.setattr(consumer.ConsumerRun, "__init__", spy)
+    rig = Rig(spec, per_element=False, **build)
+    rig.sim.run(until=WorldTime(0.0))
+    assert all(source.clocked is not None for source in rig.sources)
+    rig.sim.run()
+    assert built == []
+    _assert_same(_play(spec, False, **build),
+                 _play(spec, False, sinks_per_element=True, **build))
+
+
+def test_a_cut_before_the_window_looks():
+    # The decoder's stream starts first, so a catch queued behind the
+    # decoder's first look cuts the run its look began before the window
+    # has joined it.
+    def cut_between_first_looks(rig: Rig) -> None:
+        first = rig.streams.pop(0)
+        first.start()
+        rig.sim.schedule_at(WorldTime(0.0), lambda: _catch_sinks(rig))
+
+    spec = _decoded()
+    _assert_same(_play(spec, False, plant=cut_between_first_looks),
+                 _play(spec, False, sinks_per_element=True,
+                       plant=cut_between_first_looks))
+
+
+def test_a_cut_after_the_decoder_ran_out():
+    # The decoder's part of the run is over; the window's is not.
+    spec = _decoded()
+    probe = Rig(spec, per_element=False)
+    probe.sim.run(until=WorldTime(0.0))
+    done, last = probe.sinks[0].clocked.final
+    assert done < last
+    _assert_consumers_agree(spec, _catch_sinks, (done + last) / 2)
+
+    # Queued before the decoder's own wake-up at its last op: the cut
+    # comes first, and the decoder wakes to a run no longer active.
+    def catch_at_done(rig: Rig) -> None:
+        rig.sim.schedule_at(WorldTime(done), lambda: _catch_sinks(rig))
+
+    _assert_same(_play(spec, False, plant=catch_at_done),
+                 _play(spec, False, sinks_per_element=True,
+                       plant=catch_at_done))
 
 
 def test_an_arrival_at_a_get_instant_is_in_the_buffer():

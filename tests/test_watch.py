@@ -13,12 +13,14 @@ from repro.avtime import WorldTime
 from repro.sim import Delay, Simulator
 from repro.watch import (
     SCENARIOS,
+    DecisionEvent,
     FlightRecorder,
     InvariantMonitor,
     SLOEngine,
     SLOSpec,
     Watchdog,
     default_slos,
+    describe,
     explain_report,
     render_event,
     subjects_summary,
@@ -187,6 +189,179 @@ class TestInvariantMonitor:
         assert any(b.invariant == "process-accounting" for b in breaches)
 
 
+class TestPlantedBreaches:
+    """Each probe's breach branch, fired by planting its condition on a
+    small live world; no scenario ever makes one of these happen."""
+
+    @pytest.fixture
+    def world(self):
+        sim = Simulator()
+        trunk = Channel(sim, capacity_bps=1_000_000.0, name="trunk")
+        controller = AdmissionController(sim, trunk, name="gate")
+        reservation = controller.try_admit(QoSContract(500_000.0),
+                                           label="s-1")
+        return sim, trunk, controller, reservation
+
+    @staticmethod
+    def fired(breaches):
+        return [(b.invariant, b.component) for b in breaches]
+
+    def test_released_reservation_still_registered(self, world):
+        sim, trunk, _, reservation = world
+        trunk.debug_leak_releases = True
+        reservation.release()
+        monitor = InvariantMonitor(sim).arm(channels=[trunk])
+        assert self.fired(monitor.check_now()) == [
+            ("reservation-conservation", "trunk")]
+
+    def test_reserved_over_capacity(self, world):
+        sim, trunk, _, _ = world
+        trunk.capacity_bps = 400_000.0
+        monitor = InvariantMonitor(sim).arm(channels=[trunk])
+        [breach] = monitor.check_now()
+        assert (breach.invariant, breach.component) == (
+            "reservation-conservation", "trunk")
+        assert "exceeds capacity" in breach.detail
+
+    def test_strict_teardown_fails_on_a_breach(self, world):
+        sim, trunk, _, _ = world
+        dog = Watchdog(sim).arm(channels=[trunk])
+        trunk.capacity_bps = 400_000.0
+        with pytest.raises(InvariantBreachError,
+                           match="reservation-conservation"):
+            dog.teardown()
+        [breach] = dog.teardown(strict=False)["teardown_breaches"]
+        assert breach["invariant"] == "reservation-conservation"
+
+    def test_stale_held_grant(self, world):
+        sim, trunk, controller, reservation = world
+        trunk._release(reservation)  # the channel forgets, the gate does not
+        monitor = InvariantMonitor(sim).arm(controllers=[controller])
+        [breach] = monitor.check_now()
+        assert (breach.invariant, breach.component) == (
+            "controller-consistency", "gate")
+        assert breach.evidence == {"stale": ["s-1"]}
+
+    def test_queue_depth_mirror_off(self, world):
+        sim, _, controller, _ = world
+        controller._live_queued = 2
+        monitor = InvariantMonitor(sim).arm(controllers=[controller])
+        [breach] = monitor.check_now()
+        assert (breach.invariant, breach.component) == (
+            "controller-consistency", "gate")
+        assert breach.evidence == {"mirror": 2, "actual": 0}
+
+    @pytest.fixture
+    def allocator(self):
+        from repro.storage.extents import ExtentAllocator
+
+        allocator = ExtentAllocator("disk0", 1000)
+        kept = [allocator.allocate(100) for _ in range(4)]
+        allocator.free(kept[0])
+        allocator.free(kept[2])  # two free ranges
+        return allocator, kept
+
+    def test_extent_gap(self, allocator):
+        allocator, kept = allocator
+        del allocator._allocated[kept[1].id]
+        monitor = InvariantMonitor(Simulator()).arm(allocators=[allocator])
+        assert self.fired(monitor.check_now()) == [
+            ("extent-wholeness", "disk0")]
+
+    def test_extent_overlap(self, allocator):
+        allocator, _ = allocator
+        allocator._free.append((150, 10))  # inside an allocated extent
+        allocator._free.sort()
+        monitor = InvariantMonitor(Simulator()).arm(allocators=[allocator])
+        assert self.fired(monitor.check_now()) == [
+            ("extent-wholeness", "disk0")]
+
+    def test_unsorted_free_list(self, allocator):
+        allocator, _ = allocator
+        allocator._free.reverse()
+        monitor = InvariantMonitor(Simulator()).arm(allocators=[allocator])
+        [breach] = monitor.check_now()
+        assert (breach.invariant, breach.component) == (
+            "extent-wholeness", "disk0")
+        assert breach.detail == "free list is not sorted"
+
+    @pytest.fixture
+    def cluster(self):
+        from repro.cluster import ClusterPlacementManager, StorageNode
+        from repro.cluster.scenarios import Blob
+
+        sim = Simulator()
+        cluster = ClusterPlacementManager(sim, replication=2)
+        for i in range(2):
+            cluster.add_node(StorageNode(sim, f"node-{i}"))
+        value = Blob(1000)
+        placement = cluster.place(value, key="v")
+        monitor = InvariantMonitor(sim).arm(cluster=cluster)
+        assert monitor.check_now() == []
+        assert self.replication(monitor.check_teardown()) == []
+        return cluster, placement, monitor, value   # placed by id(value)
+
+    @staticmethod
+    def replication(breaches):
+        """The replication breaches' details; the node servers, never
+        stopped here, also leave live processes at teardown."""
+        found = [b for b in breaches if b.invariant == "replication"]
+        assert {b.component for b in found} <= {"cluster"}
+        return sorted(b.detail for b in found)
+
+    def test_replication_mid_run(self, cluster):
+        cluster, _, monitor, _ = cluster
+        for node in cluster.nodes:
+            node.live = False
+        assert self.replication(monitor.check_now()) == [
+            "1 shard(s) with zero live replicas"]
+
+    def test_replication_at_teardown(self, cluster):
+        cluster, placement, monitor, _ = cluster
+        cluster.node("node-0").live = False
+        placement.replication = 3  # a boost that outlived its crowd
+        assert self.replication(monitor.check_teardown()) == [
+            "1 placement(s) end with replication above declared R "
+            "(leaked boost)",
+            "1 shard(s) still under-replicated at teardown"]
+        cluster.node("node-1").live = False
+        assert "1 shard(s) with zero surviving replicas at teardown" in \
+            self.replication(monitor.check_teardown())
+
+    def test_over_replicated_at_teardown(self, cluster):
+        cluster, placement, monitor, _ = cluster
+        placement.replication = placement.declared_replication = 1
+        assert self.replication(monitor.check_teardown()) == [
+            "1 shard(s) still over-replicated at teardown (leaked extents)"]
+
+    def test_negative_process_count(self):
+        sim = Simulator()
+        sim.live_processes = -1
+        monitor = InvariantMonitor(sim)
+        assert self.fired(monitor.check_now()) == [
+            ("process-accounting", "sim")]
+
+    def test_hard_slo_failures_bundle_once(self, tmp_path):
+        with scoped():
+            sim = Simulator()
+            slos = [SLOSpec("errors", "counter-max", "test.errors", 0.0,
+                            hard=True),
+                    SLOSpec("faults", "counter-max", "test.faults", 0.0,
+                            klass="capacity", hard=True),
+                    SLOSpec("soft", "counter-max", "test.errors", 0.0)]
+            dog = Watchdog(sim, slos=slos, bundle_dir=tmp_path)
+            sim.obs.metrics.counter("test.errors").inc(2)
+            sim.obs.metrics.counter("test.faults").inc()
+            dog.check()
+            dog.check()  # the same SLOs fail again: no second bundle
+            decisions = sim.obs.decisions.by_kind("slo-breach")
+        assert [(e.subject, e.args["klass"], e.args["value"])
+                for e in decisions] == [("errors", "qos", 2.0),
+                                        ("faults", "capacity", 1.0)]
+        [path] = dog.bundle_paths
+        assert json.loads(path.read_text())["reason"] == "slo-hard-fail"
+
+
 # ---------------------------------------------------------------------------
 # flight recorder + watchdog
 # ---------------------------------------------------------------------------
@@ -202,6 +377,17 @@ class TestFlightRecorder:
         assert doc["components"][0]["name"] == "trunk"
         assert FlightRecorder.to_bytes(doc) == FlightRecorder.to_bytes(doc)
         json.loads(FlightRecorder.to_bytes(doc))
+
+    def test_bundle_records_an_allocator(self):
+        from repro.storage.extents import ExtentAllocator
+
+        allocator = ExtentAllocator("disk0", 1000)
+        allocator.allocate(100)
+        with scoped():
+            recorder = FlightRecorder(Simulator().obs).track(allocator)
+            [state] = recorder.bundle("unit-test", 0.0)["components"]
+        assert (state["name"], state["used_bytes"], state["free_bytes"]) == (
+            "disk0", 100, 900)
 
     def test_dump_writes_bundle(self, tmp_path):
         with scoped():
@@ -389,6 +575,47 @@ class TestExplain:
             # "kind (k=v)" form for the vocabulary the repo emits)
             assert "=" not in line.split("  ", 1)[1].split(" (")[0]
 
+    @pytest.mark.parametrize("kind, args, clause", [
+        ("admit", {"bps": 6e6, "from_queue": True, "waited_s": 0.25},
+         "admitted at 6e+06 b/s from queue after 0.25s"),
+        ("admit", {"bps": 6e6, "via": "preemption"},
+         "admitted at 6e+06 b/s (after preempting background work)"),
+        ("degrade", {"bps": 3e6, "requested_bps": 6e6, "fraction": 0.5},
+         "degraded to 3e+06 b/s of 6e+06 b/s requested (50%)"),
+        ("shed", {"reason": "watermark", "utilization": 0.9},
+         "shed (watermark) at 90% utilization"),
+        ("queue", {"depth": 2, "priority": "background"},
+         "queued at depth 2 (background priority)"),
+        ("queue-timeout", {"waited_s": 1.5},
+         "timed out after 1.5s in the queue"),
+        ("preempt", {"bps": 1e6},
+         "preempted — 1e+06 b/s revoked for higher-priority work"),
+        ("reject", {"bps": 6e6, "available_bps": 1e6},
+         "rejected (6e+06 b/s requested, 1e+06 b/s available)"),
+        ("breaker", {"prev": "closed", "state": "open"},
+         "breaker closed -> open"),
+        ("failover", {"src": "node-1", "dst": "node-0"},
+         "failover node-1 -> node-0"),
+        ("node-down", {"under_replicated": 3},
+         "node down (3 shard(s) under-replicated)"),
+        ("node-up", None, "node restored"),
+        ("retry", {"attempt": 2, "error": "FaultError", "backoff_s": 0.01},
+         "retry #2 after FaultError (backoff 0.01s)"),
+        ("retries-exhausted", {"attempts": 3, "error": "FaultError"},
+         "retries exhausted after 3 attempts (FaultError)"),
+        ("session-degraded", {"fraction": 0.5},
+         "session degraded to 50% of negotiated QoS"),
+        ("invariant-breach", {"invariant": "replication", "detail": "gone"},
+         "INVARIANT BREACH [replication] gone"),
+        ("slo-breach", {"value": 2.0, "target": 0.0, "burn": 1000.0},
+         "hard SLO failed (value 2.0 vs target 0.0, burn 1000.0)"),
+        # a kind with no clause of its own: its fields, sorted
+        ("replica-boost", {"replication": 3, "declared": 2},
+         "replica-boost (declared=2, replication=3)"),
+    ])
+    def test_describe_every_kind_it_names(self, kind, args, clause):
+        assert describe(DecisionEvent(0.0, kind, "a", "s", args)) == clause
+
     def test_subjects_summary_lines(self, node_kill_run):
         _, decisions = node_kill_run
         lines = subjects_summary(decisions)
@@ -418,6 +645,13 @@ class TestCLI:
         from repro.__main__ import main
 
         assert main(["watch", "nope"]) == 2
+        assert "pick one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["trace", "explain", "profile"])
+    def test_unknown_scenario_exits_2(self, capsys, command):
+        from repro.__main__ import main
+
+        assert main([command, "nope"]) == 2
         assert "pick one of" in capsys.readouterr().err
 
     def test_watch_command_runs_leak(self, capsys, tmp_path):
