@@ -14,23 +14,18 @@ execution paths.  Before any speed claim, two honesty gates must pass:
 
 Usage::
 
-    python benchmarks/bench_annotation_query.py           # full run + table
-    python benchmarks/bench_annotation_query.py --smoke   # CI gate (>= 50x)
-    python benchmarks/bench_annotation_query.py --update  # record into
-                                                          # BENCH_PERF.json
+    python -m pytest benchmarks/bench_annotation_query.py -q  # the gate
+    python benchmarks/bench_annotation_query.py               # full run
 
-``--update`` writes the ``annotation_query`` section of
-``BENCH_PERF.json``, merges the headline numbers into the PR 10
-trajectory row, and renders ``benchmarks/results/annotation_query.txt``.
-The smoke gate re-measures up to 3 times before failing so shared-CI
-noise dips don't flap the job (the pattern from ``bench_herd_scale``).
+The gate test (>= 50x on the smoke corpus) re-measures up to 3 times
+before failing so shared-CI noise dips don't flap the job (the pattern
+from ``bench_herd_scale``).  The full run prints the table and renders
+``benchmarks/results/annotation_query.txt``.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import random
 import sys
 import time
@@ -51,7 +46,6 @@ from repro.annotations import (  # noqa: E402
 from repro.errors import LockTimeoutError  # noqa: E402
 from repro.obs import scoped  # noqa: E402
 
-PERF_PATH = REPO_ROOT / "BENCH_PERF.json"
 RESULTS_PATH = REPO_ROOT / "benchmarks" / "results" / "annotation_query.txt"
 
 FULL = CorpusSpec(seed=0, values=2000, annotations=1_000_000,
@@ -227,117 +221,45 @@ def print_table(pair: dict, build_s: float, facts: dict,
           f"speedup {pair['speedup']:,.1f}x (gate >= {SPEEDUP_GATE:.0f}x)")
 
 
-def _prepare(spec: CorpusSpec):
-    store, facts, build_s = build_store(spec)
-    return store, facts, build_s
-
-
-def cmd_run(args) -> int:
-    spec = SMOKE if args.smoke_sizes else FULL
+def test_annotation_query_gate() -> None:
+    """The gate: equivalence + concurrency must hold and the speedup
+    must clear the gate; re-measure before failing so shared-machine
+    noise dips don't flap the job."""
     with scoped(tracing=False):
-        store, facts, build_s = _prepare(spec)
-        pair = measure(store, spec)
+        store, facts, build_s = build_store(SMOKE)
+        concurrency = check_concurrency(store, SMOKE)
+        assert concurrency["ok"], concurrency
+        assert check_join(store), "index and scan joins diverge"
+        assert check_global(store), "index and scan global queries diverge"
+        for attempt in range(1, SMOKE_ATTEMPTS + 1):
+            pair = measure(store, SMOKE, index_repeats=2)
+            print_table(pair, build_s, facts,
+                        f"annotation-query gate (attempt "
+                        f"{attempt}/{SMOKE_ATTEMPTS})")
+            assert pair["identical"], "index and scan rows diverge"
+            if pair["speedup"] >= SPEEDUP_GATE:
+                break
+    assert pair["speedup"] >= SPEEDUP_GATE, (
+        f"speedup {pair['speedup']:,.1f}x below {SPEEDUP_GATE:.0f}x across "
+        f"{SMOKE_ATTEMPTS} attempts")
+
+
+def main() -> int:
+    """The full-scale run: print the table and, when every correctness
+    check holds, write the results file."""
+    with scoped(tracing=False):
+        store, facts, build_s = build_store(FULL)
+        pair = measure(store, FULL)
         print_table(pair, build_s, facts,
                     "annotation query (index vs sequential scan)")
-        concurrency = check_concurrency(store, spec)
+        concurrency = check_concurrency(store, FULL)
         join_ok = check_join(store)
         global_ok = check_global(store)
     print(f"   concurrency {concurrency}")
     print(f"   join_identical {join_ok}   global_identical {global_ok}")
-    ok = (pair["identical"] and concurrency["ok"] and join_ok
-          and global_ok)
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {"pair": pair, "concurrency": concurrency}, indent=2))
-        print(f"wrote {args.json}")
-    return 0 if ok else 1
-
-
-def cmd_smoke(args) -> int:
-    """CI gate: equivalence + concurrency must hold and the speedup must
-    clear the gate; re-measure before failing so shared-machine noise
-    dips don't flap the job."""
-    with scoped(tracing=False):
-        store, facts, build_s = _prepare(SMOKE)
-        concurrency = check_concurrency(store, SMOKE)
-        join_ok = check_join(store)
-        global_ok = check_global(store)
-        if not (concurrency["ok"] and join_ok and global_ok):
-            print(f"annotation-query smoke FAILED: correctness "
-                  f"{concurrency}, join_identical={join_ok}, "
-                  f"global_identical={global_ok}", file=sys.stderr)
-            return 1
-        print(f"concurrency probe: ok ({concurrency['writer_commits']} "
-              f"writer commits, wait-die abort observed)")
-        for attempt in range(1, SMOKE_ATTEMPTS + 1):
-            pair = measure(store, SMOKE, index_repeats=2)
-            print_table(pair, build_s, facts,
-                        f"annotation-query smoke (attempt "
-                        f"{attempt}/{SMOKE_ATTEMPTS})")
-            if not pair["identical"]:
-                print("annotation-query smoke FAILED: index and scan "
-                      "rows diverge", file=sys.stderr)
-                return 1
-            if pair["speedup"] >= SPEEDUP_GATE:
-                print("annotation-query smoke ok")
-                return 0
-            if attempt < SMOKE_ATTEMPTS:
-                print("   below the gate — re-measuring to rule out "
-                      "machine noise")
-    print(f"annotation-query smoke FAILED: speedup below "
-          f"{SPEEDUP_GATE:.0f}x across {SMOKE_ATTEMPTS} attempts",
-          file=sys.stderr)
-    return 1
-
-
-def cmd_update(args) -> int:
-    """Measure at full scale and record into BENCH_PERF.json."""
-    with scoped(tracing=False):
-        store, facts, build_s = _prepare(FULL)
-        pair = measure(store, FULL)
-        print_table(pair, build_s, facts, "annotation query (full)")
-        concurrency = check_concurrency(store, FULL)
-        join_ok = check_join(store)
-        global_ok = check_global(store)
     if not (pair["identical"] and concurrency["ok"] and join_ok
             and global_ok):
-        print("refusing to record: correctness gates failed",
-              file=sys.stderr)
         return 1
-
-    doc = json.loads(PERF_PATH.read_text()) if PERF_PATH.exists() else {
-        "schema": 1, "trajectory": []}
-    doc["annotation_query"] = {
-        "seed": FULL.seed,
-        "gate_speedup": SPEEDUP_GATE,
-        "annotations": facts["annotations"],
-        "values": facts["values"],
-        "tracks": facts["tracks"],
-        "build_s": round(build_s, 2),
-        "battery_queries": pair["index"]["queries"],
-        "battery_rows": pair["index"]["rows"],
-        "index_wall_s": round(pair["index"]["wall_s"], 5),
-        "scan_wall_s": round(pair["scan"]["wall_s"], 3),
-        "index_queries_per_s": round(pair["index"]["queries_per_s"], 1),
-        "scan_queries_per_s": round(pair["scan"]["queries_per_s"], 2),
-        "identical_rows": pair["identical"],
-        "waitdie_abort": concurrency["waitdie_abort"],
-        "writer_commits": concurrency["writer_commits"],
-        "speedup": round(pair["speedup"], 1),
-    }
-    rows = doc.setdefault("trajectory", [])
-    row = next((e for e in rows if e.get("pr") == args.pr), None)
-    if row is None:
-        row = {"pr": args.pr,
-               "label": f"PR {args.pr} annotation store + temporal "
-                        f"query engine"}
-        rows.append(row)
-    row["annotation_query_speedup"] = round(pair["speedup"], 1)
-    row["annotation_index_queries_per_s"] = round(
-        pair["index"]["queries_per_s"], 1)
-    PERF_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {PERF_PATH}")
-
     lines = [
         "annotation query — index-backed vs sequential-scan execution",
         f"corpus: {facts['annotations']:,} annotations / "
@@ -359,40 +281,6 @@ def cmd_update(args) -> int:
     RESULTS_PATH.write_text("\n".join(lines) + "\n")
     print(f"wrote {RESULTS_PATH}")
     return 0
-
-
-# -- pytest entry point (correctness only; timing gates stay in CI) -------
-def test_annotation_query_smoke() -> None:
-    spec = CorpusSpec(seed=0, values=60, annotations=12_000,
-                      duration_s=600.0)
-    with scoped(tracing=False):
-        store, _, _ = _prepare(spec)
-        for query in battery(spec):
-            assert (run(store, query, mode="index").rows
-                    == run(store, query, mode="scan").rows), query.describe()
-        concurrency = check_concurrency(store, spec, writers=12)
-        assert concurrency["ok"], concurrency
-        assert check_join(store)
-        assert check_global(store)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI gate: equivalence + speedup floor")
-    parser.add_argument("--smoke-sizes", action="store_true",
-                        help="plain run with the smoke corpus size")
-    parser.add_argument("--update", action="store_true",
-                        help="write BENCH_PERF.json annotation_query section")
-    parser.add_argument("--json", default=None,
-                        help="dump raw results to file")
-    parser.add_argument("--pr", type=int, default=10)
-    args = parser.parse_args(argv)
-    if args.smoke:
-        return cmd_smoke(args)
-    if args.update:
-        return cmd_update(args)
-    return cmd_run(args)
 
 
 if __name__ == "__main__":

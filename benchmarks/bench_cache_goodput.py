@@ -28,25 +28,16 @@ Gates:
 * the whole experiment is deterministic — a second run with the same
   seed must reproduce every number (and the summary lines) exactly.
 
-Runable as a script for CI (``python benchmarks/bench_cache_goodput.py
---smoke``) or under pytest like the other benches.  ``--update-perf``
-records the measured ratio under the ``cache_goodput`` key of
-``BENCH_PERF.json`` (a sibling of the kernel ``trajectory`` — the
-perf-smoke gate reads only the trajectory).
+Run the gates with ``python -m pytest benchmarks/bench_cache_goodput.py
+-q``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
 from typing import Dict, Tuple
 
 from repro.cache import SCENARIOS, summary_line
 from repro.obs import scoped
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-PERF_PATH = REPO_ROOT / "BENCH_PERF.json"
 
 SEED = 0
 GOODPUT_FACTOR = 3.0
@@ -202,34 +193,6 @@ def exhibit_text(results: Dict[str, Dict[str, object]],
     return "\n".join(lines)
 
 
-def update_perf_json(results: Dict[str, Dict[str, object]],
-                     ratio: float) -> None:
-    """Record the cache result as a sibling of the kernel trajectory."""
-    doc = json.loads(PERF_PATH.read_text())
-    doc["cache_goodput"] = {
-        "seed": SEED,
-        "gate_factor": GOODPUT_FACTOR,
-        "goodput_mbps": {
-            "bare": results["zipf@bare"]["goodput_mbps"],
-            "lru": results["zipf@lru"]["goodput_mbps"],
-            "cost-aware": results["zipf@cost-aware"]["goodput_mbps"],
-        },
-        "ratio_lru_vs_bare": round(ratio, 4),
-        "hit_ratio": {
-            "lru": results["zipf@lru"]["hit_ratio"],
-            "cost-aware": results["zipf@cost-aware"]["hit_ratio"],
-        },
-        "tight_hit_ratio": {
-            "capacity_bytes": TIGHT_CAPACITY_BYTES,
-            "lru": results["zipf-tight@lru"]["hit_ratio"],
-            "cost-aware": results["zipf-tight@cost-aware"]["hit_ratio"],
-        },
-        "interactive_violations": results["zipf@lru"][
-            "interactive_violations"],
-    }
-    PERF_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def test_cache_tier_wins_goodput_without_qos_cost(exhibit):
     first, first_lines = run_all(SEED)
     second, second_lines = run_all(SEED)
@@ -239,39 +202,3 @@ def test_cache_tier_wins_goodput_without_qos_cost(exhibit):
     assert first_lines == second_lines, (
         "cache summary lines are not deterministic across runs")
     assert not failures, "; ".join(failures)
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the CI gates and exit nonzero on failure")
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--update-perf", action="store_true",
-                        help="record the ratio in BENCH_PERF.json")
-    args = parser.parse_args(argv)
-
-    first, first_lines = run_all(args.seed)
-    second, _ = run_all(args.seed)
-    ratio, failures = check(first)
-    if first != second:
-        failures.append("cache scenarios are not deterministic")
-    print(exhibit_text(first, ratio))
-    print()
-    for line in first_lines.values():
-        print(line)
-    if args.update_perf and not failures:
-        update_perf_json(first, ratio)
-        print(f"updated {PERF_PATH}")
-    if failures:
-        for failure in failures:
-            print(f"cache-smoke FAILED: {failure}", file=sys.stderr)
-        return 1
-    if args.smoke:
-        print("cache-smoke ok")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -18,13 +18,12 @@ Gates:
 * the whole experiment is deterministic — a second run with the same
   seed must reproduce every number (and the summary lines) exactly.
 
-Runable as a script for CI (``python benchmarks/bench_cluster_scaling.py
---smoke``) or under pytest like the other benches.
+Run the gates with ``python -m pytest
+benchmarks/bench_cluster_scaling.py -q``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, Tuple
 
 from repro.cluster import SCENARIOS, summary_line
@@ -135,34 +134,3 @@ def test_cluster_scales_and_survives_node_kill(exhibit):
     assert first_lines == second_lines, (
         "cluster summary lines are not deterministic across runs")
     assert not failures, "; ".join(failures)
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the CI gates and exit nonzero on failure")
-    parser.add_argument("--seed", type=int, default=SEED)
-    args = parser.parse_args(argv)
-
-    first, first_lines = run_all(args.seed)
-    second, _ = run_all(args.seed)
-    ratio, failures = check(first)
-    if first != second:
-        failures.append("cluster scenarios are not deterministic")
-    print(exhibit_text(first, ratio))
-    print()
-    for line in first_lines.values():
-        print(line)
-    if failures:
-        for failure in failures:
-            print(f"cluster-smoke FAILED: {failure}", file=sys.stderr)
-        return 1
-    if args.smoke:
-        print("cluster-smoke ok")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

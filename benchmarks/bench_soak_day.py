@@ -26,24 +26,15 @@ Gates:
 * a second search run returns the identical minimized schedule and probe
   counts — the reduction itself is deterministic.
 
-Runnable as a script for CI (``python benchmarks/bench_soak_day.py
---smoke``) or under pytest like the other benches.  ``--update-perf``
-records the headline soak facts under the ``soak_day`` key of
-``BENCH_PERF.json``.
+Run the gates with ``python -m pytest benchmarks/bench_soak_day.py -q``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
 from typing import Dict, Tuple
 
 from repro.obs import scoped
 from repro.soak import SEARCH_DEMO_SEED, chaos_search, day, summary_line
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-PERF_PATH = REPO_ROOT / "BENCH_PERF.json"
 
 SEED = 0
 #: the minimal failing schedule the search must recover with the leak
@@ -158,30 +149,6 @@ def exhibit_text(results: Dict[str, Dict[str, object]]) -> str:
     return "\n".join(lines)
 
 
-def update_perf_json(results: Dict[str, Dict[str, object]]) -> None:
-    """Record the soak result as a sibling of the kernel trajectory."""
-    facts = results["day"]
-    report = results["search"]
-    doc = json.loads(PERF_PATH.read_text())
-    doc["soak_day"] = {
-        "seed": SEED,
-        "timeline_events": facts["timeline_events"],
-        "faults_injected": facts["faults_injected"],
-        "invariant_breaches": facts["invariant_breaches"],
-        "interactive_violations": facts["interactive_violations"],
-        "hit_ratio": facts["hit_ratio"],
-        "search": {
-            "demo_seed": SEARCH_DEMO_SEED,
-            "schedule_len": report["schedule_len"],
-            "minimized_len": report["minimized_len"],
-            "ddmin_probes": report["ddmin_probes"],
-            "max_pass_probes": report["max_pass_probes"],
-            "probe_bound": report["probe_bound"],
-        },
-    }
-    PERF_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def test_soak_day_survives_and_search_minimizes(exhibit):
     first, first_lines = run_all(SEED)
     second, second_lines = run_all(SEED)
@@ -195,39 +162,3 @@ def test_soak_day_survives_and_search_minimizes(exhibit):
         assert first["search"][key] == second["search"][key], (
             f"chaos search is not deterministic: {key}")
     assert not failures, "; ".join(failures)
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the CI gates and exit nonzero on failure")
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--update-perf", action="store_true",
-                        help="record the soak facts in BENCH_PERF.json")
-    args = parser.parse_args(argv)
-
-    first, first_lines = run_all(args.seed)
-    second, _ = run_all(args.seed)
-    failures = check(first)
-    if first["day"] != second["day"]:
-        failures.append("soak day is not deterministic")
-    print(exhibit_text(first))
-    print()
-    for line in first_lines.values():
-        print(line)
-    if args.update_perf and not failures:
-        update_perf_json(first)
-        print(f"updated {PERF_PATH}")
-    if failures:
-        for failure in failures:
-            print(f"soak-smoke FAILED: {failure}", file=sys.stderr)
-        return 1
-    if args.smoke:
-        print("soak-smoke ok")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -30,7 +30,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from typing import BinaryIO, Dict, List, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -38,7 +38,12 @@ from repro.avtime import TimeMapping, WorldTime
 from repro.codecs.registry import get_codec
 from repro.errors import CodecError, DataModelError, SchemaError
 from repro.temporal import TCompSpec, TemporalComposite, Timeline, TimelineEntry, TrackSpec
-from repro.values.audio import EncodedAudioValue, RawAudioValue
+from repro.values.audio import (
+    ADPCMAudioValue,
+    EncodedAudioValue,
+    MuLawAudioValue,
+    RawAudioValue,
+)
 from repro.values.base import MediaValue
 from repro.values.mediatype import standard_type
 from repro.values.text import TextItem, TextStreamValue
@@ -97,24 +102,24 @@ def _unpack_str(data: bytes, offset: int, width: str = "B") -> Tuple[str, int]:
 
 
 class _TrackInfo:
-    """Parsed TRAK metadata plus collected sample payloads."""
+    """One TRAK header, checked: its media type, codec and time mapping."""
 
     def __init__(self, name: str, media_type: str, codec: str, params: dict,
                  rate: float, start: float, scale: float, count: int,
                  width: int, height: int, depth: int, channels: int) -> None:
         self.name = name
-        self.media_type = media_type
-        self.codec = codec
-        self.params = params
-        self.rate = rate
-        self.start = start
-        self.scale = scale
+        self.media_type = standard_type(media_type)
+        self.kind = self.media_type.kind.value
+        if self.kind not in ("video", "audio", "text"):
+            raise DataModelError(f"container cannot carry a {media_type} "
+                                 f"track")
+        self.codec = _codec(codec, params) if codec else None
+        self.mapping = TimeMapping(rate, WorldTime(start), scale)
         self.count = count
         self.width = width
         self.height = height
         self.depth = depth
         self.channels = channels
-        self.samples: Dict[int, bytes] = {}
 
 
 class ContainerWriter:
@@ -212,132 +217,148 @@ class ContainerWriter:
             )
 
 
+def _parse(data: bytes) -> Tuple[List[_TrackInfo], bytes]:
+    """The header and version check: ``data``'s tracks and MDAT payload."""
+    kind, payload, offset = _read_atom(data, 0)
+    if kind != b"FTYP":
+        raise DataModelError(f"not a container: leading atom {kind!r}")
+    magic, version = _unpack(_FTYP, payload, 0)
+    if magic != MAGIC:
+        raise DataModelError(f"bad container magic {magic!r}")
+    if version != VERSION:
+        raise DataModelError(f"unsupported container version {version}")
+    kind, moov, offset = _read_atom(data, offset)
+    if kind != b"MOOV":
+        raise DataModelError(f"expected MOOV atom, got {kind!r}")
+    (count,) = _unpack(_COUNT, moov, 0)
+    moov_offset = _COUNT.size
+    tracks: List[_TrackInfo] = []
+    for _ in range(count):
+        kind, trak, moov_offset = _read_atom(moov, moov_offset)
+        if kind != b"TRAK":
+            raise DataModelError(f"expected TRAK atom, got {kind!r}")
+        tracks.append(_parse_trak(trak))
+    kind, mdat, offset = _read_atom(data, offset)
+    if kind != b"MDAT":
+        raise DataModelError(f"expected MDAT atom, got {kind!r}")
+    return tracks, mdat
+
+
+def _parse_trak(payload: bytes) -> _TrackInfo:
+    name, offset = _unpack_str(payload, 0)
+    media_type, offset = _unpack_str(payload, offset)
+    codec, offset = _unpack_str(payload, offset)
+    params_json, offset = _unpack_str(payload, offset, width="H")
+    rate, start, scale, count, width, height, depth, channels = \
+        _unpack(_TRAK_FIXED, payload, offset)
+    try:
+        params = json.loads(params_json)
+    except ValueError as exc:
+        raise DataModelError(f"corrupt codec params: {exc}") from None
+    if not isinstance(params, dict):
+        raise DataModelError(f"corrupt codec params: {params_json!r}")
+    return _TrackInfo(name, media_type, codec, params, rate, start,
+                      scale, count, width, height, depth, channels)
+
+
+def _records(mdat: bytes, tracks: List[_TrackInfo]
+             ) -> Iterator[Tuple[int, int, bytes]]:
+    """MDAT's sample records in file order: (track, element, payload).
+
+    Each track's elements come numbered 0, 1, 2, ... as the writer
+    numbers them, so a record is never a second copy of an element.
+    """
+    expected = [0] * len(tracks)
+    offset = 0
+    while offset < len(mdat):
+        track_index, element_index, size = _unpack(_SAMPLE, mdat, offset)
+        offset += _SAMPLE.size
+        if track_index >= len(tracks):
+            raise DataModelError(f"sample for unknown track {track_index}")
+        if element_index != expected[track_index]:
+            raise DataModelError(
+                f"sample {element_index} of track {track_index} out of "
+                f"order (expected {expected[track_index]})")
+        expected[track_index] += 1
+        payload = mdat[offset:offset + size]
+        if len(payload) != size:
+            raise DataModelError("truncated sample record")
+        offset += size
+        yield track_index, element_index, payload
+
+
+def _decode(info: _TrackInfo, payload: bytes):
+    """One record's element: a raw frame, a PCM block or a text item;
+    a coded video or audio record stays its bytes."""
+    try:
+        if info.kind == "text":
+            (span,) = struct.unpack_from("<d", payload, 0)
+            return TextItem(payload[8:].decode("utf-8"), span)
+        if info.codec is not None:
+            return payload
+        if info.kind == "video":
+            shape = ((info.height, info.width) if info.depth == 8
+                     else (info.height, info.width, 3))
+            return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+        return np.frombuffer(payload, dtype=np.int16).reshape(
+            info.channels, -1)
+    except (ValueError, struct.error) as exc:
+        raise DataModelError(f"corrupt sample record: {exc}") from None
+
+
+def _read(data: bytes, tcomp_name: str) -> Tuple[
+        TemporalComposite, List[_TrackInfo], List[Tuple[int, int, bytes]]]:
+    """Parse ``data`` in full: the composite, its tracks, and the sample
+    records in file order."""
+    tracks, mdat = _parse(data)
+    records = list(_records(mdat, tracks))
+    elements: List[List] = [[] for _ in tracks]
+    for track_index, _, payload in records:
+        elements[track_index].append(_decode(tracks[track_index], payload))
+    # Headers that parse can still describe no valid composite: a track
+    # name that is no identifier, a sample depth no value class takes.
+    try:
+        values: Dict[str, MediaValue] = {
+            info.name: _rebuild_value(info, decoded)
+            for info, decoded in zip(tracks, elements)}
+        spec = TCompSpec(tcomp_name, tuple(
+            TrackSpec(info.name, info.media_type) for info in tracks))
+        timeline = Timeline([
+            TimelineEntry(info.name, values[info.name].interval)
+            for info in tracks
+        ])
+        composite = TemporalComposite(spec, values, timeline)
+    except (SchemaError, ValueError) as exc:
+        raise DataModelError(f"corrupt container: {exc}") from None
+    return composite, tracks, records
+
+
+def _rebuild_value(info: _TrackInfo, decoded: List) -> MediaValue:
+    mapping = info.mapping
+    if info.kind == "video":
+        if info.codec is not None:
+            return info.codec.value_class(
+                decoded, info.codec, info.width, info.height, info.depth,
+                mapping=mapping,
+            )
+        return RawVideoValue(np.stack(decoded), mapping=mapping)
+    if info.kind == "audio":
+        if info.codec is not None:
+            value_class = (MuLawAudioValue if info.codec.name == "mulaw"
+                           else ADPCMAudioValue)
+            return value_class(decoded, info.codec, info.channels,
+                               info.count, mapping.rate, depth=info.depth,
+                               mapping=mapping)
+        return RawAudioValue(np.concatenate(decoded, axis=1),
+                             depth=info.depth, mapping=mapping)
+    return TextStreamValue(decoded, mapping=mapping)
+
+
 class ContainerReader:
     """Parses container bytes back into a temporal composite."""
 
     def read(self, data: bytes, tcomp_name: str = "clip") -> TemporalComposite:
-        offset = 0
-        kind, payload, offset = _read_atom(data, offset)
-        if kind != b"FTYP":
-            raise DataModelError(f"not a container: leading atom {kind!r}")
-        magic, version = _unpack(_FTYP, payload, 0)
-        if magic != MAGIC:
-            raise DataModelError(f"bad container magic {magic!r}")
-        if version != VERSION:
-            raise DataModelError(f"unsupported container version {version}")
-        kind, moov, offset = _read_atom(data, offset)
-        if kind != b"MOOV":
-            raise DataModelError(f"expected MOOV atom, got {kind!r}")
-        tracks = self._parse_moov(moov)
-        kind, mdat, offset = _read_atom(data, offset)
-        if kind != b"MDAT":
-            raise DataModelError(f"expected MDAT atom, got {kind!r}")
-        self._parse_mdat(mdat, tracks)
-        return self._rebuild(tracks, tcomp_name)
-
-    # -- parsing -----------------------------------------------------------
-    def _parse_moov(self, moov: bytes) -> List[_TrackInfo]:
-        (count,) = _unpack(_COUNT, moov, 0)
-        offset = 2
-        tracks: List[_TrackInfo] = []
-        for _ in range(count):
-            kind, payload, offset = _read_atom(moov, offset)
-            if kind != b"TRAK":
-                raise DataModelError(f"expected TRAK atom, got {kind!r}")
-            tracks.append(self._parse_trak(payload))
-        return tracks
-
-    @staticmethod
-    def _parse_trak(payload: bytes) -> _TrackInfo:
-        name, offset = _unpack_str(payload, 0)
-        media_type, offset = _unpack_str(payload, offset)
-        codec, offset = _unpack_str(payload, offset)
-        params_json, offset = _unpack_str(payload, offset, width="H")
-        rate, start, scale, count, width, height, depth, channels = \
-            _unpack(_TRAK_FIXED, payload, offset)
-        try:
-            params = json.loads(params_json)
-        except ValueError as exc:
-            raise DataModelError(f"corrupt codec params: {exc}") from None
-        if not isinstance(params, dict):
-            raise DataModelError(f"corrupt codec params: {params_json!r}")
-        return _TrackInfo(name, media_type, codec, params, rate, start,
-                          scale, count, width, height, depth, channels)
-
-    @staticmethod
-    def _parse_mdat(mdat: bytes, tracks: List[_TrackInfo]) -> None:
-        offset = 0
-        while offset < len(mdat):
-            track_index, element_index, size = _unpack(_SAMPLE, mdat, offset)
-            offset += _SAMPLE.size
-            if track_index >= len(tracks):
-                raise DataModelError(f"sample for unknown track {track_index}")
-            payload = mdat[offset:offset + size]
-            if len(payload) != size:
-                raise DataModelError("truncated sample record")
-            tracks[track_index].samples[element_index] = payload
-            offset += size
-
-    # -- reconstruction ----------------------------------------------------
-    def _rebuild(self, tracks: List[_TrackInfo],
-                 tcomp_name: str) -> TemporalComposite:
-        # Headers that parse can still describe no valid composite: a
-        # track name that is no identifier, a payload of the wrong size.
-        try:
-            values: Dict[str, MediaValue] = {}
-            specs: List[TrackSpec] = []
-            for info in tracks:
-                values[info.name] = self._rebuild_value(info)
-                specs.append(TrackSpec(info.name,
-                                       standard_type(info.media_type)))
-            spec = TCompSpec(tcomp_name, tuple(specs))
-            timeline = Timeline([
-                TimelineEntry(info.name, values[info.name].interval)
-                for info in tracks
-            ])
-            return TemporalComposite(spec, values, timeline)
-        except (SchemaError, ValueError, struct.error) as exc:
-            raise DataModelError(f"corrupt container: {exc}") from None
-
-    def _rebuild_value(self, info: _TrackInfo) -> MediaValue:
-        mapping = TimeMapping(info.rate, WorldTime(info.start), info.scale)
-        media_type = standard_type(info.media_type)
-        ordered = [info.samples[i] for i in sorted(info.samples)]
-        if media_type.kind.value == "video":
-            if info.codec:
-                codec = _codec(info.codec, info.params)
-                return codec.value_class(
-                    ordered, codec, info.width, info.height, info.depth,
-                    mapping=mapping,
-                )
-            shape = ((info.height, info.width) if info.depth == 8
-                     else (info.height, info.width, 3))
-            frames = np.stack([
-                np.frombuffer(p, dtype=np.uint8).reshape(shape)
-                for p in ordered
-            ])
-            return RawVideoValue(frames, mapping=mapping)
-        if media_type.kind.value == "audio":
-            if info.codec:
-                codec = _codec(info.codec, {})
-                from repro.values.audio import ADPCMAudioValue, MuLawAudioValue
-                value_class = (MuLawAudioValue if info.codec == "mulaw"
-                               else ADPCMAudioValue)
-                return value_class(ordered, codec, info.channels, info.count,
-                                   info.rate, depth=info.depth, mapping=mapping)
-            blocks = [
-                np.frombuffer(p, dtype=np.int16).reshape(info.channels, -1)
-                for p in ordered
-            ]
-            return RawAudioValue(np.concatenate(blocks, axis=1),
-                                 depth=info.depth, mapping=mapping)
-        if media_type.kind.value == "text":
-            items = []
-            for payload in ordered:
-                (span,) = struct.unpack_from("<d", payload, 0)
-                items.append(TextItem(payload[8:].decode("utf-8"), span))
-            return TextStreamValue(items, mapping=mapping)
-        raise DataModelError(f"cannot rebuild a {info.media_type} track")
+        return _read(data, tcomp_name)[0]
 
 
 def _codec(name: str, params: dict):

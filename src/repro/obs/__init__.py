@@ -113,19 +113,19 @@ def attach(obs: Optional[Obs] = None) -> Obs:
 
 
 @contextmanager
-def scoped(tracing: bool = True, decisions: bool = True) -> Iterator[Obs]:
+def scoped(tracing: bool = True) -> Iterator[Obs]:
     """Install an ambient Obs; components built inside share it.
 
     With ``tracing=True`` (default) the scope gets a live
     :class:`Tracer`; the first :class:`~repro.sim.Simulator` constructed
-    inside binds its virtual clock to it.  With ``decisions=True``
-    (default) the scope also records structured decision events
-    (:mod:`repro.obs.decisions`) — control-plane verdicts are rare next
-    to data-plane events, so the log stays on even where tracing is off.
+    inside binds its virtual clock to it.  The scope always records
+    structured decision events (:mod:`repro.obs.decisions`):
+    control-plane verdicts are rare next to data-plane events, so the
+    log stays on even where tracing is off.
     """
     obs = Obs(MetricsRegistry(),
               Tracer() if tracing else NULL_TRACER,
-              DecisionLog() if decisions else NULL_DECISIONS)
+              DecisionLog())
     _scopes.append(obs)
     try:
         yield obs

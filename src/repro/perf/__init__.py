@@ -8,9 +8,6 @@ The measured numbers live in ``BENCH_PERF.json`` (repo root) and are
 produced by ``benchmarks/bench_kernel_throughput.py``.
 """
 
-from repro.perf.profile import (
-    profile_scenario,
-    resolve_scenario,
-)
+from repro.perf.profile import profile_scenario
 
-__all__ = ["profile_scenario", "resolve_scenario"]
+__all__ = ["profile_scenario"]

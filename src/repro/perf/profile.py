@@ -12,21 +12,12 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-from typing import Callable, Tuple
+from typing import Tuple
 
 from repro.scenarios import table
 
 #: pstats sort keys accepted by the CLI.
 SORT_KEYS = ("cumulative", "tottime", "ncalls")
-
-
-def resolve_scenario(name: str) -> Tuple[str, Callable[[], object]]:
-    """Resolve ``name`` to (family name, zero-argument runner)."""
-    names = table()
-    if name not in names:
-        options = ", ".join(sorted(names))
-        raise KeyError(f"unknown scenario {name!r}; pick one of: {options}")
-    return names[name].family.name, names[name].run
 
 
 def profile_scenario(name: str, top: int = 15,
@@ -40,16 +31,16 @@ def profile_scenario(name: str, top: int = 15,
         raise ValueError(f"sort must be one of {SORT_KEYS}, got {sort!r}")
     from repro.obs import scoped
 
-    kind, run = resolve_scenario(name)
+    scenario = table()[name]
     profiler = cProfile.Profile()
     with scoped(tracing=False):
         profiler.enable()
-        facts = run()
+        facts = scenario.run()
         profiler.disable()
 
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
-    header = (f"== profile: {name} ({kind} scenario, "
+    header = (f"== profile: {name} ({scenario.family.name} scenario, "
               f"top {top} by {sort}) ==\n")
     return header + buf.getvalue(), facts

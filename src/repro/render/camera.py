@@ -80,12 +80,6 @@ class CameraPath(MediaValue):
     def data_size_bits(self) -> int:
         return _POSE_BITS * len(self._poses)
 
-    def _with_mapping(self, mapping: TimeMapping) -> "CameraPath":
-        clone = type(self).__new__(type(self))
-        MediaValue.__init__(clone, mapping)
-        clone._poses = self._poses
-        return clone
-
 
 def walk_path(steps: int = 30, start: tuple = (0.0, 1.6, -6.0),
               end: tuple = (0.0, 1.6, -2.5), rate: float = 30.0) -> CameraPath:

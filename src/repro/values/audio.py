@@ -128,13 +128,6 @@ class RawAudioValue(AudioValue):
     def data_size_bits(self) -> int:
         return self.num_channels * self.depth * self.element_count
 
-    def _with_mapping(self, mapping: TimeMapping) -> "RawAudioValue":
-        clone = type(self).__new__(type(self))
-        AudioValue.__init__(clone, self.num_channels, self.depth, mapping)
-        clone._samples = self._samples
-        clone._type_name = self._type_name
-        return clone
-
 
 class EncodedAudioValue(AudioValue, abc.ABC):
     """Compressed audio stored as fixed-span encoded blocks."""
@@ -188,16 +181,6 @@ class EncodedAudioValue(AudioValue, abc.ABC):
         raw = self.num_channels * self.depth * self._num_samples
         stored = self.data_size_bits()
         return raw / stored if stored else float("inf")
-
-    def _with_mapping(self, mapping: TimeMapping) -> "EncodedAudioValue":
-        clone = type(self).__new__(type(self))
-        AudioValue.__init__(clone, self.num_channels, self.depth, mapping)
-        clone._blocks = self._blocks
-        clone._stored_bits = self._stored_bits
-        clone._codec = self._codec
-        clone._num_samples = self._num_samples
-        clone._decoded = self._decoded
-        return clone
 
 
 class MuLawAudioValue(EncodedAudioValue):

@@ -26,6 +26,7 @@ value sharing the underlying element storage, which implements the paper's
 from __future__ import annotations
 
 import abc
+import copy
 from typing import Any
 
 from repro.avtime import Interval, ObjectTime, TimeMapping, WorldTime
@@ -63,9 +64,11 @@ class MediaValue(abc.ABC):
     def element_size_bits(self, index: int) -> int:
         """Stored size of element ``index`` in bits."""
 
-    @abc.abstractmethod
     def _with_mapping(self, mapping: TimeMapping) -> "MediaValue":
         """A copy of this value presented under ``mapping`` (shared storage)."""
+        clone = copy.copy(self)
+        clone._mapping = mapping
+        return clone
 
     # -- the paper's temporal interface -----------------------------------
     @property

@@ -67,12 +67,3 @@ class ImageValue(MediaValue):
 
     def data_size_bits(self) -> int:
         return self.width * self.height * self.depth
-
-    def _with_mapping(self, mapping: TimeMapping) -> "ImageValue":
-        clone = type(self).__new__(type(self))
-        MediaValue.__init__(clone, mapping)
-        clone._pixels = self._pixels
-        clone.width = self.width
-        clone.height = self.height
-        clone.depth = self.depth
-        return clone

@@ -99,11 +99,3 @@ class MIDIValue(MediaValue):
     def active_at_tick(self, tick: int) -> Tuple[MIDIEvent, ...]:
         """Events sounding (started, not yet ended) at ``tick``."""
         return tuple(e for e in self._events if e.tick <= tick < e.tick + e.duration_ticks)
-
-    def _with_mapping(self, mapping: TimeMapping) -> "MIDIValue":
-        clone = type(self).__new__(type(self))
-        MediaValue.__init__(clone, mapping)
-        clone._events = self._events
-        clone._by_tick = self._by_tick
-        clone._length_ticks = self._length_ticks
-        return clone

@@ -71,10 +71,3 @@ class TextStreamValue(MediaValue):
 
     def texts(self) -> list[str]:
         return [item.text for item in self._items]
-
-    def _with_mapping(self, mapping: TimeMapping) -> "TextStreamValue":
-        clone = type(self).__new__(type(self))
-        MediaValue.__init__(clone, mapping)
-        clone._items = self._items
-        clone._stored_bits = self._stored_bits
-        return clone

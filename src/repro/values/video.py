@@ -164,12 +164,6 @@ class RawVideoValue(VideoValue):
         """The full (n, h, w[, 3]) frame array (shared, do not mutate)."""
         return self._frames
 
-    def _with_mapping(self, mapping: TimeMapping) -> "RawVideoValue":
-        clone = type(self).__new__(type(self))
-        VideoValue.__init__(clone, self.width, self.height, self.depth, mapping)
-        clone._frames = self._frames
-        return clone
-
 
 class CCIRVideoValue(RawVideoValue):
     """CCIR 601 studio digital video: uncompressed, fixed type rate."""
@@ -249,14 +243,6 @@ class EncodedVideoValue(VideoValue):
         if stored == 0:
             return float("inf")
         return self.raw_frame_bits() * self.element_count / stored
-
-    def _with_mapping(self, mapping: TimeMapping) -> "EncodedVideoValue":
-        clone = type(self).__new__(type(self))
-        VideoValue.__init__(clone, self.width, self.height, self.depth, mapping)
-        clone._chunks = self._chunks
-        clone._stored_bits = self._stored_bits
-        clone._codec = self._codec
-        return clone
 
 
 class JPEGVideoValue(EncodedVideoValue):

@@ -1,6 +1,7 @@
 """The track-based container format (the paper's future-work [5])."""
 
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ import pytest
 from repro.avtime import WorldTime
 from repro.codecs import JPEGCodec, MPEGCodec, MuLawCodec
 from repro.container import read_composite, write_composite
-from repro.container.format import _ATOM, _SAMPLE, MAGIC
+from repro.container.format import _ATOM, _SAMPLE, MAGIC, VERSION, ContainerWriter
 from repro.errors import DataModelError
+from repro.sim import Simulator
 from repro.synth import NEWSCAST_CLIP_SPEC, newscast_clip, moving_scene, tone
 from repro.temporal import TemporalComposite
 from repro.values import MPEGVideoValue
+from repro.values.audio import EncodedAudioValue
+from repro.values.text import TextItem
 
 
 class TestRoundtrip:
@@ -150,27 +154,7 @@ class TestErrors:
         of it: each input parses or raises DataModelError, nothing else.
         One container holds raw tracks; the other an MPEG video track and
         a mu-law audio track, whose headers name a codec and its params."""
-        from repro.synth import subtitle_track
-        encoded = TemporalComposite(NEWSCAST_CLIP_SPEC, {
-            "videoTrack": MPEGCodec(80, gop=4).encode_value(
-                moving_scene(4, 32, 24)),
-            "englishTrack": MuLawCodec().encode_value(tone(0.1, 440.0, 8000.0)),
-            "frenchTrack": tone(0.1, 330.0),
-            "subtitleTrack": subtitle_track(["x"]),
-        })
-        rng = random.Random(0)
-        inputs = []
-        for composite in (newscast_clip(video_frames=4, audio_seconds=0.1),
-                          encoded):
-            data = write_composite(composite)
-            # FTYP, MOOV and the first MDAT records.
-            header = data.index(b"MDAT") + 2 * _SAMPLE.size + 20
-            inputs += [data[:cut] for cut in range(header)]
-            for _ in range(3000):
-                mutated = bytearray(data)
-                for _ in range(rng.randint(1, 3)):
-                    mutated[rng.randrange(header)] = rng.randrange(256)
-                inputs.append(bytes(mutated))
+        inputs = _corrupt_inputs()
         parsed = 0
         for blob in inputs:
             try:
@@ -179,6 +163,79 @@ class TestErrors:
                 continue
             parsed += 1
         assert 0 < parsed < len(inputs)
+
+
+def _corrupt_inputs():
+    """Every truncation of two containers' headers, and 3,000 seeded 1-3
+    byte mutations of each."""
+    from repro.synth import subtitle_track
+    encoded = TemporalComposite(NEWSCAST_CLIP_SPEC, {
+        "videoTrack": MPEGCodec(80, gop=4).encode_value(
+            moving_scene(4, 32, 24)),
+        "englishTrack": MuLawCodec().encode_value(tone(0.1, 440.0, 8000.0)),
+        "frenchTrack": tone(0.1, 330.0),
+        "subtitleTrack": subtitle_track(["x"]),
+    })
+    rng = random.Random(0)
+    inputs = []
+    for composite in (newscast_clip(video_frames=4, audio_seconds=0.1),
+                      encoded):
+        data = write_composite(composite)
+        # FTYP, MOOV and the first MDAT records.
+        header = data.index(b"MDAT") + 2 * _SAMPLE.size + 20
+        inputs += [data[:cut] for cut in range(header)]
+        for _ in range(3000):
+            mutated = bytearray(data)
+            for _ in range(rng.randint(1, 3)):
+                mutated[rng.randrange(header)] = rng.randrange(256)
+            inputs.append(bytes(mutated))
+    return inputs
+
+
+def _element_bytes(payload) -> bytes:
+    if isinstance(payload, np.ndarray):
+        return np.ascontiguousarray(payload).tobytes()
+    if isinstance(payload, TextItem):
+        return struct.pack("<d", payload.span) + payload.text.encode("utf-8")
+    return payload
+
+
+def _read_elements(data):
+    """Per track, the reader's elements as the demuxer sends them: the
+    record payloads, with a coded audio block decoded to PCM."""
+    composite = read_composite(data)
+    tracks = []
+    for name in composite.track_names:
+        value = composite.value(name)
+        payloads = [p for _, _, p in ContainerWriter()._elements_of(value)]
+        if isinstance(value, EncodedAudioValue):
+            payloads = [_element_bytes(value.codec.decode_block(
+                p, value.num_channels)) for p in payloads]
+        tracks.append(payloads)
+    return tracks
+
+
+def _demux_elements(data):
+    """Per track, the elements an unpaced demuxer sends, as bytes."""
+    from repro.activities import ActivityGraph
+    from repro.activities.library import SinkActivity
+    from repro.activities.ports import Direction
+    from repro.container import ContainerDemuxer
+    from repro.sim import Simulator
+    sim = Simulator()
+    demuxer = ContainerDemuxer(sim, data)
+    demuxer.paced = False
+    graph = ActivityGraph(sim)
+    graph.add(demuxer)
+    sinks = []
+    for i, port in enumerate(demuxer.out_ports()):
+        sink = graph.add(SinkActivity(sim, name=f"sink{i}"))
+        sink.paced = False
+        sink.add_port("in", Direction.IN, port.media_type)
+        graph.connect(port, sink.port("in"))
+        sinks.append(sink)
+    graph.run_to_completion()
+    return [[_element_bytes(p) for p in sink.presented] for sink in sinks]
 
 
 class TestDemuxer:
@@ -266,3 +323,43 @@ class TestDemuxer:
         graph.run_to_completion()
         pcm = english.pcm()
         assert np.abs(pcm.astype(int) - voice.samples().astype(int)).mean() < 200
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("version", "version 9"),
+        ("unknown_track", "unknown track 7"),
+        ("renumbered", "sample 1 of track 0 out of order"),
+        ("overrun", "truncated sample record"),
+    ])
+    def test_refuses_what_the_reader_refuses(self, clip, corrupt, message):
+        from repro.container import ContainerDemuxer
+        data = bytearray(write_composite(clip))
+        mdat = data.index(b"MDAT")
+        if corrupt == "version":
+            at = data.index(MAGIC) + len(MAGIC)
+            data[at:at + 2] = (VERSION + 8).to_bytes(2, "little")
+        elif corrupt == "unknown_track":  # of 4 tracks
+            struct.pack_into("<H", data, mdat + 4, 7)
+        elif corrupt == "renumbered":  # track 0's first record
+            struct.pack_into("<I", data, mdat + 6, 1)
+        else:  # MDAT cut 5 bytes short: the last record runs past it
+            (size,) = struct.unpack_from("<I", data, mdat - 4)
+            struct.pack_into("<I", data, mdat - 4, size - 5)
+            del data[-5:]
+        for parse in (read_composite,
+                      lambda blob: ContainerDemuxer(Simulator(), blob)):
+            with pytest.raises(DataModelError, match=message):
+                parse(bytes(data))
+
+    def test_corrupt_bytes_demux_as_read_or_raise_data_model_error(self):
+        """The reader's mutation and truncation sweep, through the
+        demuxer: each input raises DataModelError or plays exactly the
+        elements the reader parses."""
+        played = 0
+        for blob in _corrupt_inputs():
+            try:
+                elements = _demux_elements(blob)
+            except DataModelError:
+                continue
+            assert elements == _read_elements(blob)
+            played += 1
+        assert played > 0

@@ -8,9 +8,7 @@ from repro.obs import (
     DEPTH_BUCKETS,
     NULL_OBS,
     NULL_TRACER,
-    Counter,
     DecisionLog,
-    Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
@@ -350,12 +348,7 @@ class TestDecisionLog:
             events = current().decisions.events
         assert events[0].ts == pytest.approx(1.25)
 
-    def test_scoped_can_disable_decisions(self):
-        with scoped(decisions=False):
-            obs = current()
-            assert not obs.decisions.enabled
-            obs.decisions.emit("admit", "s-1")
-            assert len(obs.decisions) == 0
-
     def test_null_obs_has_null_decisions(self):
         assert not NULL_OBS.decisions.enabled
+        NULL_OBS.decisions.emit("admit", "s-1")
+        assert len(NULL_OBS.decisions) == 0

@@ -1015,10 +1015,10 @@ class TestProfileCLI:
         assert facts["frames_presented"] > 0
 
     def test_unknown_scenario_raises(self):
-        from repro.perf import resolve_scenario
+        from repro.perf import profile_scenario
 
-        with pytest.raises(KeyError, match="pick one of"):
-            resolve_scenario("definitely-not-a-scenario")
+        with pytest.raises(KeyError, match="definitely-not-a-scenario"):
+            profile_scenario("definitely-not-a-scenario")
 
 
 class TestClockOutCounts:

@@ -78,13 +78,10 @@ class TestTable:
             assert names[name].family.name == families[0]
 
     def test_profile_resolves_through_the_table(self):
-        from repro.perf import resolve_scenario
-
-        for name, scenario in table().items():
-            assert resolve_scenario(name)[0] == scenario.family.name
-        assert resolve_scenario("node-kill")[0] == "watch"
-        assert resolve_scenario("cluster-node-kill")[0] == "cluster"
-        assert resolve_scenario("herd-surge")[0] == "herd"
+        names = table()
+        assert names["node-kill"].family.name == "watch"
+        assert names["cluster-node-kill"].family.name == "cluster"
+        assert names["herd-surge"].family.name == "herd"
 
     def test_presets_name_real_scenarios(self):
         for family in FAMILIES.values():

@@ -305,6 +305,6 @@ class TestSoakCLI:
         assert "pick from" in capsys.readouterr().err
 
     def test_soak_scenarios_are_profilable(self):
-        from repro.perf import resolve_scenario
+        from repro.scenarios import table
 
-        assert resolve_scenario("day")[0] == "soak"
+        assert table()["day"].family.name == "soak"
