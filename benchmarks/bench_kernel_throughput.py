@@ -12,31 +12,31 @@ Measures the three layers every scenario funnels through:
   encode plus an MPEG sequential decode over coherent synthetic video.
 
 Throughputs are also *normalized* by a pure-Python calibration loop so
-numbers recorded on one machine can gate another (the ``--smoke`` CI
-mode): a 10% drop in normalized kernel or stream throughput vs the
-committed ``BENCH_PERF.json`` fails the job.  Codec frames/sec is
-printed but not gated: the calibration loop is pure Python and the
-codecs spend their time in numpy, so its ratio to the calibration
-moves with the machine, not only with the code.
+numbers recorded on one machine can gate another: the gate test fails on
+a >10% drop in normalized kernel or stream throughput against the smoke
+numbers of the latest ``BENCH_PERF.json`` trajectory row that has any.
+Codec frames/sec is printed but not gated: the calibration loop is pure
+Python and the codecs spend their time in numpy, so its ratio to the
+calibration moves with the machine, not only with the code.
 
 Usage::
 
-    python benchmarks/bench_kernel_throughput.py                 # run + table
-    python benchmarks/bench_kernel_throughput.py --json out.json # + raw dump
-    python benchmarks/bench_kernel_throughput.py --smoke         # CI gate
-    python benchmarks/bench_kernel_throughput.py --update \
-        [--baseline-json baseline.json]   # (re)write BENCH_PERF.json entry
+    python -m pytest benchmarks/bench_kernel_throughput.py -q  # the gate
+    python benchmarks/bench_kernel_throughput.py               # full run + table
 
-``BENCH_PERF.json`` at the repo root is the performance trajectory file:
-one entry per PR that touched performance, each holding the machine
-calibration score and the raw + normalized throughput of every metric,
-with the pre-optimization baseline of this PR kept alongside for the
-record.
+The gate test runs the smoke sizes and re-measures up to 3 times, each
+with a fresh calibration, before failing, so shared-CI noise dips don't
+flap the job.  The full run writes
+``benchmarks/results/kernel_throughput.txt``.
+
+``BENCH_PERF.json`` at the repo root is the committed performance
+trajectory: one row per PR that touched performance, each holding the
+machine calibration score and the raw + normalized throughput of every
+metric.  The gate reads it; nothing here writes it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -202,8 +202,8 @@ def codec_workload(frames: int, width: int, height: int) -> float:
 # ---------------------------------------------------------------------------
 
 METRICS = ("kernel_events_per_s", "stream_elements_per_s", "codec_frames_per_s")
-#: what ``--smoke`` gates: the pure-Python layers the calibration loop
-#: can normalize.
+#: what the gate test gates: the pure-Python layers the calibration
+#: loop can normalize.
 GATED = ("kernel_events_per_s", "stream_elements_per_s")
 
 
@@ -221,18 +221,6 @@ def run_suite(sizes: dict, repeats: int = 3) -> dict:
     return out
 
 
-def normalized(results: dict, calibration: float) -> dict:
-    return {k: v / calibration for k, v in results.items()}
-
-
-def geomean(values) -> float:
-    values = list(values)
-    product = 1.0
-    for v in values:
-        product *= v
-    return product ** (1.0 / len(values))
-
-
 def print_table(results: dict, calibration: float, title: str) -> None:
     print(f"== {title}")
     print(f"   calibration: {calibration:,.0f} loop-iters/s")
@@ -242,19 +230,8 @@ def print_table(results: dict, calibration: float, title: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# modes
+# the gate and the full run
 # ---------------------------------------------------------------------------
-
-def cmd_run(args) -> int:
-    calibration = calibration_score()
-    results = run_suite(SMOKE if args.smoke_sizes else FULL)
-    print_table(results, calibration, "kernel/stream/codec throughput")
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {"calibration": calibration, "results": results}, indent=2))
-        print(f"wrote {args.json}")
-    return 0
-
 
 def smoke_baseline(doc: dict):
     """The latest trajectory row that carries smoke numbers (rows other
@@ -265,8 +242,8 @@ def smoke_baseline(doc: dict):
     return None
 
 
-def cmd_smoke(args) -> int:
-    """CI gate: normalized kernel and stream throughput must stay within
+def test_kernel_throughput_gate() -> None:
+    """The gate: normalized kernel and stream throughput must stay within
     tolerance of the smoke numbers of the latest committed trajectory
     entry that has any; codec throughput is printed beside them.
 
@@ -275,17 +252,11 @@ def cmd_smoke(args) -> int:
     is re-measured (fresh calibration included) before the gate fails: a
     real regression persists across attempts, a noise dip does not.
     """
-    if not PERF_PATH.exists():
-        print(f"missing {PERF_PATH}; run --update first", file=sys.stderr)
-        return 2
     entry = smoke_baseline(json.loads(PERF_PATH.read_text()))
-    if entry is None:
-        print(f"no trajectory row in {PERF_PATH} carries smoke numbers; "
-              f"run --update first", file=sys.stderr)
-        return 2
+    assert entry is not None, (
+        f"no trajectory row in {PERF_PATH} carries smoke numbers")
     committed = entry["smoke_normalized"]
     print(f"gating against the PR {entry['pr']} row")
-    failures = []
     for attempt in range(1, SMOKE_ATTEMPTS + 1):
         calibration = calibration_score()
         results = run_suite(SMOKE, repeats=3)
@@ -305,98 +276,27 @@ def cmd_smoke(args) -> int:
             print(f"   {name:<24} normalized {measured:.4f} vs committed "
                   f"{committed[name]:.4f} (floor {floor:.4f}) {status}")
         if not failures:
-            print("perf-smoke ok")
-            return 0
+            break
         if attempt < SMOKE_ATTEMPTS:
             print(f"   regression in {', '.join(failures)} — re-measuring "
                   f"to rule out machine noise")
-    print(f"perf-smoke FAILED: >{SMOKE_TOLERANCE:.0%} regression in "
-          f"{', '.join(failures)} across {SMOKE_ATTEMPTS} attempts",
-          file=sys.stderr)
-    return 1
+    assert not failures, (
+        f">{SMOKE_TOLERANCE:.0%} regression in {', '.join(failures)} "
+        f"across {SMOKE_ATTEMPTS} attempts")
 
 
-def cmd_update(args) -> int:
-    """Measure and (re)write the trajectory entry + results file."""
+def main() -> int:
+    """The full-size run: print the table and write the results file."""
     calibration = calibration_score()
     full = run_suite(FULL)
-    # Commit the per-metric *median* of several smoke runs: a single
-    # lucky sample would set the CI gate's floor above typical
-    # performance and make the gate flap.
-    smoke_runs = [run_suite(SMOKE) for _ in range(3)]
-    smoke = {k: sorted(r[k] for r in smoke_runs)[1] for k in METRICS}
-    print_table(full, calibration, "full workload")
-    print_table(smoke, calibration, "smoke workload (median of 3)")
-
-    baseline = None
-    if args.baseline_json:
-        baseline_doc = json.loads(Path(args.baseline_json).read_text())
-        baseline = baseline_doc["results"]
-        baseline_cal = baseline_doc["calibration"]
-
-    entry = {
-        "pr": args.pr,
-        "label": args.label,
-        "calibration": calibration,
-        "full": full,
-        "full_normalized": normalized(full, calibration),
-        "smoke": smoke,
-        "smoke_normalized": normalized(smoke, calibration),
-    }
-    if baseline is not None:
-        speedups = {k: full[k] / baseline[k] for k in METRICS}
-        entry["baseline_full"] = baseline
-        entry["baseline_calibration"] = baseline_cal
-        entry["speedup"] = speedups
-        entry["aggregate_speedup"] = geomean(speedups.values())
-
-    if PERF_PATH.exists():
-        doc = json.loads(PERF_PATH.read_text())
-    else:
-        doc = {"schema": 1, "note": "performance trajectory; one entry per "
-                                    "perf-relevant PR (append, don't rewrite)",
-               "trajectory": []}
-    doc["trajectory"] = [e for e in doc["trajectory"] if e.get("pr") != args.pr]
-    doc["trajectory"].append(entry)
-    PERF_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {PERF_PATH}")
-
-    lines = [f"kernel/stream/codec throughput — {args.label}",
+    print_table(full, calibration, "kernel/stream/codec throughput")
+    lines = ["kernel/stream/codec throughput (full sizes)",
              f"calibration: {calibration:,.0f} loop-iters/s", ""]
-    for name in METRICS:
-        line = f"{name:<24} {full[name]:>14,.0f}/s"
-        if baseline is not None:
-            line += (f"   baseline {baseline[name]:>14,.0f}/s"
-                     f"   speedup {full[name] / baseline[name]:.2f}x")
-        lines.append(line)
-    if baseline is not None:
-        lines.append(f"aggregate speedup (geomean): "
-                     f"{entry['aggregate_speedup']:.2f}x")
+    lines += [f"{name:<24} {full[name]:>14,.0f}/s" for name in METRICS]
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text("\n".join(lines) + "\n")
     print(f"wrote {RESULTS_PATH}")
     return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI gate vs committed BENCH_PERF.json")
-    parser.add_argument("--smoke-sizes", action="store_true",
-                        help="plain run with the smoke workload sizes")
-    parser.add_argument("--update", action="store_true",
-                        help="write BENCH_PERF.json + results file")
-    parser.add_argument("--baseline-json", default=None,
-                        help="pre-optimization --json dump to record as baseline")
-    parser.add_argument("--json", default=None, help="dump raw results to file")
-    parser.add_argument("--pr", type=int, default=9)
-    parser.add_argument("--label", default="PR 9 vectorized herd simulation")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        return cmd_smoke(args)
-    if args.update:
-        return cmd_update(args)
-    return cmd_run(args)
 
 
 if __name__ == "__main__":

@@ -74,16 +74,17 @@ from functools import partial
 from pathlib import Path
 
 import repro
-from repro import AVDatabaseSystem, AttributeSpec, ClassDef, MagneticDisk, Q, VideoValue
 from repro.activities.library import ActivityCatalog
 from repro.scenarios import (
     FAMILIES, lookup_scenario, positive, print_facts, run_family, table,
 )
-from repro.synth import fig1_timeline, moving_scene
+from repro.synth import fig1_timeline
 
 
 def tour() -> None:
     """Print the tour: version, Table 1, Fig. 1, a quickstart stream."""
+    from repro.obs.scenarios import quickstart
+
     print(f"repro {repro.__version__} — an AV database system")
     print("(Gibbs, Breiteneder & Tsichritzis, ICDE 1993)\n")
 
@@ -94,25 +95,10 @@ def tour() -> None:
     print(fig1_timeline().render_ascii(width=50))
 
     print("\nquickstart stream:")
-    system = AVDatabaseSystem()
-    system.add_storage(MagneticDisk(system.simulator, "disk0"))
-    system.db.define_class(ClassDef("Clip", attributes=[
-        AttributeSpec("title", str, indexed=True),
-        AttributeSpec("video", VideoValue),
-    ]))
-    video = moving_scene(30, 64, 48)
-    system.store_value(video, "disk0")
-    system.db.insert("Clip", title="demo", video=video)
-    session = system.open_session("tour")
-    ref = session.select_one("Clip", Q.eq("title", "demo"))
-    source = session.new_db_source((ref, "video"))
-    window = session.new_video_window("320x240x8@30")
-    stream = session.connect(source, window)
-    stream.start()
-    end = session.run()
-    print(f"  presented {len(window.presented)} frames in "
-          f"{end.seconds:.2f}s of virtual time; "
-          f"{stream.bits_transferred // 8:,} bytes over the channel")
+    facts = quickstart()
+    print(f"  presented {facts['frames_presented']} frames in "
+          f"{facts['virtual_seconds']:.2f}s of virtual time; "
+          f"{facts['bytes_on_channel']:,} bytes over the channel")
     print("\nsee README.md, examples/ and `pytest benchmarks/ --benchmark-only`")
 
 

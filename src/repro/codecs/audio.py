@@ -51,12 +51,17 @@ class MuLawCodec:
             value.sample_rate, depth=value.depth, mapping=value.mapping,
         )
 
-    def decode_block(self, block: bytes, num_channels: int) -> np.ndarray:
-        codes = np.frombuffer(block, dtype=np.uint8)
-        if codes.size % num_channels != 0:
+    def check_block(self, block: bytes, num_channels: int) -> None:
+        """Raise :class:`CodecError` unless ``block`` holds whole sample
+        frames of ``num_channels`` channels."""
+        if num_channels <= 0 or len(block) % num_channels:
             raise CodecError(
-                f"µ-law block of {codes.size} codes not divisible by {num_channels} channels"
+                f"µ-law block of {len(block)} codes not divisible by {num_channels} channels"
             )
+
+    def decode_block(self, block: bytes, num_channels: int) -> np.ndarray:
+        self.check_block(block, num_channels)
+        codes = np.frombuffer(block, dtype=np.uint8)
         return decode_mulaw(codes.reshape(num_channels, -1))
 
 
@@ -110,24 +115,19 @@ def _adpcm_encode_channel(samples: np.ndarray) -> bytes:
 
 
 def _adpcm_decode_channel(data: bytes, count: int) -> np.ndarray:
+    """Decode the first ``count`` codes, low nibble first, of one channel."""
     predictor = 0
     index = 0
     out = np.empty(count, dtype=np.int16)
-    n = 0
-    for byte in data:
-        for code in (byte & 0x0F, byte >> 4):
-            if n >= count:
-                break
-            step = int(_STEPS[index])
-            delta = step // 8 + (step // 4 if code & 1 else 0) \
-                + (step // 2 if code & 2 else 0) + (step if code & 4 else 0)
-            predictor += -delta if code & 8 else delta
-            predictor = max(-32768, min(32767, predictor))
-            index = max(0, min(88, index + int(_INDEX_ADJUST[code & 7])))
-            out[n] = predictor
-            n += 1
-    if n != count:
-        raise CodecError(f"ADPCM block decoded {n} samples, expected {count}")
+    codes = [nibble for byte in data for nibble in (byte & 0x0F, byte >> 4)]
+    for n, code in enumerate(codes[:count]):
+        step = int(_STEPS[index])
+        delta = step // 8 + (step // 4 if code & 1 else 0) \
+            + (step // 2 if code & 2 else 0) + (step if code & 4 else 0)
+        predictor += -delta if code & 8 else delta
+        predictor = max(-32768, min(32767, predictor))
+        index = max(0, min(88, index + int(_INDEX_ADJUST[code & 7])))
+        out[n] = predictor
     return out
 
 
@@ -154,13 +154,22 @@ class ADPCMCodec:
             value.sample_rate, depth=value.depth, mapping=value.mapping,
         )
 
+    def check_block(self, block: bytes, num_channels: int) -> None:
+        """Raise :class:`CodecError` unless ``block`` is a sample count
+        and exactly ``num_channels`` bodies of two codes a byte."""
+        count = int.from_bytes(block[:4], "little")
+        expected = 4 + num_channels * -(-count // 2)
+        if num_channels <= 0 or len(block) != expected:
+            raise CodecError(
+                f"ADPCM block of {len(block)} bytes, expected {expected} for "
+                f"{num_channels} channels of {count} samples")
+
     def decode_block(self, block: bytes, num_channels: int) -> np.ndarray:
         """Decode one ADPCM block back to (channels, n) int16 PCM."""
+        self.check_block(block, num_channels)
         count = int.from_bytes(block[:4], "little")
+        per_channel = -(-count // 2)
         body = block[4:]
-        per_channel = len(body) // num_channels
-        channels = []
-        for c in range(num_channels):
-            part = body[c * per_channel:(c + 1) * per_channel]
-            channels.append(_adpcm_decode_channel(part, count))
-        return np.stack(channels)
+        return np.stack([
+            _adpcm_decode_channel(body[c * per_channel:(c + 1) * per_channel], count)
+            for c in range(num_channels)])

@@ -25,7 +25,6 @@ from repro.activities.events import EVENT_EACH_ELEMENT, EVENT_LAST_ELEMENT
 from repro.activities.ports import Direction
 from repro.avtime import WorldTime
 from repro.container.format import AUDIO_BLOCK, _decode, _read, _TrackInfo
-from repro.errors import CodecError, DataModelError
 from repro.sim import Delay, Simulator
 from repro.streams.element import END_OF_STREAM, StreamElement
 from repro.values.mediatype import standard_type
@@ -70,10 +69,8 @@ class ContainerDemuxer(MediaActivity):
         element = _decode(info, payload)
         if info.kind == "audio" and info.codec is not None:
             # Audio block codecs are self-contained: decoded inline.
-            try:
-                return info.codec.decode_block(element, info.channels)
-            except CodecError as exc:
-                raise DataModelError(f"corrupt sample record: {exc}") from None
+            # ``_read`` has checked every block's length when built.
+            return info.codec.decode_block(element, info.channels)
         return element  # a coded video chunk flows to a downstream decoder
 
     def _process(self) -> Generator:

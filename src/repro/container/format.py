@@ -35,6 +35,8 @@ from typing import BinaryIO, Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro.avtime import TimeMapping, WorldTime
+from repro.codecs.audio import ADPCMCodec, MuLawCodec
+from repro.codecs.base import VideoCodec
 from repro.codecs.registry import get_codec
 from repro.errors import CodecError, DataModelError, SchemaError
 from repro.temporal import TCompSpec, TemporalComposite, Timeline, TimelineEntry, TrackSpec
@@ -58,6 +60,9 @@ _FTYP = struct.Struct("<4sH")
 _TRAK_FIXED = struct.Struct("<dddIHHBB")
 _SAMPLE = struct.Struct("<HII")
 _COUNT = struct.Struct("<H")
+#: the codecs a coded track of each kind may name.
+_TRACK_CODECS = {"video": VideoCodec, "audio": (MuLawCodec, ADPCMCodec),
+                 "text": ()}
 
 
 def _write_atom(out: BinaryIO, kind: bytes, payload: bytes) -> None:
@@ -114,6 +119,10 @@ class _TrackInfo:
             raise DataModelError(f"container cannot carry a {media_type} "
                                  f"track")
         self.codec = _codec(codec, params) if codec else None
+        if self.codec is not None and not isinstance(
+                self.codec, _TRACK_CODECS[self.kind]):
+            raise DataModelError(f"corrupt codec header: {codec!r} is no "
+                                 f"{self.kind} codec")
         self.mapping = TimeMapping(rate, WorldTime(start), scale)
         self.count = count
         self.width = width
@@ -289,12 +298,15 @@ def _records(mdat: bytes, tracks: List[_TrackInfo]
 
 def _decode(info: _TrackInfo, payload: bytes):
     """One record's element: a raw frame, a PCM block or a text item;
-    a coded video or audio record stays its bytes."""
+    a coded video or audio record stays its bytes, an audio block only
+    if its codec would decode it for the track's channel count."""
     try:
         if info.kind == "text":
             (span,) = struct.unpack_from("<d", payload, 0)
             return TextItem(payload[8:].decode("utf-8"), span)
         if info.codec is not None:
+            if info.kind == "audio":
+                info.codec.check_block(payload, info.channels)
             return payload
         if info.kind == "video":
             shape = ((info.height, info.width) if info.depth == 8
@@ -302,7 +314,7 @@ def _decode(info: _TrackInfo, payload: bytes):
             return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
         return np.frombuffer(payload, dtype=np.int16).reshape(
             info.channels, -1)
-    except (ValueError, struct.error) as exc:
+    except (CodecError, ValueError, struct.error) as exc:
         raise DataModelError(f"corrupt sample record: {exc}") from None
 
 

@@ -16,7 +16,7 @@ from repro.errors import AdmissionError
 from repro.scenarios import FAMILIES
 
 
-def _base_system(channel_bps: float = 200_000_000.0):
+def _base_system():
     """A system with one disk and the paper's newscast schema."""
     from repro.avdb import AVDatabaseSystem
     from repro.db import AttributeSpec, ClassDef

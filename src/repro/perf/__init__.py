@@ -4,8 +4,9 @@
 :mod:`repro.scenarios` name table under :mod:`cProfile` and prints the
 top-N hotspots, so optimization PRs can find their targets without
 guessing.
-The measured numbers live in ``BENCH_PERF.json`` (repo root) and are
-produced by ``benchmarks/bench_kernel_throughput.py``.
+The committed throughput trajectory lives in ``BENCH_PERF.json`` (repo
+root); the gate test in ``benchmarks/bench_kernel_throughput.py`` reads
+its smoke row, and nothing writes it.
 """
 
 from repro.perf.profile import profile_scenario

@@ -34,6 +34,8 @@ class AudioBlockCodec(Protocol):
     name: str
     block_samples: int
 
+    def check_block(self, block: bytes, num_channels: int) -> None: ...
+
     def decode_block(self, block: bytes, num_channels: int) -> np.ndarray: ...
 
 

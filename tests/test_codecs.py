@@ -320,6 +320,19 @@ class TestAudioCodecs:
         with pytest.raises(CodecError):
             codec.decode_block((100).to_bytes(4, "little") + b"\x00" * 10, 1)
 
+    def test_adpcm_block_of_another_channel_count_refused(self):
+        """A 2-channel block decoded as 1 channel is refused, not cut to
+        the codes of its first channel."""
+        from repro.values import RawAudioValue
+        codec = ADPCMCodec()
+        pcm = np.round(8000 * np.sin(np.arange(800) / 9.0)).astype(np.int16)
+        encoded = codec.encode_value(RawAudioValue(pcm.reshape(2, 400), 8000.0))
+        (block,) = encoded.blocks
+        assert codec.decode_block(block, 2).shape == (2, 400)
+        for channels in (1, 3):
+            with pytest.raises(CodecError, match="expected"):
+                codec.decode_block(block, channels)
+
 
 class TestRegistry:
     def test_all_names_constructible(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.avtime import WorldTime
-from repro.codecs import JPEGCodec, MPEGCodec, MuLawCodec
+from repro.codecs import ADPCMCodec, JPEGCodec, MPEGCodec, MuLawCodec
 from repro.container import read_composite, write_composite
 from repro.container.format import _ATOM, _SAMPLE, MAGIC, VERSION, ContainerWriter
 from repro.errors import DataModelError
@@ -352,14 +352,40 @@ class TestDemuxer:
 
     def test_corrupt_bytes_demux_as_read_or_raise_data_model_error(self):
         """The reader's mutation and truncation sweep, through the
-        demuxer: each input raises DataModelError or plays exactly the
-        elements the reader parses."""
+        demuxer: each input is refused with DataModelError by both, or
+        plays exactly the elements the reader parses."""
         played = 0
         for blob in _corrupt_inputs():
             try:
+                expected = _read_elements(blob)
+            except DataModelError:
+                expected = None
+            try:
                 elements = _demux_elements(blob)
             except DataModelError:
-                continue
-            assert elements == _read_elements(blob)
-            played += 1
+                elements = None
+            assert elements == expected
+            played += elements is not None
         assert played > 0
+
+    @pytest.mark.parametrize("track, codec", [("englishTrack", "jpeg"),
+                                              ("videoTrack", "mulaw")])
+    def test_refuses_a_codec_of_another_kind(self, monkeypatch, track, codec):
+        from repro.container import ContainerDemuxer
+        from repro.synth import subtitle_track
+        composite = TemporalComposite(NEWSCAST_CLIP_SPEC, {
+            "videoTrack": MPEGCodec(80, gop=4).encode_value(
+                moving_scene(4, 32, 24)),
+            "englishTrack": ADPCMCodec().encode_value(tone(0.1, 440.0)),
+            "frenchTrack": tone(0.1, 330.0),
+            "subtitleTrack": subtitle_track(["x"]),
+        })
+        codec_of = ContainerWriter._codec_of
+        monkeypatch.setattr(ContainerWriter, "_codec_of", staticmethod(
+            lambda value: ((codec, {}) if value is composite.value(track)
+                           else codec_of(value))))
+        data = write_composite(composite)
+        for parse in (read_composite,
+                      lambda blob: ContainerDemuxer(Simulator(), blob)):
+            with pytest.raises(DataModelError, match="is no"):
+                parse(data)
