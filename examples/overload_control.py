@@ -12,7 +12,12 @@ three different answers instead of first-come-first-served exceptions:
 3. the third is background work past the utilization high-watermark
    and is shed outright.
 
-Afterwards the sessions close and the trunk's reservation ledger reads
+Then a composite (a four-track newscast clip) is refused whole twice:
+its source, by an archive disk that can stream only the video track,
+and its connection, by a trunk that can carry only two of its tracks.
+Each refusal gives back what the tracks before the refused one took.
+
+Afterwards the trunk's and the archive's reservation ledgers read
 zero — nothing leaks. For the full multi-client overload harness
 (Poisson arrivals, preemption, circuit breakers) see
 ``python -m repro overload`` and EXPERIMENTS.md Exp. R2.
@@ -21,10 +26,11 @@ Run:  python examples/overload_control.py
 """
 
 from repro import AVDatabaseSystem, AttributeSpec, ClassDef, MagneticDisk, Q, VideoValue
+from repro.activities.library import Speaker, SubtitleWindow, VideoWindow
 from repro.admission import Priority
 from repro.errors import AdmissionError
 from repro.net import Channel
-from repro.synth import moving_scene
+from repro.synth import moving_scene, newscast_clip
 
 
 def main() -> None:
@@ -75,14 +81,44 @@ def main() -> None:
     system.run()
     for session in (first, second, third):
         session.close()
-
     metrics = system.metrics
     print(f"admission.admitted = "
           f"{metrics.counter('admission.admitted').value}, "
           f"degraded = {metrics.counter('admission.degraded').value}, "
           f"shed = {metrics.counter('admission.shed').value}")
-    print(f"trunk reserved after close: {trunk.reserved_bps:.0f} bps")
-    assert trunk.reserved_bps == 0
+
+    # 4. A composite source takes device bandwidth track by track; an
+    #    archive disk with room for the video alone refuses the clip whole.
+    archive = system.add_storage(
+        MagneticDisk(system.simulator, "archive", bandwidth_bps=rate * 2.2)
+    )
+    archived = newscast_clip(15, 0.5, seed=1)
+    news = newscast_clip(15, 0.5, seed=2)
+    for composite, device in ((archived, "archive"), (news, "disk0")):
+        for track in composite.track_names:
+            system.store_value(composite.value(track), device)
+    fourth = system.open_session("fourth", channel=trunk)
+    try:
+        fourth.new_db_source(archived)
+    except AdmissionError as error:
+        print(f"fourth: composite source refused ({error})")
+
+    # 5. A composite connection takes trunk bandwidth the same way: the
+    #    trunk carries the video and one audio track, not the second.
+    sim = system.simulator
+    sink = fourth.new_multi_sink()
+    for track, activity in zip(news.track_names, (
+            VideoWindow(sim, name="w4"), Speaker(sim, name="en"),
+            Speaker(sim, name="fr"), SubtitleWindow(sim, name="subs"))):
+        sink.install(activity, track=track)
+    try:
+        fourth.connect(fourth.new_db_source(news), sink)
+    except AdmissionError as error:
+        print(f"fourth: composite connection refused ({error})")
+    print(f"reserved after the refusals: trunk {trunk.reserved_bps:.0f} bps, "
+          f"archive {archive.reserved_bps:.0f} bps")
+    assert trunk.reserved_bps == 0 and archive.reserved_bps == 0
+    fourth.close()
 
 
 if __name__ == "__main__":

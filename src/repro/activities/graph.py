@@ -8,7 +8,7 @@ cycles) and runs the whole configuration on the DES kernel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.activities.base import MediaActivity
 from repro.activities.composite import CompositeActivity
@@ -77,20 +77,22 @@ class ActivityGraph:
         return connection
 
     def connect_composites(self, source: CompositeActivity, sink: CompositeActivity,
-                           capacity: int = 8, channel=None) -> List[Connection]:
-        """Pairwise-connect two composites' exported ports (§4.3, Fig. 3).
+                           capacity: int = 8) -> List[Connection]:
+        """Pairwise-connect two composites' exported ports (§4.3, Fig. 3),
+        paired by :meth:`pair_composites`."""
+        return [self.connect(out_port, in_port, capacity)
+                for out_port, in_port in self.pair_composites(source, sink)]
 
-        Exported out-ports of ``source`` pair with exported in-ports of
-        ``sink`` by port name first, then by media-type compatibility.
-        When ``channel`` is given, each paired stream takes a bandwidth
-        reservation on it sized by the source port's bound value (or the
-        channel rejects the admission).
-        """
+    @staticmethod
+    def pair_composites(source: CompositeActivity,
+                        sink: CompositeActivity) -> List[Tuple[Port, Port]]:
+        """Pair ``source``'s exported out-ports with ``sink``'s exported
+        in-ports: by port name first, then by media-type compatibility."""
         outs = [p for p in source.ports.values() if p.direction is Direction.OUT]
         ins = {p.name: p for p in sink.ports.values() if p.direction is Direction.IN}
         if not outs:
             raise GraphError(f"composite {source.name!r} exports no out ports")
-        connections = []
+        pairs = []
         unmatched_ins = dict(ins)
         for out_port in outs:
             in_port = unmatched_ins.pop(out_port.name, None)
@@ -106,11 +108,8 @@ class ActivityGraph:
                     )
                 in_port = candidates[0]
                 del unmatched_ins[in_port.name]
-            reservation = None
-            if channel is not None:
-                reservation = channel.reserve(self._port_bandwidth(out_port))
-            connections.append(self.connect(out_port, in_port, capacity, reservation))
-        return connections
+            pairs.append((out_port, in_port))
+        return pairs
 
     @staticmethod
     def _port_bandwidth(port: Port) -> float:

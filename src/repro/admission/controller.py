@@ -235,7 +235,7 @@ class AdmissionController:
             key=lambda r: -r.id,
         )
         for victim in victims:
-            if self.channel.available_bps + 1e-9 >= bps:
+            if self.channel.can_admit(bps):
                 break
             victim.preempted = True
             self._m_preempted.inc(victim.cohort_clients)

@@ -33,7 +33,7 @@ from repro.activities.library import (
 )
 from repro.avdb.resources import ResourceManager
 from repro.db.database import Database
-from repro.errors import AdmissionError, MediaTypeError
+from repro.errors import MediaTypeError
 from repro.net.channel import Channel
 from repro.quality.negotiate import Negotiator
 from repro.sim import Simulator
@@ -214,10 +214,8 @@ class AVDatabaseSystem:
             return
         device = self.placement.device_of(value)
         demand = value.data_rate_bps()
-        if device.available_bps + 1e-9 < demand:
-            device.admission_failures += 1
-            device._m_admission_failures.inc()
-            raise AdmissionError(
+        if not device.can_admit(demand):
+            device._refuse(
                 f"device {device.name!r} cannot sustain a {demand:g} b/s "
                 f"stream ({device.available_bps:g} b/s available)"
             )
@@ -242,16 +240,32 @@ class AVDatabaseSystem:
             resync_interval=resync_interval,
         )
         self.graph.add(multi)
-        for track in composite_value.track_names:
-            value = composite_value.value(track)
-            jitter = jitter_factory(track) if jitter_factory is not None else None
-            component = self.make_source(
-                value, deliver=deliver, name=f"{multi.name}.{track}",
-                jitter=jitter, register=False,
-            )
-            multi.install(component, track=track)
+        try:
+            for track in composite_value.track_names:
+                value = composite_value.value(track)
+                jitter = jitter_factory(track) if jitter_factory is not None else None
+                component = self.make_source(
+                    value, deliver=deliver, name=f"{multi.name}.{track}",
+                    jitter=jitter, register=False,
+                )
+                multi.install(component, track=track)
+        except BaseException:
+            # A track failed (its device refused it, say): give back what
+            # the tracks before it reserved and take the MultiSource out.
+            self._retire(multi)
+            raise
         multi._bound = composite_value
         return multi
+
+    def _retire(self, activity) -> None:
+        """Release the device reservations of ``activity`` (and of its
+        components) and remove it from the graph if it is there."""
+        for leaf in self.graph._flatten(activity):
+            io_stream = getattr(leaf, "io_stream", None)
+            if io_stream is not None and not getattr(io_stream, "released", True):
+                io_stream.release()
+        if self.graph.activities.get(activity.name) is activity:
+            self.graph.remove(activity)
 
     # -- convenience ---------------------------------------------------------
     def run(self, until=None):

@@ -222,8 +222,7 @@ class RepairManager:
                             self._m_repair_bits.inc(chunk)
                             src.device.total_bits_read += chunk
                             src.device._m_bits_read.inc(chunk)
-                            target.device.total_bits_written += chunk
-                            target.device._m_bits_written.inc(chunk)
+                            target.device._account_written(chunk)
                     finally:
                         if span is not None:
                             span.end()

@@ -13,7 +13,8 @@ blocks (or codec blocks, decoded inline since audio block codecs are
 self-contained).  The demuxer shares the reader's header check, record
 walk and payload decode, and runs them over the whole container before
 anything plays: what :func:`~repro.container.read_composite` refuses,
-the demuxer refuses when it is built.
+the demuxer refuses when it is built.  It then sends the elements that
+one pass decoded; playback decodes nothing again but coded audio.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.activities.base import Location, MediaActivity
 from repro.activities.events import EVENT_EACH_ELEMENT, EVENT_LAST_ELEMENT
 from repro.activities.ports import Direction
 from repro.avtime import WorldTime
-from repro.container.format import AUDIO_BLOCK, _decode, _read, _TrackInfo
+from repro.container.format import AUDIO_BLOCK, _read, _TrackInfo
 from repro.sim import Delay, Simulator
 from repro.streams.element import END_OF_STREAM, StreamElement
 from repro.values.mediatype import standard_type
@@ -65,8 +66,7 @@ class ContainerDemuxer(MediaActivity):
                 + element_index * per_record * mapping.scale / mapping.rate)
 
     @staticmethod
-    def _element(info: _TrackInfo, payload: bytes):
-        element = _decode(info, payload)
+    def _element(info: _TrackInfo, element):
         if info.kind == "audio" and info.codec is not None:
             # Audio block codecs are self-contained: decoded inline.
             # ``_read`` has checked every block's length when built.
@@ -78,7 +78,7 @@ class ContainerDemuxer(MediaActivity):
         ports = [self.port(info.name) for info in self._tracks]
         position = 0
         while position < len(self._records) and not self._stop_requested:
-            track_index, element_index, payload = self._records[position]
+            track_index, element_index, element, size_bits = self._records[position]
             position += 1
             info = self._tracks[track_index]
             when = self._record_time(info, element_index)
@@ -86,14 +86,13 @@ class ContainerDemuxer(MediaActivity):
                 wait = t_start + when - self.simulator.now_s
                 if wait > 0:
                     yield Delay(wait)
-            element = StreamElement(
-                self._element(info, payload),
+            yield from ports[track_index].send(StreamElement(
+                self._element(info, element),
                 element_index,
                 WorldTime(t_start + when),
                 ports[track_index].media_type,
-                len(payload) * 8,
-            )
-            yield from ports[track_index].send(element)
+                size_bits,
+            ))
             self.elements_produced += 1
             self._emit(EVENT_EACH_ELEMENT, (track_index, element_index))
         for port in ports:

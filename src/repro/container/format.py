@@ -319,14 +319,19 @@ def _decode(info: _TrackInfo, payload: bytes):
 
 
 def _read(data: bytes, tcomp_name: str) -> Tuple[
-        TemporalComposite, List[_TrackInfo], List[Tuple[int, int, bytes]]]:
+        TemporalComposite, List[_TrackInfo], List[Tuple[int, int, object, int]]]:
     """Parse ``data`` in full: the composite, its tracks, and the sample
-    records in file order."""
+    records in file order, each decoded once as (track, element index,
+    element, record size in bits)."""
     tracks, mdat = _parse(data)
-    records = list(_records(mdat, tracks))
+    records = [
+        (track_index, element_index, _decode(tracks[track_index], payload),
+         len(payload) * 8)
+        for track_index, element_index, payload in _records(mdat, tracks)
+    ]
     elements: List[List] = [[] for _ in tracks]
-    for track_index, _, payload in records:
-        elements[track_index].append(_decode(tracks[track_index], payload))
+    for track_index, _, element, _ in records:
+        elements[track_index].append(element)
     # Headers that parse can still describe no valid composite: a track
     # name that is no identifier, a sample depth no value class takes.
     try:

@@ -6,7 +6,9 @@ reserving beyond capacity raises
 :class:`~repro.errors.AdmissionError` — the paper's connection-time
 failure).  Each element transmission takes ``latency + bits/reserved_bps``
 virtual seconds and is charged to the channel's traffic accounting, which
-the Fig. 4 benchmark reads back as network bytes per configuration.
+the Fig. 4 benchmark reads back as network bytes per configuration.  The
+account itself, :class:`BandwidthLedger`, is the one a storage device
+keeps for its streaming bandwidth too.
 """
 
 from __future__ import annotations
@@ -140,55 +142,49 @@ class Reservation:
         self.release()
 
 
-class Channel:
-    """A network link with finite capacity and admission control."""
+class BandwidthLedger:
+    """A bandwidth capacity and the reservations holding shares of it.
+
+    The one admission account behind :class:`Channel` (network bandwidth,
+    taken when a connection is made) and
+    :class:`~repro.storage.devices.Device` (streaming bandwidth, taken
+    when a source is created): either "really fails when resources are
+    insufficient" (§3.3, §4.3).  A subclass names its reservation class,
+    its two metrics and, in ``_refusal(bps)``, the message a refused
+    :meth:`reserve` raises; the registry, the fit test, the refusal
+    bookkeeping and the clocked-run set are written here once.
+    """
+
+    #: the reservation class :meth:`reserve` hands out, called as
+    #: ``(ledger, bps, label)``.
+    _reservation_class: type
 
     def __init__(self, simulator: Simulator, capacity_bps: float,
-                 latency_s: float = 0.0, name: str = "channel") -> None:
-        if capacity_bps <= 0:
-            raise AdmissionError(f"channel capacity must be positive, got {capacity_bps}")
-        if latency_s < 0:
-            raise AdmissionError(f"channel latency must be >= 0, got {latency_s}")
+                 failures_metric: str, utilization_metric: str) -> None:
         self.simulator = simulator
         self.capacity_bps = capacity_bps
-        self.latency_s = latency_s
-        self.name = name
-        self._reservations: Dict[int, Reservation] = {}
+        self._reservations: Dict[int, object] = {}
         #: memo of ``reserved_bps``; None until first read and after every
         #: change to ``_reservations``.  Always re-summed in dict order, not
         #: kept as a running total, so float rounding (and the integer 0
-        #: of an empty channel) are those of the plain sum.
+        #: of an empty ledger) are those of the plain sum.
         self._reserved_bps: Optional[float] = None
-        self._total_bits = 0
-        #: clocked-out stream runs sending over this channel: they settle
-        #: ``total_bits`` on read and are cut when a loss model is armed.
+        #: clocked-out stream runs moving bits over this ledger's
+        #: reservations: they settle its traffic counters on read and are
+        #: cut when a fault model is armed.
         self._clocked: Dict[object, None] = {}
-        self.admission_failures = 0
         self._faults = None
-        self.retransmits = 0
-        #: seeded-bug hook for the watch layer's invariant-breach demo:
-        #: when True, :meth:`Reservation.release` marks the reservation
-        #: released but "forgets" to return its bandwidth, so the released
-        #: reservation stays registered and ``reserved_bps`` stays
-        #: inflated — the leak the reservation-conservation probe catches.
-        self.debug_leak_releases = False
+        self.admission_failures = 0
         metrics = simulator.obs.metrics
-        #: shared by every channel of the scope; each adds its own bits,
-        #: as it sends them (a clocked run, as it settles them).
-        self._m_bits_sent = metrics.counter("net.bits_sent")
-        self._m_admission_failures = metrics.counter("net.admission_failures")
-        self._m_utilization = metrics.gauge(f"net.channel.{name}.utilization")
-
-    @property
-    def total_bits(self) -> int:
-        for run in self._clocked:
-            run.settle()
-        return self._total_bits
+        self._m_admission_failures = metrics.counter(failures_metric)
+        self._m_utilization = metrics.gauge(utilization_metric)
 
     @property
     def faults(self):
-        """Fault-injection hook: a :class:`repro.faults.injector.ChannelFaults`
-        (seeded loss/jitter model) armed by a FaultInjector, or None."""
+        """Fault-injection hook: the model a FaultInjector armed (a
+        :class:`repro.faults.injector.ChannelFaults` loss/jitter model on a
+        channel, :class:`~repro.faults.injector.DeviceFaults` outage and
+        slowdown windows on a device), or None."""
         return self._faults
 
     @faults.setter
@@ -207,30 +203,74 @@ class Channel:
     def available_bps(self) -> float:
         return self.capacity_bps - self.reserved_bps
 
-    def reserve(self, bps: float, label: str = "stream") -> Reservation:
+    def can_admit(self, bps: float) -> bool:
+        # ``bps`` fits in ``available_bps`` to within 1e-9, that property
+        # inlined: ``reserve`` asks on every grant, at no more calls than
+        # reading ``available_bps`` took.
+        return bps <= self.capacity_bps - self.reserved_bps + 1e-9
+
+    def _refuse(self, message: str):
+        """Count an admission failure and raise it."""
+        self.admission_failures += 1
+        self._m_admission_failures.inc()
+        raise AdmissionError(message)
+
+    def reserve(self, bps: float, label: str = "stream"):
         """Admit a stream at ``bps``; raises AdmissionError when over capacity."""
         if bps <= 0:
             raise AdmissionError(f"cannot reserve non-positive bandwidth {bps}")
-        if bps > self.available_bps + 1e-9:
-            self.admission_failures += 1
-            self._m_admission_failures.inc()
-            raise AdmissionError(
-                f"channel {self.name!r}: cannot reserve {bps:g} b/s "
-                f"({self.available_bps:g} of {self.capacity_bps:g} available)"
-            )
-        reservation = Reservation(self, bps, label)
+        if not self.can_admit(bps):
+            self._refuse(self._refusal(bps))
+        reservation = self._reservation_class(self, bps, label)
         self._reservations[reservation.id] = reservation
         self._reserved_bps = None
         self._m_utilization.set(self.reserved_bps / self.capacity_bps)
         return reservation
 
-    def _release(self, reservation: Reservation) -> None:
+    def _release(self, reservation) -> None:
         self._reservations.pop(reservation.id, None)
         self._reserved_bps = None
         self._m_utilization.set(self.reserved_bps / self.capacity_bps)
 
+
+class Channel(BandwidthLedger):
+    """A network link with finite capacity and admission control."""
+
+    _reservation_class = Reservation
+
+    def __init__(self, simulator: Simulator, capacity_bps: float,
+                 latency_s: float = 0.0, name: str = "channel") -> None:
+        if capacity_bps <= 0:
+            raise AdmissionError(f"channel capacity must be positive, got {capacity_bps}")
+        if latency_s < 0:
+            raise AdmissionError(f"channel latency must be >= 0, got {latency_s}")
+        super().__init__(simulator, capacity_bps, "net.admission_failures",
+                         f"net.channel.{name}.utilization")
+        self.latency_s = latency_s
+        self.name = name
+        self._total_bits = 0
+        self.retransmits = 0
+        #: seeded-bug hook for the watch layer's invariant-breach demo:
+        #: when True, :meth:`Reservation.release` marks the reservation
+        #: released but "forgets" to return its bandwidth, so the released
+        #: reservation stays registered and ``reserved_bps`` stays
+        #: inflated — the leak the reservation-conservation probe catches.
+        self.debug_leak_releases = False
+        #: shared by every channel of the scope; each adds its own bits,
+        #: as it sends them (a clocked run, as it settles them).
+        self._m_bits_sent = simulator.obs.metrics.counter("net.bits_sent")
+
+    @property
+    def total_bits(self) -> int:
+        for run in self._clocked:
+            run.settle()
+        return self._total_bits
+
+    def _refusal(self, bps: float) -> str:
+        return (f"channel {self.name!r}: cannot reserve {bps:g} b/s "
+                f"({self.available_bps:g} of {self.capacity_bps:g} available)")
+
+    # -- accounting ----------------------------------------------------------
     def _account(self, bits: int) -> None:
         self._total_bits += bits
         self._m_bits_sent.inc(bits)
-
-    # -- accounting ----------------------------------------------------------

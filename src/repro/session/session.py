@@ -269,36 +269,51 @@ class Session:
         (default :attr:`~repro.admission.Priority.STANDARD`), degradation
         follows the same ``min_degraded_fraction`` floor, and background
         requests can be shed under overload.
+
+        Two composites connect track by track (``compositestream``): each
+        pair of exported ports is one such connection, sized by its
+        source track's value, and ``bandwidth_bps`` applies to a single
+        stream only.
         """
         self._require_open()
         graph = self.system.graph
         if isinstance(source, CompositeActivity) and isinstance(sink, CompositeActivity):
-            channel = self.channel if self._crosses_boundary(source, sink) else None
-            connections = graph.connect_composites(
-                source, sink, capacity=capacity, channel=channel
-            )
-            stream = Stream(self, connections, [source, sink])
-            self._streams.append(stream)
-            return stream
-        source_port = self._single_port(source, Direction.OUT)
-        sink_port = self._single_port(sink, Direction.IN)
+            pairs = graph.pair_composites(source, sink)
+            crosses = self._crosses_boundary(source, sink)
+            owners = [source, sink]
+            bandwidth_bps = None
+        else:
+            source_port = self._single_port(source, Direction.OUT)
+            sink_port = self._single_port(sink, Direction.IN)
+            pairs = [(source_port, sink_port)]
+            crosses = self._crosses_boundary(source_port.resolve().owner,
+                                             sink_port.resolve().owner)
+            owners = [source if isinstance(source, MediaActivity) else source_port.owner,
+                      sink if isinstance(sink, MediaActivity) else sink_port.owner]
+        connections = []
         reservation = None
-        if self._crosses_boundary(source_port.resolve().owner, sink_port.resolve().owner):
-            bps = bandwidth_bps or graph._port_bandwidth(source_port)
-            reservation = self._reserve_bandwidth(bps, degrade,
-                                                  min_degraded_fraction,
-                                                  priority)
         try:
-            connection = graph.connect(source_port, sink_port, capacity, reservation)
+            for out_port, in_port in pairs:
+                reservation = None
+                if crosses:
+                    bps = bandwidth_bps or graph._port_bandwidth(out_port)
+                    reservation = self._reserve_bandwidth(bps, degrade,
+                                                          min_degraded_fraction,
+                                                          priority)
+                connections.append(
+                    graph.connect(out_port, in_port, capacity, reservation))
         except BaseException:
-            # Statement 3 failed after admission succeeded: give the
-            # bandwidth back rather than stranding it on the channel.
+            # Statement 3 failed part-way (admission refused a later
+            # track, or the graph refused a pair): give back the bandwidth
+            # and the connections this call took rather than stranding
+            # them on the channel.
             if reservation is not None:
                 reservation.release()
+            for connection in connections:
+                graph.connections.remove(connection)
+                connection.disconnect()
             raise
-        owners = [source if isinstance(source, MediaActivity) else source_port.owner,
-                  sink if isinstance(sink, MediaActivity) else sink_port.owner]
-        stream = Stream(self, [connection], owners)
+        stream = Stream(self, connections, owners)
         self._streams.append(stream)
         return stream
 
@@ -475,14 +490,8 @@ class Session:
         # system survives session churn without accreting state (the
         # churn test opens and closes 100 sessions and checks the system
         # ends exactly as it started).
-        graph = self.system.graph
         for activity in self._activities:
-            for leaf in graph._flatten(activity):
-                io_stream = getattr(leaf, "io_stream", None)
-                if io_stream is not None and not getattr(io_stream, "released", True):
-                    io_stream.release()
-            if graph.activities.get(activity.name) is activity:
-                graph.remove(activity)
+            self.system._retire(activity)
         self.closed = True
 
     def _require_open(self) -> None:

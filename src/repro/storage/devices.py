@@ -18,10 +18,11 @@ using magnetic disks").
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generator, Optional
+from typing import Generator, Optional
 
-from repro.errors import AdmissionError, StorageError
-from repro.sim import Delay, SettledCounter, Simulator, cut_all
+from repro.errors import StorageError
+from repro.net.channel import BandwidthLedger
+from repro.sim import Delay, SettledCounter, Simulator
 from repro.storage.extents import Extent, ExtentAllocator
 
 _reservation_ids = itertools.count(1)
@@ -106,36 +107,35 @@ class DeviceReservation:
             self.device._release(self)
 
 
-class Device:
+class Device(BandwidthLedger):
     """A storage device: capacity, streaming bandwidth, latency model."""
 
     kind = "device"
+    _reservation_class = DeviceReservation
 
     def __init__(self, simulator: Simulator, name: str, capacity_bytes: int,
                  bandwidth_bps: float, seek_s: float = 0.0) -> None:
         if bandwidth_bps <= 0:
             raise StorageError(f"device bandwidth must be positive, got {bandwidth_bps}")
-        self.simulator = simulator
+        super().__init__(simulator, bandwidth_bps, "storage.admission_failures",
+                         f"storage.device.{name}.utilization")
         self.name = name
-        self.bandwidth_bps = bandwidth_bps
         self.seek_s = seek_s
         self.allocator = ExtentAllocator(name, capacity_bytes)
-        self._reservations: Dict[int, DeviceReservation] = {}
-        #: memo of ``reserved_bps``, re-summed after every change to
-        #: ``_reservations`` (see ``Channel._reserved_bps``)
-        self._reserved_bps: Optional[float] = None
         self._total_bits_read = 0
-        #: clocked-out stream runs reading from this device: they settle
-        #: ``total_bits_read`` on read and are cut when faults are armed.
-        self._clocked: Dict[object, None] = {}
-        self._faults = None
         self.total_bits_written = 0
-        self.admission_failures = 0
         metrics = simulator.obs.metrics
         self._m_bits_read = metrics.counter(f"storage.device.{name}.bits_read")
         self._m_bits_written = metrics.counter(f"storage.device.{name}.bits_written")
-        self._m_utilization = metrics.gauge(f"storage.device.{name}.utilization")
-        self._m_admission_failures = metrics.counter("storage.admission_failures")
+
+    @property
+    def bandwidth_bps(self) -> float:
+        """The streaming bandwidth: the ledger's ``capacity_bps``."""
+        return self.capacity_bps
+
+    @bandwidth_bps.setter
+    def bandwidth_bps(self, bps: float) -> None:
+        self.capacity_bps = bps
 
     @property
     def total_bits_read(self) -> int:
@@ -147,52 +147,13 @@ class Device:
     def total_bits_read(self, bits: int) -> None:
         self._total_bits_read = bits
 
-    @property
-    def faults(self):
-        """Fault-injection hook: a :class:`repro.faults.injector.DeviceFaults`
-        (outage/slowdown windows) armed by a FaultInjector, or None."""
-        return self._faults
+    def _account_written(self, bits: int) -> None:
+        self.total_bits_written += bits
+        self._m_bits_written.inc(bits)
 
-    @faults.setter
-    def faults(self, model) -> None:
-        cut_all(self._clocked)
-        self._faults = model
-
-    # -- admission control (streaming) -----------------------------------
-    @property
-    def reserved_bps(self) -> float:
-        if self._reserved_bps is None:
-            self._reserved_bps = sum(r.bps for r in self._reservations.values())
-        return self._reserved_bps
-
-    @property
-    def available_bps(self) -> float:
-        return self.bandwidth_bps - self.reserved_bps
-
-    def can_admit(self, bps: float) -> bool:
-        return bps <= self.available_bps + 1e-9
-
-    def reserve(self, bps: float, label: str = "stream") -> DeviceReservation:
-        """Admit a real-time stream; fails when the device is saturated."""
-        if bps <= 0:
-            raise AdmissionError(f"cannot reserve non-positive bandwidth {bps}")
-        if not self.can_admit(bps):
-            self.admission_failures += 1
-            self._m_admission_failures.inc()
-            raise AdmissionError(
-                f"device {self.name!r}: cannot admit stream at {bps:g} b/s "
-                f"({self.available_bps:g} of {self.bandwidth_bps:g} b/s available)"
-            )
-        reservation = DeviceReservation(self, bps, label)
-        self._reservations[reservation.id] = reservation
-        self._reserved_bps = None
-        self._m_utilization.set(self.reserved_bps / self.bandwidth_bps)
-        return reservation
-
-    def _release(self, reservation: DeviceReservation) -> None:
-        self._reservations.pop(reservation.id, None)
-        self._reserved_bps = None
-        self._m_utilization.set(self.reserved_bps / self.bandwidth_bps)
+    def _refusal(self, bps: float) -> str:
+        return (f"device {self.name!r}: cannot admit stream at {bps:g} b/s "
+                f"({self.available_bps:g} of {self.capacity_bps:g} b/s available)")
 
     def position_latency_s(self) -> float:
         """Latency to position before a stream starts (seek, swap...)."""
@@ -278,9 +239,7 @@ class JukeboxDevice(Device):
         """Admit at most one concurrent analog stream."""
         # Analog playback: exactly one stream at a time, regardless of rate.
         if self._reservations:
-            self.admission_failures += 1
-            self._m_admission_failures.inc()
-            raise AdmissionError(
+            self._refuse(
                 f"jukebox {self.name!r} is playing; analog devices serve one stream"
             )
         return super().reserve(bps, label)

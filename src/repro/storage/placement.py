@@ -118,8 +118,7 @@ class PlacementManager:
                 demand.get(placement.device_name, 0.0) + value.data_rate_bps()
             )
         return all(
-            self.device(name).available_bps + 1e-9 >= bps
-            for name, bps in demand.items()
+            self.device(name).can_admit(bps) for name, bps in demand.items()
         )
 
     def pick_device_for_copy(self, value: MediaValue,
@@ -178,8 +177,7 @@ class PlacementManager:
             yield from write_res.open()
             yield from read_res.read(bits)
             write_res.bits_written += bits
-            dst.total_bits_written += bits
-            dst._m_bits_written.inc(bits)
+            dst._account_written(bits)
         except BaseException:
             # A fault (or an interrupt) killed the copy mid-transfer: the
             # destination extent holds no complete value, so give it back

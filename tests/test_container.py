@@ -239,6 +239,28 @@ def _demux_elements(data):
 
 
 class TestDemuxer:
+    def test_build_and_playback_decode_each_record_once(self, clip,
+                                                        monkeypatch):
+        """The demuxer sends the elements its build decoded: building it
+        and playing a 10-frame newscast clip unpaced decodes each of the
+        31 records once (twice each when playback decoded again)."""
+        import repro.container.demux as demux
+        import repro.container.format as fmt
+        original = fmt._decode
+        calls = []
+
+        def counting(info, payload):
+            calls.append(info.name)
+            return original(info, payload)
+
+        for module in (fmt, demux):
+            if getattr(module, "_decode", None) is original:
+                monkeypatch.setattr(module, "_decode", counting)
+        data = write_composite(clip)
+        played = _demux_elements(data)
+        assert sum(map(len, played)) == 31
+        assert len(calls) == 31
+
     def test_single_pass_streaming_playback(self, sim, clip):
         """One sequential scan drives a synchronized 4-track playback."""
         from repro.activities import ActivityGraph

@@ -187,6 +187,90 @@ class TestCompositeExample:
         assert db_source.max_skew() == pytest.approx(0.0)  # no jitter injected
 
 
+def newscast_session(disk_bps=48_000_000.0, channel_bps=200_000_000.0,
+                     admission=False):
+    """A system with a 10-frame newscast clip on ``disk0`` and one session
+    over a channel of ``channel_bps`` (fronted by an admission controller
+    when ``admission``), plus the clip's MultiSink."""
+    from repro.activities.library import Speaker, SubtitleWindow, VideoWindow
+    from repro.net import Channel
+    system = build_system()
+    system.placement.device("disk0").bandwidth_bps = disk_bps
+    clip = newscast_clip(video_frames=10, audio_seconds=0.4)
+    for track in clip.track_names:
+        system.store_value(clip.value(track), "disk0")
+    channel = Channel(system.simulator, channel_bps, name="trunk")
+    if admission:
+        system.enable_admission(channel)
+    session = system.open_session("app", channel=channel)
+    sink = session.new_multi_sink()
+    sink.install(VideoWindow(system.simulator, name="w"), track="videoTrack")
+    sink.install(Speaker(system.simulator, name="en"), track="englishTrack")
+    sink.install(Speaker(system.simulator, name="fr"), track="frenchTrack")
+    sink.install(SubtitleWindow(system.simulator, name="sub"),
+                 track="subtitleTrack")
+    return system, clip, session, sink
+
+
+class TestCompositeAdmission:
+    """A composite connection takes channel bandwidth the way a single
+    one does: track by track, through the same admission path."""
+
+    VIDEO_BPS = 737_280.0      # the clip's tracks' data rates
+    AUDIO_BPS = 352_800.0
+    SUBTITLE_BPS = 720.0
+
+    def test_composite_goes_through_the_admission_controller(self):
+        from repro.admission import Priority
+        system, clip, session, sink = newscast_session(admission=True)
+        session.connect(session.new_db_source(clip), sink,
+                        priority=Priority.BACKGROUND)
+        assert len(session.channel._reservations) == 4
+        assert len(system.admission._held) == 4
+        assert system.metrics.counter("admission.admitted").value == 4
+
+    def test_composite_track_degrades_when_asked(self):
+        system, clip, session, sink = newscast_session(
+            channel_bps=(self.VIDEO_BPS + 2 * self.AUDIO_BPS
+                         + self.SUBTITLE_BPS / 2))
+        stream = session.connect(session.new_db_source(clip), sink,
+                                 degrade=True)
+        assert len(stream.connections) == 4
+        assert session.degraded_streams == 1
+        assert session.channel.available_bps == 0
+
+    def test_refused_track_strands_nothing(self):
+        system, clip, session, sink = newscast_session(
+            channel_bps=self.VIDEO_BPS * 1.01)
+        source = session.new_db_source(clip)
+        with pytest.raises(AdmissionError, match="trunk"):
+            session.connect(source, sink)
+        assert session.channel.reserved_bps == 0
+        assert system.graph.connections == []
+        assert all(port.resolve().connection is None
+                   for port in source.out_ports() + sink.in_ports())
+        session.close()
+
+
+class TestCompositeSourceRefusal:
+    def test_refused_track_releases_the_tracks_before_it(self):
+        """A device with room for the video track's share alone refuses
+        the English track; the video's reservation and the MultiSource
+        go back."""
+        from repro.activities.composite import MultiSource
+        video_share = 2 * TestCompositeAdmission.VIDEO_BPS  # readahead 2x
+        system, clip, session, _ = newscast_session(
+            disk_bps=video_share + 1_000.0)
+        disk = system.placement.device("disk0")
+        with pytest.raises(AdmissionError, match="disk0"):
+            session.new_db_source(clip)
+        assert disk.reserved_bps == 0
+        assert not any(isinstance(a, MultiSource)
+                       for a in system.graph.activities.values())
+        session.close()
+        assert disk.reserved_bps == 0
+
+
 class TestAsyncInterface:
     def test_notifications_delivered_during_transfer(self):
         """'request notification on a frame-by-frame basis ... start the
