@@ -25,14 +25,14 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from operator import attrgetter, lt
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import sub
+from typing import Callable, List, Optional, Tuple
 
 from repro.annotations.model import ATYPE
 from repro.db.objects import DBObject, OID
 from repro.errors import AnnotationError
 
-__all__ = ["BLOCK_CAPACITY", "IntervalIndex", "TypeCodes"]
+__all__ = ["BLOCK_CAPACITY", "IntervalIndex", "NARROW_PER_TRACK", "TypeCodes"]
 
 #: Most postings one block holds; a fuller block is cut in two.
 BLOCK_CAPACITY = 512
@@ -43,6 +43,11 @@ _HALF = BLOCK_CAPACITY // 2
 #: The most postings a piece may hold and still be tested one at a time,
 #: not sliced (EXPERIMENTS.md, Exp. P13 measures the crossover).
 SHORT_PIECE = 16
+
+#: A query over every track reads one store-wide index, not each track's,
+#: when its window is expected to match at most this many postings per
+#: track (EXPERIMENTS.md, Exp. P16 measures the crossover).
+NARROW_PER_TRACK = 16
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -214,34 +219,28 @@ class IntervalIndex:
         into.max_end = max(into.max_end, upper.max_end)
         del self._blocks[left + 1], self._mins[left + 1]
 
-    def extend(self, starts: Sequence[float], ends: Sequence[float],
-               rows: Sequence[DBObject], types: Sequence[int]) -> None:
-        """Add many postings handed over as parallel columns, any order.
-
-        ``types`` is each row's type in :attr:`codes`.  One sort; an
-        empty index is then cut straight into blocks, a populated one
-        takes the postings one at a time.
-        """
-        if not rows:
-            return
-        if not (all(map(lt, starts, ends))
-                and _NEG_INF < min(starts) and max(ends) < _POS_INF):
-            raise AnnotationError(
-                "every interval must have finite start < end")
-        posts = sorted(zip(starts, ends, map(attrgetter("oid"), rows), rows,
-                           types))
-        if self._blocks:
-            posts = [post for post in posts if self._insert(*post)]
+    def extend_sorted(self, starts: array, ends: array,
+                      rows: List[DBObject], types: bytes) -> None:
+        """Add many postings handed over as parallel columns in key order,
+        ``types`` spelling each row's type in :attr:`codes`.  An empty
+        index is cut straight into blocks, a populated one takes the
+        postings one at a time."""
+        if self._blocks:  # a posting already there adds no length
+            self.sum_len += sum([
+                ends[k] - starts[k] for k, row in enumerate(rows)
+                if self._insert(starts[k], ends[k], row.oid, row, types[k])])
         else:
-            for at in range(0, len(posts), _HALF):
-                first, last, oids, refs, codes = zip(*posts[at:at + _HALF])
-                self._blocks.append(_Block(
-                    array("d", first), array("d", last), list(refs),
-                    bytearray(codes)))
-                self._mins.append((first[0], last[0], oids[0]))
-            self._size = len(posts)
-            self._max_end = max(block.max_end for block in self._blocks)
-        self.sum_len += sum(post[1] - post[0] for post in posts)
+            for at in range(0, len(rows), _HALF):
+                block = _Block(starts[at:at + _HALF], ends[at:at + _HALF],
+                               rows[at:at + _HALF],
+                               bytearray(types[at:at + _HALF]))
+                self._blocks.append(block)
+                self._mins.append((block.starts[0], block.ends[0],
+                                   block.rows[0].oid))
+            self._size = len(rows)
+            self._max_end = max((block.max_end for block in self._blocks),
+                                default=_NEG_INF)
+            self.sum_len += sum(map(sub, ends, starts))
 
     # -- O(1) summaries --------------------------------------------------
     def min_start(self) -> float:
@@ -346,14 +345,22 @@ class IntervalIndex:
                             found.append(rows[k])
                 continue
             rows = block.rows[i:j]
-            types = b"" if code is None else block.types[i:j]
-            if test is not None:
-                keep = list(map(test, block.ends[i:j]))
-                rows = list(compress(rows, keep))
-                types = bytes(compress(types, keep))
-            matched += len(rows)
-            found += (rows if code is None
-                      else compress(rows, types.translate(_WANTED[code])))
+            if test is None:
+                matched += j - i
+                found += (rows if code is None else compress(
+                    rows, block.types[i:j].translate(_WANTED[code])))
+            elif code is None:
+                rows = list(compress(rows, map(test, block.ends[i:j])))
+                matched += len(rows)
+                found += rows
+            else:
+                # Every end is tested for the count, and only the ends
+                # of the wanted type for the rows.
+                ends = block.ends[i:j]
+                matched += sum(map(test, ends))
+                wanted = block.types[i:j].translate(_WANTED[code])
+                found += compress(compress(rows, wanted),
+                                  map(test, compress(ends, wanted)))
         if code == _OTHER:
             found = [row for row in found if row._values[ATYPE] == atype]
         return found, matched

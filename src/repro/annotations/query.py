@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.annotations.intervals import NARROW_PER_TRACK
 from repro.annotations.model import (ATYPE, END, PAYLOAD, START, TRACK,
                                      VALUE_ID, WINDOW_OPS, Annotation, Payload)
 from repro.annotations.store import AnnotationStore, TrackKey, track_sentinel
@@ -244,30 +245,83 @@ def _sort_key(obj: DBObject) -> Tuple[str, str, float, float, OID]:
 
 
 # -- execution: the two paths ---------------------------------------------
+def _by_track(found: List[DBObject]) -> List[DBObject]:
+    """Rows of several tracks regrouped track by track in directory
+    order, each track's keeping the order it had."""
+    groups: Dict[TrackKey, List[DBObject]] = {}
+    for row in found:
+        values = row._values
+        key = values[VALUE_ID], values[TRACK]
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [row]
+        else:
+            group.append(row)
+    regrouped: List[DBObject] = []
+    for key in sorted(groups):
+        regrouped += groups[key]
+    return regrouped
+
+
+def _reads_every(store: AnnotationStore, query: AnnotationQuery) -> bool:
+    """Whether a query over every track reads the store-wide index: the
+    store is empty, or the window is expected to match at most
+    :data:`NARROW_PER_TRACK` postings a track.  A wider one reads track
+    by track, which spares regrouping its many rows."""
+    from repro.annotations.planner import estimate_track_matches
+    router = store._router
+    every = router.every
+    return not every or estimate_track_matches(
+        len(every), every.min_start(), every.max_end(), every.sum_len,
+        query.op, query.lo, query.hi) <= NARROW_PER_TRACK * len(router.keys)
+
+
+def _lock_tracks(store: AnnotationStore, tx: Optional[Transaction]) -> None:
+    """A transaction's SHARED sentinel on every known track, in directory
+    order: a read of all tracks at once (the store-wide index, a scan)
+    keeps phantoms out the way the per-track walk does."""
+    for track_key in (store.tracks() if tx is not None else ()):
+        tx.lock(track_sentinel(*track_key), LockMode.SHARED)
+
+
+def _admitted(query: AnnotationQuery, found: List[DBObject],
+              tx: Optional[Transaction]) -> List[DBObject]:
+    """The window's rows as the transaction reads them, of the query's
+    type and payload."""
+    if tx is not None:
+        # ``tx.read`` takes the row's SHARED lock before it reads.
+        atype = query.atype
+        found = [obj for obj in map(tx.read, (row.oid for row in found))
+                 if atype is None or obj._values[ATYPE] == atype]
+    if query.payload:
+        found = [obj for obj in found if query._matches_payload(obj._values)]
+    return found
+
+
 def _run_index(store: AnnotationStore, query: AnnotationQuery,
                tx: Optional[Transaction]) -> QueryResult:
-    snapshots: List[DBObject] = []
-    examined = 0
-    op, lo, hi, atype = query.op, query.lo, query.hi, query.atype
+    op, lo, hi = query.op, query.lo, query.hi
     # Window and type are settled over the index's columns, whose
     # postings are the committed rows: no object table is read.  A
     # transaction may have retyped a row, so one with writes reads
     # the whole window and tests the type it sees.
-    typed = atype if tx is None or not tx._writes else None
+    typed = query.atype if tx is None or not tx._writes else None
+    if (query.value_id is None and query.track is None
+            and _reads_every(store, query)):
+        _lock_tracks(store, tx)
+        found, examined = store._router.every.select(op, lo, hi, typed)
+        return QueryResult(AnnotationRows(_admitted(
+            query, _by_track(found), tx)), "index", examined)
+    snapshots: List[DBObject] = []
+    examined = 0
     indexes = store._tracks
     for track_key in _candidate_tracks(store, query):
         if tx is not None:
             tx.lock(track_sentinel(*track_key), LockMode.SHARED)
         found, matched = indexes[track_key].select(op, lo, hi, typed)
         examined += matched
-        if tx is not None:
-            # ``tx.read`` takes the row's SHARED lock before it reads.
-            found = [obj for obj in map(tx.read, (row.oid for row in found))
-                     if atype is None or obj._values[ATYPE] == atype]
-        if query.payload:
-            found = [obj for obj in found
-                     if query._matches_payload(obj._values)]
-        snapshots += found
+        snapshots += (found if tx is None and not query.payload
+                      else _admitted(query, found, tx))
     # Tracks visited in sorted order, postings in key order: already
     # sorted by (value_id, track, start, end, oid).
     return QueryResult(AnnotationRows(snapshots), "index", examined)
@@ -275,11 +329,7 @@ def _run_index(store: AnnotationStore, query: AnnotationQuery,
 
 def _run_scan(store: AnnotationStore, query: AnnotationQuery,
               tx: Optional[Transaction]) -> QueryResult:
-    if tx is not None:
-        # A consistent full scan keeps phantoms out the same way the
-        # index path does: SHARED sentinels on every known track.
-        for track_key in store.tracks():
-            tx.lock(track_sentinel(*track_key), LockMode.SHARED)
+    _lock_tracks(store, tx)
     reader = store.db.get if tx is None else tx.read
     # Subclass rows are annotations too: the index posts them.
     oids = store.db._store.oids_of_class(

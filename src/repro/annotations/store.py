@@ -8,9 +8,11 @@ database — written through :class:`~repro.db.transactions.Transaction`
 *queryable* is the derived interval index: the store registers a router
 with :meth:`Database.attach_index`, so every committed insert/update/
 delete also lands in a per-``(value_id, track)``
-:class:`~repro.annotations.intervals.IntervalIndex` — commit and index
-can never drift, because both happen in :meth:`Database._reindex`.  A
-posting holds the committed row itself: it *is* ``db.get(row.oid)``.
+:class:`~repro.annotations.intervals.IntervalIndex` and in one more
+index over every track's postings, which a narrow query over all tracks
+reads instead of walking them — commit and index can never drift,
+because both happen in :meth:`Database._reindex`.  A posting holds the
+committed row itself: it *is* ``db.get(row.oid)``.
 
 Concurrency protocol (the part the paper leaves implicit):
 
@@ -28,8 +30,8 @@ that has read it; an older writer waits.  The index is read eagerly
 write.
 
 ``bulk_load`` is the corpus path: chunked ``commit_ops`` straight into
-the object store, postings appended to per-track columns and each
-track's index cut from them after one sort — the only way a
+the object store, postings appended to columns, and the store-wide index
+and each track's cut from them after one numpy sort — the only way a
 million-annotation corpus loads in seconds.
 """
 
@@ -39,14 +41,17 @@ import gc
 import hashlib
 from array import array
 from bisect import bisect_left, insort
-from itertools import islice
+from itertools import accumulate, islice
 from math import isfinite
 from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Tuple, Union)
 
+import numpy as np
+
 from repro.annotations.intervals import IntervalIndex, TypeCodes
-from repro.annotations.model import (END, FIELDS, START, TRACK, VALUE_ID,
-                                     Annotation, AnnotationType, Payload)
+from repro.annotations.model import (ATYPE, END, FIELDS, START, TRACK,
+                                     VALUE_ID, Annotation, AnnotationType,
+                                     Payload)
 from repro.db.database import Database
 from repro.db.locks import LockMode
 from repro.db.objects import DBObject, OID
@@ -59,8 +64,17 @@ from repro.obs import Obs, attach
 __all__ = ["AnnotationStore", "TrackStats", "track_sentinel"]
 
 TrackKey = Tuple[str, str]
-#: (starts, ends, rows, codes): bulk-loaded postings on their way to an index.
-_Columns = Tuple[array, array, List[DBObject], bytearray]
+
+
+class _Loaded(NamedTuple):
+    """Bulk-loaded postings on their way to the indexes, in load order."""
+
+    starts: array
+    ends: array
+    rows: List[DBObject]
+    types: bytearray    # each row's type code
+    slots: array        # each row's track, as its number in ``tracks``
+    tracks: Dict[TrackKey, int]
 
 
 def track_sentinel(value_id: str, track: str) -> OID:
@@ -93,7 +107,9 @@ class TrackStats(NamedTuple):
 class _IntervalRouter:
     """Derived-index target: owns the per-track indexes, their keys in
     sorted order (the track directory every multi-track read walks; a
-    key is put in place when its track is created) and their total.
+    key is put in place when its track is created) and ``every``, one
+    more index over the postings of all tracks, whose size is the
+    store's.
 
     The router must not refer back to the :class:`AnnotationStore`.  The
     store reaches it through ``Database._derived``, so a back reference
@@ -105,35 +121,38 @@ class _IntervalRouter:
     def __init__(self) -> None:
         self.tracks: Dict[TrackKey, IntervalIndex] = {}
         self.keys: List[TrackKey] = []
-        self.codes = TypeCodes()  # one table for every track's type column
-        self.total = 0
+        self.codes = TypeCodes()  # one table for every index's type column
+        self.every = self._index()
+
+    def _index(self) -> IntervalIndex:
+        index = IntervalIndex()
+        index.codes = self.codes
+        return index
 
     def track_index(self, value_id: str, track: str) -> IntervalIndex:
         """The index of one track, created empty on first use."""
         key = (value_id, track)
         index = self.tracks.get(key)
         if index is None:
-            index = IntervalIndex()
-            index.codes = self.codes
-            self.tracks[key] = index
+            index = self.tracks[key] = self._index()
             insort(self.keys, key)
         return index
 
     def insert(self, key, obj: DBObject) -> None:
         value_id, track, start, end = key
         if self.track_index(value_id, track).add(start, end, obj):
-            self.total += 1
+            self.every.add(start, end, obj)
 
     def remove(self, key, obj: DBObject) -> None:
         value_id, track, start, end = key
         index = self.tracks.get((value_id, track))
         if index is not None and index.discard(start, end, obj):
-            self.total -= 1
+            self.every.discard(start, end, obj)
 
     def clear(self) -> None:
         self.tracks.clear()
         self.keys.clear()
-        self.total = 0
+        self.every = self._index()
 
 
 def _interval_key(obj: DBObject):
@@ -243,7 +262,7 @@ class AnnotationStore:
         return self._hydrate(tx.read(oid))
 
     def __len__(self) -> int:
-        return self._router.total
+        return len(self._router.every)
 
     def tracks(self) -> List[TrackKey]:
         return self._router.keys[:]
@@ -280,9 +299,10 @@ class AnnotationStore:
         validated per row (type registered, start < end) but skips the
         per-object schema walk and per-row locking of the transactional
         path — this is a corpus loader for a store without concurrent
-        writers, not an online write path.  A *fresh* track's index is
-        cut straight from its sorted columns; a track that already has
-        postings takes the new ones one at a time.
+        writers, not an online write path.  An empty index (a fresh
+        track's, or the store-wide one of an empty store) is cut
+        straight from the sorted columns; one that already has postings
+        takes the new ones one at a time.
 
         A chunk is validated whole before its OIDs are reserved, so a
         bad row commits nothing of its chunk and burns no serial; the
@@ -297,10 +317,11 @@ class AnnotationStore:
         types = self._types
         codes = self._router.codes
         check_interval = self._check_interval
-        per_track: Dict[TrackKey, _Columns] = {}
+        loaded = _Loaded(array("d"), array("d"), [], bytearray(), array("q"),
+                         {})
+        starts, ends, objs, atypes, slots, tracks = loaded
         rows = iter(rows)
         size = max(chunk, 1)
-        loaded = 0
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -319,33 +340,51 @@ class AnnotationStore:
                 store.commit_ops(next(self.db._tx_ids), ops)
                 self.db.stats["commits"] += 1
                 # Posted as committed: a posting's row is the table's row.
-                for (_, obj), row in zip(ops, batch):
-                    value_id, track, atype, start, end, _ = row
-                    columns = per_track.get((value_id, track))
-                    if columns is None:
-                        columns = per_track[(value_id, track)] = (
-                            array("d"), array("d"), [], bytearray())
-                    columns[0].append(start)
-                    columns[1].append(end)
-                    columns[2].append(obj)
-                    columns[3].append(codes[atype])
-                loaded += len(batch)
+                starts.extend([row[START] for row in batch])
+                ends.extend([row[END] for row in batch])
+                objs += [obj for _, obj in ops]
+                atypes.extend([codes[row[ATYPE]] for row in batch])
+                slots.extend([tracks.setdefault((row[VALUE_ID], row[TRACK]),
+                                                len(tracks))
+                              for row in batch])
         finally:
             try:
-                self._index_loaded(per_track)
+                self._index_loaded(loaded)
             finally:
                 if collecting:
                     gc.enable()
-        self._m_bulk.inc(loaded)
-        return loaded
+        self._m_bulk.inc(len(objs))
+        return len(objs)
 
-    def _index_loaded(self, per_track: Dict[TrackKey, _Columns]) -> None:
-        """Post committed bulk rows to their tracks' interval indexes."""
+    def _index_loaded(self, loaded: _Loaded) -> None:
+        """Post committed bulk rows to their tracks' interval indexes and
+        to the store-wide one, all cut from one sort."""
         router = self._router
-        for value_id, track in sorted(per_track):
-            # Popped, so a track's columns are freed as its index is built.
-            columns = per_track.pop((value_id, track))
-            index = router.track_index(value_id, track)
-            before = len(index)
-            index.extend(*columns)
-            router.total += len(index) - before
+        # Key order: start, end, then the OID.  One load's OIDs are one
+        # class's rising serials, so on a tie the stable sort keeps load
+        # order, which is OID order.
+        order = np.lexsort((np.frombuffer(loaded.ends),
+                            np.frombuffer(loaded.starts)))
+        rows = np.fromiter(loaded.rows, object, len(loaded.rows))
+        router.every.extend_sorted(*_sorted_columns(loaded, rows, order))
+        # The same order split by track, stably: each track keeps it.
+        slots = np.frombuffer(loaded.slots, np.int64)
+        columns = _sorted_columns(loaded, rows, order[np.argsort(
+            slots[order], kind="stable")])
+        counts = np.bincount(slots, minlength=len(loaded.tracks)).tolist()
+        after = list(accumulate(counts))
+        for key in sorted(loaded.tracks):
+            slot = loaded.tracks[key]
+            cut = slice(after[slot] - counts[slot], after[slot])
+            router.track_index(*key).extend_sorted(
+                *(column[cut] for column in columns))
+
+
+def _sorted_columns(loaded: _Loaded, rows: np.ndarray, order: np.ndarray
+                    ) -> Tuple[array, array, List[DBObject], bytes]:
+    """The loaded postings' columns (``rows`` as an object array),
+    reordered by ``order``."""
+    return (array("d", np.frombuffer(loaded.starts)[order].tobytes()),
+            array("d", np.frombuffer(loaded.ends)[order].tobytes()),
+            rows[order].tolist(),
+            np.frombuffer(loaded.types, np.uint8)[order].tobytes())

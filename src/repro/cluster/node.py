@@ -98,8 +98,7 @@ class StorageNode:
 
     def account_read(self, bits: int) -> None:
         self.bits_read += bits
-        self.device.total_bits_read += bits
-        self.device._m_bits_read.inc(bits)
+        self.device._account_read(bits)
 
     def kill(self) -> None:
         """Whole-node outage: stop serving, fail queued requests."""

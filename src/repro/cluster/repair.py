@@ -220,8 +220,7 @@ class RepairManager:
                             bits_left -= chunk
                             self.repaired_bits += chunk
                             self._m_repair_bits.inc(chunk)
-                            src.device.total_bits_read += chunk
-                            src.device._m_bits_read.inc(chunk)
+                            src.device._account_read(chunk)
                             target.device._account_written(chunk)
                     finally:
                         if span is not None:

@@ -78,7 +78,7 @@ class Editor:
             # longer read at its reserved rate) bounds the mix duration.
             yield from res_a.read(a.data_size_bits())
             res_b.bits_read += b.data_size_bits()
-            res_b.device.total_bits_read += b.data_size_bits()
+            res_b.device._account_read(b.data_size_bits())
         finally:
             res_a.release()
             res_b.release()

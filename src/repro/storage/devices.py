@@ -143,9 +143,9 @@ class Device(BandwidthLedger):
             run.settle()
         return self._total_bits_read
 
-    @total_bits_read.setter
-    def total_bits_read(self, bits: int) -> None:
-        self._total_bits_read = bits
+    def _account_read(self, bits: int) -> None:
+        self._total_bits_read += bits
+        self._m_bits_read.inc(bits)
 
     def _account_written(self, bits: int) -> None:
         self.total_bits_written += bits

@@ -81,7 +81,7 @@ class StripedReservation:
         for member in self.members:
             share = int(bits * member.bps / self.bps)
             member.bits_read += share
-            member.device.total_bits_read += share
+            member.device._account_read(share)
         self.bits_read += bits
 
     def release(self) -> None:

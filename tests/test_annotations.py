@@ -21,6 +21,7 @@ import random
 import shutil
 import tempfile
 import weakref
+from array import array
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -50,8 +51,9 @@ from repro.annotations import intervals
 from repro.annotations import planner as planner_module
 from repro.annotations import query as query_module
 from repro.annotations import store as store_module
-from repro.annotations.model import FIELDS
+from repro.annotations.model import ATYPE, FIELDS
 from repro.db.database import Database
+from repro.db.locks import LockMode
 from repro.db.objects import DBObject, OID
 from repro.db.schema import AttributeSpec, ClassDef
 from repro.errors import AnnotationError, LockTimeoutError
@@ -77,6 +79,18 @@ def row_of(serial, start, end, atype="word", class_name="Annotation"):
     """A committed row as the index is handed it (a posting holds one)."""
     return DBObject(OID(class_name, serial), FIELDS,
                     ("v", "t", atype, start, end, ()))
+
+
+def sorted_columns(index, rows):
+    """Rows as the parallel columns ``IntervalIndex.extend_sorted`` takes:
+    in key order, the whole OID breaking ties, with each type coded at
+    its first sight in the order the rows were handed over."""
+    codes = [index.codes[row.atype] for row in rows]
+    order = sorted(range(len(rows)), key=lambda k: (
+        rows[k].start, rows[k].end, rows[k].oid))
+    return (array("d", [rows[k].start for k in order]),
+            array("d", [rows[k].end for k in order]),
+            [rows[k] for k in order], bytes(codes[k] for k in order))
 
 
 # -- model ----------------------------------------------------------------
@@ -255,12 +269,10 @@ class IntervalIndexMachine(RuleBasedStateMachine):
             assert self.index.add(row.start, row.end, row) is False
 
     @rule(rows=st.lists(st.tuples(GRID, ATYPES, CLASSES), max_size=20))
-    def extend(self, rows):
-        rows = [self._post(start, start + 1.5, atype, class_name)
-                for start, atype, class_name in rows]
-        self.index.extend(
-            [row.start for row in rows], [row.end for row in rows], rows,
-            [self.index.codes[row.atype] for row in rows])
+    def extend_sorted(self, rows):
+        self.index.extend_sorted(*sorted_columns(
+            self.index, [self._post(start, start + 1.5, atype, class_name)
+                         for start, atype, class_name in rows]))
         self.rows.sort()
 
     @precondition(lambda self: self.rows)
@@ -504,6 +516,45 @@ PROBES = _decoded([None] + STORE_TRACKS, [None] + MODEL_TYPES,
                   sorted(WINDOW_OPS), [0.0, 1.0, 2.0, 3.0], [1, 2, 3])
 
 
+def per_track_run_index(store, query, tx=None):
+    """The index path as it stood before the store-wide index: one
+    ``select`` a candidate track, in directory order, each under its
+    sentinel (the oracle of the store-wide read)."""
+    snapshots, examined = [], 0
+    typed = query.atype if tx is None or not tx._writes else None
+    for key in query_module._candidate_tracks(store, query):
+        if tx is not None:
+            tx.lock(track_sentinel(*key), LockMode.SHARED)
+        found, matched = store._tracks[key].select(query.op, query.lo,
+                                                   query.hi, typed)
+        examined += matched
+        if tx is not None:
+            found = [obj for obj in map(tx.read, (row.oid for row in found))
+                     if query.atype in (None, obj._values[ATYPE])]
+        if query.payload:
+            found = [obj for obj in found
+                     if query._matches_payload(obj._values)]
+        snapshots += found
+    return snapshots, examined
+
+
+def assert_store_wide_read_is_the_per_track_loops(store, query, tx=None):
+    """Forced onto the store-wide index, a query over every track returns
+    the per-track loop's rows (the very objects, in order) and
+    ``examined``."""
+    want, want_examined = per_track_run_index(store, query, tx)
+    saved = query_module.NARROW_PER_TRACK
+    query_module.NARROW_PER_TRACK = 10**9
+    try:
+        assert query_module._reads_every(store, query)
+        got = query_module._run_index(store, query, tx)
+    finally:
+        query_module.NARROW_PER_TRACK = saved
+    assert got.examined == want_examined, query.describe()
+    assert len(got.rows) == len(want), query.describe()
+    assert all(map(operator.is_, got.rows._snapshots, want)), query.describe()
+
+
 class AnnotationStoreMachine(RuleBasedStateMachine):
     """AnnotationStore over a durable Database against a dict of its rows.
 
@@ -653,6 +704,18 @@ class AnnotationStoreMachine(RuleBasedStateMachine):
             == len(model)
 
     @invariant()
+    def the_store_wide_index_is_the_union_of_the_tracks(self):
+        store = self.store
+        every = store._router.every
+        every.check_invariants()
+        assert every.codes is store._router.codes
+        union = sorted((row for key in store.tracks()
+                        for row in store.track_index(*key).select()[0]),
+                       key=operator.attrgetter("start", "end", "oid"))
+        got = every.select()[0]
+        assert len(got) == len(union) and all(map(operator.is_, got, union))
+
+    @invariant()
     def the_drawn_query_agrees(self):
         on, atype, op, lo, width = self.probe
         query = AQ if on is None else AQ.on(*on)
@@ -668,6 +731,8 @@ class AnnotationStoreMachine(RuleBasedStateMachine):
         for mode in ("index", "scan"):
             rows = run(self.store, query, mode=mode).rows
             assert [SORT_KEY(a) for a in rows] == expected, (mode, query)
+        if on is None:
+            assert_store_wide_read_is_the_per_track_loops(self.store, query)
 
 
 STORE_MODEL_SETTINGS = settings(max_examples=20 * MODEL_SCALE,
@@ -1131,8 +1196,7 @@ class TestParentOracles:
                        rng.choice(("word", "turn", "scene")))
                 for serial, start in enumerate(
                     rng.randrange(0, 120) / 2 for _ in range(size))]
-        index.extend([row.start for row in rows], [row.end for row in rows],
-                     rows, [index.codes[row.atype] for row in rows])
+        index.extend_sorted(*sorted_columns(index, rows))
         return index, rows
 
     @pytest.mark.parametrize("op", SELECT_OPS)
@@ -1207,6 +1271,69 @@ class TestParentOracles:
                 store.annotate("v2", rng.choice(("audio", "video")), "turn",
                                start, start + rng.uniform(0.1, 8.0),
                                {"label": "turn-9"})
+
+
+class TestStoreWideOracle:
+    """The store-wide read of a query over every track against the
+    per-track loop it replaces, on stores with subclass rows sharing
+    serials, a multi-block track and a crowded type table, with writes
+    between reads and inside a transaction."""
+
+    @given(seed=st.integers(0, 2**16), big=st.booleans(),
+           crowded=st.booleans(),
+           queries=st.lists(
+               st.tuples(st.sampled_from([None] + OPERATORS),
+                         st.floats(-10.0, 70.0, allow_nan=False),
+                         st.floats(0.001, 30.0, allow_nan=False),
+                         st.sampled_from([None, "word", "turn",
+                                          "never-posted"]),
+                         st.sampled_from([(), (("label", "word-1"),)]),
+                         st.sampled_from([None, "read", "retype"])),
+               min_size=1, max_size=8))
+    @settings(max_examples=25 * MODEL_SCALE)
+    def test_the_store_wide_read_returns_the_per_track_loops_rows(
+            self, seed, big, crowded, queries):
+        store = fresh_store()
+        if crowded:  # "turn" past the 255th type: told apart on the row
+            store._router.codes.update(
+                (f"filler-{n}", n) for n in range(1, 255))
+        rng = random.Random(seed)
+        store.bulk_load(
+            (f"v{rng.randrange(3)}", rng.choice(("audio", "video")),
+             rng.choice(("word", "turn")), start, start + rng.uniform(0.1, 8),
+             (("label", f"word-{rng.randrange(3)}"),))
+            for start in (rng.uniform(0.0, 60.0) for _ in range(150)))
+        if big:  # one multi-block track, its postings in no key order
+            store.bulk_load(("v0", "audio", "word", n / 10, n / 10 + 1.5,
+                             (("label", "word-1"),))
+                            for n in reversed(range(
+                                intervals.BLOCK_CAPACITY + 90)))
+        define_note(store.db)
+        twin = Annotation.from_object(store.db.get(OID("Annotation", 1)))
+        assert insert_note(store.db, twin.value_id, twin.track, twin.atype,
+                           twin.start, twin.end, "word-1").serial == 1
+        for op, lo, width, atype, payload, tx_mode in queries:
+            query = AQ if atype is None else AQ.of_type(atype)
+            if payload:
+                query = query.where(**dict(payload))
+            if op in ("before", "after"):
+                query = getattr(query, op)(lo)
+            elif op is not None:
+                query = getattr(query, op)(lo, lo + width)
+            tx = None if tx_mode is None else store.db.begin()
+            if tx_mode == "retype":
+                victim = rng.choice(run(store, AQ).rows)
+                tx.update(victim.oid, atype=rng.choice(("word", "turn")))
+            assert_store_wide_read_is_the_per_track_loops(store, query, tx)
+            if tx is not None:
+                tx.abort()
+            # A write between reads: a new posting or a dropped one.
+            if rng.random() < 0.5:
+                start = rng.uniform(0.0, 60.0)
+                store.annotate(f"v{rng.randrange(4)}", "video", "turn",
+                               start, start + 0.5, {"label": "turn-9"})
+            else:
+                store.remove(rng.choice(run(store, AQ).rows).oid)
 
 
 # -- bulk loading and the corpus -----------------------------------------

@@ -60,8 +60,7 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.obs import canonical_trace_bytes, scoped
-from repro.scenarios import table
+from repro.scenarios import capture, table
 from repro.sim import Delay, Simulator, Timeout
 
 GOLDEN = json.loads(
@@ -80,21 +79,6 @@ CROWD_METRICS = GOLDEN.pop("crowd_metrics")
 CROWD = 1_000_000
 
 
-def _decisions_and_metrics(obs) -> Tuple[bytes, bytes]:
-    return (json.dumps([event.to_dict() for event in obs.decisions.events],
-                       sort_keys=True).encode(),
-            json.dumps(obs.metrics.snapshot(), sort_keys=True).encode())
-
-
-def _run_canonical(name: str) -> Tuple[bytes, bytes, bytes]:
-    """The canonical trace, the decision log and the metric snapshot (both
-    sorted-key JSON) of one run."""
-    with scoped(tracing=True) as obs:
-        table()[name].run()
-        return (canonical_trace_bytes(obs.tracer, obs.metrics),
-                *_decisions_and_metrics(obs))
-
-
 def scenario_runs() -> Dict[str, Tuple[str, int]]:
     """Run id -> (qualified name, seed): every ``<family>-<name>`` of the
     table at seeds 0 and 1, an unseeded ``trace`` preset once."""
@@ -109,13 +93,8 @@ def scenario_runs() -> Dict[str, Tuple[str, int]]:
     return runs
 
 
-def scenario_hashes(run_id: str) -> Tuple[str, str]:
-    """SHA-256 of one run's decision log and metric snapshot, untraced."""
-    name, seed = scenario_runs()[run_id]
-    with scoped(tracing=False) as obs:
-        table()[name].run(seed)
-        return tuple(hashlib.sha256(blob).hexdigest()
-                     for blob in _decisions_and_metrics(obs))
+def sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
 
 
 class TestGoldenTraces:
@@ -123,21 +102,21 @@ class TestGoldenTraces:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_trace_matches_pre_optimization_hash(self, name):
-        trace, decisions, metrics = _run_canonical(name)
-        assert hashlib.sha256(trace).hexdigest() == GOLDEN[name], (
+        _, decisions, metrics, trace = capture(name)
+        assert sha256(trace) == GOLDEN[name], (
             f"canonical trace for {name!r} diverged from the "
             f"pre-optimization kernel — the schedule or metric totals "
             f"changed"
         )
-        assert hashlib.sha256(decisions).hexdigest() == DECISION_LOG[name], (
+        assert sha256(decisions) == DECISION_LOG[name], (
             f"decision log for {name!r} diverged: a verdict, its subject, "
             f"time or arguments changed")
-        assert hashlib.sha256(metrics).hexdigest() == METRICS[name], (
+        assert sha256(metrics) == METRICS[name], (
             f"metric snapshot for {name!r} diverged: a counter, gauge or "
             f"histogram was added, dropped or moved")
 
     def test_rerun_is_byte_identical(self):
-        assert _run_canonical("quickstart") == _run_canonical("quickstart")
+        assert capture("quickstart") == capture("quickstart")
 
     @pytest.mark.parametrize("command", sorted(CLI_STDOUT))
     def test_cli_stdout_matches_pinned_hash(self, command, capsys):
@@ -154,26 +133,23 @@ class TestGoldenTraces:
 
     @pytest.mark.parametrize("run_id", sorted(SCENARIO_METRICS))
     def test_scenario_decisions_and_metrics_match_pinned_hash(self, run_id):
-        decisions, metrics = scenario_hashes(run_id)
-        assert decisions == SCENARIO_DECISION_LOG[run_id], (
+        _, decisions, metrics, _ = capture(*scenario_runs()[run_id],
+                                           traced=False)
+        assert sha256(decisions) == SCENARIO_DECISION_LOG[run_id], (
             f"decision log of {run_id!r} diverged: a verdict, its subject, "
             f"time or arguments changed")
-        assert metrics == SCENARIO_METRICS[run_id], (
+        assert sha256(metrics) == SCENARIO_METRICS[run_id], (
             f"metric snapshot of {run_id!r} diverged: a counter, gauge or "
             f"histogram was added, dropped or moved")
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_herd_day_at_the_ledger_crowd_matches_pinned_hash(self, seed):
-        from repro.herd.scenarios import day
-
         run_id = f"herd-day --seed {seed} --clients {CROWD}"
-        with scoped(tracing=False) as obs:
-            day(seed=seed, clients=CROWD)
-            decisions, metrics = (hashlib.sha256(blob).hexdigest()
-                                  for blob in _decisions_and_metrics(obs))
-        assert decisions == CROWD_DECISION_LOG[run_id], (
+        _, decisions, metrics, _ = capture("herd-day", seed, traced=False,
+                                           clients=CROWD)
+        assert sha256(decisions) == CROWD_DECISION_LOG[run_id], (
             f"decision log of {run_id!r} diverged")
-        assert metrics == CROWD_METRICS[run_id], (
+        assert sha256(metrics) == CROWD_METRICS[run_id], (
             f"metric snapshot of {run_id!r} diverged")
 
 

@@ -184,6 +184,15 @@ class TestEditorPlacement:
         # Start delay is just device positioning, far below a copy.
         assert outcome.start_delay_seconds < 0.1
 
+    def test_each_device_counter_reads_its_total_bits_read(self):
+        sim, manager, a, b = self.make_env(bandwidth_factor=5.0)
+        sim.run_until_complete(sim.spawn(Editor(manager).mix(a, b)))
+        slow = manager.device("slow")
+        assert sim.obs.metrics.counter("storage.device.slow.bits_read").value \
+            == slow.total_bits_read
+        assert slow.total_bits_read \
+            == a.data_size_bits() + b.data_size_bits()
+
     def test_strict_placement_fails_instead_of_copying(self):
         sim, manager, a, b = self.make_env()
         editor = Editor(manager, strict_placement=True)

@@ -942,10 +942,12 @@ class TestCoveringIndexCounts:
 
 class TestBroadQueryCounts:
     # Counted, not timed: a query over every track prices each one from
-    # its index's running summaries, builds no TrackStats, reads each
-    # track once through ``select``, and walks a sorted track directory
-    # that only the creation of a track writes.
-    def test_one_select_a_track_no_stats_and_a_directory_queries_leave(
+    # its index's running summaries and builds no TrackStats; a narrow
+    # one reads the store-wide index once and no track's, a wide one
+    # (or one pinned to a track name) reads each track once through
+    # ``select``; and the sorted track directory they walk is written
+    # by the creation of a track only.
+    def test_one_select_narrow_a_track_wide_and_no_stats(
             self, monkeypatch):
         from repro.annotations import (AQ, AnnotationJoin, AnnotationStore,
                                        CorpusSpec, IntervalIndex, TrackStats,
@@ -976,14 +978,20 @@ class TestBroadQueryCounts:
         assert len(made) == 1  # the count is live
         made.clear()
 
-        for query, n in ((AQ.of_type("word").during(100.0, 120.0), 80),
-                         (AQ.overlaps(0.0, 600.0), 80),
-                         (AQ.on(None, "audio").before(60.0), 40),
-                         (AQ.on("value-00002").after(300.0), 2)):
+        every = [store._router.every]
+        each = [store._tracks[key] for key in tracks]
+        audio = [store._tracks[key] for key in tracks if key[1] == "audio"]
+        # About 1.7 expected matches a track, then 50, then the same
+        # narrow window pinned to one track name or one value.
+        for query, n, reads in (
+                (AQ.of_type("word").during(100.0, 120.0), 80, every),
+                (AQ.overlaps(0.0, 600.0), 80, each),
+                (AQ.on(None, "audio").during(100.0, 120.0), 40, audio),
+                (AQ.on("value-00002").after(590.0), 2, each[4:6])):
             read.clear()
             result = run(store, query, mode="index")
-            assert result.plan.tracks == n == len(read)
-            assert len(set(map(id, read))) == n
+            assert result.plan.tracks == n
+            assert list(map(id, read)) == list(map(id, reads))
             assert made == []
         run(store, AQ.overlaps(0.0, 600.0), mode="scan")
         run_join(store, AnnotationJoin(

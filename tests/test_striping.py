@@ -116,3 +116,20 @@ class TestStripedPlayback:
         # Both devices really served bits.
         for name in ("d0", "d1"):
             assert placement.device(name).total_bits_read > 0
+
+    def test_each_device_counter_reads_its_total_bits_read(self, sim):
+        placement, striping, video = make_pool(sim, bandwidth_factor=0.75)
+        striping.place_striped(video, ["d0", "d1"])
+        graph = ActivityGraph(sim)
+        reader = graph.add(VideoReader(sim))
+        reader.bind(video)
+        reader.io_stream = striping.reserve(video, readahead=1.4)
+        window = graph.add(VideoWindow(sim, keep_payloads=False))
+        graph.connect(reader.port("video_out"), window.port("video_in"))
+        graph.run_to_completion()
+        for name in ("d0", "d1"):
+            device = placement.device(name)
+            assert device.total_bits_read > 0
+            assert sim.obs.metrics.counter(
+                f"storage.device.{name}.bits_read").value \
+                == device.total_bits_read
