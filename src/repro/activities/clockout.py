@@ -231,7 +231,6 @@ class ClockedRun:
         if io is not None:
             n = self._n_read
             if n < total and self.read[n] <= now:
-                device = io.device
                 bits = 0
                 while n < total and self.read[n] <= now:
                     bits += payloads[n][1]
@@ -240,8 +239,7 @@ class ClockedRun:
                     n += 1
                 self._n_read = n
                 io._bits_read += bits
-                device._total_bits_read += bits
-                device._m_bits_read.inc(bits)
+                io.device._account_read(bits)
             n = self._n_put
             if n < total and self.put[n] <= now:
                 observe = self._m_occupancy.observe

@@ -8,9 +8,7 @@ scenario, the fact that decides the exit code, and the scenario that
 handler behind all seven generated subcommands.
 
 :func:`table` is the one name table ``trace``, ``explain`` and
-``profile`` resolve through, and :func:`capture` the one way to run a
-scenario and keep what a comparison needs: its facts, decision log,
-metric snapshot and canonical trace.  Every scenario has the qualified name
+``profile`` resolve through.  Every scenario has the qualified name
 ``<family>-<name>`` (``herd-surge``, ``trace-quickstart``); a bare name
 belongs to the first family, in :data:`FAMILIES` order, that has it
 (DESIGN.md decision 17 lists the three shared ones).
@@ -23,16 +21,15 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import sys
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs import canonical_trace_bytes, scoped
+from repro.obs import scoped
 
 __all__ = [
-    "FAMILIES", "Capture", "Family", "Scenario", "Toggle", "capture", "flag",
+    "FAMILIES", "Family", "Scenario", "Toggle", "flag",
     "lookup_scenario", "positive", "print_facts", "run_family", "table",
 ]
 
@@ -188,10 +185,9 @@ class Scenario:
     name: str
     fn: Callable[..., Facts]
 
-    def run(self, seed: int = 0, **params) -> Facts:
-        """Run with the scenario's own defaults, bar ``params``."""
-        return (self.fn(seed=seed, **params) if self.family.seeded
-                else self.fn(**params))
+    def run(self, seed: int = 0) -> Facts:
+        """Run with the scenario's own defaults."""
+        return self.fn(seed=seed) if self.family.seeded else self.fn()
 
 
 def table() -> Dict[str, Scenario]:
@@ -203,35 +199,6 @@ def table() -> Dict[str, Scenario]:
             names[f"{family.name}-{name}"] = scenario
             names.setdefault(name, scenario)
     return names
-
-
-class Capture(NamedTuple):
-    """What one run leaves behind to be compared across runs and trees."""
-
-    facts: Facts
-    decisions: bytes        # the decision log, sorted-key JSON
-    metrics: bytes          # the metric snapshot, sorted-key JSON
-    trace: Optional[bytes]  # the canonical trace; None when untraced
-
-
-def capture(name: str, seed: int = 0, *, traced: bool = True,
-            **params) -> Capture:
-    """Run the scenario ``name`` of :func:`table` at ``seed`` (and
-    ``params``, if any) in a fresh observability scope, traced unless
-    told otherwise, and capture it.  Tracing moves no decision and no
-    metric: a run's log and snapshot are the same bytes either way."""
-    with scoped(tracing=traced) as obs:
-        # Evaluated in the order the pins were taken: the run, the trace,
-        # then the log and the snapshot.
-        return Capture(
-            facts=table()[name].run(seed, **params),
-            trace=(canonical_trace_bytes(obs.tracer, obs.metrics) if traced
-                   else None),
-            decisions=json.dumps(
-                [event.to_dict() for event in obs.decisions.events],
-                sort_keys=True).encode(),
-            metrics=json.dumps(obs.metrics.snapshot(),
-                               sort_keys=True).encode())
 
 
 def lookup_scenario(kind: str, name: str, registry,

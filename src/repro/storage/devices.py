@@ -96,8 +96,7 @@ class DeviceReservation:
         elif begun == SEEKED:
             yield from self._move(bits)
         self._bits_read += bits
-        self.device._total_bits_read += bits
-        self.device._m_bits_read.inc(bits)
+        self.device._account_read(bits)
 
     def release(self) -> None:
         if not self.released:

@@ -1,121 +1,116 @@
-"""Byte-identity guards for the hot-path optimization work.
+"""Byte-identity pins on every scenario run and every CLI command.
 
-``tests/golden/trace_hashes.json`` holds SHA-256 hashes of the
-*canonical* Chrome-trace export (wall-clock stamps stripped, keys
-sorted), the bytes ``python -m repro trace <name> --canonical`` writes,
-for the nine trace presets and two supervised runs: quickstart,
-faults, and overload captured on the pre-optimization kernel, query
-before the B-tree range walk was rewritten, the other five before
-the scenario registry replaced the per-family CLI handlers, and ``day``
-and ``watch-cache-crowd`` (the watch stack armed over the cache tier)
-before the edge hit path and the supervision tick stopped redoing
-per-element and per-tick bookkeeping (Exp. P10); quickstart,
-newscast and contention were re-pinned when hops with latency stopped
-costing a process per element (the only events gone are the
-``deliver:*`` and ``*:prefetch`` process spans, the only metrics moved
-four ``sim.*`` counts: EXPERIMENTS.md Exp. P7 keeps the
-``tools/trace_diff.py`` output) and again when the decoder and sink
-behind a clocked-out hop began to run as one (no event added or removed,
-only ``sim.events_dispatched`` moved, there and in the metric pins of
-``faults-degraded-session`` and the three ``trace-*`` runs: Exp. P14),
-and query's trace and metric snapshot
-when the lazy track scan went with its counter
-``annotations.track_scans``, which no scenario incremented (EXPERIMENTS.md
-Exp. S5: that key is all that moved).  Its
-``cli_stdout`` entry pins the bytes a CLI command prints (every family's
-``all --seed 0``, the ``--compare`` regimes, the forced query paths, the
-soak day and the ``explain`` chains), so facts, plans, digests and
-summary lines are held across revisions and not only across reruns;
-CI's rerun-and-diff loops were retired in favour of these.  Its
-``decision_log`` entry pins, from the same run as each trace, the
-decision log as sorted-key JSON, so a changed verdict is named as one
-even where the trace would only say that something moved, and its
-``metrics`` entry the metric snapshot as sorted-key JSON, so a moved
-or vanished instrument is named as one.  ``scenario_decision_log`` and
-``scenario_metrics`` pin the same two hashes, untraced, for every
-``<family>-<name>`` of the scenario table at seeds 0 and 1 (an unseeded
-``trace`` preset once), so a change that must move nothing is checked
-on every scenario and not only on the eleven pinned traces;
-``crowd_decision_log`` and ``crowd_metrics`` pin the same two for the
-herd ``day`` at the ledger's million clients, seeds 0 and 1, taken
-before the coupler compiled its cache verdicts and class splits ahead
-of the first tick (Exp. P11).  If any
-kernel/dataplane change perturbs the schedule — event order, virtual
-timestamps, or metric totals — the exported bytes change and these
-tests fail.  That is what "preserving epoch semantics and (time, seq)
-determinism exactly" means, made executable.
+``tests/golden/trace_hashes.json`` holds SHA-256 hashes.  Under ``runs``,
+each run id of ``tools/behaviour_diff.py``'s ``runs()`` (every
+``<family>-<name>`` of the scenario table at seeds 0 and 1, an unseeded
+``trace`` preset once, and the herd day at the ledger's million
+clients) maps to the hashes of its capture: ``decisions``, the decision
+log as sorted-key JSON, so a changed verdict is named as one;
+``metrics``, the metric snapshot, so a moved or vanished instrument is;
+and for eleven runs ``trace``, the canonical Chrome-trace export
+(wall-clock stamps stripped, keys sorted), so event order and virtual
+timestamps are held too.  ``cli_stdout`` pins the bytes a CLI command
+prints (every family's ``all --seed 0``, the ``--compare`` regimes, the
+forced query paths, the soak day and the ``explain`` chains).  Each run
+is captured once, traced, and its hashes are shared by the pins that
+check it (tracing moves no decision and no metric): the decisions and
+metrics of each scenario run, the trace of each of the eleven, and the
+decisions and metrics of the two crowd days.
 
-The hashes cover the metrics snapshot too, so an *intentional* snapshot
-format change (e.g. the histogram ``sum``/percentile fields) requires
-regenerating ``trace_hashes.json`` from the new format — a deliberate,
-reviewed step, unlike a schedule perturbation.
+A failing pin says only *that* something moved.  ``python
+tools/behaviour_diff.py HEAD`` says what: per run, the facts, metric
+keys, decision kinds and trace events that differ from the last commit.
+A deliberate change re-pins and records that output in EXPERIMENTS.md,
+which keeps every re-pin so far.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict
 
 import pytest
 
-from repro.scenarios import capture, table
 from repro.sim import Delay, Simulator, Timeout
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "trace_hashes.json").read_text()
 )
-CLI_STDOUT = GOLDEN.pop("cli_stdout")
-DECISION_LOG = GOLDEN.pop("decision_log")
-METRICS = GOLDEN.pop("metrics")
-SCENARIO_DECISION_LOG = GOLDEN.pop("scenario_decision_log")
-SCENARIO_METRICS = GOLDEN.pop("scenario_metrics")
-CROWD_DECISION_LOG = GOLDEN.pop("crowd_decision_log")
-CROWD_METRICS = GOLDEN.pop("crowd_metrics")
+CLI_STDOUT = GOLDEN["cli_stdout"]
+RUNS = GOLDEN["runs"]
 
-#: the crowd the ledger's ``herd_day`` runs; every ``herd-*`` scenario
-#: above runs its own 20k-30k.
-CROWD = 1_000_000
+_spec = spec_from_file_location(
+    "behaviour_diff",
+    Path(__file__).parents[1] / "tools" / "behaviour_diff.py")
+behaviour_diff = module_from_spec(_spec)
+_spec.loader.exec_module(behaviour_diff)
+RUN_LIST = behaviour_diff.runs()
 
-
-def scenario_runs() -> Dict[str, Tuple[str, int]]:
-    """Run id -> (qualified name, seed): every ``<family>-<name>`` of the
-    table at seeds 0 and 1, an unseeded ``trace`` preset once."""
-    runs = {}
-    for name, scenario in table().items():
-        if name != f"{scenario.family.name}-{scenario.name}":
-            continue
-        seeds = (0, 1) if scenario.family.seeded else (0,)
-        for seed in seeds:
-            runs[f"{name} --seed {seed}" if scenario.family.seeded
-                 else name] = (name, seed)
-    return runs
+#: the eleven runs whose canonical trace is pinned too, by the table
+#: names their trace pins were first taken under.
+TRACED = {
+    **{name: f"trace-{name}" for name in (
+        "cache", "cluster", "contention", "faults", "herd", "newscast",
+        "overload", "query", "quickstart")},
+    "day": "soak-day --seed 0",
+    "watch-cache-crowd": "watch-cache-crowd --seed 0",
+}
+#: the herd day at the ledger's crowd, by seed; every ``herd-*``
+#: scenario runs its own 20k-30k.
+CROWD = {seed: f"herd-day --seed {seed} --clients {behaviour_diff.CROWD}"
+         for seed in (0, 1)}
 
 
 def sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class TestGoldenTraces:
-    """Scenario traces must match the pre-optimization bytes exactly."""
+@functools.lru_cache(maxsize=None)
+def captured(run_id: str) -> Dict[str, str]:
+    """The hash of each artifact of one run, captured once per session
+    however many pins check it."""
+    name, seed, params = RUN_LIST[run_id]
+    got = behaviour_diff.capture(name, seed, **params)
+    return {artifact: sha256(got[artifact])
+            for artifact in behaviour_diff.ARTIFACTS}
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
+
+def assert_pinned(run_id: str, *artifacts: str) -> None:
+    moved = [artifact for artifact in artifacts
+             if captured(run_id)[artifact] != RUNS[run_id][artifact]]
+    assert not moved, (
+        f"{' and '.join(moved)} of {run_id!r} moved from the pinned "
+        f"hash; `python tools/behaviour_diff.py HEAD` says how")
+
+
+class TestGoldenTraces:
+    """Every run and command must reproduce its pinned bytes exactly."""
+
+    def test_every_scenario_run_is_pinned(self):
+        assert sorted(RUN_LIST) == sorted(RUNS)
+        assert sorted(TRACED.values()) == sorted(
+            run_id for run_id, pins in RUNS.items() if "trace" in pins)
+
+    @pytest.mark.parametrize(
+        "run_id", sorted(set(RUNS) - set(CROWD.values())))
+    def test_scenario_decisions_and_metrics_match_pinned_hash(self, run_id):
+        assert_pinned(run_id, "decisions", "metrics")
+
+    @pytest.mark.parametrize("name", sorted(TRACED))
     def test_trace_matches_pre_optimization_hash(self, name):
-        _, decisions, metrics, trace = capture(name)
-        assert sha256(trace) == GOLDEN[name], (
-            f"canonical trace for {name!r} diverged from the "
-            f"pre-optimization kernel — the schedule or metric totals "
-            f"changed"
-        )
-        assert sha256(decisions) == DECISION_LOG[name], (
-            f"decision log for {name!r} diverged: a verdict, its subject, "
-            f"time or arguments changed")
-        assert sha256(metrics) == METRICS[name], (
-            f"metric snapshot for {name!r} diverged: a counter, gauge or "
-            f"histogram was added, dropped or moved")
+        """Event order, virtual timestamps and metric totals of a run."""
+        assert_pinned(TRACED[name], "trace")
+
+    @pytest.mark.parametrize("seed", sorted(CROWD))
+    def test_herd_day_at_the_ledger_crowd_matches_pinned_hash(self, seed):
+        assert_pinned(CROWD[seed], "decisions", "metrics")
 
     def test_rerun_is_byte_identical(self):
+        capture = behaviour_diff.capture
         assert capture("quickstart") == capture("quickstart")
 
     @pytest.mark.parametrize("command", sorted(CLI_STDOUT))
@@ -127,30 +122,69 @@ class TestGoldenTraces:
         assert digest == CLI_STDOUT[command], (
             f"`python -m repro {command}` printed different bytes")
 
-    def test_every_scenario_run_is_pinned(self):
-        assert sorted(scenario_runs()) == sorted(SCENARIO_METRICS) == sorted(
-            SCENARIO_DECISION_LOG)
 
-    @pytest.mark.parametrize("run_id", sorted(SCENARIO_METRICS))
-    def test_scenario_decisions_and_metrics_match_pinned_hash(self, run_id):
-        _, decisions, metrics, _ = capture(*scenario_runs()[run_id],
-                                           traced=False)
-        assert sha256(decisions) == SCENARIO_DECISION_LOG[run_id], (
-            f"decision log of {run_id!r} diverged: a verdict, its subject, "
-            f"time or arguments changed")
-        assert sha256(metrics) == SCENARIO_METRICS[run_id], (
-            f"metric snapshot of {run_id!r} diverged: a counter, gauge or "
-            f"histogram was added, dropped or moved")
+def run(facts=None, decisions=(), metrics=None, events=()):
+    """A synthetic capture, shaped like ``behaviour_diff.capture``'s."""
+    def blob(doc):
+        return json.dumps(doc, sort_keys=True).encode()
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_herd_day_at_the_ledger_crowd_matches_pinned_hash(self, seed):
-        run_id = f"herd-day --seed {seed} --clients {CROWD}"
-        _, decisions, metrics, _ = capture("herd-day", seed, traced=False,
-                                           clients=CROWD)
-        assert sha256(decisions) == CROWD_DECISION_LOG[run_id], (
-            f"decision log of {run_id!r} diverged")
-        assert sha256(metrics) == CROWD_METRICS[run_id], (
-            f"metric snapshot of {run_id!r} diverged")
+    metrics = metrics or {"sim.events_dispatched": 100}
+    return {"facts": facts or {"frames": 30},
+            "decisions": blob([{"ts": ts, "kind": kind, "subject": subject}
+                               for ts, kind, subject in decisions]),
+            "metrics": blob(metrics),
+            "trace": blob({"traceEvents": list(events),
+                           "otherData": {"metrics": metrics}})}
+
+
+class TestBehaviourDiffReport:
+    """``behaviour_diff.report`` over synthetic captures: no git, no run."""
+
+    DECISIONS = [(0.5, "admit", "s1"), (1.0, "admit", "s2")]
+
+    def report(self, a, b):
+        lines = []
+        return behaviour_diff.report(a, b, lines.append), lines
+
+    def test_equal_captures_report_nothing_and_exit_0(self):
+        captures = {"faults-x --seed 0": run(decisions=self.DECISIONS)}
+        assert self.report(captures, captures) == (0, [])
+
+    def test_a_moved_decision_names_run_kind_and_first_event(self):
+        moved = self.DECISIONS[:1] + [(1.0, "shed", "s2")]
+        status, lines = self.report(
+            {"herd-day --seed 0": run(decisions=self.DECISIONS)},
+            {"herd-day --seed 0": run(decisions=moved)})
+        assert status == 1
+        assert lines[0] == "herd-day --seed 0:"
+        assert "  decisions admit: 2 -> 1" in lines
+        assert "  decisions shed: 0 -> 1" in lines
+        at = lines.index("  decisions first difference, event 1 (admit -> shed):")
+        assert lines[at + 1].startswith('    - {"kind": "admit"')
+        assert lines[at + 2].startswith('    + {"kind": "shed"')
+
+    def test_a_moved_metric_and_fact_are_named(self):
+        status, lines = self.report(
+            {"trace-quickstart": run()},
+            {"trace-quickstart": run(facts={"frames": 29},
+                                     metrics={"sim.events_dispatched": 97})})
+        assert status == 1
+        assert "  facts frames: 30 -> 29" in lines
+        assert "  metrics sim.events_dispatched: 100 -> 97" in lines
+        assert "  trace otherData.metrics differs" in lines
+
+    def test_lost_trace_events_are_grouped_by_stem(self):
+        event = {"ph": "X", "cat": "sim", "ts": 0, "dur": 1, "tid": 1}
+        events = [dict(event, name=f"deliver:conn-{i}") for i in range(3)]
+        status, lines = self.report({"trace-newscast": run(events=events)},
+                                    {"trace-newscast": run(events=events[:1])})
+        assert status == 1
+        assert lines[1:] == ["  trace events: 3 -> 1",
+                             "  trace only in A: 2 x sim deliver:*"]
+
+    def test_a_run_on_one_side_only_is_reported(self):
+        status, lines = self.report({"watch-leak --seed 0": run()}, {})
+        assert (status, lines) == (1, ["watch-leak --seed 0:", "  only in A"])
 
 
 class TestStaleTimers:
