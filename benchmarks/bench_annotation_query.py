@@ -10,7 +10,9 @@ execution paths.  Before any speed claim, two honesty gates must pass:
 * **concurrency** — queries interleaved with seeded wait-die writer
   transactions stay correct: a younger writer hitting a transactional
   read's locks dies (aborts, retriable) instead of changing the track
-  under it, and the index still agrees with the scan afterwards.
+  under it, and the index still agrees with the scan afterwards; a
+  transaction that has moved and deleted rows finds them where it put
+  them, by index as by scan.
 
 Usage::
 
@@ -36,9 +38,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.annotations import (  # noqa: E402
     AQ,
+    WINDOW_OPS,
     AnnotationJoin,
     AnnotationStore,
+    AnnotationType,
     CorpusSpec,
+    FieldSpec,
     load_corpus,
     run,
     run_join,
@@ -188,22 +193,69 @@ def check_concurrency(store: AnnotationStore, spec: CorpusSpec,
     store.annotate(HOT, "audio", "word", 0.25, 0.75, {"label": "retried"})
     agree = agree and (run(store, probe, mode="index").rows
                        == run(store, probe, mode="scan").rows)
+    own = check_own_writes()
     return {
         "writer_commits": commits + 1,
         "waitdie_abort": died,
         "scan_survived": scan_ok,
         "agree_after_writes": agree,
-        "ok": died and scan_ok and agree,
+        "own_writes_seen": own,
+        "ok": died and scan_ok and agree and own,
     }
 
 
+def check_own_writes() -> bool:
+    """A transaction moves one row of a window elsewhere and deletes
+    another: by index as by scan, its reads find the moved row where it
+    put it and neither in the window, and the abort leaves the window as
+    it was.  On a small corpus of its own, since a scan inside a
+    transaction locks every row it reads."""
+    store = AnnotationStore()
+    load_corpus(store, CorpusSpec(seed=0, values=8, annotations=4_000,
+                                  duration_s=600.0))
+    probe = AQ.on(HOT, "audio").during(100.0, 200.0)
+    before = run(store, probe, mode="index").rows
+    tx = store.db.begin()
+    moved, gone = before[0], before[1]
+    tx.update(moved.oid, start=500.25, end=500.75)
+    tx.delete(gone.oid)
+    there = AQ.of_type(moved.atype).overlaps(500.0, 501.0)
+    reads = [(run(store, query, mode="index", tx=tx).rows,
+              run(store, query, mode="scan", tx=tx).rows)
+             for query in (probe, there)]
+    tx.abort()
+    (window, window_scan), (elsewhere, elsewhere_scan) = reads
+    return (window == window_scan and elsewhere == elsewhere_scan
+            and {moved.oid, gone.oid}.isdisjoint(a.oid for a in window)
+            and moved.oid in [a.oid for a in elsewhere]
+            and run(store, probe, mode="index").rows == before)
+
+
 def check_join(store: AnnotationStore) -> bool:
-    """One track join, both paths, row-for-row."""
-    join = AnnotationJoin(
-        AQ.on(HOT, "audio").of_type("word").during(100.0, 120.0),
-        "during", AQ.on(HOT, "audio").of_type("turn"))
-    return (run_join(store, join, mode="index").rows
-            == run_join(store, join, mode="scan").rows)
+    """A track join under each relation, both paths, row-for-row."""
+    return all(
+        run_join(store, join, mode="index").rows
+        == run_join(store, join, mode="scan").rows
+        for join in (AnnotationJoin(
+            AQ.on(HOT, "audio").of_type("word").during(100.0, 120.0),
+            relation, AQ.on(HOT, "audio").of_type("turn"))
+            for relation in sorted(WINDOW_OPS)))
+
+
+def check_list_payloads() -> bool:
+    """A payload field that holds a list, which no payload table can
+    code, answered by index as by scan on a small store of its own."""
+    store = AnnotationStore()
+    store.define_type(AnnotationType("shot", (FieldSpec("tags", list),)))
+    for n in range(40):
+        store.annotate("clip", "video", "shot", float(n), n + 1.5,
+                       {"tags": ["wide", "close"][n % 3 // 2:]})
+    on = AQ.on("clip", "video")
+    return all(run(store, query, mode="index").rows
+               == run(store, query, mode="scan").rows
+               for query in (on.where(tags=["close"]).during(5.0, 30.0),
+                             on.where(tags=["wide", "close"]).overlaps(
+                                 0.0, 12.0)))
 
 
 def print_table(pair: dict, build_s: float, facts: dict,
@@ -231,6 +283,7 @@ def test_annotation_query_gate() -> None:
         assert concurrency["ok"], concurrency
         assert check_join(store), "index and scan joins diverge"
         assert check_global(store), "index and scan global queries diverge"
+        assert check_list_payloads(), "index and scan diverge on a list payload"
         for attempt in range(1, SMOKE_ATTEMPTS + 1):
             pair = measure(store, SMOKE, index_repeats=2)
             print_table(pair, build_s, facts,
@@ -254,7 +307,7 @@ def main() -> int:
                     "annotation query (index vs sequential scan)")
         concurrency = check_concurrency(store, FULL)
         join_ok = check_join(store)
-        global_ok = check_global(store)
+        global_ok = check_global(store) and check_list_payloads()
     print(f"   concurrency {concurrency}")
     print(f"   join_identical {join_ok}   global_identical {global_ok}")
     if not (pair["identical"] and concurrency["ok"] and join_ok

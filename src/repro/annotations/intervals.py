@@ -3,21 +3,21 @@
 One track's postings, sorted by ``(start, end, oid)`` — unique per
 annotation, so key order *is* the deterministic result order — and kept
 as parallel columns: ``array('d')`` starts and ends, the committed rows
-(the object table's own ``DBObject`` snapshots) and a byte of type code
-each, 25 bytes a posting.  The columns are cut into blocks of at most
-:data:`BLOCK_CAPACITY` postings so that a write moves one block, never
-the track; beside each block sit its first key (the routing table a
-bisect reads) and the largest end in it.
+(the object table's own ``DBObject`` snapshots), a byte of type code and
+a ``uint16`` payload code each, 27 bytes a posting.  The columns are cut
+into blocks of at most :data:`BLOCK_CAPACITY` postings so that a write
+moves one block, never the track; beside each block sit its first key
+(the routing table a bisect reads) and the largest end in it.
 
 A window is a range of *starts*, found by two bisects, plus a test on
 each posting's *end*; every operator is one or two such ranges (see
 :meth:`IntervalIndex._pieces`).  A block's max-end settles the end
-test for the whole block where it can — every end passes, or none can —
-and only the remaining blocks are filtered, in C, as is the type column;
-a piece of a few postings is tested one posting at a time instead.
-:meth:`IntervalIndex.select` is the one read: it hands the window's
-rows back as one list, which spares the query executor the object
-table.
+test for the whole block where it can — every end passes, or none can.
+:meth:`IntervalIndex.select` is the one read, and the one place a
+window's end, type and payload tests run: over a longer piece as one
+numpy mask on zero-copy views of the columns, over a piece of a few
+postings one posting at a time.  It hands the window's rows back as one
+list, which spares the query executor the object table.
 """
 
 from __future__ import annotations
@@ -25,14 +25,16 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from operator import sub
-from typing import Callable, List, Optional, Tuple
+from operator import eq, ge, gt, le, sub
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.annotations.model import ATYPE
+import numpy as np
+
+from repro.annotations.model import ATYPE, PAYLOAD, Payload
 from repro.db.objects import DBObject, OID
 from repro.errors import AnnotationError
 
-__all__ = ["BLOCK_CAPACITY", "IntervalIndex", "NARROW_PER_TRACK", "TypeCodes"]
+__all__ = ["BLOCK_CAPACITY", "IntervalIndex", "NARROW_PER_TRACK", "PayloadCodes", "TypeCodes"]
 
 #: Most postings one block holds; a fuller block is cut in two.
 BLOCK_CAPACITY = 512
@@ -41,8 +43,8 @@ BLOCK_CAPACITY = 512
 _HALF = BLOCK_CAPACITY // 2
 
 #: The most postings a piece may hold and still be tested one at a time,
-#: not sliced (EXPERIMENTS.md, Exp. P13 measures the crossover).
-SHORT_PIECE = 16
+#: not masked (EXPERIMENTS.md, Exp. P17 measures the crossover).
+SHORT_PIECE = 32
 
 #: A query over every track reads one store-wide index, not each track's,
 #: when its window is expected to match at most this many postings per
@@ -53,15 +55,15 @@ _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 #: The last type code: "some other type, read it off the row".
 _OTHER = 255
-
-#: Type code -> the translate table that keeps it and drops every other.
-_WANTED = [bytes(code) + b"\1" + bytes(255 - code) for code in range(256)]
+#: Payload codes a posting's ``uint16`` column spells; code 0 means "some
+#: other payload, read it off the row".
+PAYLOAD_CODES = 1 << 16
 
 #: (block, offset): where a key falls in the blocked columns.
 _Position = Tuple[int, int]
-#: (block, from, to, test): a slice of one block's columns and the test
-#: its ends have yet to pass (None: the block's max-end settled it).
-_Piece = Tuple["_Block", int, int, Optional[Callable[[float], bool]]]
+#: (block, from, to, test, bound): a slice of one block's columns and the
+#: test(end, bound) its ends have yet to pass (None: max-end settled it).
+_Piece = Tuple["_Block", int, int, Optional[Callable], float]
 
 
 class TypeCodes(dict):
@@ -74,25 +76,67 @@ class TypeCodes(dict):
         return code
 
 
+class PayloadCodes(dict):
+    """Payload -> its code in a ``uint16`` column, from 1 at first sight and
+    never persisted; ``holding``: each pair of a coded payload -> its codes.
+    A payload that is no hashable tuple, or comes past :data:`PAYLOAD_CODES`,
+    is coded 0 and tested on its row."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.holding: Dict[Any, List[int]] = {}
+        self.crowded = False  # whether a posting was ever coded 0
+
+    def __missing__(self, payload: Any) -> int:
+        if type(payload) is not tuple or len(self) + 1 >= PAYLOAD_CODES:
+            self.crowded = True
+            return 0
+        code = self[payload] = len(self) + 1
+        for pair in payload:
+            self.holding.setdefault(pair, []).append(code)
+        return code
+
+    def code(self, payload: Any) -> int:
+        try:
+            return self[payload]
+        except TypeError:  # unhashable (a list value): "other", as no tuple is
+            return self.__missing__(None)
+
+    def wanted(self, pairs: Payload) -> Optional[bytearray]:
+        """Code -> 1 if its payload holds every pair (code 0 always: its
+        row decides); None if a pair is unhashable."""
+        try:
+            first, *rest = [self.holding.get(pair, ()) for pair in pairs]
+        except TypeError:
+            return None
+        table = bytearray(len(self) + 1)
+        table[0] = 1
+        for code in set(first).intersection(*rest) if rest else first:
+            table[code] = 1
+        return table
+
+
 class _Block:
-    __slots__ = ("starts", "ends", "rows", "types", "max_end")
+    __slots__ = ("starts", "ends", "rows", "types", "payloads", "max_end")
 
     def __init__(self, starts: array, ends: array, rows: List[DBObject],
-                 types: bytearray) -> None:
+                 types: bytearray, payloads: array) -> None:
         self.starts = starts
         self.ends = ends
         self.rows = rows
         self.types = types
+        self.payloads = payloads
         self.max_end: float = max(ends, default=_NEG_INF)
 
 
 class IntervalIndex:
     """(start, end, oid) -> row postings of one track, in columns."""
 
-    __slots__ = ("codes", "_blocks", "_mins", "_size", "_max_end", "sum_len")
+    __slots__ = ("codes", "payloads", "_blocks", "_mins", "_size", "_max_end", "sum_len")
 
     def __init__(self) -> None:
         self.codes = TypeCodes()  # a store's router rebinds it to a shared one
+        self.payloads = PayloadCodes()  # and this one
         self._blocks: List[_Block] = []
         #: First (start, end, oid) of each block: the table ``_seek`` bisects.
         self._mins: List[Tuple[float, float, OID]] = []
@@ -137,18 +181,18 @@ class IntervalIndex:
             raise AnnotationError(
                 f"interval [{start!r}, {end!r}) must have finite "
                 f"start < end")
-        fresh = self._insert(start, end, row.oid, row,
-                             self.codes[row._values[ATYPE]])
+        fresh = self._insert(start, end, row.oid, row, self.codes[row._values[ATYPE]],
+                             self.payloads.code(row._values[PAYLOAD]))
         if fresh:
             self.sum_len += end - start
         return fresh
 
     def _insert(self, start: float, end: float, oid: OID, row: DBObject,
-                code: int) -> bool:
+                code: int, payload: int) -> bool:
         """Put one posting in place; False if it was already there."""
         if not self._blocks:
             self._blocks.append(_Block(array("d"), array("d"), [],
-                                       bytearray()))
+                                       bytearray(), array("H")))
             self._mins.append((start, end, oid))
         b, i = self._seek(start, end, oid)
         block = self._blocks[b]
@@ -160,6 +204,7 @@ class IntervalIndex:
         ends.insert(i, end)
         rows.insert(i, row)
         block.types.insert(i, code)
+        block.payloads.insert(i, payload)
         self._size += 1
         if i == 0:
             self._mins[b] = (start, end, oid)
@@ -169,8 +214,9 @@ class IntervalIndex:
                 self._max_end = end
         if len(rows) > BLOCK_CAPACITY:
             upper = _Block(starts[_HALF:], ends[_HALF:], rows[_HALF:],
-                           block.types[_HALF:])
-            del starts[_HALF:], ends[_HALF:], rows[_HALF:], block.types[_HALF:]
+                           block.types[_HALF:], block.payloads[_HALF:])
+            for column in starts, ends, rows, block.types, block.payloads:
+                del column[_HALF:]
             block.max_end = max(ends)
             self._blocks.insert(b + 1, upper)
             self._mins.insert(b + 1, (upper.starts[0], upper.ends[0],
@@ -188,7 +234,7 @@ class IntervalIndex:
         if not (i < len(rows) and rows[i].oid == row.oid
                 and starts[i] == start and ends[i] == end):
             return False
-        del starts[i], ends[i], rows[i], block.types[i]
+        del starts[i], ends[i], rows[i], block.types[i], block.payloads[i]
         self._size -= 1
         self.sum_len -= end - start
         if not rows:
@@ -216,24 +262,28 @@ class IntervalIndex:
         into.ends.extend(upper.ends)
         into.rows.extend(upper.rows)
         into.types.extend(upper.types)
+        into.payloads.extend(upper.payloads)
         into.max_end = max(into.max_end, upper.max_end)
         del self._blocks[left + 1], self._mins[left + 1]
 
     def extend_sorted(self, starts: array, ends: array,
-                      rows: List[DBObject], types: bytes) -> None:
+                      rows: List[DBObject], types: bytes,
+                      payloads: array) -> None:
         """Add many postings handed over as parallel columns in key order,
-        ``types`` spelling each row's type in :attr:`codes`.  An empty
-        index is cut straight into blocks, a populated one takes the
-        postings one at a time."""
+        ``types`` and ``payloads`` (an ``array('H')``) spelling each row's
+        type in :attr:`codes` and payload in :attr:`payloads`.  An empty
+        index is cut straight into blocks, a populated one one at a time."""
         if self._blocks:  # a posting already there adds no length
             self.sum_len += sum([
                 ends[k] - starts[k] for k, row in enumerate(rows)
-                if self._insert(starts[k], ends[k], row.oid, row, types[k])])
+                if self._insert(starts[k], ends[k], row.oid, row, types[k],
+                                payloads[k])])
         else:
             for at in range(0, len(rows), _HALF):
                 block = _Block(starts[at:at + _HALF], ends[at:at + _HALF],
                                rows[at:at + _HALF],
-                               bytearray(types[at:at + _HALF]))
+                               bytearray(types[at:at + _HALF]),
+                               payloads[at:at + _HALF])
                 self._blocks.append(block)
                 self._mins.append((block.starts[0], block.ends[0],
                                    block.rows[0].oid))
@@ -273,39 +323,37 @@ class IntervalIndex:
         The two ranges of one operator are disjoint and ascending, so
         chaining them keeps key order.
         """
-        lo, hi = float(lo), float(hi)  # int.__ge__(float) is NotImplemented
+        lo, hi = float(lo), float(hi)  # one bound, per posting or masked
         # Methods called on self, not bound to locals: a query over every
         # track runs this once a track.
         if op == "during":
-            return self._cut(self._seek(lo), self._seek(hi), hi.__ge__, hi,
-                             True)
+            return self._cut(self._seek(lo), self._seek(hi), le, hi, True)
         if op is None:
             return self._cut((0, 0), (len(self._blocks), 0))
         if op == "before":
-            return self._cut((0, 0), self._seek(lo), lo.__ge__, lo, True)
+            return self._cut((0, 0), self._seek(lo), le, lo, True)
         if op == "after":
             return self._cut(self._seek(hi), (len(self._blocks), 0))
         if op == "overlaps":
             at_lo = self._seek(lo)
-            return (self._cut((0, 0), at_lo, lo.__lt__, lo)
+            return (self._cut((0, 0), at_lo, gt, lo)
                     + self._cut(at_lo, self._seek(hi)))
         if op == "meets":
-            return (self._cut((0, 0), self._seek(lo), lo.__eq__, lo)
+            return (self._cut((0, 0), self._seek(lo), eq, lo)
                     + self._cut(self._seek(hi), self._seek(hi, _POS_INF)))
         if op == "contains":
-            return self._cut((0, 0), self._seek(lo, _POS_INF), hi.__le__, hi)
+            return self._cut((0, 0), self._seek(lo, _POS_INF), ge, hi)
         raise AnnotationError(f"unknown window operator {op!r}")
 
     def _cut(self, begin: _Position, finish: _Position,
-             test: Optional[Callable[[float], bool]] = None,
-             bound: float = 0.0, capped: bool = False) -> List[_Piece]:
-        """``(block, from, to, test)`` per block that ``[begin, finish)`` reaches.
+             test: Optional[Callable] = None, bound: float = 0.0,
+             capped: bool = False) -> List[_Piece]:
+        """``(block, from, to, test, bound)`` per block that ``[begin, finish)`` reaches.
 
-        ``test`` compares an end with ``bound``.  ``capped`` says it is
-        ``end <= bound``: a block whose max-end is within the bound
-        passes whole, and its piece carries no test.  Otherwise the end
-        must reach ``bound``, and a block whose max-end falls short is
-        left out.
+        An end passes if ``test(end, bound)``.  ``capped`` says the test
+        is ``le``: a block whose max-end is within the bound passes
+        whole, and its piece carries no test.  Otherwise the end must
+        reach ``bound``, and a block whose max-end falls short is left out.
         """
         (b0, i0), (b1, i1) = begin, finish
         blocks = self._blocks
@@ -318,51 +366,52 @@ class IntervalIndex:
                 continue
             block = blocks[b]
             if test is None or (capped and block.max_end <= bound):
-                pieces.append((block, i, j, None))
+                pieces.append((block, i, j, None, bound))
             elif capped or block.max_end >= bound:
-                pieces.append((block, i, j, test))
+                pieces.append((block, i, j, test, bound))
         return pieces
 
     def select(self, op: Optional[str] = None, lo: float = 0.0,
-               hi: float = 0.0, atype: Optional[str] = None
-               ) -> Tuple[List[DBObject], int]:
-        """The window's rows of ``atype`` (None: any) in key order, and how
-        many postings the window matched before the type test.  A short
-        piece with a test to pass is tested posting by posting; any other
-        piece over column slices, in C."""
+               hi: float = 0.0, atype: Optional[str] = None,
+               payload: Payload = ()) -> Tuple[List[DBObject], int]:
+        """The window's rows of ``atype`` (None: any) whose payload holds
+        every pair of ``payload``, in key order, and how many postings the
+        window matched before the type and payload tests.  A short piece
+        with a test to pass is tested posting by posting; any other piece
+        with one as one numpy mask over its columns."""
         found: List[DBObject] = []
         matched = 0
         # A type never posted passes for "other" and fails on the row.
         code = None if atype is None else self.codes.get(atype, _OTHER)
-        for block, i, j, test in self._pieces(op, lo, hi):
-            if (j - i <= SHORT_PIECE
-                    and (test is not None or code is not None)):
-                rows, ends, types = block.rows, block.ends, block.types
-                for k in range(i, j):
-                    if test is None or test(ends[k]):
-                        matched += 1
-                        if code is None or types[k] == code:
-                            found.append(rows[k])
-                continue
-            rows = block.rows[i:j]
-            if test is None:
+        table = self.payloads.wanted(payload) if payload else None
+        for block, i, j, test, bound in self._pieces(op, lo, hi):
+            if test is None and code is None and table is None:
                 matched += j - i
-                found += (rows if code is None else compress(
-                    rows, block.types[i:j].translate(_WANTED[code])))
-            elif code is None:
-                rows = list(compress(rows, map(test, block.ends[i:j])))
-                matched += len(rows)
-                found += rows
+                found += block.rows[i:j]
+            elif j - i <= SHORT_PIECE:
+                rows, ends = block.rows, block.ends
+                types, payloads = block.types, block.payloads
+                for k in range(i, j):
+                    if test is None or test(ends[k], bound):
+                        matched += 1
+                        if ((code is None or types[k] == code)
+                                and (table is None or table[payloads[k]])):
+                            found.append(rows[k])
             else:
-                # Every end is tested for the count, and only the ends
-                # of the wanted type for the rows.
-                ends = block.ends[i:j]
-                matched += sum(map(test, ends))
-                wanted = block.types[i:j].translate(_WANTED[code])
-                found += compress(compress(rows, wanted),
-                                  map(test, compress(ends, wanted)))
+                mask = (True if test is None
+                        else test(np.frombuffer(block.ends)[i:j], bound))
+                matched += j - i if test is None else mask.tobytes().count(1)
+                if code is not None:
+                    mask &= np.frombuffer(block.types, np.uint8)[i:j] == code
+                if table is not None:
+                    mask &= np.frombuffer(table, np.bool_)[np.frombuffer(
+                        block.payloads, np.uint16)[i:j]]
+                found += compress(block.rows[i:j], mask.tobytes())
         if code == _OTHER:
             found = [row for row in found if row._values[ATYPE] == atype]
+        if payload and (table is None or self.payloads.crowded):
+            found = [row for row in found if all(
+                pair in row._values[PAYLOAD] for pair in payload)]
         return found, matched
 
     # -- invariants (used by property tests) ------------------------------
@@ -379,6 +428,8 @@ class IntervalIndex:
                              block.rows[0].oid), "stale block first key"
             assert list(block.types) == [self.codes.get(
                 row._values[ATYPE]) for row in block.rows], "stale type column"
+            assert list(block.payloads) == [self.payloads.code(row._values[
+                PAYLOAD]) for row in block.rows], "stale payload column"
             keys.extend(zip(block.starts, block.ends,
                             (row.oid for row in block.rows)))
         assert keys == sorted(set(keys)), "postings out of key order"

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.annotations.intervals import NARROW_PER_TRACK
 from repro.annotations.model import (ATYPE, END, PAYLOAD, START, TRACK,
@@ -284,58 +284,61 @@ def _lock_tracks(store: AnnotationStore, tx: Optional[Transaction]) -> None:
         tx.lock(track_sentinel(*track_key), LockMode.SHARED)
 
 
-def _admitted(query: AnnotationQuery, found: List[DBObject],
-              tx: Optional[Transaction]) -> List[DBObject]:
-    """The window's rows as the transaction reads them, of the query's
-    type and payload."""
-    if tx is not None:
-        # ``tx.read`` takes the row's SHARED lock before it reads.
-        atype = query.atype
-        found = [obj for obj in map(tx.read, (row.oid for row in found))
-                 if atype is None or obj._values[ATYPE] == atype]
-    if query.payload:
-        found = [obj for obj in found if query._matches_payload(obj._values)]
-    return found
+def _as_read(store: AnnotationStore, query: AnnotationQuery,
+             oids: Iterable[OID], tx: Transaction) -> List[DBObject]:
+    """Committed rows as the transaction reads them (``tx.read`` takes a
+    row's SHARED lock first), less those it has written; with writes, its
+    own rows that match the query are added and all sorted by key."""
+    writes = tx._writes
+    rows = [tx.read(oid) for oid in oids if oid not in writes]
+    if writes:
+        classes = store.db.schema.subclasses_of(store.CLASS_NAME)
+        rows += [row for row in writes.values() if row is not None and (
+            row.oid.class_name in classes and query.matches(row._values))]
+        rows.sort(key=_sort_key)
+    return rows
 
 
 def _run_index(store: AnnotationStore, query: AnnotationQuery,
                tx: Optional[Transaction]) -> QueryResult:
     op, lo, hi = query.op, query.lo, query.hi
-    # Window and type are settled over the index's columns, whose
-    # postings are the committed rows: no object table is read.  A
-    # transaction may have retyped a row, so one with writes reads
-    # the whole window and tests the type it sees.
-    typed = query.atype if tx is None or not tx._writes else None
+    atype, payload = query.atype, query.payload
+    # Window, type and payload are settled over the index's columns, whose
+    # postings are the committed rows: no object table is read.
     if (query.value_id is None and query.track is None
             and _reads_every(store, query)):
         _lock_tracks(store, tx)
-        found, examined = store._router.every.select(op, lo, hi, typed)
-        return QueryResult(AnnotationRows(_admitted(
-            query, _by_track(found), tx)), "index", examined)
-    snapshots: List[DBObject] = []
-    examined = 0
-    indexes = store._tracks
-    for track_key in _candidate_tracks(store, query):
-        if tx is not None:
-            tx.lock(track_sentinel(*track_key), LockMode.SHARED)
-        found, matched = indexes[track_key].select(op, lo, hi, typed)
-        examined += matched
-        snapshots += (found if tx is None and not query.payload
-                      else _admitted(query, found, tx))
+        found, examined = store._router.every.select(op, lo, hi, atype,
+                                                     payload)
+        snapshots = _by_track(found)
+    else:
+        snapshots = []
+        examined = 0
+        indexes = store._tracks
+        for track_key in _candidate_tracks(store, query):
+            if tx is not None:
+                tx.lock(track_sentinel(*track_key), LockMode.SHARED)
+            found, matched = indexes[track_key].select(op, lo, hi, atype,
+                                                       payload)
+            examined += matched
+            snapshots += found
     # Tracks visited in sorted order, postings in key order: already
     # sorted by (value_id, track, start, end, oid).
+    if tx is not None:
+        snapshots = _as_read(store, query, [row.oid for row in snapshots], tx)
     return QueryResult(AnnotationRows(snapshots), "index", examined)
 
 
 def _run_scan(store: AnnotationStore, query: AnnotationQuery,
               tx: Optional[Transaction]) -> QueryResult:
     _lock_tracks(store, tx)
-    reader = store.db.get if tx is None else tx.read
     # Subclass rows are annotations too: the index posts them.
     oids = store.db._store.oids_of_class(
         store.db.schema.subclasses_of(store.CLASS_NAME))
     matches = query.matches
-    snapshots = [obj for obj in map(reader, oids) if matches(obj._values)]
+    snapshots = [obj for obj in (map(store.db.get, oids) if tx is None else
+                                 _as_read(store, query, oids, tx))
+                 if matches(obj._values)]
     snapshots.sort(key=_sort_key)
     return QueryResult(AnnotationRows(snapshots), "scan", len(oids))
 

@@ -48,10 +48,10 @@ from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
 
 import numpy as np
 
-from repro.annotations.intervals import IntervalIndex, TypeCodes
-from repro.annotations.model import (ATYPE, END, FIELDS, START, TRACK,
-                                     VALUE_ID, Annotation, AnnotationType,
-                                     Payload)
+from repro.annotations.intervals import IntervalIndex, PayloadCodes, TypeCodes
+from repro.annotations.model import (ATYPE, END, FIELDS, PAYLOAD, START,
+                                     TRACK, VALUE_ID, Annotation,
+                                     AnnotationType, Payload)
 from repro.db.database import Database
 from repro.db.locks import LockMode
 from repro.db.objects import DBObject, OID
@@ -73,6 +73,7 @@ class _Loaded(NamedTuple):
     ends: array
     rows: List[DBObject]
     types: bytearray    # each row's type code
+    payloads: array     # each row's payload code
     slots: array        # each row's track, as its number in ``tracks``
     tracks: Dict[TrackKey, int]
 
@@ -122,11 +123,12 @@ class _IntervalRouter:
         self.tracks: Dict[TrackKey, IntervalIndex] = {}
         self.keys: List[TrackKey] = []
         self.codes = TypeCodes()  # one table for every index's type column
+        self.payloads = PayloadCodes()  # and one for its payload column
         self.every = self._index()
 
     def _index(self) -> IntervalIndex:
         index = IntervalIndex()
-        index.codes = self.codes
+        index.codes, index.payloads = self.codes, self.payloads
         return index
 
     def track_index(self, value_id: str, track: str) -> IntervalIndex:
@@ -315,11 +317,11 @@ class AnnotationStore:
         store = self.db._store
         layout = store.layout(FIELDS)
         types = self._types
-        codes = self._router.codes
+        codes, payload_codes = self._router.codes, self._router.payloads
         check_interval = self._check_interval
-        loaded = _Loaded(array("d"), array("d"), [], bytearray(), array("q"),
-                         {})
-        starts, ends, objs, atypes, slots, tracks = loaded
+        loaded = _Loaded(array("d"), array("d"), [], bytearray(), array("H"),
+                         array("q"), {})
+        starts, ends, objs, atypes, payloads, slots, tracks = loaded
         rows = iter(rows)
         size = max(chunk, 1)
         collecting = gc.isenabled()
@@ -344,6 +346,8 @@ class AnnotationStore:
                 ends.extend([row[END] for row in batch])
                 objs += [obj for _, obj in ops]
                 atypes.extend([codes[row[ATYPE]] for row in batch])
+                payloads.extend([payload_codes.code(row[PAYLOAD])
+                                 for row in batch])
                 slots.extend([tracks.setdefault((row[VALUE_ID], row[TRACK]),
                                                 len(tracks))
                               for row in batch])
@@ -381,10 +385,11 @@ class AnnotationStore:
 
 
 def _sorted_columns(loaded: _Loaded, rows: np.ndarray, order: np.ndarray
-                    ) -> Tuple[array, array, List[DBObject], bytes]:
+                    ) -> Tuple[array, array, List[DBObject], bytes, array]:
     """The loaded postings' columns (``rows`` as an object array),
     reordered by ``order``."""
     return (array("d", np.frombuffer(loaded.starts)[order].tobytes()),
             array("d", np.frombuffer(loaded.ends)[order].tobytes()),
             rows[order].tolist(),
-            np.frombuffer(loaded.types, np.uint8)[order].tobytes())
+            np.frombuffer(loaded.types, np.uint8)[order].tobytes(),
+            array("H", np.frombuffer(loaded.payloads, np.uint16)[order].tobytes()))

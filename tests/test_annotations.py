@@ -51,7 +51,7 @@ from repro.annotations import intervals
 from repro.annotations import planner as planner_module
 from repro.annotations import query as query_module
 from repro.annotations import store as store_module
-from repro.annotations.model import ATYPE, FIELDS
+from repro.annotations.model import FIELDS
 from repro.db.database import Database
 from repro.db.locks import LockMode
 from repro.db.objects import DBObject, OID
@@ -75,22 +75,25 @@ def fresh_store(db=None):
     return store
 
 
-def row_of(serial, start, end, atype="word", class_name="Annotation"):
+def row_of(serial, start, end, atype="word", class_name="Annotation",
+           payload=()):
     """A committed row as the index is handed it (a posting holds one)."""
     return DBObject(OID(class_name, serial), FIELDS,
-                    ("v", "t", atype, start, end, ()))
+                    ("v", "t", atype, start, end, payload))
 
 
 def sorted_columns(index, rows):
     """Rows as the parallel columns ``IntervalIndex.extend_sorted`` takes:
-    in key order, the whole OID breaking ties, with each type coded at
-    its first sight in the order the rows were handed over."""
+    in key order, the whole OID breaking ties, with each type and payload
+    coded at its first sight in the order the rows were handed over."""
     codes = [index.codes[row.atype] for row in rows]
+    payloads = [index.payloads.code(row.payload) for row in rows]
     order = sorted(range(len(rows)), key=lambda k: (
         rows[k].start, rows[k].end, rows[k].oid))
     return (array("d", [rows[k].start for k in order]),
             array("d", [rows[k].end for k in order]),
-            [rows[k] for k in order], bytes(codes[k] for k in order))
+            [rows[k] for k in order], bytes(codes[k] for k in order),
+            array("H", [payloads[k] for k in order]))
 
 
 # -- model ----------------------------------------------------------------
@@ -518,24 +521,46 @@ PROBES = _decoded([None] + STORE_TRACKS, [None] + MODEL_TYPES,
 
 def per_track_run_index(store, query, tx=None):
     """The index path as it stood before the store-wide index: one
-    ``select`` a candidate track, in directory order, each under its
-    sentinel (the oracle of the store-wide read)."""
+    untyped ``select`` a candidate track, in directory order, each under
+    its sentinel, and the type and payload tested on each row (the oracle
+    of the store-wide read).  A transaction reads the committed rows it
+    has not written; those it has written are tested whole and sorted
+    in."""
     snapshots, examined = [], 0
-    typed = query.atype if tx is None or not tx._writes else None
     for key in query_module._candidate_tracks(store, query):
         if tx is not None:
             tx.lock(track_sentinel(*key), LockMode.SHARED)
         found, matched = store._tracks[key].select(query.op, query.lo,
-                                                   query.hi, typed)
+                                                   query.hi)
         examined += matched
-        if tx is not None:
-            found = [obj for obj in map(tx.read, (row.oid for row in found))
-                     if query.atype in (None, obj._values[ATYPE])]
-        if query.payload:
-            found = [obj for obj in found
-                     if query._matches_payload(obj._values)]
-        snapshots += found
+        snapshots += [row for row in found
+                      if query._matches_residual(row._values)]
+    if tx is not None:
+        writes = tx._writes
+        snapshots = [tx.read(row.oid) for row in snapshots
+                     if row.oid not in writes]
+        snapshots += [row for row in writes.values()
+                      if row is not None and query.matches(row._values)]
+        snapshots.sort(key=query_module._sort_key)
     return snapshots, examined
+
+
+#: What a transaction does to one row before it queries.
+MOVES = ["retype", "retime", "retrack", "relabel", "delete"]
+
+
+def move(tx, oid, how, value_id, track, atype, start, end):
+    """One of :data:`MOVES` on ``oid`` inside ``tx``, taking its new
+    track, type or interval from the arguments; the written values (None
+    for a delete)."""
+    if how == "delete":
+        tx.delete(oid)
+        return None
+    changes = {"retype": {"atype": atype},
+               "retime": {"start": start, "end": end},
+               "retrack": {"value_id": value_id, "track": track},
+               "relabel": {"payload": (("label", "moved"),)}}[how]
+    return tx.update(oid, **changes)._values
 
 
 def assert_store_wide_read_is_the_per_track_loops(store, query, tx=None):
@@ -661,16 +686,29 @@ class AnnotationStoreMachine(RuleBasedStateMachine):
             self.model[oid] = row[:5]
         self.probe = probe
 
-    @rule(row=ROWS, pick=st.integers(0, 10**6), probe=PROBES)
-    def abort(self, row, pick, probe):
+    @rule(row=ROWS, pick=st.integers(0, 10**6),
+          how=st.sampled_from(MOVES), probe=PROBES)
+    def abort(self, row, pick, how, probe):
+        # Inside the transaction its insert and its move are seen, by
+        # index and by scan; after the abort, neither is.
         (value_id, track), start, length, atype = row
         tx = self.store.db.begin()
-        self.store.annotate(value_id, track, atype, start, start + length,
-                            {"label": "gone"}, tx=tx)
+        seen = dict(self.model)
+        seen[self.store.annotate(value_id, track, atype, start,
+                                 start + length, {"label": "gone"},
+                                 tx=tx)] = (value_id, track, atype, start,
+                                            start + length)
         if self.model:
-            self.store.remove(self._pick(pick), tx=tx)
-        tx.abort()
+            oid = self._pick(pick)
+            values = move(tx, oid, how, value_id, track, atype, start + 0.5,
+                          start + 0.5 + length)
+            if values is None:
+                del seen[oid]
+            else:
+                seen[oid] = values[:5]
         self.probe = probe
+        self.the_drawn_query_agrees(seen, tx)
+        tx.abort()
 
     @rule(checkpoint=st.booleans(), probe=PROBES)
     def reopen(self, checkpoint, probe):
@@ -716,7 +754,8 @@ class AnnotationStoreMachine(RuleBasedStateMachine):
         assert len(got) == len(union) and all(map(operator.is_, got, union))
 
     @invariant()
-    def the_drawn_query_agrees(self):
+    def the_drawn_query_agrees(self, model=None, tx=None):
+        model = self.model if model is None else model
         on, atype, op, lo, width = self.probe
         query = AQ if on is None else AQ.on(*on)
         if atype is not None:
@@ -727,12 +766,13 @@ class AnnotationStoreMachine(RuleBasedStateMachine):
             query = getattr(query, op)(lo, lo + width)
         expected = sorted(
             (row[0], row[1], row[3], row[4], oid)
-            for oid, row in self.model.items() if query.matches(row + ((),)))
+            for oid, row in model.items() if query.matches(row + ((),)))
         for mode in ("index", "scan"):
-            rows = run(self.store, query, mode=mode).rows
+            rows = run(self.store, query, mode=mode, tx=tx).rows
             assert [SORT_KEY(a) for a in rows] == expected, (mode, query)
         if on is None:
-            assert_store_wide_read_is_the_per_track_loops(self.store, query)
+            assert_store_wide_read_is_the_per_track_loops(self.store, query,
+                                                          tx)
 
 
 STORE_MODEL_SETTINGS = settings(max_examples=20 * MODEL_SCALE,
@@ -1045,6 +1085,50 @@ class TestEquivalenceProperty:
         tx.abort()
         assert run(store, on.of_type("word")).rows == unwritten.rows
 
+    @pytest.mark.parametrize("how, sizes", [
+        ("retime", (19, 11)), ("retrack", (19, 11)), ("early", (20, 13)),
+        ("delete", (19, 11))])
+    def test_a_transaction_sees_its_own_moves_on_both_paths(self, how, sizes):
+        # At the parent the index path tested only the type of a row the
+        # transaction had written: a row moved out of the window stayed
+        # in (20 rows by index, 19 by scan), one moved into it was missed
+        # (12 against 13), and a deleted row raised ObjectNotFoundError
+        # on both paths.
+        store = seeded_store(seed=3, n=150)
+        wide = AQ.on("v0", "audio").overlaps(0.0, 70.0)
+        narrow = AQ.on("v0", "audio").overlaps(0.0, 30.0)
+        rows = run(store, wide).rows
+        victim = (next(a for a in rows if 36.5 < a.start < 36.6)
+                  if how == "early" else rows[2])
+        tx = store.db.begin()
+        if how == "early":
+            tx.update(victim.oid, start=10.0, end=11.0)
+        elif how == "retime":
+            tx.update(victim.oid, start=80.0, end=81.0)
+        elif how == "retrack":
+            tx.update(victim.oid, track="video")
+        else:
+            tx.delete(victim.oid)
+        queries = (wide, narrow, AQ.on("v0", "video").overlaps(0.0, 70.0),
+                   AQ.on("v0").overlaps(0.0, 100.0), AQ.overlaps(0.0, 100.0),
+                   AQ.of_type(victim.atype).during(0.0, 100.0))
+        for query in queries:
+            index = run(store, query, mode="index", tx=tx)
+            scan = run(store, query, mode="scan", tx=tx)
+            assert [a.to_row() for a in index.rows] \
+                == [a.to_row() for a in scan.rows], query.describe()
+            assert index.rows == sorted(index.rows, key=SORT_KEY)
+            assert [a.oid for a in index.rows] == [a.oid for a in scan.rows]
+            if query.value_id is None:
+                assert_store_wide_read_is_the_per_track_loops(store, query,
+                                                              tx)
+        assert (len(run(store, wide, mode="index", tx=tx).rows),
+                len(run(store, narrow, mode="index", tx=tx).rows)) == sizes
+        video = run(store, queries[2], mode="index", tx=tx).rows
+        assert (victim.oid in [a.oid for a in video]) is (how == "retrack")
+        tx.abort()
+        assert run(store, wide).rows == rows
+
 
 # -- the parent's select and pricing, as oracles ---------------------------
 # The interval index's one read and the planner's per-track pricing as they
@@ -1168,32 +1252,47 @@ def parent_index_cost(store, query, tracks):
 
 #: The six operators ``select`` answers (``contains`` is a join probe's).
 SELECT_OPS = OPERATORS + ["contains"]
+#: A row's payload: labels, a float field (``1`` and ``1.0`` are one
+#: payload) and one with a list value, which no table can code.
+ROW_PAYLOADS = [(), (("label", "a"),), (("label", "b"),),
+                (("conf", 0.5), ("label", "a")), (("conf", 0.5), ("label", "b")),
+                (("conf", 1.0), ("label", "a")), (("conf", 1), ("label", "a")),
+                (("label", "b"), ("tags", ["x"]))]
+#: A payload asked for: nothing, a label, a float, two pairs, a pair no
+#: row holds, and a list value (a predicate no table can look up).
+PREDICATES = [(), (("label", "a"),), (("conf", 1.0),),
+              (("conf", 0.5), ("label", "a")), (("conf", 1.0), ("label", "b")),
+              (("label", "zzz"),), (("tags", ["x"]),)]
 #: A window: its lower end as an offset from one of the first or last
 #: dozen starts (a piece that runs to a block's end is common), its width,
 #: both on a half-second grid (so are the postings: ties and exact
-#: touches are common), and the type asked for.
+#: touches are common), the type and the payload asked for.
 WINDOWS = st.tuples(st.integers(-12, 11),
                     st.integers(-40, 40).map(lambda n: n / 2),
                     st.integers(1, 40).map(lambda n: n / 2),
                     st.sampled_from([None, "word", "turn", "scene",
-                                     "never-posted"]))
+                                     "never-posted"]),
+                    st.sampled_from(PREDICATES))
 
 
 class TestParentOracles:
     """The short-piece ``select`` and the one-pass pricing against the
     parent's, on typed and untyped windows over single- and multi-block
-    tracks, with writes between the reads."""
+    tracks, with writes between the reads; ``select`` with a payload
+    against the parent's followed by a per-row filter."""
 
     @staticmethod
     def track(rng, size, crowded):
         """One track of ``size`` postings on a half-second grid.  Crowded,
         the type table is full before any is posted, so "turn" and
-        "scene" share the last code and are told apart on the row."""
+        "scene" share the last code and are told apart on the row, and
+        the payload table is past its width after two payloads."""
         index = IntervalIndex()
         if crowded:
             index.codes.update((f"filler-{n}", n) for n in range(254))
         rows = [row_of(serial, start, start + rng.randrange(1, 13) / 2,
-                       rng.choice(("word", "turn", "scene")))
+                       rng.choice(("word", "turn", "scene")),
+                       payload=rng.choice(ROW_PAYLOADS))
                 for serial, start in enumerate(
                     rng.randrange(0, 120) / 2 for _ in range(size))]
         index.extend_sorted(*sorted_columns(index, rows))
@@ -1209,26 +1308,43 @@ class TestParentOracles:
     def test_select_returns_the_parents_rows_and_matched(
             self, op, seed, size, crowded, windows):
         rng = random.Random(seed)
-        index, rows = self.track(rng, size, crowded)
-        for anchor, offset, width, atype in windows:
-            starts = sorted(row.start for row in rows) or [0.0]
-            lo = starts[anchor % len(starts)] + offset
-            got, matched = index.select(op, lo, lo + width, atype)
-            want, want_matched = parent_select(index, op, lo, lo + width,
-                                               atype)
-            assert matched == want_matched, (op, lo, width, atype)
-            assert len(got) == len(want) and all(map(operator.is_, got,
-                                                     want))
-            # A write between reads: a new posting or a dropped one.
-            if rng.random() < 0.5 or not rows:
-                start = rng.randrange(0, 120) / 2
-                rows.append(row_of(10**6 + len(rows), start, start + 0.5,
-                                   rng.choice(("word", "turn", "scene"))))
-                assert index.add(start, start + 0.5, rows[-1])
-            else:
-                row = rows.pop(rng.randrange(len(rows)))
-                assert index.discard(row.start, row.end, row)
+        saved = intervals.PAYLOAD_CODES
+        intervals.PAYLOAD_CODES = 3 if crowded else saved
+        try:
+            index, rows = self.track(rng, size, crowded)
+            for anchor, offset, width, atype, payload in windows:
+                starts = sorted(row.start for row in rows) or [0.0]
+                lo = starts[anchor % len(starts)] + offset
+                got, matched = index.select(op, lo, lo + width, atype,
+                                            payload)
+                want, want_matched = parent_select(index, op, lo,
+                                                   lo + width, atype)
+                want = [row for row in want
+                        if all(pair in row.payload for pair in payload)]
+                assert matched == want_matched, (op, lo, width, atype)
+                assert len(got) == len(want) and all(map(operator.is_, got,
+                                                         want))
+                # A write between reads: a new posting or a dropped one.
+                if rng.random() < 0.5 or not rows:
+                    start = rng.randrange(0, 120) / 2
+                    rows.append(row_of(10**6 + len(rows), start, start + 0.5,
+                                       rng.choice(("word", "turn", "scene")),
+                                       payload=rng.choice(ROW_PAYLOADS)))
+                    assert index.add(start, start + 0.5, rows[-1])
+                else:
+                    row = rows.pop(rng.randrange(len(rows)))
+                    assert index.discard(row.start, row.end, row)
+            index.check_invariants()
+        finally:
+            intervals.PAYLOAD_CODES = saved
+
+    def test_check_invariants_catches_a_stale_payload_code(self):
+        index, rows = self.track(random.Random(5), 40, False)
         index.check_invariants()
+        block = index._blocks[0]
+        block.payloads[3] = block.payloads[3] % len(index.payloads) + 1
+        with pytest.raises(AssertionError, match="stale payload column"):
+            index.check_invariants()
 
     @given(seed=st.integers(0, 2**16), big=st.booleans(),
            emptied=st.booleans(),
@@ -1288,7 +1404,7 @@ class TestStoreWideOracle:
                          st.sampled_from([None, "word", "turn",
                                           "never-posted"]),
                          st.sampled_from([(), (("label", "word-1"),)]),
-                         st.sampled_from([None, "read", "retype"])),
+                         st.sampled_from([None, "read"] + MOVES)),
                min_size=1, max_size=8))
     @settings(max_examples=25 * MODEL_SCALE)
     def test_the_store_wide_read_returns_the_per_track_loops_rows(
@@ -1321,9 +1437,12 @@ class TestStoreWideOracle:
             elif op is not None:
                 query = getattr(query, op)(lo, lo + width)
             tx = None if tx_mode is None else store.db.begin()
-            if tx_mode == "retype":
-                victim = rng.choice(run(store, AQ).rows)
-                tx.update(victim.oid, atype=rng.choice(("word", "turn")))
+            if tx_mode in MOVES:
+                start = rng.uniform(0.0, 60.0)
+                move(tx, rng.choice(run(store, AQ).rows).oid, tx_mode,
+                     f"v{rng.randrange(4)}", rng.choice(("audio", "video")),
+                     rng.choice(("word", "turn")), start,
+                     start + rng.uniform(0.1, 8))
             assert_store_wide_read_is_the_per_track_loops(store, query, tx)
             if tx is not None:
                 tx.abort()

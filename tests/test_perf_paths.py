@@ -732,7 +732,8 @@ class TestStoredRowBytes:
     # Counted, not timed, and exact where RSS is not: the live bytes a
     # bulk-loaded annotation costs (row, OID, floats, its object-table
     # slot and its posting).  615 with a dict per row, 399 with a shared
-    # layout and one value tuple (EXPERIMENTS.md, Exp. P8).
+    # layout and one value tuple (EXPERIMENTS.md, Exp. P8); 382 -> 388 on
+    # Python 3.11 when a posting gained its payload code (Exp. P17).
     def test_a_loaded_annotation_costs_at_most_450_live_bytes(self):
         import gc
         import tracemalloc
@@ -872,6 +873,31 @@ class TestCoveringIndexCounts:
                        handed, result.rows))
         assert {ann.atype for ann in result.rows} == {"turn"}
 
+    def test_a_label_query_is_handed_only_the_rows_it_returns(
+            self, monkeypatch):
+        # At the parent the payload was tested on each row of the type
+        # the index handed over: 18 rows here for the 3 returned.
+        from repro.annotations import IntervalIndex, run
+
+        store = self.corpus()
+        handed = []
+        original = IntervalIndex.select
+
+        def select(self, *args):
+            found, matched = original(self, *args)
+            handed.extend(found)
+            return found, matched
+
+        monkeypatch.setattr(IntervalIndex, "select", select)
+        query = self.battery()[5]
+        assert query.payload == (("label", "word-003"),)
+        result = run(store, query, mode="index")
+        assert result.examined > 10 * len(result.rows) > 0
+        assert len(handed) == len(result.rows) == 3
+        assert all(map(lambda obj, ann: obj.oid == ann.oid,
+                       handed, result.rows))
+        assert {ann.payload for ann in result.rows} == {query.payload}
+
     @staticmethod
     def retained_by(store, queries):
         """Traced bytes still held once every query has run."""
@@ -926,7 +952,9 @@ class TestCoveringIndexCounts:
 
     def test_distinct_queries_retain_nothing_where_no_plan_is_logged(self):
         # The default Obs logs no decision, so the store keeps no verdict
-        # either: queries that never repeat leave nothing behind.
+        # either: queries that never repeat leave nothing behind, and
+        # payload predicates that never repeat leave nothing in the
+        # payload table.
         from repro.annotations import AQ
 
         store = self.one_track()
@@ -934,10 +962,12 @@ class TestCoveringIndexCounts:
         on = AQ.on("v", "audio").of_type("word")
         distinct = [on.overlaps(i * 0.01, i * 0.01 + 1.0)
                     for i in range(2_000)]
-        assert len({query.describe() for query in distinct}) == 2_000
+        distinct += [on.where(label=f"word-{i:04d}").overlaps(1.0, 2.0)
+                     for i in range(2_000)]
+        assert len({query.describe() for query in distinct}) == 4_000
         assert self.retained_by(store, distinct) < 4 * 1024
         assert store.obs.metrics.counter(
-            "annotations.plans_index").value == 2_000
+            "annotations.plans_index").value == 4_000
 
 
 class TestBroadQueryCounts:
