@@ -208,8 +208,7 @@ def check_own_writes() -> bool:
     """A transaction moves one row of a window elsewhere and deletes
     another: by index as by scan, its reads find the moved row where it
     put it and neither in the window, and the abort leaves the window as
-    it was.  On a small corpus of its own, since a scan inside a
-    transaction locks every row it reads."""
+    it was.  On a small corpus of its own."""
     store = AnnotationStore()
     load_corpus(store, CorpusSpec(seed=0, values=8, annotations=4_000,
                                   duration_s=600.0))

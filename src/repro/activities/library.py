@@ -1,8 +1,10 @@
 """The activity catalog (paper Table 1 + §4.3, plus audio/text analogues).
 
 Table 1 lists eight video activities; the paper adds that "the following
-would also apply to audio activities".  Every entry is implemented here as
-a concrete :class:`~repro.activities.MediaActivity` subclass:
+would also apply to audio activities".  A kind both media have is one
+class here (:class:`Encoder`, :class:`Decoder`, :class:`Mixer`,
+:class:`Writer`), whose Table 1 names (``VideoEncoder`` ... ``AudioWriter``)
+fix only their media and their row:
 
 =================  ===========  ==================  ==================
 activity           kind         input port type     output port type
@@ -59,9 +61,9 @@ from repro.streams.clock import PresentationLog
 from repro.streams.element import END_OF_STREAM, EndOfStream, StreamElement
 from repro.streams.sync import JitterModel, NoJitter, Resynchronizer, SyncGroup
 from repro.quality.factors import VideoQuality
-from repro.values.audio import AudioValue
+from repro.values.audio import AudioValue, EncodedAudioValue, RawAudioValue
 from repro.values.base import MediaValue
-from repro.values.mediatype import MediaType, standard_type
+from repro.values.mediatype import MediaKind, MediaType, standard_type
 from repro.values.midi import MIDIValue
 from repro.values.text import TextStreamValue
 from repro.values.video import (
@@ -120,11 +122,15 @@ class PacedSource(MediaActivity):
 
     def _element_payloads(self) -> Sequence[tuple]:
         """(payload, size_bits, media_type) per element, starting at cue."""
-        raise NotImplementedError
+        value = self._value()
+        media_type = value.media_type
+        return [(value.element_payload(i), value.element_size_bits(i), media_type)
+                for i in range(self._start_element(value), value.element_count)]
 
     def _ideal_offset(self, position: int) -> float:
         """Seconds from cue position to element ``position``'s ideal time."""
-        raise NotImplementedError
+        value = self._value()
+        return self._offset_of(value, self._start_element(value) + position)
 
     # -- shared cue arithmetic --------------------------------------------
     # The cue position is the world time at which the activity's start
@@ -142,9 +148,6 @@ class PacedSource(MediaActivity):
     def _offset_of(self, value: MediaValue, element_index: int) -> float:
         ideal = value.object_to_world(ObjectTime(element_index))
         return (ideal - self._cue_position).seconds
-
-    def _out_port_name(self) -> str:
-        return self.out_ports()[0].name
 
     def _pre_start(self) -> None:
         self._value()  # raises if unbound
@@ -215,7 +218,7 @@ class PacedSource(MediaActivity):
 
     def _paced_loop(self) -> Generator:
         simulator = self.simulator
-        port = self.port(self._out_port_name())
+        port = self.out_ports()[0]
         t_start = simulator.now_s
         payloads = self._element_payloads()
         total = len(payloads)
@@ -416,14 +419,11 @@ class SinkActivity(MediaActivity):
             self.clocked.settle()
         return self._presented
 
-    def _in_port_name(self) -> str:
-        return self.in_ports()[0].name
-
     def _scheduled_time(self, element: StreamElement) -> float:
         return element.ideal_time.seconds + self.presentation_delay
 
     def _process(self) -> Generator:
-        port = self.port(self._in_port_name())
+        port = self.in_ports()[0]
         taken_over = yield from _take_part(self)
         if taken_over is None:
             return      # the consumer run presented everything
@@ -531,6 +531,214 @@ class TransformerActivity(MediaActivity):
 
 
 # ---------------------------------------------------------------------------
+# the kinds both media share: one encoder, decoder, mixer and writer
+# ---------------------------------------------------------------------------
+
+class _Video:
+    """Frames, as the shared encoder, decoder, mixer and writer see them."""
+
+    kind = "video"
+    raw_in = raw = standard_type("video/raw")
+    rate = 30.0
+
+    @staticmethod
+    def mix(frames: List[np.ndarray], weights: List[float]) -> np.ndarray:
+        """A weighted blend of uint8 frames."""
+        acc = np.zeros(frames[0].shape, dtype=np.float64)
+        for weight, frame in zip(weights, frames):
+            acc += weight * frame.astype(np.float64)
+        return np.clip(np.round(acc), 0, 255).astype(np.uint8)
+
+    @staticmethod
+    def raw_value(frames: List[np.ndarray], rate: float) -> RawVideoValue:
+        return RawVideoValue(np.stack(frames), rate=rate)
+
+    @staticmethod
+    def coded_value(codec, chunks: List[bytes], geometry: tuple,
+                    rate: float) -> EncodedVideoValue:
+        return codec.value_class(chunks, codec, *geometry, rate=rate)
+
+
+class _Audio:
+    """PCM blocks, as the shared encoder, decoder, mixer and writer see them."""
+
+    kind = "audio"
+    raw_in = standard_type("audio/*")
+    raw = standard_type("audio/pcm")
+    rate = 44100.0
+
+    @staticmethod
+    def mix(blocks: List[np.ndarray], weights: List[float]) -> np.ndarray:
+        """A saturating int16 sum over the shortest block (unweighted)."""
+        width = min(block.shape[1] for block in blocks)
+        acc = np.zeros((blocks[0].shape[0], width), dtype=np.int32)
+        for block in blocks:
+            acc += block[:, :width].astype(np.int32)
+        return np.clip(acc, -32768, 32767).astype(np.int16)
+
+    @staticmethod
+    def raw_value(blocks: List[np.ndarray], rate: float) -> RawAudioValue:
+        return RawAudioValue(np.concatenate(blocks, axis=1), sample_rate=rate)
+
+    @staticmethod
+    def coded_value(codec, blocks: List[bytes], geometry: tuple,
+                    rate: float) -> EncodedAudioValue:
+        (channels,) = geometry
+        count = sum(codec.check_block(block, channels) for block in blocks)
+        return codec.value_class(blocks, codec, channels, count, rate)
+
+
+#: a codec's media, by the kind of the values it encodes.
+_MEDIA = {MediaKind.VIDEO: _Video, MediaKind.AUDIO: _Audio}
+
+
+class Encoder(TransformerActivity):
+    """Table 1 'encoder': raw in, compressed out, one chunk per element
+    from the codec's stream encoder.  The codec's media names the ports
+    (``video_in``/``video_out`` or ``audio_in``/``audio_out``)."""
+
+    def __init__(self, simulator: Simulator, codec, name: Optional[str] = None,
+                 location: Location = Location.APPLICATION,
+                 process_seconds: float = 0.0) -> None:
+        super().__init__(simulator, name, location, process_seconds)
+        self.codec = codec
+        self._encoder = codec.stream_encoder()
+        self._coded = standard_type(codec.value_class._TYPE_NAME)
+        media = _MEDIA[self._coded.kind]
+        self.add_port(f"{media.kind}_in", Direction.IN, media.raw_in)
+        self.add_port(f"{media.kind}_out", Direction.OUT, self._coded)
+
+    def _transform(self, element: StreamElement) -> StreamElement:
+        chunk = self._encoder.encode_next(element.payload)
+        return element.with_payload(chunk, self._coded, len(chunk) * 8)
+
+
+class Decoder(TransformerActivity):
+    """Table 1 'decoder': compressed in, raw out, through the codec's
+    stream decoder for ``geometry`` (``width, height, depth`` of a video
+    codec, the channel count of an audio one)."""
+
+    def __init__(self, simulator: Simulator, codec, *geometry: int,
+                 name: Optional[str] = None,
+                 location: Location = Location.APPLICATION,
+                 process_seconds: float = 0.0) -> None:
+        super().__init__(simulator, name, location, process_seconds)
+        self.codec = codec
+        self._decoder = codec.stream_decoder(*geometry)
+        coded = standard_type(codec.value_class._TYPE_NAME)
+        media = _MEDIA[coded.kind]
+        self._raw = media.raw
+        self.add_port(f"{media.kind}_in", Direction.IN, coded)
+        self.add_port(f"{media.kind}_out", Direction.OUT, media.raw)
+
+    def _transform(self, element: StreamElement) -> StreamElement:
+        raw = self._decoder.decode_next(element.payload)
+        return element.with_payload(raw, self._raw, raw.nbytes * 8)
+
+
+class Mixer(MediaActivity):
+    """Table 1 'mixer': raw x n in, raw out, combined as its media
+    combines (``MEDIA.mix``); ``weights`` blend frames."""
+
+    MEDIA: type   # the media's class, fixed by each Table 1 name
+
+    def __init__(self, simulator: Simulator, inputs: int = 2,
+                 weights: Optional[Sequence[float]] = None,
+                 name: Optional[str] = None,
+                 location: Location = Location.APPLICATION,
+                 process_seconds: float = 0.0) -> None:
+        super().__init__(simulator, name, location)
+        if inputs < 2:
+            raise ActivityError(f"a mixer needs >= 2 inputs, got {inputs}")
+        self.inputs = inputs
+        self.weights = list(weights) if weights is not None else [1.0 / inputs] * inputs
+        if len(self.weights) != inputs:
+            raise ActivityError(
+                f"mixer got {len(self.weights)} weights for {inputs} inputs"
+            )
+        self.process_seconds = process_seconds
+        self.elements_processed = 0
+        media = self.MEDIA
+        for i in range(inputs):
+            self.add_port(f"{media.kind}_in_{i}", Direction.IN, media.raw)
+        self.add_port(f"{media.kind}_out", Direction.OUT, media.raw)
+
+    def _process(self) -> Generator:
+        in_ports = self.in_ports()
+        out_port = self.out_ports()[0]
+        while True:
+            elements = []
+            ended = False
+            for port in in_ports:
+                element = yield from port.receive()
+                if isinstance(element, EndOfStream):
+                    ended = True
+                else:
+                    elements.append(element)
+            if ended or self._stop_requested:
+                break
+            if self.process_seconds > 0:
+                yield Delay(self.process_seconds)
+            mixed = self.MEDIA.mix([e.payload for e in elements], self.weights)
+            # A mix may be cut to the shortest input, so the wire size is
+            # restated rather than inherited.
+            yield from out_port.send(
+                elements[0].with_payload(mixed, size_bits=mixed.nbytes * 8))
+            self.elements_processed += 1
+        yield from out_port.send(END_OF_STREAM)
+
+
+class Writer(SinkActivity):
+    """Table 1 'writer': stream in, storage out.
+
+    Accumulates the stream and exposes it as a new value of its media
+    via :meth:`result`: a raw one, or, for a stream of encoded chunks,
+    the codec's value for ``geometry`` (as ``Decoder`` takes it).  The
+    rate is the value's, by default the media's usual one.
+    """
+
+    MEDIA: type   # the media's class, fixed by each Table 1 name
+
+    def __init__(self, simulator: Simulator, name: Optional[str] = None,
+                 location: Location = Location.DATABASE,
+                 rate: Optional[float] = None, codec=None,
+                 geometry: Optional[tuple] = None) -> None:
+        super().__init__(simulator, name, location, keep_payloads=True)
+        self.rate = self.MEDIA.rate if rate is None else rate
+        self.codec = codec
+        self.geometry = geometry
+        self.paced = False  # writers persist as fast as the stream arrives
+        self.add_port(f"{self.MEDIA.kind}_in", Direction.IN,
+                      standard_type(f"{self.MEDIA.kind}/*"))
+
+    def _process(self) -> Generator:
+        port = self.in_ports()[0]
+        while True:
+            element = yield from port.receive()
+            if isinstance(element, EndOfStream):
+                break
+            self._presented.append(element.payload)
+            self._elements_consumed += 1
+            self._log.record(element.index, element.ideal_time, self.simulator.now)
+            self._emit(EVENT_EACH_ELEMENT, element.index)
+        self._emit(EVENT_LAST_ELEMENT, self._elements_consumed)
+
+    def result(self) -> MediaValue:
+        """The written stream as a new value."""
+        if not self.presented:
+            raise ActivityError(f"writer {self.name!r} received no elements")
+        if isinstance(self.presented[0], bytes):
+            if self.codec is None or self.geometry is None:
+                raise ActivityError(
+                    f"writer {self.name!r} stored encoded chunks; construct it "
+                    f"with codec= and geometry= to build a value"
+                )
+            return self.MEDIA.coded_value(self.codec, list(self.presented),
+                                          self.geometry, self.rate)
+        return self.MEDIA.raw_value(self.presented, self.rate)
+
+
+# ---------------------------------------------------------------------------
 # Table 1: video activities
 # ---------------------------------------------------------------------------
 
@@ -570,9 +778,7 @@ class VideoDigitizer(PacedSource):
         ]
 
     def _ideal_offset(self, position: int) -> float:
-        value = self._value()
-        start = self._start_element(value)
-        return self._offset_of(value, start + position) + self.digitize_seconds
+        return super()._ideal_offset(position) + self.digitize_seconds
 
     def _emit_each(self, element, last):
         super()._emit_each(element, last)
@@ -632,11 +838,6 @@ class VideoReader(PacedSource):
             for i in range(start, value.num_frames)
         ]
 
-    def _ideal_offset(self, position: int) -> float:
-        value = self._value()
-        start = self._start_element(value)
-        return self._offset_of(value, start + position)
-
     def _emit_each(self, element, last):
         super()._emit_each(element, last)
         self._emit(EVENT_EACH_FRAME, element.index)
@@ -644,102 +845,17 @@ class VideoReader(PacedSource):
             self._emit(EVENT_LAST_FRAME, element.index)
 
 
-class VideoEncoder(TransformerActivity):
-    """Table 1 'video encoder': raw in, compressed out."""
-
+class VideoEncoder(Encoder):
     TABLE_ROW = ("video encoder", "transformer", "raw", "compressed")
 
-    def __init__(self, simulator: Simulator, codec, name: Optional[str] = None,
-                 location: Location = Location.APPLICATION,
-                 process_seconds: float = 0.0) -> None:
-        super().__init__(simulator, name, location, process_seconds)
-        self.codec = codec
-        self._encoder = codec.stream_encoder()
-        out_type = standard_type(codec.value_class._TYPE_NAME)
-        self.add_port("video_in", Direction.IN, standard_type("video/raw"))
-        self.add_port("video_out", Direction.OUT, out_type)
 
-    def _transform(self, element: StreamElement) -> StreamElement:
-        chunk = self._encoder.encode_next(element.payload)
-        return element.with_payload(
-            chunk, self.port("video_out").media_type, len(chunk) * 8
-        )
-
-
-class VideoDecoder(TransformerActivity):
-    """Table 1 'video decoder': compressed in, raw out."""
-
+class VideoDecoder(Decoder):
     TABLE_ROW = ("video decoder", "transformer", "compressed", "raw")
 
-    def __init__(self, simulator: Simulator, codec, width: int, height: int,
-                 depth: int, name: Optional[str] = None,
-                 location: Location = Location.APPLICATION,
-                 process_seconds: float = 0.0) -> None:
-        super().__init__(simulator, name, location, process_seconds)
-        self.codec = codec
-        self._decoder = codec.stream_decoder(width, height, depth)
-        in_type = standard_type(codec.value_class._TYPE_NAME)
-        self.add_port("video_in", Direction.IN, in_type)
-        self.add_port("video_out", Direction.OUT, standard_type("video/raw"))
-        self._raw_bits = width * height * depth
 
-    def _transform(self, element: StreamElement) -> StreamElement:
-        frame = self._decoder.decode_next(element.payload)
-        return element.with_payload(frame, standard_type("video/raw"), self._raw_bits)
-
-
-class VideoMixer(MediaActivity):
-    """Table 1 'video mixer': raw x n in, raw out (weighted blend)."""
-
+class VideoMixer(Mixer):
     TABLE_ROW = ("video mixer", "transformer", "raw x n", "raw")
-
-    def __init__(self, simulator: Simulator, inputs: int = 2,
-                 weights: Optional[Sequence[float]] = None,
-                 name: Optional[str] = None,
-                 location: Location = Location.APPLICATION,
-                 process_seconds: float = 0.0) -> None:
-        super().__init__(simulator, name, location)
-        if inputs < 2:
-            raise ActivityError(f"a mixer needs >= 2 inputs, got {inputs}")
-        self.inputs = inputs
-        self.weights = list(weights) if weights is not None else [1.0 / inputs] * inputs
-        if len(self.weights) != inputs:
-            raise ActivityError(
-                f"mixer got {len(self.weights)} weights for {inputs} inputs"
-            )
-        self.process_seconds = process_seconds
-        self.elements_processed = 0
-        for i in range(inputs):
-            self.add_port(f"video_in_{i}", Direction.IN, standard_type("video/raw"))
-        self.add_port("video_out", Direction.OUT, standard_type("video/raw"))
-
-    def _process(self) -> Generator:
-        in_ports = [self.port(f"video_in_{i}") for i in range(self.inputs)]
-        out_port = self.port("video_out")
-        while True:
-            elements = []
-            ended = False
-            for port in in_ports:
-                element = yield from port.receive()
-                if isinstance(element, EndOfStream):
-                    ended = True
-                else:
-                    elements.append(element)
-            if ended or self._stop_requested:
-                break
-            if self.process_seconds > 0:
-                yield Delay(self.process_seconds)
-            mixed = self._mix(elements)
-            yield from out_port.send(mixed)
-            self.elements_processed += 1
-        yield from out_port.send(END_OF_STREAM)
-
-    def _mix(self, elements: List[StreamElement]) -> StreamElement:
-        acc = np.zeros(elements[0].payload.shape, dtype=np.float64)
-        for weight, element in zip(self.weights, elements):
-            acc += weight * element.payload.astype(np.float64)
-        frame = np.clip(np.round(acc), 0, 255).astype(np.uint8)
-        return elements[0].with_payload(frame)
+    MEDIA = _Video
 
 
 class VideoTee(MediaActivity):
@@ -807,60 +923,28 @@ class VideoWindow(SinkActivity):
         self._emit(EVENT_EACH_FRAME, element.index)
 
 
-class VideoWriter(SinkActivity):
-    """Table 1 'video writer': stream in, storage out.
-
-    Accumulates the stream and exposes it as a new video value via
-    :meth:`result`; when an ``io_stream`` (storage layer) is attached,
-    each element pays device write time.
-    """
-
+class VideoWriter(Writer):
     TABLE_ROW = ("video writer", "sink", "raw / compressed", "(storage)")
-
-    def __init__(self, simulator: Simulator, name: Optional[str] = None,
-                 location: Location = Location.DATABASE,
-                 rate: float = 30.0, codec=None,
-                 geometry: Optional[tuple] = None) -> None:
-        super().__init__(simulator, name, location, keep_payloads=True)
-        self.rate = rate
-        self.codec = codec
-        self.geometry = geometry  # (width, height, depth) for encoded streams
-        self.paced = False  # writers persist as fast as the stream arrives
-        self.add_port("video_in", Direction.IN, standard_type("video/*"))
-
-    def _process(self) -> Generator:
-        port = self.port("video_in")
-        while True:
-            element = yield from port.receive()
-            if isinstance(element, EndOfStream):
-                break
-            self._presented.append(element.payload)
-            self._elements_consumed += 1
-            self._log.record(element.index, element.ideal_time, self.simulator.now)
-            self._emit(EVENT_EACH_ELEMENT, element.index)
-        self._emit(EVENT_LAST_ELEMENT, self._elements_consumed)
-
-    def result(self) -> VideoValue:
-        """The written stream as a new video value."""
-        if not self.presented:
-            raise ActivityError(f"writer {self.name!r} received no elements")
-        first = self.presented[0]
-        if isinstance(first, bytes):
-            if self.codec is None or self.geometry is None:
-                raise ActivityError(
-                    f"writer {self.name!r} stored encoded chunks; construct it "
-                    f"with codec= and geometry=(w, h, depth) to build a value"
-                )
-            width, height, depth = self.geometry
-            return self.codec.value_class(
-                list(self.presented), self.codec, width, height, depth, rate=self.rate
-            )
-        return RawVideoValue(np.stack(self.presented), rate=self.rate)
+    MEDIA = _Video
 
 
 # ---------------------------------------------------------------------------
 # audio / text / MIDI activities ("the following would also apply to audio")
 # ---------------------------------------------------------------------------
+
+def _pcm_blocks(audio: AudioValue, first: int, block_samples: int) -> list:
+    """(block, size_bits, media_type) per ``block_samples`` sample frames
+    of ``audio`` from sample ``first`` on."""
+    samples = audio.samples()
+    bits_per_sample = audio.num_channels * audio.depth
+    media_type = audio.media_type
+    return [
+        (samples[:, lo:lo + block_samples],
+         min(block_samples, audio.num_samples - lo) * bits_per_sample,
+         media_type)
+        for lo in range(first, audio.num_samples, block_samples)
+    ]
+
 
 class AudioReader(PacedSource):
     """Audio source streaming a bound AudioValue in sample blocks."""
@@ -889,16 +973,9 @@ class AudioReader(PacedSource):
 
     def _element_payloads(self):
         value: AudioValue = self._value()
-        samples = value.samples()
-        media_type = value.media_type
-        bits_per_sample = value.num_channels * value.depth
         # Cue rounds down to a block boundary.
         first = (self._start_element(value) // self.block_samples) * self.block_samples
-        blocks = []
-        for lo in range(first, value.num_samples, self.block_samples):
-            block = samples[:, lo:lo + self.block_samples]
-            blocks.append((block, block.shape[1] * bits_per_sample, media_type))
-        return blocks
+        return _pcm_blocks(value, first, self.block_samples)
 
     def _ideal_offset(self, position: int) -> float:
         value = self._value()
@@ -906,56 +983,12 @@ class AudioReader(PacedSource):
         return self._offset_of(value, first + position * self.block_samples)
 
 
-class AudioEncoder(TransformerActivity):
-    """PCM block in, compressed block out (µ-law or ADPCM)."""
-
+class AudioEncoder(Encoder):
     TABLE_ROW = ("audio encoder", "transformer", "pcm", "compressed")
 
-    def __init__(self, simulator: Simulator, codec, name: Optional[str] = None,
-                 location: Location = Location.APPLICATION,
-                 process_seconds: float = 0.0) -> None:
-        super().__init__(simulator, name, location, process_seconds)
-        self.codec = codec
-        out_name = "audio/mulaw" if codec.name == "mulaw" else "audio/adpcm"
-        self.add_port("audio_in", Direction.IN, standard_type("audio/*"))
-        self.add_port("audio_out", Direction.OUT, standard_type(out_name))
 
-    def _transform(self, element: StreamElement) -> StreamElement:
-        block = element.payload
-        if self.codec.name == "mulaw":
-            from repro.codecs.audio import encode_mulaw
-            data = encode_mulaw(block).tobytes()
-        else:
-            from repro.codecs.audio import _adpcm_encode_channel
-            count = block.shape[1]
-            data = count.to_bytes(4, "little") + b"".join(
-                _adpcm_encode_channel(block[c]) for c in range(block.shape[0])
-            )
-        return element.with_payload(
-            (data, block.shape), self.port("audio_out").media_type, len(data) * 8
-        )
-
-
-class AudioDecoder(TransformerActivity):
-    """Compressed block in, PCM block out."""
-
+class AudioDecoder(Decoder):
     TABLE_ROW = ("audio decoder", "transformer", "compressed", "pcm")
-
-    def __init__(self, simulator: Simulator, codec, name: Optional[str] = None,
-                 location: Location = Location.APPLICATION,
-                 process_seconds: float = 0.0) -> None:
-        super().__init__(simulator, name, location, process_seconds)
-        self.codec = codec
-        in_name = "audio/mulaw" if codec.name == "mulaw" else "audio/adpcm"
-        self.add_port("audio_in", Direction.IN, standard_type(in_name))
-        self.add_port("audio_out", Direction.OUT, standard_type("audio/pcm"))
-
-    def _transform(self, element: StreamElement) -> StreamElement:
-        data, shape = element.payload
-        channels = shape[0]
-        block = self.codec.decode_block(data, channels)
-        bits = block.shape[1] * channels * 16
-        return element.with_payload(block, standard_type("audio/pcm"), bits)
 
 
 class AudioResampler(TransformerActivity):
@@ -1005,48 +1038,9 @@ class AudioResampler(TransformerActivity):
         return element.with_payload(block, standard_type("audio/pcm"), bits)
 
 
-class AudioMixer(MediaActivity):
-    """PCM x n in, PCM out (saturating sum)."""
-
+class AudioMixer(Mixer):
     TABLE_ROW = ("audio mixer", "transformer", "pcm x n", "pcm")
-
-    def __init__(self, simulator: Simulator, inputs: int = 2,
-                 name: Optional[str] = None,
-                 location: Location = Location.APPLICATION) -> None:
-        super().__init__(simulator, name, location)
-        if inputs < 2:
-            raise ActivityError(f"a mixer needs >= 2 inputs, got {inputs}")
-        self.inputs = inputs
-        self.elements_processed = 0
-        for i in range(inputs):
-            self.add_port(f"audio_in_{i}", Direction.IN, standard_type("audio/pcm"))
-        self.add_port("audio_out", Direction.OUT, standard_type("audio/pcm"))
-
-    def _process(self) -> Generator:
-        in_ports = [self.port(f"audio_in_{i}") for i in range(self.inputs)]
-        out_port = self.port("audio_out")
-        while True:
-            blocks = []
-            ended = False
-            for port in in_ports:
-                element = yield from port.receive()
-                if isinstance(element, EndOfStream):
-                    ended = True
-                else:
-                    blocks.append(element)
-            if ended or self._stop_requested:
-                break
-            width = min(b.payload.shape[1] for b in blocks)
-            acc = np.zeros((blocks[0].payload.shape[0], width), dtype=np.int32)
-            for block in blocks:
-                acc += block.payload[:, :width].astype(np.int32)
-            mixed = np.clip(acc, -32768, 32767).astype(np.int16)
-            # The mix is truncated to the shortest input block, so the
-            # wire size must be restated rather than inherited.
-            yield from out_port.send(
-                blocks[0].with_payload(mixed, size_bits=mixed.size * 16))
-            self.elements_processed += 1
-        yield from out_port.send(END_OF_STREAM)
+    MEDIA = _Audio
 
 
 class Speaker(SinkActivity):
@@ -1071,29 +1065,9 @@ class Speaker(SinkActivity):
         return np.concatenate(self.presented, axis=1)
 
 
-class AudioWriter(SinkActivity):
-    """Audio sink persisting the stream as a new RawAudioValue."""
-
+class AudioWriter(Writer):
     TABLE_ROW = ("audio writer", "sink", "pcm", "(storage)")
-
-    def __init__(self, simulator: Simulator, name: Optional[str] = None,
-                 location: Location = Location.DATABASE,
-                 sample_rate: float = 44100.0) -> None:
-        super().__init__(simulator, name, location, keep_payloads=True)
-        self.sample_rate = sample_rate
-        self.paced = False
-        self.add_port("audio_in", Direction.IN, standard_type("audio/pcm"))
-
-    def _present(self, element: StreamElement) -> None:
-        super()._present(element)
-
-    def result(self):
-        from repro.values.audio import RawAudioValue
-        if not self.presented:
-            raise ActivityError(f"writer {self.name!r} received no elements")
-        return RawAudioValue(
-            np.concatenate(self.presented, axis=1), sample_rate=self.sample_rate
-        )
+    MEDIA = _Audio
 
 
 class TextReader(PacedSource):
@@ -1113,20 +1087,6 @@ class TextReader(PacedSource):
                 f"text reader {self.name!r} requires a TextStreamValue, "
                 f"got {type(value).__name__}"
             )
-
-    def _element_payloads(self):
-        value: TextStreamValue = self._value()
-        media_type = value.media_type
-        start = self._start_element(value)
-        return [
-            (value.item(i), value.element_size_bits(i), media_type)
-            for i in range(start, value.element_count)
-        ]
-
-    def _ideal_offset(self, position: int) -> float:
-        value = self._value()
-        start = self._start_element(value)
-        return self._offset_of(value, start + position)
 
 
 class SubtitleWindow(SinkActivity):
@@ -1179,16 +1139,7 @@ class MIDISource(PacedSource):
     def _element_payloads(self):
         if self._rendered is None:
             self._rendered = self.synthesizer.render(self._value())
-        audio = self._rendered
-        samples = audio.samples()
-        bits_per_sample = audio.num_channels * audio.depth
-        media_type = audio.media_type
-        return [
-            (samples[:, lo:lo + self.block_samples],
-             min(self.block_samples, audio.num_samples - lo) * bits_per_sample,
-             media_type)
-            for lo in range(0, audio.num_samples, self.block_samples)
-        ]
+        return _pcm_blocks(self._rendered, 0, self.block_samples)
 
     def _ideal_offset(self, position: int) -> float:
         if self._rendered is None:

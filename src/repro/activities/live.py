@@ -139,9 +139,6 @@ class LiveCamera(LiveSource):
         frame[:size, :size] = index % 256
         return frame
 
-    def _process(self) -> Generator:
-        yield from super()._process()
-
     def _emit(self, event_name, payload=None) -> None:
         super()._emit(event_name, payload)
         if event_name == EVENT_EACH_ELEMENT:

@@ -336,9 +336,13 @@ def _run_scan(store: AnnotationStore, query: AnnotationQuery,
     oids = store.db._store.oids_of_class(
         store.db.schema.subclasses_of(store.CLASS_NAME))
     matches = query.matches
-    snapshots = [obj for obj in (map(store.db.get, oids) if tx is None else
-                                 _as_read(store, query, oids, tx))
+    snapshots = [obj for obj in map(store.db.get, oids)
                  if matches(obj._values)]
+    if tx is not None:
+        # The sentinels keep writers off every row, so a committed row
+        # that does not match now cannot come to: only matches are read.
+        snapshots = _as_read(store, query, [obj.oid for obj in snapshots],
+                             tx)
     snapshots.sort(key=_sort_key)
     return QueryResult(AnnotationRows(snapshots), "scan", len(oids))
 

@@ -10,12 +10,13 @@ compression behaviour; these implementations really encode and decode:
 * :class:`MPEGCodec` — keyframe/delta interframe coding on top of the DCT
   transform (MPEG-like, lossy, higher ratio on temporally coherent video);
 * :class:`DVICodec` — 2x2 block vector quantization (DVI/Indeo-like);
-* µ-law and IMA-style ADPCM audio codecs;
+* µ-law and IMA-style ADPCM audio codecs (:class:`AudioCodec`), which
+  offer the video codecs' stream protocol;
 * :class:`MIDISynthesizer` — renders MIDI event tracks to PCM audio (the
   paper's "synthesizing digital audio from MIDI data").
 """
 
-from repro.codecs.audio import ADPCMCodec, MuLawCodec, decode_mulaw, encode_mulaw
+from repro.codecs.audio import ADPCMCodec, AudioCodec, MuLawCodec, decode_mulaw, encode_mulaw
 from repro.codecs.base import VideoCodec
 from repro.codecs.dct import JPEGCodec
 from repro.codecs.interframe import MPEGCodec
@@ -27,6 +28,7 @@ from repro.codecs.vq import DVICodec
 
 __all__ = [
     "VideoCodec",
+    "AudioCodec",
     "RawCodec",
     "RLECodec",
     "JPEGCodec",

@@ -1,6 +1,6 @@
 """Audio codecs: µ-law companding and IMA-style ADPCM.
 
-Both are block codecs over int16 PCM:
+Both are :class:`AudioCodec` block codecs over int16 PCM:
 
 * **µ-law** — the G.711 companding curve, 16-bit → 8-bit, the natural
   representation for the paper's "voice quality" factor;
@@ -10,13 +10,57 @@ Both are block codecs over int16 PCM:
 
 from __future__ import annotations
 
+import abc
+
 import numpy as np
 
+from repro.codecs.base import _Stateless
 from repro.errors import CodecError
-from repro.values.audio import ADPCMAudioValue, AudioValue, MuLawAudioValue
+from repro.values.audio import ADPCMAudioValue, AudioValue, EncodedAudioValue, MuLawAudioValue
 
 _MU = 255.0
 _CLIP = 32635
+
+
+class AudioCodec(abc.ABC):
+    """Transforms int16 PCM <-> encoded blocks, each coded alone.
+
+    A value is encoded as one block per ``block_samples`` sample frames;
+    a stream as one block per element, whatever its length.
+    """
+
+    name: str = "abstract"
+    value_class: type[EncodedAudioValue] = EncodedAudioValue
+    block_samples = 1024
+
+    @abc.abstractmethod
+    def encode_block(self, block: np.ndarray) -> bytes:
+        """Encode one (channels, n) int16 block."""
+
+    @abc.abstractmethod
+    def check_block(self, block: bytes, num_channels: int) -> int:
+        """The sample frames ``block`` holds; :class:`CodecError` unless
+        it would decode for ``num_channels`` channels."""
+
+    @abc.abstractmethod
+    def decode_block(self, block: bytes, num_channels: int) -> np.ndarray:
+        """Decode one block back to (channels, n) int16 PCM."""
+
+    def encode_value(self, value: AudioValue) -> EncodedAudioValue:
+        """Encode a PCM value block by block, preserving its time mapping."""
+        samples = value.samples()
+        blocks = [self.encode_block(samples[:, lo:lo + self.block_samples])
+                  for lo in range(0, value.num_samples, self.block_samples)]
+        return self.value_class(
+            blocks, self, value.num_channels, value.num_samples,
+            value.sample_rate, depth=value.depth, mapping=value.mapping,
+        )
+
+    def stream_encoder(self) -> "_Stateless":
+        return _Stateless(self.encode_block)
+
+    def stream_decoder(self, num_channels: int) -> "_Stateless":
+        return _Stateless(lambda block: self.decode_block(block, num_channels))
 
 
 def encode_mulaw(samples: np.ndarray) -> np.ndarray:
@@ -33,31 +77,21 @@ def decode_mulaw(codes: np.ndarray) -> np.ndarray:
     return np.round(x * 32768.0).astype(np.int16)
 
 
-class MuLawCodec:
-    """Block µ-law codec satisfying the ``AudioBlockCodec`` protocol."""
+class MuLawCodec(AudioCodec):
+    """Block µ-law codec: 8-bit companded codes, one per sample."""
 
     name = "mulaw"
-    block_samples = 1024
+    value_class = MuLawAudioValue
 
-    def encode_value(self, value: AudioValue) -> MuLawAudioValue:
-        """Compand a PCM value into 8-bit µ-law blocks."""
-        samples = value.samples()
-        blocks = []
-        for lo in range(0, value.num_samples, self.block_samples):
-            chunk = samples[:, lo:lo + self.block_samples]
-            blocks.append(encode_mulaw(chunk).tobytes())
-        return MuLawAudioValue(
-            blocks, self, value.num_channels, value.num_samples,
-            value.sample_rate, depth=value.depth, mapping=value.mapping,
-        )
+    def encode_block(self, block: np.ndarray) -> bytes:
+        return encode_mulaw(block).tobytes()
 
-    def check_block(self, block: bytes, num_channels: int) -> None:
-        """Raise :class:`CodecError` unless ``block`` holds whole sample
-        frames of ``num_channels`` channels."""
+    def check_block(self, block: bytes, num_channels: int) -> int:
         if num_channels <= 0 or len(block) % num_channels:
             raise CodecError(
                 f"µ-law block of {len(block)} codes not divisible by {num_channels} channels"
             )
+        return len(block) // num_channels
 
     def decode_block(self, block: bytes, num_channels: int) -> np.ndarray:
         self.check_block(block, num_channels)
@@ -77,6 +111,16 @@ _STEPS = np.array([
 ], dtype=np.int32)
 
 _INDEX_ADJUST = np.array([-1, -1, -1, -1, 2, 4, 6, 8], dtype=np.int32)
+
+
+def _adpcm_step(predictor: int, index: int, code: int) -> tuple[int, int]:
+    """The decoder's predictor and step index after ``code``."""
+    step = int(_STEPS[index])
+    delta = step // 8 + (step // 4 if code & 1 else 0) \
+        + (step // 2 if code & 2 else 0) + (step if code & 4 else 0)
+    predictor += -delta if code & 8 else delta
+    return (max(-32768, min(32767, predictor)),
+            max(0, min(88, index + int(_INDEX_ADJUST[code & 7]))))
 
 
 def _adpcm_encode_channel(samples: np.ndarray) -> bytes:
@@ -100,11 +144,7 @@ def _adpcm_encode_channel(samples: np.ndarray) -> bytes:
         if diff >= step // 4:
             code |= 1
         # Reconstruct exactly as the decoder will.
-        delta = step // 8 + (step // 4 if code & 1 else 0) \
-            + (step // 2 if code & 2 else 0) + (step if code & 4 else 0)
-        predictor += -delta if code & 8 else delta
-        predictor = max(-32768, min(32767, predictor))
-        index = max(0, min(88, index + int(_INDEX_ADJUST[code & 7])))
+        predictor, index = _adpcm_step(predictor, index, code)
         nibbles.append(code)
     if len(nibbles) % 2:
         nibbles.append(0)
@@ -121,53 +161,33 @@ def _adpcm_decode_channel(data: bytes, count: int) -> np.ndarray:
     out = np.empty(count, dtype=np.int16)
     codes = [nibble for byte in data for nibble in (byte & 0x0F, byte >> 4)]
     for n, code in enumerate(codes[:count]):
-        step = int(_STEPS[index])
-        delta = step // 8 + (step // 4 if code & 1 else 0) \
-            + (step // 2 if code & 2 else 0) + (step if code & 4 else 0)
-        predictor += -delta if code & 8 else delta
-        predictor = max(-32768, min(32767, predictor))
-        index = max(0, min(88, index + int(_INDEX_ADJUST[code & 7])))
+        predictor, index = _adpcm_step(predictor, index, code)
         out[n] = predictor
     return out
 
 
-class ADPCMCodec:
-    """4-bit IMA-style ADPCM block codec."""
+class ADPCMCodec(AudioCodec):
+    """4-bit IMA-style ADPCM block codec: a block is its sample count,
+    then each channel's codes, two a byte."""
 
     name = "adpcm"
-    block_samples = 1024
+    value_class = ADPCMAudioValue
 
-    def encode_value(self, value: AudioValue) -> ADPCMAudioValue:
-        """Encode a PCM value into 4-bit ADPCM blocks (per channel)."""
-        samples = value.samples()
-        blocks = []
-        for lo in range(0, value.num_samples, self.block_samples):
-            chunk = samples[:, lo:lo + self.block_samples]
-            count = chunk.shape[1]
-            header = count.to_bytes(4, "little")
-            channel_data = b"".join(
-                _adpcm_encode_channel(chunk[c]) for c in range(value.num_channels)
-            )
-            blocks.append(header + channel_data)
-        return ADPCMAudioValue(
-            blocks, self, value.num_channels, value.num_samples,
-            value.sample_rate, depth=value.depth, mapping=value.mapping,
-        )
+    def encode_block(self, block: np.ndarray) -> bytes:
+        header = block.shape[1].to_bytes(4, "little")
+        return header + b"".join(_adpcm_encode_channel(channel) for channel in block)
 
-    def check_block(self, block: bytes, num_channels: int) -> None:
-        """Raise :class:`CodecError` unless ``block`` is a sample count
-        and exactly ``num_channels`` bodies of two codes a byte."""
+    def check_block(self, block: bytes, num_channels: int) -> int:
         count = int.from_bytes(block[:4], "little")
         expected = 4 + num_channels * -(-count // 2)
         if num_channels <= 0 or len(block) != expected:
             raise CodecError(
                 f"ADPCM block of {len(block)} bytes, expected {expected} for "
                 f"{num_channels} channels of {count} samples")
+        return count
 
     def decode_block(self, block: bytes, num_channels: int) -> np.ndarray:
-        """Decode one ADPCM block back to (channels, n) int16 PCM."""
-        self.check_block(block, num_channels)
-        count = int.from_bytes(block[:4], "little")
+        count = self.check_block(block, num_channels)
         per_channel = -(-count // 2)
         body = block[4:]
         return np.stack([

@@ -1,16 +1,19 @@
-"""Video codec base class.
+"""The video codec base class and the stream protocol of both media.
 
-A video codec transforms between decoded frame arrays and per-frame
-encoded chunks.  The chunk list is the storage format of
-:class:`~repro.values.EncodedVideoValue`; ``decode_frame_at`` receives the
-whole chunk list so interframe codecs can resolve dependencies (walk back
-to the nearest keyframe).
+A codec carries ``name`` (the registry key and the compatibility tag on
+encoded values) and ``value_class`` (the encoded value it produces).  The
+encoder and decoder activities run its stream protocol, one element at a
+time: ``stream_encoder().encode_next(element)`` gives the chunk and
+``stream_decoder(*geometry).decode_next(chunk)`` the element, where a
+video codec's geometry is ``(width, height, depth)`` and an audio
+codec's its channel count.  ``decode_frame_at`` receives a video value's
+whole chunk list so interframe codecs can walk back to the keyframe.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -52,19 +55,15 @@ class VideoCodec(abc.ABC):
         ]
         return np.stack(frames)
 
-    # -- streaming interface (used by encoder/decoder activities) ---------
-    def stream_encoder(self) -> "StreamEncoder":
-        """Stateful per-frame encoder for live streams.
+    # -- the stream protocol ----------------------------------------------
+    # The defaults code every frame alone (correct for intraframe
+    # codecs); interframe codecs override both with stateful versions.
+    def stream_encoder(self) -> "_Stateless":
+        return _Stateless(lambda frame: self.encode_frames([frame])[0])
 
-        The default treats every frame independently (correct for
-        intraframe codecs); interframe codecs override with a stateful
-        version.
-        """
-        return _StatelessStreamEncoder(self)
-
-    def stream_decoder(self, width: int, height: int, depth: int) -> "StreamDecoder":
-        """Stateful per-chunk decoder for live streams."""
-        return _StatelessStreamDecoder(self, width, height, depth)
+    def stream_decoder(self, width: int, height: int, depth: int) -> "_Stateless":
+        return _Stateless(lambda chunk: self.decode_frame_at(
+            [chunk], 0, width, height, depth))
 
     # -- helpers for subclasses -----------------------------------------
     @staticmethod
@@ -74,32 +73,9 @@ class VideoCodec(abc.ABC):
             raise CodecError(f"decoded frame shape {frame.shape} != expected {expected}")
 
 
-class StreamEncoder(abc.ABC):
-    """Per-frame encoder with stream state."""
+class _Stateless:
+    """The stream coder of a codec that codes each element alone: its
+    ``encode_next`` (or ``decode_next``) is ``code``, one element a call."""
 
-    @abc.abstractmethod
-    def encode_next(self, frame: np.ndarray) -> bytes: ...
-
-
-class StreamDecoder(abc.ABC):
-    """Per-chunk decoder with stream state."""
-
-    @abc.abstractmethod
-    def decode_next(self, chunk: bytes) -> np.ndarray: ...
-
-
-class _StatelessStreamEncoder(StreamEncoder):
-    def __init__(self, codec: VideoCodec) -> None:
-        self._codec = codec
-
-    def encode_next(self, frame: np.ndarray) -> bytes:
-        return self._codec.encode_frames([frame])[0]
-
-
-class _StatelessStreamDecoder(StreamDecoder):
-    def __init__(self, codec: VideoCodec, width: int, height: int, depth: int) -> None:
-        self._codec = codec
-        self._geometry = (width, height, depth)
-
-    def decode_next(self, chunk: bytes) -> np.ndarray:
-        return self._codec.decode_frame_at([chunk], 0, *self._geometry)
+    def __init__(self, code: Callable) -> None:
+        self.encode_next = self.decode_next = code

@@ -28,7 +28,6 @@ _FACTORIES: Dict[str, Callable[..., object]] = {
     "dvi": DVICodec,
     "mulaw": MuLawCodec,
     "adpcm": ADPCMCodec,
-    "pcm": RawCodec,  # raw PCM needs no transform; placeholder for symmetry
 }
 
 

@@ -35,17 +35,12 @@ from typing import BinaryIO, Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro.avtime import TimeMapping, WorldTime
-from repro.codecs.audio import ADPCMCodec, MuLawCodec
+from repro.codecs.audio import AudioCodec
 from repro.codecs.base import VideoCodec
 from repro.codecs.registry import get_codec
 from repro.errors import CodecError, DataModelError, SchemaError
 from repro.temporal import TCompSpec, TemporalComposite, Timeline, TimelineEntry, TrackSpec
-from repro.values.audio import (
-    ADPCMAudioValue,
-    EncodedAudioValue,
-    MuLawAudioValue,
-    RawAudioValue,
-)
+from repro.values.audio import EncodedAudioValue, RawAudioValue
 from repro.values.base import MediaValue
 from repro.values.mediatype import standard_type
 from repro.values.text import TextItem, TextStreamValue
@@ -61,8 +56,7 @@ _TRAK_FIXED = struct.Struct("<dddIHHBB")
 _SAMPLE = struct.Struct("<HII")
 _COUNT = struct.Struct("<H")
 #: the codecs a coded track of each kind may name.
-_TRACK_CODECS = {"video": VideoCodec, "audio": (MuLawCodec, ADPCMCodec),
-                 "text": ()}
+_TRACK_CODECS = {"video": VideoCodec, "audio": AudioCodec, "text": ()}
 
 
 def _write_atom(out: BinaryIO, kind: bytes, payload: bytes) -> None:
@@ -361,11 +355,9 @@ def _rebuild_value(info: _TrackInfo, decoded: List) -> MediaValue:
         return RawVideoValue(np.stack(decoded), mapping=mapping)
     if info.kind == "audio":
         if info.codec is not None:
-            value_class = (MuLawAudioValue if info.codec.name == "mulaw"
-                           else ADPCMAudioValue)
-            return value_class(decoded, info.codec, info.channels,
-                               info.count, mapping.rate, depth=info.depth,
-                               mapping=mapping)
+            return info.codec.value_class(
+                decoded, info.codec, info.channels, info.count, mapping.rate,
+                depth=info.depth, mapping=mapping)
         return RawAudioValue(np.concatenate(decoded, axis=1),
                              depth=info.depth, mapping=mapping)
     return TextStreamValue(decoded, mapping=mapping)

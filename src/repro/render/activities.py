@@ -44,20 +44,6 @@ class MoveSource(PacedSource):
                 f"got {type(value).__name__}"
             )
 
-    def _element_payloads(self):
-        value: CameraPath = self._value()
-        start = self._start_element(value)
-        media_type = value.media_type
-        return [
-            (value.pose(i), value.element_size_bits(i), media_type)
-            for i in range(start, value.element_count)
-        ]
-
-    def _ideal_offset(self, position: int) -> float:
-        value = self._value()
-        start = self._start_element(value)
-        return self._offset_of(value, start + position)
-
 
 class RenderActivity(MediaActivity):
     """The ``render`` activity: (pose, video frame) -> raster frame.

@@ -34,7 +34,7 @@ class AudioBlockCodec(Protocol):
     name: str
     block_samples: int
 
-    def check_block(self, block: bytes, num_channels: int) -> None: ...
+    def check_block(self, block: bytes, num_channels: int) -> int: ...
 
     def decode_block(self, block: bytes, num_channels: int) -> np.ndarray: ...
 

@@ -3,6 +3,7 @@ equivalents."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.activities import ActivityGraph
 from repro.activities.library import (
@@ -29,7 +30,8 @@ from repro.codecs import ADPCMCodec, JPEGCodec, MPEGCodec, MuLawCodec
 from repro.errors import ActivityError, MediaTypeError
 from repro.quality import parse_quality
 from repro.synth import analog_master, jingle, moving_scene, subtitle_track, tone
-from repro.values import MPEGVideoValue, RawVideoValue
+from repro.sim import Simulator
+from repro.values import MPEGVideoValue, RawAudioValue, RawVideoValue
 
 
 def run_chain(sim, *stages):
@@ -270,7 +272,7 @@ class TestAudioActivities:
         reader = AudioReader(sim, block_samples=512)
         reader.bind(small_audio)
         encoder = AudioEncoder(sim, codec)
-        decoder = AudioDecoder(sim, codec)
+        decoder = AudioDecoder(sim, codec, small_audio.num_channels)
         speaker = Speaker(sim)
         run_chain(sim, reader, encoder, decoder, speaker)
         out = speaker.pcm()
@@ -296,12 +298,108 @@ class TestAudioActivities:
         assert pcm.max() == 32767  # clipped, not wrapped
         assert pcm.min() >= -32768
 
+    @pytest.mark.parametrize("codec_factory", [MuLawCodec, ADPCMCodec])
+    def test_encoder_writer_chain_stores_the_batch_blocks(
+            self, sim, small_audio, codec_factory):
+        codec = codec_factory()
+        reader = AudioReader(sim, block_samples=codec.block_samples)
+        reader.bind(small_audio)
+        writer = AudioWriter(sim, rate=small_audio.sample_rate, codec=codec,
+                             geometry=(small_audio.num_channels,))
+        run_chain(sim, reader, AudioEncoder(sim, codec), writer)
+        value = writer.result()
+        expected = codec.encode_value(small_audio)
+        assert type(value) is type(expected)
+        assert len(value.blocks) > 1 and value.blocks == expected.blocks
+        assert value.num_samples == small_audio.num_samples
+        assert value.sample_rate == small_audio.sample_rate
+
     def test_audio_writer_result(self, sim, small_audio):
         reader = AudioReader(sim)
         reader.bind(small_audio)
-        writer = AudioWriter(sim, sample_rate=small_audio.sample_rate)
+        writer = AudioWriter(sim, rate=small_audio.sample_rate)
         run_chain(sim, reader, writer)
         assert np.array_equal(writer.result().samples(), small_audio.samples())
+
+
+# The parent's two mixing formulas (``VideoMixer._mix`` and the body of
+# ``AudioMixer._process``), kept as the oracle of the one mixer.
+def _parent_video_mix(frames, weights):
+    acc = np.zeros(frames[0].shape, dtype=np.float64)
+    for weight, frame in zip(weights, frames):
+        acc += weight * frame.astype(np.float64)
+    return np.clip(np.round(acc), 0, 255).astype(np.uint8)
+
+
+def _parent_audio_mix(blocks):
+    width = min(b.shape[1] for b in blocks)
+    acc = np.zeros((blocks[0].shape[0], width), dtype=np.int32)
+    for block in blocks:
+        acc += block[:, :width].astype(np.int32)
+    return np.clip(acc, -32768, 32767).astype(np.int16)
+
+
+def _mixed(sim, readers, mixer, writer):
+    """Run ``readers`` through ``mixer`` into ``writer``: what the writer
+    stored, and the bits the mixer sent."""
+    graph = ActivityGraph(sim)
+    for activity in (*readers, mixer, writer):
+        graph.add(activity)
+    for reader, port in zip(readers, mixer.in_ports()):
+        graph.connect(reader.out_ports()[0], port)
+    out = graph.connect(mixer.out_ports()[0], writer.in_ports()[0])
+    graph.run_to_completion()
+    return writer.presented, out.bits_sent
+
+
+class TestOneMixer:
+    @given(seed=st.integers(0, 2**16), inputs=st.integers(2, 3),
+           frames=st.integers(1, 4), color=st.booleans())
+    @settings(max_examples=30)
+    def test_frames_blend_as_the_video_mixer_did(self, seed, inputs, frames,
+                                                 color):
+        rng = np.random.default_rng(seed)
+        shape = (frames, 6, 10, 3) if color else (frames, 6, 10)
+        streams = [rng.integers(0, 256, shape, dtype=np.uint8)
+                   for _ in range(inputs)]
+        weights = [float(w) for w in rng.uniform(0.0, 1.0, inputs)]
+        sim = Simulator()
+        readers = [VideoReader(sim, name=f"r{i}") for i in range(inputs)]
+        for reader, stream in zip(readers, streams):
+            reader.bind(RawVideoValue(stream))
+        mixer = VideoMixer(sim, inputs=inputs, weights=weights)
+        presented, bits = _mixed(sim, readers, mixer, VideoWriter(sim))
+        expected = [_parent_video_mix([s[k] for s in streams], weights)
+                    for k in range(frames)]
+        assert [p.dtype for p in presented] == [np.uint8] * frames
+        assert [p.tobytes() for p in presented] == [e.tobytes()
+                                                    for e in expected]
+        assert bits == frames * streams[0][0].size * 8
+
+    @given(seed=st.integers(0, 2**16), channels=st.integers(1, 2),
+           sizes=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 90)),
+                          min_size=2, max_size=3))
+    @settings(max_examples=30)
+    def test_blocks_of_unequal_length_sum_as_the_audio_mixer_did(
+            self, seed, channels, sizes):
+        # Each input has its own length and block size, so the blocks a
+        # mix step takes differ in length.
+        rng = np.random.default_rng(seed)
+        pcm = [rng.integers(-32768, 32768, (channels, n), dtype=np.int16)
+               for n, _ in sizes]
+        sim = Simulator()
+        readers = [AudioReader(sim, name=f"a{i}", block_samples=block)
+                   for i, (_, block) in enumerate(sizes)]
+        for reader, samples in zip(readers, pcm):
+            reader.bind(RawAudioValue(samples, 8000.0))
+        mixer = AudioMixer(sim, inputs=len(sizes))
+        presented, bits = _mixed(sim, readers, mixer, AudioWriter(sim))
+        blocks = [[p[:, lo:lo + block] for lo in range(0, p.shape[1], block)]
+                  for p, (_, block) in zip(pcm, sizes)]
+        expected = [_parent_audio_mix(step) for step in zip(*blocks)]
+        assert [p.tobytes() for p in presented] == [e.tobytes()
+                                                    for e in expected]
+        assert bits == sum(e.size * 16 for e in expected)
 
 
 class TestTextAndMIDI:

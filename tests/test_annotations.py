@@ -1012,6 +1012,20 @@ class TestQueries:
         tx.commit()
         assert result.rows == sorted(result.rows, key=SORT_KEY)
 
+    def test_a_transactional_scan_locks_only_the_rows_it_returns(self):
+        # The track sentinels keep writers off every row, so a forced scan
+        # of a narrow window reads (and locks) the rows it returns only.
+        store = seeded_store(n=400, values=3)
+        tx = store.db.begin()
+        result = run(store, AQ.on("v0", "audio").overlaps(10.0, 11.0),
+                     mode="scan", tx=tx)
+        held = {oid for oid, entry in store.db._locks._locks.items()
+                if tx.tx_id in entry.holders}
+        sentinels = {track_sentinel(*key) for key in store.tracks()}
+        assert 0 < len(result.rows) < len(store) // 10
+        assert held == sentinels | {row.oid for row in result.rows}
+        tx.commit()
+
 
 OPERATORS = sorted(WINDOW_OPS)
 

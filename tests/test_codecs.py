@@ -9,6 +9,7 @@ from repro.codecs import (
     DVICodec,
     JPEGCodec,
     MPEGCodec,
+    MuLawCodec,
     RawCodec,
     RLECodec,
     decode_mulaw,
@@ -333,6 +334,31 @@ class TestAudioCodecs:
             with pytest.raises(CodecError, match="expected"):
                 codec.decode_block(block, channels)
 
+    @pytest.mark.parametrize("codec_factory", [MuLawCodec, ADPCMCodec])
+    def test_stream_encoder_matches_batch(self, codec_factory):
+        """The stream protocol over a value's blocks is the batch encode,
+        byte for byte, and its decoder is ``decode_block``."""
+        from repro.values import RawAudioValue
+        codec = codec_factory()
+        rng = np.random.default_rng(3)
+        pcm = rng.integers(-20000, 20000, (2, 2600)).astype(np.int16)
+        value = RawAudioValue(pcm, 8000.0)
+        batch = codec.encode_value(value)
+        encoder = codec.stream_encoder()
+        live = [encoder.encode_next(pcm[:, lo:lo + codec.block_samples])
+                for lo in range(0, 2600, codec.block_samples)]
+        assert live == batch.blocks and len(live) == 3
+        decoder = codec.stream_decoder(2)
+        for block in live:
+            assert np.array_equal(decoder.decode_next(block),
+                                  codec.decode_block(block, 2))
+
+    def test_check_block_counts_sample_frames(self):
+        pcm = np.zeros((2, 1500), dtype=np.int16)
+        for codec in (MuLawCodec(), ADPCMCodec()):
+            block = codec.encode_block(pcm[:, :999])
+            assert codec.check_block(block, 2) == 999
+
 
 class TestRegistry:
     def test_all_names_constructible(self):
@@ -349,3 +375,9 @@ class TestRegistry:
     def test_unknown_codec(self):
         with pytest.raises(CodecError, match="unknown codec"):
             get_codec("h264")
+
+    def test_pcm_names_no_codec(self):
+        # Raw PCM is uncoded audio: the name must not resolve to a codec
+        # (it used to give the raw *video* codec).
+        with pytest.raises(CodecError, match="unknown codec"):
+            get_codec("pcm")

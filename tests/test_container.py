@@ -393,6 +393,18 @@ class TestDemuxer:
     @pytest.mark.parametrize("track, codec", [("englishTrack", "jpeg"),
                                               ("videoTrack", "mulaw")])
     def test_refuses_a_codec_of_another_kind(self, monkeypatch, track, codec):
+        self._refused(monkeypatch, track, codec, "is no")
+
+    @pytest.mark.parametrize("track", ["videoTrack", "frenchTrack"])
+    def test_refuses_the_pcm_codec_name(self, monkeypatch, track):
+        # "pcm" names no codec: a track header naming it, video (which
+        # read as raw video) or audio, is a corrupt header.
+        self._refused(monkeypatch, track, "pcm", "corrupt codec header")
+
+    @staticmethod
+    def _refused(monkeypatch, track, codec, message):
+        """A newscast whose ``track`` header names ``codec`` is refused
+        with ``message`` by the reader and the demuxer alike."""
         from repro.container import ContainerDemuxer
         from repro.synth import subtitle_track
         composite = TemporalComposite(NEWSCAST_CLIP_SPEC, {
@@ -409,5 +421,5 @@ class TestDemuxer:
         data = write_composite(composite)
         for parse in (read_composite,
                       lambda blob: ContainerDemuxer(Simulator(), blob)):
-            with pytest.raises(DataModelError, match="is no"):
+            with pytest.raises(DataModelError, match=message):
                 parse(data)

@@ -39,6 +39,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from repro.activities import EVENT_EACH_ELEMENT, clockout, consumer
 from repro.activities.library import (
+    AudioDecoder,
+    AudioEncoder,
     PacedSource,
     Speaker,
     SubtitleWindow,
@@ -48,7 +50,7 @@ from repro.activities.library import (
 from repro.activities.base import ActivityState, Location
 from repro.avdb import AVDatabaseSystem
 from repro.avtime import WorldTime
-from repro.codecs import JPEGCodec, MPEGCodec
+from repro.codecs import ADPCMCodec, JPEGCodec, MPEGCodec, MuLawCodec
 from repro.errors import AVDBError
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import scoped
@@ -56,6 +58,7 @@ from repro.sim import Delay, Simulator
 from repro.storage.devices import Device
 from repro.streams.buffer import StreamBuffer
 from repro.synth import newscast_clip
+from repro.values.audio import RawAudioValue
 from repro.values.video import RawVideoValue
 
 SETTINGS = settings(max_examples=60)
@@ -64,7 +67,7 @@ SETTINGS = settings(max_examples=60)
 # -- the pipelines ----------------------------------------------------------
 @dataclass(frozen=True)
 class Pipeline:
-    kind: str               # plain | stored | decoded | raw | multi
+    kind: str               # plain | stored | decoded | raw | multi | audio
     frames: int
     width: int
     rate: float
@@ -117,6 +120,15 @@ def _video(spec: Pipeline) -> RawVideoValue:
     return RawVideoValue(frames, rate=spec.rate)
 
 
+def _audio(spec: Pipeline) -> RawAudioValue:
+    """``frames / rate`` seconds of noise, 256 samples a frame: a reader
+    block of 1024 samples spans four frames."""
+    rng = np.random.default_rng(spec.seed)
+    samples = rng.integers(-20000, 20000, (1 + spec.seed % 2, spec.frames * 256),
+                           dtype=np.int16)
+    return RawAudioValue(samples, sample_rate=256 * spec.rate)
+
+
 class Rig:
     """One built pipeline: what to run, disturb and read."""
 
@@ -136,6 +148,10 @@ class Rig:
                                   seed=spec.seed)
             tracks = [value.value(track) for track in value.track_names]
             hop_bps = stored_bps = sum(t.data_rate_bps() for t in tracks)
+        elif spec.kind == "audio":
+            value = _audio(spec)
+            hop_bps = stored_bps = value.data_rate_bps()
+            tracks = [value]
         else:
             value = _video(spec)
             hop_bps = stored_bps = value.data_rate_bps()
@@ -174,10 +190,33 @@ class Rig:
             self.streams = [session.connect(source, sink,
                                             capacity=spec.capacity)]
         else:
+            if spec.kind == "audio":
+                window = Speaker
             window = window(self.sim, name="win", presentation_delay=delay)
             session.new_activity(window)
             self.sinks = [window]
-            if spec.kind in ("stored", "decoded"):
+            if spec.kind == "audio":
+                # raw over the hop, then coded and decoded again at the
+                # application: two transformers of the audio codec's
+                # stream protocol in one consumer chain
+                source = session.new_db_source(value)
+                codec = MuLawCodec() if spec.seed % 2 else ADPCMCodec()
+                self.decoders = [session.new_activity(stage) for stage in (
+                    AudioEncoder(self.sim, codec, name="encode",
+                                 location=Location.APPLICATION),
+                    AudioDecoder(self.sim, codec, value.num_channels,
+                                 name="decode",
+                                 location=Location.APPLICATION))]
+                encoder, decoder = self.decoders
+                self.streams = [
+                    session.connect(source, encoder.port("audio_in"),
+                                    capacity=spec.capacity,
+                                    bandwidth_bps=hop_bps * spec.hop_share),
+                    session.connect(encoder.port("audio_out"),
+                                    decoder.port("audio_in")),
+                    session.connect(decoder.port("audio_out"), window,
+                                    capacity=9 - spec.capacity)]
+            elif spec.kind in ("stored", "decoded"):
                 # compressed over the hop, decoded at the application (in
                 # no virtual time: a consumer chain that can run as one)
                 source = session.new_db_source(value)
@@ -564,6 +603,37 @@ class TestConsumerRunEqualsPerElement:
             held += any(run.sched is not None for run in runs)
             rig.sim.run()
         assert min(ran, filled, stalled, held) >= 3
+
+
+def _audio_chain(seed: int = 0) -> Pipeline:
+    """A reader -> encoder -> decoder -> speaker chain behind a
+    clocked-out hop."""
+    return dataclasses.replace(_consumer_draw(seed), kind="audio",
+                               latency_s=0.013)
+
+
+class TestAudioChain:
+    def test_the_chain_runs_as_one_consumer_run(self):
+        for seed in (0, 1):     # ADPCM, then µ-law
+            spec = dataclasses.replace(_audio_chain(seed), frames=12,
+                                       paced=True)
+            rig = Rig(spec, per_element=False)
+            rig.sim.run(until=WorldTime(0.0))
+            chain = rig.decoders + rig.sinks
+            assert [type(a).__name__ for a in chain] == [
+                "AudioEncoder", "AudioDecoder", "Speaker"]
+            assert rig.sources[0].clocked is not None
+            assert None not in {a.clocked for a in chain}
+            assert len({id(a.clocked) for a in chain}) == 1
+            _assert_consumers_agree(spec)
+
+    @settings(SETTINGS, max_examples=20)
+    @given(seed=st.integers(0, 2**30))
+    def test_same_audio_chain_both_ways(self, seed):
+        spec = _audio_chain(seed)
+        _assert_consumers_agree(spec)
+        _assert_same(_play(spec, per_element=False),
+                     _play(spec, per_element=True))
 
 
 class _OwnLoopWindow(VideoWindow):

@@ -93,8 +93,8 @@ TIER1 = "tier-1"
 #: that no driver runs: those nothing runs, and those only tier-1 runs.
 #: A count above its ceiling fails the audit; lower a ceiling to the
 #: count the report prints when a change drives, pins or deletes some.
-NOTHING_CEILING = 111
-TIER1_ONLY_CEILING = 946
+NOTHING_CEILING = 110
+TIER1_ONLY_CEILING = 889
 
 #: ``sitecustomize.py`` of every recorded process; the two paths are
 #: written into it, so the recorder needs no environment of its own.
