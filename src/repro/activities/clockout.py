@@ -34,7 +34,6 @@ from bisect import bisect_right
 from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.avtime import WorldTime
-from repro.obs.metrics import DEPTH_BUCKETS
 from repro.sim import WaitEvent
 from repro.storage.devices import READ, SEEKED
 from repro.streams.buffer import StreamBuffer
@@ -151,8 +150,7 @@ class ClockedRun:
         self._m_put = metrics.counter("stream.elements_buffered")
         self._m_producer_stalls = metrics.counter("stream.producer_stalls")
         self._m_consumer_stalls = metrics.counter("stream.consumer_stalls")
-        self._m_occupancy = metrics.histogram("stream.buffer_occupancy",
-                                              buckets=DEPTH_BUCKETS)
+        self._m_occupancy = metrics.histogram("stream.buffer_occupancy")
         self._wake = simulator.event(f"{source.name}:cut")
         self._timer: Optional[int] = None
         #: the read-ahead buffer, once a cut has made it real.

@@ -53,7 +53,6 @@ from repro.activities.events import (
 from repro.activities.ports import Direction
 from repro.avtime import ObjectTime, WorldTime
 from repro.errors import ActivityError, MediaTypeError
-from repro.obs.metrics import LATENCY_BUCKETS_MS
 from repro.sim import Delay, SettledCounter, Simulator
 from repro.storage.devices import DeviceReservation
 from repro.streams.buffer import StreamBuffer
@@ -399,10 +398,8 @@ class SinkActivity(MediaActivity):
         self._elements_consumed = 0
         metrics = simulator.obs.metrics
         self._m_consumed = metrics.counter("stream.elements_presented")
-        self._m_latency = metrics.histogram("stream.latency_ms",
-                                            buckets=LATENCY_BUCKETS_MS)
-        self._m_jitter = metrics.histogram("stream.jitter_ms",
-                                           buckets=LATENCY_BUCKETS_MS)
+        self._m_latency = metrics.histogram("stream.latency_ms")
+        self._m_jitter = metrics.histogram("stream.jitter_ms")
         self._m_late = metrics.counter("stream.late_presentations")
         self._prev_latency_ms: Optional[float] = None
         self._runs = runs_of(simulator)
@@ -934,10 +931,10 @@ class VideoWriter(Writer):
 
 def _pcm_blocks(audio: AudioValue, first: int, block_samples: int) -> list:
     """(block, size_bits, media_type) per ``block_samples`` sample frames
-    of ``audio`` from sample ``first`` on."""
+    of ``audio`` from sample ``first`` on, decoded if it is coded."""
     samples = audio.samples()
     bits_per_sample = audio.num_channels * audio.depth
-    media_type = audio.media_type
+    media_type = audio.media_type if isinstance(audio, RawAudioValue) else _Audio.raw
     return [
         (samples[:, lo:lo + block_samples],
          min(block_samples, audio.num_samples - lo) * bits_per_sample,
@@ -968,8 +965,8 @@ class AudioReader(PacedSource):
                 f"got {type(value).__name__}"
             )
         port = self.port("audio_out")
-        if port.media_type.is_abstract:
-            port.narrow(value.media_type)
+        if port.media_type.is_abstract:  # PCM, as _pcm_blocks streams it
+            port.narrow(value.media_type if isinstance(value, RawAudioValue) else _Audio.raw)
 
     def _element_payloads(self):
         value: AudioValue = self._value()

@@ -42,7 +42,6 @@ from repro.errors import (
     DeviceBusyError,
 )
 from repro.net.channel import Channel, Reservation
-from repro.obs.metrics import DEPTH_BUCKETS
 from repro.sim import SimEvent, Simulator, Timeout
 
 
@@ -181,8 +180,7 @@ class AdmissionController:
         self._m_preempted = metrics.counter("admission.preempted")
         self._m_queued = metrics.counter("admission.queued")
         self._m_queue_depth = metrics.gauge("admission.queue_depth")
-        self._m_queue_depth_h = metrics.histogram("admission.queue_depth_hist",
-                                                  buckets=DEPTH_BUCKETS)
+        self._m_queue_depth_h = metrics.histogram("admission.queue_depth_hist")
         self._m_queue_wait_s = metrics.histogram("admission.queue_wait_s")
         self._m_utilization = metrics.gauge(f"admission.{name}.utilization")
 

@@ -127,7 +127,7 @@ def _decide(store: AnnotationStore, subject: str, est_index: float,
     counter = store._m_plans.get(chosen)
     if counter is None:  # bound at first use: an unused mode stays unlisted
         counter = store._m_plans[chosen] = obs.metrics.counter(
-            f"annotations.plans_{chosen}")
+            "annotations.plans_index" if chosen == "index" else "annotations.plans_scan")
     counter.inc()
     return decision
 

@@ -1,17 +1,10 @@
 """Observability: virtual-time metrics and tracing for the whole stack.
 
-Every runtime layer publishes metrics under the ``<layer>.<name>`` naming
-scheme and (when tracing is enabled) spans/instants stamped with both
-virtual :class:`~repro.avtime.WorldTime` and wall-clock time:
-
-* ``sim.*`` — kernel: processes, event dispatch, resource waits;
-* ``stream.*`` — buffers and sinks: occupancy, stalls, end-to-end
-  latency and jitter vs ``ideal_time``;
-* ``storage.*`` — devices/scheduler/placement: seeks, waits, deadline
-  misses, per-device utilisation;
-* ``db.*`` — pages, locks, transactions;
-* ``net.*`` — channels: bits, admission;
-* ``session.*`` — per-client QoS delivered vs negotiated.
+Every runtime layer publishes metrics named ``<layer>.<name>``, decision
+events and (when tracing is enabled) spans/instants stamped with both
+virtual :class:`~repro.avtime.WorldTime` and wall-clock time; every
+metric, decision kind and trace category is declared in
+:mod:`repro.obs.catalog`.
 
 An :class:`Obs` pairs one :class:`MetricsRegistry` with one tracer.
 Instrumented constructors call :func:`attach` to find their ``Obs``:
@@ -33,6 +26,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
+from repro.obs.catalog import DEPTH_BUCKETS, LATENCY_BUCKETS_MS, TIME_BUCKETS_S
 from repro.obs.decisions import (
     NULL_DECISIONS,
     DecisionEvent,
@@ -50,10 +44,7 @@ from repro.obs.export import (
     write_summary,
 )
 from repro.obs.metrics import (
-    DEPTH_BUCKETS,
-    LATENCY_BUCKETS_MS,
     NULL_METRICS,
-    TIME_BUCKETS_S,
     Counter,
     Gauge,
     Histogram,

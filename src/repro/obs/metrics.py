@@ -7,37 +7,22 @@ and the hot-path operations — ``Counter.inc``, ``Gauge.set``,
 locking, no string formatting and no allocation beyond the instrument
 itself.
 
-Metric names follow the ``<layer>.<name>`` scheme documented in README
-section "Observability": the first dotted component is the subsystem
-(``sim``, ``stream``, ``storage``, ``db``, ``net``, ``session``), and
-per-instance metrics insert the instance name
-(``storage.device.disk0.utilization``).
+Every metric name, its kind, unit and (for a histogram) bucket bounds
+is declared in :mod:`repro.obs.catalog`; the first dotted component of
+a name is its layer.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional
 
 from repro.errors import AVDBError
+from repro.obs.catalog import METRICS, TIME_BUCKETS_S
 
 
 class MetricError(AVDBError):
     """A metric was registered or used inconsistently."""
-
-
-#: default bucket bounds for time-in-seconds histograms (upper bounds).
-TIME_BUCKETS_S: Tuple[float, ...] = (
-    0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
-)
-
-#: default bucket bounds for latency/jitter-in-milliseconds histograms.
-LATENCY_BUCKETS_MS: Tuple[float, ...] = (
-    0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 1000.0,
-)
-
-#: default bucket bounds for queue-depth / occupancy histograms.
-DEPTH_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 class Counter:
@@ -181,9 +166,11 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def histogram(self, name: str,
-                  buckets: Iterable[float] = TIME_BUCKETS_S) -> Histogram:
-        return self._get(name, Histogram, buckets)
+    def histogram(self, name: str) -> Histogram:
+        """Bounded by the name's catalog entry, else ``TIME_BUCKETS_S``."""
+        entry = METRICS.get(name, ())
+        return self._get(name, Histogram,
+                         entry[3] if len(entry) > 3 else TIME_BUCKETS_S)
 
     def get(self, name: str) -> Optional[object]:
         """Look up an instrument without creating it."""
@@ -296,7 +283,7 @@ class NullMetrics:
     def gauge(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def histogram(self, name: str, buckets=TIME_BUCKETS_S) -> _NullInstrument:
+    def histogram(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def get(self, name: str) -> None:

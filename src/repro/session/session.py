@@ -50,9 +50,6 @@ from repro.streams.sync import JitterModel
 from repro.temporal.composite import TemporalComposite
 from repro.values.base import MediaValue
 
-#: Buckets for delivered/negotiated QoS ratios (1.0 = contract honoured).
-QOS_RATIO_BUCKETS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0, 1.05, 1.2)
-
 
 @dataclass(frozen=True, slots=True)
 class Notification:
@@ -148,8 +145,7 @@ class Session:
         self._m_streams_started = metrics.counter("session.streams_started")
         self._m_degraded_sessions = metrics.counter("faults.degraded_sessions")
         self._m_notifications = metrics.counter("session.notifications")
-        self._m_qos_ratio = metrics.histogram("session.qos_ratio",
-                                              QOS_RATIO_BUCKETS)
+        self._m_qos_ratio = metrics.histogram("session.qos_ratio")
         metrics.counter("session.opened").inc()
 
     # -- queries (issue-request / receive-reply is fine for these) --------

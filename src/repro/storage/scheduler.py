@@ -31,7 +31,6 @@ from heapq import heappop, heappush
 from typing import Deque, Generator, List, Optional, Tuple
 
 from repro.errors import SchedulerStoppedError, StorageError
-from repro.obs.metrics import DEPTH_BUCKETS
 from repro.sim import Delay, SimEvent, Simulator, WaitEvent
 
 
@@ -134,8 +133,7 @@ class DiskScheduler:
         self._m_requests = metrics.counter("storage.disk_requests")
         self._m_seeks = metrics.counter("storage.seek_cylinders")
         self._m_wait_s = metrics.histogram("storage.disk_wait_s")
-        self._m_queue_depth = metrics.histogram("storage.disk_queue_depth",
-                                                buckets=DEPTH_BUCKETS)
+        self._m_queue_depth = metrics.histogram("storage.disk_queue_depth")
         self._m_misses = metrics.counter("storage.deadline_misses")
         self._m_failed = metrics.counter("storage.disk_requests_failed")
 

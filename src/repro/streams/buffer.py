@@ -32,7 +32,6 @@ from collections import deque
 from typing import Any, Deque, Generator, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.metrics import DEPTH_BUCKETS
 from repro.sim import Process, SettledCounter, SimEvent, Simulator, WaitEvent
 
 #: what a consumer waiting in ``get`` is resumed with when the wake-up at
@@ -78,8 +77,7 @@ class StreamBuffer:
         self._m_put = metrics.counter("stream.elements_buffered")
         self._m_producer_stalls = metrics.counter("stream.producer_stalls")
         self._m_consumer_stalls = metrics.counter("stream.consumer_stalls")
-        self._m_occupancy = metrics.histogram("stream.buffer_occupancy",
-                                              buckets=DEPTH_BUCKETS)
+        self._m_occupancy = metrics.histogram("stream.buffer_occupancy")
 
     # -- reads: settle due arrivals first ------------------------------------
     def _settled(self) -> "StreamBuffer":

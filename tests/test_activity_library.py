@@ -280,6 +280,26 @@ class TestAudioActivities:
         error = np.abs(out.astype(int) - small_audio.samples().astype(int))
         assert error.mean() < 500
 
+    def test_a_reader_of_mulaw_audio_streams_pcm(self, sim, small_audio):
+        """Bound to a coded value, the reader streams the decoded blocks:
+        a decoder of the value's codec refuses it, an encoder takes it."""
+        codec = MuLawCodec()
+        coded = codec.encode_value(small_audio)
+        reader = AudioReader(sim, block_samples=512)
+        reader.bind(coded)
+        decoder = AudioDecoder(sim, codec, small_audio.num_channels)
+        graph = ActivityGraph(sim)
+        graph.add(reader)
+        graph.add(decoder)
+        with pytest.raises(ActivityError, match="audio/pcm"):
+            graph.connect(reader.port("audio_out"), decoder.port("audio_in"))
+        reader = AudioReader(sim, name="again", block_samples=codec.block_samples)
+        reader.bind(coded)
+        writer = AudioWriter(sim, rate=small_audio.sample_rate, codec=codec,
+                             geometry=(small_audio.num_channels,))
+        run_chain(sim, reader, AudioEncoder(sim, codec), writer)
+        assert np.array_equal(writer.result().samples(), coded.samples())
+
     def test_audio_mixer_saturates(self, sim):
         loud = tone(0.2, 440.0, 8000.0, amplitude=0.95)
         r1, r2 = AudioReader(sim, name="a1"), AudioReader(sim, name="a2")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 from typing import Dict
@@ -70,13 +71,29 @@ def sha256(blob: bytes) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def captured(run_id: str) -> Dict[str, str]:
-    """The hash of each artifact of one run, captured once per session
-    however many pins check it."""
+def captured(run_id: str) -> Dict[str, object]:
+    """The hash of each artifact of one run, and under ``emitted`` what
+    it emitted, captured once per session however many tests check it."""
     name, seed, params = RUN_LIST[run_id]
     got = behaviour_diff.capture(name, seed, **params)
-    return {artifact: sha256(got[artifact])
-            for artifact in behaviour_diff.ARTIFACTS}
+    out: Dict[str, object] = {artifact: sha256(got[artifact])
+                              for artifact in behaviour_diff.ARTIFACTS}
+    out["emitted"] = emitted(got)
+    return out
+
+
+def emitted(got: Dict[str, object]) -> set:
+    """(catalog table, name, metric kind or None) per metric key,
+    decision kind and trace category in one capture."""
+    seen = {("METRICS", key, "counter" if isinstance(value, int)
+             else "gauge" if "high_watermark" in value else "histogram")
+            for key, value in json.loads(got["metrics"]).items()}
+    seen.update(("DECISIONS", event["kind"], None)
+                for event in json.loads(got["decisions"]))
+    seen.update(("CATEGORIES", event["cat"], None)
+                for event in json.loads(got["trace"])["traceEvents"]
+                if event["ph"] != "M")
+    return seen
 
 
 def assert_pinned(run_id: str, *artifacts: str) -> None:
@@ -108,6 +125,27 @@ class TestGoldenTraces:
     @pytest.mark.parametrize("seed", sorted(CROWD))
     def test_herd_day_at_the_ledger_crowd_matches_pinned_hash(self, seed):
         assert_pinned(CROWD[seed], "decisions", "metrics")
+
+    def test_every_emitted_name_is_in_the_catalog(self):
+        """What the pinned runs emit, matched against ``repro.obs.catalog``:
+        ``<name>`` stands for one or more dotted segments."""
+        from repro.obs import catalog
+
+        entries = [
+            (table, re.compile(re.escape(name).replace("<name>", ".+")),
+             entry[0] if table == "METRICS" else None)
+            for table in ("METRICS", "DECISIONS", "CATEGORIES")
+            for name, entry in getattr(catalog, table).items()]
+        first_in = {}
+        for run_id in RUN_LIST:
+            for item in captured(run_id)["emitted"]:
+                first_in.setdefault(item, run_id)
+        undeclared = sorted(
+            f"{table} {name!r} ({kind or 'any kind'}), first in {run_id}"
+            for (table, name, kind), run_id in first_in.items()
+            if not any(table == t and kind == k and pattern.fullmatch(name)
+                       for t, pattern, k in entries))
+        assert not undeclared, "\n".join(undeclared)
 
     def test_rerun_is_byte_identical(self):
         capture = behaviour_diff.capture

@@ -1,6 +1,9 @@
 """The observability layer: instruments, tracer, scoping, exporters."""
 
 import json
+import shutil
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +69,10 @@ class TestInstruments:
         assert histogram.count == 6
         assert histogram.min == 1 and histogram.max == 200
         assert histogram.mean == pytest.approx(212 / 6)
+
+    def test_a_registered_histogram_takes_its_catalog_buckets(self):
+        histogram = MetricsRegistry().histogram("stream.buffer_occupancy")
+        assert histogram.bounds == tuple(float(b) for b in DEPTH_BUCKETS)
 
     def test_histogram_percentile_estimates(self):
         histogram = Histogram("t", (1.0, 10.0, 100.0))
@@ -289,15 +296,15 @@ class TestSnapshotAggregates:
 
     def test_histogram_snapshot_fields(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("t", (1.0, 10.0, 100.0))
-        for value in (0.5, 0.5, 5.0, 50.0):
+        histogram = registry.histogram("t")  # undeclared: TIME_BUCKETS_S
+        for value in (0.3, 0.4, 5.0, 50.0):
             histogram.observe(value)
         snap = registry.snapshot()["t"]
         assert snap["count"] == 4
-        assert snap["sum"] == pytest.approx(56.0)
-        assert snap["min"] == 0.5 and snap["max"] == 50.0
-        assert snap["p50"] == 1.0           # bucket-resolution estimate
-        assert snap["p99"] == 50.0          # capped at the true max
+        assert snap["sum"] == pytest.approx(55.7)
+        assert snap["min"] == 0.3 and snap["max"] == 50.0
+        assert snap["p50"] == 0.5           # bucket-resolution estimate
+        assert snap["p99"] == 50.0          # past the last bound: the true max
         json.dumps(snap)
 
     def test_empty_histogram_snapshot(self):
@@ -309,7 +316,7 @@ class TestSnapshotAggregates:
 
     def test_text_summary_has_percentile_columns(self):
         registry = MetricsRegistry()
-        registry.histogram("stream.jitter_ms", (1.0, 10.0)).observe(2.0)
+        registry.histogram("stream.jitter_ms").observe(2.0)
         report = text_summary(registry)
         assert "p50" in report and "p95" in report and "p99" in report
         assert "sum" in report
@@ -352,3 +359,48 @@ class TestDecisionLog:
         assert not NULL_OBS.decisions.enabled
         NULL_OBS.decisions.emit("admit", "s-1")
         assert len(NULL_OBS.decisions) == 0
+
+
+ROOT = Path(__file__).parents[1]
+_spec = spec_from_file_location("check_catalog",
+                                ROOT / "tools" / "check_catalog.py")
+check_catalog = module_from_spec(_spec)
+_spec.loader.exec_module(check_catalog)
+
+
+class TestCatalogLint:
+    """``tools/check_catalog.py`` over a copy of ``src/repro`` with one
+    disagreement planted in it."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(ROOT / "src" / "repro", root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root
+
+    def plant(self, tree, call):
+        module = tree / "cache" / "block.py"
+        text = module.read_text()
+        module.write_text(text + f"\n\ndef _planted(metrics):\n    {call}\n")
+        return f"{module}:{text.count(chr(10)) + 4}"
+
+    def test_an_undeclared_counter_fails_naming_file_and_line(self, tree):
+        where = self.plant(tree, 'metrics.counter("cache.bogus")')
+        assert check_catalog.check(tree) == [
+            f"{where}: 'cache.bogus' is not in {tree / 'obs' / 'catalog.py'}'s METRICS"]
+
+    def test_a_counter_read_as_a_gauge_fails_on_the_kind(self, tree):
+        where = self.plant(tree, 'metrics.gauge("cache.hits")')
+        assert check_catalog.check(tree) == [
+            f"{where}: 'cache.hits' is declared a counter, used as a gauge"]
+
+    def test_an_entry_nothing_emits_fails(self, tree):
+        catalog = tree / "obs" / "catalog.py"
+        text = catalog.read_text()
+        catalog.write_text(text.replace(
+            "METRICS = {\n",
+            'METRICS = {\n    "cache.bogus": ("counter", "lookups", "unused"),\n'))
+        line = text[:text.index("METRICS = {")].count("\n") + 2
+        assert check_catalog.check(tree) == [
+            f"{catalog}:{line}: METRICS entry 'cache.bogus' has no emission site"]

@@ -35,7 +35,7 @@ from repro.watch import (
 class TestSLOEngine:
     def test_histogram_quantile_burn(self):
         metrics = MetricsRegistry()
-        hist = metrics.histogram("admission.queue_wait_s", (0.1, 0.5, 2.0))
+        hist = metrics.histogram("admission.queue_wait_s")  # TIME_BUCKETS_S
         for _ in range(99):
             hist.observe(0.05)
         hist.observe(1.0)
@@ -44,8 +44,8 @@ class TestSLOEngine:
                     "admission.queue_wait_s", 0.2, quantile=95.0),
         ])
         result = engine.evaluate()[0]
-        assert result.value == 0.1        # p95 bucket edge
-        assert result.burn == pytest.approx(0.5)
+        assert result.value == 0.05       # p95 bucket edge
+        assert result.burn == pytest.approx(0.25)
         assert result.ok
 
     def test_ratio_burn_over_budget(self):
