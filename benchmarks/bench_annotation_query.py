@@ -91,10 +91,14 @@ def battery(spec: CorpusSpec):
 
 
 def check_global(store: AnnotationStore) -> bool:
-    """The scan-shaped query, both paths, row-for-row (untimed)."""
-    query = AQ.of_type("scene").during(290.0, 310.0).named("global-scene")
-    return (run(store, query, mode="index").rows
-            == run(store, query, mode="scan").rows)
+    """The scan-shaped query, and one over every track for each other
+    operator, both paths, row-for-row (untimed)."""
+    scene = AQ.of_type("scene")
+    return all(run(store, query, mode="index").rows
+               == run(store, query, mode="scan").rows
+               for query in (scene.during(290.0, 310.0).named("global-scene"),
+                             scene.overlaps(290.0, 310.0), scene.meets(290.0, 310.0),
+                             scene.before(20.0), scene.after(580.0), scene))
 
 
 def build_store(spec: CorpusSpec) -> tuple:

@@ -18,7 +18,7 @@ import pathlib
 
 from repro.activities import ActivityGraph
 from repro.activities.library import Speaker, SubtitleWindow, VideoWindow
-from repro.codecs import JPEGCodec
+from repro.codecs import JPEGCodec, MuLawCodec
 from repro.container import ContainerDemuxer, read_composite, write_composite
 from repro.sim import Simulator
 from repro.synth import NEWSCAST_CLIP_SPEC, newscast_clip
@@ -29,10 +29,11 @@ OUTPUT = pathlib.Path(__file__).parent / "output"
 
 def author() -> TemporalComposite:
     clip = newscast_clip(video_frames=30, audio_seconds=1.0)
-    # Store the video track compressed inside the container.
-    compressed = JPEGCodec(80).encode_value(clip.value("videoTrack"))
+    # Store the video track and the English track compressed inside the
+    # container; the demuxer decodes the audio blocks inline.
     values = {name: clip.value(name) for name in clip.track_names}
-    values["videoTrack"] = compressed
+    values["videoTrack"] = JPEGCodec(80).encode_value(values["videoTrack"])
+    values["englishTrack"] = MuLawCodec().encode_value(values["englishTrack"])
     return TemporalComposite(NEWSCAST_CLIP_SPEC, values)
 
 
@@ -43,14 +44,17 @@ def main() -> None:
     path = OUTPUT / "newscast.avdb"
     path.write_bytes(data)
     video = clip.value("videoTrack")
+    voice = clip.value("englishTrack")
     print(f"muxed 4 tracks into {path} ({len(data):,} bytes; video stored "
-          f"as {video.media_type.name}, {video.compression_ratio():.1f}x)")
+          f"as {video.media_type.name}, {video.compression_ratio():.1f}x, "
+          f"English audio as {voice.media_type.name})")
 
     # 1. Parse back and verify fidelity.
     restored = read_composite(path.read_bytes())
     assert restored.value("subtitleTrack").texts() == \
         clip.value("subtitleTrack").texts()
     assert restored.value("videoTrack").chunks == video.chunks
+    assert restored.value("englishTrack").blocks == voice.blocks
     print("demux-to-values: tracks parse back bit-exact")
 
     # 2. Stream it: one sequential scan, four synchronized sinks.

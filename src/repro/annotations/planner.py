@@ -14,7 +14,8 @@ cost model stay an estimate:
   dearer than a scan touch).  Selectivity comes from each track's count,
   first start, max end and summed lengths, read straight off its index,
   under a uniform-start assumption; ``meets`` is priced as a thin
-  equality slice.
+  equality slice.  A query over every track is priced from the store's
+  summary rows in one numpy pass that gives the per-track loop's float.
 
 A decision goes to the :mod:`repro.obs` DecisionLog (``kind="plan"``,
 actor ``annotations.planner``) with both estimates when a query's
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
+
+import numpy as np
 
 from repro.annotations.query import (AnnotationJoin, AnnotationQuery,
                                      _candidate_tracks)
@@ -88,11 +91,44 @@ def estimate_track_matches(count: int, min_start: float, max_end: float,
     raise AnnotationError(f"unknown window operator {op!r}")
 
 
+def _every_track_cost(rows: np.ndarray, op, lo: float, hi: float) -> float:
+    """:func:`_index_cost` over every track's summary row at once, in
+    :func:`estimate_track_matches`' operand order; the seek and emit terms
+    are interleaved in the loop's order after a 0.0 and summed by
+    ``np.add.accumulate``, which adds in sequence: the loop's float."""
+    count, min_start, max_end, sum_len, log_n = rows[rows[:, 0] > 0].T
+    if op is None:
+        matches = count
+    elif op == "meets":
+        matches = np.maximum(1.0, count * MEETS_FRACTION)
+    else:
+        extent = np.where(max_end > min_start, max_end - min_start, 1e-9)
+        if op == "overlaps":
+            avg_len = sum_len / count
+            fraction = (hi - lo + avg_len) / (extent + avg_len)
+        elif op == "during":
+            fraction = (hi - lo) / extent
+        elif op == "before":
+            fraction = (lo - min_start) / extent
+        elif op == "after":
+            fraction = (max_end - hi) / extent
+        else:
+            raise AnnotationError(f"unknown window operator {op!r}")
+        matches = count * np.where(fraction > 0.0,
+                                   np.minimum(fraction, 1.0), 0.0)
+    terms = np.zeros(2 * len(count) + 1)
+    terms[1::2] = C_SEEK * log_n
+    terms[2::2] = C_EMIT * matches
+    return float(np.add.accumulate(terms)[-1])
+
+
 def _index_cost(store: AnnotationStore, query: AnnotationQuery,
                 tracks) -> float:
     """Every candidate track priced in one pass over its index's four
-    running summaries; an empty track adds nothing."""
+    running summaries, or its summary row; an empty track adds nothing."""
     op, lo, hi = query.op, query.lo, query.hi
+    if query.value_id is None and query.track is None:
+        return _every_track_cost(store._router.summaries(), op, lo, hi)
     indexes = store._tracks
     cost = 0.0
     for key in tracks:

@@ -117,30 +117,21 @@ class AnnotationQuery:
             parts.append(f"{key}={value!r}")
         return self.label or " ".join(parts)
 
-    # -- residual predicate (over a row's values, model.FIELDS order) -----
-    def _matches_payload(self, values: tuple) -> bool:
-        # Both are canonical sorted (name, value) pairs, one per name:
-        # a wanted pair is matched by being one of the row's.
-        have = values[PAYLOAD]
-        for pair in self.payload:
-            if pair not in have:
-                return False
-        return True
-
-    def _matches_residual(self, values: tuple) -> bool:
-        """Everything but the temporal clause (used by the index path)."""
-        if self.atype is not None and values[ATYPE] != self.atype:
-            return False
-        return not self.payload or self._matches_payload(values)
-
+    # -- the row predicate (over a row's values, model.FIELDS order) ------
     def matches(self, values: tuple) -> bool:
         """The full row predicate (the scan path's only tool)."""
         if self.value_id is not None and values[VALUE_ID] != self.value_id:
             return False
         if self.track is not None and values[TRACK] != self.track:
             return False
-        if not self._matches_residual(values):
+        if self.atype is not None and values[ATYPE] != self.atype:
             return False
+        # Both are canonical sorted (name, value) pairs, one per name:
+        # a wanted pair is matched by being one of the row's.
+        have = values[PAYLOAD]
+        for pair in self.payload:
+            if pair not in have:
+                return False
         if self.op is not None:
             return WINDOW_OPS[self.op](values[START], values[END],
                                        self.lo, self.hi)
@@ -384,16 +375,16 @@ def _run_join_index(store: AnnotationStore, join: AnnotationJoin,
                     lefts: Sequence) -> QueryResult:
     pairs: List[Tuple[Annotation, Annotation]] = []
     examined = 0
-    matches = join.right._matches_residual
-    tracks = _candidate_tracks(store, join.right)
+    right = join.right
+    tracks = _candidate_tracks(store, right)
     for left in lefts:
         op, lo, hi = _probe_window(join.relation, left)
         for track_key in tracks:
-            found, _ = store._tracks[track_key].select(op, lo, hi)
+            found, _ = store._tracks[track_key].select(
+                op, lo, hi, right.atype, right.payload)
             found = [row for row in found if row.oid != left.oid]  # not itself
             examined += len(found)
-            pairs += [(left, Annotation.from_object(obj))
-                      for obj in found if matches(obj._values)]
+            pairs += [(left, Annotation.from_object(obj)) for obj in found]
     return QueryResult(pairs, "index", examined)
 
 

@@ -42,7 +42,7 @@ import hashlib
 from array import array
 from bisect import bisect_left, insort
 from itertools import accumulate, islice
-from math import isfinite
+from math import isfinite, log2
 from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Tuple, Union)
 
@@ -108,9 +108,9 @@ class TrackStats(NamedTuple):
 class _IntervalRouter:
     """Derived-index target: owns the per-track indexes, their keys in
     sorted order (the track directory every multi-track read walks; a
-    key is put in place when its track is created) and ``every``, one
+    key is put in place when its track is created), ``every``, one
     more index over the postings of all tracks, whose size is the
-    store's.
+    store's, and :meth:`summaries`, one row per track for the planner.
 
     The router must not refer back to the :class:`AnnotationStore`.  The
     store reaches it through ``Database._derived``, so a back reference
@@ -125,6 +125,9 @@ class _IntervalRouter:
         self.codes = TypeCodes()  # one table for every index's type column
         self.payloads = PayloadCodes()  # and one for its payload column
         self.every = self._index()
+        #: :meth:`summaries`' rows; ``stale``: keys whose row a write outdated.
+        self._summaries: Optional[np.ndarray] = None
+        self.stale: set = set()
 
     def _index(self) -> IntervalIndex:
         index = IntervalIndex()
@@ -138,23 +141,44 @@ class _IntervalRouter:
         if index is None:
             index = self.tracks[key] = self._index()
             insort(self.keys, key)
+            self._summaries = None
         return index
 
     def insert(self, key, obj: DBObject) -> None:
         value_id, track, start, end = key
         if self.track_index(value_id, track).add(start, end, obj):
             self.every.add(start, end, obj)
+            self.stale.add((value_id, track))
 
     def remove(self, key, obj: DBObject) -> None:
         value_id, track, start, end = key
         index = self.tracks.get((value_id, track))
         if index is not None and index.discard(start, end, obj):
             self.every.discard(start, end, obj)
+            self.stale.add((value_id, track))
 
     def clear(self) -> None:
         self.tracks.clear()
         self.keys.clear()
         self.every = self._index()
+        self._summaries = None
+
+    def summaries(self) -> np.ndarray:
+        """Each track's count, first start, max end, summed lengths and
+        ``log2(count + 1)``, a row per key in order: stale rows refreshed,
+        or all built after a new track or ``clear``, never in a bulk load."""
+        keys, rows = self.keys, self._summaries
+        if rows is None:
+            rows = self._summaries = np.empty((len(keys), 5))
+            self.stale = set(keys)
+        for key in self.stale:
+            index = self.tracks[key]
+            count = len(index)
+            # ``math.log2``: numpy's log2 can differ from it in the last bit.
+            rows[bisect_left(keys, key)] = (count, index.min_start(), index.max_end(),
+                                            index.sum_len, log2(count + 1))
+        self.stale.clear()
+        return rows
 
 
 def _interval_key(obj: DBObject):
@@ -382,6 +406,7 @@ class AnnotationStore:
             cut = slice(after[slot] - counts[slot], after[slot])
             router.track_index(*key).extend_sorted(
                 *(column[cut] for column in columns))
+        router.stale.update(loaded.tracks)
 
 
 def _sorted_columns(loaded: _Loaded, rows: np.ndarray, order: np.ndarray

@@ -25,7 +25,7 @@ from repro.activities.base import Location, MediaActivity
 from repro.activities.events import EVENT_EACH_ELEMENT, EVENT_LAST_ELEMENT
 from repro.activities.ports import Direction
 from repro.avtime import WorldTime
-from repro.container.format import AUDIO_BLOCK, _read, _TrackInfo
+from repro.container.format import _read, _TrackInfo
 from repro.sim import Delay, Simulator
 from repro.streams.element import END_OF_STREAM, StreamElement
 from repro.values.mediatype import standard_type
@@ -56,14 +56,22 @@ class ContainerDemuxer(MediaActivity):
 
     # -- the single-pass streaming loop --------------------------------------
     @staticmethod
-    def _record_time(info: _TrackInfo, element_index: int) -> float:
-        per_record = 1
-        if info.kind == "audio":
-            per_record = (info.codec.block_samples
-                          if info.codec is not None else AUDIO_BLOCK)
+    def _record_time(info: _TrackInfo, before: int) -> float:
+        """A record's ideal seconds, ``before`` mapping units of its track
+        (see :meth:`_record_units`) after the track's start."""
         mapping = info.mapping
-        return (mapping.start.seconds
-                + element_index * per_record * mapping.scale / mapping.rate)
+        return mapping.start.seconds + before * mapping.scale / mapping.rate
+
+    @staticmethod
+    def _record_units(info: _TrackInfo, element) -> int:
+        """How far one record moves its track's clock: an audio block by
+        its sample frames, which a stream may have cut to any length; any
+        other record by one element."""
+        if info.kind != "audio":
+            return 1
+        if info.codec is None:
+            return element.shape[1]
+        return info.codec.check_block(element, info.channels)
 
     @staticmethod
     def _element(info: _TrackInfo, element):
@@ -77,11 +85,13 @@ class ContainerDemuxer(MediaActivity):
         t_start = self.simulator.now_s
         ports = [self.port(info.name) for info in self._tracks]
         position = 0
+        units = [0] * len(ports)  # per track: the mapping units sent so far
         while position < len(self._records) and not self._stop_requested:
             track_index, element_index, element, size_bits = self._records[position]
             position += 1
             info = self._tracks[track_index]
-            when = self._record_time(info, element_index)
+            when = self._record_time(info, units[track_index])
+            units[track_index] += self._record_units(info, element)
             if self.paced:
                 wait = t_start + when - self.simulator.now_s
                 if wait > 0:

@@ -200,9 +200,12 @@ class ContainerWriter:
                 payload = np.ascontiguousarray(value.frame(i)).tobytes()
                 yield i, mapping.start.seconds + i * mapping.scale / mapping.rate, payload
         elif isinstance(value, EncodedAudioValue):
-            span = value.codec.block_samples * mapping.scale / mapping.rate
+            # Timed by the samples before it: a value built from a stream
+            # keeps the stream's block length, not the codec's.
+            lo = 0
             for i, block in enumerate(value.blocks):
-                yield i, mapping.start.seconds + i * span, block
+                yield i, mapping.start.seconds + lo * mapping.scale / mapping.rate, block
+                lo += value.codec.check_block(block, value.num_channels)
         elif isinstance(value, RawAudioValue):
             samples = value.samples()
             for i, lo in enumerate(range(0, value.num_samples, AUDIO_BLOCK)):

@@ -346,6 +346,51 @@ class TestDemuxer:
         pcm = english.pcm()
         assert np.abs(pcm.astype(int) - voice.samples().astype(int)).mean() < 200
 
+    def test_streamed_coded_audio_is_timed_by_its_blocks(self):
+        """A µ-law value built from a stream keeps the stream's 512-sample
+        blocks: written and demuxed, its records are timed by the samples
+        before them, 0.064 s apart, not at the codec's 1,024 a block."""
+        from repro.activities import ActivityGraph
+        from repro.activities.library import (AudioEncoder, AudioReader,
+                                              AudioWriter, SinkActivity)
+        from repro.activities.ports import Direction
+        from repro.container import ContainerDemuxer
+        from repro.synth import subtitle_track
+        sim, codec = Simulator(), MuLawCodec()
+        reader = AudioReader(sim, block_samples=512)
+        reader.bind(tone(0.5, 440.0, 8000.0))
+        writer = AudioWriter(sim, rate=8000.0, codec=codec, geometry=(1,))
+        graph = ActivityGraph(sim)
+        stages = [graph.add(stage)
+                  for stage in (reader, AudioEncoder(sim, codec), writer)]
+        for upstream, downstream in zip(stages, stages[1:]):
+            graph.connect(upstream.out_ports()[0], downstream.in_ports()[0])
+        graph.run_to_completion()
+        voice = writer.result()
+        assert [len(block) for block in voice.blocks] == [512] * 7 + [416]
+        data = write_composite(TemporalComposite(NEWSCAST_CLIP_SPEC, {
+            "videoTrack": moving_scene(6, 32, 24), "englishTrack": voice,
+            "frenchTrack": tone(0.2, 330.0),
+            "subtitleTrack": subtitle_track(["a"])}))
+        want = [n * 0.064 for n in range(8)]
+        written = [when for _, when, _ in ContainerWriter()._elements_of(voice)]
+        assert written == pytest.approx(want)
+        sim = Simulator()
+        demuxer = ContainerDemuxer(sim, data)
+        demuxer.paced = False
+        graph = ActivityGraph(sim)
+        graph.add(demuxer)
+        for port in demuxer.out_ports():
+            sink = graph.add(SinkActivity(sim, name=port.name))
+            sink.paced = False
+            sink.add_port("in", Direction.IN, port.media_type)
+            graph.connect(port, sink.port("in"))
+            if port.name == "englishTrack":
+                english = sink
+        graph.run_to_completion()
+        played = [record.ideal.seconds for record in english.log.records]
+        assert played == pytest.approx(want) and played[-1] == pytest.approx(0.448)
+
     @pytest.mark.parametrize("corrupt, message", [
         ("version", "version 9"),
         ("unknown_track", "unknown track 7"),

@@ -1041,6 +1041,46 @@ class TestBroadQueryCounts:
         assert store._router.keys is directory
 
 
+    def test_a_warm_broad_query_prices_from_the_summary_rows(
+            self, monkeypatch):
+        # Once the router's summary rows are built, a query over every
+        # track reads no track's first start or max end and estimates no
+        # track: only the store-wide index's, in ``_reads_every``.  A
+        # write leaves its track's row stale, and the next broad query
+        # reads that track's summaries again, and no other's.
+        from repro.annotations import (AQ, AnnotationStore, CorpusSpec,
+                                       IntervalIndex, load_corpus, run)
+        from repro.annotations import planner
+
+        store = AnnotationStore()
+        load_corpus(store, CorpusSpec(seed=3, values=40, annotations=4_000,
+                                      duration_s=600.0))
+        broad = AQ.of_type("word").during(100.0, 120.0)
+        run(store, broad)
+        estimated, read = [], []
+        estimate = planner.estimate_track_matches
+        monkeypatch.setattr(planner, "estimate_track_matches",
+                            lambda count, *args: (estimated.append(count),
+                                                  estimate(count, *args))[1])
+        for name in ("min_start", "max_end"):
+            monkeypatch.setattr(IntervalIndex, name, lambda self, old=getattr(
+                IntervalIndex, name): (read.append(self), old(self))[1])
+        every = store._router.every
+        for query in (broad, AQ.overlaps(0.0, 600.0), AQ.before(5.0), AQ):
+            run(store, query, mode="index")
+        assert estimated == [len(store)] * 4
+        assert read and all(index is every for index in read)
+
+        store.annotate("value-00003", "video", "word", 1.0, 2.0,
+                       {"label": "w"})
+        assert store._router.stale == {("value-00003", "video")}
+        read.clear()
+        run(store, broad, mode="index")
+        written = store._tracks["value-00003", "video"]
+        assert [index for index in read if index is not every] == [written] * 2
+        assert not store._router.stale
+
+
 class TestProfileCLI:
     def test_profile_resolves_all_registries(self):
         from repro.perf import profile_scenario
