@@ -7,13 +7,15 @@ prints the timeline diagram, slots a half-speed replay of it in later
 (scale and translate keep the tracks aligned), compresses the video
 track for storage, and plays the whole composite back with injected
 latency jitter, with and without resynchronization, reporting the
-measured inter-track skew, and previews its first half second, stopping
-the transfer there.
+measured inter-track skew, and previews its first half second from disk,
+the database decoding the stored video (the §4.3 dynamic configuration
+that delivers raw), stopping the transfer there.
 
 Run:  python examples/newscast_authoring.py
 """
 
 from repro import AVDatabaseSystem, AttributeSpec, ClassDef, MagneticDisk, Q, WorldTime
+from repro.avtime import ObjectTime
 from repro.activities.library import Speaker, SubtitleWindow, VideoWindow
 from repro.codecs import JPEGCodec
 from repro.streams.sync import RandomWalkJitter
@@ -39,10 +41,11 @@ def author_clip() -> TemporalComposite:
     })
 
 
-def play(system, clip, jitter_step, resync_interval, stop_at=None):
+def play(system, clip, jitter_step, resync_interval, stop_at=None,
+         deliver="stored"):
     session = system.open_session()
     source = system.make_multisource(
-        clip, name=None,
+        clip, deliver=deliver, name=None,
         jitter_factory=None if jitter_step is None else (
             lambda track: RandomWalkJitter(
                 step=jitter_step, bias=2.5, seed=sum(map(ord, track)) % 997)),
@@ -73,7 +76,9 @@ def main() -> None:
     print("Fig. 1 — the authored Newscast.clip timeline:\n")
     print(clip.timeline.render_ascii(width=50))
     print(f"\ncomposite duration: {clip.duration.seconds:.1f}s; "
-          f"tracks active at t=2.0s: {clip.active_tracks(WorldTime(2.0))}")
+          f"tracks active at t=2.0s: {clip.active_tracks(WorldTime(2.0))}; "
+          f"video frame 15 at t="
+          f"{clip.value('videoTrack').object_to_world(ObjectTime(15)).seconds:.1f}s")
     # Scale and translate apply to the whole composite, so its tracks stay
     # correlated: a half-speed replay slotted in at t=10 s still aligns.
     replay = clip.scale(2.0).translate(WorldTime(10.0))
@@ -105,12 +110,16 @@ def main() -> None:
             else f"resync every {resync} elems"
         print(f"  {label}: max inter-track skew = {skew * 1000:7.2f} ms")
 
-    # Place the tracks on disk (client-visible placement), then preview
-    # the first half second from there and stop the transfer.
-    for track in clip.track_names:
-        system.store_value(clip.value(track), "disk0")
-    _, window = play(system, clip, jitter_step=None, resync_interval=None,
-                     stop_at=0.5)
+    # Place the tracks on disk, the video compressed (client-visible
+    # placement), then preview the first half second from there, decoded
+    # at the database, and stop the transfer.
+    stored = TemporalComposite(NEWSCAST_CLIP_SPEC, {
+        track: compressed if track == "videoTrack" else clip.value(track)
+        for track in clip.track_names})
+    for track in stored.track_names:
+        system.store_value(stored.value(track), "disk0")
+    _, window = play(system, stored, jitter_step=None, resync_interval=None,
+                     stop_at=0.5, deliver="raw")
     print(f"\npreview from disk0 stopped at 0.5 s: {window.elements_consumed} of "
           f"{clip.value('videoTrack').num_frames} video frames presented")
 

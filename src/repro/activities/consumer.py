@@ -42,7 +42,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import TYPE_CHECKING, Generator, List, Optional, Sequence
 
-from repro.activities.clockout import FRESH
+from repro.activities.clockout import GETTING
 from repro.activities.events import EVENT_LAST_ELEMENT
 from repro.sim import WaitEvent
 from repro.streams.element import END_OF_STREAM
@@ -52,9 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
 
 # Where a process taken over from a cut run stands (past ``FRESH``,
-# nothing taken over): waiting in a get, or holding an element until its
-# presentation time.
-GETTING, DELAYED = range(FRESH + 1, FRESH + 3)
+# nothing taken over): waiting in a get (``clockout.GETTING``), or holding
+# an element until its presentation time.
+DELAYED = GETTING + 1
 
 #: what a process is resumed with when its part of the run is over.
 _RAN_OUT = object()
@@ -298,17 +298,19 @@ class ConsumerRun:
             process.on_abandon = None if run is None else self.cut
 
     # -- the processes' side -------------------------------------------------
-    def sleep(self, activity) -> Generator:
+    def sleep(self, activity, looked: bool = False) -> Generator:
         """Generator subroutine: sleep until the activity's last element.
 
+        ``looked``: its first look, and stall, came before the run began.
         Returns ``None`` when its part of the run ran out, or where the
         per-element loop takes over after a cut: ``(stage, held, buffer,
         resumed)``, ``resumed`` being the get's ``(event, woke)``.
         """
         process = self.chain.index(activity)
         simulator = self.simulator
-        # Its first look, as the per-element loop has it: an empty buffer.
-        self.buffers[process]._count_consumer_stall()
+        if not looked:
+            # Its first look, as the per-element loop has it: an empty buffer.
+            self.buffers[process]._count_consumer_stall()
         self._joined[process] = True
         wake = self._wakes[process]
         self._timers[process] = simulator.wake_at(
@@ -346,6 +348,8 @@ class ConsumerRun:
             return
         buffers, hands, chain = self.buffers, self.hands, self.chain
         source = buffers[0]
+        if source.feeder is not None:
+            source.feeder.settle()      # the payloads its arrivals carry
         while index < count:
             at, code, which = ops[index]
             if at > until:

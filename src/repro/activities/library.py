@@ -34,12 +34,14 @@ from repro.activities.base import Location, MediaActivity
 from repro.activities.clockout import (
     FETCHING,
     FRESH,
+    GETTING,
+    PUTTING,
     SERIALIZING,
     ClockedRun,
+    Tied,
 )
 from repro.activities.consumer import (
     DELAYED,
-    GETTING,
     ConsumerRun,
     Filled,
     runs_of,
@@ -51,9 +53,9 @@ from repro.activities.events import (
     EVENT_LAST_FRAME,
 )
 from repro.activities.ports import Direction
-from repro.avtime import ObjectTime, WorldTime
+from repro.avtime import WorldTime
 from repro.errors import ActivityError, MediaTypeError
-from repro.sim import Delay, SettledCounter, Simulator
+from repro.sim import Delay, SettledCounter, SimEvent, Simulator, WaitEvent
 from repro.storage.devices import DeviceReservation
 from repro.streams.buffer import StreamBuffer
 from repro.streams.clock import PresentationLog
@@ -126,10 +128,12 @@ class PacedSource(MediaActivity):
         return [(value.element_payload(i), value.element_size_bits(i), media_type)
                 for i in range(self._start_element(value), value.element_count)]
 
-    def _ideal_offset(self, position: int) -> float:
-        """Seconds from cue position to element ``position``'s ideal time."""
+    def _ideal_offsets(self, count: int) -> List[float]:
+        """Seconds from the cue position to each of the first ``count``
+        elements' ideal times, computed once per run (both loops read
+        them)."""
         value = self._value()
-        return self._offset_of(value, self._start_element(value) + position)
+        return self._grid_offsets(value, self._start_element(value), 1, count)
 
     # -- shared cue arithmetic --------------------------------------------
     # The cue position is the world time at which the activity's start
@@ -144,9 +148,17 @@ class PacedSource(MediaActivity):
             return 0
         return value.world_to_object(self._cue_position).index
 
-    def _offset_of(self, value: MediaValue, element_index: int) -> float:
-        ideal = value.object_to_world(ObjectTime(element_index))
-        return (ideal - self._cue_position).seconds
+    def _grid_offsets(self, value: MediaValue, first: int, stride: int,
+                      count: int) -> List[float]:
+        """``(start + scale * index / rate) - cue`` for the element indexes
+        ``first``, ``first + stride``, ...: the float operations of
+        ``value.object_to_world`` and the cue subtraction, in their order,
+        without building an ``ObjectTime`` and three ``WorldTime``s each."""
+        mapping = value.mapping
+        start, scale, rate = mapping.start.seconds, mapping.scale, mapping.rate
+        cue = self._cue_position.seconds
+        return [(start + scale * (first + stride * i) / rate) - cue
+                for i in range(count)]
 
     def _pre_start(self) -> None:
         self._value()  # raises if unbound
@@ -192,16 +204,15 @@ class PacedSource(MediaActivity):
     def _timeline_computable(self, connection, payloads) -> bool:
         """The clock-out predicate (DESIGN.md §6.10): can every element's
         timeline be computed now, before any of them is sent?"""
-        reservation = connection.reservation if connection is not None else None
         io_stream = self.io_stream
         return (
             bool(payloads) and not self._stop_requested
-            # the hop has latency, so the sender never blocks on the buffer
-            and reservation is not None and reservation.latency_s > 0
-            and not reservation.released and not reservation.preempted
-            and reservation.clocked is None
-            # no fault model armed on the channel or the device
-            and reservation.channel.faults is None
+            # the hop has latency, so the sender never blocks on the
+            # buffer; or it is a private link into a transformer here
+            # that sends over such a hop (the fused stage)
+            and connection is not None
+            and (_clear_hop(connection) or self._folds(connection))
+            # no fault model armed on the device
             and (io_stream is None
                  or (type(io_stream) is DeviceReservation
                      and io_stream.device.faults is None
@@ -215,15 +226,42 @@ class PacedSource(MediaActivity):
                         if name not in MediaActivity.EVENT_NAMES)
         )
 
+    def _folds(self, connection) -> bool:
+        """The fused stage's clause: a private link, empty and unreserved,
+        into a transformer here that costs no time, declares its wire
+        size, is neither stopped nor yet to take a step, and sends over a
+        hop ``_clear_hop`` accepts."""
+        buffer, transformer = connection.buffer, connection.sink.owner
+        process = getattr(transformer, "process", None)
+        return (connection.reservation is None and not buffer._items
+                and not (buffer._not_empty or buffer._not_full)
+                and isinstance(transformer, TransformerActivity)
+                and type(transformer)._process is TransformerActivity._process
+                and transformer.process_seconds == 0
+                and transformer.out_bits is not None
+                and transformer.location is self.location
+                and not transformer._stop_requested
+                and process is not None and process._epoch == 0
+                and transformer.out_ports()[0].connection is not None
+                and _clear_hop(transformer.out_ports()[0].connection))
+
     def _paced_loop(self) -> Generator:
         simulator = self.simulator
         port = self.out_ports()[0]
         t_start = simulator.now_s
         payloads = self._element_payloads()
         total = len(payloads)
-        first, stage, fetched = 0, FRESH, None
+        offsets = self._ideal_offsets(total)
+        first, stage, fetched, run = 0, FRESH, None, None
         if self._timeline_computable(port.connection, payloads):
-            run = ClockedRun(self, port.connection, payloads, t_start)
+            try:
+                run = ClockedRun(self, port.connection, payloads, offsets,
+                                 t_start)
+            except Tied:
+                pass    # the fused stage's model met a tie: per element
+        if run is not None:
+            if run.stage is not None:
+                _call_to_join(run.stage.out)
             cut = yield from run.clock_out()
             if cut is None:
                 self._emit_last()
@@ -250,7 +288,7 @@ class PacedSource(MediaActivity):
                     if self._sync_group is not None:
                         drift = getattr(self.jitter, "drift", lag)
                         self._sync_group.report(self._sync_member, drift)
-                offset = self._ideal_offset(position)
+                offset = offsets[position]
                 ideal = WorldTime(t_start + offset)
                 if stage <= FETCHING:
                     if fetched is not None:
@@ -264,13 +302,18 @@ class PacedSource(MediaActivity):
                 element = StreamElement(payload, position, ideal, media_type, size_bits)
                 if stage == SERIALIZING:
                     yield from connection.send(element, serialized=True)
+                elif stage == PUTTING:
+                    yield from connection.buffer.put(element, True)
                 else:
                     yield from port.send(element)
                 stage = FRESH
                 self._elements_produced += 1
                 self._m_produced.inc()
                 self._emit_each(element, last=position == total - 1)
-            yield from port.send(END_OF_STREAM)
+            if stage == PUTTING:    # end-of-stream, stalled on a full buffer
+                yield from connection.buffer.put(END_OF_STREAM, True)
+            else:
+                yield from port.send(END_OF_STREAM)
             self._emit_last()
         finally:
             if fetched is not None:
@@ -285,6 +328,16 @@ class PacedSource(MediaActivity):
 
     def _emit_last(self) -> None:
         """Hook for subclass-specific final events."""
+
+
+def _clear_hop(connection) -> bool:
+    """A hop to clock out over: reserved with latency (its sender never
+    blocks), live, not clocked out, no fault model on its channel."""
+    reservation = connection.reservation
+    return (reservation is not None and reservation.latency_s > 0
+            and not reservation.released and not reservation.preempted
+            and reservation.clocked is None
+            and reservation.channel.faults is None)
 
 
 def _consumer_chain(head: MediaActivity):
@@ -350,7 +403,7 @@ def _take_part(activity: MediaActivity) -> Generator:
     if run is None:
         chain = _consumer_chain(activity)
         if chain is None:
-            return _FRESH
+            return (yield from _wait_at_first_look(activity))
         try:
             run = ConsumerRun(*chain)
         except Filled:
@@ -359,6 +412,50 @@ def _take_part(activity: MediaActivity) -> Generator:
 
 
 _FRESH = (FRESH, None, None, None)
+#: what wakes a consumer waiting at its first look to join a run.
+_JOIN = object()
+
+
+def _wait_at_first_look(activity: MediaActivity) -> Generator:
+    """A consumer's first look at a reserved hop nothing has come over:
+    the get's first wait (its stall counted), taken here so that a fused
+    clock-out beginning behind the hop can call it to join a consumer run
+    (``_call_to_join``).  Returns where the per-element loop takes over."""
+    connection = activity.in_ports()[0].connection
+    if (connection is None or connection.reservation is None
+            or connection.buffer._items or connection.buffer._arrivals):
+        return _FRESH
+    buffer = connection.buffer
+    buffer._count_consumer_stall()
+    event = activity._first_look = SimEvent(activity.simulator,
+                                            buffer._not_empty_name)
+    buffer._wait_for(event, activity.simulator.active)
+    woke = yield WaitEvent(event)
+    activity._first_look = None
+    if woke is not _JOIN:
+        return GETTING, None, buffer, (event, woke)
+    chain = _consumer_chain(activity)
+    try:
+        run = None if chain is None else ConsumerRun(*chain)
+    except Filled:
+        run = None
+    if run is None:
+        return GETTING, None, buffer, None      # waiting, its stall counted
+    return (yield from run.sleep(activity, looked=True))
+
+
+def _call_to_join(connection) -> None:
+    """A fused clock-out has deposited on ``connection``: wake the
+    consumer waiting there at its first look to join a consumer run (a
+    composite's components start after the sinks connected to it look)."""
+    head, buffer = connection.sink.owner, connection.buffer
+    event = getattr(head, "_first_look", None)
+    if event is not None and buffer._sleeper is head.process:
+        buffer._not_empty.remove(event)
+        buffer._sleeper = None
+        head.simulator.cancel(buffer._timer)    # the deposits armed it
+        buffer._timer = None
+        event.trigger(_JOIN)
 
 
 class SinkActivity(MediaActivity):
@@ -483,9 +580,16 @@ class SinkActivity(MediaActivity):
 
 
 class TransformerActivity(MediaActivity):
-    """Base for one-in/one-out transformers with a per-element cost."""
+    """Base for one-in/one-out transformers with a per-element cost.
+
+    ``out_bits`` is the wire size of every element it sends, when that is
+    fixed (a video decoder's frames): a clock-out folds in only a
+    transformer that declares it, since it times the sends before the
+    transforms run.
+    """
 
     elements_processed = SettledCounter("_elements_processed")
+    out_bits: Optional[int] = None
 
     def __init__(self, simulator: Simulator, name: Optional[str] = None,
                  location: Location = Location.APPLICATION,
@@ -510,18 +614,22 @@ class TransformerActivity(MediaActivity):
         out_port = self.out_ports()[0]
         taken_over = yield from _take_part(self)
         if taken_over is None:
-            return      # the consumer run passed everything on
-        stage, _, buffer, resumed = taken_over
+            return      # the run it takes part in passed everything on
+        stage, held, where, resumed = taken_over
         while True:
-            if stage == GETTING:
-                element = yield from buffer.get(True, resumed)
+            if stage == SERIALIZING:
+                # Transformed, and on the wire since a cut clock-out run.
+                yield from where.send(held, serialized=True)
             else:
-                element = yield from in_port.receive()
-            if isinstance(element, EndOfStream) or self._stop_requested:
-                break
-            if self.process_seconds > 0:
-                yield Delay(self.process_seconds)
-            yield from out_port.send(self._transform(element))
+                if stage == GETTING:
+                    element = yield from where.get(True, resumed)
+                else:
+                    element = yield from in_port.receive()
+                if isinstance(element, EndOfStream) or self._stop_requested:
+                    break
+                if self.process_seconds > 0:
+                    yield Delay(self.process_seconds)
+                yield from out_port.send(self._transform(element))
             stage = FRESH
             self._count_processed()
         yield from out_port.send(END_OF_STREAM)
@@ -625,6 +733,8 @@ class Decoder(TransformerActivity):
         coded = standard_type(codec.value_class._TYPE_NAME)
         media = _MEDIA[coded.kind]
         self._raw = media.raw
+        if media is _Video:     # width * height * depth: a frame's bits
+            self.out_bits = geometry[0] * geometry[1] * geometry[2]
         self.add_port(f"{media.kind}_in", Direction.IN, coded)
         self.add_port(f"{media.kind}_out", Direction.OUT, media.raw)
 
@@ -774,8 +884,9 @@ class VideoDigitizer(PacedSource):
             for i in range(start, value.num_frames)
         ]
 
-    def _ideal_offset(self, position: int) -> float:
-        return super()._ideal_offset(position) + self.digitize_seconds
+    def _ideal_offsets(self, count: int) -> List[float]:
+        return [offset + self.digitize_seconds
+                for offset in super()._ideal_offsets(count)]
 
     def _emit_each(self, element, last):
         super()._emit_each(element, last)
@@ -974,10 +1085,10 @@ class AudioReader(PacedSource):
         first = (self._start_element(value) // self.block_samples) * self.block_samples
         return _pcm_blocks(value, first, self.block_samples)
 
-    def _ideal_offset(self, position: int) -> float:
+    def _ideal_offsets(self, count: int) -> List[float]:
         value = self._value()
         first = (self._start_element(value) // self.block_samples) * self.block_samples
-        return self._offset_of(value, first + position * self.block_samples)
+        return self._grid_offsets(value, first, self.block_samples, count)
 
 
 class AudioEncoder(Encoder):
@@ -1138,14 +1249,13 @@ class MIDISource(PacedSource):
             self._rendered = self.synthesizer.render(self._value())
         return _pcm_blocks(self._rendered, 0, self.block_samples)
 
-    def _ideal_offset(self, position: int) -> float:
+    def _ideal_offsets(self, count: int) -> List[float]:
         if self._rendered is None:
             self._rendered = self.synthesizer.render(self._value())
         # Rendered audio starts at world time 0; cue shifts the offset.
-        return (
-            position * self.block_samples / self._rendered.sample_rate
-            - self._cue_position.seconds
-        )
+        rate, cue = self._rendered.sample_rate, self._cue_position.seconds
+        return [position * self.block_samples / rate - cue
+                for position in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -373,17 +373,21 @@ class IntervalIndex:
 
     def select(self, op: Optional[str] = None, lo: float = 0.0,
                hi: float = 0.0, atype: Optional[str] = None,
-               payload: Payload = ()) -> Tuple[List[DBObject], int]:
+               payload: Payload = (),
+               table: Optional[bytearray] = None) -> Tuple[List[DBObject], int]:
         """The window's rows of ``atype`` (None: any) whose payload holds
         every pair of ``payload``, in key order, and how many postings the
         window matched before the type and payload tests.  A short piece
         with a test to pass is tested posting by posting; any other piece
-        with one as one numpy mask over its columns."""
+        with one as one numpy mask over its columns.  ``table`` is
+        ``payloads.wanted(payload)`` when the caller, a join probing many
+        windows for one payload, has built it once."""
         found: List[DBObject] = []
         matched = 0
         # A type never posted passes for "other" and fails on the row.
         code = None if atype is None else self.codes.get(atype, _OTHER)
-        table = self.payloads.wanted(payload) if payload else None
+        if payload and table is None:
+            table = self.payloads.wanted(payload)
         for block, i, j, test, bound in self._pieces(op, lo, hi):
             if test is None and code is None and table is None:
                 matched += j - i

@@ -377,11 +377,14 @@ def _run_join_index(store: AnnotationStore, join: AnnotationJoin,
     examined = 0
     right = join.right
     tracks = _candidate_tracks(store, right)
+    # Every track's index shares the router's payload codes: one table.
+    table = (store._router.payloads.wanted(right.payload)
+             if right.payload else None)
     for left in lefts:
         op, lo, hi = _probe_window(join.relation, left)
         for track_key in tracks:
             found, _ = store._tracks[track_key].select(
-                op, lo, hi, right.atype, right.payload)
+                op, lo, hi, right.atype, right.payload, table)
             found = [row for row in found if row.oid != left.oid]  # not itself
             examined += len(found)
             pairs += [(left, Annotation.from_object(obj)) for obj in found]

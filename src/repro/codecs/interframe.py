@@ -24,6 +24,8 @@ from repro.codecs.dct import JPEGCodec, _reconstruct
 from repro.errors import CodecError
 from repro.values.video import MPEGVideoValue
 
+_ZERO, _FULL = np.int16(0), np.int16(255)
+
 
 class MPEGCodec(VideoCodec):
     """Keyframe + quantized-delta interframe coding."""
@@ -80,7 +82,9 @@ class MPEGCodec(VideoCodec):
         frame = quantized.astype(np.int16)
         frame *= self.delta_quant
         frame += reference
-        return frame.clip(0, 255, out=frame).astype(np.uint8)
+        # int16 bounds: Python ints would make numpy build ``iinfo`` for
+        # the cast check on every call.
+        return frame.clip(_ZERO, _FULL, out=frame).astype(np.uint8)
 
     def decode_frame_at(self, chunks: Sequence[bytes], index: int,
                         width: int, height: int, depth: int) -> np.ndarray:

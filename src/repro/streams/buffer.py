@@ -72,6 +72,10 @@ class StreamBuffer:
         self._high_watermark = 0
         #: the consumer run that owns this buffer's future, if any.
         self.clocked = None
+        #: the clocked-out run whose timed deposits carry payloads it
+        #: settles (a folded transformer's), if any: settled before an
+        #: arrival is let in.
+        self.feeder = None
         metrics = simulator.obs.metrics
         self._metrics = metrics
         self._m_put = metrics.counter("stream.elements_buffered")
@@ -254,6 +258,8 @@ class StreamBuffer:
         """Let in every arrival that is due, as its delivery process would
         have at its arrival time (nothing else touches ``_items`` between
         two looks, so doing it late changes no sample)."""
+        if self.feeder is not None:
+            self.feeder.settle()
         now = self.simulator._clock.now
         arrivals = self._arrivals
         blocked = self._blocked

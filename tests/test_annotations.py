@@ -998,6 +998,24 @@ class TestQueries:
             AnnotationJoin(AQ.on("v0", "audio"), "during",
                            AQ.on("v0", "audio").during(0.0, 1.0))
 
+    def test_a_join_builds_its_payload_table_once(self, monkeypatch):
+        # every probe of every track shares the router's payload codes
+        store = seeded_store()
+        calls = []
+        wanted = intervals.PayloadCodes.wanted
+
+        def counted(codes, pairs):
+            calls.append(pairs)
+            return wanted(codes, pairs)
+
+        monkeypatch.setattr(intervals.PayloadCodes, "wanted", counted)
+        join = AnnotationJoin(AQ.of_type("word").during(0.0, 60.0), "during",
+                              AQ.of_type("turn").where(label="turn-2"))
+        index = run_join(store, join, mode="index")
+        assert index.plan.mode == "index" and len(index.rows) > 1
+        assert len(calls) == 1
+        assert index.rows == run_join(store, join, mode="scan").rows
+
     def test_transactional_query_locks_out_younger_writer(self):
         store = seeded_store(n=50, values=1)
         tx = store.db.begin()

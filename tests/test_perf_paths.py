@@ -487,6 +487,16 @@ class TestTeardownCycles:
                 scenarios.newscast()
         self.assert_freed(run)
 
+    def test_raw_newscast_playback(self):
+        # the fused stage, its transformer's side and the window's
+        # consumer run, all detached from what they owned
+        from repro.obs import scoped
+
+        def run():
+            with scoped(tracing=False):
+                TestClockOutCounts.newscast(per_element=False)
+        self.assert_freed(run)
+
     def test_a_notified_session(self):
         """A session asked to be notified does not make its activity
         hold it (``Session.notify_on``)."""
@@ -1166,6 +1176,62 @@ class TestClockOutCounts:
         assert spawned == 3
         # the decoder's and the window's wake-up per element
         assert dispatched >= 2 * 48
+
+    @staticmethod
+    def newscast(per_element: bool):
+        """The ledger's composite playback: a Newscast clip with coded
+        video, delivered raw (reader -> decoder at the database)."""
+        from repro.activities import EVENT_EACH_ELEMENT
+        from repro.activities.library import (
+            PacedSource, Speaker, SubtitleWindow, VideoWindow)
+        from repro.avdb import AVDatabaseSystem
+        from repro.codecs import MPEGCodec
+        from repro.storage import MagneticDisk
+        from repro.synth import NEWSCAST_CLIP_SPEC, newscast_clip
+        from repro.temporal.composite import TemporalComposite
+
+        cast = newscast_clip(video_frames=48, audio_seconds=1.6, seed=3)
+        values = {track: cast.value(track) for track in cast.track_names}
+        values["videoTrack"] = MPEGCodec(75).encode_value(values["videoTrack"])
+        clip = TemporalComposite(NEWSCAST_CLIP_SPEC, values)
+        system = AVDatabaseSystem()
+        system.add_storage(MagneticDisk(system.simulator, "disk0"))
+        for track in clip.track_names:
+            system.store_value(clip.value(track))
+        sim = system.simulator
+        session = system.open_session("viewer")
+        source = session.new_db_source(clip, deliver="raw")
+        sink = session.new_multi_sink()
+        window = VideoWindow(sim, name="win", presentation_delay=0.1)
+        sink.install(window, track="videoTrack")
+        for name, track in (("en", "englishTrack"), ("fr", "frenchTrack")):
+            sink.install(Speaker(sim, name=name, presentation_delay=0.1),
+                         track=track)
+        sink.install(SubtitleWindow(sim, name="sub", presentation_delay=0.1),
+                     track="subtitleTrack")
+        reader = [leaf for leaf in system.graph._flatten(source)
+                  if isinstance(leaf, PacedSource)][0]
+        if per_element:
+            reader.catch(EVENT_EACH_ELEMENT, lambda *_: None)
+        session.connect(source, sink).start()
+        sim.run(until=WorldTime(0.0))
+        clocked = reader.clocked is not None and window.clocked is not None
+        session.run()
+        session.close()
+        assert window.elements_consumed == 48
+        return clocked, system.metrics.snapshot()["sim.events_dispatched"]
+
+    def test_raw_newscast_playback_is_clocked_out(self):
+        # Before the fused stage: about 297 events (the reader, its
+        # read-ahead stage, the decoder and the window per element).
+        clocked, dispatched = self.newscast(per_element=False)
+        assert clocked
+        assert dispatched <= 40
+        # per element: a wake-up per frame in the reader, its read-ahead
+        # stage, the decoder and the window
+        clocked, dispatched = self.newscast(per_element=True)
+        assert not clocked
+        assert dispatched >= 4 * 48
 
 
 class TestCodecKernelCounts:

@@ -44,6 +44,7 @@ from repro.activities.library import (
     PacedSource,
     Speaker,
     SubtitleWindow,
+    TransformerActivity,
     VideoDecoder,
     VideoWindow,
 )
@@ -57,7 +58,8 @@ from repro.obs import scoped
 from repro.sim import Delay, Simulator
 from repro.storage.devices import Device
 from repro.streams.buffer import StreamBuffer
-from repro.synth import newscast_clip
+from repro.synth import NEWSCAST_CLIP_SPEC, newscast_clip
+from repro.temporal.composite import TemporalComposite
 from repro.values.audio import RawAudioValue
 from repro.values.video import RawVideoValue
 
@@ -67,7 +69,7 @@ SETTINGS = settings(max_examples=60)
 # -- the pipelines ----------------------------------------------------------
 @dataclass(frozen=True)
 class Pipeline:
-    kind: str               # plain | stored | decoded | raw | multi | audio
+    kind: str               # plain | stored | decoded | raw | multi | newscast | audio
     frames: int
     width: int
     rate: float
@@ -91,7 +93,7 @@ def _draw(seed: int) -> Pipeline:
     numbers, which here would mean unpaced one-frame clips over slow
     hops: never a pacing wait, never a full read-ahead buffer)."""
     pick = random.Random(seed).choice
-    return Pipeline(
+    spec = Pipeline(
         kind=pick(["plain", "plain", "stored", "decoded", "raw", "multi"]),
         frames=pick(range(1, 25)),
         width=pick([4, 8, 24]),
@@ -109,6 +111,11 @@ def _draw(seed: int) -> Pipeline:
         cut_share=pick(range(1001)) / 1000,
         seed=seed,
     )
+    # Half the composites are the ledger's, delivered raw (a pick after
+    # the others, which it leaves as they were drawn).
+    if spec.kind == "multi" and pick([False, True]):
+        spec = dataclasses.replace(spec, kind="newscast")
+    return spec
 
 
 PIPELINES = st.integers(0, 2**30).map(_draw)
@@ -142,12 +149,18 @@ class Rig:
         system = self.system = AVDatabaseSystem()
         system.readahead = spec.readahead
         self.sim = system.simulator
-        if spec.kind == "multi":
+        if spec.kind in ("multi", "newscast"):
             value = newscast_clip(video_frames=spec.frames,
                                   audio_seconds=spec.frames / 30.0,
                                   seed=spec.seed)
             tracks = [value.value(track) for track in value.track_names]
             hop_bps = stored_bps = sum(t.data_rate_bps() for t in tracks)
+            if spec.kind == "newscast":
+                # the ledger's composite: coded video, delivered raw
+                tracks[0] = _codec(spec).encode_value(tracks[0])
+                value = TemporalComposite(NEWSCAST_CLIP_SPEC, dict(
+                    zip(value.track_names, tracks)))
+                stored_bps = sum(t.data_rate_bps() for t in tracks)
         elif spec.kind == "audio":
             value = _audio(spec)
             hop_bps = stored_bps = value.data_rate_bps()
@@ -156,11 +169,7 @@ class Rig:
             value = _video(spec)
             hop_bps = stored_bps = value.data_rate_bps()
             if spec.kind != "plain":
-                # (an MPEG stream cued past a keyframe does not decode)
-                codec = (MPEGCodec(60, gop=3) if spec.seed % 2
-                         and spec.kind == "decoded" and not spec.cue_share
-                         else JPEGCodec(60))
-                value = codec.encode_value(value)
+                value = _codec(spec).encode_value(value)
                 stored_bps = value.data_rate_bps()
                 if spec.kind in ("stored", "decoded"):
                     hop_bps = stored_bps
@@ -176,8 +185,9 @@ class Rig:
             "viewer", channel_bps=hop_bps * 8, latency_s=spec.latency_s)
         self.channel = session.channel
         delay = spec.prebuffer_s
-        if spec.kind == "multi":
-            source = session.new_db_source(value)
+        if spec.kind in ("multi", "newscast"):
+            source = session.new_db_source(
+                value, deliver="raw" if spec.kind == "newscast" else "stored")
             sink = session.new_multi_sink()
             self.sinks = [
                 VideoWindow(self.sim, name="win", presentation_delay=delay),
@@ -242,8 +252,12 @@ class Rig:
                     source, window, capacity=spec.capacity,
                     bandwidth_bps=hop_bps * spec.hop_share)]
         self.source = source
-        self.sources = [leaf for leaf in system.graph._flatten(source)
+        leaves = system.graph._flatten(source)
+        self.sources = [leaf for leaf in leaves
                         if isinstance(leaf, PacedSource)]
+        # a composite's decoders, folded into its readers' runs
+        self.decoders += [leaf for leaf in leaves
+                          if isinstance(leaf, TransformerActivity)]
         source.cue(WorldTime(spec.cue_share * (_span_s(spec) - 0.3)))
         for activity in self.sources + self.sinks:
             activity.paced = spec.paced
@@ -254,6 +268,11 @@ class Rig:
             for sink in self.sinks:
                 sink.catch(EVENT_EACH_ELEMENT, lambda *_: None)
         self.connections = [c for s in self.streams for c in s.connections]
+        # and the private links from a composite's readers to its decoders
+        self.connections += [leaf.out_ports()[0].connection
+                             for leaf in self.sources
+                             if leaf.out_ports()[0].connection.reservation
+                             is None]
         if plant is not None:
             plant(self)
         for stream in self.streams:
@@ -300,6 +319,14 @@ class Rig:
         return seen
 
 
+def _codec(spec: Pipeline):
+    """The pipeline's video codec (an MPEG stream cued past a keyframe
+    does not decode)."""
+    return (MPEGCodec(60, gop=3)
+            if spec.seed % 2 and spec.kind in ("decoded", "raw", "newscast")
+            and not spec.cue_share else JPEGCodec(60))
+
+
 def _payload_bytes(payloads: list) -> bytes:
     return b"".join(np.ascontiguousarray(p).tobytes()
                     if isinstance(p, np.ndarray) else repr(p).encode()
@@ -307,7 +334,8 @@ def _payload_bytes(payloads: list) -> bytes:
 
 
 def _span_s(spec: Pipeline) -> float:
-    return spec.frames / (30.0 if spec.kind == "multi" else spec.rate) + 0.3
+    return spec.frames / (30.0 if spec.kind in ("multi", "newscast")
+                          else spec.rate) + 0.3
 
 
 def _play(spec: Pipeline, per_element: bool, disturb=None,
@@ -365,13 +393,49 @@ class TestRunEqualsPerElement:
                     paced=True, prebuffer_s=0.05, cut_share=0.0, seed=1)
         assert _clocked_sources(Pipeline(kind="plain", **base)) == 1
         assert _clocked_sources(Pipeline(kind="stored", **base)) == 1
-        # reader -> decoder is a hop without latency: per element, and
-        # only the decoder's sends are timed hand-offs.
-        assert _clocked_sources(Pipeline(kind="raw", **base)) == 0
+        # reader -> decoder is a private link without latency: the
+        # decoder is folded into the reader's run (the fused stage).
+        assert _clocked_sources(Pipeline(kind="raw", **base)) == 1
         assert _clocked_sources(Pipeline(kind="multi", **base)) == 4
         rig = Rig(Pipeline(kind="plain", **base), per_element=True)
         rig.sim.run(until=WorldTime(0.0))
         assert [s.clocked for s in rig.sources] == [None]
+
+
+def test_fused_stages_are_driven():
+    # The draws reach raw-delivered composites whose decoder is folded
+    # into the reader's run, and runs where the decoder finds the private
+    # buffer empty (``SWEPT_FUSED`` fills it, which the draws rarely do;
+    # a tie the model refuses has a test of its own).
+    fused = starved = 0
+    for seed in range(200):
+        spec = _draw(seed)
+        if spec.kind not in ("raw", "newscast"):
+            continue
+        rig = Rig(spec, per_element=False)
+        rig.sim.run(until=WorldTime(0.0))
+        run = rig.decoders[0].clocked
+        if run is not None:
+            fused += 1
+            starved += any(op[2] == clockout._LOOK for op in run.stage.ops)
+        rig.sim.run()
+    assert fused >= 30 and starved >= 3
+
+
+def test_a_tie_the_model_cannot_order_goes_per_element():
+    # A frame serializes in 1/25 s and the reader paces at 25 frames/s:
+    # a serialization of the decoder ends as a pace target of the reader
+    # comes, both wake-ups queued at one instant in an order the model
+    # does not tell, so the source goes per element.
+    spec = Pipeline(kind="raw", frames=22, width=24, rate=25.0,
+                    hop_share=1.0, latency_s=0.0005, placed=False,
+                    device_share=2.5, seek_s=0.0, readahead=4.0, capacity=8,
+                    cue_share=0.0, paced=True, prebuffer_s=0.05,
+                    cut_share=0.375, seed=207)
+    rig = Rig(spec, per_element=False)
+    rig.sim.run(until=WorldTime(0.0))
+    assert [source.clocked for source in rig.sources] == [None]
+    _assert_same(_play(spec, False), _play(spec, True))
 
 
 def _without_stall_term(monkeypatch) -> None:
@@ -483,6 +547,21 @@ class TestCutEqualsPerElement:
         assert stages == {"seeking", "fetching", "pacing", "serializing",
                           "sent"}
 
+    @pytest.mark.parametrize("disturb", DISTURBANCES,
+                             ids=lambda d: d.__name__.strip("_"))
+    def test_every_stage_of_the_fused_stage_is_cut(self, disturb):
+        # An unpaced reader over a fast device, its decoder sending over a
+        # slow hop: the decoder waits for the first read, then serializes
+        # while the reader fills the private buffer and stalls on it.
+        spec = SWEPT_FUSED
+        stages = set()
+        for step in range(24):
+            at = step * 0.03
+            stages |= _fused_stage_at(spec, at)
+            _assert_same(_play(spec, False, disturb, at),
+                         _play(spec, True, disturb, at))
+        assert stages == {"getting", "serializing", "putting"}
+
 
 #: One source over a fast hop and a fast device (part (b)'s sweep).
 SWEPT = Pipeline(kind="plain", frames=10, width=8, rate=30.0, hop_share=4.0,
@@ -517,6 +596,33 @@ def test_a_cut_at_the_last_send_leaves_the_run_to_run_out():
                  _play(SWEPT, True, plant=stop_at_last_send))
 
 
+#: A reader and its decoder, fused, filling the private buffer (part (b)).
+SWEPT_FUSED = Pipeline(kind="raw", frames=14, width=8, rate=30.0,
+                       hop_share=0.6, latency_s=0.013, placed=True,
+                       device_share=8.0, seek_s=0.015, readahead=2.0,
+                       capacity=4, cue_share=0.0, paced=False,
+                       prebuffer_s=0.05, cut_share=0.0, seed=3)
+
+
+def _fused_stage_at(spec: Pipeline, at: float) -> set:
+    """Where the fused stage's reader and decoder stand at ``at``."""
+    rig = Rig(spec, per_element=False)
+    rig.sim.run(until=WorldTime(at))
+    run = rig.decoders[0].clocked
+    if run is None:
+        return set()
+    run.settle()
+    stage, position = run.stage, run._n_sent
+    seen = set()
+    if position < len(run.paced) and run.paced[position] <= at:
+        seen.add("putting")     # offered, the private buffer full
+    if stage.n_got > stage.n_sent:
+        seen.add("serializing")
+    elif stage.n_got <= stage.total:
+        seen.add("getting")
+    return seen
+
+
 def _stage_at(spec: Pipeline, at: float) -> str:
     """Where the (single) source's run stands at ``at``."""
     rig = Rig(spec, per_element=False)
@@ -539,7 +645,7 @@ def _consumer_draw(seed: int) -> Pipeline:
     """A pipeline whose consumers can run as one: reader -> window, a
     decoder -> window chain, or a composite's clocked tracks."""
     kind = random.Random(seed + 1).choice(["plain", "decoded", "decoded",
-                                           "multi"])
+                                           "multi", "newscast"])
     return dataclasses.replace(_draw(seed), kind=kind)
 
 
